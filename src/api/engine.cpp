@@ -570,6 +570,7 @@ EngineStats Engine::stats() const {
   s.shape_artifacts = artifacts_.shape_stats();
   s.view_artifacts = artifacts_.view_stats();
   s.ipet_artifacts = artifacts_.ipet_stats();
+  s.reuse_artifacts = artifacts_.reuse_stats();
   return s;
 }
 

@@ -183,6 +183,8 @@ struct EngineStats {
   support::MemoStats shape_artifacts;   ///< invariant analyzer skeletons
   support::MemoStats view_artifacts;    ///< bound analyzer front ends
   support::MemoStats ipet_artifacts;    ///< per-workload IPET skeleton stores
+  support::MemoStats reuse_artifacts; ///< all-geometry cache tables (misses
+                                      ///< = observed runs)
 };
 
 class Engine {

@@ -56,8 +56,7 @@ struct ExperimentOptions {
   bool incremental = true;
   /// Superblock translation tier in the simulator; false is the
   /// --no-block-tier per-instruction A/B baseline (field-identical,
-  /// slower). No effect on cache-branch simulations (tier disables itself
-  /// under a functional cache).
+  /// slower). Drives the cache branch's observed run too.
   bool block_tier = true;
 };
 

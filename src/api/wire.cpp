@@ -564,6 +564,10 @@ std::string encode_health(int64_t id, const ServeStats& serve,
   e.set("response_evictions", json::Value(engine.response_evictions));
   e.set("admission_waits", json::Value(engine.admission_waits));
   e.set("shed", json::Value(engine.shed));
+  json::Value reuse = json::Value::object();
+  reuse.set("hits", json::Value(engine.reuse_artifacts.hits));
+  reuse.set("misses", json::Value(engine.reuse_artifacts.misses));
+  e.set("reuse_tables", std::move(reuse));
 
   json::Value r = json::Value::object();
   r.set("healthy", json::Value(true)); // answering at all is the liveness bit

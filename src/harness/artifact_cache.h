@@ -5,13 +5,15 @@
 // paper's allocation profile comes from a no-assignment (main-memory-only)
 // image, so the profiling simulation yields the same AccessProfile for every
 // scratchpad capacity. That no-assignment image itself is also what the
-// cache branch simulates at every cache size (caches are transparent to
-// layout). The analyzer's front end splits the same way: the
+// cache branch runs at every cache size (caches are transparent to layout),
+// and since a cache changes timing only, one observed run of it yields
+// every cache geometry's cycles and hit counts (cache::ReuseTable). The
+// analyzer's front end splits the same way: the
 // layout-invariant ProgramShape (CFG structure, loops, bound binding) is
 // one-per-workload, the bound ProgramView (addresses, value analysis) is
 // one-per-image — so the cache branch analyzes all its sizes against a
 // single cached view, and the predecoded canonical image (DecodedImage) is
-// shared by its simulations and the analyzer alike. An ArtifactCache shared
+// shared by its observed run and the analyzer alike. An ArtifactCache shared
 // across the points of a batch computes each of these once per workload and
 // hands the immutable results to every point.
 //
@@ -24,7 +26,9 @@
 #pragma once
 
 #include <memory>
+#include <utility>
 
+#include "cache/reuse_table.h"
 #include "link/image.h"
 #include "program/decoded_image.h"
 #include "sim/block_table.h"
@@ -44,6 +48,7 @@ public:
   using BlocksFn = std::function<sim::BlockTable()>;
   using ShapeFn = std::function<wcet::ProgramShape()>;
   using ViewFn = std::function<wcet::ProgramView()>;
+  using ReuseFn = std::function<cache::ReuseTable()>;
   using Stats = support::MemoStats;
 
   /// Returns the workload's no-assignment access profile, computing it with
@@ -54,7 +59,7 @@ public:
   }
 
   /// Returns the workload's canonical no-assignment image (the executable
-  /// the cache branch simulates at every size and the profiling simulation
+  /// the cache branch analyzes at every size and the profiling simulation
   /// runs on), linking it with `compute` once per workload per batch.
   std::shared_ptr<const link::Image>
   image(const workloads::WorkloadInfo& wl, const ImageFn& compute) {
@@ -62,17 +67,18 @@ public:
   }
 
   /// Returns the shared decode table of the workload's canonical image —
-  /// used by every cache-branch simulation of the batch and by the
-  /// analyzer front end, so the image's code is decoded once per workload.
+  /// used by the cache branch's observed run, the profiling simulation and
+  /// the analyzer front end, so the image's code is decoded once per
+  /// workload.
   std::shared_ptr<const program::DecodedImage>
   decoded(const workloads::WorkloadInfo& wl, const DecodedFn& compute) {
     return decoded_.get(&wl, compute);
   }
 
   /// Returns the compiled superblock table of the workload's canonical
-  /// no-assignment image — shared by the batch's profiling simulations
-  /// (the block tier compiles per image, and the profiling run is always
-  /// against the no-assignment layout). Placed SPM images differ per size
+  /// no-assignment image — shared by the profiling simulation and the
+  /// cache branch's observed run (the block tier compiles per image, and
+  /// both run the no-assignment layout). Placed SPM images differ per size
   /// and compile their own tables inside the simulator.
   std::shared_ptr<const sim::BlockTable>
   blocks(const workloads::WorkloadInfo& wl, const BlocksFn& compute) {
@@ -107,6 +113,15 @@ public:
     return ipet_.get(&wl, [] { return wcet::IpetCache(); });
   }
 
+  /// Returns the workload's all-geometry cache table of one kind (unified
+  /// or instruction-only): one observed run of the canonical image serves
+  /// every cache size and associativity of that kind.
+  std::shared_ptr<const cache::ReuseTable>
+  reuse(const workloads::WorkloadInfo& wl, bool unified,
+        const ReuseFn& compute) {
+    return reuse_.get({&wl, unified}, compute);
+  }
+
   /// hits = served from cache, misses = ran the profiling simulation.
   Stats stats() const { return profiles_.stats(); }
 
@@ -128,6 +143,9 @@ public:
   /// hits = reused an existing IPET skeleton store.
   Stats ipet_stats() const { return ipet_.stats(); }
 
+  /// hits = answered a cache point from the table, misses = observed run.
+  Stats reuse_stats() const { return reuse_.stats(); }
+
   void clear() {
     profiles_.clear();
     images_.clear();
@@ -136,6 +154,7 @@ public:
     shapes_.clear();
     views_.clear();
     ipet_.clear();
+    reuse_.clear();
   }
 
 private:
@@ -149,6 +168,9 @@ private:
       shapes_;
   support::Memoizer<const workloads::WorkloadInfo*, wcet::ProgramView> views_;
   support::Memoizer<const workloads::WorkloadInfo*, wcet::IpetCache> ipet_;
+  support::Memoizer<std::pair<const workloads::WorkloadInfo*, bool>,
+                    cache::ReuseTable>
+      reuse_;
 };
 
 } // namespace spmwcet::harness

@@ -59,6 +59,20 @@ canonical_decoded(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
   return std::make_shared<const program::DecodedImage>(img);
 }
 
+/// The block table of the canonical no-assignment image, compiled once per
+/// workload for the batch's profiling simulation and the cache branch's
+/// observed run. Requires a batch cache (without one the simulator
+/// compiles its own).
+std::shared_ptr<const sim::BlockTable>
+canonical_blocks(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
+                 const link::Image& img, const program::DecodedImage* dec) {
+  return cfg.artifacts->blocks(wl, [&] {
+    const sim::SymbolIndex syms(img);
+    return dec != nullptr ? sim::BlockTable(*dec, syms, img)
+                          : sim::BlockTable(img, syms);
+  });
+}
+
 /// The analyzer front end bound to the canonical image, shared by every
 /// cache size of the cache branch. The view pins the image (and shape) it
 /// borrows, so a cached copy outlives the batch safely.
@@ -88,29 +102,26 @@ ipet_cache_for(const workloads::WorkloadInfo& wl, const SweepConfig& cfg) {
 
 void validate_outputs(const workloads::WorkloadInfo& wl, sim::Simulator& s,
                       const std::string& what) {
-  for (const auto& exp : wl.expected)
+  for (const auto& exp : wl.expected) {
+    // One symbol lookup per global, not per element.
+    const link::Symbol& sym = s.global(exp.name);
     for (std::size_t i = 0; i < exp.values.size(); ++i) {
-      const int64_t got = s.read_global(exp.name, static_cast<uint32_t>(i));
+      const int64_t got = s.read_global(sym, static_cast<uint32_t>(i));
       if (got != exp.values[i])
         throw Error("harness: " + wl.name + " produced wrong output in " +
                     what + " configuration: " + exp.name + "[" +
                     std::to_string(i) + "] = " + std::to_string(got) +
                     ", expected " + std::to_string(exp.values[i]));
     }
+  }
 }
 
-/// Profile-based energy estimate: every profiled access is charged by the
-/// memory class its symbol landed in; stack and anonymous traffic is main
-/// memory; cache configurations charge hits/misses instead of raw accesses.
-double estimate_energy(const link::Image& img, const sim::SimResult& run,
-                       bool cached) {
+/// Profile-based energy estimate of an uncached run: every profiled access
+/// is charged by the memory class its symbol landed in; stack and
+/// anonymous traffic is main memory.
+double estimate_energy(const link::Image& img, const sim::SimResult& run) {
   const energy::EnergyModel em;
   double nj = static_cast<double>(run.cycles) * em.cpu_cycle_nj;
-  if (cached) {
-    nj += static_cast<double>(run.cache_hits) * em.cache_hit_nj;
-    nj += static_cast<double>(run.cache_misses) * em.cache_miss_nj;
-    return nj;
-  }
   auto charge = [&](const sim::AccessCounts& c, isa::MemClass cls) {
     nj += static_cast<double>(c.fetch) * em.access_nj(cls, 2);
     for (int w = 0; w < 3; ++w)
@@ -127,6 +138,43 @@ double estimate_energy(const link::Image& img, const sim::SimResult& run,
   charge(run.profile.stack, isa::MemClass::MainMemory);
   charge(run.profile.other, isa::MemClass::MainMemory);
   return nj;
+}
+
+/// Energy of a cached run: cycles plus hits and misses.
+double cache_energy(const cache::ReuseTable::Outcome& run) {
+  const energy::EnergyModel em;
+  double nj = static_cast<double>(run.cycles) * em.cpu_cycle_nj;
+  nj += static_cast<double>(run.hits) * em.cache_hit_nj;
+  nj += static_cast<double>(run.misses) * em.cache_miss_nj;
+  return nj;
+}
+
+/// The workload's all-geometry table for the configured cache kind: one
+/// observed run of the canonical image, block tier included, with its
+/// outputs validated in that run. Once per workload and kind with a batch
+/// cache, per point without one.
+std::shared_ptr<const cache::ReuseTable>
+reuse_table(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
+            const link::Image& img, const program::DecodedImage& dec) {
+  const auto observe = [&] {
+    cache::ReuseTable::Builder rec(cfg.cache_unified);
+    sim::SimConfig scfg;
+    scfg.reuse = &rec;
+    scfg.block_tier = cfg.block_tier;
+    scfg.predecoded = &dec;
+    std::shared_ptr<const sim::BlockTable> blocks;
+    if (cfg.block_tier && cached(cfg)) {
+      blocks = canonical_blocks(wl, cfg, img, &dec);
+      scfg.compiled_blocks = blocks.get();
+    }
+    sim::Simulator s(img, scfg);
+    const sim::SimResult run = s.run();
+    validate_outputs(wl, s, "cache");
+    return rec.finish(run.cycles);
+  };
+  if (cached(cfg))
+    return cfg.artifacts->reuse(wl, cfg.cache_unified, observe);
+  return std::make_shared<const cache::ReuseTable>(observe());
 }
 
 SweepPoint run_spm_point(const workloads::WorkloadInfo& wl, uint32_t size,
@@ -164,15 +212,9 @@ SweepPoint run_spm_point(const workloads::WorkloadInfo& wl, uint32_t size,
           pdec = canonical_decoded(wl, cfg, *profile_img);
           pcfg.predecoded = pdec.get();
         }
-        // The block table compiles against the canonical no-assignment
-        // image, so like the decode it is one-per-workload for the batch.
         std::shared_ptr<const sim::BlockTable> pblocks;
         if (cfg.block_tier) {
-          pblocks = cfg.artifacts->blocks(wl, [&] {
-            const sim::SymbolIndex syms(*profile_img);
-            return pdec ? sim::BlockTable(*pdec, syms, *profile_img)
-                        : sim::BlockTable(*profile_img, syms);
-          });
+          pblocks = canonical_blocks(wl, cfg, *profile_img, pdec.get());
           pcfg.compiled_blocks = pblocks.get();
         }
         sim::Simulator profiler(*profile_img, pcfg);
@@ -234,16 +276,19 @@ SweepPoint run_spm_point(const workloads::WorkloadInfo& wl, uint32_t size,
   pt.wcet_cycles = report.wcet;
   pt.ratio = static_cast<double>(report.wcet) / static_cast<double>(run.cycles);
   pt.spm_used_bytes = used;
-  pt.energy_nj = estimate_energy(img, run, /*cached=*/false);
+  pt.energy_nj = estimate_energy(img, run);
   return pt;
 }
 
 SweepPoint run_cache_point(const workloads::WorkloadInfo& wl, uint32_t size,
                            const SweepConfig& cfg) {
   // One executable serves all cache sizes (caches are transparent); with a
-  // batch cache the no-assignment link runs once per workload, not per size.
+  // batch cache its link, decode, observed run and bound analyzer front end
+  // are once per workload, and each size re-runs only cache analysis,
+  // timing and IPET.
   const auto shared_img = no_assignment_image(wl, cfg);
   const link::Image& img = *shared_img;
+  const auto dec = canonical_decoded(wl, cfg, img);
 
   cache::CacheConfig ccfg;
   ccfg.size_bytes = size;
@@ -251,21 +296,9 @@ SweepPoint run_cache_point(const workloads::WorkloadInfo& wl, uint32_t size,
   ccfg.assoc = cfg.cache_assoc;
   ccfg.unified = cfg.cache_unified;
 
-  sim::SimConfig scfg;
-  scfg.cache = ccfg;
-  scfg.collect_profile = true;
-  scfg.block_tier = cfg.block_tier; // no effect: the tier is cache-disabled
-  // All sizes share the canonical image, so they also share its decode and
-  // the analyzer's bound front end: CFGs, loops and value analysis run once
-  // per workload, and each size re-runs only cache analysis + timing + IPET.
-  std::shared_ptr<const program::DecodedImage> dec;
-  if (cfg.fast_wcet) {
-    dec = canonical_decoded(wl, cfg, img);
-    scfg.predecoded = dec.get();
-  }
-  sim::Simulator s(img, scfg);
-  const sim::SimResult run = s.run();
-  validate_outputs(wl, s, "cache/" + std::to_string(size));
+  // The typical-input run under this geometry: a lookup, not a simulation.
+  const cache::ReuseTable::Outcome run =
+      reuse_table(wl, cfg, img, *dec)->lookup(ccfg);
   cfg.deadline.check("simulate");
 
   wcet::AnalyzerConfig acfg;
@@ -288,9 +321,9 @@ SweepPoint run_cache_point(const workloads::WorkloadInfo& wl, uint32_t size,
   pt.sim_cycles = run.cycles;
   pt.wcet_cycles = report.wcet;
   pt.ratio = static_cast<double>(report.wcet) / static_cast<double>(run.cycles);
-  pt.cache_hits = run.cache_hits;
-  pt.cache_misses = run.cache_misses;
-  pt.energy_nj = estimate_energy(img, run, /*cached=*/true);
+  pt.cache_hits = run.hits;
+  pt.cache_misses = run.misses;
+  pt.energy_nj = cache_energy(run);
   return pt;
 }
 

@@ -5,8 +5,10 @@
 // Scratchpad branch (per size): profile a main-memory-only run, solve the
 // energy knapsack, relink with the chosen objects on the SPM, simulate the
 // typical input (ACET), and run the WCET analyzer — no cache analysis.
-// Cache branch (per size): simulate with the unified direct-mapped cache
-// and analyze with the MUST-only cache analysis.
+// Cache branch (per size): read the typical-input cycles and hit counts of
+// the unified direct-mapped cache from the workload's reuse table (one
+// observed run serves every geometry, see cache/reuse_table.h) and analyze
+// with the MUST-only cache analysis.
 //
 // Every point validates the simulated outputs against the workload's native
 // reference, so a timing experiment can never silently run a miscompiled
@@ -54,9 +56,8 @@ struct SweepConfig {
   /// Superblock translation tier in the simulator (threaded-code blocks
   /// over the predecoded fast path). false (--no-block-tier) keeps the
   /// per-instruction fast path — the A/B baseline; results are
-  /// field-identical either way. Only meaningful with the fast simulator;
-  /// cache-branch simulations always interpret (the tier folds uncached
-  /// timing, so it disables itself under a functional cache).
+  /// field-identical either way. Drives the SPM branch's simulations and
+  /// the cache branch's observed run alike.
   bool block_tier = true;
   /// Incremental IPET (per-workload LP-skeleton cache, batch-scoped) plus
   /// the flat persistence domain. false (--no-incremental) re-solves every

@@ -54,11 +54,24 @@ inline void profile_access(BlockCtx& ctx, uint32_t addr, uint32_t bytes,
     counts->add_load(bytes);
 }
 
+/// Reports the executing block's fetches through the halfword at `through`
+/// to the reuse observer, so every load follows its own op's fetch.
+inline void report_fetches(BlockCtx& ctx, uint32_t through) {
+  if (through >= ctx.fetch_next) {
+    ctx.reuse->fetch_run(ctx.fetch_next, through + 2);
+    ctx.fetch_next = through + 2;
+  }
+}
+
 template <uint32_t Bytes, bool Sign>
-inline uint32_t timed_load(BlockCtx& ctx, uint32_t addr) {
+inline uint32_t timed_load(BlockCtx& ctx, const MicroOp* u, uint32_t addr) {
   if (ctx.profile) profile_access(ctx, addr, Bytes, /*is_store=*/false);
   uint32_t v;
-  if (!ctx.mem->try_load(addr, Bytes, v)) v = ctx.mem->load(addr, Bytes);
+  if (!ctx.mem->try_load(addr, Bytes, v)) {
+    // Observed reads always take this path (try_load declines them).
+    if (ctx.reuse != nullptr) report_fetches(ctx, u->iaddr);
+    v = ctx.mem->load(addr, Bytes);
+  }
   if constexpr (Sign && Bytes < 4) {
     constexpr uint32_t shift = 32 - 8 * Bytes;
     v = static_cast<uint32_t>(static_cast<int32_t>(v << shift) >>
@@ -182,7 +195,7 @@ void h_shifti(BlockCtx& ctx, const MicroOp* u) {
 template <uint32_t Bytes, bool Sign>
 void h_load(BlockCtx& ctx, const MicroOp* u) {
   ctx.regs[u->ins.rd] =
-      timed_load<Bytes, Sign>(ctx, ctx.regs[u->ins.rn] + u->aux);
+      timed_load<Bytes, Sign>(ctx, u, ctx.regs[u->ins.rn] + u->aux);
   SPMWCET_CHAIN;
 }
 template <uint32_t Bytes>
@@ -199,7 +212,7 @@ void h_store(BlockCtx& ctx, const MicroOp* u) {
 template <uint32_t Bytes, bool Sign>
 void h_ldx(BlockCtx& ctx, const MicroOp* u) {
   ctx.regs[u->ins.rd] =
-      timed_load<Bytes, Sign>(ctx, ctx.regs[u->ins.rn] + ctx.regs[u->ins.rm]);
+      timed_load<Bytes, Sign>(ctx, u, ctx.regs[u->ins.rn] + ctx.regs[u->ins.rm]);
   SPMWCET_CHAIN;
 }
 template <uint32_t Bytes>
@@ -216,7 +229,7 @@ void h_stx(BlockCtx& ctx, const MicroOp* u) {
 /// LDR_LIT whose target was pre-classified: cost and profile slot are
 /// static, the pointer was bound once per simulator — no translation, no
 /// symbol search. Falls back to the ordinary timed load when binding
-/// failed (exotic images only).
+/// failed (exotic images, or reads observed).
 void h_ldr_lit(BlockCtx& ctx, const MicroOp* u) {
   const uint8_t* p = ctx.lit_ptrs[u->aux2];
   if (p != nullptr) [[likely]] {
@@ -229,6 +242,7 @@ void h_ldr_lit(BlockCtx& ctx, const MicroOp* u) {
     SPMWCET_CHAIN;
   }
   if (ctx.profile) ctx.counts[u->slot].add_load(4);
+  if (ctx.reuse != nullptr) report_fetches(ctx, u->iaddr);
   ctx.regs[u->ins.rd] = ctx.mem->load(u->aux, 4);
   SPMWCET_CHAIN;
 }
@@ -239,7 +253,10 @@ void h_ldr_lit(BlockCtx& ctx, const MicroOp* u) {
 void h_ldr_lit_dyn(BlockCtx& ctx, const MicroOp* u) {
   if (ctx.profile) ctx.counts[u->slot].add_load(4);
   uint32_t v;
-  if (!ctx.mem->try_load(u->aux, 4, v)) v = ctx.mem->load(u->aux, 4);
+  if (!ctx.mem->try_load(u->aux, 4, v)) {
+    if (ctx.reuse != nullptr) report_fetches(ctx, u->iaddr);
+    v = ctx.mem->load(u->aux, 4);
+  }
   ctx.regs[u->ins.rd] = v;
   SPMWCET_CHAIN;
 }
@@ -250,7 +267,7 @@ void h_adr(BlockCtx& ctx, const MicroOp* u) {
 }
 
 void h_ldr_sp(BlockCtx& ctx, const MicroOp* u) {
-  ctx.regs[u->ins.rd] = timed_load<4, false>(ctx, *ctx.sp + u->aux);
+  ctx.regs[u->ins.rd] = timed_load<4, false>(ctx, u, *ctx.sp + u->aux);
   SPMWCET_CHAIN;
 }
 void h_str_sp(BlockCtx& ctx, const MicroOp* u) {
@@ -287,7 +304,7 @@ void h_pop(BlockCtx& ctx, const MicroOp* u) {
   uint32_t addr = *ctx.sp;
   for (unsigned r = 0; r < 8; ++r)
     if (u->ins.imm & (1 << r)) {
-      ctx.regs[r] = timed_load<4, false>(ctx, addr);
+      ctx.regs[r] = timed_load<4, false>(ctx, u, addr);
       addr += 4;
     }
   *ctx.sp = addr;
@@ -299,10 +316,10 @@ void h_pop_pc(BlockCtx& ctx, const MicroOp* u) {
   uint32_t addr = *ctx.sp;
   for (unsigned r = 0; r < 8; ++r)
     if (u->ins.imm & (1 << r)) {
-      ctx.regs[r] = timed_load<4, false>(ctx, addr);
+      ctx.regs[r] = timed_load<4, false>(ctx, u, addr);
       addr += 4;
     }
-  ctx.next_pc = timed_load<4, false>(ctx, addr);
+  ctx.next_pc = timed_load<4, false>(ctx, u, addr);
   addr += 4;
   *ctx.sp = addr;
   SPMWCET_CHAIN;
@@ -493,6 +510,7 @@ void BlockTable::build(const program::DecodedImage& dec,
       Block b;
       b.lo = s.lo + static_cast<uint32_t>(i) * 2;
       b.first_op = static_cast<uint32_t>(micro_.size());
+      b.main_code = s.cls != MemClass::Scratchpad;
       // Per-slot fetch counts, accumulated flat: a block has at most
       // kMaxBlockOps ops plus one extra fetch (the fused BL's second
       // halfword), so a stack array with a last-entry fast path (runs of
@@ -751,16 +769,22 @@ uint32_t BlockTable::execute(int index, BlockCtx& ctx) const {
   ctx.stop = false;
   ctx.cur_lo = b.lo;
   ctx.cur_hi = b.hi;
+  // Scratchpad fetches bypass the cache: start past the block's end.
+  if (ctx.reuse != nullptr) [[unlikely]]
+    ctx.fetch_next = b.main_code ? b.lo : b.hi;
 
   const MicroOp* ops = micro_.data() + b.first_op;
   ops[0].fn(ctx, ops); // threaded chain; returns at h_end or an abort
-  if (!ctx.stop) [[likely]]
+  if (!ctx.stop) [[likely]] {
+    if (ctx.reuse != nullptr) [[unlikely]] report_fetches(ctx, b.hi - 2);
     return b.instr_count;
+  }
 
   // A store into this block: roll back the entry-folded accounting of the
   // unexecuted suffix, then let the interpreter resume at ctx.next_pc
   // against the refreshed predecode table.
   const uint32_t k = static_cast<uint32_t>(ctx.stopped_at - ops);
+  if (ctx.reuse != nullptr) report_fetches(ctx, ctx.stopped_at->iaddr);
   uint32_t executed = 0;
   for (uint32_t m = 0; m <= k; ++m) executed += ops[m].units;
   uint64_t cycles = 0;

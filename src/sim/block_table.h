@@ -32,6 +32,11 @@
 //     or an execution trace is requested — the tier is disabled up front;
 //   * an invalidated block (see below).
 //
+// Observation: with a reuse observer (SimConfig::reuse) the tier stays
+// engaged. Loads bypass the inline fast paths so the memory system reports
+// them, and each block reports its folded fetches in program order (see
+// BlockCtx::reuse).
+//
 // Invalidation: a store that lands in a code span re-decodes the predecode
 // table (the PR 3 hook) and additionally marks every overlapping compiled
 // block invalid; an invalidated block is never entered again and its
@@ -53,6 +58,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "cache/reuse_table.h"
 #include "isa/instruction.h"
 #include "isa/timing.h"
 #include "link/image.h"
@@ -125,9 +131,15 @@ struct BlockCtx {
   /// so in-window data accesses resolve to the stack slot with one compare
   /// instead of the find_id binary search.
   bool stack_clean = false;
+  /// Observer of the cache-visible reads (SimConfig::reuse) or null.
+  /// Fetches are entry-folded, so a block reports them lazily in program
+  /// order: through an op's own halfword before its first load, the rest
+  /// at block exit.
+  cache::ReuseTable::Builder* reuse = nullptr;
 
   // Per-block execution state (owned by BlockTable::execute).
   uint32_t next_pc = 0;
+  uint32_t fetch_next = 0; ///< first halfword not yet reported to reuse
   bool stop = false; ///< abort after the current micro-op (self-mod store)
   const MicroOp* stopped_at = nullptr; ///< the aborting micro-op
   uint32_t cur_lo = 0, cur_hi = 0; ///< executing block's address range
@@ -248,6 +260,7 @@ private:
     uint32_t static_cycles = 0; ///< sum of the ops' static_cost
     uint32_t fold_first = 0; ///< into folds_: fetch-profile increments
     uint32_t fold_count = 0;
+    bool main_code = false; ///< fetches are cache-visible (not SPM code)
   };
   struct SlotCount {
     uint32_t slot = 0;

@@ -69,6 +69,7 @@ MemorySystem::MemorySystem(const link::Image& img,
     cache_.emplace(*cache_cfg);
     cache_unified_ = cache_cfg->unified;
     miss_cost_ = MemTiming::cache_miss(cache_cfg->line_bytes);
+    hooked_reads_ = true;
   }
 }
 

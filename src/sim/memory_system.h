@@ -1,7 +1,8 @@
 // The simulated memory hierarchy: backing storage for every mapped region,
-// Table-1 access timing, and an optional functional cache in front of main
-// memory (unified or instruction-only). Scratchpad accesses always bypass
-// the cache, as on real TCM hardware.
+// Table-1 access timing, and either an optional functional cache in front of
+// main memory (unified or instruction-only) or an observer that records the
+// reads such a cache would see (cache::ReuseTable). Scratchpad accesses
+// always bypass the cache, as on real TCM hardware.
 //
 // Two translation modes share identical observable behavior (cycles, cache
 // state, trap messages):
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "cache/functional_cache.h"
+#include "cache/reuse_table.h"
 #include "link/image.h"
 
 namespace spmwcet::sim {
@@ -69,21 +71,22 @@ public:
 
   /// Stable pointer to [addr, addr+bytes) iff the fast-mode class map can
   /// serve the whole range with one memory class (written to `cls`); null
-  /// in legacy mode and for unmapped/mixed-class ranges. Areas never move
+  /// in legacy mode, when reads are cached or observed (they must reach
+  /// read_cost_for), and for unmapped/mixed-class ranges. Areas never move
   /// after construction, so the pointer stays valid for the system's
   /// lifetime (the block tier binds literal-pool addresses once).
   const uint8_t* flat_ptr(uint32_t addr, uint32_t bytes,
                           isa::MemClass& cls) const {
-    return fast_ ? flat(addr, bytes, cls) : nullptr;
+    return fast_ && !hooked_reads_ ? flat(addr, bytes, cls) : nullptr;
   }
 
-  /// Inline load fast path for the block tier (which never runs with a
-  /// functional cache): serves exactly the accesses load()'s fast branch
-  /// would, entirely in the header. Returns false (charging nothing) when
-  /// the flat map cannot serve the access — the caller falls back to
-  /// load() for the seed-exact slow path and traps.
+  /// Inline load fast path for the block tier: serves exactly the accesses
+  /// load()'s fast branch would, entirely in the header. Returns false
+  /// (charging nothing) when the flat map cannot serve the access or reads
+  /// are cached or observed — the caller falls back to load(), which owns
+  /// the seed-exact slow path, the traps and the read hooks.
   bool try_load(uint32_t addr, uint32_t bytes, uint32_t& v) {
-    if (cache_ || !fast_ || addr % bytes != 0) return false;
+    if (hooked_reads_ || !fast_ || addr % bytes != 0) return false;
     isa::MemClass cls;
     const uint8_t* p = flat(addr, bytes, cls);
     if (p == nullptr) return false;
@@ -121,6 +124,15 @@ public:
   }
   uint64_t cache_hits() const { return cache_ ? cache_->hits() : 0; }
   uint64_t cache_misses() const { return cache_ ? cache_->misses() : 0; }
+
+  /// Reports every later non-scratchpad fetch and load to `rec`, in
+  /// program order: the observed run behind the cache branch's
+  /// all-geometry table. Exclusive with a functional cache.
+  void observe_reuse(cache::ReuseTable::Builder* rec) {
+    SPMWCET_CHECK_MSG(!cache_, "reuse observation runs without a cache");
+    reuse_ = rec;
+    hooked_reads_ = rec != nullptr;
+  }
 
 private:
   /// Contiguous fast-mode arena covering a run of nearby regions; small
@@ -174,6 +186,12 @@ private:
     if (cls == isa::MemClass::Scratchpad) return isa::MemTiming::scratchpad();
     if (cache_ && (is_fetch || cache_unified_))
       return cache_->access(addr) ? isa::MemTiming::cache_hit() : miss_cost_;
+    if (reuse_ != nullptr) [[unlikely]] {
+      if (is_fetch)
+        reuse_->fetch(addr);
+      else
+        reuse_->load(addr, bytes);
+    }
     return isa::MemTiming::main_memory(bytes);
   }
 
@@ -189,6 +207,10 @@ private:
   std::optional<cache::FunctionalCache> cache_;
   bool cache_unified_ = false;
   uint32_t miss_cost_ = 0;
+  cache::ReuseTable::Builder* reuse_ = nullptr;
+  /// A cache or a reuse observer is attached: reads must take the
+  /// out-of-line path through read_cost_for.
+  bool hooked_reads_ = false;
   uint64_t cycles_ = 0;
 };
 

@@ -26,6 +26,7 @@ constexpr uint32_t kStackWindowBytes = 0x10000;
 Simulator::Simulator(link::Image img, const SimConfig& cfg)
     : image_(std::move(img)), cfg_(cfg),
       mem_(image_, cfg.cache, cfg.fast_path), symbols_(image_) {
+  if (cfg_.reuse != nullptr) mem_.observe_reuse(cfg_.reuse);
   sp_ = image_.initial_sp;
   pc_ = image_.entry;
   if (cfg_.fast_path) {
@@ -197,6 +198,7 @@ void Simulator::run_blocks(SimResult& result) {
   ctx.stack_slot = stack_slot_;
   ctx.other_slot = other_slot_;
   ctx.profile = cfg_.collect_profile;
+  ctx.reuse = cfg_.reuse;
   ctx.stack_clean = !symbols_.intersects(stack_lo_, stack_hi_);
 
   while (!halted_) {
@@ -466,13 +468,21 @@ void Simulator::step(SimResult& result) {
   pc_ = next;
 }
 
-int64_t Simulator::read_global(const std::string& name, uint32_t index) const {
+const link::Symbol& Simulator::global(const std::string& name) const {
   const link::Symbol* sym = image_.find_symbol(name);
   if (sym == nullptr || sym->is_function)
     throw SimulationError("read_global: no such global: " + name);
-  SPMWCET_CHECK_MSG(index < sym->count, "read_global: index out of range");
-  const uint32_t bytes = sym->elem_bytes;
-  const uint32_t v = mem_.peek(sym->addr + index * bytes, bytes);
+  return *sym;
+}
+
+int64_t Simulator::read_global(const std::string& name, uint32_t index) const {
+  return read_global(global(name), index);
+}
+
+int64_t Simulator::read_global(const link::Symbol& sym, uint32_t index) const {
+  SPMWCET_CHECK_MSG(index < sym.count, "read_global: index out of range");
+  const uint32_t bytes = sym.elem_bytes;
+  const uint32_t v = mem_.peek(sym.addr + index * bytes, bytes);
   // Globals carry their signedness only in the MiniC AST; the image records
   // width. Interpret as signed for 1/2-byte elements unless the symbol is
   // marked unsigned via elem type conventions (see workloads). We expose

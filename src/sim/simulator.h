@@ -1,7 +1,9 @@
 // The instruction-set simulator (the ARMulator stand-in): executes a linked
 // image cycle-accurately against the Table-1 timing model, optionally with
-// a functional cache, and collects the per-object access profile that
-// drives scratchpad allocation.
+// a functional cache (the test oracle of the cache branch) or with an
+// observer of its cache-visible reads (the cache branch's one run per
+// workload), and collects the per-object access profile that drives
+// scratchpad allocation.
 //
 // Two execution paths produce field-identical results (cycles, cache stats,
 // profiles, output):
@@ -57,6 +59,11 @@ struct SimConfig {
   /// the simulator's lifetime instead of compiling locally (the harness
   /// caches one per canonical image, like `predecoded`).
   const BlockTable* compiled_blocks = nullptr;
+  /// Optional observer of the cache-visible reads (every non-scratchpad
+  /// fetch and load, in program order): one such run yields the cache
+  /// branch's all-geometry cache::ReuseTable. Exclusive with `cache`; the
+  /// block tier stays engaged and reports its folded fetches in order.
+  cache::ReuseTable::Builder* reuse = nullptr;
 };
 
 struct SimResult {
@@ -82,6 +89,11 @@ public:
   /// Reads global `name[index]` from simulated memory with the symbol's
   /// width and signedness (valid after run()).
   int64_t read_global(const std::string& name, uint32_t index = 0) const;
+
+  /// The image's global `name`, resolved once for repeated element reads
+  /// through read_global(sym, index); throws SimulationError if absent.
+  const link::Symbol& global(const std::string& name) const;
+  int64_t read_global(const link::Symbol& sym, uint32_t index) const;
 
   /// Writes global `name[index]` (e.g. to place input data between runs).
   void write_global(const std::string& name, uint32_t index, int64_t value);

@@ -407,6 +407,24 @@ TEST(Serve, GeneratedNamesAreValidatedAndServed) {
   EXPECT_GT(corpus->find("total_wcet_cycles")->as_int(), 0);
 }
 
+TEST(Serve, HealthReportsReuseTableEngagement) {
+  // Two cache sizes of one workload: one observed run, one table hit.
+  api::Engine engine;
+  const auto responses = serve(
+      "{\"v\":1,\"id\":1,\"op\":\"point\",\"workload\":\"adpcm\","
+      "\"setup\":\"cache\",\"size\":64}\n"
+      "{\"v\":1,\"id\":2,\"op\":\"point\",\"workload\":\"adpcm\","
+      "\"setup\":\"cache\",\"size\":128}\n"
+      "{\"v\":1,\"id\":3,\"op\":\"health\"}\n",
+      engine);
+  ASSERT_EQ(responses.size(), 3u);
+  const json::Value* eng =
+      responses[2].find("result")->find("engine")->find("reuse_tables");
+  ASSERT_NE(eng, nullptr);
+  EXPECT_EQ(eng->find("misses")->as_int(), 1);
+  EXPECT_EQ(eng->find("hits")->as_int(), 1);
+}
+
 TEST(Serve, HealthReportsServeAndEngineCounters) {
   api::Engine engine;
   const auto responses = serve(

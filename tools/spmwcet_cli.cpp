@@ -556,6 +556,9 @@ int main(int argc, char** argv) {
     const Args args = parse(argc, argv);
     if (args.positional.empty()) return usage();
     const std::string& cmd = args.positional[0];
+    // Every other command would run the default simulator regardless.
+    if (args.legacy_sim && cmd != "simbench")
+      throw Error("--legacy-sim is only accepted by simbench");
     if (cmd == "list") return cmd_list();
     if (cmd == "simbench") return cmd_simbench(args);
     if (cmd == "wcetbench") return cmd_wcetbench(args);
