@@ -1,7 +1,9 @@
 // Golden-file tests for the one-command paper reproduction: the Table-2
-// benchmark summary, the Figure-4/5 WCET/ACET ratio tables, and the full
-// `spmwcet sweep all` report are pinned against fixtures under
-// tests/golden/. Every column is compared byte-for-byte EXCEPT the energy
+// benchmark summary, the Figure-4/5 WCET/ACET ratio tables, the full
+// `spmwcet sweep all` report, and the cache-branch variants the default
+// evaluation does not reach (`sweep all --cache` with --assoc 4, with
+// --icache, and with --persistence --assoc 2) are pinned against fixtures
+// under tests/golden/. Every column is compared byte-for-byte EXCEPT the energy
 // column, which is compared numerically with a tolerance of one unit in
 // its last printed digit: energy values are doubles formatted by the host
 // libc, so a platform whose printf rounds the final digit differently
@@ -25,6 +27,8 @@
 #include <string>
 #include <vector>
 
+#include "api/engine.h"
+#include "api/render.h"
 #include "harness/report.h"
 #include "workloads/workload.h"
 
@@ -227,6 +231,42 @@ TEST_F(GoldenEval, FullSweepAllReportCsv) {
   std::ostringstream os;
   harness::render_evaluation(results(), os, /*csv=*/true);
   check_golden("sweep_all_report.csv", os.str());
+}
+
+/// `spmwcet sweep all --cache` under `opts`, rendered through the same
+/// Engine request and renderer the CLI uses, so each fixture is the
+/// command's stdout byte for byte.
+void check_cache_sweep(const std::string& fixture,
+                       const api::ExperimentOptions& opts) {
+  api::EngineOptions eopts;
+  eopts.jobs = 0;
+  api::Engine engine(eopts);
+  const auto request =
+      api::SweepRequest::make(workloads::paper_benchmark_names(),
+                              harness::MemSetup::Cache, {}, opts)
+          .value_or_throw();
+  std::ostringstream os;
+  api::render_sweep(engine.sweep(request).value_or_throw(), os);
+  check_golden(fixture, os.str());
+}
+
+TEST(GoldenCacheSweep, FourWayAssociative) {
+  api::ExperimentOptions opts;
+  opts.cache_assoc = 4;
+  check_cache_sweep("sweep_cache_assoc4.txt", opts);
+}
+
+TEST(GoldenCacheSweep, InstructionOnly) {
+  api::ExperimentOptions opts;
+  opts.cache_unified = false;
+  check_cache_sweep("sweep_cache_icache.txt", opts);
+}
+
+TEST(GoldenCacheSweep, PersistenceTwoWay) {
+  api::ExperimentOptions opts;
+  opts.cache_assoc = 2;
+  opts.with_persistence = true;
+  check_cache_sweep("sweep_cache_persistence_assoc2.txt", opts);
 }
 
 } // namespace
