@@ -50,8 +50,10 @@ void BM_ValueAnalysis(benchmark::State& state) {
   for (const uint32_t f : wcet::reachable_functions(img, img.entry))
     cfgs.push_back(wcet::build_cfg(img, f));
   for (auto _ : state)
-    for (const auto& cfg : cfgs)
-      benchmark::DoNotOptimize(wcet::analyze_addresses(img, cfg, ann));
+    for (auto& cfg : cfgs) {
+      wcet::resolve_memory(img, cfg, ann);
+      benchmark::DoNotOptimize(cfg);
+    }
 }
 BENCHMARK(BM_ValueAnalysis);
 
@@ -59,16 +61,15 @@ void BM_CacheAnalysisMustOnly(benchmark::State& state) {
   const link::Image& img = g721_image();
   const auto ann = wcet::Annotations::from_image(img);
   std::map<uint32_t, wcet::Cfg> cfgs;
-  std::map<uint32_t, wcet::AddrMap> addrs;
   for (const uint32_t f : wcet::reachable_functions(img, img.entry)) {
-    cfgs.emplace(f, wcet::build_cfg(img, f));
-    addrs.emplace(f, wcet::analyze_addresses(img, cfgs.at(f), ann));
+    auto& cfg = cfgs.emplace(f, wcet::build_cfg(img, f)).first->second;
+    wcet::resolve_memory(img, cfg, ann);
   }
   wcet::CacheAnalysisConfig ccfg;
   ccfg.cache.size_bytes = static_cast<uint32_t>(state.range(0));
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        wcet::analyze_cache(img, cfgs, addrs, img.entry, ccfg));
+        wcet::analyze_cache(img, cfgs, img.entry, ccfg));
 }
 BENCHMARK(BM_CacheAnalysisMustOnly)->Arg(256)->Arg(8192);
 

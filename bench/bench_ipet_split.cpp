@@ -38,8 +38,10 @@ const Prepared& g721_prepared() {
                  {}};
     out.ann = wcet::Annotations::from_image(out.img);
     std::map<uint32_t, wcet::Cfg> cfgs;
-    for (const uint32_t f : wcet::reachable_functions(out.img, out.img.entry))
-      cfgs.emplace(f, wcet::build_cfg(out.img, f));
+    for (const uint32_t f : wcet::reachable_functions(out.img, out.img.entry)) {
+      auto& cfg = cfgs.emplace(f, wcet::build_cfg(out.img, f)).first->second;
+      wcet::resolve_memory(out.img, cfg, out.ann);
+    }
     // Process callees before callers (simple fixpoint; the call graph is
     // acyclic, the analyzer rejects recursion).
     std::map<uint32_t, uint64_t> callee_wcet;
@@ -52,10 +54,9 @@ const Prepared& g721_prepared() {
             ready = false;
         if (!ready) continue;
         FuncState fs{cfg, wcet::find_loops(cfg), {}};
-        const auto addrs = wcet::analyze_addresses(out.img, cfg, out.ann);
         wcet::TimingInputs ti;
         ti.callee_wcet = &callee_wcet;
-        fs.times = wcet::time_blocks(out.img, cfg, addrs, ti);
+        fs.times = wcet::time_blocks(cfg, ti);
         const auto r = wcet::solve_ipet(fs.cfg, fs.loops, out.ann, fs.times);
         callee_wcet[f] = r.wcet;
         out.funcs.push_back(std::move(fs));

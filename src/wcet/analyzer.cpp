@@ -62,9 +62,10 @@ std::vector<uint32_t> bottom_up_order(const std::map<uint32_t, Cfg>& cfgs,
 
 /// The layout-dependent back end shared by both front ends: loop-bound
 /// validation, optional cache analysis, block timing, and bottom-up IPET
-/// over already-reconstructed program state. `flat_cache` selects the flat
-/// cache analysis (the IR pipeline) or the seed implementation
-/// (--legacy-wcet); the classification is identical either way. With
+/// over already-reconstructed program state whose memory facts are
+/// resolved (CfgInstr::mem). `flat_cache` selects the flat cache analysis
+/// (the IR pipeline) or the seed implementation (--legacy-wcet); the
+/// classification is identical either way. With
 /// `func_index` (shape function indices) and cfg.ipet_cache set, the IPET
 /// stage solves through the cached per-shape skeletons, which is
 /// bit-identical to the from-scratch solve by IpetCache's contract.
@@ -72,7 +73,6 @@ WcetReport analyze_backend(const link::Image& img, const AnalyzerConfig& cfg,
                            const Annotations& ann,
                            const std::map<uint32_t, Cfg>& cfgs,
                            const std::map<uint32_t, const LoopInfo*>& loops,
-                           const std::map<uint32_t, AddrMap>& addrs,
                            uint32_t root, bool flat_cache,
                            const std::map<uint32_t, std::size_t>* func_index) {
   // Pre-validate loop bounds for friendlier errors.
@@ -102,8 +102,8 @@ WcetReport analyze_backend(const link::Image& img, const AnalyzerConfig& cfg,
     const bool use_flat =
         flat_cache && (cfg.incremental || !cfg.with_persistence);
     classification = use_flat
-                         ? analyze_cache_flat(img, cfgs, addrs, root, ccfg)
-                         : analyze_cache(img, cfgs, addrs, root, ccfg);
+                         ? analyze_cache_flat(img, cfgs, root, ccfg)
+                         : analyze_cache(img, cfgs, root, ccfg);
 
     // Static statistics.
     for (const auto& [f, fcfg] : cfgs) {
@@ -113,8 +113,7 @@ WcetReport analyze_backend(const link::Image& img, const AnalyzerConfig& cfg,
           if (classification.fetch_hit(ci.addr)) ++report.fetch_always_hit;
           if (ci.size == 4 && classification.fetch_hit(ci.addr + 2))
             ++report.fetch_always_hit;
-          const auto it = addrs.at(f).find(ci.addr);
-          if (it != addrs.at(f).end() && !it->second.is_store) {
+          if (ci.mem.has_access && !ci.mem.access.is_store) {
             ++report.load_sites;
             if (classification.load_hit(ci.addr)) ++report.load_always_hit;
           }
@@ -133,7 +132,7 @@ WcetReport analyze_backend(const link::Image& img, const AnalyzerConfig& cfg,
     inputs.cache = cfg.cache;
     inputs.classification = cfg.cache ? &classification : nullptr;
     inputs.callee_wcet = &func_wcet;
-    const BlockTimes times = time_blocks(img, fcfg, addrs.at(f), inputs);
+    const BlockTimes times = time_blocks(fcfg, inputs);
     const bool via_cache =
         cfg.incremental && cfg.ipet_cache != nullptr && func_index != nullptr;
     const IpetResult ipet =
@@ -185,10 +184,9 @@ WcetReport analyze_legacy(const link::Image& img, const AnalyzerConfig& cfg,
     cfgs.emplace(f, build_cfg(img, f));
 
   std::map<uint32_t, LoopInfo> loops;
-  std::map<uint32_t, AddrMap> addrs;
-  for (const auto& [f, fcfg] : cfgs) {
+  for (auto& [f, fcfg] : cfgs) {
     loops.emplace(f, find_loops(fcfg));
-    addrs.emplace(f, analyze_addresses(img, fcfg, ann));
+    resolve_memory(img, fcfg, ann);
   }
 
   // Optional aiT-style automatic bounds for counted loops that carry no
@@ -203,7 +201,7 @@ WcetReport analyze_legacy(const link::Image& img, const AnalyzerConfig& cfg,
 
   std::map<uint32_t, const LoopInfo*> loop_ptrs;
   for (const auto& [f, info] : loops) loop_ptrs.emplace(f, &info);
-  return analyze_backend(img, cfg, ann, cfgs, loop_ptrs, addrs, root,
+  return analyze_backend(img, cfg, ann, cfgs, loop_ptrs, root,
                          /*flat_cache=*/false, /*func_index=*/nullptr);
 }
 
@@ -225,7 +223,7 @@ WcetReport analyze_wcet(const link::Image& img, const AnalyzerConfig& cfg,
 WcetReport analyze_wcet(const ProgramView& view, const AnalyzerConfig& cfg) {
   SPMWCET_CHECK(view.img != nullptr);
   return analyze_backend(*view.img, cfg, view.ann, view.cfgs, view.loops,
-                         view.addrs, view.root,
+                         view.root,
                          /*flat_cache=*/cfg.fast_path, &view.func_index);
 }
 

@@ -16,9 +16,7 @@ namespace {
 
 class BlockTimer {
 public:
-  BlockTimer(const link::Image& img, const Cfg& cfg, const AddrMap& addrs,
-             const TimingInputs& in)
-      : img_(img), cfg_(cfg), addrs_(addrs), in_(in) {
+  BlockTimer(const Cfg& cfg, const TimingInputs& in) : cfg_(cfg), in_(in) {
     if (in_.cache) miss_ = MemTiming::cache_miss(in_.cache->line_bytes);
   }
 
@@ -55,30 +53,29 @@ private:
   bool cached() const { return in_.cache.has_value(); }
   bool unified() const { return cached() && in_.cache->unified; }
 
-  uint64_t fetch_cycles(uint32_t addr) const {
-    if (img_.regions.classify(addr) == MemClass::Scratchpad)
-      return MemTiming::scratchpad();
+  uint64_t fetch_cycles(const CfgInstr& ci, uint32_t addr) const {
+    if (ci.mem.fetch_spm) return MemTiming::scratchpad();
     if (!cached()) return MemTiming::main_memory(2);
     if (in_.classification->fetch_hit(addr)) return MemTiming::cache_hit();
-    if (in_.classification->fetch_persistent.count(addr))
+    if (in_.classification->fetch_persists(addr))
       return MemTiming::cache_hit(); // one-off penalty charged globally
     return miss_;
   }
 
-  /// Worst-case cycles of one data access with resolution `info`.
-  uint64_t data_cycles(uint32_t instr_addr, const AddrInfo& info) const {
+  /// Worst-case cycles of one data access with facts `mem`.
+  uint64_t data_cycles(uint32_t instr_addr, const MemFacts& mem) const {
+    const AddrInfo& info = mem.access;
     const uint32_t width = info.width;
     uint64_t per_access = 0;
     switch (info.kind) {
       case AddrInfo::Kind::Exact: {
-        const MemClass cls = img_.regions.classify(info.lo);
-        if (cls == MemClass::Scratchpad) {
+        if (mem.exact_class() == MemClass::Scratchpad) {
           per_access = MemTiming::scratchpad();
         } else if (info.is_store || !unified()) {
           per_access = MemTiming::main_memory(width);
         } else if (in_.classification->load_hit(instr_addr)) {
           per_access = MemTiming::cache_hit();
-        } else if (in_.classification->load_persistent.count(instr_addr)) {
+        } else if (in_.classification->load_persists(instr_addr)) {
           per_access = MemTiming::cache_hit();
         } else {
           per_access = miss_;
@@ -86,10 +83,8 @@ private:
         break;
       }
       case AddrInfo::Kind::Range: {
-        const bool in_main =
-            img_.regions.intersects_class(info.lo, info.hi, MemClass::MainMemory);
-        const bool in_spm = img_.regions.intersects_class(
-            info.lo, info.hi, MemClass::Scratchpad);
+        const bool in_main = mem.may_main;
+        const bool in_spm = mem.may_spm;
         uint64_t worst = 0;
         if (in_spm) worst = std::max<uint64_t>(worst, MemTiming::scratchpad());
         if (in_main) {
@@ -120,29 +115,28 @@ private:
   }
 
   uint64_t instr_cycles(const CfgInstr& ci) const {
-    uint64_t cycles = fetch_cycles(ci.addr);
-    if (ci.size == 4) cycles += fetch_cycles(ci.addr + 2);
+    uint64_t cycles = fetch_cycles(ci, ci.addr);
+    if (ci.size == 4) cycles += fetch_cycles(ci, ci.addr + 2);
     cycles += ExecTiming::compute_extra(ci.ins);
-    const auto it = addrs_.find(ci.addr);
-    if (it != addrs_.end()) cycles += data_cycles(ci.addr, it->second);
+    if (ci.mem.has_access) cycles += data_cycles(ci.addr, ci.mem);
     return cycles;
   }
 
-  const link::Image& img_;
   const Cfg& cfg_;
-  const AddrMap& addrs_;
   const TimingInputs& in_;
   uint64_t miss_ = 0;
 };
 
 } // namespace
 
-BlockTimes time_blocks(const link::Image& img, const Cfg& cfg,
-                       const AddrMap& addrs, const TimingInputs& inputs) {
+BlockTimes time_blocks(const Cfg& cfg, const TimingInputs& inputs) {
+  SPMWCET_CHECK_MSG(cfg.mem_resolved,
+                    "block timing: memory facts of " + cfg.name +
+                        " were never resolved (resolve_memory)");
   if (inputs.cache)
     SPMWCET_CHECK_MSG(inputs.classification != nullptr,
                       "cache configured but no classification supplied");
-  return BlockTimer(img, cfg, addrs, inputs).run();
+  return BlockTimer(cfg, inputs).run();
 }
 
 } // namespace spmwcet::wcet

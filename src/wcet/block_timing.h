@@ -4,7 +4,8 @@
 // Without a cache this is exact (the simulator uses the same constants):
 // fetch cost from the instruction's memory class, data cost from the
 // resolved address (worst over the possible classes for ranges), plus
-// multiply/divide extras. With a cache, accesses classified always-hit cost
+// multiply/divide extras. Both come from the per-instruction MemFacts the
+// value analysis resolved for this image (CfgInstr::mem). With a cache, accesses classified always-hit cost
 // one cycle, persistent accesses cost one cycle plus a global one-off miss
 // penalty, and everything else is charged a full line-fill miss — the
 // MUST-only discipline the paper's aiT build applies.
@@ -21,7 +22,6 @@
 
 #include "wcet/cache_analysis.h"
 #include "wcet/cfg.h"
-#include "wcet/value_analysis.h"
 
 namespace spmwcet::wcet {
 
@@ -41,8 +41,8 @@ struct BlockTimes {
   std::map<int, uint64_t> edge_cycles;
 };
 
-/// Computes worst-case timing for every block of `cfg`.
-BlockTimes time_blocks(const link::Image& img, const Cfg& cfg,
-                       const AddrMap& addrs, const TimingInputs& inputs);
+/// Computes worst-case timing for every block of `cfg`, whose memory facts
+/// must have been resolved (resolve_memory); an unresolved CFG is refused.
+BlockTimes time_blocks(const Cfg& cfg, const TimingInputs& inputs);
 
 } // namespace spmwcet::wcet

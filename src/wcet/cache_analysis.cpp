@@ -7,6 +7,7 @@
 
 #include "cache/abstract_cache.h"
 #include "isa/timing.h"
+#include "support/bitops.h"
 #include "support/diag.h"
 
 namespace spmwcet::wcet {
@@ -20,6 +21,16 @@ namespace {
 std::atomic<uint64_t> g_map_runs{0};
 std::atomic<uint64_t> g_flat_must_runs{0};
 std::atomic<uint64_t> g_flat_persistence_runs{0};
+
+/// The analyses read each instruction's MemFacts; a CFG that never went
+/// through resolve_memory would silently look like code with no data
+/// accesses and every fetch in main memory.
+void require_resolved(const std::map<uint32_t, Cfg>& cfgs) {
+  for (const auto& [faddr, cfg] : cfgs)
+    SPMWCET_CHECK_MSG(cfg.mem_resolved,
+                      "cache analysis: memory facts of " + cfg.name +
+                          " were never resolved (resolve_memory)");
+}
 
 /// Combined abstract state (MUST always, persistence optionally).
 struct AbsCacheState {
@@ -59,17 +70,19 @@ struct Node {
 class CacheAnalyzer {
 public:
   CacheAnalyzer(const link::Image& img, const std::map<uint32_t, Cfg>& cfgs,
-                const std::map<uint32_t, AddrMap>& addrs, uint32_t root,
-                const CacheAnalysisConfig& cfg)
-      : img_(img), cfgs_(cfgs), addrs_(addrs), root_(root), cfg_(cfg) {
+                uint32_t root, const CacheAnalysisConfig& cfg)
+      : img_(img), cfgs_(cfgs), root_(root), cfg_(cfg) {
     cfg_.cache.validate();
+    require_resolved(cfgs_);
     stack_lo_ = img.initial_sp - cfg_.stack_window;
     build_edges();
   }
 
   CacheClassification run() {
     fixpoint();
-    return classify();
+    CacheClassification out = classify();
+    out.normalize();
+    return out;
   }
 
 private:
@@ -117,14 +130,15 @@ private:
     s.access_line(cfg_.cache.line_of(addr));
   }
 
-  /// Applies one data access with resolution `info` (loads only affect tag
+  /// Applies one data access with facts `mem` (loads only affect tag
   /// state; stores are write-through/no-allocate).
-  void data_access(AbsCacheState& s, const AddrInfo& info) const {
+  void data_access(AbsCacheState& s, const MemFacts& mem) const {
+    const AddrInfo& info = mem.access;
     if (!cfg_.cache.unified) return;
     if (info.is_store) return;
     switch (info.kind) {
       case AddrInfo::Kind::Exact:
-        if (img_.regions.classify(info.lo) == MemClass::Scratchpad) return;
+        if (mem.exact_class() == MemClass::Scratchpad) return;
         s.access_line(cfg_.cache.line_of(info.lo));
         return;
       case AddrInfo::Kind::Range: {
@@ -147,23 +161,17 @@ private:
     }
   }
 
-  void transfer_instr(AbsCacheState& s, const CfgInstr& ci,
-                      const AddrMap& amap) const {
+  void transfer_instr(AbsCacheState& s, const CfgInstr& ci) const {
     // Instruction fetches (SPM code bypasses the cache).
-    const bool spm_code =
-        img_.regions.classify(ci.addr) == MemClass::Scratchpad;
-    if (!spm_code) {
+    if (!ci.mem.fetch_spm) {
       line_access(s, ci.addr);
       if (ci.size == 4) line_access(s, ci.addr + 2);
     }
-    const auto it = amap.find(ci.addr);
-    if (it != amap.end()) data_access(s, it->second);
+    if (ci.mem.has_access) data_access(s, ci.mem);
   }
 
-  void transfer_block(AbsCacheState& s, const Cfg& cfg,
-                      const BasicBlock& b) const {
-    const AddrMap& amap = addrs_.at(cfg.func_addr);
-    for (const CfgInstr& ci : b.instrs) transfer_instr(s, ci, amap);
+  void transfer_block(AbsCacheState& s, const BasicBlock& b) const {
+    for (const CfgInstr& ci : b.instrs) transfer_instr(s, ci);
   }
 
   // ---- fixpoint -------------------------------------------------------------
@@ -177,7 +185,7 @@ private:
       work.pop_back();
       const Cfg& cfg = cfgs_.at(node.func);
       AbsCacheState s = in_.at(node);
-      transfer_block(s, cfg, cfg.blocks[static_cast<std::size_t>(node.block)]);
+      transfer_block(s, cfg.blocks[static_cast<std::size_t>(node.block)]);
       for (const Node& succ : succs_[node]) {
         const auto it = in_.find(succ);
         if (it == in_.end()) {
@@ -200,14 +208,13 @@ private:
   CacheClassification classify() const {
     CacheClassification out;
     for (const auto& [faddr, cfg] : cfgs_) {
-      const AddrMap& amap = addrs_.at(faddr);
       for (const auto& b : cfg.blocks) {
         const auto it = in_.find(Node{faddr, b.id});
         if (it == in_.end()) continue; // unreachable
         AbsCacheState s = it->second;
         for (const CfgInstr& ci : b.instrs) {
-          classify_instr(s, ci, amap, out);
-          transfer_instr(s, ci, amap);
+          classify_instr(s, ci, out);
+          transfer_instr(s, ci);
         }
       }
     }
@@ -218,19 +225,17 @@ private:
                       CacheClassification& out) const {
     const uint32_t line = cfg_.cache.line_of(addr);
     if (s.must.contains_line(line)) {
-      out.fetch_always_hit.insert(addr);
+      out.fetch_always_hit.push_back(addr);
     } else if (s.pers && s.pers->persistent_line(line)) {
-      out.fetch_persistent.insert(addr);
-      out.persistent_penalty_lines.insert(line);
+      out.fetch_persistent.push_back(addr);
+      out.persistent_penalty_lines.push_back(line);
     }
   }
 
   void classify_instr(const AbsCacheState& s, const CfgInstr& ci,
-                      const AddrMap& amap, CacheClassification& out) const {
+                      CacheClassification& out) const {
     AbsCacheState state = s; // local copy: fetch precedes the data access
-    const bool spm_code =
-        img_.regions.classify(ci.addr) == MemClass::Scratchpad;
-    if (!spm_code) {
+    if (!ci.mem.fetch_spm) {
       classify_fetch(state, ci.addr, out);
       state.access_line(cfg_.cache.line_of(ci.addr));
       if (ci.size == 4) {
@@ -238,25 +243,23 @@ private:
         state.access_line(cfg_.cache.line_of(ci.addr + 2));
       }
     }
-    const auto it = amap.find(ci.addr);
-    if (it == amap.end()) return;
-    const AddrInfo& info = it->second;
+    if (!ci.mem.has_access) return;
+    const AddrInfo& info = ci.mem.access;
     if (!cfg_.cache.unified || info.is_store) return;
     if (info.kind == AddrInfo::Kind::Exact &&
-        img_.regions.classify(info.lo) != MemClass::Scratchpad) {
+        ci.mem.exact_class() != MemClass::Scratchpad) {
       const uint32_t line = cfg_.cache.line_of(info.lo);
       if (state.must.contains_line(line)) {
-        out.load_always_hit.insert(ci.addr);
+        out.load_always_hit.push_back(ci.addr);
       } else if (state.pers && state.pers->persistent_line(line)) {
-        out.load_persistent.insert(ci.addr);
-        out.persistent_penalty_lines.insert(line);
+        out.load_persistent.push_back(ci.addr);
+        out.persistent_penalty_lines.push_back(line);
       }
     }
   }
 
   const link::Image& img_;
   const std::map<uint32_t, Cfg>& cfgs_;
-  const std::map<uint32_t, AddrMap>& addrs_;
   uint32_t root_;
   CacheAnalysisConfig cfg_;
   uint32_t stack_lo_ = 0;
@@ -266,14 +269,18 @@ private:
   std::map<Node, AbsCacheState> in_;
 };
 
-// ---- flat MUST + persistence analysis (the IR analyzer's implementation) ---
+// ---- sparse MUST + dense persistence (the IR analyzer's implementation) ---
 //
-// Same abstract semantics as CacheAnalyzer above, but the state of a program
-// point is flat storage instead of per-set std::maps:
-//  * MUST: one array of (tag, age) entries — num_sets × assoc packed
-//    uint64s, each set's live entries sorted by tag with empty slots at the
-//    end — so copying a state is a memcpy and joining is a per-set sorted
-//    merge.
+// Same abstract semantics as CacheAnalyzer above, but a program point's
+// state costs what it holds instead of one std::map per cache set:
+//  * MUST: one sorted vector of the live (set, tag, age) entries, packed as
+//    uint64 — set in the top bits, then tag, age in the low 32 — so set
+//    order, then tag order, is numeric order. Copy, join (a sorted
+//    intersection with max age), equality and aging all cost the live
+//    lines, not num_sets × assoc slots. Aging every set an access may touch
+//    (a range, the stack window, an unknown address) is one pass over the
+//    live entries: the touched sets form one cyclic window, and aging a
+//    set k times is adding k to each age.
 //  * persistence: the seed's tag → age map is unbounded per set (ages
 //    saturate at "may be evicted" instead of evicting), but only exact-line
 //    accesses ever *insert* a tag, so the reachable tag universe is exactly
@@ -282,49 +289,67 @@ private:
 //    present at age v-1 (assoc = "may be evicted") — a totally ordered
 //    per-slot lattice whose union-with-max join is an elementwise max.
 // Node identity is dense (per-function block-id offsets) instead of a
-// std::map of (func, block) pairs. Both domains are finite and the transfer
-// functions below mirror the seed ones operation for operation, so the
-// worklist converges to the same unique fixpoint and the classification
-// sets come out identical.
+// std::map of (func, block) pairs, and classification runs fused with the
+// transfer it observes (no per-instruction state copy). Both domains are
+// finite and the transfer functions mirror the seed ones operation for
+// operation, so the worklist converges to the same unique fixpoint and the
+// classification sets come out identical.
 
 class FlatCacheAnalyzer {
 public:
   FlatCacheAnalyzer(const link::Image& img, const std::map<uint32_t, Cfg>& cfgs,
-                    const std::map<uint32_t, AddrMap>& addrs, uint32_t root,
-                    const CacheAnalysisConfig& cfg)
-      : img_(img), cfgs_(cfgs), addrs_(addrs), root_(root), cfg_(cfg) {
+                    uint32_t root, const CacheAnalysisConfig& cfg)
+      : img_(img), cfgs_(cfgs), root_(root), cfg_(cfg) {
     cfg_.cache.validate();
+    require_resolved(cfgs_);
     stack_lo_ = img.initial_sp - cfg_.stack_window;
     nsets_ = cfg_.cache.num_sets();
     assoc_ = cfg_.cache.assoc;
-    entries_ = static_cast<std::size_t>(nsets_) * assoc_;
+    line_shift_ = log2_pow2(cfg_.cache.line_bytes);
+    set_bits_ = log2_pow2(nsets_);
+    // Lines of 32-bit addresses have 32 - line_shift bits: set_bits of set
+    // and the rest tag, packed above the 32-bit age.
+    set_shift_ = 32 + (32 - line_shift_ - set_bits_);
     build_nodes();
     if (cfg_.with_persistence) build_pers_slots();
   }
 
   CacheClassification run() {
     fixpoint();
-    return classify();
+    CacheClassification out = classify();
+    out.normalize();
+    return out;
   }
 
 private:
   struct State {
-    std::vector<uint64_t> must;
-    std::vector<uint8_t> pers; // empty unless with_persistence
+    std::vector<uint64_t> must; // sorted live entries
+    std::vector<uint8_t> pers;  // empty unless with_persistence
   };
-  static constexpr uint64_t kEmpty = UINT64_MAX;
+  static constexpr uint64_t kAgeMask = 0xffffffffu;
+
+  // ---- geometry (shifts and masks; every size is a power of two) ----------
+
+  uint32_t line_of(uint32_t addr) const { return addr >> line_shift_; }
+  uint32_t set_of_line(uint32_t line) const { return line & (nsets_ - 1); }
+  uint32_t tag_of_line(uint32_t line) const { return line >> set_bits_; }
+  /// The MUST entry of `line` at age 0.
+  uint64_t entry_of(uint32_t line) const {
+    return (static_cast<uint64_t>(set_of_line(line)) << set_shift_) |
+           (static_cast<uint64_t>(tag_of_line(line)) << 32);
+  }
+  uint32_t set_of_entry(uint64_t e) const {
+    return static_cast<uint32_t>(e >> set_shift_);
+  }
 
   // ---- dense supergraph -----------------------------------------------------
 
   void build_nodes() {
     for (const auto& [faddr, cfg] : cfgs_) {
-      func_base_[faddr] = static_cast<uint32_t>(node_func_.size());
-      for (const auto& b : cfg.blocks) {
-        node_func_.push_back(faddr);
-        node_block_.push_back(b.id);
-      }
+      func_base_[faddr] = static_cast<uint32_t>(node_block_.size());
+      for (const auto& b : cfg.blocks) node_block_.push_back(&b);
     }
-    succs_.resize(node_func_.size());
+    succs_.resize(node_block_.size());
     std::map<uint32_t, std::vector<uint32_t>> returns_to;
     for (const auto& [faddr, cfg] : cfgs_) {
       const uint32_t base = func_base_.at(faddr);
@@ -370,25 +395,22 @@ private:
   void build_pers_slots() {
     std::vector<uint64_t> keys; // (set << 32) | tag
     auto add_line = [&](uint32_t line) {
-      keys.push_back(
-          (static_cast<uint64_t>(cfg_.cache.set_of_line(line)) << 32) |
-          cfg_.cache.tag_of_line(line));
+      keys.push_back((static_cast<uint64_t>(set_of_line(line)) << 32) |
+                     tag_of_line(line));
     };
     for (const auto& [faddr, cfg] : cfgs_) {
-      const AddrMap& amap = addrs_.at(faddr);
       for (const auto& b : cfg.blocks) {
         for (const CfgInstr& ci : b.instrs) {
-          if (img_.regions.classify(ci.addr) != MemClass::Scratchpad) {
-            add_line(cfg_.cache.line_of(ci.addr));
-            if (ci.size == 4) add_line(cfg_.cache.line_of(ci.addr + 2));
+          if (!ci.mem.fetch_spm) {
+            add_line(line_of(ci.addr));
+            if (ci.size == 4) add_line(line_of(ci.addr + 2));
           }
-          const auto it = amap.find(ci.addr);
-          if (it == amap.end()) continue;
-          const AddrInfo& info = it->second;
+          if (!ci.mem.has_access) continue;
+          const AddrInfo& info = ci.mem.access;
           if (cfg_.cache.unified && !info.is_store &&
               info.kind == AddrInfo::Kind::Exact &&
-              img_.regions.classify(info.lo) != MemClass::Scratchpad)
-            add_line(cfg_.cache.line_of(info.lo));
+              ci.mem.exact_class() != MemClass::Scratchpad)
+            add_line(line_of(info.lo));
         }
       }
     }
@@ -408,8 +430,8 @@ private:
   }
 
   uint32_t pers_slot_of(uint32_t line) const {
-    const uint32_t set = cfg_.cache.set_of_line(line);
-    const uint32_t tag = cfg_.cache.tag_of_line(line);
+    const uint32_t set = set_of_line(line);
+    const uint32_t tag = tag_of_line(line);
     const auto first = pers_tags_.begin() + pers_set_start_[set];
     const auto last = pers_tags_.begin() + pers_set_start_[set + 1];
     const auto it = std::lower_bound(first, last, tag);
@@ -417,68 +439,75 @@ private:
     return static_cast<uint32_t>(it - pers_tags_.begin());
   }
 
-  // ---- flat MUST state operations ------------------------------------------
-
-  uint64_t* set_entries(State& st, uint32_t set) const {
-    return st.must.data() + static_cast<std::size_t>(set) * assoc_;
-  }
-  const uint64_t* set_entries(const State& st, uint32_t set) const {
-    return st.must.data() + static_cast<std::size_t>(set) * assoc_;
-  }
+  // ---- sparse MUST state operations ----------------------------------------
 
   bool contains_line(const State& st, uint32_t line) const {
-    const uint64_t tag = cfg_.cache.tag_of_line(line);
-    const uint64_t* e = set_entries(st, cfg_.cache.set_of_line(line));
-    for (uint32_t i = 0; i < assoc_ && e[i] != kEmpty; ++i)
-      if ((e[i] >> 8) == tag) return true;
-    return false;
+    const uint64_t key = entry_of(line);
+    const auto it = std::lower_bound(st.must.begin(), st.must.end(), key);
+    return it != st.must.end() && (*it >> 32) == (key >> 32);
   }
 
   /// MUST transfer for an access to a known line: on a hit, strictly
   /// younger entries age by one and the accessed line rejuvenates; on a
-  /// miss, every entry ages (dropping at age >= assoc) and the line enters
-  /// at age 0. Entries stay tag-sorted (ages live in the low byte).
-  void must_access_line(State& st, uint32_t line) const {
-    const uint32_t set = cfg_.cache.set_of_line(line);
-    const uint64_t tag = cfg_.cache.tag_of_line(line);
-    uint64_t* e = set_entries(st, set);
-    uint32_t found = assoc_;
-    for (uint32_t i = 0; i < assoc_ && e[i] != kEmpty; ++i)
-      if ((e[i] >> 8) == tag) {
-        found = i;
-        break;
-      }
-    if (found < assoc_) {
-      const uint64_t a = e[found] & 0xff;
-      for (uint32_t i = 0; i < assoc_ && e[i] != kEmpty; ++i)
-        if (i != found && (e[i] & 0xff) < a) ++e[i];
-      e[found] = tag << 8;
+  /// miss, every entry of the set ages (dropping at age >= assoc) and the
+  /// line enters at age 0.
+  void must_access_line(std::vector<uint64_t>& m, uint32_t line) const {
+    const uint64_t key = entry_of(line);
+    const uint64_t set_key = key >> set_shift_;
+    std::size_t first =
+        static_cast<std::size_t>(
+            std::lower_bound(m.begin(), m.end(), set_key << set_shift_) -
+            m.begin());
+    std::size_t last = first;
+    std::size_t found = m.size();
+    for (; last < m.size() && (m[last] >> set_shift_) == set_key; ++last)
+      if ((m[last] >> 32) == (key >> 32)) found = last;
+    if (found < m.size()) {
+      const uint64_t a = m[found] & kAgeMask;
+      if (a == 0) return; // already the youngest: nothing is younger
+      for (std::size_t i = first; i < last; ++i)
+        if (i != found && (m[i] & kAgeMask) < a) ++m[i];
+      m[found] = key;
+      return;
+    }
+    // Miss: age the set in place, keeping the survivors' tag order, and
+    // note where the new line sorts among them.
+    std::size_t w = first;
+    std::size_t pos = last;
+    for (std::size_t i = first; i < last; ++i) {
+      const uint64_t aged = m[i] + 1;
+      if ((aged & kAgeMask) >= assoc_) continue; // evicted
+      if (pos == last && aged > key) pos = w;
+      m[w++] = aged;
+    }
+    if (pos == last) pos = w;
+    SPMWCET_CHECK(w - first < assoc_); // MUST invariant: a full set evicts
+    if (w < last) {
+      std::move_backward(m.begin() + static_cast<std::ptrdiff_t>(pos),
+                         m.begin() + static_cast<std::ptrdiff_t>(w),
+                         m.begin() + static_cast<std::ptrdiff_t>(w + 1));
+      m[pos] = key;
+      m.erase(m.begin() + static_cast<std::ptrdiff_t>(w + 1),
+              m.begin() + static_cast<std::ptrdiff_t>(last));
     } else {
-      uint32_t w = 0;
-      uint32_t insert_at = 0;
-      for (uint32_t i = 0; i < assoc_ && e[i] != kEmpty; ++i) {
-        const uint64_t aged = e[i] + 1;
-        if ((aged & 0xff) >= assoc_) continue; // evicted
-        e[w] = aged;
-        if ((aged >> 8) < tag) insert_at = w + 1;
-        ++w;
-      }
-      SPMWCET_CHECK(w < assoc_); // MUST invariant: a full set evicts on miss
-      for (uint32_t i = w; i > insert_at; --i) e[i] = e[i - 1];
-      e[insert_at] = tag << 8;
-      for (uint32_t i = w + 1; i < assoc_; ++i) e[i] = kEmpty;
+      m.insert(m.begin() + static_cast<std::ptrdiff_t>(pos), key);
     }
   }
 
-  void must_age_set(State& st, uint32_t set) const {
-    uint64_t* e = set_entries(st, set);
-    uint32_t w = 0;
-    for (uint32_t i = 0; i < assoc_ && e[i] != kEmpty; ++i) {
-      const uint64_t aged = e[i] + 1;
-      if ((aged & 0xff) >= assoc_) continue;
-      e[w++] = aged;
+  /// Ages `times` times every entry whose set lies in the cyclic window of
+  /// `n` sets starting at `set_lo` (n == nsets: every set).
+  void must_age_window(std::vector<uint64_t>& m, uint32_t set_lo, uint32_t n,
+                       uint32_t times) const {
+    std::size_t w = 0;
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      uint64_t e = m[i];
+      if (((set_of_entry(e) - set_lo) & (nsets_ - 1)) < n) {
+        if ((e & kAgeMask) + times >= assoc_) continue; // evicted
+        e += times;
+      }
+      m[w++] = e;
     }
-    for (uint32_t i = w; i < assoc_; ++i) e[i] = kEmpty;
+    m.resize(w);
   }
 
   // ---- flat persistence state operations -----------------------------------
@@ -487,15 +516,16 @@ private:
   // present at age v-1, where age == assoc means "may have been evicted"
   // (sticky — see PersistenceCache::access_line).
 
-  void pers_age_set(State& st, uint32_t set) const {
-    const uint8_t evicted = static_cast<uint8_t>(assoc_ + 1);
+  void pers_age_set(State& st, uint32_t set, uint32_t times) const {
+    const uint32_t evicted = assoc_ + 1;
     uint8_t* p = st.pers.data();
     for (uint32_t i = pers_set_start_[set]; i < pers_set_start_[set + 1]; ++i)
-      if (p[i] != 0 && p[i] < evicted) ++p[i]; // saturate at "evicted"
+      if (p[i] != 0) // saturate at "evicted"
+        p[i] = static_cast<uint8_t>(std::min<uint32_t>(p[i] + times, evicted));
   }
 
   void pers_access_line(State& st, uint32_t line) const {
-    const uint32_t set = cfg_.cache.set_of_line(line);
+    const uint32_t set = set_of_line(line);
     const uint32_t slot = pers_slot_of(line);
     const uint8_t evicted = static_cast<uint8_t>(assoc_ + 1);
     uint8_t* p = st.pers.data();
@@ -510,7 +540,7 @@ private:
       // Miss (or possibly-evicted): everyone may age; the "evicted" mark is
       // sticky because persistence asks whether the line can have been
       // evicted at ANY point in the scope.
-      pers_age_set(st, set);
+      pers_age_set(st, set, 1);
       p[slot] = v == evicted ? evicted : 1;
     }
   }
@@ -523,53 +553,54 @@ private:
   // ---- combined transfers --------------------------------------------------
 
   void access_line(State& st, uint32_t line) const {
-    must_access_line(st, line);
+    must_access_line(st.must, line);
     if (!st.pers.empty()) pers_access_line(st, line);
   }
 
-  void age_set(State& st, uint32_t set) const {
-    must_age_set(st, set);
-    if (!st.pers.empty()) pers_age_set(st, set);
-  }
-
-  /// One access to exactly one unknown line within [line_lo, line_hi]:
-  /// every possibly-touched set ages — per touched line, exactly like the
-  /// seed's for_each_touched_set (a set named twice ages twice).
-  void access_range(State& st, uint32_t line_lo, uint32_t line_hi) const {
-    if (line_hi - line_lo + 1 >= nsets_) {
-      for (uint32_t s = 0; s < nsets_; ++s) age_set(st, s);
+  /// `times` accesses, each to exactly one unknown line within [line_lo,
+  /// line_hi]: every possibly-touched set ages per access — per touched
+  /// line, exactly like the seed's for_each_touched_set. A range shorter
+  /// than the set count names each set at most once; a longer one (or a
+  /// wrapped one) ages every set once.
+  void access_range(State& st, uint32_t line_lo, uint32_t line_hi,
+                    uint32_t times = 1) const {
+    const uint32_t n = line_hi - line_lo + 1;
+    const bool all = n >= nsets_;
+    if (!st.must.empty())
+      must_age_window(st.must, all ? 0 : set_of_line(line_lo),
+                      all ? nsets_ : n, times);
+    if (st.pers.empty()) return;
+    if (all) {
+      for (uint32_t s = 0; s < nsets_; ++s) pers_age_set(st, s, times);
       return;
     }
     for (uint32_t line = line_lo; line <= line_hi; ++line)
-      age_set(st, cfg_.cache.set_of_line(line));
+      pers_age_set(st, set_of_line(line), times);
   }
 
   /// Lattice join of `src` into `dest`; returns whether `dest` changed.
-  /// MUST (intersection, max age) is an in-place sorted merge per set:
-  /// surviving entries are a subsequence of dest's, so the write cursor
-  /// never passes the read cursor. Persistence (union, max age) is an
-  /// elementwise max over the slot bytes — absent (0) sorts below every
-  /// present age, so union-with-max and elementwise max coincide.
+  /// MUST (intersection, max age) is an in-place sorted merge: surviving
+  /// entries are a subsequence of dest's, so the write cursor never passes
+  /// the read cursor. Persistence (union, max age) is an elementwise max
+  /// over the slot bytes — absent (0) sorts below every present age, so
+  /// union-with-max and elementwise max coincide.
   bool join_into(State& dest, const State& src) const {
     bool changed = false;
-    for (uint32_t set = 0; set < nsets_; ++set) {
-      uint64_t* d = set_entries(dest, set);
-      const uint64_t* s = set_entries(src, set);
-      uint32_t w = 0, j = 0;
-      for (uint32_t i = 0; i < assoc_ && d[i] != kEmpty; ++i) {
-        const uint64_t tag = d[i] >> 8;
-        while (j < assoc_ && s[j] != kEmpty && (s[j] >> 8) < tag) ++j;
-        if (j >= assoc_ || s[j] == kEmpty) break;
-        if ((s[j] >> 8) != tag) continue; // not in src: drop
-        const uint64_t age = std::max(d[i] & 0xff, s[j] & 0xff);
-        const uint64_t merged = (tag << 8) | age;
-        if (d[w] != merged) changed = true;
-        d[w++] = merged;
-      }
-      for (uint32_t i = w; i < assoc_; ++i) {
-        if (d[i] != kEmpty) changed = true;
-        d[i] = kEmpty;
-      }
+    std::vector<uint64_t>& d = dest.must;
+    const std::vector<uint64_t>& s = src.must;
+    std::size_t w = 0, j = 0;
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      const uint64_t line = d[i] >> 32;
+      while (j < s.size() && (s[j] >> 32) < line) ++j;
+      if (j == s.size()) break;
+      if ((s[j] >> 32) != line) continue; // not in src: drop
+      const uint64_t merged = std::max(d[i], s[j]); // same line: max age
+      if (merged != d[i]) changed = true;
+      d[w++] = merged;
+    }
+    if (w != d.size()) {
+      changed = true;
+      d.resize(w);
     }
     for (std::size_t i = 0; i < dest.pers.size(); ++i) {
       const uint8_t m = std::max(dest.pers[i], src.pers[i]);
@@ -583,22 +614,21 @@ private:
 
   // ---- transfer (mirrors CacheAnalyzer) -------------------------------------
 
-  void data_access(State& st, const AddrInfo& info) const {
+  void data_access(State& st, const MemFacts& mem) const {
+    const AddrInfo& info = mem.access;
     if (!cfg_.cache.unified) return;
     if (info.is_store) return;
     switch (info.kind) {
       case AddrInfo::Kind::Exact:
-        if (img_.regions.classify(info.lo) == MemClass::Scratchpad) return;
-        access_line(st, cfg_.cache.line_of(info.lo));
+        if (mem.exact_class() == MemClass::Scratchpad) return;
+        access_line(st, line_of(info.lo));
         return;
       case AddrInfo::Kind::Range:
-        access_range(st, cfg_.cache.line_of(info.lo),
-                     cfg_.cache.line_of(info.hi));
+        access_range(st, line_of(info.lo), line_of(info.hi));
         return;
       case AddrInfo::Kind::Stack:
-        for (uint32_t i = 0; i < info.accesses; ++i)
-          access_range(st, cfg_.cache.line_of(stack_lo_),
-                       cfg_.cache.line_of(img_.initial_sp - 1));
+        access_range(st, line_of(stack_lo_), line_of(img_.initial_sp - 1),
+                     info.accesses);
         return;
       case AddrInfo::Kind::Unknown:
         access_range(st, 0,
@@ -608,24 +638,20 @@ private:
     }
   }
 
-  void transfer_instr(State& st, const CfgInstr& ci, const AddrMap& amap) const {
-    const bool spm_code =
-        img_.regions.classify(ci.addr) == MemClass::Scratchpad;
-    if (!spm_code) {
-      access_line(st, cfg_.cache.line_of(ci.addr));
-      if (ci.size == 4) access_line(st, cfg_.cache.line_of(ci.addr + 2));
+  void transfer_instr(State& st, const CfgInstr& ci) const {
+    if (!ci.mem.fetch_spm) {
+      access_line(st, line_of(ci.addr));
+      if (ci.size == 4) access_line(st, line_of(ci.addr + 2));
     }
-    const auto it = amap.find(ci.addr);
-    if (it != amap.end()) data_access(st, it->second);
+    if (ci.mem.has_access) data_access(st, ci.mem);
   }
 
   // ---- fixpoint -------------------------------------------------------------
 
   void fixpoint() {
-    in_.assign(node_func_.size(), State());
-    present_.assign(node_func_.size(), 0);
+    in_.assign(node_block_.size(), State());
+    present_.assign(node_block_.size(), 0);
     const uint32_t entry = func_base_.at(root_);
-    in_[entry].must.assign(entries_, kEmpty);
     if (cfg_.with_persistence) in_[entry].pers.assign(pers_tags_.size(), 0);
     present_[entry] = 1;
     std::vector<uint32_t> work{entry};
@@ -633,12 +659,9 @@ private:
     while (!work.empty()) {
       const uint32_t node = work.back();
       work.pop_back();
-      const Cfg& cfg = cfgs_.at(node_func_[node]);
-      const AddrMap& amap = addrs_.at(node_func_[node]);
       s = in_[node];
-      for (const CfgInstr& ci :
-           cfg.blocks[static_cast<std::size_t>(node_block_[node])].instrs)
-        transfer_instr(s, ci, amap);
+      for (const CfgInstr& ci : node_block_[node]->instrs)
+        transfer_instr(s, ci);
       for (const uint32_t succ : succs_[node]) {
         if (!present_[succ]) {
           in_[succ] = s;
@@ -651,22 +674,27 @@ private:
     }
   }
 
-  // ---- classification -------------------------------------------------------
+  // ---- classification (fused with the transfer it observes) ----------------
 
   CacheClassification classify() const {
     CacheClassification out;
     State s;
-    for (const auto& [faddr, cfg] : cfgs_) {
-      const AddrMap& amap = addrs_.at(faddr);
-      const uint32_t base = func_base_.at(faddr);
-      for (const auto& b : cfg.blocks) {
-        const uint32_t node = base + static_cast<uint32_t>(b.id);
-        if (!present_[node]) continue; // unreachable
-        s = in_[node];
-        for (const CfgInstr& ci : b.instrs) {
-          classify_instr(s, ci, amap, out);
-          transfer_instr(s, ci, amap);
+    for (std::size_t node = 0; node < node_block_.size(); ++node) {
+      if (!present_[node]) continue; // unreachable
+      s = in_[node];
+      for (const CfgInstr& ci : node_block_[node]->instrs) {
+        // Each access is classified against the state just before it.
+        if (!ci.mem.fetch_spm) {
+          classify_fetch(s, ci.addr, out);
+          access_line(s, line_of(ci.addr));
+          if (ci.size == 4) {
+            classify_fetch(s, ci.addr + 2, out);
+            access_line(s, line_of(ci.addr + 2));
+          }
         }
+        if (!ci.mem.has_access) continue;
+        classify_load(s, ci, out);
+        data_access(s, ci.mem);
       }
     }
     return out;
@@ -674,57 +702,44 @@ private:
 
   void classify_fetch(const State& state, uint32_t addr,
                       CacheClassification& out) const {
-    const uint32_t line = cfg_.cache.line_of(addr);
+    const uint32_t line = line_of(addr);
     if (contains_line(state, line)) {
-      out.fetch_always_hit.insert(addr);
+      out.fetch_always_hit.push_back(addr);
     } else if (!state.pers.empty() && pers_persistent_line(state, line)) {
-      out.fetch_persistent.insert(addr);
-      out.persistent_penalty_lines.insert(line);
+      out.fetch_persistent.push_back(addr);
+      out.persistent_penalty_lines.push_back(line);
     }
   }
 
-  void classify_instr(const State& s, const CfgInstr& ci, const AddrMap& amap,
-                      CacheClassification& out) const {
-    State state = s; // local copy: the fetch precedes the data access
-    const bool spm_code =
-        img_.regions.classify(ci.addr) == MemClass::Scratchpad;
-    if (!spm_code) {
-      classify_fetch(state, ci.addr, out);
-      access_line(state, cfg_.cache.line_of(ci.addr));
-      if (ci.size == 4) {
-        classify_fetch(state, ci.addr + 2, out);
-        access_line(state, cfg_.cache.line_of(ci.addr + 2));
-      }
-    }
-    const auto it = amap.find(ci.addr);
-    if (it == amap.end()) return;
-    const AddrInfo& info = it->second;
+  void classify_load(const State& state, const CfgInstr& ci,
+                     CacheClassification& out) const {
+    const AddrInfo& info = ci.mem.access;
     if (!cfg_.cache.unified || info.is_store) return;
-    if (info.kind == AddrInfo::Kind::Exact &&
-        img_.regions.classify(info.lo) != MemClass::Scratchpad) {
-      const uint32_t line = cfg_.cache.line_of(info.lo);
-      if (contains_line(state, line)) {
-        out.load_always_hit.insert(ci.addr);
-      } else if (!state.pers.empty() && pers_persistent_line(state, line)) {
-        out.load_persistent.insert(ci.addr);
-        out.persistent_penalty_lines.insert(line);
-      }
+    if (info.kind != AddrInfo::Kind::Exact ||
+        ci.mem.exact_class() == MemClass::Scratchpad)
+      return;
+    const uint32_t line = line_of(info.lo);
+    if (contains_line(state, line)) {
+      out.load_always_hit.push_back(ci.addr);
+    } else if (!state.pers.empty() && pers_persistent_line(state, line)) {
+      out.load_persistent.push_back(ci.addr);
+      out.persistent_penalty_lines.push_back(line);
     }
   }
 
   const link::Image& img_;
   const std::map<uint32_t, Cfg>& cfgs_;
-  const std::map<uint32_t, AddrMap>& addrs_;
   uint32_t root_;
   CacheAnalysisConfig cfg_;
   uint32_t stack_lo_ = 0;
   uint32_t nsets_ = 0;
   uint32_t assoc_ = 0;
-  std::size_t entries_ = 0;
+  unsigned line_shift_ = 0;
+  unsigned set_bits_ = 0;
+  unsigned set_shift_ = 0; ///< bit position of the set in a MUST entry
 
   std::map<uint32_t, uint32_t> func_base_; ///< func addr -> first node id
-  std::vector<uint32_t> node_func_;
-  std::vector<int> node_block_;
+  std::vector<const BasicBlock*> node_block_;
   std::vector<std::vector<uint32_t>> succs_;
   std::vector<State> in_;
   std::vector<uint8_t> present_;
@@ -738,23 +753,29 @@ private:
 
 } // namespace
 
+void CacheClassification::normalize() {
+  for (AddrSet* s : {&fetch_always_hit, &load_always_hit, &fetch_persistent,
+                     &load_persistent, &persistent_penalty_lines}) {
+    std::sort(s->begin(), s->end());
+    s->erase(std::unique(s->begin(), s->end()), s->end());
+  }
+}
+
 CacheClassification analyze_cache(const link::Image& img,
                                   const std::map<uint32_t, Cfg>& cfgs,
-                                  const std::map<uint32_t, AddrMap>& addrs,
                                   uint32_t root,
                                   const CacheAnalysisConfig& cfg) {
   g_map_runs.fetch_add(1, std::memory_order_relaxed);
-  return CacheAnalyzer(img, cfgs, addrs, root, cfg).run();
+  return CacheAnalyzer(img, cfgs, root, cfg).run();
 }
 
 CacheClassification analyze_cache_flat(const link::Image& img,
                                        const std::map<uint32_t, Cfg>& cfgs,
-                                       const std::map<uint32_t, AddrMap>& addrs,
                                        uint32_t root,
                                        const CacheAnalysisConfig& cfg) {
   (cfg.with_persistence ? g_flat_persistence_runs : g_flat_must_runs)
       .fetch_add(1, std::memory_order_relaxed);
-  return FlatCacheAnalyzer(img, cfgs, addrs, root, cfg).run();
+  return FlatCacheAnalyzer(img, cfgs, root, cfg).run();
 }
 
 CacheAnalysisCounters cache_analysis_counters() {

@@ -10,14 +10,14 @@
 // insensitive, like the paper's tool.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
-#include <set>
+#include <vector>
 
 #include "cache/geometry.h"
 #include "link/image.h"
 #include "wcet/cfg.h"
-#include "wcet/value_analysis.h"
 
 namespace spmwcet::wcet {
 
@@ -29,43 +29,65 @@ struct CacheAnalysisConfig {
   uint32_t stack_window = 0x1000;
 };
 
+/// A sorted, duplicate-free list of addresses or line numbers.
+using AddrSet = std::vector<uint32_t>;
+
 struct CacheClassification {
   /// Halfword fetch addresses proven always-hit by MUST.
-  std::set<uint32_t> fetch_always_hit;
+  AddrSet fetch_always_hit;
   /// Load instruction addresses (exact-address loads) proven always-hit.
-  std::set<uint32_t> load_always_hit;
+  AddrSet load_always_hit;
   /// Accesses (by halfword fetch address / load instruction address) that
   /// are persistent: at most one miss over the whole run.
-  std::set<uint32_t> fetch_persistent;
-  std::set<uint32_t> load_persistent;
+  AddrSet fetch_persistent;
+  AddrSet load_persistent;
   /// Distinct memory lines underlying persistent-but-not-must accesses;
   /// each contributes one (miss - hit) penalty to the WCET.
-  std::set<uint32_t> persistent_penalty_lines;
+  AddrSet persistent_penalty_lines;
 
-  bool fetch_hit(uint32_t addr) const { return fetch_always_hit.count(addr); }
-  bool load_hit(uint32_t addr) const { return load_always_hit.count(addr); }
+  bool fetch_hit(uint32_t addr) const { return has(fetch_always_hit, addr); }
+  bool load_hit(uint32_t addr) const { return has(load_always_hit, addr); }
+  bool fetch_persists(uint32_t addr) const {
+    return has(fetch_persistent, addr);
+  }
+  bool load_persists(uint32_t addr) const { return has(load_persistent, addr); }
+
+  /// Sorts and deduplicates every list; an analysis appends as it
+  /// classifies and normalizes once at the end.
+  void normalize();
+
+private:
+  static bool has(const AddrSet& s, uint32_t v) {
+    return std::binary_search(s.begin(), s.end(), v);
+  }
 };
 
 /// Runs the fixpoint over all `cfgs` (keyed by function address) starting
-/// from `root`, using per-function address resolutions `addrs`.
-CacheClassification analyze_cache(
-    const link::Image& img, const std::map<uint32_t, Cfg>& cfgs,
-    const std::map<uint32_t, AddrMap>& addrs, uint32_t root,
-    const CacheAnalysisConfig& cfg);
+/// from `root`. Every CFG must carry this image's memory facts
+/// (resolve_memory, wcet/value_analysis.h); an unresolved one is refused.
+/// This is the seed implementation — one std::map per cache set — kept as
+/// the test oracle and the --legacy-wcet baseline.
+CacheClassification analyze_cache(const link::Image& img,
+                                  const std::map<uint32_t, Cfg>& cfgs,
+                                  uint32_t root,
+                                  const CacheAnalysisConfig& cfg);
 
-/// The IR analyzer's implementation of the same analysis: identical
+/// The IR analyzer's implementation of the same analysis, with identical
 /// classification (the MUST and persistence fixpoints have unique
-/// solutions, so any faithful implementation agrees — pinned by the parity
-/// suites), but abstract states live in flat fixed-stride arrays instead of
-/// one std::map per cache set, which removes the per-block state-copy
-/// allocation storm that dominated large-cache sweep points. The
-/// persistence domain is flat too: its tag universe is precomputed from the
-/// program's exact-access lines (the only lines the transfer functions ever
-/// insert), one byte per (set, tag) slot, join = elementwise max.
-CacheClassification analyze_cache_flat(
-    const link::Image& img, const std::map<uint32_t, Cfg>& cfgs,
-    const std::map<uint32_t, AddrMap>& addrs, uint32_t root,
-    const CacheAnalysisConfig& cfg);
+/// solutions, so any faithful representation agrees — pinned by the parity
+/// suites). A MUST state is a sorted vector of its live (set, tag, age)
+/// entries, so copying, joining, comparing and aging a state cost the
+/// lines it holds rather than num_sets × assoc slots, and aging every set
+/// a range, the stack window or an unknown address may touch is one pass
+/// over those entries. Classification is fused with the transfer it
+/// observes. The persistence domain stays dense: its tag universe is
+/// precomputed from the program's exact-access lines (the only lines the
+/// transfer functions ever insert), one byte per (set, tag) slot, join =
+/// elementwise max.
+CacheClassification analyze_cache_flat(const link::Image& img,
+                                       const std::map<uint32_t, Cfg>& cfgs,
+                                       uint32_t root,
+                                       const CacheAnalysisConfig& cfg);
 
 /// Process-wide run counters, one per implementation path; tests use them
 /// to assert which analysis actually ran (the flat persistence path must

@@ -14,6 +14,7 @@
 #include "isa/instruction.h"
 #include "link/image.h"
 #include "program/decoded_image.h"
+#include "wcet/mem_facts.h"
 
 namespace spmwcet::wcet {
 
@@ -23,6 +24,7 @@ struct CfgInstr {
   uint32_t size = 2;
   isa::Instr ins;
   isa::Instr bl_lo; ///< valid when ins.op == BL_HI
+  MemFacts mem;     ///< layout facts, filled in by resolve_memory
 };
 
 enum class EdgeKind : uint8_t {
@@ -55,6 +57,9 @@ struct Cfg {
   uint32_t func_addr = 0;
   std::vector<BasicBlock> blocks; ///< blocks[0] is the entry block
   std::vector<CfgEdge> edges;
+  /// Set by resolve_memory once every CfgInstr::mem holds this image's
+  /// facts; the back end refuses a CFG without them.
+  bool mem_resolved = false;
 
   const BasicBlock& entry() const { return blocks.front(); }
 

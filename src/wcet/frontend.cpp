@@ -221,8 +221,9 @@ ProgramView bind_view(std::shared_ptr<const ProgramShape> shape,
           view.ann.set_loop_bound(header, detected.bound);
   }
 
-  for (const auto& [f, fcfg] : view.cfgs)
-    view.addrs.emplace(f, analyze_addresses(img, fcfg, view.ann));
+  // This image's memory facts, resolved once into the bound CFGs: every
+  // analysis of the view reads them instead of the region map.
+  for (auto& [f, fcfg] : view.cfgs) resolve_memory(img, fcfg, view.ann);
 
   return view;
 }

@@ -13,8 +13,9 @@
 //                                      blocks, edges, call graph, loops.
 //   ProgramView   (one per image)      the shape bound to a layout: CFGs
 //                                      with real addresses and this link's
-//                                      immediates, annotations, and the
-//                                      value-analysis address maps.
+//                                      immediates, annotations, and each
+//                                      instruction's memory facts from the
+//                                      value analysis.
 //
 // analyze_wcet(view, cfg) then runs only the genuinely layout-dependent
 // passes (cache analysis, block timing, IPET). The cache branch of a sweep
@@ -90,8 +91,9 @@ ProgramShape build_shape(const link::Image& img,
                          const program::DecodedImage& dec);
 
 /// The shape bound to one concrete image: real addresses, this link's
-/// literal pools and immediates, annotations, and value-analysis results.
-/// Immutable after bind_view; safe to share across threads and analyses.
+/// literal pools and immediates, annotations, and value-analysis results
+/// (CfgInstr::mem of every bound CFG). Immutable after bind_view; safe to
+/// share across threads and analyses.
 struct ProgramView {
   std::shared_ptr<const ProgramShape> shape;
   /// Optional lifetime pins for cached views (the borrowed pointers below
@@ -101,9 +103,8 @@ struct ProgramView {
   const link::Image* img = nullptr;
   uint32_t root = 0; ///< entry function address in this image
   Annotations ann;
-  std::map<uint32_t, Cfg> cfgs;                 ///< keyed by function address
+  std::map<uint32_t, Cfg> cfgs; ///< keyed by function address; facts resolved
   std::map<uint32_t, const LoopInfo*> loops;    ///< borrowed from the shape
-  std::map<uint32_t, AddrMap> addrs;            ///< value analysis, per image
   /// This image's address of each function -> its ProgramShape::funcs index.
   /// Stable across placements of one shape; keys the per-workload IPET
   /// skeleton cache.
@@ -114,8 +115,9 @@ struct ProgramView {
 /// materializes per-function CFGs at this layout's addresses, applies
 /// annotations (`overrides` replaces the image-derived set; with
 /// `auto_loop_bounds`, detected counted-loop bounds fill unannotated
-/// headers), and runs the value analysis. Throws ProgramError when the
-/// image does not belong to the shape's module.
+/// headers), and runs the value analysis, which resolves every
+/// instruction's memory facts into the bound CFGs. Throws ProgramError when
+/// the image does not belong to the shape's module.
 ProgramView bind_view(std::shared_ptr<const ProgramShape> shape,
                       const link::Image& img,
                       const program::DecodedImage& dec,

@@ -64,18 +64,35 @@ public:
   ValueAnalysis(const link::Image& img, const Cfg& cfg, const Annotations& ann)
       : img_(img), cfg_(cfg), ann_(ann) {}
 
-  AddrMap run() {
+  /// Runs the fixpoint and writes every instruction's MemFacts into `out`,
+  /// the CFG this analysis was constructed over.
+  void record(Cfg& out) {
+    SPMWCET_CHECK(&out == &cfg_);
     fixpoint();
-    AddrMap result;
-    for (const auto& b : cfg_.blocks) {
-      if (!in_[static_cast<std::size_t>(b.id)].reachable) continue;
+    const link::RegionMap& regions = img_.regions;
+    const link::Region* code = nullptr; // region of the last fetch
+    for (BasicBlock& b : out.blocks) {
       State s = in_[static_cast<std::size_t>(b.id)];
-      for (const CfgInstr& ci : b.instrs) {
-        resolve(ci, s, result);
+      for (CfgInstr& ci : b.instrs) {
+        // A BL pair never straddles regions (decode keeps it inside the
+        // function's code), so one lookup classifies both of its fetches.
+        if (code == nullptr || ci.addr < code->lo || ci.addr >= code->hi) {
+          code = regions.find(ci.addr);
+          if (code == nullptr) (void)regions.classify(ci.addr); // throws
+        }
+        ci.mem = MemFacts{};
+        ci.mem.fetch_spm =
+            link::mem_class(code->kind) == isa::MemClass::Scratchpad;
+        if (!s.reachable) continue;
+        if (const std::optional<AddrInfo> info = resolve(ci, s)) {
+          ci.mem.has_access = true;
+          ci.mem.access = *info;
+          classify_access(ci.mem);
+        }
         transfer(ci, s);
       }
     }
-    return result;
+    out.mem_resolved = true;
   }
 
 private:
@@ -264,11 +281,28 @@ private:
 
   // ---- resolution -----------------------------------------------------------
 
-  void resolve(const CfgInstr& ci, const State& s, AddrMap& out) const {
+  /// The memory classes an access may touch, from this image's regions.
+  void classify_access(MemFacts& mem) const {
+    const AddrInfo& info = mem.access;
+    if (info.kind == AddrInfo::Kind::Exact) {
+      const link::Region* r = img_.regions.find(info.lo);
+      if (r == nullptr) return; // unmapped: exact_class() raises on use
+      const bool spm = link::mem_class(r->kind) == isa::MemClass::Scratchpad;
+      mem.may_spm = spm;
+      mem.may_main = !spm;
+    } else if (info.kind == AddrInfo::Kind::Range) {
+      mem.may_main = img_.regions.intersects_class(info.lo, info.hi,
+                                                   isa::MemClass::MainMemory);
+      mem.may_spm = img_.regions.intersects_class(info.lo, info.hi,
+                                                  isa::MemClass::Scratchpad);
+    }
+  }
+
+  std::optional<AddrInfo> resolve(const CfgInstr& ci, const State& s) const {
     const Instr& ins = ci.ins;
     const uint32_t width = isa::mem_access_bytes(ins);
     AddrInfo info;
-    info.width = width;
+    info.width = static_cast<uint8_t>(width);
     info.is_store = isa::is_store(ins);
 
     switch (ins.op) {
@@ -285,9 +319,9 @@ private:
       case Op::POP:
         info.kind = AddrInfo::Kind::Stack;
         info.width = 4;
-        info.accesses = isa::transfer_count(ins);
+        info.accesses = static_cast<uint8_t>(isa::transfer_count(ins));
         info.is_store = ins.op == Op::PUSH;
-        if (info.accesses == 0) return; // empty list: no memory traffic
+        if (info.accesses == 0) return std::nullopt; // empty list: no traffic
         break;
       case Op::LDR:
       case Op::STR:
@@ -316,7 +350,7 @@ private:
         break;
       }
       default:
-        return; // not a memory instruction
+        return std::nullopt; // not a memory instruction
     }
 
     // Intersect with the compiler's access hint, when present.
@@ -338,7 +372,7 @@ private:
         if (info.lo == info.hi) info.kind = AddrInfo::Kind::Exact;
       }
     }
-    out[ci.addr] = info;
+    return info;
   }
 
   AddrInfo base_plus_offset(const AbsVal& base, Interval off,
@@ -372,9 +406,13 @@ private:
 
 } // namespace
 
-AddrMap analyze_addresses(const link::Image& img, const Cfg& cfg,
-                          const Annotations& ann) {
-  return ValueAnalysis(img, cfg, ann).run();
+void resolve_memory(const link::Image& img, Cfg& cfg, const Annotations& ann) {
+  ValueAnalysis(img, cfg, ann).record(cfg);
+}
+
+void MemFacts::throw_unmapped() const {
+  throw SimulationError("access to unmapped address " +
+                        std::to_string(access.lo));
 }
 
 } // namespace spmwcet::wcet

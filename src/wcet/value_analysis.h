@@ -5,15 +5,18 @@
 // constant straight out of the image, which is how global addresses become
 // known to the analyzer without relocation info.
 //
-// The result of the stage is one AddrInfo per memory instruction: an exact
-// address, a bounded range (from the analysis, the compiler's access hints,
-// or their intersection), a stack-relative access, or unknown. Block timing
-// and cache analysis consume AddrInfo; they never look at registers.
+// The result of the stage is written into the CFG itself: every
+// instruction gets its MemFacts — the memory class of its own fetch and,
+// for a memory instruction, an AddrInfo (an exact address, a bounded range
+// from the analysis, the compiler's access hints or their intersection, a
+// stack-relative access, or unknown) plus the memory classes that access
+// may touch. These are the layout facts of one bound image, resolved once;
+// block timing and cache analysis read them per visit and never look at
+// registers or the region map.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
 
 #include "link/image.h"
 #include "support/interval.h"
@@ -43,29 +46,13 @@ struct AbsVal {
   bool operator==(const AbsVal& o) const = default;
 };
 
-/// How a memory instruction's effective address resolved.
-struct AddrInfo {
-  enum class Kind : uint8_t {
-    Exact,   ///< single known address
-    Range,   ///< one access somewhere in [lo, hi]
-    Stack,   ///< sp-relative (incl. PUSH/POP transfers)
-    Unknown, ///< unbounded — analyzer must assume the worst
-  };
-  Kind kind = Kind::Unknown;
-  uint32_t lo = 0; ///< Exact: the address; Range: inclusive bounds
-  uint32_t hi = 0;
-  uint32_t width = 4;   ///< bytes per element access
-  uint32_t accesses = 1; ///< number of element accesses (PUSH/POP: n words)
-  bool is_store = false;
-};
-
-/// Per-instruction address resolution for one function.
-using AddrMap = std::map<uint32_t, AddrInfo>;
-
-/// Runs the fixpoint and resolves every load/store (including PUSH/POP) of
-/// `cfg`. Hint ranges from `ann` are intersected with analysis results;
-/// an empty intersection raises AnnotationError (inconsistent annotation).
-AddrMap analyze_addresses(const link::Image& img, const Cfg& cfg,
-                          const Annotations& ann);
+/// Runs the fixpoint over `cfg` and records every instruction's MemFacts in
+/// place (CfgInstr::mem): the fetch's memory class for every instruction,
+/// and for each load/store (including PUSH/POP) in a reachable block its
+/// resolved access and the classes that access may touch. Marks the CFG
+/// resolved, which the back end (cache analysis, block timing) requires.
+/// Hint ranges from `ann` are intersected with analysis results; an empty
+/// intersection raises AnnotationError (inconsistent annotation).
+void resolve_memory(const link::Image& img, Cfg& cfg, const Annotations& ann);
 
 } // namespace spmwcet::wcet

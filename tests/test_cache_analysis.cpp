@@ -7,6 +7,7 @@
 #include "link/layout.h"
 #include "minic/codegen.h"
 #include "wcet/analyzer.h"
+#include "wcet/block_timing.h"
 #include "wcet/cache_analysis.h"
 #include "wcet/cfg.h"
 #include "wcet/value_analysis.h"
@@ -22,20 +23,25 @@ struct Classified {
   std::map<uint32_t, Cfg> cfgs;
 };
 
+/// Every reachable function's CFG with this image's memory facts, through
+/// the same resolution step the analyzer front ends use.
+std::map<uint32_t, Cfg> resolved_cfgs(const link::Image& img) {
+  const Annotations ann = Annotations::from_image(img);
+  std::map<uint32_t, Cfg> cfgs;
+  for (const uint32_t f : reachable_functions(img, img.entry))
+    resolve_memory(img, cfgs.emplace(f, build_cfg(img, f)).first->second,
+                   ann);
+  return cfgs;
+}
+
 Classified classify(const minic::ObjModule& mod, uint32_t cache_bytes,
                     bool persistence = false) {
   Classified out{link::link_program(mod, {}, {}), {}, {}};
-  const Annotations ann = Annotations::from_image(out.img);
-  std::map<uint32_t, AddrMap> addrs;
-  for (const uint32_t f : reachable_functions(out.img, out.img.entry)) {
-    out.cfgs.emplace(f, build_cfg(out.img, f));
-    addrs.emplace(f, analyze_addresses(out.img, out.cfgs.at(f), ann));
-  }
+  out.cfgs = resolved_cfgs(out.img);
   CacheAnalysisConfig ccfg;
   ccfg.cache.size_bytes = cache_bytes;
   ccfg.with_persistence = persistence;
-  out.cls =
-      analyze_cache(out.img, out.cfgs, addrs, out.img.entry, ccfg);
+  out.cls = analyze_cache(out.img, out.cfgs, out.img.entry, ccfg);
   return out;
 }
 
@@ -193,16 +199,10 @@ TEST(CacheAnalysis, SpmCodeBypassesTheCache) {
   link::SpmAssignment spm;
   spm.functions.insert("main");
   const link::Image img = link::link_program(mod, opts, spm);
-  const Annotations ann = Annotations::from_image(img);
-  std::map<uint32_t, Cfg> cfgs;
-  std::map<uint32_t, AddrMap> addrs;
-  for (const uint32_t f : reachable_functions(img, img.entry)) {
-    cfgs.emplace(f, build_cfg(img, f));
-    addrs.emplace(f, analyze_addresses(img, cfgs.at(f), ann));
-  }
+  const std::map<uint32_t, Cfg> cfgs = resolved_cfgs(img);
   CacheAnalysisConfig ccfg;
   ccfg.cache.size_bytes = 1024;
-  const auto cls = analyze_cache(img, cfgs, addrs, img.entry, ccfg);
+  const auto cls = analyze_cache(img, cfgs, img.entry, ccfg);
   const link::Symbol* mainsym = img.find_symbol("main");
   for (const uint32_t addr : cls.fetch_always_hit)
     EXPECT_FALSE(addr >= mainsym->addr && addr < mainsym->addr + mainsym->size)
@@ -220,6 +220,32 @@ TEST(CacheAnalysis, ClassificationCountsAppearInReport) {
   EXPECT_GT(report.fetch_sites, 0u);
   EXPECT_GT(report.fetch_always_hit, 0u);
   EXPECT_LE(report.fetch_always_hit, report.fetch_sites);
+}
+
+TEST(CacheAnalysis, UnresolvedCfgIsRefusedByTheBackEnd) {
+  // A CFG that never went through resolve_memory carries default facts —
+  // no data accesses, every fetch in main memory. The back end must refuse
+  // it rather than analyze that fiction.
+  const auto img = link::link_program(compile(straight_line(10)), {}, {});
+  std::map<uint32_t, Cfg> unresolved;
+  for (const uint32_t f : reachable_functions(img, img.entry))
+    unresolved.emplace(f, build_cfg(img, f));
+  CacheAnalysisConfig ccfg;
+  ccfg.cache.size_bytes = 1024;
+  EXPECT_THROW(analyze_cache_flat(img, unresolved, img.entry, ccfg),
+               spmwcet::Error);
+  EXPECT_THROW(analyze_cache(img, unresolved, img.entry, ccfg),
+               spmwcet::Error);
+  EXPECT_THROW(time_blocks(unresolved.begin()->second, TimingInputs{}),
+               spmwcet::Error);
+
+  const std::map<uint32_t, Cfg> resolved = resolved_cfgs(img);
+  EXPECT_NO_THROW(analyze_cache_flat(img, resolved, img.entry, ccfg));
+  std::map<uint32_t, uint64_t> no_callees;
+  TimingInputs plain;
+  plain.callee_wcet = &no_callees;
+  for (const auto& [f, cfg] : resolved)
+    if (cfg.name == "main") EXPECT_NO_THROW(time_blocks(cfg, plain));
 }
 
 // ---- flat persistence domain -----------------------------------------------
@@ -252,13 +278,7 @@ ProgramDef persistence_workout() {
 TEST(CacheAnalysis, FlatPersistenceMatchesMapAnalysisAcrossGeometries) {
   const auto mod = compile(persistence_workout());
   const link::Image img = link::link_program(mod, {}, {});
-  const Annotations ann = Annotations::from_image(img);
-  std::map<uint32_t, Cfg> cfgs;
-  std::map<uint32_t, AddrMap> addrs;
-  for (const uint32_t f : reachable_functions(img, img.entry)) {
-    cfgs.emplace(f, build_cfg(img, f));
-    addrs.emplace(f, analyze_addresses(img, cfgs.at(f), ann));
-  }
+  const std::map<uint32_t, Cfg> cfgs = resolved_cfgs(img);
   for (const uint32_t size : {256u, 1024u, 8192u}) {
     for (const uint32_t assoc : {1u, 2u}) {
       for (const bool unified : {true, false}) {
@@ -267,9 +287,8 @@ TEST(CacheAnalysis, FlatPersistenceMatchesMapAnalysisAcrossGeometries) {
         ccfg.cache.assoc = assoc;
         ccfg.cache.unified = unified;
         ccfg.with_persistence = true;
-        const auto map_cls = analyze_cache(img, cfgs, addrs, img.entry, ccfg);
-        const auto flat_cls =
-            analyze_cache_flat(img, cfgs, addrs, img.entry, ccfg);
+        const auto map_cls = analyze_cache(img, cfgs, img.entry, ccfg);
+        const auto flat_cls = analyze_cache_flat(img, cfgs, img.entry, ccfg);
         SCOPED_TRACE("size=" + std::to_string(size) +
                      " assoc=" + std::to_string(assoc) +
                      " unified=" + std::to_string(unified));

@@ -1,7 +1,10 @@
 // Value-analysis and annotation tests: address resolution of literal-pool
-// loads, global scalars, array accesses (hint ranges), stack traffic, and
-// annotation consistency checking.
+// loads, global scalars, array accesses (hint ranges), stack traffic, the
+// per-instruction memory classes resolve_memory records, and annotation
+// consistency checking.
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "link/layout.h"
 #include "minic/codegen.h"
@@ -17,15 +20,24 @@ using namespace minic;
 
 struct Analyzed {
   link::Image img;
-  AddrMap addrs;
+  /// main's resolved data accesses, keyed by instruction address.
+  std::map<uint32_t, AddrInfo> addrs;
 };
+
+/// Resolves the memory facts of `func` in `img`.
+Cfg resolved_cfg(const link::Image& img, const std::string& func) {
+  Cfg cfg = build_cfg(img, img.find_symbol(func)->addr);
+  resolve_memory(img, cfg, Annotations::from_image(img));
+  return cfg;
+}
 
 Analyzed analyze_main(ProgramDef& p) {
   Analyzed a{link::link_program(compile(p)), {}};
-  const uint32_t main_addr = a.img.find_symbol("main")->addr;
-  const Cfg cfg = build_cfg(a.img, main_addr);
-  const Annotations ann = Annotations::from_image(a.img);
-  a.addrs = analyze_addresses(a.img, cfg, ann);
+  const Cfg cfg = resolved_cfg(a.img, "main");
+  EXPECT_TRUE(cfg.mem_resolved);
+  for (const BasicBlock& b : cfg.blocks)
+    for (const CfgInstr& ci : b.instrs)
+      if (ci.mem.has_access) a.addrs[ci.addr] = ci.mem.access;
   return a;
 }
 
@@ -132,6 +144,51 @@ TEST(ValueAnalysis, PushPopAccountsTransferCount) {
   EXPECT_TRUE(found_push);
 }
 
+TEST(ValueAnalysis, FactsRecordFetchAndAccessClasses) {
+  // With main and one global on the scratchpad, main's fetches are SPM
+  // fetches, the exact store to the SPM global may touch only the
+  // scratchpad, and the store to the main-memory global only main memory.
+  ProgramDef p;
+  p.add_global({.name = "fast", .type = ElemType::I32, .count = 1});
+  p.add_global({.name = "slow", .type = ElemType::I32, .count = 1});
+  auto& m = p.add_function("main", {}, false);
+  m.body = block({});
+  m.body->body.push_back(gassign("fast", cst(1)));
+  m.body->body.push_back(gassign("slow", cst(2)));
+  m.body->body.push_back(ret());
+  link::LinkOptions opts;
+  opts.spm_size = 4096;
+  link::SpmAssignment spm;
+  spm.functions.insert("main");
+  spm.globals.insert("fast");
+  const link::Image img = link::link_program(compile(p), opts, spm);
+  const Cfg cfg = resolved_cfg(img, "main");
+  const uint32_t fast = img.find_symbol("fast")->addr;
+  const uint32_t slow = img.find_symbol("slow")->addr;
+  int fast_stores = 0, slow_stores = 0;
+  for (const BasicBlock& b : cfg.blocks)
+    for (const CfgInstr& ci : b.instrs) {
+      EXPECT_TRUE(ci.mem.fetch_spm) << "main sits on the scratchpad";
+      const AddrInfo& info = ci.mem.access;
+      if (!ci.mem.has_access || !info.is_store ||
+          info.kind != AddrInfo::Kind::Exact)
+        continue;
+      if (info.lo == fast) {
+        ++fast_stores;
+        EXPECT_TRUE(ci.mem.may_spm);
+        EXPECT_FALSE(ci.mem.may_main);
+        EXPECT_EQ(ci.mem.exact_class(), isa::MemClass::Scratchpad);
+      } else if (info.lo == slow) {
+        ++slow_stores;
+        EXPECT_FALSE(ci.mem.may_spm);
+        EXPECT_TRUE(ci.mem.may_main);
+        EXPECT_EQ(ci.mem.exact_class(), isa::MemClass::MainMemory);
+      }
+    }
+  EXPECT_EQ(fast_stores, 1);
+  EXPECT_EQ(slow_stores, 1);
+}
+
 TEST(Annotations, FromImageResolvesHintSymbols) {
   ProgramDef p;
   p.add_global({.name = "data", .type = ElemType::U8, .count = 7});
@@ -191,8 +248,8 @@ TEST(Annotations, ContradictoryHintIsRejected) {
   ann.set_access_range(store_addr, 0x1, 0x2); // contradicts the scalar's address
 
   const uint32_t main_addr = img.find_symbol("main")->addr;
-  const Cfg cfg = build_cfg(img, main_addr);
-  EXPECT_THROW(analyze_addresses(img, cfg, ann), spmwcet::AnnotationError);
+  Cfg cfg = build_cfg(img, main_addr);
+  EXPECT_THROW(resolve_memory(img, cfg, ann), spmwcet::AnnotationError);
 }
 
 } // namespace

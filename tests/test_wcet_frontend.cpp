@@ -275,11 +275,9 @@ TEST(FlatCacheAnalysis, ClassificationMatchesSeedImplementation) {
     const link::Image img = link::link_program(wl->module, {}, {});
     const wcet::Annotations ann = wcet::Annotations::from_image(img);
     std::map<uint32_t, wcet::Cfg> cfgs;
-    std::map<uint32_t, wcet::AddrMap> addrs;
-    for (const uint32_t f : wcet::reachable_functions(img, img.entry)) {
-      cfgs.emplace(f, wcet::build_cfg(img, f));
-      addrs.emplace(f, wcet::analyze_addresses(img, cfgs.at(f), ann));
-    }
+    for (const uint32_t f : wcet::reachable_functions(img, img.entry))
+      wcet::resolve_memory(
+          img, cfgs.emplace(f, wcet::build_cfg(img, f)).first->second, ann);
     for (const uint32_t size : {64u, 512u, 8192u}) {
       for (const uint32_t assoc : {1u, 4u}) {
         if (static_cast<uint64_t>(assoc) * 16 > size) continue;
@@ -287,9 +285,8 @@ TEST(FlatCacheAnalysis, ClassificationMatchesSeedImplementation) {
         ccfg.cache.size_bytes = size;
         ccfg.cache.assoc = assoc;
         const auto seed =
-            wcet::analyze_cache(img, cfgs, addrs, img.entry, ccfg);
-        const auto flat =
-            wcet::analyze_cache_flat(img, cfgs, addrs, img.entry, ccfg);
+            wcet::analyze_cache(img, cfgs, img.entry, ccfg);
+        const auto flat = wcet::analyze_cache_flat(img, cfgs, img.entry, ccfg);
         EXPECT_EQ(flat.fetch_always_hit, seed.fetch_always_hit)
             << wl->name << " size " << size << " assoc " << assoc;
         EXPECT_EQ(flat.load_always_hit, seed.load_always_hit)
