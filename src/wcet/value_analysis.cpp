@@ -61,17 +61,17 @@ struct State {
 
 class ValueAnalysis {
 public:
-  ValueAnalysis(const link::Image& img, const Cfg& cfg, const Annotations& ann)
+  ValueAnalysis(const link::Image& img, Cfg& cfg, const Annotations& ann)
       : img_(img), cfg_(cfg), ann_(ann) {}
 
-  /// Runs the fixpoint and writes every instruction's MemFacts into `out`,
-  /// the CFG this analysis was constructed over.
-  void record(Cfg& out) {
-    SPMWCET_CHECK(&out == &cfg_);
+  /// Runs the fixpoint and writes every instruction's MemFacts into the
+  /// analyzed CFG.
+  void run() {
+    cfg_.mem_resolved = false; // until every instruction is rewritten
     fixpoint();
     const link::RegionMap& regions = img_.regions;
     const link::Region* code = nullptr; // region of the last fetch
-    for (BasicBlock& b : out.blocks) {
+    for (BasicBlock& b : cfg_.blocks) {
       State s = in_[static_cast<std::size_t>(b.id)];
       for (CfgInstr& ci : b.instrs) {
         // A BL pair never straddles regions (decode keeps it inside the
@@ -92,7 +92,7 @@ public:
         transfer(ci, s);
       }
     }
-    out.mem_resolved = true;
+    cfg_.mem_resolved = true;
   }
 
 private:
@@ -399,7 +399,7 @@ private:
   }
 
   const link::Image& img_;
-  const Cfg& cfg_;
+  Cfg& cfg_;
   const Annotations& ann_;
   std::vector<State> in_;
 };
@@ -407,7 +407,7 @@ private:
 } // namespace
 
 void resolve_memory(const link::Image& img, Cfg& cfg, const Annotations& ann) {
-  ValueAnalysis(img, cfg, ann).record(cfg);
+  ValueAnalysis(img, cfg, ann).run();
 }
 
 void MemFacts::throw_unmapped() const {

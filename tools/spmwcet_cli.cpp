@@ -13,8 +13,8 @@
 //       — with no setup flag: the full both-setup evaluation (every size,
 //         Figure-4/5 ratio tables, Table-2 summary); `all` covers the
 //         whole paper, a benchmark name just that workload.
-//   spmwcet sweep <benchmark>|all --spm|--cache [--persistence]
-//                            [--wcet-alloc] [--csv] [--jobs N]
+//   spmwcet sweep <benchmark>|all --spm [--wcet-alloc] | --cache [--assoc N]
+//                            [--icache] [--persistence]  [--csv] [--jobs N]
 //   spmwcet serve [--jobs N]
 //       — resident mode: newline-delimited JSON requests on stdin, one
 //         response per line on stdout (see api/wire.h for the schema);
@@ -67,6 +67,10 @@
 //         artifact-cached re-analysis), best-of-N; --json writes
 //         BENCH_corpus.json.
 //
+// Each command accepts only the flags it reads: any other flag, or a cache
+// geometry flag (--assoc/--icache/--persistence) where no cache point
+// runs, or --wcet-alloc where no scratchpad point runs, is an error.
+//
 // Benchmarks: g721, adpcm, multisort, bubble — plus generated workloads,
 // addressable anywhere a benchmark name is accepted as
 // "gen:<shape>:<seed>" (shapes: tiny, mixed, loopy, callheavy, branchy),
@@ -74,14 +78,17 @@
 // same program on every platform.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -108,8 +115,8 @@ int usage() {
                " [--trace] [--blocks]\n"
             << "  spmwcet sweep <bench>|all [--jobs N] [--csv]"
                " [--no-artifact-cache]   # both setups + ratio tables\n"
-            << "  spmwcet sweep <bench>|all --spm|--cache [--persistence]"
-               " [--wcet-alloc] [--csv] [--jobs N]\n"
+            << "  spmwcet sweep <bench>|all --spm [--wcet-alloc] | --cache"
+               " [--assoc N] [--icache] [--persistence] [--csv] [--jobs N]\n"
             << "  spmwcet serve [--jobs N] [--bench [--repeat N]]\n"
             << "  spmwcet serve --socket PATH | --tcp PORT"
                " [--max-inflight N] [--max-queue-wait MS]\n"
@@ -149,6 +156,7 @@ make_workload(const std::string& name) {
 
 struct Args {
   std::vector<std::string> positional;
+  std::vector<std::string> flags; ///< every --flag given, in order
   // Flag presence and value are tracked separately: `sweep` uses --spm /
   // --cache as bare mode flags, `run` requires a byte value, and
   // `simbench --spm 0` must be distinguishable from a bare --spm.
@@ -182,6 +190,10 @@ struct Args {
   uint32_t requests = 1000;         ///< serve --bench: requests per client
   uint32_t count = 100;             ///< corpus: seed-range length
   uint32_t base = 1;                ///< corpus: first seed
+
+  bool given(const std::string& flag) const {
+    return std::find(flags.begin(), flags.end(), flag) != flags.end();
+  }
 
   api::ExperimentOptions options() const {
     api::ExperimentOptions opts;
@@ -235,6 +247,7 @@ Args parse(int argc, char** argv) {
         return std::nullopt;
       return parse_u32(arg, argv[++i]);
     };
+    if (arg.rfind("--", 0) == 0) a.flags.push_back(arg);
     if (arg == "--spm") {
       a.spm_flag = true;
       a.spm = maybe_u32();
@@ -306,6 +319,88 @@ Args parse(int argc, char** argv) {
       a.positional.push_back(arg);
   }
   return a;
+}
+
+/// The flags each command reads: the CLI's mirror of the wire's per-op
+/// field whitelist (check_fields in api/wire.cpp). A flag outside its
+/// command's list is an error, never a silent no-op.
+const std::map<std::string, std::set<std::string>>& command_flags() {
+  static const auto table = [] {
+    // The ExperimentOptions an Engine pipeline request carries.
+    const std::set<std::string> options = {
+        "--assoc",          "--icache",         "--persistence",
+        "--wcet-alloc",     "--no-artifact-cache", "--legacy-wcet",
+        "--no-incremental", "--no-block-tier"};
+    const auto with_options = [&](std::set<std::string> own) {
+      own.insert(options.begin(), options.end());
+      return own;
+    };
+    return std::map<std::string, std::set<std::string>>{
+        {"list", {}},
+        {"run", with_options({"--spm", "--cache", "--trace", "--blocks"})},
+        {"sweep", with_options({"--spm", "--cache", "--jobs", "--csv"})},
+        {"corpus", with_options({"--spm", "--cache", "--count", "--base",
+                                 "--jobs", "--csv", "--json"})},
+        {"serve",
+         {"--jobs", "--bench", "--repeat", "--clients", "--requests",
+          "--json", "--socket", "--tcp", "--max-inflight",
+          "--max-queue-wait", "--idle-timeout", "--drain"}},
+        {"disasm", {}},
+        {"annotations", {"--spm"}},
+        {"simbench",
+         {"--legacy-sim", "--no-block-tier", "--repeat", "--spm", "--json"}},
+        {"wcetbench",
+         {"--legacy-wcet", "--no-incremental", "--repeat", "--json"}},
+        {"corpusbench", {"--count", "--base", "--repeat", "--json", "--jobs"}},
+    };
+  }();
+  return table;
+}
+
+/// Rejects every flag the command would ignore: flags outside its
+/// whitelist, and flags for points this invocation never runs (cache
+/// geometry without a cache point, --wcet-alloc without a scratchpad
+/// point, pipeline options on run's plain main-memory report).
+void check_flags(const Args& a) {
+  const std::string& cmd = a.positional[0];
+  const auto allowed = command_flags().find(cmd);
+  if (allowed == command_flags().end()) return; // usage() answers
+  for (const std::string& flag : a.flags) {
+    if (allowed->second.count(flag) != 0) continue;
+    std::string owners;
+    for (const auto& [other, flags] : command_flags())
+      if (flags.count(flag) != 0)
+        owners += (owners.empty() ? "" : ", ") + other;
+    throw Error(flag + " is not accepted by " + cmd +
+                (owners.empty() ? "" : "; only accepted by " + owners));
+  }
+  if (cmd != "run" && cmd != "sweep" && cmd != "corpus") return;
+  if (a.spm_flag && a.cache_flag)
+    throw Error("--spm and --cache are mutually exclusive");
+  // `sweep` with no setup flag runs both setups; `corpus` defaults to the
+  // scratchpad; a plain `run` runs neither.
+  const bool cache_points = a.cache_flag || (cmd == "sweep" && !a.spm_flag);
+  const bool spm_points =
+      a.spm_flag || (cmd != "run" && !a.cache_flag);
+  for (const char* flag : {"--assoc", "--icache", "--persistence"})
+    if (a.given(flag) && !cache_points)
+      throw Error(std::string(flag) + " applies only to cache points; this " +
+                  cmd + " command runs none (add --cache)");
+  if (a.given("--wcet-alloc") && !spm_points)
+    throw Error("--wcet-alloc applies only to scratchpad points; this " + cmd +
+                " command runs none (add --spm)");
+  if (cmd != "run") return;
+  const bool point = a.spm_flag || a.cache_flag;
+  for (const char* flag : {"--no-artifact-cache", "--legacy-wcet",
+                           "--no-incremental", "--no-block-tier"})
+    if (a.given(flag) && !point)
+      throw Error(std::string(flag) +
+                  " applies only to a --spm or --cache point of run");
+  for (const char* flag : {"--trace", "--blocks"})
+    if (a.given(flag) && point)
+      throw Error(std::string(flag) +
+                  " applies only to run's main-memory report (no --spm or "
+                  "--cache)");
 }
 
 /// Unwraps a Result, mapping the structured ApiError onto the CLI's
@@ -556,9 +651,7 @@ int main(int argc, char** argv) {
     const Args args = parse(argc, argv);
     if (args.positional.empty()) return usage();
     const std::string& cmd = args.positional[0];
-    // Every other command would run the default simulator regardless.
-    if (args.legacy_sim && cmd != "simbench")
-      throw Error("--legacy-sim is only accepted by simbench");
+    check_flags(args);
     if (cmd == "list") return cmd_list();
     if (cmd == "simbench") return cmd_simbench(args);
     if (cmd == "wcetbench") return cmd_wcetbench(args);
