@@ -41,7 +41,12 @@ AllocationResult allocate_energy_optimal(const minic::ObjModule& mod,
                                          const sim::AccessProfile& profile,
                                          uint32_t spm_capacity,
                                          const energy::EnergyModel& em) {
-  const std::vector<MemoryObject> objects = collect_objects(mod, profile, em);
+  return allocate_energy_optimal(collect_objects(mod, profile, em),
+                                 spm_capacity);
+}
+
+AllocationResult allocate_energy_optimal(
+    const std::vector<MemoryObject>& objects, uint32_t spm_capacity) {
   if (objects.size() <= kIlpObjectLimit) {
     const KnapsackResult ks = solve_knapsack_ilp(objects, spm_capacity);
     return from_chosen(objects, ks);

@@ -31,6 +31,12 @@ AllocationResult allocate_energy_optimal(const minic::ObjModule& mod,
                                          uint32_t spm_capacity,
                                          const energy::EnergyModel& em = {});
 
+/// The same solve over a precomputed candidate table (collect_objects of
+/// the profile). The table does not depend on the capacity, so a sweep
+/// builds it once per workload and solves each size against it.
+AllocationResult allocate_energy_optimal(
+    const std::vector<MemoryObject>& objects, uint32_t spm_capacity);
+
 /// WCET-driven greedy allocation: repeatedly adds the object whose
 /// placement most reduces the analyzed WCET per byte, re-linking and
 /// re-analyzing after each candidate evaluation. `opts` supplies the

@@ -571,6 +571,8 @@ EngineStats Engine::stats() const {
   s.view_artifacts = artifacts_.view_stats();
   s.ipet_artifacts = artifacts_.ipet_stats();
   s.reuse_artifacts = artifacts_.reuse_stats();
+  s.candidates_artifacts = artifacts_.candidates_stats();
+  s.placement_artifacts = artifacts_.placement_stats();
   return s;
 }
 

@@ -4,10 +4,10 @@
 // requests: the persistent worker pool (through harness::shared_runner, one
 // pool per width for the whole process), the memoized WorkloadRegistry
 // (MiniC → module lowering runs once per benchmark per process), a
-// cross-request ArtifactCache (no-assignment images and allocation profiles
-// survive between requests, not just within one batch), and a response
-// cache (the pipeline is deterministic, so identical requests are served
-// the stored result). A cold first request pays lowering + profiling +
+// cross-request ArtifactCache (no-assignment images, allocation profiles
+// and candidate tables, and placed SPM runs survive between requests, not
+// just within one batch), and a response cache (the pipeline is
+// deterministic, so identical requests are served the stored result). A cold first request pays lowering + profiling +
 // pipeline; warm requests pay only what is genuinely new.
 //
 // Two layers of entry points:
@@ -185,6 +185,9 @@ struct EngineStats {
   support::MemoStats ipet_artifacts;    ///< per-workload IPET skeleton stores
   support::MemoStats reuse_artifacts; ///< all-geometry cache tables (misses
                                       ///< = observed runs)
+  support::MemoStats candidates_artifacts; ///< allocation candidate tables
+  support::MemoStats placement_artifacts;  ///< placed SPM runs (misses =
+                                           ///< distinct placements run)
 };
 
 class Engine {

@@ -93,6 +93,12 @@ std::optional<ApiError> check_options(MemSetup setup,
                     "cache associativity " + std::to_string(opts.cache_assoc) +
                         " must be a nonzero power of two",
                     "assoc"};
+  if (setup == MemSetup::Cache && opts.cache_assoc > kMaxCacheAssoc)
+    return ApiError{ErrorCode::OutOfRange,
+                    "cache associativity " + std::to_string(opts.cache_assoc) +
+                        " exceeds the supported maximum of " +
+                        std::to_string(kMaxCacheAssoc),
+                    "assoc"};
   return std::nullopt;
 }
 

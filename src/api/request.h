@@ -41,6 +41,10 @@ inline constexpr uint32_t kMaxCorpusCount = 4096;
 /// Upper bound for the per-request "deadline_ms" budget (1 hour) — a
 /// deadline beyond it is a client bug, not a longer patience.
 inline constexpr uint32_t kMaxDeadlineMs = 3'600'000;
+/// Largest cache associativity: the largest power of two whose ages fit
+/// the seed abstract caches' uint8_t and the flat persistence domain's
+/// byte-wide ages (assoc + 1 <= 0xff).
+inline constexpr uint32_t kMaxCacheAssoc = 128;
 
 /// Per-point pipeline knobs shared by point and sweep requests.
 struct ExperimentOptions {
@@ -48,7 +52,7 @@ struct ExperimentOptions {
   bool cache_unified = true;    ///< cache branch: unified vs instruction-only
   bool with_persistence = false;///< cache branch: persistence analysis
   bool wcet_driven_alloc = false; ///< SPM branch: WCET-greedy ablation
-  bool use_artifact_cache = true; ///< false = seed re-derive-per-point path
+  bool use_artifact_cache = true; ///< false = point-local artifacts only
   bool legacy_wcet = false; ///< seed WCET analyzer (field-identical, slower)
   /// Incremental IPET (batch-scoped LP-skeleton cache) + flat persistence;
   /// false is the --no-incremental from-scratch A/B baseline

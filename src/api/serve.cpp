@@ -135,11 +135,16 @@ ServeStats serve_loop(Engine& engine, std::istream& in, std::ostream& out,
 void log_serve_summary(const Engine& engine, const ServeStats& stats,
                        std::ostream& log) {
   const EngineStats es = engine.stats();
+  const auto hits = [](const support::MemoStats& m) {
+    return std::to_string(m.hits) + "/" + std::to_string(m.hits + m.misses);
+  };
   log << "serve: " << stats.lines << " requests (" << stats.ok << " ok, "
       << stats.errors << " errors), " << es.response_hits
-      << " response-cache hits, " << es.profile_artifacts.hits << "/"
-      << es.profile_artifacts.hits + es.profile_artifacts.misses
-      << " profile-artifact hits\n";
+      << " response-cache hits, " << hits(es.profile_artifacts)
+      << " profile-artifact hits, " << hits(es.candidates_artifacts)
+      << " candidate-table hits, " << hits(es.placement_artifacts)
+      << " placement hits, " << hits(es.reuse_artifacts)
+      << " reuse-table hits\n";
 }
 
 int run_serve_bench(const EngineOptions& opts, uint32_t repeat,
@@ -228,6 +233,9 @@ int run_corpus_bench(const EngineOptions& opts, const std::string& shape,
     return dt.count();
   };
   const double cold_ms = pass();
+  // The cold pass is one batch on a fresh engine: its counters show how
+  // far the batch shared placements and candidate tables.
+  const EngineStats cold = engine.stats();
   double warm_ms = 1e300;
   for (uint32_t i = 1; i < repeat; ++i) warm_ms = std::min(warm_ms, pass());
 
@@ -266,6 +274,12 @@ int run_corpus_bench(const EngineOptions& opts, const std::string& shape,
     j.set("warm_points_per_second",
           support::json::Value(static_cast<uint64_t>(
               static_cast<double>(points) / (warm_ms / 1e3))));
+    support::json::Value artifacts = support::json::Value::object();
+    artifacts.set("placements",
+                  wire::memo_stats_to_json(cold.placement_artifacts));
+    artifacts.set("candidates",
+                  wire::memo_stats_to_json(cold.candidates_artifacts));
+    j.set("cold_artifacts", std::move(artifacts));
     j.set("corpus", wire::corpus_to_json(result));
     *json_os << j.dump() << "\n";
   }

@@ -547,6 +547,13 @@ std::string encode_pong(int64_t id) {
   return envelope(id, std::move(r), nullptr);
 }
 
+json::Value memo_stats_to_json(const support::MemoStats& stats) {
+  json::Value v = json::Value::object();
+  v.set("hits", json::Value(stats.hits));
+  v.set("misses", json::Value(stats.misses));
+  return v;
+}
+
 std::string encode_health(int64_t id, const ServeStats& serve,
                           const EngineStats& engine) {
   json::Value s = json::Value::object();
@@ -564,10 +571,9 @@ std::string encode_health(int64_t id, const ServeStats& serve,
   e.set("response_evictions", json::Value(engine.response_evictions));
   e.set("admission_waits", json::Value(engine.admission_waits));
   e.set("shed", json::Value(engine.shed));
-  json::Value reuse = json::Value::object();
-  reuse.set("hits", json::Value(engine.reuse_artifacts.hits));
-  reuse.set("misses", json::Value(engine.reuse_artifacts.misses));
-  e.set("reuse_tables", std::move(reuse));
+  e.set("reuse_tables", memo_stats_to_json(engine.reuse_artifacts));
+  e.set("placements", memo_stats_to_json(engine.placement_artifacts));
+  e.set("candidates", memo_stats_to_json(engine.candidates_artifacts));
 
   json::Value r = json::Value::object();
   r.set("healthy", json::Value(true)); // answering at all is the liveness bit

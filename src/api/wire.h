@@ -107,6 +107,10 @@ std::string encode_error(int64_t id, const ApiError& error);
 std::string encode_health(int64_t id, const ServeStats& serve,
                           const EngineStats& engine);
 
+/// One artifact kind's counters as {"hits", "misses"}: the health op's
+/// engine section and corpusbench's BENCH JSON.
+support::json::Value memo_stats_to_json(const support::MemoStats& stats);
+
 /// The SimBenchResult payload (schema spmwcet-sim-throughput/2) as a JSON
 /// value — the single field-schema definition shared by the serve response
 /// and the `simbench --json` BENCH_sim.json file, so the two cannot drift.

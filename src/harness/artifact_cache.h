@@ -1,21 +1,21 @@
-// Shared cache of size-independent experiment artifacts.
+// Shared cache of the experiment artifacts that repeat across sweep points.
 //
-// The sweep matrix re-visits each workload once per memory size, but some of
-// the pipeline's intermediate products do not depend on the size at all: the
-// paper's allocation profile comes from a no-assignment (main-memory-only)
-// image, so the profiling simulation yields the same AccessProfile for every
-// scratchpad capacity. That no-assignment image itself is also what the
-// cache branch runs at every cache size (caches are transparent to layout),
-// and since a cache changes timing only, one observed run of it yields
-// every cache geometry's cycles and hit counts (cache::ReuseTable). The
-// analyzer's front end splits the same way: the
-// layout-invariant ProgramShape (CFG structure, loops, bound binding) is
-// one-per-workload, the bound ProgramView (addresses, value analysis) is
-// one-per-image — so the cache branch analyzes all its sizes against a
-// single cached view, and the predecoded canonical image (DecodedImage) is
-// shared by its observed run and the analyzer alike. An ArtifactCache shared
-// across the points of a batch computes each of these once per workload and
-// hands the immutable results to every point.
+// Per workload: the paper's allocation profile comes from a no-assignment
+// (main-memory-only) image, so the profiling simulation and the candidate
+// table built from it (alloc::collect_objects) serve every scratchpad
+// capacity. That image is also what the cache branch runs at every cache
+// size, and one observed run of it yields every cache geometry's cycles and
+// hits (cache::ReuseTable). The analyzer's layout-invariant ProgramShape,
+// the ProgramView bound to the canonical image, its DecodedImage and the
+// IPET skeleton store are one per workload as well.
+//
+// Per placement: a placed image depends only on the module and the
+// SpmAssignment (the capacity only gates the link's overflow check), so
+// sizes whose allocations choose the same objects share one placed run.
+// The artifact keeps the run's numbers (PlacedRun), not the image.
+//
+// Every point runs through an ArtifactCache: the batch's, the Engine's, or
+// a point-local one when the caller has none.
 //
 // Thread safety comes from support::Memoizer: concurrent points that need
 // the same artifact block until the first computation finishes and the
@@ -27,9 +27,12 @@
 
 #include <memory>
 #include <utility>
+#include <vector>
 
+#include "alloc/memory_objects.h"
 #include "cache/reuse_table.h"
 #include "link/image.h"
+#include "link/layout.h"
 #include "program/decoded_image.h"
 #include "sim/block_table.h"
 #include "sim/profile.h"
@@ -40,9 +43,33 @@
 
 namespace spmwcet::harness {
 
+/// What the SPM branch keeps of one placed run: the point's numbers, not
+/// the image or the analyzer view.
+struct PlacedRun {
+  uint64_t sim_cycles = 0;
+  uint64_t wcet_cycles = 0;
+  double energy_nj = 0.0;
+  uint32_t spm_extent = 0; ///< link::Image::spm_extent of the placed image
+};
+
+/// Identity of a placed run: the workload, the scratchpad contents, and the
+/// switches that select an implementation. The switches never change the
+/// result, but a --legacy-wcet, --no-block-tier or --no-incremental request
+/// must run its own path rather than read the default path's numbers.
+struct PlacementKey {
+  const workloads::WorkloadInfo* workload = nullptr;
+  link::SpmAssignment assignment;
+  bool fast_wcet = true;
+  bool block_tier = true;
+  bool incremental_wcet = true;
+  auto operator<=>(const PlacementKey&) const = default;
+};
+
 class ArtifactCache {
 public:
   using ProfileFn = std::function<sim::AccessProfile()>;
+  using CandidatesFn = std::function<std::vector<alloc::MemoryObject>()>;
+  using PlacementFn = std::function<PlacedRun()>;
   using ImageFn = std::function<link::Image()>;
   using DecodedFn = std::function<program::DecodedImage()>;
   using BlocksFn = std::function<sim::BlockTable()>;
@@ -56,6 +83,21 @@ public:
   std::shared_ptr<const sim::AccessProfile>
   profile(const workloads::WorkloadInfo& wl, const ProfileFn& compute) {
     return profiles_.get(&wl, compute);
+  }
+
+  /// Returns the workload's allocation candidate table (every memory
+  /// object with its size and profiled benefit), built once from the
+  /// profile and solved against each capacity.
+  std::shared_ptr<const std::vector<alloc::MemoryObject>>
+  candidates(const workloads::WorkloadInfo& wl, const CandidatesFn& compute) {
+    return candidates_.get(&wl, compute);
+  }
+
+  /// Returns the placed run of `key`, running it with `compute` the first
+  /// time any size allocates that placement.
+  std::shared_ptr<const PlacedRun> placement(const PlacementKey& key,
+                                             const PlacementFn& compute) {
+    return placements_.get(key, compute);
   }
 
   /// Returns the workload's canonical no-assignment image (the executable
@@ -78,8 +120,8 @@ public:
   /// Returns the compiled superblock table of the workload's canonical
   /// no-assignment image — shared by the profiling simulation and the
   /// cache branch's observed run (the block tier compiles per image, and
-  /// both run the no-assignment layout). Placed SPM images differ per size
-  /// and compile their own tables inside the simulator.
+  /// both run the no-assignment layout). A placed SPM image compiles its own
+  /// table inside the simulator, once per placement (see placement()).
   std::shared_ptr<const sim::BlockTable>
   blocks(const workloads::WorkloadInfo& wl, const BlocksFn& compute) {
     return blocks_.get(&wl, compute);
@@ -125,6 +167,13 @@ public:
   /// hits = served from cache, misses = ran the profiling simulation.
   Stats stats() const { return profiles_.stats(); }
 
+  /// hits = reused the candidate table, misses = built it from the profile.
+  Stats candidates_stats() const { return candidates_.stats(); }
+
+  /// hits = reused a placed run, misses = linked, simulated and analyzed
+  /// the placement.
+  Stats placement_stats() const { return placements_.stats(); }
+
   /// hits = served from cache, misses = ran the no-assignment link.
   Stats image_stats() const { return images_.stats(); }
 
@@ -148,6 +197,8 @@ public:
 
   void clear() {
     profiles_.clear();
+    candidates_.clear();
+    placements_.clear();
     images_.clear();
     decoded_.clear();
     blocks_.clear();
@@ -160,6 +211,10 @@ public:
 private:
   support::Memoizer<const workloads::WorkloadInfo*, sim::AccessProfile>
       profiles_;
+  support::Memoizer<const workloads::WorkloadInfo*,
+                    std::vector<alloc::MemoryObject>>
+      candidates_;
+  support::Memoizer<PlacementKey, PlacedRun> placements_;
   support::Memoizer<const workloads::WorkloadInfo*, link::Image> images_;
   support::Memoizer<const workloads::WorkloadInfo*, program::DecodedImage>
       decoded_;

@@ -19,54 +19,36 @@ namespace spmwcet::harness {
 namespace {
 
 /// The canonical no-assignment link shared by the cache branch and the
-/// profiling simulation: served from the batch's ArtifactCache when one is
-/// present, otherwise linked locally (the seed per-point path).
+/// profiling simulation.
 std::shared_ptr<const link::Image>
-no_assignment_image(const workloads::WorkloadInfo& wl, const SweepConfig& cfg) {
-  if (cfg.use_artifact_cache && cfg.artifacts != nullptr)
-    return cfg.artifacts->image(
-        wl, [&] { return link::link_program(wl.module, {}, {}); });
-  return std::make_shared<const link::Image>(
-      link::link_program(wl.module, {}, {}));
-}
-
-bool cached(const SweepConfig& cfg) {
-  return cfg.use_artifact_cache && cfg.artifacts != nullptr;
+no_assignment_image(const workloads::WorkloadInfo& wl, ArtifactCache& ac) {
+  return ac.image(wl, [&] { return link::link_program(wl.module, {}, {}); });
 }
 
 /// The workload's layout-invariant analyzer skeleton. Any link of the
-/// module yields the same shape, so a cached compute may run against
-/// whichever image reaches it first; without a batch cache the shape is
-/// built locally from the point's own image.
+/// module yields the same shape, so the compute may run against whichever
+/// image reaches it first.
 std::shared_ptr<const wcet::ProgramShape>
-shape_for(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
+shape_for(const workloads::WorkloadInfo& wl, ArtifactCache& ac,
           const link::Image& img, const program::DecodedImage& dec) {
-  if (cached(cfg))
-    return cfg.artifacts->shape(wl,
-                                [&] { return wcet::build_shape(img, dec); });
-  return std::make_shared<const wcet::ProgramShape>(
-      wcet::build_shape(img, dec));
+  return ac.shape(wl, [&] { return wcet::build_shape(img, dec); });
 }
 
 /// Shared decode of the canonical no-assignment image (cache branch and
-/// profiling simulation): one decode per workload per batch.
+/// profiling simulation): one decode per workload.
 std::shared_ptr<const program::DecodedImage>
-canonical_decoded(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
+canonical_decoded(const workloads::WorkloadInfo& wl, ArtifactCache& ac,
                   const link::Image& img) {
-  if (cached(cfg))
-    return cfg.artifacts->decoded(
-        wl, [&] { return program::DecodedImage(img); });
-  return std::make_shared<const program::DecodedImage>(img);
+  return ac.decoded(wl, [&] { return program::DecodedImage(img); });
 }
 
 /// The block table of the canonical no-assignment image, compiled once per
-/// workload for the batch's profiling simulation and the cache branch's
-/// observed run. Requires a batch cache (without one the simulator
-/// compiles its own).
+/// workload for the profiling simulation and the cache branch's observed
+/// run.
 std::shared_ptr<const sim::BlockTable>
-canonical_blocks(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
+canonical_blocks(const workloads::WorkloadInfo& wl, ArtifactCache& ac,
                  const link::Image& img, const program::DecodedImage* dec) {
-  return cfg.artifacts->blocks(wl, [&] {
+  return ac.blocks(wl, [&] {
     const sim::SymbolIndex syms(img);
     return dec != nullptr ? sim::BlockTable(*dec, syms, img)
                           : sim::BlockTable(img, syms);
@@ -77,26 +59,23 @@ canonical_blocks(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
 /// cache size of the cache branch. The view pins the image (and shape) it
 /// borrows, so a cached copy outlives the batch safely.
 std::shared_ptr<const wcet::ProgramView>
-canonical_view(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
+canonical_view(const workloads::WorkloadInfo& wl, ArtifactCache& ac,
                const std::shared_ptr<const link::Image>& img,
                const program::DecodedImage& dec) {
-  const auto make = [&] {
+  return ac.view(wl, [&] {
     wcet::ProgramView v =
-        wcet::bind_view(shape_for(wl, cfg, *img, dec), *img, dec);
+        wcet::bind_view(shape_for(wl, ac, *img, dec), *img, dec);
     v.pinned_image = img;
     return v;
-  };
-  if (cached(cfg)) return cfg.artifacts->view(wl, make);
-  return std::make_shared<const wcet::ProgramView>(make());
+  });
 }
 
-/// The batch's per-workload IPET skeleton store when incremental solving is
-/// on and a batch cache exists; null otherwise (a lone point gains nothing
-/// from building skeletons it will use once).
+/// The workload's IPET skeleton store when incremental solving is on; null
+/// otherwise.
 std::shared_ptr<const wcet::IpetCache>
-ipet_cache_for(const workloads::WorkloadInfo& wl, const SweepConfig& cfg) {
-  if (cfg.incremental_wcet && cfg.fast_wcet && cached(cfg))
-    return cfg.artifacts->ipet(wl);
+ipet_cache_for(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
+               ArtifactCache& ac) {
+  if (cfg.incremental_wcet && cfg.fast_wcet) return ac.ipet(wl);
   return nullptr;
 }
 
@@ -151,101 +130,69 @@ double cache_energy(const cache::ReuseTable::Outcome& run) {
 
 /// The workload's all-geometry table for the configured cache kind: one
 /// observed run of the canonical image, block tier included, with its
-/// outputs validated in that run. Once per workload and kind with a batch
-/// cache, per point without one.
+/// outputs validated in that run.
 std::shared_ptr<const cache::ReuseTable>
 reuse_table(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
-            const link::Image& img, const program::DecodedImage& dec) {
-  const auto observe = [&] {
+            ArtifactCache& ac, const link::Image& img,
+            const program::DecodedImage& dec) {
+  return ac.reuse(wl, cfg.cache_unified, [&] {
     cache::ReuseTable::Builder rec(cfg.cache_unified);
     sim::SimConfig scfg;
     scfg.reuse = &rec;
     scfg.block_tier = cfg.block_tier;
     scfg.predecoded = &dec;
     std::shared_ptr<const sim::BlockTable> blocks;
-    if (cfg.block_tier && cached(cfg)) {
-      blocks = canonical_blocks(wl, cfg, img, &dec);
+    if (cfg.block_tier) {
+      blocks = canonical_blocks(wl, ac, img, &dec);
       scfg.compiled_blocks = blocks.get();
     }
     sim::Simulator s(img, scfg);
     const sim::SimResult run = s.run();
     validate_outputs(wl, s, "cache");
     return rec.finish(run.cycles);
-  };
-  if (cached(cfg))
-    return cfg.artifacts->reuse(wl, cfg.cache_unified, observe);
-  return std::make_shared<const cache::ReuseTable>(observe());
+  });
 }
 
-SweepPoint run_spm_point(const workloads::WorkloadInfo& wl, uint32_t size,
-                         const SweepConfig& cfg) {
+/// The paper's allocation profile: one simulation of the canonical
+/// no-assignment image, whose access counts do not depend on the capacity.
+std::shared_ptr<const sim::AccessProfile>
+allocation_profile(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
+                   ArtifactCache& ac) {
+  return ac.profile(wl, [&] {
+    const auto img = no_assignment_image(wl, ac);
+    sim::SimConfig pcfg;
+    pcfg.collect_profile = true;
+    pcfg.block_tier = cfg.block_tier;
+    std::shared_ptr<const program::DecodedImage> dec;
+    if (cfg.fast_wcet) {
+      dec = canonical_decoded(wl, ac, *img);
+      pcfg.predecoded = dec.get();
+    }
+    std::shared_ptr<const sim::BlockTable> blocks;
+    if (cfg.block_tier) {
+      blocks = canonical_blocks(wl, ac, *img, dec.get());
+      pcfg.compiled_blocks = blocks.get();
+    }
+    sim::Simulator profiler(*img, pcfg);
+    return profiler.run().profile;
+  });
+}
+
+/// The placed run of one scratchpad assignment: relink, simulate the
+/// typical input, validate, analyze, estimate energy. The placed image is
+/// decoded once, feeding both the simulator's code table and the analyzer,
+/// which re-binds the workload's layout-invariant shape. The image does not
+/// depend on the capacity (it only gates the link's overflow check), so the
+/// result serves every size that allocates the same objects; `size` names
+/// the point in that check and in a validation failure.
+PlacedRun run_placement(const workloads::WorkloadInfo& wl, uint32_t size,
+                        const link::SpmAssignment& assignment,
+                        const SweepConfig& cfg, ArtifactCache& ac) {
   link::LinkOptions opts;
   opts.spm_size = size;
-
-  // 1. Allocation: profile-driven energy knapsack (the paper's flow) or
-  //    the WCET-driven greedy ablation.
-  link::SpmAssignment assignment;
-  uint32_t used = 0;
-  if (cfg.wcet_driven_alloc) {
-    const auto alloc =
-        alloc::allocate_wcet_driven(wl.module, size, opts, cfg.fast_wcet);
-    assignment = alloc.assignment;
-    used = alloc.used_bytes;
-  } else {
-    // The profile comes from an image with nothing assigned to the SPM, so
-    // it is independent of the capacity under test; with a batch cache the
-    // profiling simulation runs once per workload instead of once per size.
-    std::shared_ptr<const sim::AccessProfile> shared_profile;
-    sim::AccessProfile local_profile;
-    const sim::AccessProfile* profile = nullptr;
-    if (cfg.use_artifact_cache && cfg.artifacts != nullptr) {
-      shared_profile = cfg.artifacts->profile(wl, [&] {
-        // Canonical no-SPM link (shared with the cache branch through the
-        // image cache): byte-identical profile to the per-size
-        // no-assignment image the uncached path below produces.
-        const auto profile_img = no_assignment_image(wl, cfg);
-        sim::SimConfig pcfg;
-        pcfg.collect_profile = true;
-        pcfg.block_tier = cfg.block_tier;
-        std::shared_ptr<const program::DecodedImage> pdec;
-        if (cfg.fast_wcet) {
-          pdec = canonical_decoded(wl, cfg, *profile_img);
-          pcfg.predecoded = pdec.get();
-        }
-        std::shared_ptr<const sim::BlockTable> pblocks;
-        if (cfg.block_tier) {
-          pblocks = canonical_blocks(wl, cfg, *profile_img, pdec.get());
-          pcfg.compiled_blocks = pblocks.get();
-        }
-        sim::Simulator profiler(*profile_img, pcfg);
-        return profiler.run().profile;
-      });
-      profile = shared_profile.get();
-    } else {
-      const link::Image profile_img = link::link_program(wl.module, opts, {});
-      sim::SimConfig pcfg;
-      pcfg.collect_profile = true;
-      pcfg.block_tier = cfg.block_tier;
-      sim::Simulator profiler(profile_img, pcfg);
-      local_profile = profiler.run().profile;
-      profile = &local_profile;
-    }
-    const auto alloc =
-        alloc::allocate_energy_optimal(wl.module, *profile, size);
-    assignment = alloc.assignment;
-    used = alloc.used_bytes;
-  }
-  cfg.deadline.check("allocate");
-
-  // 2. Relink with the chosen placement; simulate and analyze. The placed
-  //    image is decoded once, feeding both the simulator's code table and
-  //    the analyzer; the analyzer re-binds the workload's cached
-  //    layout-invariant shape instead of re-discovering program structure.
   const link::Image img = link::link_program(wl.module, opts, assignment);
   sim::SimConfig scfg;
   scfg.collect_profile = true;
-  // Placed images differ per size, so the simulator compiles its own block
-  // table (no cross-point artifact to share).
   scfg.block_tier = cfg.block_tier;
   std::optional<program::DecodedImage> dec;
   if (cfg.fast_wcet) {
@@ -260,35 +207,69 @@ SweepPoint run_spm_point(const workloads::WorkloadInfo& wl, uint32_t size,
   if (cfg.fast_wcet) {
     wcet::AnalyzerConfig acfg;
     acfg.incremental = cfg.incremental_wcet;
-    const auto ipet = ipet_cache_for(wl, cfg);
+    const auto ipet = ipet_cache_for(wl, cfg, ac);
     acfg.ipet_cache = ipet.get();
     report = wcet::analyze_wcet(
-        wcet::bind_view(shape_for(wl, cfg, img, *dec), img, *dec), acfg);
+        wcet::bind_view(shape_for(wl, ac, img, *dec), img, *dec), acfg);
   } else {
     wcet::AnalyzerConfig acfg;
     acfg.fast_path = false;
     report = wcet::analyze_wcet(img, acfg);
   }
+  return PlacedRun{run.cycles, report.wcet, estimate_energy(img, run),
+                   img.spm_extent};
+}
+
+SweepPoint run_spm_point(const workloads::WorkloadInfo& wl, uint32_t size,
+                         const SweepConfig& cfg, ArtifactCache& ac) {
+  // 1. Allocation, every point: profile-driven energy knapsack over the
+  //    workload's candidate table (the paper's flow) or the WCET-driven
+  //    greedy ablation.
+  PlacementKey key{&wl, {}, cfg.fast_wcet, cfg.block_tier,
+                   cfg.incremental_wcet};
+  uint32_t used = 0;
+  if (cfg.wcet_driven_alloc) {
+    auto alloc =
+        alloc::allocate_wcet_driven(wl.module, size, {}, cfg.fast_wcet);
+    key.assignment = std::move(alloc.assignment);
+    used = alloc.used_bytes;
+  } else {
+    const auto profile = allocation_profile(wl, cfg, ac);
+    const auto candidates = ac.candidates(wl, [&] {
+      return alloc::collect_objects(wl.module, *profile, {});
+    });
+    auto alloc = alloc::allocate_energy_optimal(*candidates, size);
+    key.assignment = std::move(alloc.assignment);
+    used = alloc.used_bytes;
+  }
+  cfg.deadline.check("allocate");
+
+  // 2. The placed run, once per distinct placement. Sizes whose knapsacks
+  //    choose the same objects share it; the capacity check still runs for
+  //    every point, with the link's own error.
+  const auto placed = ac.placement(
+      key, [&] { return run_placement(wl, size, key.assignment, cfg, ac); });
+  link::check_spm_capacity(placed->spm_extent, size);
 
   SweepPoint pt;
   pt.size_bytes = size;
-  pt.sim_cycles = run.cycles;
-  pt.wcet_cycles = report.wcet;
-  pt.ratio = static_cast<double>(report.wcet) / static_cast<double>(run.cycles);
+  pt.sim_cycles = placed->sim_cycles;
+  pt.wcet_cycles = placed->wcet_cycles;
+  pt.ratio = static_cast<double>(placed->wcet_cycles) /
+             static_cast<double>(placed->sim_cycles);
   pt.spm_used_bytes = used;
-  pt.energy_nj = estimate_energy(img, run);
+  pt.energy_nj = placed->energy_nj;
   return pt;
 }
 
 SweepPoint run_cache_point(const workloads::WorkloadInfo& wl, uint32_t size,
-                           const SweepConfig& cfg) {
-  // One executable serves all cache sizes (caches are transparent); with a
-  // batch cache its link, decode, observed run and bound analyzer front end
-  // are once per workload, and each size re-runs only cache analysis,
-  // timing and IPET.
-  const auto shared_img = no_assignment_image(wl, cfg);
+                           const SweepConfig& cfg, ArtifactCache& ac) {
+  // One executable serves all cache sizes (caches are transparent): its
+  // link, decode, observed run and bound analyzer front end are once per
+  // workload, and each size re-runs only cache analysis, timing and IPET.
+  const auto shared_img = no_assignment_image(wl, ac);
   const link::Image& img = *shared_img;
-  const auto dec = canonical_decoded(wl, cfg, img);
+  const auto dec = canonical_decoded(wl, ac, img);
 
   cache::CacheConfig ccfg;
   ccfg.size_bytes = size;
@@ -298,7 +279,7 @@ SweepPoint run_cache_point(const workloads::WorkloadInfo& wl, uint32_t size,
 
   // The typical-input run under this geometry: a lookup, not a simulation.
   const cache::ReuseTable::Outcome run =
-      reuse_table(wl, cfg, img, *dec)->lookup(ccfg);
+      reuse_table(wl, cfg, ac, img, *dec)->lookup(ccfg);
   cfg.deadline.check("simulate");
 
   wcet::AnalyzerConfig acfg;
@@ -307,9 +288,9 @@ SweepPoint run_cache_point(const workloads::WorkloadInfo& wl, uint32_t size,
   wcet::WcetReport report;
   if (cfg.fast_wcet) {
     acfg.incremental = cfg.incremental_wcet;
-    const auto ipet = ipet_cache_for(wl, cfg);
+    const auto ipet = ipet_cache_for(wl, cfg, ac);
     acfg.ipet_cache = ipet.get();
-    report = wcet::analyze_wcet(*canonical_view(wl, cfg, shared_img, *dec),
+    report = wcet::analyze_wcet(*canonical_view(wl, ac, shared_img, *dec),
                                 acfg);
   } else {
     acfg.fast_path = false;
@@ -339,8 +320,15 @@ SweepPoint execute_point(const workloads::WorkloadInfo& wl, MemSetup setup,
   if (support::fault::fire("engine.compute.throw"))
     throw Error("injected fault: engine.compute.throw");
   cfg.deadline.check("start");
-  return setup == MemSetup::Scratchpad ? run_spm_point(wl, size_bytes, cfg)
-                                       : run_cache_point(wl, size_bytes, cfg);
+  // A point without a shared cache gets its own, so shared and per-point
+  // artifacts run one pipeline.
+  ArtifactCache local;
+  ArtifactCache& ac =
+      cfg.use_artifact_cache && cfg.artifacts != nullptr ? *cfg.artifacts
+                                                         : local;
+  return setup == MemSetup::Scratchpad
+             ? run_spm_point(wl, size_bytes, cfg, ac)
+             : run_cache_point(wl, size_bytes, cfg, ac);
 }
 
 } // namespace detail

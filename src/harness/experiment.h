@@ -4,7 +4,9 @@
 //
 // Scratchpad branch (per size): profile a main-memory-only run, solve the
 // energy knapsack, relink with the chosen objects on the SPM, simulate the
-// typical input (ACET), and run the WCET analyzer — no cache analysis.
+// typical input (ACET), and run the WCET analyzer — no cache analysis. The
+// relinked run depends only on the chosen objects, so sizes that choose the
+// same ones share it (ArtifactCache::placement).
 // Cache branch (per size): read the typical-input cycles and hit counts of
 // the unified direct-mapped cache from the workload's reuse table (one
 // observed run serves every geometry, see cache/reuse_table.h) and analyze
@@ -44,10 +46,10 @@ struct SweepConfig {
   /// Worker threads for run_sweep: 1 = serial, 0 = all hardware threads.
   /// Points are independent pipeline runs; ordering stays deterministic.
   unsigned jobs = 1;
-  /// Reuse size-independent artifacts (the no-assignment access profile)
-  /// across the points of a batch. false selects the seed pipeline that
-  /// re-derives everything per point; the parity tests pin both paths to
-  /// byte-identical results.
+  /// Share artifacts (profiles, candidate tables, placed runs, cache
+  /// tables, analyzer front ends) across the points of a batch. false gives
+  /// every point its own cache, so it re-derives everything; the parity
+  /// tests pin both to byte-identical results.
   bool use_artifact_cache = true;
   /// IR-based WCET analyzer (shared predecode, layout-invariant shape
   /// reuse, flat cache analysis). false selects the seed analyzer — the
@@ -67,7 +69,7 @@ struct SweepConfig {
   bool incremental_wcet = true;
   /// Batch-scoped cache injected by SweepRunner::run_matrix when
   /// use_artifact_cache is set. Null (e.g. a standalone run_point call)
-  /// means every point computes its own artifacts.
+  /// gives the point a point-local cache.
   ArtifactCache* artifacts = nullptr;
   /// Cooperative wall-time budget: the pipeline checks it at stage
   /// boundaries (allocate/simulate/analyze) and aborts the point with

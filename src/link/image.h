@@ -38,6 +38,9 @@ public:
   std::vector<Segment> segments;
   uint32_t entry = 0;      ///< address of the start stub
   uint32_t initial_sp = 0; ///< top of stack
+  /// Bytes the scratchpad objects span from the scratchpad base, alignment
+  /// included: what the link's capacity check compares (0 = none placed).
+  uint32_t spm_extent = 0;
   RegionMap regions;
   std::vector<Symbol> symbols;
 

@@ -122,6 +122,13 @@ void append32(std::vector<uint8_t>& bytes, uint32_t v) {
 
 } // namespace
 
+void check_spm_capacity(uint32_t extent, uint32_t spm_size) {
+  if (extent > spm_size)
+    throw ProgramError("link: scratchpad capacity exceeded (" +
+                       std::to_string(extent) + " > " +
+                       std::to_string(spm_size) + " bytes)");
+}
+
 ObjectSizes measure(const minic::ObjModule& mod) {
   ObjectSizes sizes;
   for (const auto& fn : mod.functions)
@@ -181,10 +188,8 @@ Image link_program(const minic::ObjModule& mod, const LinkOptions& opts,
     throw ProgramError("link: code overflows into the data base");
   if (data_cursor > opts.stack_top - opts.stack_reserve)
     throw ProgramError("link: data overflows into the stack region");
-  if (spm_cursor > opts.spm_base + opts.spm_size)
-    throw ProgramError("link: scratchpad capacity exceeded (" +
-                       std::to_string(spm_cursor - opts.spm_base) + " > " +
-                       std::to_string(opts.spm_size) + " bytes)");
+  img.spm_extent = spm_cursor - opts.spm_base;
+  check_spm_capacity(img.spm_extent, opts.spm_size);
 
   auto func_addr = [&](const std::string& name) -> uint32_t {
     for (const auto& lf : funcs)

@@ -34,6 +34,7 @@ struct LinkOptions {
 struct SpmAssignment {
   std::set<std::string> functions;
   std::set<std::string> globals;
+  auto operator<=>(const SpmAssignment&) const = default;
 };
 
 /// Exact post-layout sizes of every allocatable memory object (function
@@ -48,6 +49,12 @@ struct ObjectSizes {
 /// un-relaxable branches.
 Image link_program(const minic::ObjModule& mod, const LinkOptions& opts = {},
                    const SpmAssignment& spm = {});
+
+/// Throws the link's capacity-overflow ProgramError when placed objects
+/// spanning `extent` bytes (Image::spm_extent) overflow a scratchpad of
+/// `spm_size` bytes. The capacity only gates this check: the image itself
+/// does not depend on it.
+void check_spm_capacity(uint32_t extent, uint32_t spm_size);
 
 /// Computes object sizes without producing an image.
 ObjectSizes measure(const minic::ObjModule& mod);

@@ -74,6 +74,35 @@ TEST(ApiRequest, CacheGeometryIsValidated) {
   EXPECT_TRUE(PointRequest::make("g721", MemSetup::Cache, 1024, opts).ok());
 }
 
+TEST(ApiRequest, CacheAssociativityIsBounded) {
+  // 128 ways is the largest associativity the abstract caches' byte-wide
+  // ages support; beyond it every cache request is a typed out_of_range on
+  // "assoc", never an internal check or a wrapped age.
+  ExperimentOptions opts;
+  opts.cache_assoc = api::kMaxCacheAssoc;
+  EXPECT_TRUE(PointRequest::make("adpcm", MemSetup::Cache, 8192, opts).ok());
+  opts.cache_assoc = 256;
+  for (const bool persistence : {false, true})
+    for (const bool legacy : {false, true}) {
+      opts.with_persistence = persistence;
+      opts.legacy_wcet = legacy;
+      const auto req = PointRequest::make("adpcm", MemSetup::Cache, 8192, opts);
+      ASSERT_FALSE(req.ok());
+      EXPECT_EQ(req.error().code, ErrorCode::OutOfRange);
+      EXPECT_EQ(req.error().context, "assoc");
+      EXPECT_EQ(req.error().message,
+                "cache associativity 256 exceeds the supported maximum of 128");
+    }
+  EXPECT_EQ(
+      SweepRequest::make({"adpcm"}, MemSetup::Cache, {8192}, opts).error().code,
+      ErrorCode::OutOfRange);
+  EXPECT_EQ(EvalRequest::make({"adpcm"}, {8192}, opts).error().code,
+            ErrorCode::OutOfRange);
+  // Scratchpad requests carry no cache geometry.
+  EXPECT_TRUE(
+      PointRequest::make("adpcm", MemSetup::Scratchpad, 8192, opts).ok());
+}
+
 TEST(ApiRequest, SweepDefaultsToPaperSizes) {
   const auto req = SweepRequest::make({"adpcm"}, MemSetup::Scratchpad);
   ASSERT_TRUE(req.ok());
@@ -205,6 +234,39 @@ TEST(ApiEngine, ArtifactsAmortizeAcrossRequests) {
   EXPECT_EQ(warm.response_hits, cold.response_hits);
   EXPECT_GT(warm.profile_artifacts.hits, cold.profile_artifacts.hits);
   EXPECT_EQ(warm.profile_artifacts.misses, cold.profile_artifacts.misses);
+}
+
+TEST(ApiEngine, PlacedRunsAreSharedOnlyWithinOneImplementation) {
+  // With the response cache off, a repeated point reaches the pipeline and
+  // reuses its placed run. A request that selects another implementation
+  // (seed analyzer, no block tier, from-scratch IPET) must run its own,
+  // with the same result.
+  EngineOptions eopts;
+  eopts.cache_responses = false;
+  api::Engine engine(eopts);
+  const auto point = [&](const ExperimentOptions& opts) {
+    const auto result = engine.point(
+        PointRequest::make("adpcm", MemSetup::Scratchpad, 1024, opts).value());
+    EXPECT_TRUE(result.ok());
+    return result.value().point;
+  };
+  const harness::SweepPoint reference = point({});
+  expect_points_eq(point({}), reference);
+  EXPECT_EQ(engine.stats().placement_artifacts.misses, 1u);
+  EXPECT_EQ(engine.stats().placement_artifacts.hits, 1u);
+
+  ExperimentOptions legacy;
+  legacy.legacy_wcet = true;
+  ExperimentOptions no_blocks;
+  no_blocks.block_tier = false;
+  ExperimentOptions scratch_ipet;
+  scratch_ipet.incremental = false;
+  uint64_t misses = 1;
+  for (const ExperimentOptions& opts : {legacy, no_blocks, scratch_ipet}) {
+    expect_points_eq(point(opts), reference);
+    EXPECT_EQ(engine.stats().placement_artifacts.misses, ++misses);
+    EXPECT_EQ(engine.stats().placement_artifacts.hits, 1u);
+  }
 }
 
 TEST(ApiEngine, IdenticalRequestsServeFromResponseCache) {

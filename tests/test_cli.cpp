@@ -162,7 +162,16 @@ TEST(CliFlags, CacheGeometryNeedsACachePoint) {
        "--legacy-wcet applies only to a --spm or --cache point of run"},
       {"run g721 --cache 1024 --blocks",
        "--blocks applies only to run's main-memory report"},
+      // Associativity past the abstract caches' byte-wide age domain is a
+      // typed request error, on the default and the seed analyzer alike.
+      {"run adpcm --cache 8192 --assoc 256 --persistence",
+       "out_of_range: cache associativity 256 exceeds the supported maximum "
+       "of 128 (assoc)"},
+      {"run adpcm --cache 8192 --assoc 256 --legacy-wcet",
+       "out_of_range: cache associativity 256 exceeds the supported maximum "
+       "of 128 (assoc)"},
   };
+  EXPECT_EQ(cases.size(), 15u);
   for (const Case& c : cases) expect_rejected(c.args, c.error);
 }
 

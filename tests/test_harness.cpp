@@ -1,8 +1,14 @@
 // Harness integration tests: the paper's experiment shapes, asserted as
-// properties on small workloads so they run quickly in CI.
+// properties on small workloads so they run quickly in CI, and the placed-run
+// artifact that lets SPM sizes with the same allocation share one run.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "harness/artifact_cache.h"
 #include "harness/experiment.h"
+#include "link/layout.h"
+#include "support/diag.h"
 
 namespace spmwcet::harness {
 namespace {
@@ -137,6 +143,104 @@ TEST(Harness, PersistenceSweepTightensCacheBound) {
     EXPECT_LE(pers[i].wcet_cycles, base[i].wcet_cycles);
     EXPECT_GE(pers[i].wcet_cycles, pers[i].sim_cycles);
   }
+}
+
+// ---- placement artifact -----------------------------------------------------
+
+void expect_same_points(const std::vector<SweepPoint>& a,
+                        const std::vector<SweepPoint>& b,
+                        const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].size_bytes, b[i].size_bytes) << what;
+    EXPECT_EQ(a[i].sim_cycles, b[i].sim_cycles) << what;
+    EXPECT_EQ(a[i].wcet_cycles, b[i].wcet_cycles) << what;
+    EXPECT_EQ(a[i].ratio, b[i].ratio) << what;
+    EXPECT_EQ(a[i].spm_used_bytes, b[i].spm_used_bytes) << what;
+    EXPECT_EQ(a[i].energy_nj, b[i].energy_nj) << what;
+  }
+}
+
+TEST(PlacementArtifact, PaperSweepsMatchPointLocalCachesAndShareRuns) {
+  // Over the 8 paper sizes the knapsack picks 7/6/6 distinct placements for
+  // g721/adpcm/multisort: one placed run each, the repeats served from the
+  // batch cache. Every point equals the same point run on a point-local
+  // cache, where nothing is shared.
+  const std::vector<uint64_t> distinct = {7, 6, 6};
+  const auto wls = workloads::cached_paper_benchmarks();
+  ASSERT_EQ(wls.size(), distinct.size());
+  for (std::size_t w = 0; w < wls.size(); ++w) {
+    const workloads::WorkloadInfo& wl = *wls[w];
+    SweepConfig cfg;
+    cfg.setup = MemSetup::Scratchpad;
+    ArtifactCache batch;
+    cfg.artifacts = &batch;
+    const auto shared = run_sweep(wl, cfg);
+
+    cfg.artifacts = nullptr;
+    std::vector<SweepPoint> local;
+    for (const uint32_t size : cfg.sizes)
+      local.push_back(run_point(wl, MemSetup::Scratchpad, size, cfg));
+    expect_same_points(shared, local, wl.name);
+
+    EXPECT_EQ(batch.placement_stats().misses, distinct[w]) << wl.name;
+    EXPECT_EQ(batch.placement_stats().hits, cfg.sizes.size() - distinct[w])
+        << wl.name;
+    EXPECT_EQ(batch.candidates_stats().misses, 1u) << wl.name;
+    EXPECT_EQ(batch.candidates_stats().hits, cfg.sizes.size() - 1) << wl.name;
+  }
+}
+
+TEST(PlacementArtifact, CapacityCheckFiresOnHitAsOnMiss) {
+  // A candidate table that under-reports one function's size makes the
+  // knapsack place it at any capacity, so a small size overflows. The
+  // first point (4 KiB) runs and stores the placement; the 64-byte point
+  // then hits it and must fail with the link's own error, exactly as the
+  // same point fails when it misses and links.
+  const auto wl = workloads::make_adpcm(32);
+  const link::ObjectSizes sizes = link::measure(wl.module);
+  std::string big;
+  uint32_t big_bytes = 0;
+  for (const auto& [name, bytes] : sizes.function_bytes)
+    if (bytes > big_bytes && bytes <= 4096) {
+      big = name;
+      big_bytes = bytes;
+    }
+  ASSERT_GT(big_bytes, 64u);
+  const auto plant = [&](ArtifactCache& cache) {
+    (void)cache.candidates(wl, [&] {
+      alloc::MemoryObject obj;
+      obj.name = big;
+      obj.is_function = true;
+      obj.size_bytes = 16;
+      obj.benefit_nj = 1.0;
+      return std::vector<alloc::MemoryObject>{obj};
+    });
+  };
+  const auto error_at = [&](ArtifactCache& cache, uint32_t size) {
+    SweepConfig cfg;
+    cfg.artifacts = &cache;
+    try {
+      (void)run_point(wl, MemSetup::Scratchpad, size, cfg);
+    } catch (const ProgramError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string expected = "link: scratchpad capacity exceeded (" +
+                               std::to_string(big_bytes) + " > 64 bytes)";
+
+  ArtifactCache warm;
+  plant(warm);
+  EXPECT_EQ(error_at(warm, 4096), "no error");
+  EXPECT_EQ(error_at(warm, 64), expected);
+  EXPECT_EQ(warm.placement_stats().misses, 1u);
+  EXPECT_EQ(warm.placement_stats().hits, 1u);
+
+  ArtifactCache cold;
+  plant(cold);
+  EXPECT_EQ(error_at(cold, 64), expected);
+  EXPECT_EQ(cold.placement_stats().misses, 0u); // the link threw: not stored
 }
 
 } // namespace

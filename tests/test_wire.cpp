@@ -207,6 +207,33 @@ TEST(Wire, MalformedRequestsGetTypedErrors) {
             ErrorCode::InvalidArgument);
 }
 
+TEST(Wire, AssociativityBeyondTheAgeDomainIsOutOfRange) {
+  // Past 128 ways the abstract caches' byte-wide ages cannot represent an
+  // eviction; the request layer refuses the geometry on every path.
+  const auto error_of = [](const std::string& line) {
+    const auto parsed = api::wire::parse_request(line);
+    EXPECT_FALSE(parsed.ok()) << line;
+    return parsed.ok() ? api::ApiError{} : parsed.error();
+  };
+  for (const char* options :
+       {R"({"assoc":256,"persistence":true})",
+        R"({"assoc":256,"legacy_wcet":true})", R"({"assoc":512})"}) {
+    const api::ApiError e = error_of(
+        std::string(R"({"v":1,"op":"point","workload":"adpcm",)"
+                    R"("setup":"cache","size":8192,"options":)") +
+        options + "}");
+    EXPECT_EQ(e.code, ErrorCode::OutOfRange) << options;
+    EXPECT_EQ(e.context, "assoc") << options;
+  }
+  EXPECT_EQ(code_of(R"({"v":1,"op":"corpus","shape":"mixed","setup":"cache",)"
+                    R"("sizes":[8192],"options":{"assoc":256}})"),
+            ErrorCode::OutOfRange);
+  EXPECT_TRUE(api::wire::parse_request(
+                  R"({"v":1,"op":"point","workload":"adpcm","setup":"cache",)"
+                  R"("size":8192,"options":{"assoc":128,"persistence":true}})")
+                  .ok());
+}
+
 TEST(Wire, DecodesCorpusRequestWithDefaults) {
   const auto parsed = api::wire::parse_request(
       R"({"v":1,"id":6,"op":"corpus","shape":"loopy","setup":"spm"})");
@@ -425,6 +452,29 @@ TEST(Serve, HealthReportsReuseTableEngagement) {
   EXPECT_EQ(eng->find("hits")->as_int(), 1);
 }
 
+TEST(Serve, HealthReportsPlacementAndCandidateEngagement) {
+  // With the response cache off, a repeated SPM point reaches the pipeline:
+  // its candidate table and its placed run are both served the second
+  // time.
+  api::EngineOptions eopts;
+  eopts.cache_responses = false;
+  api::Engine engine(eopts);
+  const std::string point =
+      "{\"v\":1,\"op\":\"point\",\"workload\":\"adpcm\","
+      "\"setup\":\"spm\",\"size\":256}\n";
+  const auto responses =
+      serve(point + point + "{\"v\":1,\"id\":3,\"op\":\"health\"}\n", engine);
+  ASSERT_EQ(responses.size(), 3u);
+  const json::Value* eng = responses[2].find("result")->find("engine");
+  ASSERT_NE(eng, nullptr);
+  for (const char* kind : {"placements", "candidates"}) {
+    const json::Value* counters = eng->find(kind);
+    ASSERT_NE(counters, nullptr) << kind;
+    EXPECT_EQ(counters->find("misses")->as_int(), 1) << kind;
+    EXPECT_EQ(counters->find("hits")->as_int(), 1) << kind;
+  }
+}
+
 TEST(Serve, HealthReportsServeAndEngineCounters) {
   api::Engine engine;
   const auto responses = serve(
@@ -600,7 +650,8 @@ std::vector<std::string> fuzz_corpus() {
   };
 }
 
-std::string mutate(const std::string& base, std::mt19937& rng) {
+std::string mutate(const std::string& base, std::mt19937& rng,
+                   const std::vector<std::string>& corpus) {
   std::string s = base;
   const auto pos = [&](std::size_t n) {
     return std::uniform_int_distribution<std::size_t>(0, n)(rng);
@@ -622,7 +673,6 @@ std::string mutate(const std::string& base, std::mt19937& rng) {
       }
       break;
     case 4: { // splice with another corpus entry
-      const std::vector<std::string> corpus = fuzz_corpus();
       const std::string& other = corpus[rng() % corpus.size()];
       s = s.substr(0, pos(s.size())) + other.substr(pos(other.size()));
       break;
@@ -657,7 +707,7 @@ TEST(WireFuzz, MutatedRequestsAreAlwaysAnswered) {
   for (int i = 0; i < 3000; ++i) {
     std::string s = corpus[rng() % corpus.size()];
     const int rounds = 1 + static_cast<int>(rng() % 3);
-    for (int r = 0; r < rounds; ++r) s = mutate(s, rng);
+    for (int r = 0; r < rounds; ++r) s = mutate(s, rng, corpus);
     expect_total(s);
   }
 }
@@ -696,7 +746,7 @@ TEST(ServeFuzz, FuzzedSessionAgainstRealEngineStaysLive) {
   for (int i = 0; i < 400; ++i) {
     std::string line = (rng() % 3 == 0)
                            ? cheap[rng() % cheap.size()]
-                           : mutate(corpus[rng() % corpus.size()], rng);
+                           : mutate(corpus[rng() % corpus.size()], rng, corpus);
     // Newlines inside a mutant would split it into several wire lines;
     // keep the 1 request : 1 response accounting exact.
     for (char& c : line)
@@ -725,6 +775,78 @@ TEST(ServeFuzz, FuzzedSessionAgainstRealEngineStaysLive) {
   }
   EXPECT_EQ(responses, expected); // …and every non-blank line got one
   EXPECT_TRUE(last.find("ok")->as_bool()); // the final ping succeeded
+}
+
+// ---- fault-spec fuzzing -----------------------------------------------------
+
+std::vector<std::string> fault_spec_corpus() {
+  return {
+      "seed=42,socket.read.short=0.05,"
+      "engine.compute.throw=0.01:times=3:skip=10:ms=20",
+      "engine.compute.delay=1.0:ms=5",
+      " seed=7, test.spec=1.0:times=2:skip=1:ms=25,\n bad-entry",
+      "listener.accept.fail=0.5:skip=2,socket.write.fail=0:times=0",
+      "socket.read.eintr=0.25:times=1:skip=0:ms=0,test.mod=0.1:wat=3",
+  };
+}
+
+/// The spec's non-empty entries, split and trimmed the way arm_from_spec
+/// does, and how many of them name the seed.
+std::pair<int, int> spec_entries(const std::string& spec) {
+  int entries = 0, seeds = 0;
+  std::size_t at = 0;
+  while (at < spec.size()) {
+    std::size_t end = spec.find(',', at);
+    if (end == std::string::npos) end = spec.size();
+    const std::string entry = spec.substr(at, end - at);
+    at = end + 1;
+    const std::size_t first = entry.find_first_not_of(" \t\n");
+    if (first == std::string::npos) continue;
+    ++entries;
+    const std::string trimmed = entry.substr(first);
+    if (trimmed.compare(0, trimmed.find('='), "seed") == 0 &&
+        trimmed.find('=') != std::string::npos)
+      ++seeds;
+  }
+  return {entries, seeds};
+}
+
+TEST(FaultSpecFuzz, MutantsArmOrWarnAndNothingFiresAfterDisarm) {
+  // SPMWCET_FAULTS is read at process start, so its parser must survive
+  // any input: each entry of a mutated spec arms a site, sets the seed, or
+  // is skipped with a warning, and the call never throws. disarm_all()
+  // then silences every site the mutants armed.
+  std::mt19937 rng(20261017);
+  const std::vector<std::string> corpus = fault_spec_corpus();
+  const std::string warning = "SPMWCET_FAULTS: ignoring '";
+  int total_armed = 0, total_warned = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string spec = corpus[rng() % corpus.size()];
+    const int rounds = 1 + static_cast<int>(rng() % 3);
+    for (int r = 0; r < rounds; ++r) spec = mutate(spec, rng, corpus);
+
+    testing::internal::CaptureStderr();
+    int armed = 0;
+    EXPECT_NO_THROW(armed = support::fault::arm_from_spec(spec)) << spec;
+    const std::string log = testing::internal::GetCapturedStderr();
+    int warned = 0;
+    for (std::size_t at = log.find(warning); at != std::string::npos;
+         at = log.find(warning, at + 1))
+      ++warned;
+    const auto [entries, seeds] = spec_entries(spec);
+    EXPECT_GE(armed + warned, entries - seeds) << spec;
+    EXPECT_LE(armed + warned, entries) << spec;
+    total_armed += armed;
+    total_warned += warned;
+
+    support::fault::disarm_all();
+    EXPECT_FALSE(support::fault::enabled()) << spec;
+    for (const auto& [site, stats] : support::fault::all_stats())
+      EXPECT_FALSE(support::fault::fire(site.c_str())) << site;
+  }
+  // Both outcomes occur, so neither half of the property is vacuous.
+  EXPECT_GT(total_armed, 0);
+  EXPECT_GT(total_warned, 0);
 }
 
 } // namespace
