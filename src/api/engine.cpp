@@ -573,6 +573,7 @@ EngineStats Engine::stats() const {
   s.reuse_artifacts = artifacts_.reuse_stats();
   s.candidates_artifacts = artifacts_.candidates_stats();
   s.placement_artifacts = artifacts_.placement_stats();
+  s.ipet_skeletons = artifacts_.ipet_skeleton_stats();
   return s;
 }
 

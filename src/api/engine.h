@@ -188,6 +188,10 @@ struct EngineStats {
   support::MemoStats candidates_artifacts; ///< allocation candidate tables
   support::MemoStats placement_artifacts;  ///< placed SPM runs (misses =
                                            ///< distinct placements run)
+  /// IPET skeleton builds/hits/fallbacks summed over the per-workload
+  /// stores: hits > 0 with no fallbacks shows the incremental IPET path
+  /// served the solves.
+  wcet::IpetCacheStats ipet_skeletons;
 };
 
 class Engine {

@@ -279,6 +279,8 @@ int run_corpus_bench(const EngineOptions& opts, const std::string& shape,
                   wire::memo_stats_to_json(cold.placement_artifacts));
     artifacts.set("candidates",
                   wire::memo_stats_to_json(cold.candidates_artifacts));
+    artifacts.set("ipet_skeletons",
+                  wire::ipet_stats_to_json(cold.ipet_skeletons));
     j.set("cold_artifacts", std::move(artifacts));
     j.set("corpus", wire::corpus_to_json(result));
     *json_os << j.dump() << "\n";

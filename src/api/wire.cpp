@@ -554,6 +554,14 @@ json::Value memo_stats_to_json(const support::MemoStats& stats) {
   return v;
 }
 
+json::Value ipet_stats_to_json(const wcet::IpetCacheStats& stats) {
+  json::Value v = json::Value::object();
+  v.set("builds", json::Value(stats.builds));
+  v.set("hits", json::Value(stats.hits));
+  v.set("fallbacks", json::Value(stats.fallbacks));
+  return v;
+}
+
 std::string encode_health(int64_t id, const ServeStats& serve,
                           const EngineStats& engine) {
   json::Value s = json::Value::object();
@@ -574,6 +582,7 @@ std::string encode_health(int64_t id, const ServeStats& serve,
   e.set("reuse_tables", memo_stats_to_json(engine.reuse_artifacts));
   e.set("placements", memo_stats_to_json(engine.placement_artifacts));
   e.set("candidates", memo_stats_to_json(engine.candidates_artifacts));
+  e.set("ipet_skeletons", ipet_stats_to_json(engine.ipet_skeletons));
 
   json::Value r = json::Value::object();
   r.set("healthy", json::Value(true)); // answering at all is the liveness bit

@@ -111,6 +111,10 @@ std::string encode_health(int64_t id, const ServeStats& serve,
 /// engine section and corpusbench's BENCH JSON.
 support::json::Value memo_stats_to_json(const support::MemoStats& stats);
 
+/// IPET skeleton counters as {"builds", "hits", "fallbacks"}: the health
+/// op's engine section and corpusbench's BENCH JSON.
+support::json::Value ipet_stats_to_json(const wcet::IpetCacheStats& stats);
+
 /// The SimBenchResult payload (schema spmwcet-sim-throughput/2) as a JSON
 /// value — the single field-schema definition shared by the serve response
 /// and the `simbench --json` BENCH_sim.json file, so the two cannot drift.

@@ -192,6 +192,19 @@ public:
   /// hits = reused an existing IPET skeleton store.
   Stats ipet_stats() const { return ipet_.stats(); }
 
+  /// Skeleton builds, hits and fallbacks summed over the resident
+  /// per-workload IPET stores.
+  wcet::IpetCacheStats ipet_skeleton_stats() const {
+    wcet::IpetCacheStats sum;
+    ipet_.for_each([&](const wcet::IpetCache& store) {
+      const wcet::IpetCacheStats s = store.stats();
+      sum.builds += s.builds;
+      sum.hits += s.hits;
+      sum.fallbacks += s.fallbacks;
+    });
+    return sum;
+  }
+
   /// hits = answered a cache point from the table, misses = observed run.
   Stats reuse_stats() const { return reuse_.stats(); }
 

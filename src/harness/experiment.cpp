@@ -4,6 +4,7 @@
 #include "harness/artifact_cache.h"
 #include "harness/sweep_runner.h"
 
+#include <algorithm>
 #include <optional>
 
 #include "alloc/allocator.h"
@@ -107,8 +108,22 @@ double estimate_energy(const link::Image& img, const sim::SimResult& run) {
       nj += static_cast<double>(c.load[w] + c.store[w]) *
             em.access_nj(cls, 1u << w);
   };
+  // The profile is keyed by name in name order, so one name-sorted index of
+  // the image resolves every profiled symbol in a single merge. The sort is
+  // stable: a repeated name resolves to its first symbol, as find_symbol
+  // would.
+  std::vector<const link::Symbol*> by_name;
+  by_name.reserve(img.symbols.size());
+  for (const link::Symbol& s : img.symbols) by_name.push_back(&s);
+  std::stable_sort(by_name.begin(), by_name.end(),
+                   [](const link::Symbol* a, const link::Symbol* b) {
+                     return a->name < b->name;
+                   });
+  auto next = by_name.begin();
   for (const auto& [name, counts] : run.profile.symbols) {
-    const link::Symbol* sym = img.find_symbol(name);
+    while (next != by_name.end() && (*next)->name < name) ++next;
+    const link::Symbol* sym =
+        next != by_name.end() && (*next)->name == name ? *next : nullptr;
     const isa::MemClass cls = sym != nullptr
                                   ? img.regions.classify(sym->addr)
                                   : isa::MemClass::MainMemory;

@@ -15,34 +15,70 @@ namespace {
 constexpr double kEps = 1e-9;
 
 /// Dense simplex tableau over the standard form
-///     max c'x  s.t.  Ax = b, x >= 0, b >= 0.
+///     max c'x  s.t.  Ax = b, x >= 0, b >= 0,
+/// stored as one row-major buffer: row i holds A's row i followed by b_i,
+/// so copying a tableau is one allocation and a pivot is one sweep per row.
+/// Once phase one is done the artificial columns are dropped from the
+/// buffer (drop_columns_from); c_ keeps one price per standard-form column,
+/// so an artificial left basic in a redundant row still prices at -1e30.
 class Tableau {
 public:
   Tableau(std::size_t rows, std::size_t cols)
-      : a_(rows, std::vector<double>(cols, 0.0)), b_(rows, 0.0),
-        c_(cols, 0.0), basis_(rows, -1), rows_(rows), cols_(cols) {}
+      : a_(rows * (cols + 1), 0.0), c_(cols, 0.0), basis_(rows, -1),
+        rows_(rows), cols_(cols) {}
 
-  std::vector<std::vector<double>> a_;
-  std::vector<double> b_;
-  std::vector<double> c_;
+  std::vector<double> a_; ///< rows_ x (cols_ + 1), b in the last column
+  std::vector<double> c_; ///< one price per standard-form column
   std::vector<int> basis_;
   std::size_t rows_, cols_;
+
+  double* row(std::size_t i) { return a_.data() + i * (cols_ + 1); }
+  const double* row(std::size_t i) const {
+    return a_.data() + i * (cols_ + 1);
+  }
+  double& at(std::size_t i, std::size_t j) { return row(i)[j]; }
+  double at(std::size_t i, std::size_t j) const { return row(i)[j]; }
+  double& rhs(std::size_t i) { return row(i)[cols_]; }
+  double rhs(std::size_t i) const { return row(i)[cols_]; }
+
+  /// Removes columns [keep, cols_) from the buffer. Only for columns priced
+  /// at -1e30 (eliminated artificials), which never enter: no pivot reads
+  /// one column to update another, so the remaining columns see exactly
+  /// the arithmetic they would with those columns present.
+  void drop_columns_from(std::size_t keep) {
+    if (keep == cols_) return;
+    std::vector<double> a(rows_ * (keep + 1));
+    for (std::size_t i = 0; i < rows_; ++i) {
+      const double* src = row(i);
+      double* dst = a.data() + i * (keep + 1);
+      std::copy(src, src + keep, dst);
+      dst[keep] = src[cols_];
+    }
+    a_ = std::move(a);
+    cols_ = keep;
+  }
 
   /// Runs primal simplex with Bland's rule on the current basis (which must
   /// be feasible). Returns false if unbounded.
   bool optimize() {
     // Reduced costs are recomputed from scratch each iteration for clarity;
     // problem sizes here (IPET/knapsack) make this affordable.
+    std::vector<double> z(cols_);
     for (;;) {
-      // z_j - c_j using the basis.
-      std::vector<double> y(rows_, 0.0); // c_B in basis order
-      for (std::size_t i = 0; i < rows_; ++i) y[i] = c_[basis_[i]];
+      // z_j = sum_i c_B(i) * a_ij, accumulated row by row: every z_j still
+      // sums its terms in row order. Rows priced at zero are skipped; their
+      // terms are signed zeros, which leave a sum that starts at +0.0
+      // unchanged.
+      std::fill(z.begin(), z.end(), 0.0);
+      for (std::size_t i = 0; i < rows_; ++i) {
+        const double y = c_[basis_[i]];
+        if (y == 0.0) continue;
+        const double* ai = row(i);
+        for (std::size_t j = 0; j < cols_; ++j) z[j] += y * ai[j];
+      }
       int enter = -1;
       for (std::size_t j = 0; j < cols_; ++j) {
-        double zj = 0.0;
-        for (std::size_t i = 0; i < rows_; ++i) zj += y[i] * a_[i][j];
-        const double red = c_[j] - zj;
-        if (red > kEps) { // Bland: first improving column
+        if (c_[j] - z[j] > kEps) { // Bland: first improving column
           enter = static_cast<int>(j);
           break;
         }
@@ -53,8 +89,9 @@ public:
       int leave = -1;
       double best = std::numeric_limits<double>::infinity();
       for (std::size_t i = 0; i < rows_; ++i) {
-        if (a_[i][enter] > kEps) {
-          const double ratio = b_[i] / a_[i][enter];
+        const double a = at(i, static_cast<std::size_t>(enter));
+        if (a > kEps) {
+          const double ratio = rhs(i) / a;
           if (ratio < best - kEps ||
               (ratio < best + kEps &&
                (leave < 0 || basis_[i] < basis_[leave]))) {
@@ -69,15 +106,15 @@ public:
   }
 
   void pivot(std::size_t r, std::size_t c) {
-    const double p = a_[r][c];
-    for (std::size_t j = 0; j < cols_; ++j) a_[r][j] /= p;
-    b_[r] /= p;
+    double* pr = row(r);
+    const double p = pr[c];
+    for (std::size_t j = 0; j <= cols_; ++j) pr[j] /= p; // b included
     for (std::size_t i = 0; i < rows_; ++i) {
       if (i == r) continue;
-      const double f = a_[i][c];
+      double* pi = row(i);
+      const double f = pi[c];
       if (std::fabs(f) < kEps) continue;
-      for (std::size_t j = 0; j < cols_; ++j) a_[i][j] -= f * a_[r][j];
-      b_[i] -= f * b_[r];
+      for (std::size_t j = 0; j <= cols_; ++j) pi[j] -= f * pr[j];
     }
     basis_[r] = static_cast<int>(c);
   }
@@ -149,25 +186,35 @@ StandardForm build_standard_form(const Model& model) {
   std::size_t slack_at = n, art_at = n + n_slack;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
-    for (std::size_t j = 0; j < n; ++j) t.a_[i][j] = row.a[j];
-    t.b_[i] = row.rhs;
+    for (std::size_t j = 0; j < n; ++j) t.at(i, j) = row.a[j];
+    t.rhs(i) = row.rhs;
     if (row.rel == Relation::LE) {
-      t.a_[i][slack_at] = 1.0;
+      t.at(i, slack_at) = 1.0;
       t.basis_[i] = static_cast<int>(slack_at);
       ++slack_at;
     } else if (row.rel == Relation::GE) {
-      t.a_[i][slack_at] = -1.0; // surplus
+      t.at(i, slack_at) = -1.0; // surplus
       ++slack_at;
-      t.a_[i][art_at] = 1.0;
+      t.at(i, art_at) = 1.0;
       t.basis_[i] = static_cast<int>(art_at);
       ++art_at;
     } else {
-      t.a_[i][art_at] = 1.0;
+      t.at(i, art_at) = 1.0;
       t.basis_[i] = static_cast<int>(art_at);
       ++art_at;
     }
   }
   return sf;
+}
+
+/// Forbids the artificial columns from (re-)entering: prices them at -1e30
+/// and drops them from the tableau buffer, which leaves structural and
+/// slack columns with unchanged indices.
+void forbid_artificials(StandardForm& sf) {
+  Tableau& t = sf.t;
+  const std::size_t width = sf.n + sf.n_slack;
+  for (std::size_t j = width; j < t.c_.size(); ++j) t.c_[j] = -1e30;
+  t.drop_columns_from(width);
 }
 
 /// Phase 1: maximize -(sum of artificials), then drive surviving basic
@@ -182,27 +229,28 @@ bool eliminate_artificials(StandardForm& sf) {
     throw SolverError("simplex: phase 1 unbounded (internal error)");
   double art_sum = 0.0;
   for (std::size_t i = 0; i < t.rows_; ++i)
-    if (t.basis_[i] >= static_cast<int>(n + sf.n_slack)) art_sum += t.b_[i];
+    if (t.basis_[i] >= static_cast<int>(n + sf.n_slack)) art_sum += t.rhs(i);
   if (art_sum > 1e-6) return false;
   // Drive remaining basic artificials out of the basis if possible.
   for (std::size_t i = 0; i < t.rows_; ++i) {
     if (t.basis_[i] < static_cast<int>(n + sf.n_slack)) continue;
     bool pivoted = false;
     for (std::size_t j = 0; j < n + sf.n_slack && !pivoted; ++j) {
-      if (std::fabs(t.a_[i][j]) > kEps) {
+      if (std::fabs(t.at(i, j)) > kEps) {
         t.pivot(i, j);
         pivoted = true;
       }
     }
-    // A row with no eligible pivot is all-zero (redundant); its basic
-    // artificial stays at value zero, which is harmless as long as phase
-    // 2 never prices artificial columns (their cost stays at -inf).
+    // A row with no eligible pivot is redundant; its basic artificial
+    // stays at value zero, which is harmless as long as phase 2 never
+    // prices artificial columns (their cost stays at -1e30). Its entries
+    // are all below kEps, and no later pivot touches the row, but pricing
+    // multiplies them by that -1e30: clear them, or a rounding residual
+    // becomes a reduced cost of order 1e13 and the simplex can cycle.
+    if (!pivoted)
+      for (std::size_t j = 0; j < n + sf.n_slack; ++j) t.at(i, j) = 0.0;
   }
-  // Forbid artificials from re-entering.
-  for (std::size_t j = n + sf.n_slack; j < cols; ++j) {
-    t.c_[j] = -1e30;
-    for (std::size_t i = 0; i < t.rows_; ++i) t.a_[i][j] = 0.0;
-  }
+  forbid_artificials(sf);
   return true;
 }
 
@@ -212,7 +260,6 @@ bool eliminate_artificials(StandardForm& sf) {
 Solution finish_phase2(Tableau& t, std::size_t n, double sign,
                        const std::vector<double>& objective,
                        const std::vector<double>& lowers) {
-  for (std::size_t j = 0; j < t.cols_; ++j) t.c_[j] = j < n ? 0.0 : t.c_[j];
   for (std::size_t j = 0; j < n; ++j) t.c_[j] = sign * objective[j];
 
   if (!t.optimize()) {
@@ -226,14 +273,14 @@ Solution finish_phase2(Tableau& t, std::size_t n, double sign,
   sol.values.assign(n, 0.0);
   for (std::size_t i = 0; i < t.rows_; ++i)
     if (t.basis_[i] >= 0 && t.basis_[i] < static_cast<int>(n))
-      sol.values[static_cast<std::size_t>(t.basis_[i])] = t.b_[i];
+      sol.values[static_cast<std::size_t>(t.basis_[i])] = t.rhs(i);
   double obj = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
     sol.values[j] += lowers[j];
     obj += objective[j] * sol.values[j];
   }
   sol.objective = obj;
-  sol.basis = t.basis_;
+  sol.basis = std::move(t.basis_); // every caller's tableau is a temporary
   return sol;
 }
 
@@ -267,10 +314,7 @@ std::optional<Solution> try_warm_solve(const Model& model, const Basis& warm) {
 
   // The warm basis replaces phase 1 outright; block artificial columns the
   // same way the cold path does after eliminating them.
-  for (std::size_t j = width; j < t.cols_; ++j) {
-    t.c_[j] = -1e30;
-    for (std::size_t i = 0; i < t.rows_; ++i) t.a_[i][j] = 0.0;
-  }
+  forbid_artificials(sf);
 
   // Canonicalize: pivot every warm column into the basis, choosing the
   // largest remaining pivot for stability. The row assignment need not
@@ -282,7 +326,7 @@ std::optional<Solution> try_warm_solve(const Model& model, const Basis& warm) {
     double best_abs = kEps;
     for (std::size_t i = 0; i < t.rows_; ++i) {
       if (row_done[i]) continue;
-      const double v = std::fabs(t.a_[i][static_cast<std::size_t>(c)]);
+      const double v = std::fabs(t.at(i, static_cast<std::size_t>(c)));
       if (v > best_abs) {
         best_abs = v;
         best_row = i;
@@ -295,8 +339,8 @@ std::optional<Solution> try_warm_solve(const Model& model, const Basis& warm) {
 
   // Primal simplex needs a feasible start; tolerate only rounding noise.
   for (std::size_t i = 0; i < t.rows_; ++i) {
-    if (t.b_[i] < -1e-7) return std::nullopt;
-    if (t.b_[i] < 0.0) t.b_[i] = 0.0;
+    if (t.rhs(i) < -1e-7) return std::nullopt;
+    if (t.rhs(i) < 0.0) t.rhs(i) = 0.0;
   }
 
   const double sign = model.sense() == Sense::Maximize ? 1.0 : -1.0;

@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 namespace spmwcet::support {
 
@@ -90,6 +91,19 @@ public:
   std::size_t size() const {
     const std::lock_guard<std::mutex> lk(mu_);
     return entries_.size();
+  }
+
+  /// Calls `fn` on every resident computed value. The values are collected
+  /// under the index lock and visited after it is released.
+  template <typename Fn> void for_each(Fn&& fn) const {
+    std::vector<std::shared_ptr<const Value>> values;
+    {
+      const std::lock_guard<std::mutex> lk(mu_);
+      for (const auto& [key, entry] : entries_)
+        if (entry->ready.load(std::memory_order_acquire))
+          values.push_back(entry->value);
+    }
+    for (const auto& v : values) fn(*v);
   }
 
   std::size_t capacity() const {

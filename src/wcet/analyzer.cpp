@@ -89,7 +89,11 @@ WcetReport analyze_backend(const link::Image& img, const AnalyzerConfig& cfg,
   }
 
   // ---- microarchitectural analysis ------------------------------------------
-  CacheClassification classification;
+  // The seed analysis' address sets are converted to per-site form here,
+  // once, so block timing and the statistics below read site bytes on
+  // either path.
+  SiteClassification classification;
+  std::map<uint32_t, uint32_t> first_site; // function address -> its site
   WcetReport report;
   if (cfg.cache) {
     CacheAnalysisConfig ccfg;
@@ -101,27 +105,31 @@ WcetReport analyze_backend(const link::Image& img, const AnalyzerConfig& cfg,
     // that exact behavior as the A/B baseline.
     const bool use_flat =
         flat_cache && (cfg.incremental || !cfg.with_persistence);
-    classification = use_flat
-                         ? analyze_cache_flat(img, cfgs, root, ccfg)
-                         : analyze_cache(img, cfgs, root, ccfg);
+    classification =
+        use_flat ? analyze_cache_flat(img, cfgs, root, ccfg)
+                 : to_sites(cfgs, analyze_cache(img, cfgs, root, ccfg));
 
-    // Static statistics.
+    // Static statistics, in site order.
+    uint32_t site = 0;
     for (const auto& [f, fcfg] : cfgs) {
+      first_site.emplace_hint(first_site.end(), f, site);
       for (const auto& b : fcfg.blocks) {
         for (const CfgInstr& ci : b.instrs) {
           report.fetch_sites += ci.size / 2;
-          if (classification.fetch_hit(ci.addr)) ++report.fetch_always_hit;
-          if (ci.size == 4 && classification.fetch_hit(ci.addr + 2))
-            ++report.fetch_always_hit;
+          for (uint32_t half = 0; half < 2; ++half) {
+            const Outcome o = classification.fetch(site, half);
+            report.fetch_always_hit += o == Outcome::Hit;
+            report.persistent_sites += o == Outcome::Persistent;
+          }
+          const Outcome load = classification.load(site++);
+          report.persistent_sites += load == Outcome::Persistent;
           if (ci.mem.has_access && !ci.mem.access.is_store) {
             ++report.load_sites;
-            if (classification.load_hit(ci.addr)) ++report.load_always_hit;
+            report.load_always_hit += load == Outcome::Hit;
           }
         }
       }
     }
-    report.persistent_sites = classification.fetch_persistent.size() +
-                              classification.load_persistent.size();
   }
 
   // ---- path analysis, bottom-up over the call graph --------------------------
@@ -130,7 +138,10 @@ WcetReport analyze_backend(const link::Image& img, const AnalyzerConfig& cfg,
     const Cfg& fcfg = cfgs.at(f);
     TimingInputs inputs;
     inputs.cache = cfg.cache;
-    inputs.classification = cfg.cache ? &classification : nullptr;
+    if (cfg.cache) {
+      inputs.classification = &classification;
+      inputs.first_site = first_site.at(f);
+    }
     inputs.callee_wcet = &func_wcet;
     const BlockTimes times = time_blocks(fcfg, inputs);
     const bool via_cache =

@@ -23,9 +23,10 @@ public:
   BlockTimes run() {
     BlockTimes out;
     out.block_cycles.resize(cfg_.blocks.size(), 0);
+    uint32_t site = in_.first_site;
     for (const auto& b : cfg_.blocks) {
       uint64_t cycles = 0;
-      for (const CfgInstr& ci : b.instrs) cycles += instr_cycles(ci);
+      for (const CfgInstr& ci : b.instrs) cycles += instr_cycles(ci, site++);
       const CfgInstr& last = b.instrs.back();
       if (last.ins.op == Op::B) {
         cycles += ExecTiming::taken_branch_penalty;
@@ -53,17 +54,21 @@ private:
   bool cached() const { return in_.cache.has_value(); }
   bool unified() const { return cached() && in_.cache->unified; }
 
-  uint64_t fetch_cycles(const CfgInstr& ci, uint32_t addr) const {
+  /// Cycles of a classified cache access: hits and persistent accesses
+  /// cost a hit (the persistent one-off penalty is charged globally).
+  uint64_t cached_cycles(Outcome o) const {
+    return o == Outcome::Miss ? miss_ : MemTiming::cache_hit();
+  }
+
+  uint64_t fetch_cycles(const CfgInstr& ci, uint32_t site,
+                        uint32_t half) const {
     if (ci.mem.fetch_spm) return MemTiming::scratchpad();
     if (!cached()) return MemTiming::main_memory(2);
-    if (in_.classification->fetch_hit(addr)) return MemTiming::cache_hit();
-    if (in_.classification->fetch_persists(addr))
-      return MemTiming::cache_hit(); // one-off penalty charged globally
-    return miss_;
+    return cached_cycles(in_.classification->fetch(site, half));
   }
 
   /// Worst-case cycles of one data access with facts `mem`.
-  uint64_t data_cycles(uint32_t instr_addr, const MemFacts& mem) const {
+  uint64_t data_cycles(uint32_t site, const MemFacts& mem) const {
     const AddrInfo& info = mem.access;
     const uint32_t width = info.width;
     uint64_t per_access = 0;
@@ -73,12 +78,8 @@ private:
           per_access = MemTiming::scratchpad();
         } else if (info.is_store || !unified()) {
           per_access = MemTiming::main_memory(width);
-        } else if (in_.classification->load_hit(instr_addr)) {
-          per_access = MemTiming::cache_hit();
-        } else if (in_.classification->load_persists(instr_addr)) {
-          per_access = MemTiming::cache_hit();
         } else {
-          per_access = miss_;
+          per_access = cached_cycles(in_.classification->load(site));
         }
         break;
       }
@@ -114,11 +115,11 @@ private:
     return per_access * info.accesses;
   }
 
-  uint64_t instr_cycles(const CfgInstr& ci) const {
-    uint64_t cycles = fetch_cycles(ci, ci.addr);
-    if (ci.size == 4) cycles += fetch_cycles(ci, ci.addr + 2);
+  uint64_t instr_cycles(const CfgInstr& ci, uint32_t site) const {
+    uint64_t cycles = fetch_cycles(ci, site, 0);
+    if (ci.size == 4) cycles += fetch_cycles(ci, site, 1);
     cycles += ExecTiming::compute_extra(ci.ins);
-    if (ci.mem.has_access) cycles += data_cycles(ci.addr, ci.mem);
+    if (ci.mem.has_access) cycles += data_cycles(site, ci.mem);
     return cycles;
   }
 
@@ -133,9 +134,15 @@ BlockTimes time_blocks(const Cfg& cfg, const TimingInputs& inputs) {
   SPMWCET_CHECK_MSG(cfg.mem_resolved,
                     "block timing: memory facts of " + cfg.name +
                         " were never resolved (resolve_memory)");
-  if (inputs.cache)
+  if (inputs.cache) {
     SPMWCET_CHECK_MSG(inputs.classification != nullptr,
                       "cache configured but no classification supplied");
+    uint64_t end = inputs.first_site;
+    for (const auto& b : cfg.blocks) end += b.instrs.size();
+    SPMWCET_CHECK_MSG(end <= inputs.classification->sites.size(),
+                      "block timing: sites of " + cfg.name +
+                          " lie outside the classification");
+  }
   return BlockTimer(cfg, inputs).run();
 }
 

@@ -5,10 +5,12 @@
 // fetch cost from the instruction's memory class, data cost from the
 // resolved address (worst over the possible classes for ranges), plus
 // multiply/divide extras. Both come from the per-instruction MemFacts the
-// value analysis resolved for this image (CfgInstr::mem). With a cache, accesses classified always-hit cost
-// one cycle, persistent accesses cost one cycle plus a global one-off miss
-// penalty, and everything else is charged a full line-fill miss — the
-// MUST-only discipline the paper's aiT build applies.
+// value analysis resolved for this image (CfgInstr::mem). With a cache,
+// each access reads its outcome from the instruction's site byte
+// (SiteClassification): always-hit accesses cost one cycle, persistent
+// accesses cost one cycle plus a global one-off miss penalty, and
+// everything else is charged a full line-fill miss — the MUST-only
+// discipline the paper's aiT build applies.
 //
 // Branch-not-taken vs taken costs are split: the taken-branch pipeline
 // penalty is attached to taken edges so IPET charges it exactly as the
@@ -26,8 +28,11 @@
 namespace spmwcet::wcet {
 
 struct TimingInputs {
-  /// Non-null when a cache is configured.
-  const CacheClassification* classification = nullptr;
+  /// The whole program's per-site classification; non-null when a cache is
+  /// configured.
+  const SiteClassification* classification = nullptr;
+  /// Site of the timed CFG's first instruction in that classification.
+  uint32_t first_site = 0;
   std::optional<cache::CacheConfig> cache;
   /// WCET of each callee, keyed by function address (bottom-up order).
   const std::map<uint32_t, uint64_t>* callee_wcet = nullptr;

@@ -32,6 +32,15 @@ void require_resolved(const std::map<uint32_t, Cfg>& cfgs) {
                           " were never resolved (resolve_memory)");
 }
 
+/// Number of instruction sites of `cfgs` (the size of a classification).
+uint32_t count_sites(const std::map<uint32_t, Cfg>& cfgs) {
+  uint32_t n = 0;
+  for (const auto& [faddr, cfg] : cfgs)
+    for (const auto& b : cfg.blocks)
+      n += static_cast<uint32_t>(b.instrs.size());
+  return n;
+}
+
 /// Combined abstract state (MUST always, persistence optionally).
 struct AbsCacheState {
   MustCache must;
@@ -290,10 +299,11 @@ private:
 //    per-slot lattice whose union-with-max join is an elementwise max.
 // Node identity is dense (per-function block-id offsets) instead of a
 // std::map of (func, block) pairs, and classification runs fused with the
-// transfer it observes (no per-instruction state copy). Both domains are
-// finite and the transfer functions mirror the seed ones operation for
-// operation, so the worklist converges to the same unique fixpoint and the
-// classification sets come out identical.
+// transfer it observes (no per-instruction state copy), writing each
+// outcome into its site byte. Both domains are finite and the transfer
+// functions mirror the seed ones operation for operation, so the worklist
+// converges to the same unique fixpoint and the classification comes out
+// identical.
 
 class FlatCacheAnalyzer {
 public:
@@ -314,11 +324,9 @@ public:
     if (cfg_.with_persistence) build_pers_slots();
   }
 
-  CacheClassification run() {
+  SiteClassification run() {
     fixpoint();
-    CacheClassification out = classify();
-    out.normalize();
-    return out;
+    return classify();
   }
 
 private:
@@ -345,10 +353,16 @@ private:
   // ---- dense supergraph -----------------------------------------------------
 
   void build_nodes() {
+    uint32_t site = 0;
     for (const auto& [faddr, cfg] : cfgs_) {
       func_base_[faddr] = static_cast<uint32_t>(node_block_.size());
-      for (const auto& b : cfg.blocks) node_block_.push_back(&b);
+      for (const auto& b : cfg.blocks) {
+        node_block_.push_back(&b);
+        node_site_.push_back(site);
+        site += static_cast<uint32_t>(b.instrs.size());
+      }
     }
+    num_sites_ = site;
     succs_.resize(node_block_.size());
     std::map<uint32_t, std::vector<uint32_t>> returns_to;
     for (const auto& [faddr, cfg] : cfgs_) {
@@ -676,55 +690,57 @@ private:
 
   // ---- classification (fused with the transfer it observes) ----------------
 
-  CacheClassification classify() const {
-    CacheClassification out;
+  SiteClassification classify() const {
+    SiteClassification out;
+    out.sites.assign(num_sites_, 0);
     State s;
     for (std::size_t node = 0; node < node_block_.size(); ++node) {
       if (!present_[node]) continue; // unreachable
       s = in_[node];
+      uint32_t site = node_site_[node];
       for (const CfgInstr& ci : node_block_[node]->instrs) {
         // Each access is classified against the state just before it.
         if (!ci.mem.fetch_spm) {
-          classify_fetch(s, ci.addr, out);
+          classify(s, line_of(ci.addr), out, site,
+                   SiteClassification::kFetch0);
           access_line(s, line_of(ci.addr));
           if (ci.size == 4) {
-            classify_fetch(s, ci.addr + 2, out);
+            classify(s, line_of(ci.addr + 2), out, site,
+                     SiteClassification::kFetch1);
             access_line(s, line_of(ci.addr + 2));
           }
         }
-        if (!ci.mem.has_access) continue;
-        classify_load(s, ci, out);
-        data_access(s, ci.mem);
+        if (ci.mem.has_access) {
+          classify_load(s, ci, out, site);
+          data_access(s, ci.mem);
+        }
+        ++site;
       }
     }
+    auto& lines = out.persistent_penalty_lines;
+    std::sort(lines.begin(), lines.end());
+    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
     return out;
   }
 
-  void classify_fetch(const State& state, uint32_t addr,
-                      CacheClassification& out) const {
-    const uint32_t line = line_of(addr);
+  void classify(const State& state, uint32_t line, SiteClassification& out,
+                uint32_t site, SiteClassification::Field field) const {
     if (contains_line(state, line)) {
-      out.fetch_always_hit.push_back(addr);
+      out.set(site, field, Outcome::Hit);
     } else if (!state.pers.empty() && pers_persistent_line(state, line)) {
-      out.fetch_persistent.push_back(addr);
+      out.set(site, field, Outcome::Persistent);
       out.persistent_penalty_lines.push_back(line);
     }
   }
 
   void classify_load(const State& state, const CfgInstr& ci,
-                     CacheClassification& out) const {
+                     SiteClassification& out, uint32_t site) const {
     const AddrInfo& info = ci.mem.access;
     if (!cfg_.cache.unified || info.is_store) return;
     if (info.kind != AddrInfo::Kind::Exact ||
         ci.mem.exact_class() == MemClass::Scratchpad)
       return;
-    const uint32_t line = line_of(info.lo);
-    if (contains_line(state, line)) {
-      out.load_always_hit.push_back(ci.addr);
-    } else if (!state.pers.empty() && pers_persistent_line(state, line)) {
-      out.load_persistent.push_back(ci.addr);
-      out.persistent_penalty_lines.push_back(line);
-    }
+    classify(state, line_of(info.lo), out, site, SiteClassification::kLoad);
   }
 
   const link::Image& img_;
@@ -740,6 +756,8 @@ private:
 
   std::map<uint32_t, uint32_t> func_base_; ///< func addr -> first node id
   std::vector<const BasicBlock*> node_block_;
+  std::vector<uint32_t> node_site_; ///< node -> site of its first instr
+  uint32_t num_sites_ = 0;
   std::vector<std::vector<uint32_t>> succs_;
   std::vector<State> in_;
   std::vector<uint8_t> present_;
@@ -761,6 +779,51 @@ void CacheClassification::normalize() {
   }
 }
 
+SiteClassification to_sites(const std::map<uint32_t, Cfg>& cfgs,
+                            const CacheClassification& sets) {
+  // One cursor per set; sites come in ascending address order, so each
+  // set is consumed front to back. An entry left over names no site.
+  struct Cursor {
+    const AddrSet& set;
+    std::size_t at = 0;
+    bool take(uint32_t addr) {
+      if (at == set.size() || set[at] != addr) return false;
+      ++at;
+      return true;
+    }
+  };
+  Cursor fetch_hit{sets.fetch_always_hit}, fetch_pers{sets.fetch_persistent};
+  Cursor load_hit{sets.load_always_hit}, load_pers{sets.load_persistent};
+  auto outcome = [](Cursor& hit, Cursor& pers, uint32_t addr) {
+    if (hit.take(addr)) return Outcome::Hit;
+    return pers.take(addr) ? Outcome::Persistent : Outcome::Miss;
+  };
+
+  SiteClassification out;
+  out.sites.assign(count_sites(cfgs), 0);
+  uint32_t site = 0;
+  for (const auto& [faddr, cfg] : cfgs) {
+    for (const auto& b : cfg.blocks) {
+      for (const CfgInstr& ci : b.instrs) {
+        out.set(site, SiteClassification::kFetch0,
+                outcome(fetch_hit, fetch_pers, ci.addr));
+        if (ci.size == 4)
+          out.set(site, SiteClassification::kFetch1,
+                  outcome(fetch_hit, fetch_pers, ci.addr + 2));
+        out.set(site, SiteClassification::kLoad,
+                outcome(load_hit, load_pers, ci.addr));
+        ++site;
+      }
+    }
+  }
+  for (const Cursor* c : {&fetch_hit, &fetch_pers, &load_hit, &load_pers})
+    SPMWCET_CHECK_MSG(c->at == c->set.size(),
+                      "to_sites: classified address is not an instruction "
+                      "site of these CFGs");
+  out.persistent_penalty_lines = sets.persistent_penalty_lines;
+  return out;
+}
+
 CacheClassification analyze_cache(const link::Image& img,
                                   const std::map<uint32_t, Cfg>& cfgs,
                                   uint32_t root,
@@ -769,10 +832,10 @@ CacheClassification analyze_cache(const link::Image& img,
   return CacheAnalyzer(img, cfgs, root, cfg).run();
 }
 
-CacheClassification analyze_cache_flat(const link::Image& img,
-                                       const std::map<uint32_t, Cfg>& cfgs,
-                                       uint32_t root,
-                                       const CacheAnalysisConfig& cfg) {
+SiteClassification analyze_cache_flat(const link::Image& img,
+                                      const std::map<uint32_t, Cfg>& cfgs,
+                                      uint32_t root,
+                                      const CacheAnalysisConfig& cfg) {
   (cfg.with_persistence ? g_flat_persistence_runs : g_flat_must_runs)
       .fetch_add(1, std::memory_order_relaxed);
   return FlatCacheAnalyzer(img, cfgs, root, cfg).run();

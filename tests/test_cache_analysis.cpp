@@ -4,6 +4,8 @@
 // flat-WCET-with-cache observation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "link/layout.h"
 #include "minic/codegen.h"
 #include "wcet/analyzer.h"
@@ -45,15 +47,21 @@ Classified classify(const minic::ObjModule& mod, uint32_t cache_bytes,
   return out;
 }
 
-/// True when every classification set agrees (the MUST and persistence
-/// fixpoints have unique solutions, so any faithful pair of implementations
-/// must produce equal sets, not merely equal counts).
-void expect_equal(const CacheClassification& a, const CacheClassification& b) {
-  EXPECT_EQ(a.fetch_always_hit, b.fetch_always_hit);
-  EXPECT_EQ(a.load_always_hit, b.load_always_hit);
-  EXPECT_EQ(a.fetch_persistent, b.fetch_persistent);
-  EXPECT_EQ(a.load_persistent, b.load_persistent);
-  EXPECT_EQ(a.persistent_penalty_lines, b.persistent_penalty_lines);
+bool has(const AddrSet& s, uint32_t addr) {
+  return std::binary_search(s.begin(), s.end(), addr);
+}
+
+/// True when the seed analysis' sets, brought to per-site form through the
+/// one adapter (to_sites), agree with the flat analysis site for site (the
+/// MUST and persistence fixpoints have unique solutions, so any faithful
+/// pair of implementations must classify every access alike, not merely
+/// the same number of them).
+void expect_equal(const std::map<uint32_t, Cfg>& cfgs,
+                  const CacheClassification& seed,
+                  const SiteClassification& flat) {
+  const SiteClassification want = to_sites(cfgs, seed);
+  EXPECT_EQ(want.sites, flat.sites);
+  EXPECT_EQ(want.persistent_penalty_lines, flat.persistent_penalty_lines);
 }
 
 ProgramDef straight_line(int stmts_n) {
@@ -129,7 +137,7 @@ TEST(CacheAnalysis, UnknownAddressLoadClobbersGuarantees) {
   for (const auto& [addr, sym] : small.img.access_hints) {
     if (sym != "k") continue;
     ++k_loads;
-    if (small.cls.load_hit(addr)) ++k_hits;
+    if (has(small.cls.load_always_hit, addr)) ++k_hits;
   }
   ASSERT_EQ(k_loads, 2);
   EXPECT_EQ(k_hits, 0) << "tiny cache: array clobber kills both k loads";
@@ -141,7 +149,7 @@ TEST(CacheAnalysis, UnknownAddressLoadClobbersGuarantees) {
   const auto big = classify(mod, 8192);
   int k_hits_big = 0;
   for (const auto& [addr, sym] : big.img.access_hints)
-    if (sym == "k" && big.cls.load_hit(addr)) ++k_hits_big;
+    if (sym == "k" && has(big.cls.load_always_hit, addr)) ++k_hits_big;
   EXPECT_GE(k_hits_big, k_hits);
 }
 
@@ -177,7 +185,7 @@ TEST(CacheAnalysis, CalleeEffectsPropagateToContinuation) {
     for (const auto& ob : main_cfg.blocks)
       if (ob.call_target && ob.end_addr == b.first_addr) after_call = true;
     if (!after_call) continue;
-    EXPECT_FALSE(c.cls.fetch_hit(b.first_addr))
+    EXPECT_FALSE(has(c.cls.fetch_always_hit, b.first_addr))
         << "continuation fetch claimed always-hit through a clobbering call";
   }
 }
@@ -292,7 +300,7 @@ TEST(CacheAnalysis, FlatPersistenceMatchesMapAnalysisAcrossGeometries) {
         SCOPED_TRACE("size=" + std::to_string(size) +
                      " assoc=" + std::to_string(assoc) +
                      " unified=" + std::to_string(unified));
-        expect_equal(map_cls, flat_cls);
+        expect_equal(cfgs, map_cls, flat_cls);
       }
     }
   }

@@ -3,11 +3,20 @@
 // (typical-input) cycles at every paper cache size, associativity 1/2/4,
 // unified and instruction-only, with persistence analysis on and off.
 // The simulation side of each point is a reuse-table lookup, so the matrix
-// costs one observed run per program plus the analyses.
+// costs one observed run per program plus the analyses. The same matrix
+// pins the per-site classification against the seed analysis.
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "harness/artifact_cache.h"
 #include "harness/sweep_runner.h"
+#include "link/layout.h"
+#include "program/decoded_image.h"
+#include "wcet/analyzer.h"
+#include "wcet/cache_analysis.h"
+#include "wcet/frontend.h"
+#include "wcet/ipet.h"
 #include "workloads/generated.h"
 
 namespace spmwcet {
@@ -49,6 +58,72 @@ TEST(CacheSoundness, WcetDominatesSimulationAcrossTheCacheMatrix) {
     }
   // 5 shapes x 8 programs x 12 configurations x 8 paper sizes.
   EXPECT_EQ(checked, std::size_t{5 * kProgramsPerShape * 12 * 8});
+}
+
+TEST(CacheSoundness, PerSiteClassificationMatchesSeedAcrossTheMatrix) {
+  // Over the same matrix, the flat analysis' per-site outcome bytes must be
+  // the seed map analysis' address sets brought to per-site form (to_sites),
+  // and the WcetReport site statistics of the IR analyzer must equal the
+  // seed analyzer's on the same bound view.
+  constexpr uint32_t kProgramsPerShape = 8;
+  std::size_t checked = 0, persistent = 0;
+  for (const std::string& shape : workloads::gen_shape_names())
+    for (uint32_t seed = 1; seed <= kProgramsPerShape; ++seed) {
+      const std::string name = "gen:" + shape + ":" + std::to_string(seed);
+      const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
+      const link::Image img = link::link_program(wl->module, {}, {});
+      const program::DecodedImage dec(img);
+      const wcet::ProgramView view =
+          wcet::bind_view(std::make_shared<const wcet::ProgramShape>(
+                              wcet::build_shape(img, dec)),
+                          img, dec);
+      const wcet::IpetCache ipet; // both analyzers solve through it
+      for (const uint32_t size : harness::SweepConfig{}.sizes)
+        for (const uint32_t assoc : {1u, 2u, 4u})
+          for (const bool unified : {true, false})
+            for (const bool pers : {false, true}) {
+              const std::string what =
+                  name + " size " + std::to_string(size) + " assoc " +
+                  std::to_string(assoc) + (unified ? " unified" : " icache") +
+                  (pers ? " persistence" : "");
+              wcet::CacheAnalysisConfig ccfg;
+              ccfg.cache.size_bytes = size;
+              ccfg.cache.assoc = assoc;
+              ccfg.cache.unified = unified;
+              ccfg.with_persistence = pers;
+              const wcet::SiteClassification flat =
+                  wcet::analyze_cache_flat(img, view.cfgs, view.root, ccfg);
+              const wcet::SiteClassification seed_sites = wcet::to_sites(
+                  view.cfgs,
+                  wcet::analyze_cache(img, view.cfgs, view.root, ccfg));
+              ASSERT_EQ(flat.sites, seed_sites.sites) << what;
+              ASSERT_EQ(flat.persistent_penalty_lines,
+                        seed_sites.persistent_penalty_lines)
+                  << what;
+              persistent += !flat.persistent_penalty_lines.empty();
+
+              wcet::AnalyzerConfig acfg;
+              acfg.cache = ccfg.cache;
+              acfg.with_persistence = pers;
+              acfg.ipet_cache = &ipet;
+              const wcet::WcetReport ir = wcet::analyze_wcet(view, acfg);
+              acfg.fast_path = false; // seed cache analysis, same view
+              const wcet::WcetReport sd = wcet::analyze_wcet(view, acfg);
+              ASSERT_EQ(ir.fetch_sites, sd.fetch_sites) << what;
+              ASSERT_EQ(ir.fetch_always_hit, sd.fetch_always_hit) << what;
+              ASSERT_EQ(ir.load_sites, sd.load_sites) << what;
+              ASSERT_EQ(ir.load_always_hit, sd.load_always_hit) << what;
+              ASSERT_EQ(ir.persistent_sites, sd.persistent_sites) << what;
+              ASSERT_EQ(ir.persistence_penalty_cycles,
+                        sd.persistence_penalty_cycles)
+                  << what;
+              ASSERT_EQ(ir.wcet, sd.wcet) << what;
+              ++checked;
+            }
+    }
+  // 5 shapes x 8 programs x 8 paper sizes x 12 configurations.
+  EXPECT_EQ(checked, std::size_t{5 * kProgramsPerShape * 8 * 12});
+  EXPECT_GT(persistent, 0u); // the persistent outcome is exercised
 }
 
 } // namespace

@@ -12,12 +12,15 @@
 // suite (tests/test_generated.cpp) run.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "link/layout.h"
 #include "minic/codegen.h"
 #include "minic/interp.h"
 #include "program/decoded_image.h"
 #include "sim/simulator.h"
 #include "wcet/analyzer.h"
+#include "wcet/cache_analysis.h"
 #include "wcet/frontend.h"
 #include "wcet/ipet.h"
 #include "workloads/generated.h"
@@ -323,12 +326,19 @@ TEST(IncrementalIpetFuzz, CachedSkeletonMatchesFromScratchFieldExactly) {
 // Flat-persistence parity property: with persistence enabled, the flat
 // tag/age analysis (the incremental default) must be field-identical to
 // the seed map-based analysis (the --no-incremental / --legacy-wcet
-// baselines) on arbitrary generated programs across cache geometries.
+// baselines) on arbitrary generated programs across cache geometries —
+// both the reports and, through the one seed-to-site adapter (to_sites),
+// the classification of every access.
 TEST(FlatPersistenceFuzz, FlatAndMapPersistenceAreFieldIdentical) {
   constexpr unsigned kPrograms = 60;
   for (unsigned seed = 1; seed <= kPrograms; ++seed) {
     const ProgramDef prog = linkable_program(seed * 83492791u + 5u);
     const auto img = link::link_program(compile(prog), {}, {});
+    const program::DecodedImage dec(img);
+    const wcet::ProgramView view =
+        wcet::bind_view(std::make_shared<const wcet::ProgramShape>(
+                            wcet::build_shape(img, dec)),
+                        img, dec);
 
     for (const uint32_t size : {64u, 256u, 1024u}) {
       for (const bool unified : {true, false}) {
@@ -351,6 +361,18 @@ TEST(FlatPersistenceFuzz, FlatAndMapPersistenceAreFieldIdentical) {
                                  (unified ? " unified" : " icache");
         expect_reports_identical(flat, map_based, what + " flat-vs-map");
         expect_reports_identical(flat, legacy, what + " flat-vs-legacy");
+
+        wcet::CacheAnalysisConfig cls_cfg;
+        cls_cfg.cache = ccfg;
+        cls_cfg.with_persistence = true;
+        const wcet::SiteClassification sites =
+            wcet::analyze_cache_flat(img, view.cfgs, view.root, cls_cfg);
+        const wcet::SiteClassification seed_sites = wcet::to_sites(
+            view.cfgs, wcet::analyze_cache(img, view.cfgs, view.root, cls_cfg));
+        ASSERT_EQ(sites.sites, seed_sites.sites) << what;
+        ASSERT_EQ(sites.persistent_penalty_lines,
+                  seed_sites.persistent_penalty_lines)
+            << what;
       }
     }
   }

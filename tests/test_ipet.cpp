@@ -3,7 +3,9 @@
 // ILP optimum against exhaustive path enumeration on random DAGs.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
+#include <tuple>
 
 #include "wcet/ipet.h"
 
@@ -298,6 +300,97 @@ TEST(IpetSkeleton, ResolvesNewObjectivesExactly) {
     EXPECT_EQ(fast->wcet, cold.wcet);
     EXPECT_EQ(fast->block_counts, cold.block_counts);
   }
+}
+
+/// A seeded structured CFG: nested sequences, diamonds and counted loops
+/// (a header with a body region and a taken back edge), so every loop is
+/// natural and carries a bound annotation; some carry a flow-fact total.
+struct RandomLoopCfg {
+  CfgBuilder builder{0};
+  Annotations ann;
+  LoopInfo loops;
+
+  explicit RandomLoopCfg(std::mt19937& rng) {
+    std::vector<std::tuple<int, int, EdgeKind>> edges;
+    std::vector<int> headers;
+    int blocks = 1;
+    std::function<int(int, int)> region = [&](int from, int depth) {
+      switch (depth == 0 ? 0 : rng() % 5) {
+        case 0: { // straight
+          const int b = blocks++;
+          edges.emplace_back(from, b, EdgeKind::Fallthrough);
+          return b;
+        }
+        case 1: { // diamond
+          const int l = blocks++, r = blocks++, j = blocks++;
+          edges.emplace_back(from, l, EdgeKind::Taken);
+          edges.emplace_back(from, r, EdgeKind::Fallthrough);
+          edges.emplace_back(l, j, EdgeKind::Taken);
+          edges.emplace_back(r, j, EdgeKind::Fallthrough);
+          return j;
+        }
+        case 2:
+        case 3: { // counted loop
+          const int h = blocks++;
+          edges.emplace_back(from, h, EdgeKind::Fallthrough);
+          const int body_end = region(h, depth - 1);
+          edges.emplace_back(body_end, h, EdgeKind::Taken);
+          const int x = blocks++;
+          edges.emplace_back(h, x, EdgeKind::Fallthrough);
+          headers.push_back(h);
+          return x;
+        }
+        default: // sequence
+          return region(region(from, depth - 1), depth - 1);
+      }
+    };
+    const int last = region(region(0, 3), 3);
+    builder = CfgBuilder(blocks);
+    for (const auto& [from, to, kind] : edges) builder.edge(from, to, kind);
+    builder.mark_exit(last);
+    for (const int h : headers) {
+      ann.set_loop_bound(builder.header_addr(h), rng() % 12);
+      if (rng() % 4 == 0)
+        ann.set_loop_total(builder.header_addr(h), rng() % 40);
+    }
+    loops = find_loops(builder.cfg());
+  }
+};
+
+TEST(IpetSkeleton, RandomLoopNestsMatchSolveIpetExactly) {
+  // Seeded structured CFGs with nested loops, each solved for several
+  // random block and edge costs: whenever the skeleton answers, it must be
+  // solve_ipet's answer, block counts included — and it must answer.
+  std::mt19937 rng(20261017);
+  int answered = 0, solves = 0, with_loops = 0;
+  for (int g = 0; g < 120; ++g) {
+    const RandomLoopCfg r(rng);
+    const Cfg& cfg = r.builder.cfg();
+    with_loops += !r.loops.loops.empty();
+    const IpetSkeleton skel(cfg, r.loops, r.ann);
+    for (int k = 0; k < 5; ++k) {
+      std::vector<uint64_t> cycles(cfg.blocks.size());
+      for (auto& c : cycles) c = rng() % 80;
+      std::map<int, uint64_t> edge_cycles;
+      for (std::size_t e = 0; e < cfg.edges.size(); ++e)
+        if (cfg.edges[e].kind == EdgeKind::Taken && rng() % 2 == 0)
+          edge_cycles[static_cast<int>(e)] = 1 + rng() % 3;
+      const BlockTimes t = costs(cycles, edge_cycles);
+      const IpetResult cold = solve_ipet(cfg, r.loops, r.ann, t);
+      const auto fast = skel.try_solve(cfg, r.loops, r.ann, t);
+      ++solves;
+      if (!fast) continue;
+      ++answered;
+      EXPECT_EQ(fast->wcet, cold.wcet) << "cfg " << g << " costs " << k;
+      EXPECT_EQ(fast->block_counts, cold.block_counts)
+          << "cfg " << g << " costs " << k;
+    }
+  }
+  EXPECT_EQ(solves, 600);
+  EXPECT_GT(with_loops, 60);
+  // Flow models are integral at the relaxation: the skeleton declines only
+  // when the LP optimum is fractional, which these models never are.
+  EXPECT_EQ(answered, solves);
 }
 
 TEST(IpetSkeleton, DeclinesWhenLoopBoundsChange) {

@@ -3,6 +3,8 @@
 // knapsack on randomized instances.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <random>
 
 #include "lp/branch_bound.h"
@@ -371,6 +373,146 @@ TEST(PreparedLp, ReportsInfeasibilityAndUnboundedness) {
   EXPECT_EQ(punb.solve(Sense::Maximize, {1.0, 0.0}).status, Status::Unbounded);
   // The same prepared tableau under a bounded objective is fine.
   EXPECT_EQ(punb.solve(Sense::Maximize, {0.0, 0.0}).status, Status::Optimal);
+}
+
+// ---- PreparedLp oracle property ---------------------------------------------
+
+/// A seeded IPET-shaped model: flow conservation over a forward DAG of
+/// `nodes` blocks with loop back edges, each back edge bounded by a multiple
+/// of a forward edge into its header (so every cycle is bounded), optional
+/// absolute caps, and redundant equality rows — a duplicated conservation
+/// row and the sum of two — which phase one cannot pivot its artificials
+/// out of.
+struct FlowModel {
+  Model model;
+  std::size_t width = 0; ///< structural + slack columns of the standard form
+};
+
+FlowModel random_flow_model(std::mt19937& rng) {
+  FlowModel out;
+  Model& m = out.model;
+  const int nodes = 4 + static_cast<int>(rng() % 9);
+  std::vector<std::vector<int>> in(nodes), out_edges(nodes);
+  std::vector<int> first_in(nodes, -1); // a forward edge into each node
+  const auto edge = [&](int from, int to) {
+    const int v = m.add_var("e", 0, std::numeric_limits<double>::infinity(),
+                            true);
+    out_edges[static_cast<std::size_t>(from)].push_back(v);
+    in[static_cast<std::size_t>(to)].push_back(v);
+    if (from < to && first_in[static_cast<std::size_t>(to)] < 0)
+      first_in[static_cast<std::size_t>(to)] = v;
+    return v;
+  };
+  const int entry = m.add_var("entry", 1, 1, true);
+  in[0].push_back(entry);
+  first_in[0] = entry;
+  for (int i = 0; i + 1 < nodes; ++i) {
+    const auto later = [&] {
+      return i + 1 + static_cast<int>(rng() % (nodes - 1 - i));
+    };
+    edge(i, later());
+    if (rng() % 2 != 0) edge(i, later());
+  }
+  // Exit edges out of every dead end (and some other blocks).
+  for (int i = 0; i < nodes; ++i)
+    if (out_edges[static_cast<std::size_t>(i)].empty() || rng() % 5 == 0)
+      out_edges[static_cast<std::size_t>(i)].push_back(m.add_var(
+          "x", 0, std::numeric_limits<double>::infinity(), true));
+  // Back edges j -> h (h <= j), bounded by k times a forward edge into h.
+  std::vector<std::pair<int, int>> bounds; // (back edge, bounding edge)
+  const int loops = static_cast<int>(rng() % 4);
+  for (int l = 0; l < loops; ++l) {
+    const int h = static_cast<int>(rng() % nodes);
+    const int j = h + static_cast<int>(rng() % (nodes - h));
+    if (first_in[static_cast<std::size_t>(h)] < 0) continue;
+    const int back = edge(j, h);
+    bounds.emplace_back(back, first_in[static_cast<std::size_t>(h)]);
+  }
+
+  std::vector<std::vector<Term>> flow;
+  for (int i = 0; i < nodes; ++i) {
+    std::vector<Term> terms;
+    for (const int v : in[static_cast<std::size_t>(i)]) terms.push_back({v, 1});
+    for (const int v : out_edges[static_cast<std::size_t>(i)])
+      terms.push_back({v, -1});
+    m.add_constraint(terms, Relation::EQ, 0);
+    flow.push_back(std::move(terms));
+  }
+  for (const auto& [back, by] : bounds) {
+    m.add_constraint({{back, 1}, {by, -static_cast<double>(rng() % 11)}},
+                     Relation::LE, 0);
+    if (rng() % 3 == 0)
+      m.add_constraint({{back, 1}}, Relation::LE,
+                       static_cast<double>(rng() % 30));
+  }
+  // Redundant equalities, in two models of three.
+  if (rng() % 3 != 0) {
+    m.add_constraint(flow[rng() % flow.size()], Relation::EQ, 0);
+    std::vector<Term> sum = flow[rng() % flow.size()];
+    const auto& other = flow[rng() % flow.size()];
+    sum.insert(sum.end(), other.begin(), other.end());
+    m.add_constraint(sum, Relation::EQ, 0);
+  }
+
+  std::size_t inequalities = 0, upper_bounds = 0;
+  for (const Constraint& c : m.constraints())
+    inequalities += c.rel != Relation::EQ;
+  for (const Variable& v : m.vars())
+    upper_bounds += std::isfinite(v.upper);
+  out.width = m.num_vars() + inequalities + upper_bounds;
+  return out;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+TEST(PreparedLpOracle, RandomFlowModelsMatchColdSolveBitForBit) {
+  // The compact prepared tableau drops the artificial columns after phase
+  // one; every prepared solve must still be the cold solve, bit for bit —
+  // including models whose redundant rows keep an artificial basic.
+  std::mt19937 rng(20261017);
+  int solves = 0, optimal = 0, artificial_basic = 0;
+  for (int model_i = 0; model_i < 150; ++model_i) {
+    const FlowModel fm = random_flow_model(rng);
+    const PreparedLp prepared(fm.model);
+    for (int k = 0; k < 6; ++k) {
+      std::vector<double> obj(fm.model.num_vars(), 0.0);
+      std::vector<Term> terms;
+      for (std::size_t j = 0; j < obj.size(); ++j) {
+        if (rng() % 4 == 0) continue;
+        obj[j] = static_cast<double>(rng() % 60);
+        terms.push_back({static_cast<int>(j), obj[j]});
+      }
+      Model fresh = fm.model;
+      fresh.set_objective(Sense::Maximize, terms);
+      const Solution cold = solve_lp(fresh);
+      const Solution fast = prepared.solve(Sense::Maximize, obj);
+      const std::string what = "model " + std::to_string(model_i) +
+                               " objective " + std::to_string(k);
+      ++solves;
+      ASSERT_EQ(fast.status, cold.status) << what;
+      EXPECT_TRUE(same_bits(fast.objective, cold.objective)) << what;
+      ASSERT_EQ(fast.values.size(), cold.values.size()) << what;
+      for (std::size_t j = 0; j < cold.values.size(); ++j)
+        EXPECT_TRUE(same_bits(fast.values[j], cold.values[j]))
+            << what << " var " << j;
+      EXPECT_EQ(fast.basis, cold.basis) << what;
+      if (cold.status != Status::Optimal) continue;
+      ++optimal;
+      for (const int c : cold.basis)
+        if (c >= 0 && static_cast<std::size_t>(c) >= fm.width) {
+          ++artificial_basic;
+          break;
+        }
+    }
+  }
+  EXPECT_EQ(solves, 900);
+  // Every model is bounded and feasible by construction, and both the
+  // edge case the compaction must survive and the plain case occur.
+  EXPECT_EQ(optimal, solves);
+  EXPECT_GT(artificial_basic, 0);
+  EXPECT_LT(artificial_basic, optimal);
 }
 
 } // namespace

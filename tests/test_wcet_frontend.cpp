@@ -6,6 +6,7 @@
 // pipeline with cached shapes/views.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "alloc/allocator.h"
@@ -287,12 +288,17 @@ TEST(FlatCacheAnalysis, ClassificationMatchesSeedImplementation) {
         const auto seed =
             wcet::analyze_cache(img, cfgs, img.entry, ccfg);
         const auto flat = wcet::analyze_cache_flat(img, cfgs, img.entry, ccfg);
-        EXPECT_EQ(flat.fetch_always_hit, seed.fetch_always_hit)
+        // Through the one adapter: the seed sets in per-site form.
+        const auto want = wcet::to_sites(cfgs, seed);
+        EXPECT_EQ(flat.sites, want.sites)
             << wl->name << " size " << size << " assoc " << assoc;
-        EXPECT_EQ(flat.load_always_hit, seed.load_always_hit)
+        EXPECT_GT(std::count_if(flat.sites.begin(), flat.sites.end(),
+                                [](uint8_t s) { return s != 0; }),
+                  0)
             << wl->name << " size " << size << " assoc " << assoc;
-        EXPECT_TRUE(flat.fetch_persistent.empty());
-        EXPECT_TRUE(flat.load_persistent.empty());
+        // MUST only: no outcome is Persistent (2 in any 2-bit field).
+        for (const uint8_t s : flat.sites) EXPECT_EQ(s & 0x2a, 0);
+        EXPECT_TRUE(flat.persistent_penalty_lines.empty());
       }
     }
   }

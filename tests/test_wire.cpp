@@ -15,11 +15,14 @@
 #include "support/json.h"
 #include "workloads/workload.h"
 
+#include "fuzz_mutate.h"
+
 namespace spmwcet {
 namespace {
 
 namespace json = support::json;
 using api::ErrorCode;
+using fuzz::mutate;
 
 // ---- JSON layer -----------------------------------------------------------
 
@@ -475,6 +478,27 @@ TEST(Serve, HealthReportsPlacementAndCandidateEngagement) {
   }
 }
 
+TEST(Serve, HealthReportsIpetSkeletonEngagement) {
+  // Two SPM sizes of one workload with different placements: the second
+  // placed run solves every function through the skeletons the first
+  // built, and no skeleton declines.
+  api::Engine engine;
+  const auto responses = serve(
+      "{\"v\":1,\"op\":\"point\",\"workload\":\"adpcm\","
+      "\"setup\":\"spm\",\"size\":64}\n"
+      "{\"v\":1,\"op\":\"point\",\"workload\":\"adpcm\","
+      "\"setup\":\"spm\",\"size\":4096}\n"
+      "{\"v\":1,\"id\":3,\"op\":\"health\"}\n",
+      engine);
+  ASSERT_EQ(responses.size(), 3u);
+  const json::Value* ipet =
+      responses[2].find("result")->find("engine")->find("ipet_skeletons");
+  ASSERT_NE(ipet, nullptr);
+  EXPECT_GT(ipet->find("builds")->as_int(), 0);
+  EXPECT_EQ(ipet->find("hits")->as_int(), ipet->find("builds")->as_int());
+  EXPECT_EQ(ipet->find("fallbacks")->as_int(), 0);
+}
+
 TEST(Serve, HealthReportsServeAndEngineCounters) {
   api::Engine engine;
   const auto responses = serve(
@@ -648,46 +672,6 @@ std::vector<std::string> fuzz_corpus() {
       R"({"v":1,"id":9,"op":"point","workload":"gen:loopy:42","setup":"spm","size":64})",
       R"({"v":1,"id":10,"op":"corpus","shape":"tiny","base":1,"count":2,"setup":"spm","sizes":[64]})",
   };
-}
-
-std::string mutate(const std::string& base, std::mt19937& rng,
-                   const std::vector<std::string>& corpus) {
-  std::string s = base;
-  const auto pos = [&](std::size_t n) {
-    return std::uniform_int_distribution<std::size_t>(0, n)(rng);
-  };
-  switch (rng() % 7) {
-    case 0: // truncate (covers every partial-line prefix over time)
-      s.resize(pos(s.size()));
-      break;
-    case 1: // flip one byte to an arbitrary value
-      if (!s.empty()) s[pos(s.size() - 1)] = static_cast<char>(rng() % 256);
-      break;
-    case 2: // insert a structural character where it hurts
-      s.insert(pos(s.size()), 1, std::string(R"({}[]",:0\)")[rng() % 10]);
-      break;
-    case 3: // delete a span
-      if (!s.empty()) {
-        const std::size_t at = pos(s.size() - 1);
-        s.erase(at, pos(s.size() - at));
-      }
-      break;
-    case 4: { // splice with another corpus entry
-      const std::string& other = corpus[rng() % corpus.size()];
-      s = s.substr(0, pos(s.size())) + other.substr(pos(other.size()));
-      break;
-    }
-    case 5: // duplicate a span (repeated keys, doubled braces)
-      if (!s.empty()) {
-        const std::size_t at = pos(s.size() - 1);
-        s.insert(at, s.substr(at, 1 + pos(8)));
-      }
-      break;
-    default: // blast a digit into something enormous
-      s += std::string(1 + pos(16), '9');
-      break;
-  }
-  return s;
 }
 
 TEST(WireFuzz, RandomBytesAreAlwaysAnswered) {
