@@ -59,9 +59,15 @@ int main(int argc, char** argv) {
 
   // The scratchpad yardstick column is a full pipeline per size; sweep all
   // of them up front through the parallel engine.
-  harness::SweepConfig spm_cfg = bench::spm_sweep();
-  spm_cfg.sizes = sizes;
-  const auto spm_points = harness::run_sweep(wl, spm_cfg);
+  api::Engine engine(api::EngineOptions{/*jobs=*/0});
+  const auto spm_points =
+      engine
+          .sweep(api::SweepRequest::make({"adpcm"},
+                                         harness::MemSetup::Scratchpad, sizes)
+                     .value_or_throw())
+          .value_or_throw()
+          .series[0]
+          .points;
 
   // The cache grid — per size, one simulation plus one analysis per
   // variant — is 30 independent runs; fill it with slot-indexed writes.

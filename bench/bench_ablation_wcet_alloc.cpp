@@ -5,6 +5,7 @@
 #include "bench_common.h"
 
 #include "alloc/allocator.h"
+#include "harness/sweep_runner.h"
 #include "link/layout.h"
 #include "sim/simulator.h"
 #include "wcet/analyzer.h"
@@ -33,12 +34,13 @@ int main(int argc, char** argv) {
   TablePrinter table({"spm [bytes]", "WCET energy-driven",
                       "WCET wcet-driven", "sim energy-driven",
                       "sim wcet-driven"});
-  harness::SweepConfig energy_cfg = bench::spm_sweep();
+  harness::SweepConfig energy_cfg;
   energy_cfg.sizes = {128, 512, 2048, 8192};
   harness::SweepConfig wcet_cfg = energy_cfg;
   wcet_cfg.wcet_driven_alloc = true;
 
-  // Both allocation strategies' sweeps run as one parallel batch.
+  // Both allocation strategies' sweeps run as one batch over all hardware
+  // threads.
   const auto results = harness::run_matrix(
       {{&wl, energy_cfg}, {&wl, wcet_cfg}}, /*jobs=*/0);
   const auto& energy = results[0];

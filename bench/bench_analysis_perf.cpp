@@ -69,7 +69,7 @@ void BM_CacheAnalysisMustOnly(benchmark::State& state) {
   ccfg.cache.size_bytes = static_cast<uint32_t>(state.range(0));
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        wcet::analyze_cache(img, cfgs, img.entry, ccfg));
+        wcet::analyze_cache_flat(img, cfgs, img.entry, ccfg));
 }
 BENCHMARK(BM_CacheAnalysisMustOnly)->Arg(256)->Arg(8192);
 

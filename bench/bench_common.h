@@ -10,42 +10,39 @@
 #include <iostream>
 #include <string>
 
+#include "api/engine.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
-#include "harness/sweep_runner.h"
 
 namespace spmwcet::bench {
-
-// Table generation sweeps every size point; the points are independent, so
-// the benches fan them out over all hardware threads (jobs = 0). The timed
-// google-benchmark loops below still measure single-point latency.
-inline harness::SweepConfig spm_sweep() {
-  harness::SweepConfig cfg;
-  cfg.setup = harness::MemSetup::Scratchpad;
-  cfg.jobs = 0;
-  return cfg;
-}
-
-inline harness::SweepConfig cache_sweep() {
-  harness::SweepConfig cfg;
-  cfg.setup = harness::MemSetup::Cache;
-  cfg.jobs = 0;
-  return cfg;
-}
 
 struct SweepPair {
   std::vector<harness::SweepPoint> spm;
   std::vector<harness::SweepPoint> cache;
 };
 
-/// Runs a benchmark's scratchpad and cache sweeps as one parallel batch
-/// (2 setups × 8 sizes = 16 points filling the pool together) on the
-/// process-wide persistent pool, with the batch's ArtifactCache sharing the
-/// allocation profile across all SPM sizes.
-inline SweepPair run_sweep_pair(const workloads::WorkloadInfo& wl) {
-  auto results = harness::run_matrix(
-      {{&wl, spm_sweep()}, {&wl, cache_sweep()}}, /*jobs=*/0);
-  return {std::move(results[0]), std::move(results[1])};
+/// Runs a benchmark's scratchpad and cache sweeps as one evaluation batch
+/// (2 setups × 8 sizes = 16 points) on an Engine over all hardware
+/// threads, which shares the allocation profile across all SPM sizes.
+inline SweepPair run_sweep_pair(const std::string& workload) {
+  api::Engine engine(api::EngineOptions{/*jobs=*/0});
+  api::EvalResult r =
+      engine.eval(api::EvalRequest::make({workload}).value_or_throw())
+          .value_or_throw();
+  return {std::move(r.results[0].spm), std::move(r.results[0].cache)};
+}
+
+/// One point on a fresh Engine: nothing but the lowered workload carries
+/// over from an earlier call, so a timed loop measures the whole pipeline.
+inline harness::SweepPoint cold_point(const std::string& workload,
+                                      harness::MemSetup setup,
+                                      uint32_t size_bytes) {
+  api::Engine engine;
+  return engine
+      .point(api::PointRequest::make(workload, setup, size_bytes)
+                 .value_or_throw())
+      .value_or_throw()
+      .point;
 }
 
 inline void print_header(const std::string& what) {

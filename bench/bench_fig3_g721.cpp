@@ -38,9 +38,7 @@ BENCHMARK(BM_AnalyzeG721Cache)->Arg(256)->Arg(8192);
 
 int main(int argc, char** argv) {
   using namespace spmwcet;
-  const auto wl = workloads::make_g721();
-
-  const auto [spm, cc] = bench::run_sweep_pair(wl);
+  const auto [spm, cc] = bench::run_sweep_pair("g721");
 
   bench::print_header("Figure 3a: G.721 with scratchpad (ACET and WCET)");
   harness::to_table("G.721", harness::MemSetup::Scratchpad, spm)

@@ -6,18 +6,14 @@
 // MUST-only bound does not).
 #include "bench_common.h"
 
-#include "wcet/analyzer.h"
-
 namespace {
 
 using namespace spmwcet;
 
 void BM_G721RatioPointSpm(benchmark::State& state) {
-  const auto wl = workloads::make_g721();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(harness::run_point(
-        wl, harness::MemSetup::Scratchpad, 1024, bench::spm_sweep()));
-  }
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        bench::cold_point("g721", harness::MemSetup::Scratchpad, 1024));
 }
 BENCHMARK(BM_G721RatioPointSpm);
 
@@ -25,8 +21,7 @@ BENCHMARK(BM_G721RatioPointSpm);
 
 int main(int argc, char** argv) {
   using namespace spmwcet;
-  const auto wl = workloads::make_g721();
-  const auto [spm, cc] = bench::run_sweep_pair(wl);
+  const auto [spm, cc] = bench::run_sweep_pair("g721");
 
   bench::print_header(
       "Figure 4: G.721 WCET/ACET ratio, scratchpad vs cache");

@@ -9,10 +9,9 @@ namespace {
 using namespace spmwcet;
 
 void BM_MultiSortSweepPoint(benchmark::State& state) {
-  const auto wl = workloads::make_multisort();
   for (auto _ : state)
-    benchmark::DoNotOptimize(harness::run_point(
-        wl, harness::MemSetup::Cache, 1024, bench::cache_sweep()));
+    benchmark::DoNotOptimize(
+        bench::cold_point("multisort", harness::MemSetup::Cache, 1024));
 }
 BENCHMARK(BM_MultiSortSweepPoint);
 
@@ -20,8 +19,7 @@ BENCHMARK(BM_MultiSortSweepPoint);
 
 int main(int argc, char** argv) {
   using namespace spmwcet;
-  const auto wl = workloads::make_multisort();
-  const auto [spm, cc] = bench::run_sweep_pair(wl);
+  const auto [spm, cc] = bench::run_sweep_pair("multisort");
 
   bench::print_header(
       "Figure 5: MultiSort WCET/ACET ratio, scratchpad vs cache");

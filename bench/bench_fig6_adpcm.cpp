@@ -10,10 +10,9 @@ namespace {
 using namespace spmwcet;
 
 void BM_AdpcmSpmPoint(benchmark::State& state) {
-  const auto wl = workloads::make_adpcm();
   for (auto _ : state)
-    benchmark::DoNotOptimize(harness::run_point(
-        wl, harness::MemSetup::Scratchpad, 512, bench::spm_sweep()));
+    benchmark::DoNotOptimize(
+        bench::cold_point("adpcm", harness::MemSetup::Scratchpad, 512));
 }
 BENCHMARK(BM_AdpcmSpmPoint);
 
@@ -21,8 +20,7 @@ BENCHMARK(BM_AdpcmSpmPoint);
 
 int main(int argc, char** argv) {
   using namespace spmwcet;
-  const auto wl = workloads::make_adpcm();
-  const auto [spm, cc] = bench::run_sweep_pair(wl);
+  const auto [spm, cc] = bench::run_sweep_pair("adpcm");
 
   bench::print_header("Figure 6a: ADPCM with scratchpad (ACET and WCET)");
   harness::to_table("ADPCM", harness::MemSetup::Scratchpad, spm)

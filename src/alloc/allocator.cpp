@@ -78,8 +78,7 @@ AllocationResult allocate_energy_optimal(
 
 AllocationResult allocate_wcet_driven(const minic::ObjModule& mod,
                                       uint32_t spm_capacity,
-                                      link::LinkOptions opts,
-                                      bool fast_wcet) {
+                                      link::LinkOptions opts) {
   opts.spm_size = spm_capacity;
 
   // Candidates with their sizes; benefits are discovered by re-analysis.
@@ -89,11 +88,9 @@ AllocationResult allocate_wcet_driven(const minic::ObjModule& mod,
 
   link::SpmAssignment current;
   uint32_t used = 0;
-  wcet::AnalyzerConfig acfg;
-  acfg.fast_path = fast_wcet;
   auto wcet_of = [&](const link::SpmAssignment& a) -> uint64_t {
     const link::Image img = link::link_program(mod, opts, a);
-    return wcet::analyze_wcet(img, acfg).wcet;
+    return wcet::analyze_wcet(img).wcet;
   };
   uint64_t current_wcet = wcet_of(current);
 

@@ -81,15 +81,10 @@ harness::SweepConfig Engine::config_for(MemSetup setup,
   cfg.cache_unified = options.cache_unified;
   cfg.with_persistence = options.with_persistence;
   cfg.wcet_driven_alloc = options.wcet_driven_alloc;
-  cfg.use_artifact_cache = options.use_artifact_cache;
-  cfg.fast_wcet = !options.legacy_wcet;
-  cfg.incremental_wcet = options.incremental;
-  cfg.block_tier = options.block_tier;
   // Resolved name-based requests run against the session cache, so
   // size-independent artifacts survive across requests, not just within
   // one batch (run_matrix leaves a non-null pointer alone).
-  cfg.artifacts = options.use_artifact_cache ? &artifacts_ : nullptr;
-  cfg.jobs = opts_.jobs;
+  cfg.artifacts = &artifacts_;
   return cfg;
 }
 
@@ -103,8 +98,7 @@ Result<PointResult> Engine::point(const PointRequest& req) {
   try {
     const AdmissionGate::Ticket ticket(gate_, queue_wait_ms(opts_, deadline));
     if (!ticket.admitted()) return admission_error(deadline, "point");
-    return cached_response<PointResult>(point_responses_, req.key(),
-                                      req.options().use_artifact_cache, [&] {
+    return cached_response<PointResult>(point_responses_, req.key(), [&] {
       PointResult r;
       // Results carry the workload's display name (Table-2 spelling), the
       // same name every table title and the historical `run` report used.
@@ -141,8 +135,7 @@ Result<SweepResult> Engine::sweep(const SweepRequest& req) {
   try {
     const AdmissionGate::Ticket ticket(gate_, queue_wait_ms(opts_, deadline));
     if (!ticket.admitted()) return admission_error(deadline, "sweep");
-    return cached_response<SweepResult>(sweep_responses_, req.key(),
-                                      req.options().use_artifact_cache, [&] {
+    return cached_response<SweepResult>(sweep_responses_, req.key(), [&] {
       harness::SweepConfig cfg =
           config_for(req.setup(), req.sizes(), req.options());
       cfg.deadline = deadline;
@@ -180,13 +173,26 @@ Result<EvalResult> Engine::eval(const EvalRequest& req) {
   try {
     const AdmissionGate::Ticket ticket(gate_, queue_wait_ms(opts_, deadline));
     if (!ticket.admitted()) return admission_error(deadline, "eval");
-    return cached_response<EvalResult>(eval_responses_, req.key(),
-                                     req.options().use_artifact_cache, [&] {
-      harness::SweepConfig base =
+    return cached_response<EvalResult>(eval_responses_, req.key(), [&] {
+      // Both setups of every workload as one batch.
+      harness::SweepConfig spm_cfg =
           config_for(MemSetup::Scratchpad, req.sizes(), req.options());
-      base.deadline = deadline;
+      spm_cfg.deadline = deadline;
+      harness::SweepConfig cache_cfg = spm_cfg;
+      cache_cfg.setup = MemSetup::Cache;
+      std::vector<harness::MatrixRequest> requests;
+      requests.reserve(wls.size() * 2);
+      for (const auto& wl : wls) {
+        requests.push_back({wl.get(), spm_cfg});
+        requests.push_back({wl.get(), cache_cfg});
+      }
+      std::vector<std::vector<harness::SweepPoint>> sweeps =
+          harness::run_matrix(requests, opts_.jobs);
       EvalResult r;
-      r.results = run_evaluation(wls, base);
+      r.results.reserve(wls.size());
+      for (std::size_t i = 0; i < wls.size(); ++i)
+        r.results.push_back({wls[i], std::move(sweeps[2 * i]),
+                             std::move(sweeps[2 * i + 1])});
       return r;
     });
   } catch (const support::DeadlineExceededError& e) {
@@ -213,8 +219,7 @@ Result<CorpusResult> Engine::corpus(const CorpusRequest& req) {
   try {
     const AdmissionGate::Ticket ticket(gate_, queue_wait_ms(opts_, deadline));
     if (!ticket.admitted()) return admission_error(deadline, "corpus");
-    return cached_response<CorpusResult>(corpus_responses_, req.key(),
-                                       req.options().use_artifact_cache, [&] {
+    return cached_response<CorpusResult>(corpus_responses_, req.key(), [&] {
       harness::SweepConfig cfg =
           config_for(req.setup(), req.sizes(), req.options());
       cfg.deadline = deadline;
@@ -275,57 +280,6 @@ Result<CorpusResult> Engine::corpus(const CorpusRequest& req) {
   }
 }
 
-harness::SweepPoint Engine::run_point(const workloads::WorkloadInfo& wl,
-                                      MemSetup setup, uint32_t size_bytes,
-                                      const harness::SweepConfig& cfg) {
-  return harness::detail::execute_point(wl, setup, size_bytes, cfg);
-}
-
-std::vector<harness::SweepPoint>
-Engine::run_sweep(const workloads::WorkloadInfo& wl,
-                  const harness::SweepConfig& cfg) {
-  return harness::run_matrix({harness::MatrixRequest{&wl, cfg}}, opts_.jobs)
-      .front();
-}
-
-std::vector<harness::EvaluationResult> Engine::run_evaluation(
-    const std::vector<std::shared_ptr<const workloads::WorkloadInfo>>& wls,
-    const harness::SweepConfig& base) {
-  harness::SweepConfig spm_cfg = base;
-  spm_cfg.setup = MemSetup::Scratchpad;
-  harness::SweepConfig cache_cfg = base;
-  cache_cfg.setup = MemSetup::Cache;
-  // The workloads are shared_ptr-pinned below, so this path honors the
-  // session cache contract: caching requested + no caller-provided cache
-  // → size-independent artifacts survive across run_evaluation calls
-  // instead of being re-derived per batch.
-  if (base.use_artifact_cache && base.artifacts == nullptr) {
-    spm_cfg.artifacts = &artifacts_;
-    cache_cfg.artifacts = &artifacts_;
-  }
-
-  std::vector<harness::MatrixRequest> requests;
-  requests.reserve(wls.size() * 2);
-  for (const auto& wl : wls) {
-    if (!wl) throw Error("evaluation: null workload");
-    // Shared-ptr workloads can be pinned, so this path may share the
-    // session artifact cache across calls.
-    pin(wl);
-    requests.push_back({wl.get(), spm_cfg});
-    requests.push_back({wl.get(), cache_cfg});
-  }
-
-  std::vector<std::vector<harness::SweepPoint>> sweeps =
-      harness::run_matrix(requests, opts_.jobs);
-
-  std::vector<harness::EvaluationResult> results;
-  results.reserve(wls.size());
-  for (std::size_t i = 0; i < wls.size(); ++i)
-    results.push_back({wls[i], std::move(sweeps[2 * i]),
-                       std::move(sweeps[2 * i + 1])});
-  return results;
-}
-
 Result<SimBenchResult> Engine::simbench(const SimBenchRequest& req) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   try {
@@ -350,12 +304,8 @@ SimBenchResult Engine::measure_simbench(const SimBenchRequest& req) {
   // no-assignment baseline.
   sim::SimConfig scfg;
   scfg.collect_profile = true;
-  scfg.fast_path = !req.legacy_sim();
-  scfg.block_tier = req.block_tier();
 
   SimBenchResult out;
-  out.legacy_sim = req.legacy_sim();
-  out.block_tier = req.block_tier();
   out.repeat = req.repeat();
   out.spm_bytes = req.spm_bytes();
 
@@ -378,8 +328,7 @@ SimBenchResult Engine::measure_simbench(const SimBenchRequest& req) {
 
   uint64_t total_instr = 0, base_instr = 0;
   double total_seconds = 0.0, base_seconds = 0.0;
-  // The shared simbench set (paper benchmarks + generated members) — the
-  // same list the CLI command and bench_sim_throughput measure.
+  // The shared simbench set (paper benchmarks + generated members).
   for (const std::string& name : workloads::simbench_names()) {
     const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
     pin(wl);
@@ -436,21 +385,15 @@ Result<WcetBenchResult> Engine::wcetbench(const WcetBenchRequest& req) {
 WcetBenchResult Engine::measure_wcetbench(const WcetBenchRequest& req) {
   // Measures what a sweep actually pays per point for WCET analysis: per
   // workload and setup, one timed pass covers the 8 paper sizes exactly the
-  // way the sweep harness executes them — fast path: one shared decode +
+  // way the sweep harness executes them — one shared decode +
   // layout-invariant shape per pass, SPM placements re-bound per point, all
-  // cache sizes analyzed against one bound view; legacy: the seed analyzer
-  // from scratch per point. Linking, allocation and simulation are untimed
-  // setup (they are not analysis). Best-of-N damps machine noise.
-  // The incremental configuration additionally threads a fresh per-pass
-  // IPET skeleton cache through the points (built inside the timed region,
-  // exactly the cost a batch pays) and runs the flat persistence domain on
-  // the persistence pass; --no-incremental re-solves every ILP from scratch
-  // and keeps the map-based persistence analysis, which is the PR 5
-  // baseline the speedup gate compares against.
+  // cache sizes analyzed against one bound view, and a fresh per-pass IPET
+  // skeleton cache threaded through the points (built inside the timed
+  // region, exactly the cost a batch pays). Linking, allocation and
+  // simulation are untimed setup (they are not analysis). Best-of-N damps
+  // machine noise.
   const std::vector<uint32_t> sizes = harness::SweepConfig{}.sizes;
   WcetBenchResult out;
-  out.legacy_wcet = req.legacy_wcet();
-  out.incremental = req.incremental();
   out.repeat = req.repeat();
 
   uint64_t total_analyses = 0;
@@ -494,58 +437,33 @@ WcetBenchResult Engine::measure_wcetbench(const WcetBenchRequest& req) {
       out.rows.push_back(std::move(row));
     };
 
-    wcet::AnalyzerConfig legacy_cfg;
-    legacy_cfg.fast_path = false;
-    const auto fast_cfg = [&](const wcet::IpetCache& ipet) {
-      wcet::AnalyzerConfig acfg;
-      acfg.incremental = req.incremental();
-      acfg.ipet_cache = req.incremental() ? &ipet : nullptr;
-      return acfg;
-    };
-
     measure("spm", [&] {
-      if (req.legacy_wcet()) {
-        for (const link::Image& pimg : placed)
-          (void)wcet::analyze_wcet(pimg, legacy_cfg);
-      } else {
-        const program::DecodedImage dec0(*img);
-        const auto shape = std::make_shared<const wcet::ProgramShape>(
-            wcet::build_shape(*img, dec0));
-        const wcet::IpetCache ipet;
-        const wcet::AnalyzerConfig acfg = fast_cfg(ipet);
-        for (const link::Image& pimg : placed) {
-          const program::DecodedImage dec(pimg);
-          (void)wcet::analyze_wcet(wcet::bind_view(shape, pimg, dec), acfg);
-        }
+      const program::DecodedImage dec0(*img);
+      const auto shape = std::make_shared<const wcet::ProgramShape>(
+          wcet::build_shape(*img, dec0));
+      const wcet::IpetCache ipet;
+      wcet::AnalyzerConfig acfg;
+      acfg.ipet_cache = &ipet;
+      for (const link::Image& pimg : placed) {
+        const program::DecodedImage dec(pimg);
+        (void)wcet::analyze_wcet(wcet::bind_view(shape, pimg, dec), acfg);
       }
     });
 
-    const auto cache_cfg = [](uint32_t size) {
-      cache::CacheConfig ccfg;
-      ccfg.size_bytes = size;
-      ccfg.line_bytes = 16;
-      return ccfg;
-    };
     const auto cache_pass = [&](bool persistence) {
-      if (req.legacy_wcet()) {
-        for (const uint32_t size : sizes) {
-          wcet::AnalyzerConfig acfg = legacy_cfg;
-          acfg.cache = cache_cfg(size);
-          acfg.with_persistence = persistence;
-          (void)wcet::analyze_wcet(*img, acfg);
-        }
-      } else {
-        const program::DecodedImage dec(*img);
-        const auto shape = std::make_shared<const wcet::ProgramShape>(
-            wcet::build_shape(*img, dec));
-        const wcet::ProgramView view = wcet::bind_view(shape, *img, dec);
-        const wcet::IpetCache ipet;
-        for (const uint32_t size : sizes) {
-          wcet::AnalyzerConfig acfg = fast_cfg(ipet);
-          acfg.cache = cache_cfg(size);
-          acfg.with_persistence = persistence;
-          (void)wcet::analyze_wcet(view, acfg);
-        }
+      const program::DecodedImage dec(*img);
+      const auto shape = std::make_shared<const wcet::ProgramShape>(
+          wcet::build_shape(*img, dec));
+      const wcet::ProgramView view = wcet::bind_view(shape, *img, dec);
+      const wcet::IpetCache ipet;
+      for (const uint32_t size : sizes) {
+        wcet::AnalyzerConfig acfg;
+        acfg.cache = cache::CacheConfig{};
+        acfg.cache->size_bytes = size;
+        acfg.cache->line_bytes = 16;
+        acfg.with_persistence = persistence;
+        acfg.ipet_cache = &ipet;
+        (void)wcet::analyze_wcet(view, acfg);
       }
     };
     measure("cache", [&] { cache_pass(/*persistence=*/false); });

@@ -10,17 +10,10 @@
 // deterministic, so identical requests are served the stored result). A cold first request pays lowering + profiling +
 // pipeline; warm requests pay only what is genuinely new.
 //
-// Two layers of entry points:
-//  * Request API — point()/sweep()/eval()/corpus()/simbench() consume the
-//    validated
-//    immutable values from api/request.h and return Result<T>; errors come
-//    back as structured ApiError, never as exceptions. This is the surface
-//    the wire codec and the CLI speak.
-//  * Session API — run_point()/run_sweep()/run_evaluation() take harness
-//    types directly (borrowed WorkloadInfo, raw SweepConfig) and keep the
-//    historical throwing semantics. The pre-Engine free functions
-//    (harness::run_point/run_sweep/run_full_evaluation) are documented
-//    shims over this layer.
+// The entry points — point()/sweep()/eval()/corpus()/simbench()/
+// wcetbench() — consume the validated immutable values from api/request.h
+// and return Result<T>; errors come back as structured ApiError, never as
+// exceptions. This is the surface the wire codec and the CLI speak.
 //
 // Thread safety: an Engine is safe for concurrent request execution — the
 // socket serve front ends drive one shared Engine from one thread per
@@ -144,8 +137,6 @@ struct SimBenchResult {
     double best_seconds = 0.0;
     double instr_per_second = 0.0;
   };
-  bool legacy_sim = false;
-  bool block_tier = true; ///< false: per-instruction fast-path baseline
   uint32_t repeat = 0;
   uint32_t spm_bytes = 0;
   std::vector<Row> rows;
@@ -164,8 +155,6 @@ struct WcetBenchResult {
     double best_seconds = 0.0; ///< best pass wall time
     double analyses_per_second = 0.0;
   };
-  bool legacy_wcet = false;
-  bool incremental = true;
   uint32_t repeat = 0;
   std::vector<Row> rows;
   double aggregate_aps = 0.0; ///< all rows: total analyses / total seconds
@@ -189,8 +178,8 @@ struct EngineStats {
   support::MemoStats placement_artifacts;  ///< placed SPM runs (misses =
                                            ///< distinct placements run)
   /// IPET skeleton builds/hits/fallbacks summed over the per-workload
-  /// stores: hits > 0 with no fallbacks shows the incremental IPET path
-  /// served the solves.
+  /// stores: hits > 0 with no fallbacks shows the skeletons served the
+  /// solves.
   wcet::IpetCacheStats ipet_skeletons;
 };
 
@@ -198,30 +187,12 @@ class Engine {
 public:
   explicit Engine(EngineOptions opts = {});
 
-  // ---- Request API (wire/CLI surface) -----------------------------------
   Result<PointResult> point(const PointRequest& req);
   Result<SweepResult> sweep(const SweepRequest& req);
   Result<EvalResult> eval(const EvalRequest& req);
   Result<CorpusResult> corpus(const CorpusRequest& req);
   Result<SimBenchResult> simbench(const SimBenchRequest& req);
   Result<WcetBenchResult> wcetbench(const WcetBenchRequest& req);
-
-  // ---- Session API (harness compatibility layer) ------------------------
-  // Throwing, instance-based: `cfg` passes through unchanged (including a
-  // caller-provided artifacts cache), so these are drop-in equivalents of
-  // the historical free functions. Borrowed workloads are NOT entered into
-  // the cross-request cache — the Engine cannot pin their lifetime.
-  harness::SweepPoint run_point(const workloads::WorkloadInfo& wl,
-                                MemSetup setup, uint32_t size_bytes,
-                                const harness::SweepConfig& cfg);
-  std::vector<harness::SweepPoint>
-  run_sweep(const workloads::WorkloadInfo& wl, const harness::SweepConfig& cfg);
-  /// Shared-ptr workloads are pinned for the Engine's lifetime, so this
-  /// path does use the cross-request artifact cache (when cfg asks for
-  /// caching and carries none of its own).
-  std::vector<harness::EvaluationResult> run_evaluation(
-      const std::vector<std::shared_ptr<const workloads::WorkloadInfo>>& wls,
-      const harness::SweepConfig& base);
 
   EngineStats stats() const;
   const EngineOptions& options() const { return opts_; }
@@ -316,15 +287,12 @@ private:
   };
 
   /// The shared response-cache policy: compute, or serve the memoized
-  /// result for an identical request key (counting the hit). A request
-  /// that opts out of artifact caching is asking for re-derivation — its
-  /// responses must re-execute too (`cacheable` = false), or warm A/B
-  /// timings of the no-cache path would measure a replay.
+  /// result for an identical request key (counting the hit).
   template <typename R>
   Result<R> cached_response(support::Memoizer<std::string, R>& cache,
-                            const std::string& key, bool cacheable,
+                            const std::string& key,
                             const std::function<R()>& compute) {
-    if (!opts_.cache_responses || !cacheable) return compute();
+    if (!opts_.cache_responses) return compute();
     bool computed = false;
     const std::shared_ptr<const R> result = cache.get(key, [&] {
       computed = true;

@@ -81,10 +81,8 @@ void render_simbench(const SimBenchResult& result, std::ostream& os) {
     table.add_row({r.benchmark, r.config, TablePrinter::fmt(r.instructions),
                    TablePrinter::fmt(r.best_seconds * 1e3, 3),
                    TablePrinter::fmt(r.instr_per_second, 0)});
-  os << "simulator throughput ("
-     << (result.legacy_sim ? "legacy"
-                           : (result.block_tier ? "block-tier" : "fast"))
-     << " path, best of " << result.repeat << ", profiling on):\n";
+  os << "simulator throughput (best of " << result.repeat
+     << ", profiling on):\n";
   table.render(os);
   os << "aggregate instructions/second: "
      << static_cast<uint64_t>(result.aggregate_ips) << "\n";
@@ -105,11 +103,7 @@ void render_wcetbench(const WcetBenchResult& result, std::ostream& os) {
                    TablePrinter::fmt(static_cast<uint64_t>(r.analyses)),
                    TablePrinter::fmt(r.best_seconds * 1e3, 3),
                    TablePrinter::fmt(r.analyses_per_second, 0)});
-  os << "WCET analyzer throughput ("
-     << (result.legacy_wcet
-             ? "legacy"
-             : (result.incremental ? "IR incremental" : "IR from-scratch"))
-     << " analyzer, best of " << result.repeat
+  os << "WCET analyzer throughput (best of " << result.repeat
      << ", one pass = the 8 paper sizes of one setup):\n";
   table.render(os);
   os << "aggregate analyses/second: "

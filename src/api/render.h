@@ -38,14 +38,14 @@ void render_corpus_json(const CorpusResult& result, std::ostream& os);
 /// The `spmwcet simbench` throughput table + aggregate lines.
 void render_simbench(const SimBenchResult& result, std::ostream& os);
 
-/// BENCH_sim.json (schema spmwcet-sim-throughput/2: per-configuration rows
+/// BENCH_sim.json (schema spmwcet-sim-throughput/4: per-configuration rows
 /// plus overall and baseline-only aggregates).
 void render_simbench_json(const SimBenchResult& result, std::ostream& os);
 
 /// The `spmwcet wcetbench` analyzer-throughput table + aggregate line.
 void render_wcetbench(const WcetBenchResult& result, std::ostream& os);
 
-/// BENCH_wcet.json (schema spmwcet-wcet-throughput/1: per-setup rows plus
+/// BENCH_wcet.json (schema spmwcet-wcet-throughput/3: per-setup rows plus
 /// the overall analyses/second aggregate).
 void render_wcetbench_json(const WcetBenchResult& result, std::ostream& os);
 

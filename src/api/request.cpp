@@ -143,13 +143,6 @@ void key_options(std::string& key, const ExperimentOptions& o) {
   key += o.cache_unified ? "|unified" : "|icache";
   if (o.with_persistence) key += "|pers";
   if (o.wcet_driven_alloc) key += "|wcetalloc";
-  if (!o.use_artifact_cache) key += "|nocache";
-  // The legacy analyzer produces identical results, but it must still key
-  // separately: a --legacy-wcet A/B timing served a replayed fast-path
-  // response would be a lie. Same for the --no-incremental baseline.
-  if (o.legacy_wcet) key += "|legacywcet";
-  if (!o.incremental) key += "|noincr";
-  if (!o.block_tier) key += "|noblocktier";
 }
 
 void key_sizes(std::string& key, const std::vector<uint32_t>& sizes) {
@@ -312,9 +305,7 @@ std::string CorpusRequest::key() const {
   return key;
 }
 
-Result<WcetBenchRequest> WcetBenchRequest::make(uint32_t repeat,
-                                                bool legacy_wcet,
-                                                bool incremental) {
+Result<WcetBenchRequest> WcetBenchRequest::make(uint32_t repeat) {
   if (repeat == 0 || repeat > kMaxRepeat)
     return ApiError{ErrorCode::OutOfRange,
                     "repeat " + std::to_string(repeat) +
@@ -323,19 +314,15 @@ Result<WcetBenchRequest> WcetBenchRequest::make(uint32_t repeat,
                     "repeat"};
   WcetBenchRequest req;
   req.repeat_ = repeat;
-  req.legacy_ = legacy_wcet;
-  req.incremental_ = incremental;
   return req;
 }
 
 std::string WcetBenchRequest::key() const {
-  return "wcetbench|r=" + std::to_string(repeat_) +
-         (legacy_ ? "|legacy" : "|fast") + (incremental_ ? "" : "|noincr");
+  return "wcetbench|r=" + std::to_string(repeat_);
 }
 
-Result<SimBenchRequest> SimBenchRequest::make(uint32_t repeat, bool legacy_sim,
-                                              uint32_t spm_bytes,
-                                              bool block_tier) {
+Result<SimBenchRequest> SimBenchRequest::make(uint32_t repeat,
+                                              uint32_t spm_bytes) {
   if (repeat == 0 || repeat > kMaxRepeat)
     return ApiError{ErrorCode::OutOfRange,
                     "repeat " + std::to_string(repeat) +
@@ -349,17 +336,13 @@ Result<SimBenchRequest> SimBenchRequest::make(uint32_t repeat, bool legacy_sim,
                     "spm_bytes"};
   SimBenchRequest req;
   req.repeat_ = repeat;
-  req.legacy_ = legacy_sim;
   req.spm_bytes_ = spm_bytes;
-  req.block_tier_ = block_tier;
   return req;
 }
 
 std::string SimBenchRequest::key() const {
   return "simbench|r=" + std::to_string(repeat_) +
-         (legacy_ ? "|legacy" : "|fast") +
-         "|spm=" + std::to_string(spm_bytes_) +
-         (block_tier_ ? "" : "|noblocktier");
+         "|spm=" + std::to_string(spm_bytes_);
 }
 
 } // namespace spmwcet::api

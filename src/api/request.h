@@ -42,8 +42,8 @@ inline constexpr uint32_t kMaxCorpusCount = 4096;
 /// deadline beyond it is a client bug, not a longer patience.
 inline constexpr uint32_t kMaxDeadlineMs = 3'600'000;
 /// Largest cache associativity: the largest power of two whose ages fit
-/// the seed abstract caches' uint8_t and the flat persistence domain's
-/// byte-wide ages (assoc + 1 <= 0xff).
+/// the cache analysis' byte-wide ages (the flat persistence domain stores
+/// assoc + 1 <= 0xff).
 inline constexpr uint32_t kMaxCacheAssoc = 128;
 
 /// Per-point pipeline knobs shared by point and sweep requests.
@@ -52,16 +52,6 @@ struct ExperimentOptions {
   bool cache_unified = true;    ///< cache branch: unified vs instruction-only
   bool with_persistence = false;///< cache branch: persistence analysis
   bool wcet_driven_alloc = false; ///< SPM branch: WCET-greedy ablation
-  bool use_artifact_cache = true; ///< false = point-local artifacts only
-  bool legacy_wcet = false; ///< seed WCET analyzer (field-identical, slower)
-  /// Incremental IPET (batch-scoped LP-skeleton cache) + flat persistence;
-  /// false is the --no-incremental from-scratch A/B baseline
-  /// (field-identical, slower). Ignored with legacy_wcet.
-  bool incremental = true;
-  /// Superblock translation tier in the simulator; false is the
-  /// --no-block-tier per-instruction A/B baseline (field-identical,
-  /// slower). Drives the cache branch's observed run too.
-  bool block_tier = true;
 };
 
 class PointRequest {
@@ -189,23 +179,15 @@ public:
   /// workload, one sweep-shaped pass per setup (the 8 paper sizes of the
   /// SPM branch against pre-linked placements, the 8 cache sizes — and the
   /// persistence-enabled cache sizes — against the canonical image), best
-  /// of `repeat`. `legacy_wcet` measures the seed analyzer as the speedup
-  /// baseline; `incremental = false` measures the PR 5 fast path
-  /// (from-scratch IPET, map persistence) as the incremental baseline.
-  static Result<WcetBenchRequest> make(uint32_t repeat = 5,
-                                       bool legacy_wcet = false,
-                                       bool incremental = true);
+  /// of `repeat`.
+  static Result<WcetBenchRequest> make(uint32_t repeat = 5);
 
   uint32_t repeat() const { return repeat_; }
-  bool legacy_wcet() const { return legacy_; }
-  bool incremental() const { return incremental_; }
   std::string key() const;
 
 private:
   WcetBenchRequest() = default;
   uint32_t repeat_ = 5;
-  bool legacy_ = false;
-  bool incremental_ = true;
 };
 
 class SimBenchRequest {
@@ -213,26 +195,17 @@ public:
   /// `spm_bytes` adds the SPM-placed configuration (energy-knapsack
   /// allocation at that capacity) next to the no-assignment baseline;
   /// 0 measures the baseline only.
-  /// `block_tier = false` measures the per-instruction fast path — the
-  /// baseline the CI throughput gate compares the translation tier
-  /// against. Ignored (always interpreting) with legacy_sim.
   static Result<SimBenchRequest> make(uint32_t repeat = 5,
-                                      bool legacy_sim = false,
-                                      uint32_t spm_bytes = 4096,
-                                      bool block_tier = true);
+                                      uint32_t spm_bytes = 4096);
 
   uint32_t repeat() const { return repeat_; }
-  bool legacy_sim() const { return legacy_; }
   uint32_t spm_bytes() const { return spm_bytes_; }
-  bool block_tier() const { return block_tier_; }
   std::string key() const;
 
 private:
   SimBenchRequest() = default;
   uint32_t repeat_ = 5;
-  bool legacy_ = false;
   uint32_t spm_bytes_ = 4096;
-  bool block_tier_ = true;
 };
 
 /// "spm" / "cache" — the wire spelling of MemSetup.

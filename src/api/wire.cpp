@@ -66,10 +66,8 @@ Result<ExperimentOptions> parse_options(const json::Value& req) {
   // Unknown keys are refused, not ignored: a typoed option ("wcet-alloc",
   // "persistance") silently running the default configuration would hand
   // the client mislabeled data with ok:true.
-  static const char* known[] = {"assoc",          "unified",
-                                "persistence",    "wcet_alloc",
-                                "artifact_cache", "legacy_wcet",
-                                "incremental",    "block_tier"};
+  static const char* known[] = {"assoc", "unified", "persistence",
+                                "wcet_alloc"};
   for (const auto& [key, value] : o->members()) {
     bool ok = false;
     for (const char* k : known) ok = ok || key == k;
@@ -88,18 +86,6 @@ Result<ExperimentOptions> parse_options(const json::Value& req) {
   auto wcet = get_bool(*o, "wcet_alloc", opts.wcet_driven_alloc);
   if (!wcet.ok()) return wcet.error();
   opts.wcet_driven_alloc = wcet.value();
-  auto cache = get_bool(*o, "artifact_cache", opts.use_artifact_cache);
-  if (!cache.ok()) return cache.error();
-  opts.use_artifact_cache = cache.value();
-  auto legacy = get_bool(*o, "legacy_wcet", opts.legacy_wcet);
-  if (!legacy.ok()) return legacy.error();
-  opts.legacy_wcet = legacy.value();
-  auto incr = get_bool(*o, "incremental", opts.incremental);
-  if (!incr.ok()) return incr.error();
-  opts.incremental = incr.value();
-  auto tier = get_bool(*o, "block_tier", opts.block_tier);
-  if (!tier.ok()) return tier.error();
-  opts.block_tier = tier.value();
   return opts;
 }
 
@@ -356,19 +342,13 @@ Result<AnyRequest> parse_request(const std::string& line) {
 
   if (name == "wcetbench") {
     out.op = Op::WcetBench;
-    if (auto err = check_fields(req, {"repeat", "legacy", "incremental"}))
-      return *err;
+    if (auto err = check_fields(req, {"repeat"})) return *err;
     if (out.render == Render::Csv)
       return invalid("render \"csv\" is not supported for op 'wcetbench'",
                      "render");
     auto repeat = get_u32(req, "repeat", 5);
     if (!repeat.ok()) return repeat.error();
-    auto legacy = get_bool(req, "legacy", false);
-    if (!legacy.ok()) return legacy.error();
-    auto incr = get_bool(req, "incremental", true);
-    if (!incr.ok()) return incr.error();
-    auto bench =
-        WcetBenchRequest::make(repeat.value(), legacy.value(), incr.value());
+    auto bench = WcetBenchRequest::make(repeat.value());
     if (!bench.ok()) return bench.error();
     out.wcetbench = std::move(bench).value();
     return out;
@@ -376,22 +356,15 @@ Result<AnyRequest> parse_request(const std::string& line) {
 
   if (name == "simbench") {
     out.op = Op::SimBench;
-    if (auto err =
-            check_fields(req, {"repeat", "legacy", "spm_bytes", "block_tier"}))
-      return *err;
+    if (auto err = check_fields(req, {"repeat", "spm_bytes"})) return *err;
     if (out.render == Render::Csv)
       return invalid("render \"csv\" is not supported for op 'simbench'",
                      "render");
     auto repeat = get_u32(req, "repeat", 5);
     if (!repeat.ok()) return repeat.error();
-    auto legacy = get_bool(req, "legacy", false);
-    if (!legacy.ok()) return legacy.error();
     auto spm = get_u32(req, "spm_bytes", 4096);
     if (!spm.ok()) return spm.error();
-    auto tier = get_bool(req, "block_tier", true);
-    if (!tier.ok()) return tier.error();
-    auto bench = SimBenchRequest::make(repeat.value(), legacy.value(),
-                                       spm.value(), tier.value());
+    auto bench = SimBenchRequest::make(repeat.value(), spm.value());
     if (!bench.ok()) return bench.error();
     out.simbench = std::move(bench).value();
     return out;
@@ -490,9 +463,7 @@ std::string encode_response(int64_t id, const SimBenchResult& result,
 
 json::Value simbench_to_json(const SimBenchResult& result) {
   json::Value r = json::Value::object();
-  r.set("schema", json::Value("spmwcet-sim-throughput/3"));
-  r.set("mode", json::Value(result.legacy_sim ? "legacy" : "fast"));
-  r.set("block_tier", json::Value(result.block_tier));
+  r.set("schema", json::Value("spmwcet-sim-throughput/4"));
   r.set("repeat", json::Value(result.repeat));
   r.set("spm_bytes", json::Value(result.spm_bytes));
   json::Value rows = json::Value::array();
@@ -521,9 +492,7 @@ std::string encode_response(int64_t id, const WcetBenchResult& result,
 
 json::Value wcetbench_to_json(const WcetBenchResult& result) {
   json::Value r = json::Value::object();
-  r.set("schema", json::Value("spmwcet-wcet-throughput/2"));
-  r.set("mode", json::Value(result.legacy_wcet ? "legacy" : "fast"));
-  r.set("incremental", json::Value(result.incremental));
+  r.set("schema", json::Value("spmwcet-wcet-throughput/3"));
   r.set("repeat", json::Value(result.repeat));
   json::Value rows = json::Value::array();
   for (const WcetBenchResult::Row& row : result.rows) {

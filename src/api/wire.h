@@ -20,7 +20,7 @@
 // ("text" or "csv" — the response then carries an "output" string with the
 // exact bytes the batch CLI would print for the equivalent command),
 // "options" ({"assoc":N,"unified":bool,"persistence":bool,
-// "wcet_alloc":bool,"artifact_cache":bool}), and — on point/sweep/eval —
+// "wcet_alloc":bool}), and — on point/sweep/eval —
 // "deadline_ms" (wall-time budget from request arrival; an expired
 // request is answered with code "deadline_exceeded" instead of running to
 // completion).
@@ -115,12 +115,12 @@ support::json::Value memo_stats_to_json(const support::MemoStats& stats);
 /// op's engine section and corpusbench's BENCH JSON.
 support::json::Value ipet_stats_to_json(const wcet::IpetCacheStats& stats);
 
-/// The SimBenchResult payload (schema spmwcet-sim-throughput/2) as a JSON
+/// The SimBenchResult payload (schema spmwcet-sim-throughput/4) as a JSON
 /// value — the single field-schema definition shared by the serve response
 /// and the `simbench --json` BENCH_sim.json file, so the two cannot drift.
 support::json::Value simbench_to_json(const SimBenchResult& result);
 
-/// The WcetBenchResult payload (schema spmwcet-wcet-throughput/1), shared
+/// The WcetBenchResult payload (schema spmwcet-wcet-throughput/3), shared
 /// by the serve response and `wcetbench --json` BENCH_wcet.json.
 support::json::Value wcetbench_to_json(const WcetBenchResult& result);
 

@@ -52,16 +52,10 @@ struct PlacedRun {
   uint32_t spm_extent = 0; ///< link::Image::spm_extent of the placed image
 };
 
-/// Identity of a placed run: the workload, the scratchpad contents, and the
-/// switches that select an implementation. The switches never change the
-/// result, but a --legacy-wcet, --no-block-tier or --no-incremental request
-/// must run its own path rather than read the default path's numbers.
+/// Identity of a placed run: the workload and the scratchpad contents.
 struct PlacementKey {
   const workloads::WorkloadInfo* workload = nullptr;
   link::SpmAssignment assignment;
-  bool fast_wcet = true;
-  bool block_tier = true;
-  bool incremental_wcet = true;
   auto operator<=>(const PlacementKey&) const = default;
 };
 

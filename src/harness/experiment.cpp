@@ -1,11 +1,8 @@
 #include "harness/experiment.h"
 
-#include "api/engine.h"
 #include "harness/artifact_cache.h"
-#include "harness/sweep_runner.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "alloc/allocator.h"
 #include "link/layout.h"
@@ -48,12 +45,9 @@ canonical_decoded(const workloads::WorkloadInfo& wl, ArtifactCache& ac,
 /// run.
 std::shared_ptr<const sim::BlockTable>
 canonical_blocks(const workloads::WorkloadInfo& wl, ArtifactCache& ac,
-                 const link::Image& img, const program::DecodedImage* dec) {
-  return ac.blocks(wl, [&] {
-    const sim::SymbolIndex syms(img);
-    return dec != nullptr ? sim::BlockTable(*dec, syms, img)
-                          : sim::BlockTable(img, syms);
-  });
+                 const link::Image& img, const program::DecodedImage& dec) {
+  return ac.blocks(
+      wl, [&] { return sim::BlockTable(dec, sim::SymbolIndex(img), img); });
 }
 
 /// The analyzer front end bound to the canonical image, shared by every
@@ -69,15 +63,6 @@ canonical_view(const workloads::WorkloadInfo& wl, ArtifactCache& ac,
     v.pinned_image = img;
     return v;
   });
-}
-
-/// The workload's IPET skeleton store when incremental solving is on; null
-/// otherwise.
-std::shared_ptr<const wcet::IpetCache>
-ipet_cache_for(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
-               ArtifactCache& ac) {
-  if (cfg.incremental_wcet && cfg.fast_wcet) return ac.ipet(wl);
-  return nullptr;
 }
 
 void validate_outputs(const workloads::WorkloadInfo& wl, sim::Simulator& s,
@@ -154,13 +139,9 @@ reuse_table(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
     cache::ReuseTable::Builder rec(cfg.cache_unified);
     sim::SimConfig scfg;
     scfg.reuse = &rec;
-    scfg.block_tier = cfg.block_tier;
     scfg.predecoded = &dec;
-    std::shared_ptr<const sim::BlockTable> blocks;
-    if (cfg.block_tier) {
-      blocks = canonical_blocks(wl, ac, img, &dec);
-      scfg.compiled_blocks = blocks.get();
-    }
+    const auto blocks = canonical_blocks(wl, ac, img, dec);
+    scfg.compiled_blocks = blocks.get();
     sim::Simulator s(img, scfg);
     const sim::SimResult run = s.run();
     validate_outputs(wl, s, "cache");
@@ -171,23 +152,15 @@ reuse_table(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
 /// The paper's allocation profile: one simulation of the canonical
 /// no-assignment image, whose access counts do not depend on the capacity.
 std::shared_ptr<const sim::AccessProfile>
-allocation_profile(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
-                   ArtifactCache& ac) {
+allocation_profile(const workloads::WorkloadInfo& wl, ArtifactCache& ac) {
   return ac.profile(wl, [&] {
     const auto img = no_assignment_image(wl, ac);
     sim::SimConfig pcfg;
     pcfg.collect_profile = true;
-    pcfg.block_tier = cfg.block_tier;
-    std::shared_ptr<const program::DecodedImage> dec;
-    if (cfg.fast_wcet) {
-      dec = canonical_decoded(wl, ac, *img);
-      pcfg.predecoded = dec.get();
-    }
-    std::shared_ptr<const sim::BlockTable> blocks;
-    if (cfg.block_tier) {
-      blocks = canonical_blocks(wl, ac, *img, dec.get());
-      pcfg.compiled_blocks = blocks.get();
-    }
+    const auto dec = canonical_decoded(wl, ac, *img);
+    pcfg.predecoded = dec.get();
+    const auto blocks = canonical_blocks(wl, ac, *img, *dec);
+    pcfg.compiled_blocks = blocks.get();
     sim::Simulator profiler(*img, pcfg);
     return profiler.run().profile;
   });
@@ -208,29 +181,17 @@ PlacedRun run_placement(const workloads::WorkloadInfo& wl, uint32_t size,
   const link::Image img = link::link_program(wl.module, opts, assignment);
   sim::SimConfig scfg;
   scfg.collect_profile = true;
-  scfg.block_tier = cfg.block_tier;
-  std::optional<program::DecodedImage> dec;
-  if (cfg.fast_wcet) {
-    dec.emplace(img);
-    scfg.predecoded = &*dec;
-  }
+  const program::DecodedImage dec(img);
+  scfg.predecoded = &dec;
   sim::Simulator s(img, scfg);
   const sim::SimResult run = s.run();
   validate_outputs(wl, s, "spm/" + std::to_string(size));
   cfg.deadline.check("simulate");
-  wcet::WcetReport report;
-  if (cfg.fast_wcet) {
-    wcet::AnalyzerConfig acfg;
-    acfg.incremental = cfg.incremental_wcet;
-    const auto ipet = ipet_cache_for(wl, cfg, ac);
-    acfg.ipet_cache = ipet.get();
-    report = wcet::analyze_wcet(
-        wcet::bind_view(shape_for(wl, ac, img, *dec), img, *dec), acfg);
-  } else {
-    wcet::AnalyzerConfig acfg;
-    acfg.fast_path = false;
-    report = wcet::analyze_wcet(img, acfg);
-  }
+  wcet::AnalyzerConfig acfg;
+  const auto ipet = ac.ipet(wl);
+  acfg.ipet_cache = ipet.get();
+  const wcet::WcetReport report = wcet::analyze_wcet(
+      wcet::bind_view(shape_for(wl, ac, img, dec), img, dec), acfg);
   return PlacedRun{run.cycles, report.wcet, estimate_energy(img, run),
                    img.spm_extent};
 }
@@ -240,16 +201,14 @@ SweepPoint run_spm_point(const workloads::WorkloadInfo& wl, uint32_t size,
   // 1. Allocation, every point: profile-driven energy knapsack over the
   //    workload's candidate table (the paper's flow) or the WCET-driven
   //    greedy ablation.
-  PlacementKey key{&wl, {}, cfg.fast_wcet, cfg.block_tier,
-                   cfg.incremental_wcet};
+  PlacementKey key{&wl, {}};
   uint32_t used = 0;
   if (cfg.wcet_driven_alloc) {
-    auto alloc =
-        alloc::allocate_wcet_driven(wl.module, size, {}, cfg.fast_wcet);
+    auto alloc = alloc::allocate_wcet_driven(wl.module, size);
     key.assignment = std::move(alloc.assignment);
     used = alloc.used_bytes;
   } else {
-    const auto profile = allocation_profile(wl, cfg, ac);
+    const auto profile = allocation_profile(wl, ac);
     const auto candidates = ac.candidates(wl, [&] {
       return alloc::collect_objects(wl.module, *profile, {});
     });
@@ -300,17 +259,10 @@ SweepPoint run_cache_point(const workloads::WorkloadInfo& wl, uint32_t size,
   wcet::AnalyzerConfig acfg;
   acfg.cache = ccfg;
   acfg.with_persistence = cfg.with_persistence;
-  wcet::WcetReport report;
-  if (cfg.fast_wcet) {
-    acfg.incremental = cfg.incremental_wcet;
-    const auto ipet = ipet_cache_for(wl, cfg, ac);
-    acfg.ipet_cache = ipet.get();
-    report = wcet::analyze_wcet(*canonical_view(wl, ac, shared_img, *dec),
-                                acfg);
-  } else {
-    acfg.fast_path = false;
-    report = wcet::analyze_wcet(img, acfg);
-  }
+  const auto ipet = ac.ipet(wl);
+  acfg.ipet_cache = ipet.get();
+  const wcet::WcetReport report =
+      wcet::analyze_wcet(*canonical_view(wl, ac, shared_img, *dec), acfg);
 
   SweepPoint pt;
   pt.size_bytes = size;
@@ -338,32 +290,13 @@ SweepPoint execute_point(const workloads::WorkloadInfo& wl, MemSetup setup,
   // A point without a shared cache gets its own, so shared and per-point
   // artifacts run one pipeline.
   ArtifactCache local;
-  ArtifactCache& ac =
-      cfg.use_artifact_cache && cfg.artifacts != nullptr ? *cfg.artifacts
-                                                         : local;
+  ArtifactCache& ac = cfg.artifacts != nullptr ? *cfg.artifacts : local;
   return setup == MemSetup::Scratchpad
              ? run_spm_point(wl, size_bytes, cfg, ac)
              : run_cache_point(wl, size_bytes, cfg, ac);
 }
 
 } // namespace detail
-
-// The free functions below are the pre-Engine public surface, kept as thin
-// shims so existing tests and benches keep compiling; the Engine is the
-// owner of execution now.
-
-SweepPoint run_point(const workloads::WorkloadInfo& wl, MemSetup setup,
-                     uint32_t size_bytes, const SweepConfig& cfg) {
-  // Identical to api::Engine::run_point, which is the same pure forward to
-  // the execution primitive; called directly because benches invoke this
-  // per iteration and a throwaway Engine per point buys nothing.
-  return detail::execute_point(wl, setup, size_bytes, cfg);
-}
-
-std::vector<SweepPoint> run_sweep(const workloads::WorkloadInfo& wl,
-                                  const SweepConfig& cfg) {
-  return api::Engine(api::EngineOptions{cfg.jobs}).run_sweep(wl, cfg);
-}
 
 TablePrinter to_table(const std::string& benchmark, MemSetup setup,
                       const std::vector<SweepPoint>& points) {

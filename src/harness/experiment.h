@@ -43,33 +43,10 @@ struct SweepConfig {
   // Scratchpad-branch option: WCET-driven allocation instead of the
   // energy knapsack (future-work ablation).
   bool wcet_driven_alloc = false;
-  /// Worker threads for run_sweep: 1 = serial, 0 = all hardware threads.
-  /// Points are independent pipeline runs; ordering stays deterministic.
-  unsigned jobs = 1;
-  /// Share artifacts (profiles, candidate tables, placed runs, cache
-  /// tables, analyzer front ends) across the points of a batch. false gives
-  /// every point its own cache, so it re-derives everything; the parity
-  /// tests pin both to byte-identical results.
-  bool use_artifact_cache = true;
-  /// IR-based WCET analyzer (shared predecode, layout-invariant shape
-  /// reuse, flat cache analysis). false selects the seed analyzer — the
-  /// --legacy-wcet escape hatch, field-identical by the parity suites.
-  bool fast_wcet = true;
-  /// Superblock translation tier in the simulator (threaded-code blocks
-  /// over the predecoded fast path). false (--no-block-tier) keeps the
-  /// per-instruction fast path — the A/B baseline; results are
-  /// field-identical either way. Drives the SPM branch's simulations and
-  /// the cache branch's observed run alike.
-  bool block_tier = true;
-  /// Incremental IPET (per-workload LP-skeleton cache, batch-scoped) plus
-  /// the flat persistence domain. false (--no-incremental) re-solves every
-  /// point's ILPs from scratch and keeps the PR 5 map-based persistence
-  /// analysis — the A/B baseline; results are field-identical either way.
-  /// Only meaningful with fast_wcet; the skeletons live in `artifacts`.
-  bool incremental_wcet = true;
-  /// Batch-scoped cache injected by SweepRunner::run_matrix when
-  /// use_artifact_cache is set. Null (e.g. a standalone run_point call)
-  /// gives the point a point-local cache.
+  /// Shared artifacts (profiles, candidate tables, placed runs, cache
+  /// tables, analyzer front ends): the Engine's session cache or one that
+  /// SweepRunner::run_matrix scopes to a batch. Null gives the point a
+  /// point-local cache, through the same pipeline.
   ArtifactCache* artifacts = nullptr;
   /// Cooperative wall-time budget: the pipeline checks it at stage
   /// boundaries (allocate/simulate/analyze) and aborts the point with
@@ -92,21 +69,10 @@ struct SweepPoint {
 namespace detail {
 /// The pipeline primitive: profile/allocate/relink/simulate/analyze one
 /// (setup, size) point exactly as configured. This is what the Engine and
-/// the sweep workers execute; it is not part of the public surface.
+/// the sweep workers execute.
 SweepPoint execute_point(const workloads::WorkloadInfo& wl, MemSetup setup,
                          uint32_t size_bytes, const SweepConfig& cfg);
 } // namespace detail
-
-/// Runs one configuration point. Compatibility shim over
-/// api::Engine::run_point — new code should construct an api::Engine and
-/// submit PointRequests (or call the Engine's session API directly).
-SweepPoint run_point(const workloads::WorkloadInfo& wl, MemSetup setup,
-                     uint32_t size_bytes, const SweepConfig& cfg);
-
-/// Runs the full size sweep. Compatibility shim over
-/// api::Engine::run_sweep (cfg.jobs selects the pool width).
-std::vector<SweepPoint> run_sweep(const workloads::WorkloadInfo& wl,
-                                  const SweepConfig& cfg);
 
 /// Renders sweep rows in the paper's figure style.
 TablePrinter to_table(const std::string& benchmark, MemSetup setup,

@@ -2,7 +2,6 @@
 
 #include <ostream>
 
-#include "api/engine.h"
 #include "link/layout.h"
 #include "support/diag.h"
 
@@ -28,14 +27,6 @@ void emit(const TablePrinter& table, std::ostream& os, bool csv) {
 }
 
 } // namespace
-
-std::vector<EvaluationResult> run_full_evaluation(
-    const std::vector<std::shared_ptr<const workloads::WorkloadInfo>>& wls,
-    const SweepConfig& base, unsigned jobs) {
-  // Compatibility shim: the evaluation batch is owned by the Engine now
-  // (api::Engine::run_evaluation); this file only renders its results.
-  return api::Engine(api::EngineOptions{jobs}).run_evaluation(wls, base);
-}
 
 TablePrinter ratio_table(const std::string& benchmark,
                          const std::vector<SweepPoint>& spm,

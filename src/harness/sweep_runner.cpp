@@ -45,7 +45,7 @@ SweepRunner::run_matrix(const std::vector<MatrixRequest>& requests) const {
     if (req.workload == nullptr) throw Error("sweep: request has no workload");
     std::vector<SweepJob> jobs_for = make_sweep_jobs(*req.workload, req.config);
     for (SweepJob& job : jobs_for)
-      if (job.config.use_artifact_cache && job.config.artifacts == nullptr)
+      if (job.config.artifacts == nullptr)
         job.config.artifacts = &artifacts;
     batch.insert(batch.end(), jobs_for.begin(), jobs_for.end());
   }
@@ -92,12 +92,6 @@ std::vector<SweepJob> make_sweep_jobs(const workloads::WorkloadInfo& wl,
   for (const uint32_t size : cfg.sizes)
     batch.push_back(SweepJob{&wl, cfg, size});
   return batch;
-}
-
-std::vector<SweepPoint> run_sweep_parallel(const workloads::WorkloadInfo& wl,
-                                           const SweepConfig& cfg,
-                                           unsigned jobs) {
-  return run_matrix({MatrixRequest{&wl, cfg}}, jobs).front();
 }
 
 std::vector<std::vector<SweepPoint>>

@@ -69,10 +69,9 @@ public:
   /// Runs every request's size sweep as ONE flat (workload × setup × size)
   /// batch over the pool, so e.g. a benchmark's scratchpad and cache sweeps
   /// fill the same set of workers instead of running back to back. A
-  /// batch-scoped ArtifactCache is injected into every job that has
-  /// use_artifact_cache set and no cache of its own. Result i corresponds to
-  /// requests[i], points in cfg.sizes order; throws the first failing point
-  /// in batch order.
+  /// batch-scoped ArtifactCache is injected into every job that has no
+  /// cache of its own. Result i corresponds to requests[i], points in
+  /// cfg.sizes order; throws the first failing point in batch order.
   std::vector<std::vector<SweepPoint>>
   run_matrix(const std::vector<MatrixRequest>& requests) const;
 
@@ -85,20 +84,12 @@ private:
 /// Process-wide persistent runner: one pool per distinct (resolved) worker
 /// count, created on first use and reused by every later call, so sweeps
 /// embedded in a long-running loop pay pool spin-up once instead of per
-/// batch. The free run_sweep/run_matrix helpers route through this.
+/// batch. The free run_matrix helper routes through this.
 SweepRunner& shared_runner(unsigned jobs);
 
 /// Expands cfg.sizes into a batch for one workload.
 std::vector<SweepJob> make_sweep_jobs(const workloads::WorkloadInfo& wl,
                                       const SweepConfig& cfg);
-
-/// Full size sweep for one workload with `jobs` workers. Throws the first
-/// failing point in size order — identical failure behavior to the serial
-/// loop. run_sweep(wl, cfg) is equivalent to
-/// run_sweep_parallel(wl, cfg, cfg.jobs).
-std::vector<SweepPoint> run_sweep_parallel(const workloads::WorkloadInfo& wl,
-                                           const SweepConfig& cfg,
-                                           unsigned jobs);
 
 /// shared_runner(jobs).run_matrix(requests).
 std::vector<std::vector<SweepPoint>>

@@ -59,8 +59,6 @@ Solution solve_milp(const Model& model, const MilpOptions& opts) {
   std::size_t nodes = 0;
   bool any_feasible_relaxation = false;
   bool unbounded_root = false;
-  Basis root_basis;
-  bool root_warm_started = false;
 
   while (!stack.empty()) {
     if (++nodes > opts.max_nodes)
@@ -68,15 +66,7 @@ Solution solve_milp(const Model& model, const MilpOptions& opts) {
     const NodeBounds nb = std::move(stack.back());
     stack.pop_back();
 
-    const Model node_model = with_bounds(model, nb);
-    // Only the root node (the unbranched model) can reuse a caller basis;
-    // every branched node carries extra bound rows the basis cannot fit.
-    const Solution rel = nodes == 1 ? solve_lp(node_model, opts.warm_start)
-                                    : solve_lp(node_model);
-    if (nodes == 1 && rel.status == Status::Optimal) {
-      root_basis = rel.basis;
-      root_warm_started = rel.warm_started;
-    }
+    const Solution rel = solve_lp(with_bounds(model, nb));
     if (rel.status == Status::Infeasible) continue;
     if (rel.status == Status::Unbounded) {
       if (nodes == 1) unbounded_root = true;
@@ -110,14 +100,7 @@ Solution solve_milp(const Model& model, const MilpOptions& opts) {
     stack.push_back(std::move(up));
   }
 
-  if (incumbent) {
-    // Surface the root relaxation's basis: that is the one a caller can
-    // feed back as a warm start against the same constraint matrix (a
-    // branched incumbent's own basis belongs to an augmented model).
-    incumbent->basis = root_basis;
-    incumbent->warm_started = root_warm_started;
-    return *incumbent;
-  }
+  if (incumbent) return *incumbent;
   Solution sol;
   sol.status = unbounded_root
                    ? Status::Unbounded

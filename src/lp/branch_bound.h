@@ -10,17 +10,10 @@ struct MilpOptions {
   /// Safety valve for pathological instances; the IPET and knapsack models
   /// solved here are far smaller.
   std::size_t max_nodes = 200000;
-  /// Optional warm-start basis for the *root* relaxation (typically the
-  /// root basis a previous solve_milp of the same constraint matrix
-  /// returned in Solution::basis). Branched nodes always solve cold — their
-  /// standard form has extra bound rows the basis cannot fit. Borrowed;
-  /// must outlive the call.
-  const Basis* warm_start = nullptr;
 };
 
 /// Solves `model` to integral optimality (for its integer-marked variables).
-/// Throws SolverError when the node budget is exhausted. An Optimal result
-/// carries the root relaxation's basis in Solution::basis (see MilpOptions).
+/// Throws SolverError when the node budget is exhausted.
 Solution solve_milp(const Model& model, const MilpOptions& opts = {});
 
 } // namespace spmwcet::lp

@@ -71,23 +71,15 @@ private:
   Sense sense_ = Sense::Maximize;
 };
 
-/// A simplex basis: the basic column per tableau row, in the solver's
-/// standard-form column layout (structural | slack/surplus). Only valid as
-/// a warm start for a model with the same standard-form dimensions; the
-/// solver validates and falls back to the cold two-phase path otherwise.
-using Basis = std::vector<int>;
-
 struct Solution {
   Status status = Status::Infeasible;
   double objective = 0.0;
   std::vector<double> values;
-  /// Final basis of the LP that produced this solution (Optimal solves
-  /// only; for solve_milp this is the *root relaxation's* basis, the one
-  /// reusable against the unbranched model).
-  Basis basis;
-  /// Whether the solve started from a caller-supplied basis instead of the
-  /// two-phase cold start.
-  bool warm_started = false;
+  /// Final basis of an LP solve: the basic column per tableau row, in the
+  /// solver's standard-form column layout (structural | slack/surplus |
+  /// artificial). The PreparedLp oracle tests compare it with the cold
+  /// solve's and read which columns ended basic.
+  std::vector<int> basis;
 
   double value(int var) const { return values.at(static_cast<std::size_t>(var)); }
 };

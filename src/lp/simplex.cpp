@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <vector>
 
 #include "support/diag.h"
@@ -291,65 +290,6 @@ std::vector<double> lower_bounds(const Model& model) {
   return lowers;
 }
 
-/// Warm start: rebuilds the standard form, installs `warm` as the basis by
-/// canonicalizing each basic column (largest-pivot row selection), and runs
-/// phase two from it. Returns nullopt whenever the basis does not fit —
-/// wrong size, out-of-range or repeated columns, artificial columns, a
-/// singular basis matrix, or a primal-infeasible basic solution — in which
-/// case the caller retries cold.
-std::optional<Solution> try_warm_solve(const Model& model, const Basis& warm) {
-  StandardForm sf = build_standard_form(model);
-  Tableau& t = sf.t;
-  const std::size_t n = sf.n;
-  const std::size_t width = n + sf.n_slack; // artificials are never basic
-
-  if (warm.size() != t.rows_) return std::nullopt;
-  std::vector<char> used(width, 0);
-  for (const int c : warm) {
-    if (c < 0 || static_cast<std::size_t>(c) >= width ||
-        used[static_cast<std::size_t>(c)])
-      return std::nullopt;
-    used[static_cast<std::size_t>(c)] = 1;
-  }
-
-  // The warm basis replaces phase 1 outright; block artificial columns the
-  // same way the cold path does after eliminating them.
-  forbid_artificials(sf);
-
-  // Canonicalize: pivot every warm column into the basis, choosing the
-  // largest remaining pivot for stability. The row assignment need not
-  // match the basis' original one — any assignment yields the same basic
-  // solution.
-  std::vector<char> row_done(t.rows_, 0);
-  for (const int c : warm) {
-    std::size_t best_row = t.rows_;
-    double best_abs = kEps;
-    for (std::size_t i = 0; i < t.rows_; ++i) {
-      if (row_done[i]) continue;
-      const double v = std::fabs(t.at(i, static_cast<std::size_t>(c)));
-      if (v > best_abs) {
-        best_abs = v;
-        best_row = i;
-      }
-    }
-    if (best_row == t.rows_) return std::nullopt; // singular under this basis
-    t.pivot(best_row, static_cast<std::size_t>(c));
-    row_done[best_row] = 1;
-  }
-
-  // Primal simplex needs a feasible start; tolerate only rounding noise.
-  for (std::size_t i = 0; i < t.rows_; ++i) {
-    if (t.rhs(i) < -1e-7) return std::nullopt;
-    if (t.rhs(i) < 0.0) t.rhs(i) = 0.0;
-  }
-
-  const double sign = model.sense() == Sense::Maximize ? 1.0 : -1.0;
-  Solution sol =
-      finish_phase2(t, n, sign, model.objective(), lower_bounds(model));
-  sol.warm_started = true;
-  return sol;
-}
-
 } // namespace
 
 Solution solve_lp(const Model& model) {
@@ -362,13 +302,6 @@ Solution solve_lp(const Model& model) {
   const double sign = model.sense() == Sense::Maximize ? 1.0 : -1.0;
   return finish_phase2(sf.t, sf.n, sign, model.objective(),
                        lower_bounds(model));
-}
-
-Solution solve_lp(const Model& model, const Basis* warm) {
-  if (warm != nullptr && !warm->empty()) {
-    if (auto sol = try_warm_solve(model, *warm)) return *sol;
-  }
-  return solve_lp(model);
 }
 
 // ---- PreparedLp ------------------------------------------------------------

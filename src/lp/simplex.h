@@ -4,16 +4,12 @@
 // finite upper bounds become explicit rows, GE/EQ rows get artificial
 // variables eliminated in phase one. Bland's rule guarantees termination.
 //
-// Two re-solve accelerators sit on top of the cold path:
-//  * solve_lp(model, warm) starts from a previously returned basis
-//    (Solution::basis), skipping phase one when the basis still yields a
-//    primal-feasible tableau; any inconsistency (wrong dimensions, singular
-//    basis, negative basics) falls back to the cold two-phase path.
-//  * PreparedLp runs standard-form construction and phase one exactly once
-//    and re-solves phase two against swapped objective vectors. Phase two
-//    replays the cold path's arithmetic on a copy of the phase-one tableau,
-//    so a PreparedLp solve is bit-identical to a cold solve_lp of the same
-//    model with that objective.
+// PreparedLp sits on top of the cold path as the re-solve accelerator: it
+// runs standard-form construction and phase one exactly once and re-solves
+// phase two against swapped objective vectors. Phase two replays the cold
+// path's arithmetic on a copy of the phase-one tableau, so a PreparedLp
+// solve is bit-identical to a cold solve_lp of the same model with that
+// objective.
 #pragma once
 
 #include <memory>
@@ -24,11 +20,6 @@ namespace spmwcet::lp {
 
 /// Solves the LP relaxation of `model` (integrality ignored).
 Solution solve_lp(const Model& model);
-
-/// Like solve_lp, but attempts to start phase two directly from `warm`
-/// (null or empty = cold). Falls back to the cold path whenever the basis
-/// does not fit the model's standard form or is not primal-feasible.
-Solution solve_lp(const Model& model, const Basis* warm);
 
 /// Phase-one-once re-solver for objective-only model families (the IPET
 /// skeleton): the constraint matrix is fixed at construction, each solve

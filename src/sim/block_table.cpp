@@ -415,11 +415,6 @@ std::optional<MemClass> classify_static(const link::Image& img, uint32_t addr,
 
 } // namespace
 
-BlockTable::BlockTable(const link::Image& img, const SymbolIndex& symbols) {
-  const program::DecodedImage dec(img);
-  build(dec, symbols, img);
-}
-
 BlockTable::BlockTable(const program::DecodedImage& dec,
                        const SymbolIndex& symbols, const link::Image& img) {
   build(dec, symbols, img);

@@ -204,13 +204,9 @@ private:
 
 class BlockTable {
 public:
-  /// Compiles all blocks of the image's code spans (decoding through a
-  /// local program::DecodedImage).
-  BlockTable(const link::Image& img, const SymbolIndex& symbols);
-
-  /// Compiles from an existing decode of the same image (no second decode
-  /// pass); `img` supplies the region map, entry and stack window used for
-  /// static pre-classification.
+  /// Compiles all blocks of the image's code spans from an existing decode
+  /// of the same image; `img` supplies the region map, entry and stack
+  /// window used for static pre-classification.
   BlockTable(const program::DecodedImage& dec, const SymbolIndex& symbols,
              const link::Image& img);
 

@@ -13,8 +13,8 @@
 //    partially mapped ranges, misalignment) fall through to the legacy
 //    path, which reproduces the seed's cost charging and error text.
 //  * legacy: the seed's per-access binary searches (block list for the
-//    pointer, region map for the class), kept as the --legacy-sim baseline
-//    and as the slow path of the fast mode.
+//    pointer, region map for the class), the slow path of the fast mode
+//    and, with SimConfig::fast_path unset, the parity tests' oracle.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +37,7 @@ public:
   /// Builds backing storage for all regions of `img`, loads its segments,
   /// and installs `cache_cfg` (if any) in front of main memory.
   /// `fast_translation` selects the O(1) area tables; false keeps the
-  /// seed's binary-search translation (the --legacy-sim baseline).
+  /// seed's binary-search translation (the parity tests' oracle).
   MemorySystem(const link::Image& img,
                std::optional<cache::CacheConfig> cache_cfg,
                bool fast_translation = true);

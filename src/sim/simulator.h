@@ -5,15 +5,18 @@
 // workload), and collects the per-object access profile that drives
 // scratchpad allocation.
 //
-// Two execution paths produce field-identical results (cycles, cache stats,
-// profiles, output):
-//  * fast (default): code halfwords are predecoded once per image
-//    (sim/predecode.h), memory translation is O(1) (sim/memory_system.h),
-//    and profiling accumulates into a dense per-symbol-id vector that is
-//    folded into the name-keyed AccessProfile once at run() exit.
-//  * legacy (SimConfig::fast_path = false): the seed's per-instruction
-//    decode + binary searches + string-map profiling, kept as the
-//    --legacy-sim baseline for parity tests and speedup measurement.
+// Production runs one path: code halfwords are predecoded once per image
+// (sim/predecode.h), memory translation is O(1) (sim/memory_system.h),
+// straight-line blocks run on the superblock tier (sim/block_table.h), and
+// profiling accumulates into a dense per-symbol-id vector that is folded
+// into the name-keyed AccessProfile once at run() exit.
+//
+// The seed implementation (per-instruction decode, binary searches,
+// string-map profiling) and the per-instruction path below the block tier
+// are still woven into step(); SimConfig::fast_path and
+// SimConfig::block_tier select them. Only the parity tests set either:
+// every production caller keeps the defaults, and results are
+// field-identical either way (cycles, cache stats, profiles, output).
 #pragma once
 
 #include <cstdint>
@@ -41,8 +44,8 @@ struct SimConfig {
   /// "cycle addr disassembly" — the ARMulator-style execution trace.
   std::ostream* trace = nullptr;
   /// Predecoded code + flat memory translation + interned profiling.
-  /// false selects the seed implementation (the --legacy-sim baseline);
-  /// results are identical either way.
+  /// false selects the seed implementation, a test oracle; results are
+  /// identical either way.
   bool fast_path = true;
   /// Optional shared decode of the SAME image (program::DecodedImage built
   /// from equal bytes): the fast path's CodeTable then copies it instead of
@@ -50,9 +53,9 @@ struct SimConfig {
   const program::DecodedImage* predecoded = nullptr;
   /// Superblock translation tier above the fast path (sim/block_table.h):
   /// straight-line blocks execute as threaded code with entry-folded
-  /// accounting. false (--no-block-tier) keeps the per-instruction fast
-  /// path as the A/B baseline; results are identical either way. The tier
-  /// engages only without a functional cache (folding would reorder the
+  /// accounting. false keeps the per-instruction fast path, a test
+  /// oracle; results are identical either way. The tier engages only
+  /// without a functional cache (folding would reorder the
   /// tag-state-mutating accesses) and without a trace stream.
   bool block_tier = true;
   /// Optional shared compiled block table of the SAME image: borrowed for

@@ -10,9 +10,7 @@
 #include "wcet/cache_analysis.h"
 #include "wcet/cfg.h"
 #include "wcet/ipet.h"
-#include "wcet/loop_bounds.h"
 #include "wcet/loops.h"
-#include "wcet/value_analysis.h"
 
 namespace spmwcet::wcet {
 
@@ -60,21 +58,33 @@ std::vector<uint32_t> bottom_up_order(const std::map<uint32_t, Cfg>& cfgs,
   return order;
 }
 
-/// The layout-dependent back end shared by both front ends: loop-bound
-/// validation, optional cache analysis, block timing, and bottom-up IPET
-/// over already-reconstructed program state whose memory facts are
-/// resolved (CfgInstr::mem). `flat_cache` selects the flat cache analysis
-/// (the IR pipeline) or the seed implementation (--legacy-wcet); the
-/// classification is identical either way. With
-/// `func_index` (shape function indices) and cfg.ipet_cache set, the IPET
-/// stage solves through the cached per-shape skeletons, which is
-/// bit-identical to the from-scratch solve by IpetCache's contract.
-WcetReport analyze_backend(const link::Image& img, const AnalyzerConfig& cfg,
-                           const Annotations& ann,
-                           const std::map<uint32_t, Cfg>& cfgs,
-                           const std::map<uint32_t, const LoopInfo*>& loops,
-                           uint32_t root, bool flat_cache,
-                           const std::map<uint32_t, std::size_t>* func_index) {
+} // namespace
+
+WcetReport analyze_wcet(const link::Image& img, const AnalyzerConfig& cfg,
+                        const Annotations* overrides) {
+  // Standalone analysis: decode once, build the shape, bind it to this
+  // image. Harness callers cache the shape (and, for shared images, the
+  // whole view) instead of rebuilding here per point.
+  const program::DecodedImage dec(img);
+  auto shape = std::make_shared<const ProgramShape>(build_shape(img, dec));
+  const ProgramView view =
+      bind_view(std::move(shape), img, dec, cfg.auto_loop_bounds, overrides);
+  return analyze_wcet(view, cfg);
+}
+
+/// The layout-dependent back end: loop-bound validation, optional cache
+/// analysis, block timing, and bottom-up IPET over the view's
+/// reconstructed program state, whose memory facts are resolved
+/// (CfgInstr::mem). With cfg.ipet_cache set, the IPET stage solves through
+/// the cached per-shape skeletons (keyed by the view's func_index), which
+/// is bit-identical to the from-scratch solve by IpetCache's contract.
+WcetReport analyze_wcet(const ProgramView& view, const AnalyzerConfig& cfg) {
+  SPMWCET_CHECK(view.img != nullptr);
+  const link::Image& img = *view.img;
+  const Annotations& ann = view.ann;
+  const std::map<uint32_t, Cfg>& cfgs = view.cfgs;
+  const std::map<uint32_t, const LoopInfo*>& loops = view.loops;
+  const uint32_t root = view.root;
   // Pre-validate loop bounds for friendlier errors.
   for (const auto& [f, info] : loops) {
     for (const Loop& loop : info->loops) {
@@ -89,9 +99,6 @@ WcetReport analyze_backend(const link::Image& img, const AnalyzerConfig& cfg,
   }
 
   // ---- microarchitectural analysis ------------------------------------------
-  // The seed analysis' address sets are converted to per-site form here,
-  // once, so block timing and the statistics below read site bytes on
-  // either path.
   SiteClassification classification;
   std::map<uint32_t, uint32_t> first_site; // function address -> its site
   WcetReport report;
@@ -100,14 +107,7 @@ WcetReport analyze_backend(const link::Image& img, const AnalyzerConfig& cfg,
     ccfg.cache = *cfg.cache;
     ccfg.with_persistence = cfg.with_persistence;
     ccfg.stack_window = cfg.stack_window;
-    // PR 5's fast path had no flat persistence domain and delegated
-    // persistence-enabled runs to the map analysis; --no-incremental keeps
-    // that exact behavior as the A/B baseline.
-    const bool use_flat =
-        flat_cache && (cfg.incremental || !cfg.with_persistence);
-    classification =
-        use_flat ? analyze_cache_flat(img, cfgs, root, ccfg)
-                 : to_sites(cfgs, analyze_cache(img, cfgs, root, ccfg));
+    classification = analyze_cache_flat(img, cfgs, root, ccfg);
 
     // Static statistics, in site order.
     uint32_t site = 0;
@@ -144,12 +144,11 @@ WcetReport analyze_backend(const link::Image& img, const AnalyzerConfig& cfg,
     }
     inputs.callee_wcet = &func_wcet;
     const BlockTimes times = time_blocks(fcfg, inputs);
-    const bool via_cache =
-        cfg.incremental && cfg.ipet_cache != nullptr && func_index != nullptr;
     const IpetResult ipet =
-        via_cache ? cfg.ipet_cache->solve(func_index->at(f), fcfg,
-                                          *loops.at(f), ann, times)
-                  : solve_ipet(fcfg, *loops.at(f), ann, times);
+        cfg.ipet_cache != nullptr
+            ? cfg.ipet_cache->solve(view.func_index.at(f), fcfg, *loops.at(f),
+                                    ann, times)
+            : solve_ipet(fcfg, *loops.at(f), ann, times);
     func_wcet[f] = ipet.wcet;
 
     FunctionWcet fw;
@@ -178,64 +177,6 @@ WcetReport analyze_backend(const link::Image& img, const AnalyzerConfig& cfg,
   }
 
   return report;
-}
-
-/// The seed front end, preserved operation for operation as the
-/// --legacy-wcet baseline: decode straight from image bytes, CFGs built
-/// twice (discovery + analysis), per-analysis loop/value reconstruction.
-WcetReport analyze_legacy(const link::Image& img, const AnalyzerConfig& cfg,
-                          const Annotations* overrides) {
-  Annotations ann =
-      overrides != nullptr ? *overrides : Annotations::from_image(img);
-
-  // ---- reconstruction ------------------------------------------------------
-  const uint32_t root = img.entry;
-  std::map<uint32_t, Cfg> cfgs;
-  for (const uint32_t f : reachable_functions(img, root))
-    cfgs.emplace(f, build_cfg(img, f));
-
-  std::map<uint32_t, LoopInfo> loops;
-  for (auto& [f, fcfg] : cfgs) {
-    loops.emplace(f, find_loops(fcfg));
-    resolve_memory(img, fcfg, ann);
-  }
-
-  // Optional aiT-style automatic bounds for counted loops that carry no
-  // annotation (stripped binaries).
-  if (cfg.auto_loop_bounds) {
-    for (const auto& [f, fcfg] : cfgs)
-      for (const auto& [header, detected] :
-           detect_loop_bounds(img, fcfg, loops.at(f)))
-        if (!ann.loop_bound(header).has_value())
-          ann.set_loop_bound(header, detected.bound);
-  }
-
-  std::map<uint32_t, const LoopInfo*> loop_ptrs;
-  for (const auto& [f, info] : loops) loop_ptrs.emplace(f, &info);
-  return analyze_backend(img, cfg, ann, cfgs, loop_ptrs, root,
-                         /*flat_cache=*/false, /*func_index=*/nullptr);
-}
-
-} // namespace
-
-WcetReport analyze_wcet(const link::Image& img, const AnalyzerConfig& cfg,
-                        const Annotations* overrides) {
-  if (!cfg.fast_path) return analyze_legacy(img, cfg, overrides);
-  // Standalone fast analysis: decode once, build the shape, bind it to this
-  // image. Harness callers cache the shape (and, for shared images, the
-  // whole view) instead of rebuilding here per point.
-  const program::DecodedImage dec(img);
-  auto shape = std::make_shared<const ProgramShape>(build_shape(img, dec));
-  const ProgramView view =
-      bind_view(std::move(shape), img, dec, cfg.auto_loop_bounds, overrides);
-  return analyze_wcet(view, cfg);
-}
-
-WcetReport analyze_wcet(const ProgramView& view, const AnalyzerConfig& cfg) {
-  SPMWCET_CHECK(view.img != nullptr);
-  return analyze_backend(*view.img, cfg, view.ann, view.cfgs, view.loops,
-                         view.root,
-                         /*flat_cache=*/cfg.fast_path, &view.func_index);
 }
 
 } // namespace spmwcet::wcet

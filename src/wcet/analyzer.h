@@ -4,16 +4,13 @@
 //   per-function IPET, bottom-up over the call graph
 // and reports the program WCET from the image entry stub to HALT.
 //
-// Two front ends produce field-identical reports:
-//  * fast (default): the shared decode table (program::DecodedImage) feeds
-//    a layout-invariant ProgramShape that is bound to the image
-//    (wcet/frontend.h); harness callers reuse one shape across every point
-//    of a sweep and one bound ProgramView across all cache sizes. The
-//    cache stage runs the flat-state MUST analysis.
-//  * legacy (AnalyzerConfig::fast_path = false): the seed pipeline —
-//    per-analysis decode from image bytes, per-point CFG/loop/value
-//    reconstruction, map-based cache states — kept as the --legacy-wcet
-//    baseline for parity tests and speedup measurement.
+// The front end is the shared decode table (program::DecodedImage)
+// feeding a layout-invariant ProgramShape that is bound to the image
+// (wcet/frontend.h); harness callers reuse one shape across every point of
+// a sweep and one bound ProgramView across all cache sizes. The cache
+// stage runs the flat-state analysis (wcet/cache_analysis.h). The seed
+// front end and the map-based cache analysis live on as test oracles in
+// tests/reference/, compared against this pipeline at each layer.
 //
 // For scratchpad/main-memory-only configurations no microarchitectural
 // state analysis runs at all — only the memory-region timing annotations
@@ -47,18 +44,10 @@ struct AnalyzerConfig {
   /// Detect counted-loop bounds from the binary (aiT-style) and use them
   /// for loops that carry no annotation.
   bool auto_loop_bounds = false;
-  /// Shared-decode IR front end + flat cache analysis. false selects the
-  /// seed implementation (the --legacy-wcet baseline); results are
-  /// field-identical either way.
-  bool fast_path = true;
-  /// Incremental IPET + flat persistence. With fast_path, false re-solves
-  /// every point from scratch and (when with_persistence is set) runs the
-  /// seed map-based persistence analysis — the --no-incremental A/B
-  /// baseline. Results are field-identical either way.
-  bool incremental = true;
   /// Per-workload IPET skeleton store (wcet/ipet.h); borrowed, may be
-  /// null. Used only on the fast incremental path and only for views that
-  /// carry a func_index (analyze_wcet(view, cfg)).
+  /// null. Set, every function's IPET is solved through its skeleton
+  /// (keyed by the view's func_index); null, each is solved from scratch
+  /// (solve_ipet). The two are bit-identical by IpetCache's contract.
   const IpetCache* ipet_cache = nullptr;
 };
 
@@ -95,7 +84,8 @@ struct WcetReport {
   uint64_t persistence_penalty_cycles = 0;
 };
 
-/// Analyzes the whole program rooted at the image entry.
+/// Analyzes the whole program rooted at the image entry: decodes the image,
+/// builds its shape and binds it, then runs analyze_wcet(view, cfg).
 /// `overrides`, when given, replaces the image-derived annotations.
 WcetReport analyze_wcet(const link::Image& img, const AnalyzerConfig& cfg = {},
                         const Annotations* overrides = nullptr);

@@ -37,25 +37,6 @@ struct CacheAnalysisConfig {
 /// A sorted, duplicate-free list of addresses or line numbers.
 using AddrSet = std::vector<uint32_t>;
 
-/// The seed analysis' result: classified accesses as address sets.
-struct CacheClassification {
-  /// Halfword fetch addresses proven always-hit by MUST.
-  AddrSet fetch_always_hit;
-  /// Load instruction addresses (exact-address loads) proven always-hit.
-  AddrSet load_always_hit;
-  /// Accesses (by halfword fetch address / load instruction address) that
-  /// are persistent: at most one miss over the whole run.
-  AddrSet fetch_persistent;
-  AddrSet load_persistent;
-  /// Distinct memory lines underlying persistent-but-not-must accesses;
-  /// each contributes one (miss - hit) penalty to the WCET.
-  AddrSet persistent_penalty_lines;
-
-  /// Sorts and deduplicates every list; an analysis appends as it
-  /// classifies and normalizes once at the end.
-  void normalize();
-};
-
 /// What the analysis proved about one access.
 enum class Outcome : uint8_t {
   Miss = 0,       ///< not classified: charged a full line fill
@@ -91,45 +72,28 @@ struct SiteClassification {
   bool operator==(const SiteClassification&) const = default;
 };
 
-/// Converts the seed analysis' address sets to per-site form over the same
-/// CFGs, in one forward merge per set (site order is address order).
-/// Refuses sets holding an address that is no site of `cfgs`.
-SiteClassification to_sites(const std::map<uint32_t, Cfg>& cfgs,
-                            const CacheClassification& sets);
-
 /// Runs the fixpoint over all `cfgs` (keyed by function address) starting
 /// from `root`. Every CFG must carry this image's memory facts
 /// (resolve_memory, wcet/value_analysis.h); an unresolved one is refused.
-/// This is the seed implementation — one std::map per cache set — kept as
-/// the test oracle and the --legacy-wcet baseline.
-CacheClassification analyze_cache(const link::Image& img,
-                                  const std::map<uint32_t, Cfg>& cfgs,
-                                  uint32_t root,
-                                  const CacheAnalysisConfig& cfg);
-
-/// The IR analyzer's implementation of the same analysis, with identical
-/// classification (the MUST and persistence fixpoints have unique
-/// solutions, so any faithful representation agrees — pinned by the parity
-/// suites against to_sites of the seed result). A MUST state is a sorted
-/// vector of its live (set, tag, age) entries, so copying, joining,
-/// comparing and aging a state cost the lines it holds rather than
-/// num_sets × assoc slots, and aging every set a range, the stack window or
-/// an unknown address may touch is one pass over those entries.
-/// Classification is fused with the transfer it observes and written
-/// straight into the site bytes. The persistence domain stays dense: its
-/// tag universe is precomputed from the program's exact-access lines (the
-/// only lines the transfer functions ever insert), one byte per (set, tag)
-/// slot, join = elementwise max.
+/// A MUST state is a sorted vector of its live (set, tag, age) entries, so
+/// copying, joining, comparing and aging a state cost the lines it holds
+/// rather than num_sets × assoc slots, and aging every set a range, the
+/// stack window or an unknown address may touch is one pass over those
+/// entries. Classification is fused with the transfer it observes and
+/// written straight into the site bytes. The persistence domain stays
+/// dense: its tag universe is precomputed from the program's exact-access
+/// lines (the only lines the transfer functions ever insert), one byte per
+/// (set, tag) slot, join = elementwise max. The MUST and persistence
+/// fixpoints have unique solutions, so the map-based oracle in
+/// tests/reference/ classifies every site identically.
 SiteClassification analyze_cache_flat(const link::Image& img,
                                       const std::map<uint32_t, Cfg>& cfgs,
                                       uint32_t root,
                                       const CacheAnalysisConfig& cfg);
 
-/// Process-wide run counters, one per implementation path; tests use them
-/// to assert which analysis actually ran (the flat persistence path must
-/// not silently fall back to the seed map analysis again).
+/// Process-wide run counters, one per analysis kind; tests and the
+/// benchmark use them to assert which analysis actually ran.
 struct CacheAnalysisCounters {
-  uint64_t map_runs = 0;              ///< analyze_cache (seed, map-based)
   uint64_t flat_must_runs = 0;        ///< analyze_cache_flat, MUST only
   uint64_t flat_persistence_runs = 0; ///< analyze_cache_flat + persistence
 };

@@ -1,4 +1,4 @@
-#include "cache/abstract_cache.h"
+#include "reference/abstract_cache.h"
 
 #include <algorithm>
 
@@ -86,51 +86,6 @@ std::size_t MustCache::resident_count() const {
   std::size_t n = 0;
   for (const auto& s : sets_) n += s.size();
   return n;
-}
-
-// ---- MayCache --------------------------------------------------------------
-
-MayCache::MayCache(const CacheConfig& cfg) : cfg_(cfg) {
-  cfg_.validate();
-  sets_.resize(cfg_.num_sets());
-}
-
-bool MayCache::may_contain_line(uint32_t line) const {
-  const auto& s = sets_[cfg_.set_of_line(line)];
-  return s.find(cfg_.tag_of_line(line)) != s.end();
-}
-
-void MayCache::access_line(uint32_t line) {
-  const uint32_t set = cfg_.set_of_line(line);
-  const uint32_t tag = cfg_.tag_of_line(line);
-  auto& s = sets_[set];
-  // Minimum-age semantics: the accessed line is now surely at age 0; other
-  // lines' minimum ages are unchanged (in some run the accessed line was
-  // already younger, in which case nobody ages). This never evicts, which
-  // is sound for an overapproximation, just not maximally tight.
-  s[tag] = 0;
-}
-
-void MayCache::access_line_range(uint32_t line_lo, uint32_t line_hi) {
-  // Every line in the range may now be present. MAY is used for bounded
-  // array ranges only (the analyzer's stack/unknown accesses never consult
-  // it), so the linear insertion is fine.
-  for (uint32_t line = line_lo; line <= line_hi; ++line)
-    sets_[cfg_.set_of_line(line)].emplace(cfg_.tag_of_line(line), 0);
-}
-
-void MayCache::join_with(const MayCache& other) {
-  SPMWCET_CHECK(cfg_ == other.cfg_);
-  for (uint32_t set = 0; set < sets_.size(); ++set) {
-    auto& a = sets_[set];
-    for (const auto& [tag, age] : other.sets_[set]) {
-      const auto it = a.find(tag);
-      if (it == a.end())
-        a.emplace(tag, age);
-      else
-        it->second = std::min(it->second, age);
-    }
-  }
 }
 
 // ---- PersistenceCache --------------------------------------------------------

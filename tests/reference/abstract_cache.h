@@ -1,11 +1,12 @@
-// Abstract cache domains for static WCET analysis, after Ferdinand &
-// Wilhelm: MUST (underapproximation of cache contents — membership proves a
-// hit), MAY (overapproximation — absence proves a miss), and PERSISTENCE
-// (a line, once loaded, is never evicted within a scope — at most one miss).
+// Map-based abstract cache domains for static WCET analysis, after
+// Ferdinand & Wilhelm: MUST (underapproximation of cache contents —
+// membership proves a hit) and PERSISTENCE (a line, once loaded, is never
+// evicted within a scope — at most one miss). One std::map per cache set.
 //
-// The paper's experimental aiT cache analysis for ARM7 uses only the MUST
-// analysis without persistence; that is what the default analyzer uses.
-// MAY and PERSISTENCE support the future-work ablations.
+// Test oracle only: the production analysis (wcet/cache_analysis.h) runs
+// the same transfer functions over flat states, and the reference map
+// analysis (reference/map_cache_analysis.h) built on these domains is
+// compared with it site for site.
 //
 // All domains work on memory line indices (addr / line_bytes) and support
 // the unknown-address access (an interval of possible lines), which is how
@@ -57,26 +58,6 @@ private:
 
   CacheConfig cfg_;
   /// sets_[s]: tag -> age upper bound in [0, assoc).
-  std::vector<std::map<uint32_t, uint8_t>> sets_;
-};
-
-/// MAY abstract cache: per set, tags possibly resident with a lower bound
-/// on age. Join is union with minimum age. Used to prove always-miss.
-class MayCache {
-public:
-  explicit MayCache(const CacheConfig& cfg);
-
-  /// True if the line might be in cache; false proves an always-miss.
-  bool may_contain_line(uint32_t line) const;
-
-  void access_line(uint32_t line);
-  void access_line_range(uint32_t line_lo, uint32_t line_hi);
-  void join_with(const MayCache& other);
-
-  bool operator==(const MayCache& other) const { return sets_ == other.sets_; }
-
-private:
-  CacheConfig cfg_;
   std::vector<std::map<uint32_t, uint8_t>> sets_;
 };
 

@@ -9,6 +9,7 @@
 #include "api/engine.h"
 #include "api/render.h"
 #include "harness/report.h"
+#include "harness/sweep_runner.h"
 #include "workloads/workload.h"
 
 namespace spmwcet {
@@ -75,24 +76,22 @@ TEST(ApiRequest, CacheGeometryIsValidated) {
 }
 
 TEST(ApiRequest, CacheAssociativityIsBounded) {
-  // 128 ways is the largest associativity the abstract caches' byte-wide
+  // 128 ways is the largest associativity the cache analysis' byte-wide
   // ages support; beyond it every cache request is a typed out_of_range on
   // "assoc", never an internal check or a wrapped age.
   ExperimentOptions opts;
   opts.cache_assoc = api::kMaxCacheAssoc;
   EXPECT_TRUE(PointRequest::make("adpcm", MemSetup::Cache, 8192, opts).ok());
   opts.cache_assoc = 256;
-  for (const bool persistence : {false, true})
-    for (const bool legacy : {false, true}) {
-      opts.with_persistence = persistence;
-      opts.legacy_wcet = legacy;
-      const auto req = PointRequest::make("adpcm", MemSetup::Cache, 8192, opts);
-      ASSERT_FALSE(req.ok());
-      EXPECT_EQ(req.error().code, ErrorCode::OutOfRange);
-      EXPECT_EQ(req.error().context, "assoc");
-      EXPECT_EQ(req.error().message,
-                "cache associativity 256 exceeds the supported maximum of 128");
-    }
+  for (const bool persistence : {false, true}) {
+    opts.with_persistence = persistence;
+    const auto req = PointRequest::make("adpcm", MemSetup::Cache, 8192, opts);
+    ASSERT_FALSE(req.ok());
+    EXPECT_EQ(req.error().code, ErrorCode::OutOfRange);
+    EXPECT_EQ(req.error().context, "assoc");
+    EXPECT_EQ(req.error().message,
+              "cache associativity 256 exceeds the supported maximum of 128");
+  }
   EXPECT_EQ(
       SweepRequest::make({"adpcm"}, MemSetup::Cache, {8192}, opts).error().code,
       ErrorCode::OutOfRange);
@@ -142,7 +141,7 @@ TEST(ApiRequest, KeysDistinguishOptions) {
 
 // ---- Engine execution parity ----------------------------------------------
 
-TEST(ApiEngine, PointMatchesHarnessRunPoint) {
+TEST(ApiEngine, PointMatchesExecutePoint) {
   api::Engine engine;
   for (const MemSetup setup : {MemSetup::Scratchpad, MemSetup::Cache}) {
     const auto result =
@@ -150,14 +149,14 @@ TEST(ApiEngine, PointMatchesHarnessRunPoint) {
     ASSERT_TRUE(result.ok());
     harness::SweepConfig cfg;
     cfg.setup = setup;
-    const auto expected = harness::run_point(
+    const auto expected = harness::detail::execute_point(
         *workloads::WorkloadRegistry::instance().benchmark("adpcm"), setup,
         512, cfg);
     expect_points_eq(result.value().point, expected);
   }
 }
 
-TEST(ApiEngine, SweepMatchesHarnessRunSweep) {
+TEST(ApiEngine, SweepMatchesHarnessRunMatrix) {
   api::Engine engine;
   const auto request =
       SweepRequest::make({"multisort"}, MemSetup::Cache, {64, 256});
@@ -168,8 +167,12 @@ TEST(ApiEngine, SweepMatchesHarnessRunSweep) {
   harness::SweepConfig cfg;
   cfg.setup = MemSetup::Cache;
   cfg.sizes = {64, 256};
-  const auto expected = harness::run_sweep(
-      *workloads::WorkloadRegistry::instance().benchmark("multisort"), cfg);
+  const auto expected =
+      harness::run_matrix(
+          {{workloads::WorkloadRegistry::instance().benchmark("multisort").get(),
+            cfg}},
+          1)
+          .front();
   ASSERT_EQ(result.value().series[0].points.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i)
     expect_points_eq(result.value().series[0].points[i], expected[i]);
@@ -181,10 +184,15 @@ TEST(ApiEngine, EvalRendersIdenticallyToFullEvaluation) {
   const auto result = engine.eval(request.value());
   ASSERT_TRUE(result.ok());
 
-  harness::SweepConfig base;
-  base.sizes = {64, 128};
-  const auto expected = harness::run_full_evaluation(
-      {workloads::WorkloadRegistry::instance().benchmark("adpcm")}, base, 1);
+  // The same evaluation assembled from the two setups' sweeps.
+  harness::SweepConfig spm;
+  spm.sizes = {64, 128};
+  harness::SweepConfig cache = spm;
+  cache.setup = MemSetup::Cache;
+  const auto wl = workloads::WorkloadRegistry::instance().benchmark("adpcm");
+  auto sweeps = harness::run_matrix({{wl.get(), spm}, {wl.get(), cache}}, 1);
+  const std::vector<harness::EvaluationResult> expected = {
+      {wl, std::move(sweeps[0]), std::move(sweeps[1])}};
 
   std::ostringstream got, want;
   api::render_eval(result.value(), got);
@@ -236,37 +244,22 @@ TEST(ApiEngine, ArtifactsAmortizeAcrossRequests) {
   EXPECT_EQ(warm.profile_artifacts.misses, cold.profile_artifacts.misses);
 }
 
-TEST(ApiEngine, PlacedRunsAreSharedOnlyWithinOneImplementation) {
+TEST(ApiEngine, PlacedRunsAreSharedAcrossRepeatedPoints) {
   // With the response cache off, a repeated point reaches the pipeline and
-  // reuses its placed run. A request that selects another implementation
-  // (seed analyzer, no block tier, from-scratch IPET) must run its own,
-  // with the same result.
+  // reuses its placed run.
   EngineOptions eopts;
   eopts.cache_responses = false;
   api::Engine engine(eopts);
-  const auto point = [&](const ExperimentOptions& opts) {
+  const auto point = [&] {
     const auto result = engine.point(
-        PointRequest::make("adpcm", MemSetup::Scratchpad, 1024, opts).value());
+        PointRequest::make("adpcm", MemSetup::Scratchpad, 1024).value());
     EXPECT_TRUE(result.ok());
     return result.value().point;
   };
-  const harness::SweepPoint reference = point({});
-  expect_points_eq(point({}), reference);
+  const harness::SweepPoint reference = point();
+  expect_points_eq(point(), reference);
   EXPECT_EQ(engine.stats().placement_artifacts.misses, 1u);
   EXPECT_EQ(engine.stats().placement_artifacts.hits, 1u);
-
-  ExperimentOptions legacy;
-  legacy.legacy_wcet = true;
-  ExperimentOptions no_blocks;
-  no_blocks.block_tier = false;
-  ExperimentOptions scratch_ipet;
-  scratch_ipet.incremental = false;
-  uint64_t misses = 1;
-  for (const ExperimentOptions& opts : {legacy, no_blocks, scratch_ipet}) {
-    expect_points_eq(point(opts), reference);
-    EXPECT_EQ(engine.stats().placement_artifacts.misses, ++misses);
-    EXPECT_EQ(engine.stats().placement_artifacts.hits, 1u);
-  }
 }
 
 TEST(ApiEngine, IdenticalRequestsServeFromResponseCache) {
@@ -279,23 +272,6 @@ TEST(ApiEngine, IdenticalRequestsServeFromResponseCache) {
   expect_points_eq(first.value().point, second.value().point);
   EXPECT_EQ(engine.stats().response_hits, 1u);
   EXPECT_EQ(engine.stats().requests, 2u);
-}
-
-TEST(ApiEngine, NoArtifactCacheRequestsAlwaysReExecute) {
-  // artifact_cache=false asks for the seed re-derive path; a replayed
-  // response would invalidate any warm/cold timing comparison, so these
-  // requests bypass the response cache too.
-  api::Engine engine;
-  ExperimentOptions nocache;
-  nocache.use_artifact_cache = false;
-  const auto request =
-      PointRequest::make("adpcm", MemSetup::Cache, 128, nocache);
-  const auto first = engine.point(request.value());
-  const auto second = engine.point(request.value());
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  expect_points_eq(first.value().point, second.value().point);
-  EXPECT_EQ(engine.stats().response_hits, 0u);
 }
 
 TEST(ApiEngine, ResponseCachingCanBeDisabled) {
@@ -334,102 +310,21 @@ TEST(ApiEngine, SimBenchCoversBaselineAndSpmConfigs) {
   EXPECT_GT(result.value().aggregate_baseline_ips, 0.0);
 
   const auto baseline_only =
-      engine.simbench(SimBenchRequest::make(1, false, 0).value());
+      engine.simbench(SimBenchRequest::make(1, 0).value());
   ASSERT_TRUE(baseline_only.ok());
   EXPECT_EQ(baseline_only.value().rows.size(),
             workloads::simbench_names().size());
-
-  // The --no-block-tier baseline keys separately (an A/B timing must never
-  // be served a replayed tier measurement) and reports its mode.
-  EXPECT_NE(SimBenchRequest::make(1).value().key(),
-            SimBenchRequest::make(1, false, 4096, false).value().key());
-  const auto no_tier =
-      engine.simbench(SimBenchRequest::make(1, false, 0, false).value());
-  ASSERT_TRUE(no_tier.ok());
-  EXPECT_FALSE(no_tier.value().block_tier);
-  EXPECT_TRUE(baseline_only.value().block_tier);
+  EXPECT_EQ(SimBenchRequest::make(1).value().key(), "simbench|r=1|spm=4096");
 }
 
-// ---- wcetbench + the legacy-analyzer escape hatch --------------------------
+// ---- wcetbench ---------------------------------------------------------------
 
 TEST(ApiRequest, WcetBenchRepeatRangeAndKeys) {
   EXPECT_EQ(WcetBenchRequest::make(0).error().code, ErrorCode::OutOfRange);
   EXPECT_EQ(WcetBenchRequest::make(api::kMaxRepeat + 1).error().code,
             ErrorCode::OutOfRange);
-  EXPECT_EQ(WcetBenchRequest::make(0, false, false).error().code,
-            ErrorCode::OutOfRange);
   ASSERT_TRUE(WcetBenchRequest::make(1).ok());
-  EXPECT_NE(WcetBenchRequest::make(1, false).value().key(),
-            WcetBenchRequest::make(1, true).value().key());
-  // Incremental on/off are distinct cache keys: A/B timings must never be
-  // served from each other's replayed responses.
-  EXPECT_EQ(WcetBenchRequest::make(3).value().key(), "wcetbench|r=3|fast");
-  EXPECT_EQ(WcetBenchRequest::make(3, false, false).value().key(),
-            "wcetbench|r=3|fast|noincr");
-  EXPECT_TRUE(WcetBenchRequest::make(3).value().incremental());
-  EXPECT_FALSE(WcetBenchRequest::make(3, false, false).value().incremental());
-}
-
-TEST(ApiRequest, IncrementalOptionKeysSeparately) {
-  ExperimentOptions noincr;
-  noincr.incremental = false;
-  const auto a = PointRequest::make("adpcm", MemSetup::Cache, 512);
-  const auto b = PointRequest::make("adpcm", MemSetup::Cache, 512, noincr);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_NE(a.value().key(), b.value().key());
-  const auto sa = SweepRequest::make({"adpcm"}, MemSetup::Cache);
-  const auto sb = SweepRequest::make({"adpcm"}, MemSetup::Cache, {}, noincr);
-  ASSERT_TRUE(sa.ok());
-  ASSERT_TRUE(sb.ok());
-  EXPECT_NE(sa.value().key(), sb.value().key());
-}
-
-TEST(ApiEngine, NoIncrementalProducesIdenticalPoints) {
-  // The from-scratch baseline must stay field-identical to the incremental
-  // path — it exists purely as the A/B denominator for the speedup claim.
-  api::Engine engine;
-  ExperimentOptions noincr;
-  noincr.incremental = false;
-  noincr.with_persistence = true;
-  ExperimentOptions pers;
-  pers.with_persistence = true;
-  for (const MemSetup setup : {MemSetup::Scratchpad, MemSetup::Cache}) {
-    const auto fast = engine.point(
-        PointRequest::make("multisort", setup, 1024, pers).value());
-    const auto slow = engine.point(
-        PointRequest::make("multisort", setup, 1024, noincr).value());
-    ASSERT_TRUE(fast.ok());
-    ASSERT_TRUE(slow.ok());
-    expect_points_eq(fast.value().point, slow.value().point);
-  }
-}
-
-TEST(ApiRequest, LegacyWcetOptionKeysSeparately) {
-  // Identical results, but a --legacy-wcet run must never be served a
-  // replayed fast-path response (A/B timings would lie).
-  ExperimentOptions legacy;
-  legacy.legacy_wcet = true;
-  const auto a = PointRequest::make("adpcm", MemSetup::Scratchpad, 512);
-  const auto b = PointRequest::make("adpcm", MemSetup::Scratchpad, 512, legacy);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_NE(a.value().key(), b.value().key());
-}
-
-TEST(ApiEngine, LegacyWcetProducesIdenticalPoints) {
-  api::Engine engine;
-  ExperimentOptions legacy;
-  legacy.legacy_wcet = true;
-  for (const MemSetup setup : {MemSetup::Scratchpad, MemSetup::Cache}) {
-    const auto fast =
-        engine.point(PointRequest::make("multisort", setup, 1024).value());
-    const auto slow = engine.point(
-        PointRequest::make("multisort", setup, 1024, legacy).value());
-    ASSERT_TRUE(fast.ok());
-    ASSERT_TRUE(slow.ok());
-    expect_points_eq(fast.value().point, slow.value().point);
-  }
+  EXPECT_EQ(WcetBenchRequest::make(3).value().key(), "wcetbench|r=3");
 }
 
 TEST(ApiEngine, WcetBenchMeasuresAllSetupsPerWorkload) {
@@ -450,8 +345,6 @@ TEST(ApiEngine, WcetBenchMeasuresAllSetupsPerWorkload) {
     EXPECT_GT(rows[i + 2].analyses_per_second, 0.0);
   }
   EXPECT_GT(result.value().aggregate_aps, 0.0);
-  EXPECT_FALSE(result.value().legacy_wcet);
-  EXPECT_TRUE(result.value().incremental);
 }
 
 // ---- response-cache capacity -----------------------------------------------

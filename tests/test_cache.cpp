@@ -1,16 +1,16 @@
 // Cache library tests: functional direct-mapped/LRU behaviour and the
-// abstract-domain soundness contracts:
+// soundness contracts of the reference abstract domains
+// (tests/reference/abstract_cache.h):
 //   * MUST underapproximates: a line the MUST cache guarantees is always in
 //     the concrete cache, for any concrete trace consistent with the
 //     abstract one;
-//   * MAY overapproximates: a concretely cached line is always in MAY;
 //   * PERSISTENCE: a persistent line misses at most once in its scope.
 #include <gtest/gtest.h>
 
 #include <random>
 
-#include "cache/abstract_cache.h"
 #include "cache/functional_cache.h"
+#include "reference/abstract_cache.h"
 
 namespace spmwcet::cache {
 namespace {
@@ -142,18 +142,6 @@ TEST(MustCache, LruAgingEvictsOldest) {
   EXPECT_TRUE(m.contains_line(2));
 }
 
-// ---- MAY ---------------------------------------------------------------
-
-TEST(MayCache, JoinIsUnion) {
-  MayCache a(dm(256)), b(dm(256));
-  a.access_line(1);
-  b.access_line(2);
-  a.join_with(b);
-  EXPECT_TRUE(a.may_contain_line(1));
-  EXPECT_TRUE(a.may_contain_line(2));
-  EXPECT_FALSE(a.may_contain_line(3));
-}
-
 // ---- PERSISTENCE ----------------------------------------------------------
 
 TEST(PersistenceCache, SurvivingLineIsPersistent) {
@@ -197,7 +185,7 @@ class AbstractSoundness
     : public ::testing::TestWithParam<std::tuple<unsigned, uint32_t, uint32_t>> {
 };
 
-TEST_P(AbstractSoundness, MustSubsetOfConcreteSubsetOfMay) {
+TEST_P(AbstractSoundness, MustSubsetOfConcrete) {
   const auto [seed, size, assoc] = GetParam();
   const CacheConfig cfg = lru(size, assoc);
   std::mt19937 rng(seed);
@@ -220,7 +208,6 @@ TEST_P(AbstractSoundness, MustSubsetOfConcreteSubsetOfMay) {
   }
 
   MustCache must(cfg);
-  MayCache may(cfg);
   FunctionalCache concrete(cfg);
   std::mt19937 resolve_rng(seed ^ 0x9e3779b9u);
 
@@ -232,21 +219,15 @@ TEST_P(AbstractSoundness, MustSubsetOfConcreteSubsetOfMay) {
         ASSERT_TRUE(concrete.contains(addr))
             << "MUST claimed line " << line << " but concrete evicted it";
       }
-      if (concrete.contains(addr)) {
-        ASSERT_TRUE(may.may_contain_line(line))
-            << "concrete holds line " << line << " but MAY lost it";
-      }
     }
     if (ev.is_range) {
       std::uniform_int_distribution<uint32_t> pick(ev.lo, ev.hi);
       const uint32_t actual = pick(resolve_rng);
       concrete.access(actual * cfg.line_bytes);
       must.access_line_range(ev.lo, ev.hi);
-      may.access_line_range(ev.lo, ev.hi);
     } else {
       concrete.access(ev.line * cfg.line_bytes);
       must.access_line(ev.line);
-      may.access_line(ev.line);
     }
   }
 }

@@ -8,6 +8,7 @@
 
 #include "link/layout.h"
 #include "minic/codegen.h"
+#include "reference/map_cache_analysis.h"
 #include "wcet/analyzer.h"
 #include "wcet/block_timing.h"
 #include "wcet/cache_analysis.h"
@@ -18,6 +19,9 @@ namespace spmwcet::wcet {
 namespace {
 
 using namespace minic;
+using reference::analyze_cache;
+using reference::CacheClassification;
+using reference::to_sites;
 
 struct Classified {
   link::Image img;
@@ -51,8 +55,9 @@ bool has(const AddrSet& s, uint32_t addr) {
   return std::binary_search(s.begin(), s.end(), addr);
 }
 
-/// True when the seed analysis' sets, brought to per-site form through the
-/// one adapter (to_sites), agree with the flat analysis site for site (the
+/// True when the reference map analysis' sets, brought to per-site form
+/// through the one adapter (to_sites), agree with the production analysis
+/// site for site (the
 /// MUST and persistence fixpoints have unique solutions, so any faithful
 /// pair of implementations must classify every access alike, not merely
 /// the same number of them).
@@ -307,9 +312,8 @@ TEST(CacheAnalysis, FlatPersistenceMatchesMapAnalysisAcrossGeometries) {
 }
 
 TEST(CacheAnalysis, FlatPathActuallyRunsPersistenceAnalyses) {
-  // Regression guard for the silent fallback this PR removes: with
-  // persistence enabled, the fast incremental analyzer must run the flat
-  // persistence analysis itself — not delegate to the seed map analysis.
+  // With persistence enabled, the analyzer must run the flat persistence
+  // analysis itself; the map analysis is a test oracle only.
   const auto mod = compile(persistence_workout());
   const link::Image img = link::link_program(mod, {}, {});
   wcet::AnalyzerConfig acfg;
@@ -319,24 +323,11 @@ TEST(CacheAnalysis, FlatPathActuallyRunsPersistenceAnalyses) {
   acfg.with_persistence = true;
 
   reset_cache_analysis_counters();
+  const uint64_t map_runs = reference::map_analysis_runs();
   const auto report = analyze_wcet(img, acfg);
-  CacheAnalysisCounters counters = cache_analysis_counters();
-  EXPECT_GT(counters.flat_persistence_runs, 0u);
-  EXPECT_EQ(counters.map_runs, 0u);
+  EXPECT_GT(cache_analysis_counters().flat_persistence_runs, 0u);
+  EXPECT_EQ(reference::map_analysis_runs(), map_runs);
   EXPECT_GT(report.persistent_sites, 0u);
-
-  // The --no-incremental baseline keeps the PR 5 behavior: persistence
-  // delegates to the map analysis, field-identical results.
-  acfg.incremental = false;
-  reset_cache_analysis_counters();
-  const auto baseline = analyze_wcet(img, acfg);
-  counters = cache_analysis_counters();
-  EXPECT_GT(counters.map_runs, 0u);
-  EXPECT_EQ(counters.flat_persistence_runs, 0u);
-  EXPECT_EQ(baseline.wcet, report.wcet);
-  EXPECT_EQ(baseline.persistent_sites, report.persistent_sites);
-  EXPECT_EQ(baseline.persistence_penalty_cycles,
-            report.persistence_penalty_cycles);
 }
 
 } // namespace

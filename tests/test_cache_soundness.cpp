@@ -4,7 +4,8 @@
 // unified and instruction-only, with persistence analysis on and off.
 // The simulation side of each point is a reuse-table lookup, so the matrix
 // costs one observed run per program plus the analyses. The same matrix
-// pins the per-site classification against the seed analysis.
+// pins the per-site classification against the reference map analysis
+// (tests/reference/) and the skeleton IPET against the from-scratch solve.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,6 +14,7 @@
 #include "harness/sweep_runner.h"
 #include "link/layout.h"
 #include "program/decoded_image.h"
+#include "reference/map_cache_analysis.h"
 #include "wcet/analyzer.h"
 #include "wcet/cache_analysis.h"
 #include "wcet/frontend.h"
@@ -62,11 +64,13 @@ TEST(CacheSoundness, WcetDominatesSimulationAcrossTheCacheMatrix) {
 
 TEST(CacheSoundness, PerSiteClassificationMatchesSeedAcrossTheMatrix) {
   // Over the same matrix, the flat analysis' per-site outcome bytes must be
-  // the seed map analysis' address sets brought to per-site form (to_sites),
-  // and the WcetReport site statistics of the IR analyzer must equal the
-  // seed analyzer's on the same bound view.
+  // the reference map analysis' address sets brought to per-site form
+  // (to_sites), and the WcetReport solved through the IPET skeletons must
+  // equal the one solved from scratch on the same bound view.
   constexpr uint32_t kProgramsPerShape = 8;
   std::size_t checked = 0, persistent = 0;
+  const uint64_t map_runs = reference::map_analysis_runs();
+  wcet::IpetCacheStats skeletons;
   for (const std::string& shape : workloads::gen_shape_names())
     for (uint32_t seed = 1; seed <= kProgramsPerShape; ++seed) {
       const std::string name = "gen:" + shape + ":" + std::to_string(seed);
@@ -77,7 +81,7 @@ TEST(CacheSoundness, PerSiteClassificationMatchesSeedAcrossTheMatrix) {
           wcet::bind_view(std::make_shared<const wcet::ProgramShape>(
                               wcet::build_shape(img, dec)),
                           img, dec);
-      const wcet::IpetCache ipet; // both analyzers solve through it
+      const wcet::IpetCache ipet;
       for (const uint32_t size : harness::SweepConfig{}.sizes)
         for (const uint32_t assoc : {1u, 2u, 4u})
           for (const bool unified : {true, false})
@@ -93,9 +97,9 @@ TEST(CacheSoundness, PerSiteClassificationMatchesSeedAcrossTheMatrix) {
               ccfg.with_persistence = pers;
               const wcet::SiteClassification flat =
                   wcet::analyze_cache_flat(img, view.cfgs, view.root, ccfg);
-              const wcet::SiteClassification seed_sites = wcet::to_sites(
+              const wcet::SiteClassification seed_sites = reference::to_sites(
                   view.cfgs,
-                  wcet::analyze_cache(img, view.cfgs, view.root, ccfg));
+                  reference::analyze_cache(img, view.cfgs, view.root, ccfg));
               ASSERT_EQ(flat.sites, seed_sites.sites) << what;
               ASSERT_EQ(flat.persistent_penalty_lines,
                         seed_sites.persistent_penalty_lines)
@@ -107,7 +111,7 @@ TEST(CacheSoundness, PerSiteClassificationMatchesSeedAcrossTheMatrix) {
               acfg.with_persistence = pers;
               acfg.ipet_cache = &ipet;
               const wcet::WcetReport ir = wcet::analyze_wcet(view, acfg);
-              acfg.fast_path = false; // seed cache analysis, same view
+              acfg.ipet_cache = nullptr; // solve_ipet, same view
               const wcet::WcetReport sd = wcet::analyze_wcet(view, acfg);
               ASSERT_EQ(ir.fetch_sites, sd.fetch_sites) << what;
               ASSERT_EQ(ir.fetch_always_hit, sd.fetch_always_hit) << what;
@@ -120,10 +124,17 @@ TEST(CacheSoundness, PerSiteClassificationMatchesSeedAcrossTheMatrix) {
               ASSERT_EQ(ir.wcet, sd.wcet) << what;
               ++checked;
             }
+      const wcet::IpetCacheStats s = ipet.stats();
+      skeletons.hits += s.hits;
+      skeletons.fallbacks += s.fallbacks;
     }
   // 5 shapes x 8 programs x 8 paper sizes x 12 configurations.
   EXPECT_EQ(checked, std::size_t{5 * kProgramsPerShape * 8 * 12});
   EXPECT_GT(persistent, 0u); // the persistent outcome is exercised
+  // Both sides of each comparison ran.
+  EXPECT_EQ(reference::map_analysis_runs() - map_runs, checked);
+  EXPECT_GT(skeletons.hits, 0u);
+  EXPECT_EQ(skeletons.fallbacks, 0u);
 }
 
 } // namespace

@@ -58,9 +58,7 @@ const std::map<std::string, std::string> kFlagArgs = {
     {"--assoc", " 2"},       {"--icache", ""},
     {"--persistence", ""},   {"--wcet-alloc", ""},
     {"--csv", ""},           {"--jobs", " 1"},
-    {"--no-artifact-cache", ""}, {"--legacy-sim", ""},
-    {"--legacy-wcet", ""},   {"--no-incremental", ""},
-    {"--no-block-tier", ""}, {"--bench", ""},
+    {"--bench", ""},
     {"--repeat", " 2"},      {"--socket", " /nonexistent/s.sock"},
     {"--tcp", " 0"},         {"--max-inflight", " 1"},
     {"--max-queue-wait", " 1"}, {"--idle-timeout", " 1"},
@@ -75,10 +73,8 @@ struct Command {
   std::set<std::string> accepts;
 };
 
-const std::set<std::string> kOptions = {
-    "--assoc",          "--icache",          "--persistence",
-    "--wcet-alloc",     "--no-artifact-cache", "--legacy-wcet",
-    "--no-incremental", "--no-block-tier"};
+const std::set<std::string> kOptions = {"--assoc", "--icache",
+                                        "--persistence", "--wcet-alloc"};
 
 std::set<std::string> with_options(std::set<std::string> own) {
   own.insert(kOptions.begin(), kOptions.end());
@@ -100,10 +96,8 @@ const std::map<std::string, Command> kCommands = {
                 "--max-queue-wait", "--idle-timeout", "--drain"}}},
     {"disasm", {"disasm g721", {}}},
     {"annotations", {"annotations g721", {"--spm"}}},
-    {"simbench", {"simbench", {"--legacy-sim", "--no-block-tier", "--repeat",
-                               "--spm", "--json"}}},
-    {"wcetbench", {"wcetbench", {"--legacy-wcet", "--no-incremental",
-                                 "--repeat", "--json"}}},
+    {"simbench", {"simbench", {"--repeat", "--spm", "--json"}}},
+    {"wcetbench", {"wcetbench", {"--repeat", "--json"}}},
     {"corpusbench", {"corpusbench", {"--count", "--base", "--repeat",
                                      "--json", "--jobs"}}},
 };
@@ -117,13 +111,30 @@ TEST(CliFlags, EveryCommandRejectsEveryFlagItDoesNotRead) {
                       flag + " is not accepted by " + name);
       ++cases;
     }
-  EXPECT_EQ(cases, 214u); // 10 commands x 28 flags, minus the accepted
+  EXPECT_EQ(cases, 180u); // 10 commands x 23 flags, minus the accepted
+}
+
+/// The implementation-selecting flags of earlier versions. The parser no
+/// longer knows them, on any command.
+const std::vector<std::string> kRetiredFlags = {
+    "--no-artifact-cache", "--legacy-wcet", "--no-incremental",
+    "--no-block-tier", "--legacy-sim"};
+
+TEST(CliFlags, RetiredModeFlagsAreUnknownOptions) {
+  std::size_t cases = 0;
+  for (const auto& [name, command] : kCommands)
+    for (const std::string& flag : kRetiredFlags) {
+      expect_rejected(command.invocation + " " + flag,
+                      "unknown option: " + flag);
+      ++cases;
+    }
+  EXPECT_EQ(cases, 50u); // 10 commands x 5 flags
 }
 
 TEST(CliFlags, RejectionNamesTheCommandsThatAcceptTheFlag) {
-  expect_rejected("sweep all --legacy-sim",
-                  "--legacy-sim is not accepted by sweep; only accepted by "
-                  "simbench");
+  expect_rejected("sweep all --json /dev/null",
+                  "--json is not accepted by sweep; only accepted by "
+                  "corpus, corpusbench, serve, simbench, wcetbench");
   expect_rejected("simbench --persistence",
                   "--persistence is not accepted by simbench; only accepted "
                   "by corpus, run, sweep");
@@ -166,28 +177,26 @@ const std::vector<RejectCase> kContextRejections = {
        "runs none"},
       {"run g721 --spm 512 --cache 512",
        "--spm and --cache are mutually exclusive"},
-      {"run g721 --legacy-wcet",
-       "--legacy-wcet applies only to a --spm or --cache point of run"},
       {"run g721 --cache 1024 --blocks",
        "--blocks applies only to run's main-memory report"},
-      // Associativity past the abstract caches' byte-wide age domain is a
-      // typed request error, on the default and the seed analyzer alike.
+      // Associativity past the cache analysis' byte-wide age domain is a
+      // typed request error, with and without persistence.
       {"run adpcm --cache 8192 --assoc 256 --persistence",
        "out_of_range: cache associativity 256 exceeds the supported maximum "
        "of 128 (assoc)"},
-      {"run adpcm --cache 8192 --assoc 256 --legacy-wcet",
+      {"run adpcm --cache 8192 --assoc 256",
        "out_of_range: cache associativity 256 exceeds the supported maximum "
        "of 128 (assoc)"},
 };
 
 const std::vector<std::string> kAcceptedLines = {
     "run g721 --cache 256 --assoc 2 --icache --persistence",
-    "run adpcm --spm 512 --wcet-alloc --legacy-wcet",
+    "run adpcm --spm 512 --wcet-alloc",
     "run multisort --blocks",
 };
 
 TEST(CliFlags, CacheGeometryNeedsACachePoint) {
-  EXPECT_EQ(kContextRejections.size(), 15u);
+  EXPECT_EQ(kContextRejections.size(), 14u);
   for (const RejectCase& c : kContextRejections)
     expect_rejected(c.args, c.error);
 }
@@ -201,14 +210,17 @@ TEST(CliFlags, FlagsThatReachTheirPointsAreAccepted) {
 
 // ---- argument fuzzing -------------------------------------------------------
 
-/// The command lines above: every command with each flag it accepts, the
-/// context rejections, and the accepted multi-flag lines.
+/// The command lines above: every command with each flag it accepts and
+/// with each retired flag, the context rejections, and the accepted
+/// multi-flag lines.
 std::vector<std::string> cli_corpus() {
   std::vector<std::string> corpus;
   for (const auto& [name, command] : kCommands) {
     corpus.push_back(command.invocation);
     for (const std::string& flag : command.accepts)
       corpus.push_back(command.invocation + " " + flag + kFlagArgs.at(flag));
+    for (const std::string& flag : kRetiredFlags)
+      corpus.push_back(command.invocation + " " + flag);
   }
   for (const RejectCase& c : kContextRejections) corpus.push_back(c.args);
   corpus.insert(corpus.end(), kAcceptedLines.begin(), kAcceptedLines.end());

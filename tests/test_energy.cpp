@@ -67,7 +67,7 @@ TEST(EnergyModel, CachePointEnergyMatchesTheModelEndToEnd) {
   const auto wl = workloads::make_adpcm(64);
   harness::SweepConfig cfg;
   cfg.setup = harness::MemSetup::Cache;
-  const auto pt = harness::run_point(wl, harness::MemSetup::Cache, 512, cfg);
+  const auto pt = harness::detail::execute_point(wl, harness::MemSetup::Cache, 512, cfg);
 
   const energy::EnergyModel em;
   const double expected =
@@ -86,7 +86,7 @@ TEST(EnergyModel, SpmAllocationReducesEnergyMonotonically) {
   double prev = -1.0;
   for (const uint32_t size : {128u, 512u, 2048u}) {
     const auto pt =
-        harness::run_point(wl, harness::MemSetup::Scratchpad, size, cfg);
+        harness::detail::execute_point(wl, harness::MemSetup::Scratchpad, size, cfg);
     EXPECT_GT(pt.energy_nj, 0.0);
     if (prev >= 0.0) EXPECT_LE(pt.energy_nj, prev);
     prev = pt.energy_nj;

@@ -18,6 +18,8 @@
 #include "minic/codegen.h"
 #include "minic/interp.h"
 #include "program/decoded_image.h"
+#include "reference/map_cache_analysis.h"
+#include "reference/seed_frontend.h"
 #include "sim/simulator.h"
 #include "wcet/analyzer.h"
 #include "wcet/cache_analysis.h"
@@ -184,8 +186,9 @@ TEST(SimFastPathFuzz, BlockTierFastAndLegacyPathsAreFieldIdentical) {
 }
 
 // Analyzer front-end parity property: for arbitrary generated programs,
-// the IR analyzer (shared predecode + shape/bind + flat cache analysis)
-// must produce the same report as the seed analyzer — under the plain
+// the production front end (shared predecode + shape/bind) must produce
+// the same report as the seed front end (reference::seed_view) through the
+// same back end — under the plain
 // layout, an everything-on-SPM placement, and a small unified cache. This
 // is the generalization of the paper-workload parity suite in
 // tests/test_wcet_frontend.cpp to programs nobody hand-picked.
@@ -196,11 +199,10 @@ TEST(WcetFrontendFuzz, IrAndLegacyAnalyzersAreFieldIdentical) {
     const auto mod = compile(prog);
 
     const auto compare = [&](const link::Image& img,
-                             wcet::AnalyzerConfig acfg) {
-      acfg.fast_path = true;
+                             const wcet::AnalyzerConfig& acfg) {
       const auto fast = wcet::analyze_wcet(img, acfg);
-      acfg.fast_path = false;
-      const auto legacy = wcet::analyze_wcet(img, acfg);
+      const auto legacy =
+          wcet::analyze_wcet(reference::seed_view(img), acfg);
       ASSERT_EQ(fast.wcet, legacy.wcet) << "seed " << seed;
       ASSERT_EQ(fast.fetch_sites, legacy.fetch_sites) << "seed " << seed;
       ASSERT_EQ(fast.fetch_always_hit, legacy.fetch_always_hit)
@@ -278,6 +280,7 @@ void expect_reports_identical(const wcet::WcetReport& a,
 // soundness fuzz uses, under the SPM-all and small-cache setups.
 TEST(IncrementalIpetFuzz, CachedSkeletonMatchesFromScratchFieldExactly) {
   constexpr unsigned kPrograms = 200;
+  wcet::IpetCacheStats skeletons;
   for (unsigned seed = 1; seed <= kPrograms; ++seed) {
     const ProgramDef prog = linkable_program(seed * 69621u + 7u);
     const auto mod = compile(prog);
@@ -290,19 +293,19 @@ TEST(IncrementalIpetFuzz, CachedSkeletonMatchesFromScratchFieldExactly) {
       const wcet::ProgramView view = wcet::bind_view(shape, img, dec);
 
       const wcet::IpetCache ipet;
-      acfg.incremental = true;
       acfg.ipet_cache = &ipet;
       const auto incr = wcet::analyze_wcet(view, acfg);
       // Re-run on the warm cache too: hits must be as exact as builds.
       const auto warm = wcet::analyze_wcet(view, acfg);
 
-      acfg.incremental = false;
       acfg.ipet_cache = nullptr;
       const auto scratch = wcet::analyze_wcet(view, acfg);
 
       const std::string what = "seed " + std::to_string(seed);
       expect_reports_identical(incr, scratch, what + " cold");
       expect_reports_identical(warm, scratch, what + " warm");
+      skeletons.hits += ipet.stats().hits;
+      skeletons.fallbacks += ipet.stats().fallbacks;
     };
 
     {
@@ -321,14 +324,79 @@ TEST(IncrementalIpetFuzz, CachedSkeletonMatchesFromScratchFieldExactly) {
       compare(link::link_program(mod, {}, {}), acfg);
     }
   }
+  // The skeleton side served solves and never fell back to a cold solve.
+  EXPECT_GT(skeletons.hits, 0u);
+  EXPECT_EQ(skeletons.fallbacks, 0u);
+}
+
+// The same property on the paper trio plus a gen:mixed slice, solved the
+// way a batch solves them: one skeleton store per workload shared by
+// every placement and cache size, against the from-scratch solve of the
+// same view.
+TEST(IncrementalIpetFuzz, SharedSkeletonsMatchFromScratchOnTrioAndMixedSlice) {
+  std::vector<std::string> names = workloads::paper_benchmark_names();
+  for (uint32_t seed = 1; seed <= 8; ++seed)
+    names.push_back("gen:mixed:" + std::to_string(seed));
+  wcet::IpetCacheStats skeletons;
+  for (const std::string& name : names) {
+    const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
+    const link::Image canonical = link::link_program(wl->module, {}, {});
+    const program::DecodedImage cdec(canonical);
+    const auto shape = std::make_shared<const wcet::ProgramShape>(
+        wcet::build_shape(canonical, cdec));
+    const wcet::IpetCache ipet;
+    const auto compare = [&](const wcet::ProgramView& view,
+                             wcet::AnalyzerConfig acfg,
+                             const std::string& what) {
+      acfg.ipet_cache = &ipet;
+      const auto incr = wcet::analyze_wcet(view, acfg);
+      acfg.ipet_cache = nullptr;
+      expect_reports_identical(incr, wcet::analyze_wcet(view, acfg), what);
+    };
+
+    // Scratchpad: everything placed, then halves of the objects, so the
+    // shared skeletons see several layouts of one shape.
+    const auto& mod = wl->module;
+    for (const uint32_t part : {0u, 1u, 2u}) {
+      link::LinkOptions opts;
+      opts.spm_size = 256 * 1024;
+      link::SpmAssignment spm;
+      std::size_t i = 0;
+      for (const auto& f : mod.functions)
+        if (part == 0 || i++ % 2 == part - 1) spm.functions.insert(f.name);
+      for (const auto& g : mod.globals)
+        if (part == 0 || i++ % 2 == part - 1) spm.globals.insert(g.name);
+      const link::Image img = link::link_program(mod, opts, spm);
+      const program::DecodedImage dec(img);
+      compare(wcet::bind_view(shape, img, dec), {},
+              name + " spm part " + std::to_string(part));
+    }
+
+    const wcet::ProgramView view = wcet::bind_view(shape, canonical, cdec);
+    for (const uint32_t size : {64u, 512u, 4096u})
+      for (const bool pers : {false, true}) {
+        wcet::AnalyzerConfig acfg;
+        cache::CacheConfig ccfg;
+        ccfg.size_bytes = size;
+        acfg.cache = ccfg;
+        acfg.with_persistence = pers;
+        compare(view, acfg,
+                name + " cache " + std::to_string(size) +
+                    (pers ? " persistence" : ""));
+      }
+    skeletons.hits += ipet.stats().hits;
+    skeletons.fallbacks += ipet.stats().fallbacks;
+  }
+  EXPECT_GT(skeletons.hits, 0u);
+  EXPECT_EQ(skeletons.fallbacks, 0u);
 }
 
 // Flat-persistence parity property: with persistence enabled, the flat
-// tag/age analysis (the incremental default) must be field-identical to
-// the seed map-based analysis (the --no-incremental / --legacy-wcet
-// baselines) on arbitrary generated programs across cache geometries —
-// both the reports and, through the one seed-to-site adapter (to_sites),
-// the classification of every access.
+// tag/age analysis must classify every access exactly as the reference
+// map-based analysis does, through the one seed-to-site adapter
+// (to_sites), on arbitrary generated programs across cache geometries;
+// and the production report must equal the seed front end's through the
+// same back end.
 TEST(FlatPersistenceFuzz, FlatAndMapPersistenceAreFieldIdentical) {
   constexpr unsigned kPrograms = 60;
   for (unsigned seed = 1; seed <= kPrograms; ++seed) {
@@ -349,17 +417,13 @@ TEST(FlatPersistenceFuzz, FlatAndMapPersistenceAreFieldIdentical) {
         acfg.cache = ccfg;
         acfg.with_persistence = true;
 
-        acfg.incremental = true; // fast path + flat persistence
         const auto flat = wcet::analyze_wcet(img, acfg);
-        acfg.incremental = false; // fast path + seed map persistence
-        const auto map_based = wcet::analyze_wcet(img, acfg);
-        acfg.fast_path = false; // seed front end end to end
-        const auto legacy = wcet::analyze_wcet(img, acfg);
+        const auto legacy =
+            wcet::analyze_wcet(reference::seed_view(img), acfg);
 
         const std::string what = "seed " + std::to_string(seed) + " size " +
                                  std::to_string(size) +
                                  (unified ? " unified" : " icache");
-        expect_reports_identical(flat, map_based, what + " flat-vs-map");
         expect_reports_identical(flat, legacy, what + " flat-vs-legacy");
 
         wcet::CacheAnalysisConfig cls_cfg;
@@ -367,8 +431,9 @@ TEST(FlatPersistenceFuzz, FlatAndMapPersistenceAreFieldIdentical) {
         cls_cfg.with_persistence = true;
         const wcet::SiteClassification sites =
             wcet::analyze_cache_flat(img, view.cfgs, view.root, cls_cfg);
-        const wcet::SiteClassification seed_sites = wcet::to_sites(
-            view.cfgs, wcet::analyze_cache(img, view.cfgs, view.root, cls_cfg));
+        const wcet::SiteClassification seed_sites = reference::to_sites(
+            view.cfgs,
+            reference::analyze_cache(img, view.cfgs, view.root, cls_cfg));
         ASSERT_EQ(sites.sites, seed_sites.sites) << what;
         ASSERT_EQ(sites.persistent_penalty_lines,
                   seed_sites.persistent_penalty_lines)

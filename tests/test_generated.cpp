@@ -3,19 +3,24 @@
 // correctness against the reference interpreter, registry identity — and
 // the population parity suite, which runs a corpus of 100 generated
 // programs across all five shapes through the real pipeline and asserts
-// the fast/legacy/incremental mode equivalences plus WCET soundness on
-// every member (the paper-benchmark parity gates, generalized to programs
-// nobody hand-picked).
+// parity with the reference implementations plus WCET soundness on every
+// member (the paper-benchmark parity gates, generalized to programs
+// nobody hand-picked). The simulator-tier and artifact-sharing parity
+// cases run the paper trio plus a gen:mixed slice.
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <sstream>
 
+#include "alloc/allocator.h"
 #include "api/engine.h"
 #include "api/request.h"
+#include "harness/artifact_cache.h"
 #include "link/layout.h"
 #include "minic/codegen.h"
+#include "reference/seed_frontend.h"
 #include "sim/simulator.h"
+#include "wcet/analyzer.h"
 #include "wcet/dump.h"
 #include "workloads/generated.h"
 
@@ -179,10 +184,11 @@ TEST(GeneratedWorkload, RegistryMemoizesUnderTheCanonicalName) {
 
 // The population parity suite: 100 generated programs across all five
 // shapes, each run through the real pipeline. Per member:
-//   * the block-tier and fast simulators must be field-identical to
-//     --legacy-sim;
-//   * the pipeline point must be field-identical across the default (IR
-//     incremental), --legacy-wcet and --no-incremental analyzers;
+//   * the block-tier and fast simulators must be field-identical to the
+//     seed simulator (SimConfig::fast_path unset);
+//   * the pipeline point must be reproduced by the reference path on the
+//     same placement: the seed simulator and the seed analyzer front end
+//     with from-scratch IPET;
 //   * the WCET bound must dominate the simulated execution.
 // Every point also validates the member's outputs against the interpreter
 // expectations inside execute_point, so functional correctness rides along.
@@ -207,7 +213,7 @@ TEST(GeneratedPopulation, ParityAndSoundnessAcross100Programs) {
       const auto wl = workloads::cached_generated(spec);
 
       // Simulator three-way parity on the plain image: block-tier and
-      // per-instruction fast path against --legacy-sim.
+      // per-instruction fast path against the seed simulator.
       const link::Image img = link::link_program(wl->module, {}, {});
       sim::SimConfig tier_cfg;
       tier_cfg.collect_profile = true;
@@ -225,36 +231,121 @@ TEST(GeneratedPopulation, ParityAndSoundnessAcross100Programs) {
       ASSERT_EQ(fast.instructions, legacy.instructions) << name;
       ASSERT_TRUE(fast.profile == legacy.profile) << name;
 
-      // Pipeline parity across analyzer modes at one SPM capacity.
-      api::ExperimentOptions base;
-      api::ExperimentOptions legacy_wcet = base;
-      legacy_wcet.legacy_wcet = true;
-      api::ExperimentOptions no_incremental = base;
-      no_incremental.incremental = false;
-      harness::SweepPoint pts[3];
-      std::size_t k = 0;
-      for (const api::ExperimentOptions& opts :
-           {base, legacy_wcet, no_incremental}) {
-        const auto req = api::PointRequest::make(
-            name, harness::MemSetup::Scratchpad, 512, opts);
-        ASSERT_TRUE(req.ok()) << name;
-        const auto res = engine.point(req.value());
-        ASSERT_TRUE(res.ok()) << name << ": " << res.error().message;
-        pts[k++] = res.value().point;
-      }
-      for (std::size_t i = 1; i < 3; ++i) {
-        ASSERT_EQ(pts[i].sim_cycles, pts[0].sim_cycles) << name;
-        ASSERT_EQ(pts[i].wcet_cycles, pts[0].wcet_cycles) << name;
-        ASSERT_EQ(pts[i].ratio, pts[0].ratio) << name;
-        ASSERT_EQ(pts[i].spm_used_bytes, pts[0].spm_used_bytes) << name;
-        ASSERT_EQ(pts[i].energy_nj, pts[0].energy_nj) << name;
-      }
+      // The pipeline point at one SPM capacity against the reference path
+      // on the placement the paper's allocation flow picks.
+      constexpr uint32_t kSpm = 512;
+      const auto req =
+          api::PointRequest::make(name, harness::MemSetup::Scratchpad, kSpm);
+      ASSERT_TRUE(req.ok()) << name;
+      const auto res = engine.point(req.value());
+      ASSERT_TRUE(res.ok()) << name << ": " << res.error().message;
+      const harness::SweepPoint pt = res.value().point;
+      const auto alloc =
+          alloc::allocate_energy_optimal(wl->module, legacy.profile, kSpm);
+      link::LinkOptions opts;
+      opts.spm_size = kSpm;
+      const link::Image placed =
+          link::link_program(wl->module, opts, alloc.assignment);
+      ASSERT_EQ(pt.sim_cycles, sim::simulate(placed, legacy_cfg).cycles)
+          << name;
+      ASSERT_EQ(pt.wcet_cycles,
+                wcet::analyze_wcet(reference::seed_view(placed), {}).wcet)
+          << name;
+      ASSERT_EQ(pt.spm_used_bytes, alloc.used_bytes) << name;
 
       // Soundness: the analyzed bound dominates the simulated execution.
-      ASSERT_GE(pts[0].wcet_cycles, pts[0].sim_cycles) << name;
+      ASSERT_GE(pt.wcet_cycles, pt.sim_cycles) << name;
     }
   }
   ASSERT_GE(members, 100);
+}
+
+/// The paper trio plus a slice of the gen:mixed corpus.
+std::vector<std::string> trio_and_mixed_slice() {
+  std::vector<std::string> names = workloads::paper_benchmark_names();
+  for (uint32_t seed = 1; seed <= 8; ++seed)
+    names.push_back("gen:mixed:" + std::to_string(seed));
+  return names;
+}
+
+void expect_same_run(const sim::SimResult& a, const sim::SimResult& b,
+                     const std::string& what) {
+  EXPECT_EQ(a.cycles, b.cycles) << what;
+  EXPECT_EQ(a.instructions, b.instructions) << what;
+  EXPECT_EQ(a.cache_hits, b.cache_hits) << what;
+  EXPECT_EQ(a.cache_misses, b.cache_misses) << what;
+  EXPECT_EQ(a.output, b.output) << what;
+  EXPECT_TRUE(a.profile == b.profile) << what;
+}
+
+// The superblock tier against the per-instruction path below it, on the
+// canonical layout and an SPM placement: both runs are field-identical,
+// and the tier engaged on exactly one side.
+TEST(ModeParity, BlockTierMatchesPerInstructionPathOnTrioAndMixedSlice) {
+  for (const std::string& name : trio_and_mixed_slice()) {
+    const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
+    const link::Image canonical = link::link_program(wl->module, {}, {});
+    sim::SimConfig tier_cfg;
+    tier_cfg.collect_profile = true;
+    const auto profile = sim::simulate(canonical, tier_cfg).profile;
+    link::LinkOptions opts;
+    opts.spm_size = 1024;
+    const link::Image placed = link::link_program(
+        wl->module, opts,
+        alloc::allocate_energy_optimal(wl->module, profile, 1024).assignment);
+    for (const link::Image* img : {&canonical, &placed}) {
+      const std::string what =
+          name + (img == &canonical ? " canonical" : " spm1024");
+      sim::SimConfig step_cfg = tier_cfg;
+      step_cfg.block_tier = false;
+      sim::Simulator tier(*img, tier_cfg);
+      sim::Simulator step(*img, step_cfg);
+      EXPECT_TRUE(tier.block_tier_active()) << what;
+      EXPECT_FALSE(step.block_tier_active()) << what;
+      expect_same_run(tier.run(), step.run(), what);
+    }
+  }
+}
+
+void expect_same_point(const harness::SweepPoint& a,
+                       const harness::SweepPoint& b, const std::string& what) {
+  EXPECT_EQ(a.size_bytes, b.size_bytes) << what;
+  EXPECT_EQ(a.sim_cycles, b.sim_cycles) << what;
+  EXPECT_EQ(a.wcet_cycles, b.wcet_cycles) << what;
+  EXPECT_EQ(a.ratio, b.ratio) << what;
+  EXPECT_EQ(a.cache_hits, b.cache_hits) << what;
+  EXPECT_EQ(a.cache_misses, b.cache_misses) << what;
+  EXPECT_EQ(a.spm_used_bytes, b.spm_used_bytes) << what;
+  EXPECT_EQ(a.energy_nj, b.energy_nj) << what;
+}
+
+// Points that share one ArtifactCache against points that each derive
+// everything in a point-local cache, over both setups and every paper
+// size: field-identical, and the shared side actually reused placed runs,
+// shapes, views and IPET skeletons.
+TEST(ModeParity, SharedArtifactsMatchPointLocalOnTrioAndMixedSlice) {
+  harness::ArtifactCache shared;
+  for (const std::string& name : trio_and_mixed_slice()) {
+    const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
+    for (const auto setup :
+         {harness::MemSetup::Scratchpad, harness::MemSetup::Cache}) {
+      harness::SweepConfig local_cfg;
+      local_cfg.setup = setup;
+      harness::SweepConfig shared_cfg = local_cfg;
+      shared_cfg.artifacts = &shared;
+      for (const uint32_t size : local_cfg.sizes)
+        expect_same_point(
+            harness::detail::execute_point(*wl, setup, size, shared_cfg),
+            harness::detail::execute_point(*wl, setup, size, local_cfg),
+            name + (setup == harness::MemSetup::Cache ? " cache " : " spm ") +
+                std::to_string(size));
+    }
+  }
+  EXPECT_GT(shared.placement_stats().hits, 0u);
+  EXPECT_GT(shared.shape_stats().hits, 0u);
+  EXPECT_GT(shared.view_stats().hits, 0u);
+  EXPECT_GT(shared.ipet_skeleton_stats().hits, 0u);
+  EXPECT_EQ(shared.ipet_skeleton_stats().fallbacks, 0u);
 }
 
 } // namespace

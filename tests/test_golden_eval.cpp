@@ -186,9 +186,11 @@ TEST(GoldenCompare, CsvEnergyFieldIsLastCommaField) {
 class GoldenEval : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
+    api::Engine engine(api::EngineOptions{/*jobs=*/0});
     results_ = new std::vector<harness::EvaluationResult>(
-        harness::run_full_evaluation(workloads::cached_paper_benchmarks(),
-                                     harness::SweepConfig{}, /*jobs=*/0));
+        engine.eval(api::EvalRequest::make().value_or_throw())
+            .value_or_throw()
+            .results);
   }
   static void TearDownTestSuite() {
     delete results_;

@@ -7,11 +7,24 @@
 
 #include "harness/artifact_cache.h"
 #include "harness/experiment.h"
+#include "harness/sweep_runner.h"
 #include "link/layout.h"
 #include "support/diag.h"
 
 namespace spmwcet::harness {
 namespace {
+
+/// One point through the pipeline primitive.
+SweepPoint run_point(const workloads::WorkloadInfo& wl, MemSetup setup,
+                     uint32_t size_bytes, const SweepConfig& cfg) {
+  return detail::execute_point(wl, setup, size_bytes, cfg);
+}
+
+/// One size sweep as a run_matrix batch on `jobs` workers.
+std::vector<SweepPoint> run_sweep(const workloads::WorkloadInfo& wl,
+                                  const SweepConfig& cfg, unsigned jobs = 1) {
+  return run_matrix({MatrixRequest{&wl, cfg}}, jobs).front();
+}
 
 SweepConfig small_spm() {
   SweepConfig cfg;
@@ -118,8 +131,7 @@ TEST(Harness, SweepPointsAreIndependentOfJobCount) {
   for (const auto make_cfg : {small_spm, small_cache}) {
     SweepConfig cfg = make_cfg();
     const auto serial = run_sweep(wl, cfg);
-    cfg.jobs = 8;
-    const auto parallel = run_sweep(wl, cfg);
+    const auto parallel = run_sweep(wl, cfg, 8);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(serial[i].size_bytes, parallel[i].size_bytes);

@@ -234,94 +234,6 @@ TEST(Model, RepeatedConstraintTermsAccumulate) {
   EXPECT_NEAR(s.value(x), 2.0, 1e-6);
 }
 
-// ---- warm start ------------------------------------------------------------
-
-TEST(WarmStart, OptimalBasisReachesSameObjective) {
-  Model m;
-  const int x = m.add_var("x");
-  const int y = m.add_var("y");
-  m.add_constraint({{x, 1}, {y, 1}}, Relation::LE, 4);
-  m.add_constraint({{x, 1}, {y, 3}}, Relation::LE, 6);
-  m.set_objective(Sense::Maximize, {{x, 3}, {y, 2}});
-  const Solution cold = solve_lp(m);
-  ASSERT_EQ(cold.status, Status::Optimal);
-  ASSERT_FALSE(cold.basis.empty());
-  EXPECT_FALSE(cold.warm_started);
-
-  const Solution warm = solve_lp(m, &cold.basis);
-  ASSERT_EQ(warm.status, Status::Optimal);
-  EXPECT_TRUE(warm.warm_started);
-  EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
-  EXPECT_NEAR(warm.value(x), cold.value(x), 1e-9);
-  EXPECT_NEAR(warm.value(y), cold.value(y), 1e-9);
-}
-
-TEST(WarmStart, BasisSurvivesObjectiveChange) {
-  // Re-solving the same constraint matrix under a new objective is the
-  // incremental-IPET pattern; the previous optimal basis is a valid start.
-  Model m;
-  const int x = m.add_var("x");
-  const int y = m.add_var("y");
-  m.add_constraint({{x, 1}, {y, 1}}, Relation::LE, 4);
-  m.add_constraint({{x, 1}, {y, 3}}, Relation::LE, 6);
-  m.set_objective(Sense::Maximize, {{x, 3}, {y, 2}});
-  const Solution first = solve_lp(m);
-  ASSERT_EQ(first.status, Status::Optimal);
-
-  m.set_objective(Sense::Maximize, {{x, 1}, {y, 5}});
-  const Solution warm = solve_lp(m, &first.basis);
-  const Solution cold = solve_lp(m);
-  ASSERT_EQ(warm.status, Status::Optimal);
-  EXPECT_TRUE(warm.warm_started);
-  EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
-}
-
-TEST(WarmStart, InvalidBasisFallsBackCold) {
-  Model m;
-  const int x = m.add_var("x");
-  const int y = m.add_var("y");
-  m.add_constraint({{x, 1}, {y, 1}}, Relation::LE, 4);
-  m.add_constraint({{x, 2}, {y, 1}}, Relation::LE, 6);
-  m.set_objective(Sense::Maximize, {{x, 3}, {y, 2}});
-  const Solution cold = solve_lp(m);
-  ASSERT_EQ(cold.status, Status::Optimal);
-
-  // Wrong size, out-of-range column, repeated column: each must quietly
-  // fall back to the two-phase cold solve, never crash or mis-solve.
-  const Basis wrong_size = {0, 1, 2};
-  const Basis out_of_range = {99, 0};
-  const Basis repeated = {0, 0};
-  for (const Basis* bad : {&wrong_size, &out_of_range, &repeated}) {
-    const Solution s = solve_lp(m, bad);
-    ASSERT_EQ(s.status, Status::Optimal);
-    EXPECT_FALSE(s.warm_started);
-    EXPECT_NEAR(s.objective, cold.objective, 1e-9);
-  }
-  // Null/empty warm request = cold solve.
-  const Solution none = solve_lp(m, nullptr);
-  EXPECT_FALSE(none.warm_started);
-  EXPECT_NEAR(none.objective, cold.objective, 1e-9);
-}
-
-TEST(WarmStart, MilpRootAcceptsWarmBasisAndReturnsIt) {
-  Model m;
-  const int a = m.add_var("a", 0, 1, true);
-  const int b = m.add_var("b", 0, 1, true);
-  const int c = m.add_var("c", 0, 1, true);
-  m.add_constraint({{a, 1}, {b, 1}, {c, 1}}, Relation::LE, 2);
-  m.set_objective(Sense::Maximize, {{a, 10}, {b, 6}, {c, 4}});
-  const Solution first = solve_milp(m);
-  ASSERT_EQ(first.status, Status::Optimal);
-  ASSERT_FALSE(first.basis.empty());
-
-  MilpOptions opts;
-  opts.warm_start = &first.basis;
-  const Solution again = solve_milp(m, opts);
-  ASSERT_EQ(again.status, Status::Optimal);
-  EXPECT_TRUE(again.warm_started);
-  EXPECT_NEAR(again.objective, first.objective, 1e-9);
-}
-
 // ---- PreparedLp ------------------------------------------------------------
 
 TEST(PreparedLp, MatchesColdSolveBitExactly) {

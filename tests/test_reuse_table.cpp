@@ -277,7 +277,6 @@ TEST(ReuseArtifact, BudgetErrorReachesEveryCachePoint) {
     cfg.sizes = {64, 8192};
     harness::ArtifactCache cache;
     cfg.artifacts = batch_cache ? &cache : nullptr;
-    cfg.use_artifact_cache = batch_cache;
     const harness::SweepRunner runner(harness::SweepRunnerOptions{2});
     const auto outcomes = runner.run(harness::make_sweep_jobs(wl, cfg));
     ASSERT_EQ(outcomes.size(), cfg.sizes.size());

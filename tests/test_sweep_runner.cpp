@@ -45,6 +45,13 @@ void expect_identical_points(const std::vector<harness::SweepPoint>& a,
   }
 }
 
+/// One size sweep as a run_matrix batch on `jobs` workers.
+std::vector<harness::SweepPoint> sweep(const workloads::WorkloadInfo& wl,
+                                       const harness::SweepConfig& cfg,
+                                       unsigned jobs) {
+  return harness::run_matrix({{&wl, cfg}}, jobs).front();
+}
+
 harness::SweepConfig config_for(harness::MemSetup setup) {
   harness::SweepConfig cfg;
   cfg.setup = setup;
@@ -68,10 +75,10 @@ TEST_P(SweepRunnerParity, ParallelReportMatchesSerial) {
   const workloads::WorkloadInfo wl = make(bench);
   const harness::SweepConfig cfg = config_for(setup);
 
-  const auto serial = harness::run_sweep_parallel(wl, cfg, 1);
+  const auto serial = sweep(wl, cfg, 1);
   const std::string serial_report = render(wl, cfg, serial);
   for (const unsigned jobs : {2u, 8u}) {
-    const auto parallel = harness::run_sweep_parallel(wl, cfg, jobs);
+    const auto parallel = sweep(wl, cfg, jobs);
     EXPECT_EQ(serial_report, render(wl, cfg, parallel))
         << bench << "/" << harness::to_string(setup) << " with " << jobs
         << " threads diverged from the serial report";
@@ -86,13 +93,13 @@ TEST_P(SweepRunnerParity, CachedProfileMatchesUncachedSeedPath) {
   const workloads::WorkloadInfo wl = make(bench);
   harness::SweepConfig cfg = config_for(setup);
 
-  cfg.use_artifact_cache = false;
-  const auto seed = harness::run_sweep_parallel(wl, cfg, 1);
+  std::vector<harness::SweepPoint> seed;
+  for (const uint32_t size : cfg.sizes) // point-local caches: nothing shared
+    seed.push_back(harness::detail::execute_point(wl, setup, size, cfg));
   const std::string seed_report = render(wl, cfg, seed);
 
-  cfg.use_artifact_cache = true;
   for (const unsigned jobs : {1u, 2u, 8u}) {
-    const auto cached = harness::run_sweep_parallel(wl, cfg, jobs);
+    const auto cached = sweep(wl, cfg, jobs);
     expect_identical_points(seed, cached,
                             bench + std::string("/") +
                                 harness::to_string(setup) + " cached@" +
@@ -117,8 +124,8 @@ TEST_P(SweepRunnerParity, MemoizedRegistryMatchesFreshFactory) {
   const workloads::WorkloadInfo fresh = make(bench);
   for (const unsigned jobs : {1u, 8u}) {
     expect_identical_points(
-        harness::run_sweep_parallel(fresh, cfg, jobs),
-        harness::run_sweep_parallel(*cached_wl, cfg, jobs),
+        sweep(fresh, cfg, jobs),
+        sweep(*cached_wl, cfg, jobs),
         bench + std::string("/registry@") + std::to_string(jobs));
   }
 }
@@ -135,17 +142,6 @@ INSTANTIATE_TEST_SUITE_P(
                              ? "Cache"
                              : "Spm");
     });
-
-TEST(SweepRunner, RunSweepHonorsConfigJobs) {
-  // run_sweep with cfg.jobs > 1 routes through the pool and must match the
-  // serial engine (the CLI's --jobs plumbing relies on this).
-  const auto wl = workloads::make_adpcm(64);
-  harness::SweepConfig cfg = config_for(harness::MemSetup::Scratchpad);
-  const std::string serial =
-      render(wl, cfg, harness::run_sweep(wl, cfg));
-  cfg.jobs = 8;
-  EXPECT_EQ(serial, render(wl, cfg, harness::run_sweep(wl, cfg)));
-}
 
 TEST(SweepRunner, BatchKeepsJobOrderAndCapturesErrors) {
   const auto wl = workloads::make_multisort(24);
@@ -183,10 +179,10 @@ TEST(SweepRunner, MatrixBatchesWorkloadsAndSetups) {
                                            8);
   ASSERT_EQ(results.size(), 4u);
   EXPECT_EQ(render(g721, spm_cfg, results[0]),
-            render(g721, spm_cfg, harness::run_sweep_parallel(g721, spm_cfg, 1)));
+            render(g721, spm_cfg, sweep(g721, spm_cfg, 1)));
   EXPECT_EQ(render(adpcm, cache_cfg, results[3]),
             render(adpcm, cache_cfg,
-                   harness::run_sweep_parallel(adpcm, cache_cfg, 1)));
+                   sweep(adpcm, cache_cfg, 1)));
 }
 
 TEST(SweepRunner, ZeroJobsPicksHardwareConcurrency) {

@@ -1,9 +1,10 @@
 // The analyzer IR front end (wcet/frontend.h): layout-invariant shape
 // building, per-image binding, and — the property everything rests on —
-// field-exact parity between the IR analyzer and the seed (--legacy-wcet)
-// analyzer across every paper workload, setup, placement and cache
-// geometry. The harness-level tests pin the same parity through the sweep
-// pipeline with cached shapes/views.
+// field-exact parity between bind_view and the seed front end
+// (reference::seed_view, tests/reference/) through the same back end,
+// across every paper workload, setup, placement and cache geometry. The
+// harness-level tests pin the shared shapes and views of the sweep
+// pipeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,12 +13,16 @@
 #include "alloc/allocator.h"
 #include "harness/artifact_cache.h"
 #include "harness/experiment.h"
+#include "harness/sweep_runner.h"
 #include "link/layout.h"
 #include "program/decoded_image.h"
+#include "reference/map_cache_analysis.h"
+#include "reference/seed_frontend.h"
 #include "sim/simulator.h"
 #include "wcet/analyzer.h"
 #include "wcet/cache_analysis.h"
 #include "wcet/frontend.h"
+#include "wcet/ipet.h"
 #include "workloads/workload.h"
 
 namespace spmwcet {
@@ -57,13 +62,16 @@ void expect_report_eq(const WcetReport& fast, const WcetReport& legacy,
   }
 }
 
-void expect_parity(const link::Image& img, AnalyzerConfig cfg,
+/// The seed front end's report on `img`: reference::seed_view through the
+/// production back end, IPET solved from scratch.
+WcetReport seed_report(const link::Image& img, AnalyzerConfig cfg) {
+  cfg.ipet_cache = nullptr;
+  return wcet::analyze_wcet(reference::seed_view(img), cfg);
+}
+
+void expect_parity(const link::Image& img, const AnalyzerConfig& cfg,
                    const std::string& what) {
-  cfg.fast_path = true;
-  const WcetReport fast = wcet::analyze_wcet(img, cfg);
-  cfg.fast_path = false;
-  const WcetReport legacy = wcet::analyze_wcet(img, cfg);
-  expect_report_eq(fast, legacy, what);
+  expect_report_eq(wcet::analyze_wcet(img, cfg), seed_report(img, cfg), what);
 }
 
 /// The paper's allocation flow: profile the canonical image, solve the
@@ -155,49 +163,98 @@ TEST(ProgramShape, FingerprintInvariantAcrossPlacementsAndTiedToModule) {
   EXPECT_THROW(wcet::bind_view(shape, foreign, fdec), ProgramError);
 }
 
+/// The paper trio plus a slice of the gen:mixed corpus.
+std::vector<std::string> trio_and_mixed_slice() {
+  std::vector<std::string> names = workloads::paper_benchmark_names();
+  for (uint32_t seed = 1; seed <= 6; ++seed)
+    names.push_back("gen:mixed:" + std::to_string(seed));
+  return names;
+}
+
+/// Accumulates a workload's IPET skeleton counters.
+void add_stats(wcet::IpetCacheStats& sum, const wcet::IpetCache& ipet) {
+  const wcet::IpetCacheStats s = ipet.stats();
+  sum.hits += s.hits;
+  sum.fallbacks += s.fallbacks;
+}
+
 TEST(ProgramShape, OneShapeServesEveryPlacement) {
   // The core layout-invariance claim: a shape built from the canonical
-  // image binds to every SPM placement and reproduces the seed analyzer
-  // field for field.
-  for (const auto& wl : workloads::cached_paper_benchmarks()) {
+  // image binds to every paper SPM placement and reproduces the seed front
+  // end field for field — with IPET solved through one skeleton store per
+  // workload, as a batch solves it, against the seed view's from-scratch
+  // solve. Both sides must have run: the skeletons served solves and none
+  // fell back.
+  wcet::IpetCacheStats skeletons;
+  for (const std::string& name : trio_and_mixed_slice()) {
+    const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
     const link::Image canonical = link::link_program(wl->module, {}, {});
     const program::DecodedImage cdec(canonical);
     const auto shape = std::make_shared<const wcet::ProgramShape>(
         wcet::build_shape(canonical, cdec));
+    const wcet::IpetCache ipet;
+    AnalyzerConfig cfg;
+    cfg.ipet_cache = &ipet;
     const sim::AccessProfile profile = profile_of(canonical);
-    for (const uint32_t size : {64u, 512u, 4096u}) {
+    for (const uint32_t size : harness::SweepConfig{}.sizes) {
       const link::Image img = placed_image(*wl, profile, size);
       const program::DecodedImage dec(img);
       const WcetReport fast =
-          wcet::analyze_wcet(wcet::bind_view(shape, img, dec), {});
-      AnalyzerConfig legacy_cfg;
-      legacy_cfg.fast_path = false;
-      const WcetReport legacy = wcet::analyze_wcet(img, legacy_cfg);
-      expect_report_eq(fast, legacy,
-                       wl->name + "/spm" + std::to_string(size));
+          wcet::analyze_wcet(wcet::bind_view(shape, img, dec), cfg);
+      expect_report_eq(fast, seed_report(img, {}),
+                       name + "/spm" + std::to_string(size));
     }
+    add_stats(skeletons, ipet);
   }
+  EXPECT_GT(skeletons.hits, 0u);
+  EXPECT_EQ(skeletons.fallbacks, 0u);
 }
 
 TEST(ProgramView, OneViewServesEveryCacheSize) {
-  for (const auto& wl : workloads::cached_paper_benchmarks()) {
+  // One bound view and one seed view serve every paper cache size, MUST
+  // only and with persistence: the reports agree, and so do the flat and
+  // the reference map classifications site for site. Both sides of each
+  // comparison must have run.
+  const uint64_t map_runs = reference::map_analysis_runs();
+  wcet::IpetCacheStats skeletons;
+  for (const std::string& name : trio_and_mixed_slice()) {
+    const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
     const link::Image img = link::link_program(wl->module, {}, {});
     const program::DecodedImage dec(img);
     const auto shape =
         std::make_shared<const wcet::ProgramShape>(wcet::build_shape(img, dec));
     const wcet::ProgramView view = wcet::bind_view(shape, img, dec);
-    for (const uint32_t size : {64u, 1024u, 8192u}) {
-      AnalyzerConfig cfg;
-      cache::CacheConfig ccfg;
-      ccfg.size_bytes = size;
-      cfg.cache = ccfg;
-      const WcetReport fast = wcet::analyze_wcet(view, cfg);
-      cfg.fast_path = false;
-      const WcetReport legacy = wcet::analyze_wcet(img, cfg);
-      expect_report_eq(fast, legacy,
-                       wl->name + "/cache" + std::to_string(size));
-    }
+    const wcet::ProgramView seed = reference::seed_view(img);
+    const wcet::IpetCache ipet;
+    for (const uint32_t size : harness::SweepConfig{}.sizes)
+      for (const bool pers : {false, true}) {
+        const std::string what =
+            name + "/cache" + std::to_string(size) + (pers ? "+pers" : "");
+        AnalyzerConfig cfg;
+        cache::CacheConfig ccfg;
+        ccfg.size_bytes = size;
+        cfg.cache = ccfg;
+        cfg.with_persistence = pers;
+        const WcetReport legacy = wcet::analyze_wcet(seed, cfg);
+        cfg.ipet_cache = &ipet;
+        expect_report_eq(wcet::analyze_wcet(view, cfg), legacy, what);
+
+        wcet::CacheAnalysisConfig cls;
+        cls.cache = ccfg;
+        cls.with_persistence = pers;
+        const auto flat =
+            wcet::analyze_cache_flat(img, view.cfgs, view.root, cls);
+        const auto want = reference::to_sites(
+            seed.cfgs, reference::analyze_cache(img, seed.cfgs, seed.root, cls));
+        EXPECT_EQ(flat.sites, want.sites) << what;
+        EXPECT_EQ(flat.persistent_penalty_lines, want.persistent_penalty_lines)
+            << what;
+      }
+    add_stats(skeletons, ipet);
   }
+  EXPECT_GT(reference::map_analysis_runs(), map_runs);
+  EXPECT_GT(skeletons.hits, 0u);
+  EXPECT_EQ(skeletons.fallbacks, 0u);
 }
 
 // ---- full-report parity over the paper matrix ------------------------------
@@ -254,9 +311,11 @@ TEST(AnalyzerParity, AutoLoopBoundsOnStrippedAnnotations) {
     AnalyzerConfig cfg;
     cfg.auto_loop_bounds = true;
     const auto run = [&](bool fast) -> std::pair<bool, std::string> {
-      cfg.fast_path = fast;
       try {
-        const WcetReport report = wcet::analyze_wcet(img, cfg, &hints_only);
+        const WcetReport report =
+            fast ? wcet::analyze_wcet(img, cfg, &hints_only)
+                 : wcet::analyze_wcet(
+                       reference::seed_view(img, true, &hints_only), cfg);
         return {true, std::to_string(report.wcet)};
       } catch (const AnnotationError& e) {
         return {false, e.what()};
@@ -286,10 +345,10 @@ TEST(FlatCacheAnalysis, ClassificationMatchesSeedImplementation) {
         ccfg.cache.size_bytes = size;
         ccfg.cache.assoc = assoc;
         const auto seed =
-            wcet::analyze_cache(img, cfgs, img.entry, ccfg);
+            reference::analyze_cache(img, cfgs, img.entry, ccfg);
         const auto flat = wcet::analyze_cache_flat(img, cfgs, img.entry, ccfg);
         // Through the one adapter: the seed sets in per-site form.
-        const auto want = wcet::to_sites(cfgs, seed);
+        const auto want = reference::to_sites(cfgs, seed);
         EXPECT_EQ(flat.sites, want.sites)
             << wl->name << " size " << size << " assoc " << assoc;
         EXPECT_GT(std::count_if(flat.sites.begin(), flat.sites.end(),
@@ -304,33 +363,7 @@ TEST(FlatCacheAnalysis, ClassificationMatchesSeedImplementation) {
   }
 }
 
-// ---- harness pipeline parity (cached shapes/views included) ----------------
-
-TEST(HarnessWcetParity, SweepPointsIdenticalWithLegacyAnalyzer) {
-  for (const auto setup :
-       {harness::MemSetup::Scratchpad, harness::MemSetup::Cache}) {
-    for (const auto& wl : workloads::cached_paper_benchmarks()) {
-      harness::SweepConfig fast_cfg;
-      fast_cfg.setup = setup;
-      fast_cfg.sizes = {128, 1024};
-      harness::SweepConfig legacy_cfg = fast_cfg;
-      legacy_cfg.fast_wcet = false;
-      const auto fast = harness::run_sweep(*wl, fast_cfg);
-      const auto legacy = harness::run_sweep(*wl, legacy_cfg);
-      ASSERT_EQ(fast.size(), legacy.size());
-      for (std::size_t i = 0; i < fast.size(); ++i) {
-        EXPECT_EQ(fast[i].size_bytes, legacy[i].size_bytes);
-        EXPECT_EQ(fast[i].sim_cycles, legacy[i].sim_cycles);
-        EXPECT_EQ(fast[i].wcet_cycles, legacy[i].wcet_cycles);
-        EXPECT_EQ(fast[i].ratio, legacy[i].ratio);
-        EXPECT_EQ(fast[i].cache_hits, legacy[i].cache_hits);
-        EXPECT_EQ(fast[i].cache_misses, legacy[i].cache_misses);
-        EXPECT_EQ(fast[i].spm_used_bytes, legacy[i].spm_used_bytes);
-        EXPECT_EQ(fast[i].energy_nj, legacy[i].energy_nj);
-      }
-    }
-  }
-}
+// ---- harness artifact sharing -----------------------------------------------
 
 TEST(HarnessWcetParity, ArtifactCacheSharesShapesAndViews) {
   const auto& wl = *workloads::cached_paper_benchmarks().front();
@@ -338,7 +371,7 @@ TEST(HarnessWcetParity, ArtifactCacheSharesShapesAndViews) {
   harness::SweepConfig cfg;
   cfg.setup = harness::MemSetup::Cache;
   cfg.artifacts = &cache;
-  const auto points = harness::run_sweep(wl, cfg);
+  const auto points = harness::run_matrix({{&wl, cfg}}, 1).front();
   ASSERT_EQ(points.size(), harness::SweepConfig{}.sizes.size());
   // All 8 cache sizes bind one shape and share one view and one decode.
   EXPECT_EQ(cache.shape_stats().misses, 1u);
@@ -349,7 +382,7 @@ TEST(HarnessWcetParity, ArtifactCacheSharesShapesAndViews) {
   // The SPM branch of the same batch reuses the same shape: still one miss.
   harness::SweepConfig spm_cfg = cfg;
   spm_cfg.setup = harness::MemSetup::Scratchpad;
-  (void)harness::run_sweep(wl, spm_cfg);
+  (void)harness::run_matrix({{&wl, spm_cfg}}, 1);
   EXPECT_EQ(cache.shape_stats().misses, 1u);
 }
 

@@ -11,6 +11,7 @@
 #include "api/serve.h"
 #include "api/wire.h"
 #include "harness/experiment.h"
+#include "harness/sweep_runner.h"
 #include "support/fault.h"
 #include "support/json.h"
 #include "workloads/workload.h"
@@ -113,42 +114,56 @@ TEST(Wire, DecodesSweepAndEvalDefaults) {
             workloads::paper_benchmark_names());
 }
 
-TEST(Wire, DecodesWcetBenchRequestAndLegacyWcetOption) {
+TEST(Wire, DecodesWcetBenchRequest) {
   const auto parsed = api::wire::parse_request(
-      R"({"v":1,"id":5,"op":"wcetbench","repeat":3,"legacy":true})");
+      R"({"v":1,"id":5,"op":"wcetbench","repeat":3})");
   ASSERT_TRUE(parsed.ok());
   const api::wire::AnyRequest& req = parsed.value();
   EXPECT_EQ(req.op, api::wire::Op::WcetBench);
   ASSERT_TRUE(req.wcetbench.has_value());
   EXPECT_EQ(req.wcetbench->repeat(), 3u);
-  EXPECT_TRUE(req.wcetbench->legacy_wcet());
-
-  const auto point = api::wire::parse_request(
-      R"({"v":1,"op":"point","workload":"g721","setup":"spm","size":64,)"
-      R"("options":{"legacy_wcet":true}})");
-  ASSERT_TRUE(point.ok());
-  EXPECT_TRUE(point.value().point->options().legacy_wcet);
 }
 
-TEST(Wire, DecodesIncrementalOption) {
-  // wcetbench-level flag: defaults on, explicit false selects the
-  // from-scratch A/B baseline.
-  const auto def = api::wire::parse_request(
-      R"({"v":1,"op":"wcetbench","repeat":2})");
-  ASSERT_TRUE(def.ok());
-  EXPECT_TRUE(def.value().wcetbench->incremental());
-
-  const auto noincr = api::wire::parse_request(
-      R"({"v":1,"op":"wcetbench","repeat":2,"incremental":false})");
-  ASSERT_TRUE(noincr.ok());
-  EXPECT_FALSE(noincr.value().wcetbench->incremental());
-
-  // Shared options object: reaches experiment requests too.
-  const auto point = api::wire::parse_request(
-      R"({"v":1,"op":"point","workload":"g721","setup":"cache","size":512,)"
-      R"("options":{"incremental":false}})");
-  ASSERT_TRUE(point.ok());
-  EXPECT_FALSE(point.value().point->options().incremental);
+TEST(Wire, RetiredModeFieldsAreRefused) {
+  // The implementation switches are gone: each former option key and
+  // bench field is an unknown name now, refused with a typed error
+  // instead of being ignored.
+  struct Row {
+    const char* line;
+    const char* context;
+    const char* message;
+  };
+  const Row rows[] = {
+      {R"({"v":1,"op":"point","workload":"g721","setup":"spm","size":64,)"
+       R"("options":{"artifact_cache":false}})",
+       "options", "unknown option 'artifact_cache'"},
+      {R"({"v":1,"op":"point","workload":"g721","setup":"cache","size":512,)"
+       R"("options":{"legacy_wcet":true}})",
+       "options", "unknown option 'legacy_wcet'"},
+      {R"({"v":1,"op":"sweep","workloads":["g721"],"setup":"cache",)"
+       R"("options":{"incremental":false}})",
+       "options", "unknown option 'incremental'"},
+      {R"({"v":1,"op":"eval","options":{"block_tier":false}})", "options",
+       "unknown option 'block_tier'"},
+      {R"({"v":1,"op":"corpus","shape":"mixed","setup":"spm",)"
+       R"("options":{"legacy_wcet":false}})",
+       "options", "unknown option 'legacy_wcet'"},
+      {R"({"v":1,"op":"simbench","repeat":1,"legacy":true})", "legacy",
+       "unknown field 'legacy' for this op"},
+      {R"({"v":1,"op":"simbench","repeat":1,"block_tier":false})",
+       "block_tier", "unknown field 'block_tier' for this op"},
+      {R"({"v":1,"op":"wcetbench","repeat":1,"legacy":true})", "legacy",
+       "unknown field 'legacy' for this op"},
+      {R"({"v":1,"op":"wcetbench","repeat":1,"incremental":false})",
+       "incremental", "unknown field 'incremental' for this op"},
+  };
+  for (const Row& row : rows) {
+    const auto parsed = api::wire::parse_request(row.line);
+    ASSERT_FALSE(parsed.ok()) << row.line;
+    EXPECT_EQ(parsed.error().code, ErrorCode::InvalidArgument) << row.line;
+    EXPECT_EQ(parsed.error().context, row.context) << row.line;
+    EXPECT_EQ(parsed.error().message, row.message) << row.line;
+  }
 }
 
 TEST(Wire, MalformedRequestsGetTypedErrors) {
@@ -211,7 +226,7 @@ TEST(Wire, MalformedRequestsGetTypedErrors) {
 }
 
 TEST(Wire, AssociativityBeyondTheAgeDomainIsOutOfRange) {
-  // Past 128 ways the abstract caches' byte-wide ages cannot represent an
+  // Past 128 ways the cache analysis' byte-wide ages cannot represent an
   // eviction; the request layer refuses the geometry on every path.
   const auto error_of = [](const std::string& line) {
     const auto parsed = api::wire::parse_request(line);
@@ -220,7 +235,7 @@ TEST(Wire, AssociativityBeyondTheAgeDomainIsOutOfRange) {
   };
   for (const char* options :
        {R"({"assoc":256,"persistence":true})",
-        R"({"assoc":256,"legacy_wcet":true})", R"({"assoc":512})"}) {
+        R"({"assoc":256,"unified":false})", R"({"assoc":512})"}) {
     const api::ApiError e = error_of(
         std::string(R"({"v":1,"op":"point","workload":"adpcm",)"
                     R"("setup":"cache","size":8192,"options":)") +
@@ -577,8 +592,8 @@ TEST(Serve, SessionOutputMatchesBatchCli) {
 
   { // spmwcet run adpcm --spm 1024
     harness::SweepConfig cfg;
-    const auto pt =
-        harness::run_point(*wl, harness::MemSetup::Scratchpad, 1024, cfg);
+    const auto pt = harness::detail::execute_point(
+        *wl, harness::MemSetup::Scratchpad, 1024, cfg);
     std::ostringstream want;
     want << wl->name << " with 1024-byte scratchpad (" << pt.spm_used_bytes
          << " bytes allocated):\n"
@@ -589,8 +604,8 @@ TEST(Serve, SessionOutputMatchesBatchCli) {
   { // spmwcet run adpcm --cache 512
     harness::SweepConfig cfg;
     cfg.setup = harness::MemSetup::Cache;
-    const auto pt =
-        harness::run_point(*wl, harness::MemSetup::Cache, 512, cfg);
+    const auto pt = harness::detail::execute_point(
+        *wl, harness::MemSetup::Cache, 512, cfg);
     std::ostringstream want;
     want << wl->name << " with 512-byte unified cache (assoc 1, MUST-only):\n"
          << "  ACET " << pt.sim_cycles << " cycles (" << pt.cache_hits
@@ -602,7 +617,7 @@ TEST(Serve, SessionOutputMatchesBatchCli) {
     harness::SweepConfig cfg;
     cfg.setup = harness::MemSetup::Cache;
     cfg.sizes = {64, 128};
-    const auto points = harness::run_sweep(*wl, cfg);
+    const auto points = harness::run_matrix({{wl.get(), cfg}}, 1).front();
     std::ostringstream want;
     // The CLI titles sweep tables with the workload's display name.
     harness::to_table(wl->name, harness::MemSetup::Cache, points).render(want);
@@ -621,7 +636,7 @@ TEST(Serve, StructuredPointFieldsMatchPipeline) {
   ASSERT_NE(result, nullptr);
   harness::SweepConfig cfg;
   cfg.setup = harness::MemSetup::Cache;
-  const auto expected = harness::run_point(
+  const auto expected = harness::detail::execute_point(
       *workloads::WorkloadRegistry::instance().benchmark("multisort"),
       harness::MemSetup::Cache, 256, cfg);
   const json::Value* pt = result->find("point");
@@ -665,10 +680,10 @@ std::vector<std::string> fuzz_corpus() {
       R"({"v":1,"id":2,"op":"point","workload":"bubble","setup":"spm","size":1024})",
       R"({"v":1,"id":3,"op":"point","workload":"g721","setup":"cache","size":512,"render":"text","options":{"assoc":2,"unified":false,"persistence":true}})",
       R"({"v":1,"id":4,"op":"sweep","workloads":["bubble","adpcm"],"setup":"spm","sizes":[64,128],"render":"csv"})",
-      R"({"v":1,"id":5,"op":"eval","workloads":["multisort"],"sizes":[64],"options":{"wcet_alloc":true,"artifact_cache":false}})",
+      R"({"v":1,"id":5,"op":"eval","workloads":["multisort"],"sizes":[64],"options":{"wcet_alloc":true}})",
       R"({"v":1,"id":6,"op":"simbench","repeat":2,"spm":4096})",
-      R"({"v":1,"id":7,"op":"wcetbench","repeat":1,"legacy_wcet":true})",
-      R"({"v":1,"id":8,"op":"wcetbench","repeat":1,"incremental":false})",
+      R"({"v":1,"id":7,"op":"wcetbench","repeat":1})",
+      R"({"v":1,"id":8,"op":"simbench","repeat":1,"spm_bytes":0})",
       R"({"v":1,"id":9,"op":"point","workload":"gen:loopy:42","setup":"spm","size":64})",
       R"({"v":1,"id":10,"op":"corpus","shape":"tiny","base":1,"count":2,"setup":"spm","sizes":[64]})",
   };

@@ -36,11 +36,6 @@ struct Args {
   bool csv = false;
   bool trace = false;
   bool blocks = false;
-  bool no_artifact_cache = false;
-  bool legacy_sim = false;
-  bool legacy_wcet = false;
-  bool no_incremental = false;
-  bool no_block_tier = false;
   bool bench = false;
   uint32_t repeat = 5;
   std::string json;
@@ -66,10 +61,6 @@ struct Args {
     opts.cache_unified = !icache;
     opts.with_persistence = persistence;
     opts.wcet_driven_alloc = wcet_alloc;
-    opts.use_artifact_cache = !no_artifact_cache;
-    opts.legacy_wcet = legacy_wcet;
-    opts.incremental = !no_incremental;
-    opts.block_tier = !no_block_tier;
     return opts;
   }
   api::EngineOptions engine_options() const {
@@ -132,16 +123,6 @@ inline Args parse(int argc, char** argv) {
       a.csv = true;
     else if (arg == "--jobs")
       a.jobs = next_u32();
-    else if (arg == "--no-artifact-cache")
-      a.no_artifact_cache = true;
-    else if (arg == "--legacy-sim")
-      a.legacy_sim = true;
-    else if (arg == "--legacy-wcet")
-      a.legacy_wcet = true;
-    else if (arg == "--no-incremental")
-      a.no_incremental = true;
-    else if (arg == "--no-block-tier")
-      a.no_block_tier = true;
     else if (arg == "--bench")
       a.bench = true;
     else if (arg == "--repeat")
@@ -192,10 +173,8 @@ inline Args parse(int argc, char** argv) {
 inline const std::map<std::string, std::set<std::string>>& command_flags() {
   static const auto table = [] {
     // The ExperimentOptions an Engine pipeline request carries.
-    const std::set<std::string> options = {
-        "--assoc",          "--icache",         "--persistence",
-        "--wcet-alloc",     "--no-artifact-cache", "--legacy-wcet",
-        "--no-incremental", "--no-block-tier"};
+    const std::set<std::string> options = {"--assoc", "--icache",
+                                           "--persistence", "--wcet-alloc"};
     const auto with_options = [&](std::set<std::string> own) {
       own.insert(options.begin(), options.end());
       return own;
@@ -212,10 +191,8 @@ inline const std::map<std::string, std::set<std::string>>& command_flags() {
           "--max-queue-wait", "--idle-timeout", "--drain"}},
         {"disasm", {}},
         {"annotations", {"--spm"}},
-        {"simbench",
-         {"--legacy-sim", "--no-block-tier", "--repeat", "--spm", "--json"}},
-        {"wcetbench",
-         {"--legacy-wcet", "--no-incremental", "--repeat", "--json"}},
+        {"simbench", {"--repeat", "--spm", "--json"}},
+        {"wcetbench", {"--repeat", "--json"}},
         {"corpusbench", {"--count", "--base", "--repeat", "--json", "--jobs"}},
     };
   }();
@@ -225,7 +202,7 @@ inline const std::map<std::string, std::set<std::string>>& command_flags() {
 /// Rejects every flag the command would ignore: flags outside its
 /// whitelist, and flags for points this invocation never runs (cache
 /// geometry without a cache point, --wcet-alloc without a scratchpad
-/// point, pipeline options on run's plain main-memory report).
+/// point, run's --trace/--blocks on a --spm or --cache point).
 inline void check_flags(const Args& a) {
   const std::string& cmd = a.positional[0];
   const auto allowed = command_flags().find(cmd);
@@ -256,11 +233,6 @@ inline void check_flags(const Args& a) {
                 " command runs none (add --spm)");
   if (cmd != "run") return;
   const bool point = a.spm_flag || a.cache_flag;
-  for (const char* flag : {"--no-artifact-cache", "--legacy-wcet",
-                           "--no-incremental", "--no-block-tier"})
-    if (a.given(flag) && !point)
-      throw Error(std::string(flag) +
-                  " applies only to a --spm or --cache point of run");
   for (const char* flag : {"--trace", "--blocks"})
     if (a.given(flag) && point)
       throw Error(std::string(flag) +

@@ -9,7 +9,7 @@
 //   spmwcet list
 //   spmwcet run <benchmark> [--spm BYTES | --cache BYTES [--assoc N]
 //                            [--icache] [--persistence]]
-//   spmwcet sweep <benchmark>|all [--jobs N] [--csv] [--no-artifact-cache]
+//   spmwcet sweep <benchmark>|all [--jobs N] [--csv]
 //       — with no setup flag: the full both-setup evaluation (every size,
 //         Figure-4/5 ratio tables, Table-2 summary); `all` covers the
 //         whole paper, a benchmark name just that workload.
@@ -36,23 +36,14 @@
 //         socket at 1, 2, 4, … N concurrent clients on a warm engine.
 //   spmwcet disasm <benchmark> [function]
 //   spmwcet annotations <benchmark> [--spm BYTES]
-//   spmwcet simbench [--legacy-sim | --no-block-tier] [--repeat N]
-//                    [--spm BYTES] [--json FILE]
+//   spmwcet simbench [--repeat N] [--spm BYTES] [--json FILE]
 //       — simulator throughput (instructions/second) over the simbench set
 //         (paper workloads + generated members), best-of-N, for the
-//         no-assignment baseline and an SPM-placed configuration;
-//         --legacy-sim measures the pre-overhaul simulator,
-//         --no-block-tier the per-instruction fast path the translation
-//         tier is gated against.
-//   spmwcet wcetbench [--legacy-wcet] [--no-incremental] [--repeat N]
-//                     [--json FILE]
+//         no-assignment baseline and an SPM-placed configuration.
+//   spmwcet wcetbench [--repeat N] [--json FILE]
 //       — WCET-analyzer throughput (analyses/second) over the paper
 //         workloads on sweep-shaped work (8 sizes per setup, MUST-only and
-//         persistence cache passes), best-of-N; --legacy-wcet measures the
-//         seed analyzer as the baseline, --no-incremental the from-scratch
-//         IPET + map-persistence fast path. The same flags on `run`/`sweep`
-//         select those analyzers inside the pipeline (field-identical
-//         output, slower).
+//         persistence cache passes), best-of-N.
 //   spmwcet corpus <shape> [--count N] [--base N] [--spm [BYTES] |
 //                  --cache [BYTES]] [--jobs N] [--csv] [--json FILE]
 //       — generated-workload corpus: runs the seed range
@@ -113,7 +104,7 @@ int usage() {
                " [--assoc N] [--icache] [--persistence]]"
                " [--trace] [--blocks]\n"
             << "  spmwcet sweep <bench>|all [--jobs N] [--csv]"
-               " [--no-artifact-cache]   # both setups + ratio tables\n"
+               "   # both setups + ratio tables\n"
             << "  spmwcet sweep <bench>|all --spm [--wcet-alloc] | --cache"
                " [--assoc N] [--icache] [--persistence] [--csv] [--jobs N]\n"
             << "  spmwcet serve [--jobs N] [--bench [--repeat N]]\n"
@@ -125,10 +116,8 @@ int usage() {
                " [--json FILE]\n"
             << "  spmwcet disasm <bench> [function]\n"
             << "  spmwcet annotations <bench> [--spm BYTES]\n"
-            << "  spmwcet simbench [--legacy-sim | --no-block-tier]"
-               " [--repeat N] [--spm BYTES] [--json FILE]\n"
-            << "  spmwcet wcetbench [--legacy-wcet] [--no-incremental]"
-               " [--repeat N] [--json FILE]\n"
+            << "  spmwcet simbench [--repeat N] [--spm BYTES] [--json FILE]\n"
+            << "  spmwcet wcetbench [--repeat N] [--json FILE]\n"
             << "  spmwcet corpus <shape> [--count N] [--base N]"
                " [--spm [BYTES] | --cache [BYTES]]\n"
                "      [--jobs N] [--csv] [--json FILE]\n"
@@ -235,8 +224,7 @@ int cmd_simbench(const Args& a) {
   // --spm without a value keeps the default SPM-placed capacity (4 KiB);
   // an explicit --spm 0 measures the no-assignment baseline only.
   const uint32_t spm_bytes = a.spm.value_or(4096);
-  const auto request = api::SimBenchRequest::make(a.repeat, a.legacy_sim,
-                                                  spm_bytes, !a.no_block_tier);
+  const auto request = api::SimBenchRequest::make(a.repeat, spm_bytes);
   api::Engine engine(a.engine_options());
   const api::SimBenchResult result = unwrap(engine.simbench(unwrap(request)));
   api::render_simbench(result, std::cout);
@@ -253,8 +241,7 @@ int cmd_wcetbench(const Args& a) {
     throw Error("wcetbench always measures the full paper set; unexpected "
                 "argument: " +
                 a.positional[1]);
-  const auto request =
-      api::WcetBenchRequest::make(a.repeat, a.legacy_wcet, !a.no_incremental);
+  const auto request = api::WcetBenchRequest::make(a.repeat);
   api::Engine engine(a.engine_options());
   const api::WcetBenchResult result =
       unwrap(engine.wcetbench(unwrap(request)));
