@@ -7,28 +7,31 @@
 
 namespace spmwcet::alloc {
 
-KnapsackResult solve_knapsack_ilp(const std::vector<MemoryObject>& objects,
-                                  uint32_t capacity_bytes) {
+lp::Model knapsack_model(const std::vector<MemoryObject>& objects,
+                         uint32_t capacity_bytes) {
   lp::Model m;
-  std::vector<int> vars;
   std::vector<lp::Term> cap_terms, obj_terms;
-  for (std::size_t i = 0; i < objects.size(); ++i) {
-    const int v = m.add_var(objects[i].name, 0, 1, true);
-    vars.push_back(v);
-    cap_terms.push_back({v, static_cast<double>(objects[i].size_bytes)});
-    obj_terms.push_back({v, objects[i].benefit_nj});
+  for (const MemoryObject& obj : objects) {
+    const int v = m.add_var(obj.name, 0, 1, true);
+    cap_terms.push_back({v, static_cast<double>(obj.size_bytes)});
+    obj_terms.push_back({v, obj.benefit_nj});
   }
   m.add_constraint(cap_terms, lp::Relation::LE,
                    static_cast<double>(capacity_bytes), "capacity");
   m.set_objective(lp::Sense::Maximize, obj_terms);
+  return m;
+}
 
-  const lp::Solution sol = lp::solve_milp(m);
+KnapsackResult solve_knapsack_ilp(const std::vector<MemoryObject>& objects,
+                                  uint32_t capacity_bytes) {
+  const lp::Solution sol =
+      lp::solve_milp(knapsack_model(objects, capacity_bytes));
   if (sol.status != lp::Status::Optimal)
     throw SolverError("knapsack: ILP did not solve to optimality");
 
   KnapsackResult result;
   for (std::size_t i = 0; i < objects.size(); ++i) {
-    if (sol.value(vars[i]) > 0.5) {
+    if (sol.value(static_cast<int>(i)) > 0.5) {
       result.chosen.push_back(i);
       result.benefit_nj += objects[i].benefit_nj;
       result.used_bytes += objects[i].size_bytes;

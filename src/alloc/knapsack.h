@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "alloc/memory_objects.h"
+#include "lp/model.h"
 
 namespace spmwcet::alloc {
 
@@ -17,6 +18,10 @@ struct KnapsackResult {
   double benefit_nj = 0.0;
   uint32_t used_bytes = 0;
 };
+
+/// The 0/1 ILP solve_knapsack_ilp solves: variable i selects objects[i].
+lp::Model knapsack_model(const std::vector<MemoryObject>& objects,
+                         uint32_t capacity_bytes);
 
 /// Exact solution via the ILP solver.
 KnapsackResult solve_knapsack_ilp(const std::vector<MemoryObject>& objects,

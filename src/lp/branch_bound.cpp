@@ -45,6 +45,11 @@ int most_fractional(const Model& model, const Solution& sol, double tol) {
 } // namespace
 
 Solution solve_milp(const Model& model, const MilpOptions& opts) {
+  return solve_milp(model, opts, solve_lp);
+}
+
+Solution solve_milp(const Model& model, const MilpOptions& opts,
+                    const RelaxationSolver& relax) {
   const bool maximize = model.sense() == Sense::Maximize;
   const double worst =
       maximize ? -std::numeric_limits<double>::infinity()
@@ -57,7 +62,6 @@ Solution solve_milp(const Model& model, const MilpOptions& opts) {
   std::vector<NodeBounds> stack;
   stack.push_back({});
   std::size_t nodes = 0;
-  bool any_feasible_relaxation = false;
   bool unbounded_root = false;
 
   while (!stack.empty()) {
@@ -66,7 +70,7 @@ Solution solve_milp(const Model& model, const MilpOptions& opts) {
     const NodeBounds nb = std::move(stack.back());
     stack.pop_back();
 
-    const Solution rel = solve_lp(with_bounds(model, nb));
+    const Solution rel = relax(with_bounds(model, nb));
     if (rel.status == Status::Infeasible) continue;
     if (rel.status == Status::Unbounded) {
       if (nodes == 1) unbounded_root = true;
@@ -74,7 +78,6 @@ Solution solve_milp(const Model& model, const MilpOptions& opts) {
       // pruned by bound; branching cannot fix it either. Report upward.
       break;
     }
-    any_feasible_relaxation = true;
 
     // Prune by bound.
     if (incumbent && !better(rel.objective, incumbent_obj) &&
@@ -102,10 +105,7 @@ Solution solve_milp(const Model& model, const MilpOptions& opts) {
 
   if (incumbent) return *incumbent;
   Solution sol;
-  sol.status = unbounded_root
-                   ? Status::Unbounded
-                   : (any_feasible_relaxation ? Status::Infeasible
-                                              : Status::Infeasible);
+  sol.status = unbounded_root ? Status::Unbounded : Status::Infeasible;
   return sol;
 }
 

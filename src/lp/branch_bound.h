@@ -1,6 +1,8 @@
 // Branch-and-bound MILP solver on top of the simplex LP relaxation.
 #pragma once
 
+#include <functional>
+
 #include "lp/model.h"
 
 namespace spmwcet::lp {
@@ -15,5 +17,14 @@ struct MilpOptions {
 /// Solves `model` to integral optimality (for its integer-marked variables).
 /// Throws SolverError when the node budget is exhausted.
 Solution solve_milp(const Model& model, const MilpOptions& opts = {});
+
+/// Solves a search node's LP relaxation; solve_milp uses lp::solve_lp.
+using RelaxationSolver = std::function<Solution(const Model&)>;
+
+/// The same search with `relax` solving every node's relaxation. The
+/// solver parity tests pass a relaxation that runs production and oracle
+/// side by side, so they see each node LP the search solves.
+Solution solve_milp(const Model& model, const MilpOptions& opts,
+                    const RelaxationSolver& relax);
 
 } // namespace spmwcet::lp

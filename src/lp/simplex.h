@@ -3,6 +3,13 @@
 // Standard-form conversion: every variable is shifted to its lower bound,
 // finite upper bounds become explicit rows, GE/EQ rows get artificial
 // variables eliminated in phase one. Bland's rule guarantees termination.
+// Reduced costs are priced from the basis once per optimize and then
+// carried through each pivot as one more tableau row; before declaring
+// optimality the solver re-prices from scratch and keeps pivoting if a
+// column improves after all, so optimality is always decided by fresh
+// pricing. The fresh-pricing-every-pivot solver this replaced lives on in
+// tests/reference/ as the oracle that pins status, basis, values and
+// objective bit for bit on the paper's IPET and knapsack models.
 //
 // PreparedLp sits on top of the cold path as the re-solve accelerator: it
 // runs standard-form construction and phase one exactly once and re-solves

@@ -1,7 +1,5 @@
 #include "wcet/analyzer.h"
 
-#include <algorithm>
-#include <set>
 #include <vector>
 
 #include "isa/timing.h"
@@ -13,52 +11,6 @@
 #include "wcet/loops.h"
 
 namespace spmwcet::wcet {
-
-namespace {
-
-/// Topological order of the call graph, callees before callers.
-/// Throws ProgramError on recursion (unbounded WCET).
-std::vector<uint32_t> bottom_up_order(const std::map<uint32_t, Cfg>& cfgs,
-                                      uint32_t root) {
-  std::vector<uint32_t> order;
-  std::set<uint32_t> done;
-  std::set<uint32_t> path;
-  // Iterative DFS with an explicit visit state to detect cycles.
-  struct Frame {
-    uint32_t func;
-    std::vector<uint32_t> callees;
-    std::size_t next = 0;
-  };
-  std::vector<Frame> stack;
-  auto push = [&](uint32_t f) {
-    Frame fr;
-    fr.func = f;
-    for (const auto& b : cfgs.at(f).blocks)
-      if (b.call_target) fr.callees.push_back(*b.call_target);
-    stack.push_back(std::move(fr));
-    path.insert(f);
-  };
-  push(root);
-  while (!stack.empty()) {
-    Frame& fr = stack.back();
-    if (fr.next < fr.callees.size()) {
-      const uint32_t callee = fr.callees[fr.next++];
-      if (done.count(callee)) continue;
-      if (path.count(callee))
-        throw ProgramError("wcet: recursion detected at function " +
-                           cfgs.at(callee).name);
-      push(callee);
-    } else {
-      order.push_back(fr.func);
-      done.insert(fr.func);
-      path.erase(fr.func);
-      stack.pop_back();
-    }
-  }
-  return order;
-}
-
-} // namespace
 
 WcetReport analyze_wcet(const link::Image& img, const AnalyzerConfig& cfg,
                         const Annotations* overrides) {
@@ -84,7 +36,10 @@ WcetReport analyze_wcet(const ProgramView& view, const AnalyzerConfig& cfg) {
   const Annotations& ann = view.ann;
   const std::map<uint32_t, Cfg>& cfgs = view.cfgs;
   const std::map<uint32_t, const LoopInfo*>& loops = view.loops;
-  const uint32_t root = view.root;
+  const ViewScaffold& scaffold = view.scaffold;
+  const CacheSupergraph& graph = scaffold.supergraph;
+  SPMWCET_CHECK_MSG(!graph.nodes.empty(),
+                    "analyze_wcet: the view has no scaffold (build_scaffold)");
   // Pre-validate loop bounds for friendlier errors.
   for (const auto& [f, info] : loops) {
     for (const Loop& loop : info->loops) {
@@ -100,19 +55,17 @@ WcetReport analyze_wcet(const ProgramView& view, const AnalyzerConfig& cfg) {
 
   // ---- microarchitectural analysis ------------------------------------------
   SiteClassification classification;
-  std::map<uint32_t, uint32_t> first_site; // function address -> its site
   WcetReport report;
   if (cfg.cache) {
     CacheAnalysisConfig ccfg;
     ccfg.cache = *cfg.cache;
     ccfg.with_persistence = cfg.with_persistence;
     ccfg.stack_window = cfg.stack_window;
-    classification = analyze_cache_flat(img, cfgs, root, ccfg);
+    classification = analyze_cache_flat(img, cfgs, graph, ccfg);
 
     // Static statistics, in site order.
     uint32_t site = 0;
     for (const auto& [f, fcfg] : cfgs) {
-      first_site.emplace_hint(first_site.end(), f, site);
       for (const auto& b : fcfg.blocks) {
         for (const CfgInstr& ci : b.instrs) {
           report.fetch_sites += ci.size / 2;
@@ -133,14 +86,18 @@ WcetReport analyze_wcet(const ProgramView& view, const AnalyzerConfig& cfg) {
   }
 
   // ---- path analysis, bottom-up over the call graph --------------------------
+  if (scaffold.recursive)
+    throw ProgramError("wcet: recursion detected at function " +
+                       cfgs.at(*scaffold.recursive).name);
   std::map<uint32_t, uint64_t> func_wcet;
-  for (const uint32_t f : bottom_up_order(cfgs, root)) {
+  for (const uint32_t func : scaffold.bottom_up) {
+    const uint32_t f = graph.func_addr[func];
     const Cfg& fcfg = cfgs.at(f);
     TimingInputs inputs;
     inputs.cache = cfg.cache;
     if (cfg.cache) {
       inputs.classification = &classification;
-      inputs.first_site = first_site.at(f);
+      inputs.first_site = graph.func_site[func];
     }
     inputs.callee_wcet = &func_wcet;
     const BlockTimes times = time_blocks(fcfg, inputs);
@@ -164,7 +121,7 @@ WcetReport analyze_wcet(const ProgramView& view, const AnalyzerConfig& cfg) {
     report.functions.emplace(fw.name, fw);
   }
 
-  report.wcet = func_wcet.at(root);
+  report.wcet = func_wcet.at(view.root);
 
   // Persistence: each persistent line may miss once over the whole run.
   if (cfg.cache && cfg.with_persistence) {

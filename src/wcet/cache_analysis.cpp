@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
+#include <string>
 #include <vector>
 
 #include "isa/timing.h"
@@ -48,10 +48,10 @@ void require_resolved(const std::map<uint32_t, Cfg>& cfgs) {
 //    then one byte per (set, tag) slot — 0 = absent, v in [1, assoc+1] =
 //    present at age v-1 (assoc = "may be evicted") — a totally ordered
 //    per-slot lattice whose union-with-max join is an elementwise max.
-// Node identity is dense (per-function block-id offsets) instead of a
-// std::map of (func, block) pairs, and classification runs fused with the
-// transfer it observes (no per-instruction state copy), writing each
-// outcome into its site byte. Both domains are finite and the transfer
+// Node identity is dense (the view's CacheSupergraph) instead of a
+// std::map of (func, block) pairs, and each transfer returns the outcome
+// it observed, so the fixpoint's own visits write the site bytes and no
+// second transfer pass runs. Both domains are finite and the transfer
 // functions mirror the map ones operation for operation, so the worklist
 // converges to the same unique fixpoint and the classification comes out
 // identical.
@@ -59,10 +59,21 @@ void require_resolved(const std::map<uint32_t, Cfg>& cfgs) {
 class FlatCacheAnalyzer {
 public:
   FlatCacheAnalyzer(const link::Image& img, const std::map<uint32_t, Cfg>& cfgs,
-                    uint32_t root, const CacheAnalysisConfig& cfg)
-      : img_(img), cfgs_(cfgs), root_(root), cfg_(cfg) {
+                    const CacheSupergraph& graph,
+                    const CacheAnalysisConfig& cfg)
+      : img_(img), cfgs_(cfgs), graph_(graph), cfg_(cfg) {
     cfg_.cache.validate();
     require_resolved(cfgs_);
+    // The supergraph names functions by their ordinal in `cfgs` key order;
+    // it must have been built over these very functions.
+    SPMWCET_CHECK_MSG(graph_.func_addr.size() == cfgs_.size(),
+                      "cache analysis: supergraph built for other CFGs");
+    func_cfg_.reserve(cfgs_.size());
+    for (const auto& [faddr, fcfg] : cfgs_) {
+      SPMWCET_CHECK_MSG(graph_.func_addr[func_cfg_.size()] == faddr,
+                        "cache analysis: supergraph built for other CFGs");
+      func_cfg_.push_back(&fcfg);
+    }
     stack_lo_ = img.initial_sp - cfg_.stack_window;
     nsets_ = cfg_.cache.num_sets();
     assoc_ = cfg_.cache.assoc;
@@ -71,13 +82,13 @@ public:
     // Lines of 32-bit addresses have 32 - line_shift bits: set_bits of set
     // and the rest tag, packed above the 32-bit age.
     set_shift_ = 32 + (32 - line_shift_ - set_bits_);
-    build_nodes();
     if (cfg_.with_persistence) build_pers_slots();
   }
 
   SiteClassification run() {
     fixpoint();
-    return classify();
+    if (cfg_.with_persistence) collect_persistent_lines();
+    return std::move(out_);
   }
 
 private:
@@ -101,53 +112,8 @@ private:
     return static_cast<uint32_t>(e >> set_shift_);
   }
 
-  // ---- dense supergraph -----------------------------------------------------
-
-  void build_nodes() {
-    uint32_t site = 0;
-    for (const auto& [faddr, cfg] : cfgs_) {
-      func_base_[faddr] = static_cast<uint32_t>(node_block_.size());
-      for (const auto& b : cfg.blocks) {
-        node_block_.push_back(&b);
-        node_site_.push_back(site);
-        site += static_cast<uint32_t>(b.instrs.size());
-      }
-    }
-    num_sites_ = site;
-    succs_.resize(node_block_.size());
-    std::map<uint32_t, std::vector<uint32_t>> returns_to;
-    for (const auto& [faddr, cfg] : cfgs_) {
-      const uint32_t base = func_base_.at(faddr);
-      for (const auto& b : cfg.blocks) {
-        auto& succ = succs_[base + static_cast<uint32_t>(b.id)];
-        if (b.call_target) {
-          SPMWCET_CHECK(cfgs_.count(*b.call_target) != 0);
-          succ.push_back(func_base_.at(*b.call_target));
-          int cont = -1;
-          for (const int e : b.out_edges)
-            if (cfg.edges[static_cast<std::size_t>(e)].kind ==
-                EdgeKind::CallCont)
-              cont = cfg.edges[static_cast<std::size_t>(e)].to;
-          SPMWCET_CHECK(cont >= 0);
-          returns_to[*b.call_target].push_back(base +
-                                               static_cast<uint32_t>(cont));
-        } else {
-          for (const int e : b.out_edges)
-            succ.push_back(base + static_cast<uint32_t>(
-                                      cfg.edges[static_cast<std::size_t>(e)].to));
-        }
-      }
-    }
-    for (const auto& [faddr, cfg] : cfgs_) {
-      const auto rt = returns_to.find(faddr);
-      if (rt == returns_to.end()) continue;
-      const uint32_t base = func_base_.at(faddr);
-      for (const auto& b : cfg.blocks) {
-        if (!b.is_exit) continue;
-        auto& succ = succs_[base + static_cast<uint32_t>(b.id)];
-        for (const uint32_t cont : rt->second) succ.push_back(cont);
-      }
-    }
+  const BasicBlock& block_of(const CacheSupergraph::Node& n) const {
+    return func_cfg_[n.func]->blocks[n.block];
   }
 
   // ---- flat persistence slot universe --------------------------------------
@@ -206,17 +172,12 @@ private:
 
   // ---- sparse MUST state operations ----------------------------------------
 
-  bool contains_line(const State& st, uint32_t line) const {
-    const uint64_t key = entry_of(line);
-    const auto it = std::lower_bound(st.must.begin(), st.must.end(), key);
-    return it != st.must.end() && (*it >> 32) == (key >> 32);
-  }
-
   /// MUST transfer for an access to a known line: on a hit, strictly
   /// younger entries age by one and the accessed line rejuvenates; on a
   /// miss, every entry of the set ages (dropping at age >= assoc) and the
-  /// line enters at age 0.
-  void must_access_line(std::vector<uint64_t>& m, uint32_t line) const {
+  /// line enters at age 0. Returns whether the line was in the state
+  /// before the access, i.e. whether MUST proves the access a hit.
+  bool must_access_line(std::vector<uint64_t>& m, uint32_t line) const {
     const uint64_t key = entry_of(line);
     const uint64_t set_key = key >> set_shift_;
     std::size_t first =
@@ -229,11 +190,11 @@ private:
       if ((m[last] >> 32) == (key >> 32)) found = last;
     if (found < m.size()) {
       const uint64_t a = m[found] & kAgeMask;
-      if (a == 0) return; // already the youngest: nothing is younger
+      if (a == 0) return true; // already the youngest: nothing is younger
       for (std::size_t i = first; i < last; ++i)
         if (i != found && (m[i] & kAgeMask) < a) ++m[i];
       m[found] = key;
-      return;
+      return true;
     }
     // Miss: age the set in place, keeping the survivors' tag order, and
     // note where the new line sorts among them.
@@ -257,6 +218,7 @@ private:
     } else {
       m.insert(m.begin() + static_cast<std::ptrdiff_t>(pos), key);
     }
+    return false;
   }
 
   /// Ages `times` times every entry whose set lies in the cyclic window of
@@ -289,7 +251,9 @@ private:
         p[i] = static_cast<uint8_t>(std::min<uint32_t>(p[i] + times, evicted));
   }
 
-  void pers_access_line(State& st, uint32_t line) const {
+  /// Persistence transfer for an access to `line`; returns whether the
+  /// state before the access proves it persistent (present, not evicted).
+  bool pers_access_line(State& st, uint32_t line) const {
     const uint32_t set = set_of_line(line);
     const uint32_t slot = pers_slot_of(line);
     const uint8_t evicted = static_cast<uint8_t>(assoc_ + 1);
@@ -308,18 +272,25 @@ private:
       pers_age_set(st, set, 1);
       p[slot] = v == evicted ? evicted : 1;
     }
-  }
-
-  bool pers_persistent_line(const State& st, uint32_t line) const {
-    const uint8_t v = st.pers[pers_slot_of(line)];
-    return v != 0 && v < static_cast<uint8_t>(assoc_ + 1);
+    return v != 0 && v < evicted;
   }
 
   // ---- combined transfers --------------------------------------------------
 
-  void access_line(State& st, uint32_t line) const {
-    must_access_line(st.must, line);
-    if (!st.pers.empty()) pers_access_line(st, line);
+  /// Accesses `line`; returns the outcome the state just before the
+  /// access proves for it (a MUST hit outranks persistence).
+  Outcome access_line(State& st, uint32_t line) const {
+    const bool hit = must_access_line(st.must, line);
+    const bool persistent = !st.pers.empty() && pers_access_line(st, line);
+    return hit ? Outcome::Hit
+               : persistent ? Outcome::Persistent : Outcome::Miss;
+  }
+
+  /// `times` accesses, each to one line nobody knows: every set may age.
+  void age_every_set(State& st, uint32_t times) const {
+    if (!st.must.empty()) must_age_window(st.must, 0, nsets_, times);
+    if (st.pers.empty()) return;
+    for (uint32_t s = 0; s < nsets_; ++s) pers_age_set(st, s, times);
   }
 
   /// `times` accesses, each to exactly one unknown line within [line_lo,
@@ -330,15 +301,13 @@ private:
   void access_range(State& st, uint32_t line_lo, uint32_t line_hi,
                     uint32_t times = 1) const {
     const uint32_t n = line_hi - line_lo + 1;
-    const bool all = n >= nsets_;
-    if (!st.must.empty())
-      must_age_window(st.must, all ? 0 : set_of_line(line_lo),
-                      all ? nsets_ : n, times);
-    if (st.pers.empty()) return;
-    if (all) {
-      for (uint32_t s = 0; s < nsets_; ++s) pers_age_set(st, s, times);
+    if (n >= nsets_) {
+      age_every_set(st, times);
       return;
     }
+    if (!st.must.empty())
+      must_age_window(st.must, set_of_line(line_lo), n, times);
+    if (st.pers.empty()) return;
     for (uint32_t line = line_lo; line <= line_hi; ++line)
       pers_age_set(st, set_of_line(line), times);
   }
@@ -377,46 +346,63 @@ private:
     return changed;
   }
 
-  // ---- transfer (mirrors CacheAnalyzer) -------------------------------------
+  // ---- transfer (mirrors CacheAnalyzer), classifying as it goes ------------
 
-  void data_access(State& st, const MemFacts& mem) const {
+  /// The data access of one instruction; returns the load's outcome (Miss
+  /// unless it is a cached exact-address load the state classifies).
+  Outcome data_access(State& st, const MemFacts& mem) const {
     const AddrInfo& info = mem.access;
-    if (!cfg_.cache.unified) return;
-    if (info.is_store) return;
+    if (!cfg_.cache.unified) return Outcome::Miss;
+    if (info.is_store) return Outcome::Miss;
     switch (info.kind) {
       case AddrInfo::Kind::Exact:
-        if (mem.exact_class() == MemClass::Scratchpad) return;
-        access_line(st, line_of(info.lo));
-        return;
+        if (mem.exact_class() == MemClass::Scratchpad) return Outcome::Miss;
+        return access_line(st, line_of(info.lo));
       case AddrInfo::Kind::Range:
         access_range(st, line_of(info.lo), line_of(info.hi));
-        return;
+        break;
       case AddrInfo::Kind::Stack:
         access_range(st, line_of(stack_lo_), line_of(img_.initial_sp - 1),
                      info.accesses);
-        return;
+        break;
       case AddrInfo::Kind::Unknown:
-        access_range(st, 0,
-                     cfg_.cache.num_sets() * cfg_.cache.line_bytes *
-                         cfg_.cache.assoc);
-        return;
+        age_every_set(st, 1);
+        break;
     }
+    return Outcome::Miss;
   }
 
-  void transfer_instr(State& st, const CfgInstr& ci) const {
+  /// Transfers `st` over one instruction and returns its site byte: each
+  /// access is classified against the state just before it.
+  uint8_t transfer_instr(State& st, const CfgInstr& ci) const {
+    unsigned site = 0;
     if (!ci.mem.fetch_spm) {
-      access_line(st, line_of(ci.addr));
-      if (ci.size == 4) access_line(st, line_of(ci.addr + 2));
+      site |= static_cast<unsigned>(access_line(st, line_of(ci.addr)))
+              << SiteClassification::kFetch0;
+      if (ci.size == 4)
+        site |= static_cast<unsigned>(access_line(st, line_of(ci.addr + 2)))
+                << SiteClassification::kFetch1;
     }
-    if (ci.mem.has_access) data_access(st, ci.mem);
+    if (ci.mem.has_access)
+      site |= static_cast<unsigned>(data_access(st, ci.mem))
+              << SiteClassification::kLoad;
+    return static_cast<uint8_t>(site);
   }
 
-  // ---- fixpoint -------------------------------------------------------------
+  // ---- fixpoint, classification included ------------------------------------
+  //
+  // Every visit of a node rewrites its site bytes from the in-state it
+  // transfers. A node's last visit sees its final in-state: any later
+  // change to that state would have queued the node again. So once the
+  // worklist drains, every reachable site holds the classification of the
+  // fixpoint, and unreachable sites stay Miss.
 
   void fixpoint() {
-    in_.assign(node_block_.size(), State());
-    present_.assign(node_block_.size(), 0);
-    const uint32_t entry = func_base_.at(root_);
+    const std::size_t nodes = graph_.nodes.size();
+    out_.sites.assign(graph_.num_sites, 0);
+    in_.assign(nodes, State());
+    present_.assign(nodes, 0);
+    const uint32_t entry = graph_.root_node;
     if (cfg_.with_persistence) in_[entry].pers.assign(pers_tags_.size(), 0);
     present_[entry] = 1;
     std::vector<uint32_t> work{entry};
@@ -425,9 +411,13 @@ private:
       const uint32_t node = work.back();
       work.pop_back();
       s = in_[node];
-      for (const CfgInstr& ci : node_block_[node]->instrs)
-        transfer_instr(s, ci);
-      for (const uint32_t succ : succs_[node]) {
+      const CacheSupergraph::Node& n = graph_.nodes[node];
+      uint8_t* site = out_.sites.data() + n.site;
+      for (const CfgInstr& ci : block_of(n).instrs)
+        *site++ = transfer_instr(s, ci);
+      for (uint32_t k = graph_.succ_start[node];
+           k < graph_.succ_start[node + 1]; ++k) {
+        const uint32_t succ = graph_.succs[k];
         if (!present_[succ]) {
           in_[succ] = s;
           present_[succ] = 1;
@@ -439,65 +429,31 @@ private:
     }
   }
 
-  // ---- classification (fused with the transfer it observes) ----------------
-
-  SiteClassification classify() const {
-    SiteClassification out;
-    out.sites.assign(num_sites_, 0);
-    State s;
-    for (std::size_t node = 0; node < node_block_.size(); ++node) {
-      if (!present_[node]) continue; // unreachable
-      s = in_[node];
-      uint32_t site = node_site_[node];
-      for (const CfgInstr& ci : node_block_[node]->instrs) {
-        // Each access is classified against the state just before it.
-        if (!ci.mem.fetch_spm) {
-          classify(s, line_of(ci.addr), out, site,
-                   SiteClassification::kFetch0);
-          access_line(s, line_of(ci.addr));
-          if (ci.size == 4) {
-            classify(s, line_of(ci.addr + 2), out, site,
-                     SiteClassification::kFetch1);
-            access_line(s, line_of(ci.addr + 2));
-          }
-        }
-        if (ci.mem.has_access) {
-          classify_load(s, ci, out, site);
-          data_access(s, ci.mem);
-        }
+  /// The distinct lines behind the persistent accesses, read back from the
+  /// final site bytes.
+  void collect_persistent_lines() {
+    auto& lines = out_.persistent_penalty_lines;
+    for (const CacheSupergraph::Node& n : graph_.nodes) {
+      uint32_t site = n.site;
+      for (const CfgInstr& ci : block_of(n).instrs) {
+        if (out_.fetch(site, 0) == Outcome::Persistent)
+          lines.push_back(line_of(ci.addr));
+        if (out_.fetch(site, 1) == Outcome::Persistent)
+          lines.push_back(line_of(ci.addr + 2));
+        if (out_.load(site) == Outcome::Persistent)
+          lines.push_back(line_of(ci.mem.access.lo));
         ++site;
       }
     }
-    auto& lines = out.persistent_penalty_lines;
     std::sort(lines.begin(), lines.end());
     lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
-    return out;
-  }
-
-  void classify(const State& state, uint32_t line, SiteClassification& out,
-                uint32_t site, SiteClassification::Field field) const {
-    if (contains_line(state, line)) {
-      out.set(site, field, Outcome::Hit);
-    } else if (!state.pers.empty() && pers_persistent_line(state, line)) {
-      out.set(site, field, Outcome::Persistent);
-      out.persistent_penalty_lines.push_back(line);
-    }
-  }
-
-  void classify_load(const State& state, const CfgInstr& ci,
-                     SiteClassification& out, uint32_t site) const {
-    const AddrInfo& info = ci.mem.access;
-    if (!cfg_.cache.unified || info.is_store) return;
-    if (info.kind != AddrInfo::Kind::Exact ||
-        ci.mem.exact_class() == MemClass::Scratchpad)
-      return;
-    classify(state, line_of(info.lo), out, site, SiteClassification::kLoad);
   }
 
   const link::Image& img_;
   const std::map<uint32_t, Cfg>& cfgs_;
-  uint32_t root_;
+  const CacheSupergraph& graph_;
   CacheAnalysisConfig cfg_;
+  std::vector<const Cfg*> func_cfg_; ///< supergraph function ordinal -> CFG
   uint32_t stack_lo_ = 0;
   uint32_t nsets_ = 0;
   uint32_t assoc_ = 0;
@@ -505,13 +461,9 @@ private:
   unsigned set_bits_ = 0;
   unsigned set_shift_ = 0; ///< bit position of the set in a MUST entry
 
-  std::map<uint32_t, uint32_t> func_base_; ///< func addr -> first node id
-  std::vector<const BasicBlock*> node_block_;
-  std::vector<uint32_t> node_site_; ///< node -> site of its first instr
-  uint32_t num_sites_ = 0;
-  std::vector<std::vector<uint32_t>> succs_;
   std::vector<State> in_;
   std::vector<uint8_t> present_;
+  SiteClassification out_;
 
   // Persistence slot universe (empty unless with_persistence): tags sorted
   // within each set's contiguous [pers_set_start_[s], pers_set_start_[s+1])
@@ -522,13 +474,103 @@ private:
 
 } // namespace
 
+uint32_t CacheSupergraph::func_of(uint32_t addr) const {
+  const auto it = std::lower_bound(func_addr.begin(), func_addr.end(), addr);
+  SPMWCET_CHECK_MSG(it != func_addr.end() && *it == addr,
+                    "cache supergraph: no function at " +
+                        std::to_string(addr));
+  return static_cast<uint32_t>(it - func_addr.begin());
+}
+
+CacheSupergraph build_supergraph(const std::map<uint32_t, Cfg>& cfgs,
+                                 uint32_t root) {
+  CacheSupergraph g;
+  std::vector<uint32_t> func_node; // function ordinal -> entry node
+  func_node.reserve(cfgs.size());
+  g.func_addr.reserve(cfgs.size());
+  g.func_site.reserve(cfgs.size());
+  uint32_t site = 0;
+  for (const auto& [faddr, cfg] : cfgs) {
+    const auto func = static_cast<uint32_t>(g.func_addr.size());
+    func_node.push_back(static_cast<uint32_t>(g.nodes.size()));
+    g.func_addr.push_back(faddr);
+    g.func_site.push_back(site);
+    for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
+      g.nodes.push_back({func, static_cast<uint32_t>(b), site});
+      site += static_cast<uint32_t>(cfg.blocks[b].instrs.size());
+    }
+  }
+  g.num_sites = site;
+  g.root_node = func_node[g.func_of(root)];
+
+  // Successors: a call block feeds its callee's entry, any other block its
+  // CFG successors, and an exit block every continuation of a call to its
+  // function, callers in node order. First the call continuations, grouped
+  // by callee.
+  struct Call {
+    uint32_t callee; ///< function ordinal
+    uint32_t cont;   ///< continuation node
+  };
+  std::vector<Call> calls;
+  for (const auto& [faddr, cfg] : cfgs) {
+    const uint32_t base = func_node[g.func_of(faddr)];
+    for (const auto& b : cfg.blocks) {
+      if (!b.call_target) continue;
+      int cont = -1;
+      for (const int e : b.out_edges)
+        if (cfg.edges[static_cast<std::size_t>(e)].kind == EdgeKind::CallCont)
+          cont = cfg.edges[static_cast<std::size_t>(e)].to;
+      SPMWCET_CHECK(cont >= 0);
+      calls.push_back({g.func_of(*b.call_target),
+                       base + static_cast<uint32_t>(cont)});
+    }
+  }
+  std::stable_sort(calls.begin(), calls.end(),
+                   [](const Call& a, const Call& b) { return a.callee < b.callee; });
+  std::vector<uint32_t> calls_start(g.func_addr.size() + 1, 0);
+  for (const Call& c : calls) ++calls_start[c.callee + 1];
+  for (std::size_t f = 0; f < g.func_addr.size(); ++f)
+    calls_start[f + 1] += calls_start[f];
+
+  // Then the successor lists themselves, in node order.
+  g.succ_start.reserve(g.nodes.size() + 1);
+  g.succ_start.push_back(0);
+  for (const auto& [faddr, cfg] : cfgs) {
+    const uint32_t func = g.func_of(faddr);
+    const uint32_t base = func_node[func];
+    for (const auto& b : cfg.blocks) {
+      SPMWCET_CHECK(base + static_cast<uint32_t>(b.id) + 1 ==
+                    g.succ_start.size());
+      if (b.call_target) {
+        g.succs.push_back(func_node[g.func_of(*b.call_target)]);
+      } else {
+        for (const int e : b.out_edges)
+          g.succs.push_back(base + static_cast<uint32_t>(
+                                       cfg.edges[static_cast<std::size_t>(e)].to));
+      }
+      if (b.is_exit)
+        for (uint32_t k = calls_start[func]; k < calls_start[func + 1]; ++k)
+          g.succs.push_back(calls[k].cont);
+      g.succ_start.push_back(static_cast<uint32_t>(g.succs.size()));
+    }
+  }
+  return g;
+}
+
+SiteClassification analyze_cache_flat(const link::Image& img,
+                                      const std::map<uint32_t, Cfg>& cfgs,
+                                      const CacheSupergraph& graph,
+                                      const CacheAnalysisConfig& cfg) {
+  (cfg.with_persistence ? g_flat_persistence_runs : g_flat_must_runs)
+      .fetch_add(1, std::memory_order_relaxed);
+  return FlatCacheAnalyzer(img, cfgs, graph, cfg).run();
+}
+
 SiteClassification analyze_cache_flat(const link::Image& img,
                                       const std::map<uint32_t, Cfg>& cfgs,
                                       uint32_t root,
                                       const CacheAnalysisConfig& cfg) {
-  (cfg.with_persistence ? g_flat_persistence_runs : g_flat_must_runs)
-      .fetch_add(1, std::memory_order_relaxed);
-  return FlatCacheAnalyzer(img, cfgs, root, cfg).run();
+  return analyze_cache_flat(img, cfgs, build_supergraph(cfgs, root), cfg);
 }
 
 CacheAnalysisCounters cache_analysis_counters() {

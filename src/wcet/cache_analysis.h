@@ -13,7 +13,8 @@
 // numbered in one order fixed by the CFG map: functions in address (key)
 // order, blocks in id order, instructions in block order. Block ids follow
 // addresses, so site order is ascending address order, and a bound
-// ProgramView fixes it once for every analysis of that image.
+// ProgramView fixes it — and the supergraph the analysis walks — once for
+// every analysis of that image.
 #pragma once
 
 #include <cstdint>
@@ -72,20 +73,64 @@ struct SiteClassification {
   bool operator==(const SiteClassification&) const = default;
 };
 
-/// Runs the fixpoint over all `cfgs` (keyed by function address) starting
-/// from `root`. Every CFG must carry this image's memory facts
-/// (resolve_memory, wcet/value_analysis.h); an unresolved one is refused.
+/// The part of the analysis that depends only on the program, not on the
+/// cache: the interprocedural supergraph over a set of CFGs. Nodes are the
+/// blocks in site order (functions in key order, blocks in id order); a
+/// call block feeds its callee's entry node, an exit block every
+/// continuation of a call to its function, any other block its CFG
+/// successors. A bound ProgramView builds it once (ViewScaffold), so every
+/// cache size analyzed on the view shares it.
+struct CacheSupergraph {
+  struct Node {
+    uint32_t func = 0;  ///< ordinal of the function in `cfgs` key order
+    uint32_t block = 0; ///< block id within that function
+    uint32_t site = 0;  ///< site of the block's first instruction
+  };
+  std::vector<Node> nodes;
+  /// Successors of node n: succs[succ_start[n] .. succ_start[n + 1]).
+  std::vector<uint32_t> succ_start;
+  std::vector<uint32_t> succs;
+  std::vector<uint32_t> func_addr; ///< function ordinal -> entry address
+  std::vector<uint32_t> func_site; ///< function ordinal -> its first site
+  uint32_t root_node = 0;          ///< entry block of the root function
+  uint32_t num_sites = 0;
+
+  /// Ordinal of the function entered at `addr`; refuses other addresses.
+  uint32_t func_of(uint32_t addr) const;
+};
+
+/// Builds the supergraph of `cfgs` (keyed by function address) for the
+/// program rooted at `root`.
+CacheSupergraph build_supergraph(const std::map<uint32_t, Cfg>& cfgs,
+                                 uint32_t root);
+
+/// Runs the fixpoint over the supergraph `graph` of `cfgs` (built by
+/// build_supergraph over these very CFGs). Every CFG must carry this
+/// image's memory facts (resolve_memory, wcet/value_analysis.h); an
+/// unresolved one is refused.
 /// A MUST state is a sorted vector of its live (set, tag, age) entries, so
 /// copying, joining, comparing and aging a state cost the lines it holds
 /// rather than num_sets × assoc slots, and aging every set a range, the
 /// stack window or an unknown address may touch is one pass over those
-/// entries. Classification is fused with the transfer it observes and
-/// written straight into the site bytes. The persistence domain stays
-/// dense: its tag universe is precomputed from the program's exact-access
-/// lines (the only lines the transfer functions ever insert), one byte per
-/// (set, tag) slot, join = elementwise max. The MUST and persistence
-/// fixpoints have unique solutions, so the map-based oracle in
+/// entries. The persistence domain stays dense: its tag universe is
+/// precomputed from the program's exact-access lines (the only lines the
+/// transfer functions ever insert), one byte per (set, tag) slot, join =
+/// elementwise max.
+/// Classification happens inside the fixpoint: each access is classified
+/// by the transfer that performs it, against the state just before it, and
+/// every visit of a node rewrites its site bytes. A node's last visit sees
+/// its final in-state (a later change would queue it again), so the bytes
+/// left when the worklist drains are the fixpoint's classification;
+/// persistent_penalty_lines is then read back from them. The MUST and
+/// persistence fixpoints have unique solutions, so the map-based oracle in
 /// tests/reference/ classifies every site identically.
+SiteClassification analyze_cache_flat(const link::Image& img,
+                                      const std::map<uint32_t, Cfg>& cfgs,
+                                      const CacheSupergraph& graph,
+                                      const CacheAnalysisConfig& cfg);
+
+/// The same analysis on a supergraph built for this one call; for tests
+/// and benches that hold CFGs without a bound view.
 SiteClassification analyze_cache_flat(const link::Image& img,
                                       const std::map<uint32_t, Cfg>& cfgs,
                                       uint32_t root,

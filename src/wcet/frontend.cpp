@@ -225,7 +225,55 @@ ProgramView bind_view(std::shared_ptr<const ProgramShape> shape,
   // analysis of the view reads them instead of the region map.
   for (auto& [f, fcfg] : view.cfgs) resolve_memory(img, fcfg, view.ann);
 
+  view.scaffold = build_scaffold(view.cfgs, view.root);
   return view;
+}
+
+ViewScaffold build_scaffold(const std::map<uint32_t, Cfg>& cfgs,
+                            uint32_t root) {
+  ViewScaffold sc;
+  sc.supergraph = build_supergraph(cfgs, root);
+  const CacheSupergraph& g = sc.supergraph;
+
+  // Topological order of the call graph, callees before callers: an
+  // iterative DFS with an explicit visit state to detect cycles.
+  std::vector<uint8_t> done(g.func_addr.size(), 0);
+  std::vector<uint8_t> on_path(g.func_addr.size(), 0);
+  struct Frame {
+    uint32_t func;
+    std::vector<uint32_t> callees;
+    std::size_t next = 0;
+  };
+  std::vector<Frame> stack;
+  auto push = [&](uint32_t f) {
+    Frame fr;
+    fr.func = g.func_of(f);
+    for (const auto& b : cfgs.at(f).blocks)
+      if (b.call_target) fr.callees.push_back(*b.call_target);
+    on_path[fr.func] = 1;
+    stack.push_back(std::move(fr));
+  };
+  push(root);
+  while (!stack.empty()) {
+    Frame& fr = stack.back();
+    if (fr.next < fr.callees.size()) {
+      const uint32_t callee = fr.callees[fr.next++];
+      const uint32_t c = g.func_of(callee);
+      if (done[c]) continue;
+      if (on_path[c]) {
+        sc.bottom_up.clear();
+        sc.recursive = callee;
+        return sc;
+      }
+      push(callee);
+    } else {
+      sc.bottom_up.push_back(fr.func);
+      done[fr.func] = 1;
+      on_path[fr.func] = 0;
+      stack.pop_back();
+    }
+  }
+  return sc;
 }
 
 } // namespace spmwcet::wcet

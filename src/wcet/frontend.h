@@ -33,12 +33,14 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "link/image.h"
 #include "program/decoded_image.h"
 #include "wcet/annotations.h"
+#include "wcet/cache_analysis.h"
 #include "wcet/cfg.h"
 #include "wcet/loops.h"
 #include "wcet/value_analysis.h"
@@ -90,6 +92,24 @@ uint64_t module_fingerprint(const link::Image& img,
 ProgramShape build_shape(const link::Image& img,
                          const program::DecodedImage& dec);
 
+/// What the back end derives from a view's CFGs alone, built once per view
+/// so no analysis of it rebuilds them: every cache size analyzed on the
+/// view walks the same cache supergraph, and IPET visits functions in the
+/// same bottom-up order.
+struct ViewScaffold {
+  CacheSupergraph supergraph;
+  /// Functions callees before callers, as ordinals into
+  /// supergraph.func_addr; empty when the call graph recurses.
+  std::vector<uint32_t> bottom_up;
+  /// Address of the function at which recursion was found, if any;
+  /// analyze_wcet refuses such a view (unbounded WCET).
+  std::optional<uint32_t> recursive;
+};
+
+/// Builds the scaffold of the program rooted at `root` over `cfgs`.
+ViewScaffold build_scaffold(const std::map<uint32_t, Cfg>& cfgs,
+                            uint32_t root);
+
 /// The shape bound to one concrete image: real addresses, this link's
 /// literal pools and immediates, annotations, and value-analysis results
 /// (CfgInstr::mem of every bound CFG). Immutable after bind_view; safe to
@@ -109,6 +129,10 @@ struct ProgramView {
   /// Stable across placements of one shape; keys the per-workload IPET
   /// skeleton cache.
   std::map<uint32_t, std::size_t> func_index;
+  /// Built from `cfgs` and `root` by bind_view (build_scaffold); shared by
+  /// every analysis of the view. It names CFGs by key order, not by
+  /// address of the map nodes, so copies of the view stay valid.
+  ViewScaffold scaffold;
 };
 
 /// Binds `shape` to `img` (with `dec` the shared decode of the same image):
@@ -116,8 +140,9 @@ struct ProgramView {
 /// annotations (`overrides` replaces the image-derived set; with
 /// `auto_loop_bounds`, detected counted-loop bounds fill unannotated
 /// headers), and runs the value analysis, which resolves every
-/// instruction's memory facts into the bound CFGs. Throws ProgramError when
-/// the image does not belong to the shape's module.
+/// instruction's memory facts into the bound CFGs, then builds the view's
+/// scaffold. Throws ProgramError when the image does not belong to the
+/// shape's module.
 ProgramView bind_view(std::shared_ptr<const ProgramShape> shape,
                       const link::Image& img,
                       const program::DecodedImage& dec,

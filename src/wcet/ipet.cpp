@@ -129,6 +129,13 @@ IpetResult extract_result(const Cfg& cfg, const IpetBuild& b,
 
 } // namespace
 
+lp::Model ipet_model(const Cfg& cfg, const LoopInfo& loops,
+                     const Annotations& ann, const BlockTimes& times) {
+  IpetBuild b = build_ipet(cfg, loops, ann);
+  b.model.set_objective(lp::Sense::Maximize, build_objective(cfg, times, b));
+  return std::move(b.model);
+}
+
 IpetResult solve_ipet(const Cfg& cfg, const LoopInfo& loops,
                       const Annotations& ann, const BlockTimes& times) {
   IpetBuild b = build_ipet(cfg, loops, ann);

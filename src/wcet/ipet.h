@@ -20,6 +20,7 @@
 #include <optional>
 #include <vector>
 
+#include "lp/model.h"
 #include "wcet/annotations.h"
 #include "wcet/block_timing.h"
 #include "wcet/cfg.h"
@@ -39,6 +40,12 @@ struct IpetResult {
 /// otherwise — the analyzer pre-validates for a friendlier message).
 IpetResult solve_ipet(const Cfg& cfg, const LoopInfo& loops,
                       const Annotations& ann, const BlockTimes& times);
+
+/// The integer program solve_ipet solves for one function: edge-count
+/// variables, flow conservation, loop bounds and the block-cost objective.
+/// The solver parity tests run it through production and oracle LP solvers.
+lp::Model ipet_model(const Cfg& cfg, const LoopInfo& loops,
+                     const Annotations& ann, const BlockTimes& times);
 
 /// One function's prepared IPET program: model + phase-one tableau, built
 /// from a representative placement, re-solvable against any placement of

@@ -41,6 +41,7 @@ wcet::ProgramView seed_view(const link::Image& img, bool auto_loop_bounds,
   }
 
   view.shape = std::move(owner);
+  view.scaffold = wcet::build_scaffold(view.cfgs, view.root);
   return view;
 }
 

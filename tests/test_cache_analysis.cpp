@@ -289,26 +289,47 @@ ProgramDef persistence_workout() {
 }
 
 TEST(CacheAnalysis, FlatPersistenceMatchesMapAnalysisAcrossGeometries) {
+  // MUST only and with persistence, every paper cache size, direct-mapped
+  // and set-associative, unified and instruction-only. The loop and the
+  // call make the worklist revisit nodes, so the flat analysis' in-fixpoint
+  // classification is checked where a node's earlier visits saw a state
+  // that was not yet final.
   const auto mod = compile(persistence_workout());
   const link::Image img = link::link_program(mod, {}, {});
   const std::map<uint32_t, Cfg> cfgs = resolved_cfgs(img);
-  for (const uint32_t size : {256u, 1024u, 8192u}) {
-    for (const uint32_t assoc : {1u, 2u}) {
-      for (const bool unified : {true, false}) {
-        CacheAnalysisConfig ccfg;
-        ccfg.cache.size_bytes = size;
-        ccfg.cache.assoc = assoc;
-        ccfg.cache.unified = unified;
-        ccfg.with_persistence = true;
-        const auto map_cls = analyze_cache(img, cfgs, img.entry, ccfg);
-        const auto flat_cls = analyze_cache_flat(img, cfgs, img.entry, ccfg);
-        SCOPED_TRACE("size=" + std::to_string(size) +
-                     " assoc=" + std::to_string(assoc) +
-                     " unified=" + std::to_string(unified));
-        expect_equal(cfgs, map_cls, flat_cls);
+  const uint64_t map_runs = reference::map_analysis_runs();
+  int classified = 0, persistent = 0;
+  for (const bool persistence : {false, true}) {
+    for (const uint32_t size : {64u, 128u, 256u, 512u, 1024u, 2048u, 4096u,
+                                8192u}) {
+      for (const uint32_t assoc : {1u, 2u, 4u}) {
+        for (const bool unified : {true, false}) {
+          CacheAnalysisConfig ccfg;
+          ccfg.cache.size_bytes = size;
+          ccfg.cache.assoc = assoc;
+          ccfg.cache.unified = unified;
+          ccfg.with_persistence = persistence;
+          const auto map_cls = analyze_cache(img, cfgs, img.entry, ccfg);
+          const auto flat_cls =
+              analyze_cache_flat(img, cfgs, img.entry, ccfg);
+          SCOPED_TRACE("persistence=" + std::to_string(persistence) +
+                       " size=" + std::to_string(size) +
+                       " assoc=" + std::to_string(assoc) +
+                       " unified=" + std::to_string(unified));
+          expect_equal(cfgs, map_cls, flat_cls);
+          classified += std::any_of(flat_cls.sites.begin(),
+                                    flat_cls.sites.end(),
+                                    [](uint8_t b) { return b != 0; });
+          persistent += !flat_cls.persistent_penalty_lines.empty();
+        }
       }
     }
   }
+  // Both sides ran, and the comparisons covered classified sites and
+  // persistent lines, not only all-Miss results.
+  EXPECT_EQ(reference::map_analysis_runs() - map_runs, 2u * 8 * 3 * 2);
+  EXPECT_EQ(classified, 2 * 8 * 3 * 2);
+  EXPECT_GT(persistent, 0);
 }
 
 TEST(CacheAnalysis, FlatPathActuallyRunsPersistenceAnalyses) {

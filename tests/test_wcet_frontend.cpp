@@ -8,18 +8,28 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <memory>
+#include <optional>
+#include <set>
 
 #include "alloc/allocator.h"
+#include "alloc/knapsack.h"
+#include "alloc/memory_objects.h"
 #include "harness/artifact_cache.h"
 #include "harness/experiment.h"
 #include "harness/sweep_runner.h"
 #include "link/layout.h"
+#include "lp/branch_bound.h"
+#include "lp/simplex.h"
 #include "program/decoded_image.h"
 #include "reference/map_cache_analysis.h"
 #include "reference/seed_frontend.h"
+#include "reference/simplex.h"
 #include "sim/simulator.h"
 #include "wcet/analyzer.h"
+#include "wcet/block_timing.h"
 #include "wcet/cache_analysis.h"
 #include "wcet/frontend.h"
 #include "wcet/ipet.h"
@@ -255,6 +265,198 @@ TEST(ProgramView, OneViewServesEveryCacheSize) {
   EXPECT_GT(reference::map_analysis_runs(), map_runs);
   EXPECT_GT(skeletons.hits, 0u);
   EXPECT_EQ(skeletons.fallbacks, 0u);
+}
+
+TEST(ProgramView, ScaffoldIsBuiltAtBindAndSurvivesCopies) {
+  // bind_view builds the back end's view-constant scaffolding once: the
+  // cache supergraph covers every block and site in site order, and the
+  // bottom-up order lists every function after its callees. The scaffold
+  // names CFGs by key order, so a copy of the view analyzes identically
+  // after the original is gone.
+  for (const std::string& name : trio_and_mixed_slice()) {
+    const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
+    const link::Image img = link::link_program(wl->module, {}, {});
+    const program::DecodedImage dec(img);
+    auto view = std::make_unique<wcet::ProgramView>(wcet::bind_view(
+        std::make_shared<const wcet::ProgramShape>(wcet::build_shape(img, dec)),
+        img, dec));
+    const wcet::ViewScaffold& sc = view->scaffold;
+    const wcet::CacheSupergraph& g = sc.supergraph;
+    ASSERT_FALSE(sc.recursive.has_value()) << name;
+    ASSERT_EQ(g.func_addr.size(), view->cfgs.size()) << name;
+    std::size_t blocks = 0, sites = 0, func = 0;
+    for (const auto& [f, cfg] : view->cfgs) {
+      EXPECT_EQ(g.func_addr[func], f) << name;
+      EXPECT_EQ(g.func_site[func], sites) << name;
+      if (f == view->root) {
+        EXPECT_EQ(g.root_node, blocks) << name;
+      }
+      ++func;
+      blocks += cfg.blocks.size();
+      for (const auto& b : cfg.blocks) sites += b.instrs.size();
+    }
+    EXPECT_EQ(g.nodes.size(), blocks) << name;
+    EXPECT_EQ(g.succ_start.size(), blocks + 1) << name;
+    EXPECT_EQ(g.num_sites, sites) << name;
+    ASSERT_EQ(sc.bottom_up.size(), view->cfgs.size()) << name;
+    std::set<uint32_t> seen;
+    for (const uint32_t fi : sc.bottom_up) {
+      const wcet::Cfg& cfg = view->cfgs.at(g.func_addr[fi]);
+      for (const auto& b : cfg.blocks)
+        if (b.call_target)
+          EXPECT_TRUE(seen.count(*b.call_target)) << name << "/" << cfg.name;
+      seen.insert(g.func_addr[fi]);
+    }
+    EXPECT_EQ(g.func_addr[sc.bottom_up.back()], view->root) << name;
+
+    AnalyzerConfig cfg;
+    cache::CacheConfig ccfg;
+    ccfg.size_bytes = 1024;
+    cfg.cache = ccfg;
+    cfg.with_persistence = true;
+    const WcetReport want = wcet::analyze_wcet(*view, cfg);
+    const wcet::ProgramView copy = *view;
+    view.reset();
+    expect_report_eq(wcet::analyze_wcet(copy, cfg), want, name + " copy");
+  }
+}
+
+// ---- simplex oracle on the paper's integer programs -------------------------
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+/// Production and oracle solutions agree bit for bit.
+void expect_same_solution(const lp::Solution& got, const lp::Solution& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.status, want.status) << what;
+  EXPECT_EQ(got.basis, want.basis) << what;
+  EXPECT_TRUE(same_bits(got.objective, want.objective)) << what;
+  ASSERT_EQ(got.values.size(), want.values.size()) << what;
+  for (std::size_t j = 0; j < want.values.size(); ++j)
+    EXPECT_TRUE(same_bits(got.values[j], want.values[j]))
+        << what << " var " << j;
+}
+
+/// Runs production (carried reduced costs) and the reference simplex
+/// (fresh pricing every pivot) side by side on one model: the cold solve,
+/// the prepared phase-two solve the IPET skeletons use, and every node LP
+/// of the branch-and-bound search. Counts what each side solved.
+struct SimplexParity {
+  uint64_t models = 0;
+  uint64_t node_lps = 0;
+  uint64_t oracle_solves = 0;
+
+  lp::Solution check(const lp::Model& m, const std::string& what) {
+    ++models;
+    expect_same_solution(lp::solve_lp(m), reference::solve_lp(m),
+                         what + " cold");
+    expect_same_solution(
+        lp::PreparedLp(m).solve(m.sense(), m.objective()),
+        reference::PreparedLp(m).solve(m.sense(), m.objective()),
+        what + " prepared");
+    oracle_solves += 2;
+    return lp::solve_milp(m, {}, [&](const lp::Model& node) {
+      lp::Solution got = lp::solve_lp(node);
+      expect_same_solution(got, reference::solve_lp(node),
+                           what + " node " + std::to_string(node_lps));
+      ++node_lps;
+      ++oracle_solves;
+      return got;
+    });
+  }
+
+  /// Every function's IPET program at one analysis point of `view`, with
+  /// the block times the analyzer derives for it. The integer optimum must
+  /// be the WCET the production analyzer reported for the function.
+  void check_view(const wcet::ProgramView& view, const AnalyzerConfig& acfg,
+                  const std::string& what) {
+    const WcetReport report = wcet::analyze_wcet(view, acfg);
+    const wcet::CacheSupergraph& g = view.scaffold.supergraph;
+    wcet::SiteClassification cls;
+    if (acfg.cache) {
+      wcet::CacheAnalysisConfig ccfg;
+      ccfg.cache = *acfg.cache;
+      ccfg.with_persistence = acfg.with_persistence;
+      ccfg.stack_window = acfg.stack_window;
+      cls = wcet::analyze_cache_flat(*view.img, view.cfgs, g, ccfg);
+    }
+    std::map<uint32_t, uint64_t> callee_wcet;
+    for (const auto& [f, cfg] : view.cfgs)
+      callee_wcet[f] = report.functions.at(cfg.name).wcet;
+    for (std::size_t fi = 0; fi < g.func_addr.size(); ++fi) {
+      const wcet::Cfg& cfg = view.cfgs.at(g.func_addr[fi]);
+      wcet::TimingInputs in;
+      in.cache = acfg.cache;
+      if (acfg.cache) {
+        in.classification = &cls;
+        in.first_site = g.func_site[fi];
+      }
+      in.callee_wcet = &callee_wcet;
+      const lp::Model m =
+          wcet::ipet_model(cfg, *view.loops.at(g.func_addr[fi]), view.ann,
+                           wcet::time_blocks(cfg, in));
+      const lp::Solution sol = check(m, what + "/" + cfg.name);
+      ASSERT_EQ(sol.status, lp::Status::Optimal) << what << "/" << cfg.name;
+      EXPECT_EQ(static_cast<uint64_t>(std::llround(sol.objective)),
+                report.functions.at(cfg.name).wcet)
+          << what << "/" << cfg.name;
+    }
+  }
+};
+
+TEST(SimplexOracle, CarriedPricingMatchesFreshPricingOnPaperModels) {
+  // Every IPET program of the paper trio and gen:mixed:1..6 — each paper
+  // SPM placement, and each paper cache size MUST only and with
+  // persistence — plus the knapsack allocation at each paper size with all
+  // its branch-and-bound node LPs: production's status, basis, values and
+  // objective equal the fresh-pricing oracle's bit for bit, so carrying the
+  // reduced costs kept every pivot path.
+  const uint64_t oracle_before = reference::simplex_solves();
+  SimplexParity parity;
+  uint64_t knapsack_models = 0, knapsack_nodes = 0;
+  for (const std::string& name : trio_and_mixed_slice()) {
+    const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
+    const link::Image canonical = link::link_program(wl->module, {}, {});
+    const program::DecodedImage cdec(canonical);
+    const auto shape = std::make_shared<const wcet::ProgramShape>(
+        wcet::build_shape(canonical, cdec));
+    const sim::AccessProfile profile = profile_of(canonical);
+    const std::vector<alloc::MemoryObject> objects =
+        alloc::collect_objects(wl->module, profile, {});
+    // allocate_energy_optimal solves up to 100 objects as an ILP.
+    ASSERT_LE(objects.size(), 100u) << name;
+    for (const uint32_t size : harness::SweepConfig{}.sizes) {
+      const uint64_t nodes = parity.node_lps;
+      parity.check(alloc::knapsack_model(objects, size),
+                   name + "/knapsack" + std::to_string(size));
+      ++knapsack_models;
+      knapsack_nodes += parity.node_lps - nodes;
+
+      const link::Image img = placed_image(*wl, profile, size);
+      const program::DecodedImage dec(img);
+      parity.check_view(wcet::bind_view(shape, img, dec), {},
+                        name + "/spm" + std::to_string(size));
+    }
+    const wcet::ProgramView view = wcet::bind_view(shape, canonical, cdec);
+    for (const uint32_t size : harness::SweepConfig{}.sizes)
+      for (const bool pers : {false, true}) {
+        AnalyzerConfig cfg;
+        cache::CacheConfig ccfg;
+        ccfg.size_bytes = size;
+        cfg.cache = ccfg;
+        cfg.with_persistence = pers;
+        parity.check_view(view, cfg,
+                          name + "/cache" + std::to_string(size) +
+                              (pers ? "+pers" : ""));
+      }
+  }
+  // Both sides ran on every model, and the knapsack searches branched, so
+  // bounded node LPs were compared too.
+  EXPECT_GT(parity.models, knapsack_models);
+  EXPECT_EQ(reference::simplex_solves() - oracle_before, parity.oracle_solves);
+  EXPECT_GT(knapsack_nodes, knapsack_models);
 }
 
 // ---- full-report parity over the paper matrix ------------------------------
