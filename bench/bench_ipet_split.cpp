@@ -7,60 +7,51 @@
 // an SPM-free layout (the sweep's cache branch).
 #include "bench_common.h"
 
+#include <memory>
+
 #include "link/layout.h"
-#include "wcet/annotations.h"
+#include "program/decoded_image.h"
 #include "wcet/block_timing.h"
-#include "wcet/cfg.h"
+#include "wcet/frontend.h"
 #include "wcet/ipet.h"
-#include "wcet/loops.h"
-#include "wcet/value_analysis.h"
 
 namespace {
 
 using namespace spmwcet;
 
 struct FuncState {
-  wcet::Cfg cfg;
-  wcet::LoopInfo loops;
+  const wcet::Cfg* cfg = nullptr;
+  const wcet::LoopInfo* loops = nullptr;
   wcet::BlockTimes times;
 };
 
 struct Prepared {
-  link::Image img;
-  wcet::Annotations ann;
+  std::unique_ptr<const link::Image> img; // the view borrows it
+  wcet::ProgramView view;
   std::vector<FuncState> funcs;
 };
 
 const Prepared& g721_prepared() {
   static const Prepared p = [] {
-    Prepared out{link::link_program(workloads::make_g721().module, {}, {}),
-                 {},
-                 {}};
-    out.ann = wcet::Annotations::from_image(out.img);
-    std::map<uint32_t, wcet::Cfg> cfgs;
-    for (const uint32_t f : wcet::reachable_functions(out.img, out.img.entry)) {
-      auto& cfg = cfgs.emplace(f, wcet::build_cfg(out.img, f)).first->second;
-      wcet::resolve_memory(out.img, cfg, out.ann);
-    }
-    // Process callees before callers (simple fixpoint; the call graph is
-    // acyclic, the analyzer rejects recursion).
-    std::map<uint32_t, uint64_t> callee_wcet;
-    while (callee_wcet.size() < cfgs.size()) {
-      for (const auto& [f, cfg] : cfgs) {
-        if (callee_wcet.count(f)) continue;
-        bool ready = true;
-        for (const auto& b : cfg.blocks)
-          if (b.call_target && !callee_wcet.count(*b.call_target))
-            ready = false;
-        if (!ready) continue;
-        FuncState fs{cfg, wcet::find_loops(cfg), {}};
-        wcet::TimingInputs ti;
-        ti.callee_wcet = &callee_wcet;
-        fs.times = wcet::time_blocks(cfg, ti);
-        const auto r = wcet::solve_ipet(fs.cfg, fs.loops, out.ann, fs.times);
-        callee_wcet[f] = r.wcet;
-        out.funcs.push_back(std::move(fs));
-      }
+    Prepared out;
+    out.img = std::make_unique<const link::Image>(
+        link::link_program(workloads::make_g721().module, {}, {}));
+    const program::DecodedImage dec(*out.img);
+    out.view = wcet::bind_view(std::make_shared<const wcet::ProgramShape>(
+                                   wcet::build_shape(*out.img, dec)),
+                               *out.img, dec);
+    // Time and solve callees before callers, uncached, like the analyzer.
+    const wcet::CacheSupergraph& g = out.view.scaffold.supergraph;
+    std::vector<uint64_t> func_wcet(g.func_addr.size(), wcet::kNoWcet);
+    wcet::SiteStats stats;
+    for (const uint32_t func : out.view.scaffold.bottom_up) {
+      const uint32_t f = g.func_addr[func];
+      FuncState fs{&out.view.cfgs.at(f), out.view.loops.at(f), {}};
+      wcet::time_function(out.view.scaffold.sites, func, {}, func_wcet,
+                          fs.times, stats);
+      func_wcet[func] =
+          wcet::solve_ipet(*fs.cfg, *fs.loops, out.view.ann, fs.times).wcet;
+      out.funcs.push_back(std::move(fs));
     }
     return out;
   }();
@@ -73,7 +64,7 @@ void BM_IpetColdSolve(benchmark::State& state) {
   for (auto _ : state)
     for (const FuncState& f : p.funcs)
       benchmark::DoNotOptimize(
-          wcet::solve_ipet(f.cfg, f.loops, p.ann, f.times));
+          wcet::solve_ipet(*f.cfg, *f.loops, p.view.ann, f.times));
 }
 BENCHMARK(BM_IpetColdSolve);
 
@@ -82,7 +73,7 @@ void BM_IpetConstruction(benchmark::State& state) {
   const Prepared& p = g721_prepared();
   for (auto _ : state)
     for (const FuncState& f : p.funcs)
-      benchmark::DoNotOptimize(wcet::IpetSkeleton(f.cfg, f.loops, p.ann));
+      benchmark::DoNotOptimize(wcet::IpetSkeleton(*f.cfg, *f.loops, p.view.ann));
 }
 BENCHMARK(BM_IpetConstruction);
 
@@ -92,12 +83,12 @@ void BM_IpetSkeletonResolve(benchmark::State& state) {
   const Prepared& p = g721_prepared();
   std::vector<wcet::IpetSkeleton> skeletons;
   for (const FuncState& f : p.funcs)
-    skeletons.emplace_back(f.cfg, f.loops, p.ann);
+    skeletons.emplace_back(*f.cfg, *f.loops, p.view.ann);
   for (auto _ : state)
     for (std::size_t i = 0; i < p.funcs.size(); ++i) {
       const FuncState& f = p.funcs[i];
       benchmark::DoNotOptimize(
-          skeletons[i].try_solve(f.cfg, f.loops, p.ann, f.times));
+          skeletons[i].try_solve(*f.cfg, *f.loops, p.view.ann, f.times));
     }
 }
 BENCHMARK(BM_IpetSkeletonResolve);

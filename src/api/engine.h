@@ -146,11 +146,14 @@ struct SimBenchResult {
 
 /// Analyzer throughput: one row per (benchmark, setup), where one
 /// "analysis" is the WCET analysis of one sweep point and a row measures a
-/// full sweep-shaped pass (all 8 paper sizes of that setup).
+/// full sweep-shaped pass (all 8 paper sizes of that setup). The
+/// "cache-warm" row times the 8 cache sizes on a view bound, and with IPET
+/// skeletons built, before timing starts: the warm cache point alone.
 struct WcetBenchResult {
   struct Row {
     std::string benchmark;
-    std::string setup = "spm"; ///< "spm", "cache" or "cache+pers"
+    /// "spm", "cache", "cache+pers" or "cache-warm"
+    std::string setup = "spm";
     uint32_t analyses = 0;     ///< points per pass (the 8 paper sizes)
     double best_seconds = 0.0; ///< best pass wall time
     double analyses_per_second = 0.0;
@@ -177,9 +180,9 @@ struct EngineStats {
   support::MemoStats candidates_artifacts; ///< allocation candidate tables
   support::MemoStats placement_artifacts;  ///< placed SPM runs (misses =
                                            ///< distinct placements run)
-  /// IPET skeleton builds/hits/fallbacks summed over the per-workload
-  /// stores: hits > 0 with no fallbacks shows the skeletons served the
-  /// solves.
+  /// IPET skeleton builds/hits/memo hits/fallbacks summed over the
+  /// per-workload stores: hits > 0 with no fallbacks shows the skeletons
+  /// served the solves.
   wcet::IpetCacheStats ipet_skeletons;
 };
 

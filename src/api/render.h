@@ -45,7 +45,7 @@ void render_simbench_json(const SimBenchResult& result, std::ostream& os);
 /// The `spmwcet wcetbench` analyzer-throughput table + aggregate line.
 void render_wcetbench(const WcetBenchResult& result, std::ostream& os);
 
-/// BENCH_wcet.json (schema spmwcet-wcet-throughput/3: per-setup rows plus
+/// BENCH_wcet.json (schema spmwcet-wcet-throughput/4: per-setup rows plus
 /// the overall analyses/second aggregate).
 void render_wcetbench_json(const WcetBenchResult& result, std::ostream& os);
 

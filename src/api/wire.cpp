@@ -492,7 +492,7 @@ std::string encode_response(int64_t id, const WcetBenchResult& result,
 
 json::Value wcetbench_to_json(const WcetBenchResult& result) {
   json::Value r = json::Value::object();
-  r.set("schema", json::Value("spmwcet-wcet-throughput/3"));
+  r.set("schema", json::Value("spmwcet-wcet-throughput/4"));
   r.set("repeat", json::Value(result.repeat));
   json::Value rows = json::Value::array();
   for (const WcetBenchResult::Row& row : result.rows) {
@@ -527,6 +527,7 @@ json::Value ipet_stats_to_json(const wcet::IpetCacheStats& stats) {
   json::Value v = json::Value::object();
   v.set("builds", json::Value(stats.builds));
   v.set("hits", json::Value(stats.hits));
+  v.set("memo_hits", json::Value(stats.memo_hits));
   v.set("fallbacks", json::Value(stats.fallbacks));
   return v;
 }

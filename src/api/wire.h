@@ -111,8 +111,8 @@ std::string encode_health(int64_t id, const ServeStats& serve,
 /// engine section and corpusbench's BENCH JSON.
 support::json::Value memo_stats_to_json(const support::MemoStats& stats);
 
-/// IPET skeleton counters as {"builds", "hits", "fallbacks"}: the health
-/// op's engine section and corpusbench's BENCH JSON.
+/// IPET skeleton counters as {"builds", "hits", "memo_hits", "fallbacks"}:
+/// the health op's engine section and corpusbench's BENCH JSON.
 support::json::Value ipet_stats_to_json(const wcet::IpetCacheStats& stats);
 
 /// The SimBenchResult payload (schema spmwcet-sim-throughput/4) as a JSON
@@ -120,7 +120,7 @@ support::json::Value ipet_stats_to_json(const wcet::IpetCacheStats& stats);
 /// and the `simbench --json` BENCH_sim.json file, so the two cannot drift.
 support::json::Value simbench_to_json(const SimBenchResult& result);
 
-/// The WcetBenchResult payload (schema spmwcet-wcet-throughput/3), shared
+/// The WcetBenchResult payload (schema spmwcet-wcet-throughput/4), shared
 /// by the serve response and `wcetbench --json` BENCH_wcet.json.
 support::json::Value wcetbench_to_json(const WcetBenchResult& result);
 

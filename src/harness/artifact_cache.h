@@ -186,14 +186,15 @@ public:
   /// hits = reused an existing IPET skeleton store.
   Stats ipet_stats() const { return ipet_.stats(); }
 
-  /// Skeleton builds, hits and fallbacks summed over the resident
-  /// per-workload IPET stores.
+  /// Skeleton builds, hits, memo hits and fallbacks summed over the
+  /// resident per-workload IPET stores.
   wcet::IpetCacheStats ipet_skeleton_stats() const {
     wcet::IpetCacheStats sum;
     ipet_.for_each([&](const wcet::IpetCache& store) {
       const wcet::IpetCacheStats s = store.stats();
       sum.builds += s.builds;
       sum.hits += s.hits;
+      sum.memo_hits += s.memo_hits;
       sum.fallbacks += s.fallbacks;
     });
     return sum;

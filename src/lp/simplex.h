@@ -7,7 +7,10 @@
 // carried through each pivot as one more tableau row; before declaring
 // optimality the solver re-prices from scratch and keeps pivoting if a
 // column improves after all, so optimality is always decided by fresh
-// pricing. The fresh-pricing-every-pivot solver this replaced lives on in
+// pricing. A pivot updates each row only in the columns where the pivot
+// row is non-zero: the dense update would only subtract signed zeros there,
+// which can flip the sign of a zero entry but no value, comparison or
+// result. The fresh-pricing dense-pivot solver this replaced lives on in
 // tests/reference/ as the oracle that pins status, basis, values and
 // objective bit for bit on the paper's IPET and knapsack models.
 //

@@ -26,10 +26,11 @@ WcetReport analyze_wcet(const link::Image& img, const AnalyzerConfig& cfg,
 
 /// The layout-dependent back end: loop-bound validation, optional cache
 /// analysis, block timing, and bottom-up IPET over the view's
-/// reconstructed program state, whose memory facts are resolved
-/// (CfgInstr::mem). With cfg.ipet_cache set, the IPET stage solves through
-/// the cached per-shape skeletons (keyed by the view's func_index), which
-/// is bit-identical to the from-scratch solve by IpetCache's contract.
+/// reconstructed program state. Block timing prices the view's site table
+/// against this point's classification (wcet/block_timing.h). With
+/// cfg.ipet_cache set, the IPET stage solves through the cached per-shape
+/// skeletons (keyed by the view's func_index), which is bit-identical to
+/// the from-scratch solve by IpetCache's contract.
 WcetReport analyze_wcet(const ProgramView& view, const AnalyzerConfig& cfg) {
   SPMWCET_CHECK(view.img != nullptr);
   const link::Image& img = *view.img;
@@ -38,7 +39,7 @@ WcetReport analyze_wcet(const ProgramView& view, const AnalyzerConfig& cfg) {
   const std::map<uint32_t, const LoopInfo*>& loops = view.loops;
   const ViewScaffold& scaffold = view.scaffold;
   const CacheSupergraph& graph = scaffold.supergraph;
-  SPMWCET_CHECK_MSG(!graph.nodes.empty(),
+  SPMWCET_CHECK_MSG(graph.num_nodes() != 0,
                     "analyze_wcet: the view has no scaffold (build_scaffold)");
   // Pre-validate loop bounds for friendlier errors.
   for (const auto& [f, info] : loops) {
@@ -54,74 +55,62 @@ WcetReport analyze_wcet(const ProgramView& view, const AnalyzerConfig& cfg) {
   }
 
   // ---- microarchitectural analysis ------------------------------------------
+  const SiteTable& table = scaffold.sites;
   SiteClassification classification;
   WcetReport report;
+  TimingInputs inputs;
+  inputs.cache = cfg.cache;
   if (cfg.cache) {
     CacheAnalysisConfig ccfg;
     ccfg.cache = *cfg.cache;
     ccfg.with_persistence = cfg.with_persistence;
     ccfg.stack_window = cfg.stack_window;
-    classification = analyze_cache_flat(img, cfgs, graph, ccfg);
-
-    // Static statistics, in site order.
-    uint32_t site = 0;
-    for (const auto& [f, fcfg] : cfgs) {
-      for (const auto& b : fcfg.blocks) {
-        for (const CfgInstr& ci : b.instrs) {
-          report.fetch_sites += ci.size / 2;
-          for (uint32_t half = 0; half < 2; ++half) {
-            const Outcome o = classification.fetch(site, half);
-            report.fetch_always_hit += o == Outcome::Hit;
-            report.persistent_sites += o == Outcome::Persistent;
-          }
-          const Outcome load = classification.load(site++);
-          report.persistent_sites += load == Outcome::Persistent;
-          if (ci.mem.has_access && !ci.mem.access.is_store) {
-            ++report.load_sites;
-            report.load_always_hit += load == Outcome::Hit;
-          }
-        }
-      }
-    }
+    classification = analyze_cache_flat(img, graph, table, ccfg);
+    inputs.classification = &classification;
+    report.fetch_sites = table.fetch_sites;
+    report.load_sites = table.load_sites;
   }
 
   // ---- path analysis, bottom-up over the call graph --------------------------
   if (scaffold.recursive)
     throw ProgramError("wcet: recursion detected at function " +
                        cfgs.at(*scaffold.recursive).name);
-  std::map<uint32_t, uint64_t> func_wcet;
+  // Every function is timed once, so the timing passes count every site.
+  SPMWCET_CHECK(scaffold.bottom_up.size() == graph.func_addr.size());
+  std::vector<uint64_t> func_wcet(graph.func_addr.size(), kNoWcet);
+  BlockTimes times;
+  SiteStats stats;
   for (const uint32_t func : scaffold.bottom_up) {
     const uint32_t f = graph.func_addr[func];
     const Cfg& fcfg = cfgs.at(f);
-    TimingInputs inputs;
-    inputs.cache = cfg.cache;
-    if (cfg.cache) {
-      inputs.classification = &classification;
-      inputs.first_site = graph.func_site[func];
-    }
-    inputs.callee_wcet = &func_wcet;
-    const BlockTimes times = time_blocks(fcfg, inputs);
+    const LoopInfo& floops = *loops.at(f);
+    time_function(table, func, inputs, func_wcet, times, stats);
     const IpetResult ipet =
         cfg.ipet_cache != nullptr
-            ? cfg.ipet_cache->solve(view.func_index.at(f), fcfg, *loops.at(f),
-                                    ann, times)
-            : solve_ipet(fcfg, *loops.at(f), ann, times);
-    func_wcet[f] = ipet.wcet;
+            ? cfg.ipet_cache->solve(view.func_index.at(f), fcfg, floops, ann,
+                                    times)
+            : solve_ipet(fcfg, floops, ann, times);
+    func_wcet[func] = ipet.wcet;
 
     FunctionWcet fw;
     fw.name = fcfg.name;
     fw.wcet = ipet.wcet;
     fw.blocks = static_cast<uint32_t>(fcfg.blocks.size());
-    fw.loops = static_cast<uint32_t>(loops.at(f)->loops.size());
-    for (const auto& b : fcfg.blocks)
-      fw.block_profile.push_back(BlockWcet{
-          b.first_addr,
-          ipet.block_counts[static_cast<std::size_t>(b.id)],
-          times.block_cycles[static_cast<std::size_t>(b.id)]});
-    report.functions.emplace(fw.name, fw);
+    fw.loops = static_cast<uint32_t>(floops.loops.size());
+    fw.block_profile.reserve(fcfg.blocks.size());
+    for (std::size_t b = 0; b < fcfg.blocks.size(); ++b)
+      fw.block_profile.push_back(BlockWcet{fcfg.blocks[b].first_addr,
+                                           ipet.block_counts[b],
+                                           times.block_cycles[b]});
+    report.functions.emplace(fcfg.name, std::move(fw));
+  }
+  if (cfg.cache) {
+    report.fetch_always_hit = stats.fetch_always_hit;
+    report.load_always_hit = stats.load_always_hit;
+    report.persistent_sites = stats.persistent_sites;
   }
 
-  report.wcet = func_wcet.at(view.root);
+  report.wcet = func_wcet[graph.func_of(view.root)];
 
   // Persistence: each persistent line may miss once over the whole run.
   if (cfg.cache && cfg.with_persistence) {

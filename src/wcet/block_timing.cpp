@@ -1,149 +1,107 @@
 #include "wcet/block_timing.h"
 
-#include <algorithm>
+#include <array>
 
 #include "isa/timing.h"
 #include "support/diag.h"
 
 namespace spmwcet::wcet {
 
-using isa::ExecTiming;
-using isa::MemClass;
 using isa::MemTiming;
-using isa::Op;
 
 namespace {
 
-class BlockTimer {
-public:
-  BlockTimer(const Cfg& cfg, const TimingInputs& in) : cfg_(cfg), in_(in) {
-    if (in_.cache) miss_ = MemTiming::cache_miss(in_.cache->line_bytes);
-  }
-
-  BlockTimes run() {
-    BlockTimes out;
-    out.block_cycles.resize(cfg_.blocks.size(), 0);
-    uint32_t site = in_.first_site;
-    for (const auto& b : cfg_.blocks) {
-      uint64_t cycles = 0;
-      for (const CfgInstr& ci : b.instrs) cycles += instr_cycles(ci, site++);
-      const CfgInstr& last = b.instrs.back();
-      if (last.ins.op == Op::B) {
-        cycles += ExecTiming::taken_branch_penalty;
-      } else if (last.ins.op == Op::BL_HI) {
-        cycles += ExecTiming::call_penalty;
-        SPMWCET_CHECK(b.call_target.has_value());
-        SPMWCET_CHECK_MSG(in_.callee_wcet != nullptr &&
-                              in_.callee_wcet->count(*b.call_target) != 0,
-                          "missing callee WCET (call graph order broken)");
-        cycles += in_.callee_wcet->at(*b.call_target);
-      } else if (isa::is_return(last.ins)) {
-        cycles += ExecTiming::return_penalty;
-      } else if (last.ins.op == Op::BCC) {
-        // Taken edge pays the refill penalty.
-        for (const int e : b.out_edges)
-          if (cfg_.edges[static_cast<std::size_t>(e)].kind == EdgeKind::Taken)
-            out.edge_cycles[e] += ExecTiming::taken_branch_penalty;
-      }
-      out.block_cycles[static_cast<std::size_t>(b.id)] = cycles;
-    }
-    return out;
-  }
-
-private:
-  bool cached() const { return in_.cache.has_value(); }
-  bool unified() const { return cached() && in_.cache->unified; }
-
-  /// Cycles of a classified cache access: hits and persistent accesses
-  /// cost a hit (the persistent one-off penalty is charged globally).
-  uint64_t cached_cycles(Outcome o) const {
-    return o == Outcome::Miss ? miss_ : MemTiming::cache_hit();
-  }
-
-  uint64_t fetch_cycles(const CfgInstr& ci, uint32_t site,
-                        uint32_t half) const {
-    if (ci.mem.fetch_spm) return MemTiming::scratchpad();
-    if (!cached()) return MemTiming::main_memory(2);
-    return cached_cycles(in_.classification->fetch(site, half));
-  }
-
-  /// Worst-case cycles of one data access with facts `mem`.
-  uint64_t data_cycles(uint32_t site, const MemFacts& mem) const {
-    const AddrInfo& info = mem.access;
-    const uint32_t width = info.width;
-    uint64_t per_access = 0;
-    switch (info.kind) {
-      case AddrInfo::Kind::Exact: {
-        if (mem.exact_class() == MemClass::Scratchpad) {
-          per_access = MemTiming::scratchpad();
-        } else if (info.is_store || !unified()) {
-          per_access = MemTiming::main_memory(width);
-        } else {
-          per_access = cached_cycles(in_.classification->load(site));
-        }
-        break;
-      }
-      case AddrInfo::Kind::Range: {
-        const bool in_main = mem.may_main;
-        const bool in_spm = mem.may_spm;
-        uint64_t worst = 0;
-        if (in_spm) worst = std::max<uint64_t>(worst, MemTiming::scratchpad());
-        if (in_main) {
-          if (info.is_store || !unified())
-            worst = std::max<uint64_t>(worst, MemTiming::main_memory(width));
-          else
-            worst = std::max<uint64_t>(worst, miss_); // not classified
-        }
-        SPMWCET_CHECK_MSG(in_main || in_spm,
-                          "access range outside all mapped memory");
-        per_access = worst;
-        break;
-      }
-      case AddrInfo::Kind::Stack:
-        if (info.is_store || !unified())
-          per_access = MemTiming::main_memory(4);
-        else
-          per_access = miss_; // unknown stack address: never classified
-        break;
-      case AddrInfo::Kind::Unknown:
-        if (info.is_store || !unified())
-          per_access = MemTiming::main_memory(width);
-        else
-          per_access = miss_;
-        break;
-    }
-    return per_access * info.accesses;
-  }
-
-  uint64_t instr_cycles(const CfgInstr& ci, uint32_t site) const {
-    uint64_t cycles = fetch_cycles(ci, site, 0);
-    if (ci.size == 4) cycles += fetch_cycles(ci, site, 1);
-    cycles += ExecTiming::compute_extra(ci.ins);
-    if (ci.mem.has_access) cycles += data_cycles(site, ci.mem);
-    return cycles;
-  }
-
-  const Cfg& cfg_;
-  const TimingInputs& in_;
-  uint64_t miss_ = 0;
+/// What one site byte says, field by field: accesses that do not miss,
+/// always-hit fetches, persistent accesses, and an always-hit load.
+struct ByteCounts {
+  uint8_t not_miss = 0;
+  uint8_t fetch_hit = 0;
+  uint8_t persistent = 0;
+  uint8_t load_hit = 0;
 };
+
+constexpr std::array<ByteCounts, 64> make_byte_counts() {
+  std::array<ByteCounts, 64> t{};
+  for (unsigned v = 0; v < 64; ++v) {
+    const unsigned f0 = (v >> SiteClassification::kFetch0) & 3u;
+    const unsigned f1 = (v >> SiteClassification::kFetch1) & 3u;
+    const unsigned ld = (v >> SiteClassification::kLoad) & 3u;
+    constexpr auto hit = static_cast<unsigned>(Outcome::Hit);
+    constexpr auto pers = static_cast<unsigned>(Outcome::Persistent);
+    t[v].not_miss = static_cast<uint8_t>((f0 != 0) + (f1 != 0) + (ld != 0));
+    t[v].fetch_hit = static_cast<uint8_t>((f0 == hit) + (f1 == hit));
+    t[v].persistent =
+        static_cast<uint8_t>((f0 == pers) + (f1 == pers) + (ld == pers));
+    t[v].load_hit = static_cast<uint8_t>(ld == hit);
+  }
+  return t;
+}
+
+constexpr std::array<ByteCounts, 64> kByteCounts = make_byte_counts();
 
 } // namespace
 
-BlockTimes time_blocks(const Cfg& cfg, const TimingInputs& inputs) {
-  SPMWCET_CHECK_MSG(cfg.mem_resolved,
-                    "block timing: memory facts of " + cfg.name +
-                        " were never resolved (resolve_memory)");
-  if (inputs.cache) {
+void time_function(const SiteTable& table, uint32_t func,
+                   const TimingInputs& inputs,
+                   const std::vector<uint64_t>& func_wcet, BlockTimes& out,
+                   SiteStats& stats) {
+  const SiteTable::Function& fn = table.functions[func];
+  if (fn.fault_site >= 0)
+    raise_site_fault(table.sites[static_cast<std::size_t>(fn.fault_site)]);
+  const bool cached = inputs.cache.has_value();
+  const bool unified = cached && inputs.cache->unified;
+  const uint8_t* bytes = nullptr;
+  uint64_t miss = 0;
+  if (cached) {
     SPMWCET_CHECK_MSG(inputs.classification != nullptr,
                       "cache configured but no classification supplied");
-    uint64_t end = inputs.first_site;
-    for (const auto& b : cfg.blocks) end += b.instrs.size();
-    SPMWCET_CHECK_MSG(end <= inputs.classification->sites.size(),
-                      "block timing: sites of " + cfg.name +
-                          " lie outside the classification");
+    SPMWCET_CHECK_MSG(inputs.classification->sites.size() ==
+                          table.sites.size(),
+                      "block timing: classification of another program");
+    bytes = inputs.classification->sites.data();
+    miss = MemTiming::cache_miss(inputs.cache->line_bytes);
   }
-  return BlockTimer(cfg, inputs).run();
+  // A classified access that does not miss saves a line fill over a hit.
+  const uint64_t saved = miss - MemTiming::cache_hit();
+
+  out.block_cycles.resize(fn.end_block - fn.first_block);
+  out.edge_cycles = fn.edge_cycles;
+  uint64_t fetch_hit = 0, persistent = 0, load_hit = 0;
+  for (uint32_t bi = fn.first_block; bi < fn.end_block; ++bi) {
+    const SiteTable::Block& b = table.blocks[bi];
+    uint64_t cycles = b.fixed;
+    if (!cached) {
+      cycles += b.main_fetches * uint64_t{MemTiming::main_memory(2)} +
+                b.bypass_data;
+    } else {
+      uint64_t classified = b.main_fetches;
+      if (unified) {
+        cycles += b.unified_data + b.line_fills * miss;
+        classified += b.cached_loads;
+      } else {
+        cycles += b.bypass_data;
+      }
+      uint64_t not_miss = 0;
+      for (uint32_t s = b.first_site; s < b.end_site; ++s) {
+        const ByteCounts& c = kByteCounts[bytes[s] & 63u];
+        not_miss += c.not_miss;
+        fetch_hit += c.fetch_hit;
+        persistent += c.persistent;
+        load_hit += c.load_hit;
+      }
+      cycles += classified * miss - not_miss * saved;
+    }
+    if (b.callee >= 0) {
+      const uint64_t callee = func_wcet[static_cast<std::size_t>(b.callee)];
+      SPMWCET_CHECK_MSG(callee != kNoWcet,
+                        "missing callee WCET (call graph order broken)");
+      cycles += callee;
+    }
+    out.block_cycles[bi - fn.first_block] = cycles;
+  }
+  stats.fetch_always_hit += fetch_hit;
+  stats.persistent_sites += persistent;
+  stats.load_always_hit += load_hit;
 }
 
 } // namespace spmwcet::wcet

@@ -11,22 +11,10 @@
 
 namespace spmwcet::wcet {
 
-using isa::MemClass;
-
 namespace {
 
 std::atomic<uint64_t> g_flat_must_runs{0};
 std::atomic<uint64_t> g_flat_persistence_runs{0};
-
-/// The analyses read each instruction's MemFacts; a CFG that never went
-/// through resolve_memory would silently look like code with no data
-/// accesses and every fetch in main memory.
-void require_resolved(const std::map<uint32_t, Cfg>& cfgs) {
-  for (const auto& [faddr, cfg] : cfgs)
-    SPMWCET_CHECK_MSG(cfg.mem_resolved,
-                      "cache analysis: memory facts of " + cfg.name +
-                          " were never resolved (resolve_memory)");
-}
 
 // ---- sparse MUST + dense persistence ---------------------------------------
 //
@@ -48,32 +36,27 @@ void require_resolved(const std::map<uint32_t, Cfg>& cfgs) {
 //    then one byte per (set, tag) slot — 0 = absent, v in [1, assoc+1] =
 //    present at age v-1 (assoc = "may be evicted") — a totally ordered
 //    per-slot lattice whose union-with-max join is an elementwise max.
-// Node identity is dense (the view's CacheSupergraph) instead of a
-// std::map of (func, block) pairs, and each transfer returns the outcome
-// it observed, so the fixpoint's own visits write the site bytes and no
-// second transfer pass runs. Both domains are finite and the transfer
-// functions mirror the map ones operation for operation, so the worklist
-// converges to the same unique fixpoint and the classification comes out
-// identical.
+// Node identity is dense (the view's CacheSupergraph), the transfer reads
+// each site's accesses from the view's SiteTable, and each transfer returns
+// the outcome it observed, so the fixpoint's own visits write the site
+// bytes and no second transfer pass runs. Node in-states live in one
+// per-analysis arena: a node's MUST entries take a slice sized by its first
+// assignment, which joins only shrink (intersection), and its persistence
+// bytes a fixed-size slice. The transfer functions mirror the map ones
+// operation for operation, and the worklist visits nodes in the same
+// order, so the classification comes out identical.
 
 class FlatCacheAnalyzer {
 public:
-  FlatCacheAnalyzer(const link::Image& img, const std::map<uint32_t, Cfg>& cfgs,
-                    const CacheSupergraph& graph,
-                    const CacheAnalysisConfig& cfg)
-      : img_(img), cfgs_(cfgs), graph_(graph), cfg_(cfg) {
+  FlatCacheAnalyzer(const link::Image& img, const CacheSupergraph& graph,
+                    const SiteTable& table, const CacheAnalysisConfig& cfg)
+      : img_(img), graph_(graph), table_(table), cfg_(cfg) {
     cfg_.cache.validate();
-    require_resolved(cfgs_);
-    // The supergraph names functions by their ordinal in `cfgs` key order;
-    // it must have been built over these very functions.
-    SPMWCET_CHECK_MSG(graph_.func_addr.size() == cfgs_.size(),
+    // The supergraph and the site table number blocks and sites alike; they
+    // must have been built over the same CFGs.
+    SPMWCET_CHECK_MSG(graph_.num_nodes() == table_.blocks.size() &&
+                          graph_.func_addr.size() == table_.functions.size(),
                       "cache analysis: supergraph built for other CFGs");
-    func_cfg_.reserve(cfgs_.size());
-    for (const auto& [faddr, fcfg] : cfgs_) {
-      SPMWCET_CHECK_MSG(graph_.func_addr[func_cfg_.size()] == faddr,
-                        "cache analysis: supergraph built for other CFGs");
-      func_cfg_.push_back(&fcfg);
-    }
     stack_lo_ = img.initial_sp - cfg_.stack_window;
     nsets_ = cfg_.cache.num_sets();
     assoc_ = cfg_.cache.assoc;
@@ -96,7 +79,16 @@ private:
     std::vector<uint64_t> must; // sorted live entries
     std::vector<uint8_t> pers;  // empty unless with_persistence
   };
+  /// A node's in-state: slices of the per-analysis arena.
+  struct InState {
+    std::size_t must_off = 0;
+    std::size_t pers_off = 0;
+    uint32_t must_len = 0;
+    bool present = false;
+  };
   static constexpr uint64_t kAgeMask = 0xffffffffu;
+  /// No line: lines are addresses shifted right by at least two bits.
+  static constexpr uint32_t kNoLine = 0xffffffffu;
 
   // ---- geometry (shifts and masks; every size is a power of two) ----------
 
@@ -112,38 +104,26 @@ private:
     return static_cast<uint32_t>(e >> set_shift_);
   }
 
-  const BasicBlock& block_of(const CacheSupergraph::Node& n) const {
-    return func_cfg_[n.func]->blocks[n.block];
-  }
-
   // ---- flat persistence slot universe --------------------------------------
 
   /// Enumerates every line the transfer functions can pass to
-  /// pers_access_line — non-SPM fetch lines plus exact non-SPM unified
-  /// loads, exactly the access_line call sites in transfer_instr — and lays
-  /// them out as one byte slot each, grouped by set and tag-sorted within a
-  /// set so lookups are a binary search in the line's set segment.
+  /// pers_access_line — main-memory fetch lines plus, in a unified cache,
+  /// exact main-memory loads, exactly the access_line call sites of
+  /// transfer_site — and lays them out as one byte slot each, grouped by
+  /// set and tag-sorted within a set so lookups are a binary search in the
+  /// line's set segment.
   void build_pers_slots() {
     std::vector<uint64_t> keys; // (set << 32) | tag
     auto add_line = [&](uint32_t line) {
       keys.push_back((static_cast<uint64_t>(set_of_line(line)) << 32) |
                      tag_of_line(line));
     };
-    for (const auto& [faddr, cfg] : cfgs_) {
-      for (const auto& b : cfg.blocks) {
-        for (const CfgInstr& ci : b.instrs) {
-          if (!ci.mem.fetch_spm) {
-            add_line(line_of(ci.addr));
-            if (ci.size == 4) add_line(line_of(ci.addr + 2));
-          }
-          if (!ci.mem.has_access) continue;
-          const AddrInfo& info = ci.mem.access;
-          if (cfg_.cache.unified && !info.is_store &&
-              info.kind == AddrInfo::Kind::Exact &&
-              ci.mem.exact_class() != MemClass::Scratchpad)
-            add_line(line_of(info.lo));
-        }
-      }
+    for (const SiteTable::Site& s : table_.sites) {
+      if (s.main_fetches != 0) add_line(line_of(s.addr));
+      if (s.main_fetches == 2) add_line(line_of(s.addr + 2));
+      if (!cfg_.cache.unified) continue;
+      if (s.load == SiteTable::Load::Exact) add_line(line_of(s.lo));
+      if (s.load == SiteTable::Load::Unmapped) throw_unmapped(s.lo);
     }
     std::sort(keys.begin(), keys.end());
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
@@ -278,16 +258,22 @@ private:
   // ---- combined transfers --------------------------------------------------
 
   /// Accesses `line`; returns the outcome the state just before the
-  /// access proves for it (a MUST hit outranks persistence).
-  Outcome access_line(State& st, uint32_t line) const {
-    const bool hit = must_access_line(st.must, line);
+  /// access proves for it (a MUST hit outranks persistence). Every access
+  /// leaves its line youngest in the MUST state, so re-accessing the line
+  /// touched last is a hit that changes nothing there: the MUST search is
+  /// skipped. The persistence transfer still runs, because a re-access can
+  /// age the set of a line that may have been evicted.
+  Outcome access_line(State& st, uint32_t line) {
+    const bool hit = line == last_line_ || must_access_line(st.must, line);
+    last_line_ = line;
     const bool persistent = !st.pers.empty() && pers_access_line(st, line);
     return hit ? Outcome::Hit
                : persistent ? Outcome::Persistent : Outcome::Miss;
   }
 
   /// `times` accesses, each to one line nobody knows: every set may age.
-  void age_every_set(State& st, uint32_t times) const {
+  void age_every_set(State& st, uint32_t times) {
+    last_line_ = kNoLine;
     if (!st.must.empty()) must_age_window(st.must, 0, nsets_, times);
     if (st.pers.empty()) return;
     for (uint32_t s = 0; s < nsets_; ++s) pers_age_set(st, s, times);
@@ -299,12 +285,13 @@ private:
   /// than the set count names each set at most once; a longer one (or a
   /// wrapped one) ages every set once.
   void access_range(State& st, uint32_t line_lo, uint32_t line_hi,
-                    uint32_t times = 1) const {
+                    uint32_t times = 1) {
     const uint32_t n = line_hi - line_lo + 1;
     if (n >= nsets_) {
       age_every_set(st, times);
       return;
     }
+    last_line_ = kNoLine;
     if (!st.must.empty())
       must_age_window(st.must, set_of_line(line_lo), n, times);
     if (st.pers.empty()) return;
@@ -312,18 +299,22 @@ private:
       pers_age_set(st, set_of_line(line), times);
   }
 
-  /// Lattice join of `src` into `dest`; returns whether `dest` changed.
-  /// MUST (intersection, max age) is an in-place sorted merge: surviving
-  /// entries are a subsequence of dest's, so the write cursor never passes
-  /// the read cursor. Persistence (union, max age) is an elementwise max
-  /// over the slot bytes — absent (0) sorts below every present age, so
-  /// union-with-max and elementwise max coincide.
-  bool join_into(State& dest, const State& src) const {
+  /// Lattice join of the working state `src` into the in-state of `node`;
+  /// returns whether that in-state changed. MUST (intersection, max age)
+  /// is an in-place sorted merge over the node's arena slice: surviving
+  /// entries are a subsequence of its entries, so the write cursor never
+  /// passes the read cursor and the slice only shrinks. Persistence (union,
+  /// max age) is an elementwise max over the slot bytes — absent (0) sorts
+  /// below every present age, so union-with-max and elementwise max
+  /// coincide.
+  bool join_into(uint32_t node, const State& src) {
     bool changed = false;
-    std::vector<uint64_t>& d = dest.must;
+    InState& in = in_[node];
+    uint64_t* d = must_pool_.data() + in.must_off;
     const std::vector<uint64_t>& s = src.must;
-    std::size_t w = 0, j = 0;
-    for (std::size_t i = 0; i < d.size(); ++i) {
+    uint32_t w = 0;
+    std::size_t j = 0;
+    for (uint32_t i = 0; i < in.must_len; ++i) {
       const uint64_t line = d[i] >> 32;
       while (j < s.size() && (s[j] >> 32) < line) ++j;
       if (j == s.size()) break;
@@ -332,59 +323,81 @@ private:
       if (merged != d[i]) changed = true;
       d[w++] = merged;
     }
-    if (w != d.size()) {
+    if (w != in.must_len) {
       changed = true;
-      d.resize(w);
+      in.must_len = w;
     }
-    for (std::size_t i = 0; i < dest.pers.size(); ++i) {
-      const uint8_t m = std::max(dest.pers[i], src.pers[i]);
-      if (m != dest.pers[i]) {
-        dest.pers[i] = m;
+    uint8_t* p = pers_pool_.data() + in.pers_off;
+    for (std::size_t i = 0; i < src.pers.size(); ++i) {
+      const uint8_t m = std::max(p[i], src.pers[i]);
+      if (m != p[i]) {
+        p[i] = m;
         changed = true;
       }
     }
     return changed;
   }
 
+  /// First assignment of the in-state of `node`: takes its arena slices.
+  void assign_in(uint32_t node, const State& src) {
+    InState& in = in_[node];
+    in.must_off = must_pool_.size();
+    in.must_len = static_cast<uint32_t>(src.must.size());
+    must_pool_.insert(must_pool_.end(), src.must.begin(), src.must.end());
+    in.pers_off = pers_pool_.size();
+    pers_pool_.insert(pers_pool_.end(), src.pers.begin(), src.pers.end());
+    in.present = true;
+  }
+
+  /// Loads the in-state of `node` into the working state.
+  void load_in(uint32_t node, State& st) const {
+    const InState& in = in_[node];
+    const uint64_t* m = must_pool_.data() + in.must_off;
+    st.must.assign(m, m + in.must_len);
+    const uint8_t* p = pers_pool_.data() + in.pers_off;
+    st.pers.assign(p, p + pers_tags_.size());
+  }
+
   // ---- transfer (mirrors CacheAnalyzer), classifying as it goes ------------
 
-  /// The data access of one instruction; returns the load's outcome (Miss
-  /// unless it is a cached exact-address load the state classifies).
-  Outcome data_access(State& st, const MemFacts& mem) const {
-    const AddrInfo& info = mem.access;
-    if (!cfg_.cache.unified) return Outcome::Miss;
-    if (info.is_store) return Outcome::Miss;
-    switch (info.kind) {
-      case AddrInfo::Kind::Exact:
-        if (mem.exact_class() == MemClass::Scratchpad) return Outcome::Miss;
-        return access_line(st, line_of(info.lo));
-      case AddrInfo::Kind::Range:
-        access_range(st, line_of(info.lo), line_of(info.hi));
+  /// The data access of one site under a unified cache; returns the load's
+  /// outcome (Miss unless it is an exact main-memory load the state
+  /// classifies).
+  Outcome data_access(State& st, const SiteTable::Site& s) {
+    switch (s.load) {
+      case SiteTable::Load::None:
         break;
-      case AddrInfo::Kind::Stack:
+      case SiteTable::Load::Exact:
+        return access_line(st, line_of(s.lo));
+      case SiteTable::Load::Unmapped:
+        throw_unmapped(s.lo);
+      case SiteTable::Load::Range:
+        access_range(st, line_of(s.lo), line_of(s.hi));
+        break;
+      case SiteTable::Load::Stack:
         access_range(st, line_of(stack_lo_), line_of(img_.initial_sp - 1),
-                     info.accesses);
+                     s.accesses);
         break;
-      case AddrInfo::Kind::Unknown:
+      case SiteTable::Load::Unknown:
         age_every_set(st, 1);
         break;
     }
     return Outcome::Miss;
   }
 
-  /// Transfers `st` over one instruction and returns its site byte: each
-  /// access is classified against the state just before it.
-  uint8_t transfer_instr(State& st, const CfgInstr& ci) const {
+  /// Transfers `st` over one site and returns its site byte: each access
+  /// is classified against the state just before it.
+  uint8_t transfer_site(State& st, const SiteTable::Site& s) {
     unsigned site = 0;
-    if (!ci.mem.fetch_spm) {
-      site |= static_cast<unsigned>(access_line(st, line_of(ci.addr)))
+    if (s.main_fetches != 0) {
+      site |= static_cast<unsigned>(access_line(st, line_of(s.addr)))
               << SiteClassification::kFetch0;
-      if (ci.size == 4)
-        site |= static_cast<unsigned>(access_line(st, line_of(ci.addr + 2)))
+      if (s.main_fetches == 2)
+        site |= static_cast<unsigned>(access_line(st, line_of(s.addr + 2)))
                 << SiteClassification::kFetch1;
     }
-    if (ci.mem.has_access)
-      site |= static_cast<unsigned>(data_access(st, ci.mem))
+    if (cfg_.cache.unified)
+      site |= static_cast<unsigned>(data_access(st, s))
               << SiteClassification::kLoad;
     return static_cast<uint8_t>(site);
   }
@@ -395,34 +408,34 @@ private:
   // transfers. A node's last visit sees its final in-state: any later
   // change to that state would have queued the node again. So once the
   // worklist drains, every reachable site holds the classification of the
-  // fixpoint, and unreachable sites stay Miss.
+  // fixpoint, and unreachable sites stay Miss. The worklist is LIFO; with
+  // persistence the classification depends on that order (see
+  // analyze_cache_flat).
 
   void fixpoint() {
-    const std::size_t nodes = graph_.nodes.size();
-    out_.sites.assign(graph_.num_sites, 0);
-    in_.assign(nodes, State());
-    present_.assign(nodes, 0);
+    out_.sites.assign(table_.sites.size(), 0);
+    in_.assign(graph_.num_nodes(), InState());
     const uint32_t entry = graph_.root_node;
-    if (cfg_.with_persistence) in_[entry].pers.assign(pers_tags_.size(), 0);
-    present_[entry] = 1;
-    std::vector<uint32_t> work{entry};
     State s;
+    if (cfg_.with_persistence) s.pers.assign(pers_tags_.size(), 0);
+    assign_in(entry, s);
+    std::vector<uint32_t> work{entry};
     while (!work.empty()) {
       const uint32_t node = work.back();
       work.pop_back();
-      s = in_[node];
-      const CacheSupergraph::Node& n = graph_.nodes[node];
-      uint8_t* site = out_.sites.data() + n.site;
-      for (const CfgInstr& ci : block_of(n).instrs)
-        *site++ = transfer_instr(s, ci);
+      load_in(node, s);
+      last_line_ = kNoLine; // the joined in-state may hold any line at any age
+      const SiteTable::Block& b = table_.blocks[node];
+      uint8_t* site = out_.sites.data() + b.first_site;
+      for (uint32_t k = b.first_site; k < b.end_site; ++k)
+        *site++ = transfer_site(s, table_.sites[k]);
       for (uint32_t k = graph_.succ_start[node];
            k < graph_.succ_start[node + 1]; ++k) {
         const uint32_t succ = graph_.succs[k];
-        if (!present_[succ]) {
-          in_[succ] = s;
-          present_[succ] = 1;
+        if (!in_[succ].present) {
+          assign_in(succ, s);
           work.push_back(succ);
-        } else if (join_into(in_[succ], s)) {
+        } else if (join_into(succ, s)) {
           work.push_back(succ);
         }
       }
@@ -433,36 +446,35 @@ private:
   /// final site bytes.
   void collect_persistent_lines() {
     auto& lines = out_.persistent_penalty_lines;
-    for (const CacheSupergraph::Node& n : graph_.nodes) {
-      uint32_t site = n.site;
-      for (const CfgInstr& ci : block_of(n).instrs) {
-        if (out_.fetch(site, 0) == Outcome::Persistent)
-          lines.push_back(line_of(ci.addr));
-        if (out_.fetch(site, 1) == Outcome::Persistent)
-          lines.push_back(line_of(ci.addr + 2));
-        if (out_.load(site) == Outcome::Persistent)
-          lines.push_back(line_of(ci.mem.access.lo));
-        ++site;
-      }
+    for (uint32_t k = 0; k < table_.sites.size(); ++k) {
+      const SiteTable::Site& s = table_.sites[k];
+      if (out_.fetch(k, 0) == Outcome::Persistent)
+        lines.push_back(line_of(s.addr));
+      if (out_.fetch(k, 1) == Outcome::Persistent)
+        lines.push_back(line_of(s.addr + 2));
+      if (out_.load(k) == Outcome::Persistent) lines.push_back(line_of(s.lo));
     }
     std::sort(lines.begin(), lines.end());
     lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
   }
 
   const link::Image& img_;
-  const std::map<uint32_t, Cfg>& cfgs_;
   const CacheSupergraph& graph_;
+  const SiteTable& table_;
   CacheAnalysisConfig cfg_;
-  std::vector<const Cfg*> func_cfg_; ///< supergraph function ordinal -> CFG
   uint32_t stack_lo_ = 0;
   uint32_t nsets_ = 0;
   uint32_t assoc_ = 0;
   unsigned line_shift_ = 0;
   unsigned set_bits_ = 0;
   unsigned set_shift_ = 0; ///< bit position of the set in a MUST entry
+  /// The line the transfer accessed last in the current node, if no aging
+  /// came after it: it is youngest in the MUST state.
+  uint32_t last_line_ = kNoLine;
 
-  std::vector<State> in_;
-  std::vector<uint8_t> present_;
+  std::vector<InState> in_;
+  std::vector<uint64_t> must_pool_;
+  std::vector<uint8_t> pers_pool_;
   SiteClassification out_;
 
   // Persistence slot universe (empty unless with_persistence): tags sorted
@@ -488,19 +500,12 @@ CacheSupergraph build_supergraph(const std::map<uint32_t, Cfg>& cfgs,
   std::vector<uint32_t> func_node; // function ordinal -> entry node
   func_node.reserve(cfgs.size());
   g.func_addr.reserve(cfgs.size());
-  g.func_site.reserve(cfgs.size());
-  uint32_t site = 0;
+  uint32_t nodes = 0;
   for (const auto& [faddr, cfg] : cfgs) {
-    const auto func = static_cast<uint32_t>(g.func_addr.size());
-    func_node.push_back(static_cast<uint32_t>(g.nodes.size()));
+    func_node.push_back(nodes);
     g.func_addr.push_back(faddr);
-    g.func_site.push_back(site);
-    for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-      g.nodes.push_back({func, static_cast<uint32_t>(b), site});
-      site += static_cast<uint32_t>(cfg.blocks[b].instrs.size());
-    }
+    nodes += static_cast<uint32_t>(cfg.blocks.size());
   }
-  g.num_sites = site;
   g.root_node = func_node[g.func_of(root)];
 
   // Successors: a call block feeds its callee's entry, any other block its
@@ -533,7 +538,7 @@ CacheSupergraph build_supergraph(const std::map<uint32_t, Cfg>& cfgs,
     calls_start[f + 1] += calls_start[f];
 
   // Then the successor lists themselves, in node order.
-  g.succ_start.reserve(g.nodes.size() + 1);
+  g.succ_start.reserve(nodes + 1);
   g.succ_start.push_back(0);
   for (const auto& [faddr, cfg] : cfgs) {
     const uint32_t func = g.func_of(faddr);
@@ -558,19 +563,20 @@ CacheSupergraph build_supergraph(const std::map<uint32_t, Cfg>& cfgs,
 }
 
 SiteClassification analyze_cache_flat(const link::Image& img,
-                                      const std::map<uint32_t, Cfg>& cfgs,
                                       const CacheSupergraph& graph,
+                                      const SiteTable& sites,
                                       const CacheAnalysisConfig& cfg) {
   (cfg.with_persistence ? g_flat_persistence_runs : g_flat_must_runs)
       .fetch_add(1, std::memory_order_relaxed);
-  return FlatCacheAnalyzer(img, cfgs, graph, cfg).run();
+  return FlatCacheAnalyzer(img, graph, sites, cfg).run();
 }
 
 SiteClassification analyze_cache_flat(const link::Image& img,
                                       const std::map<uint32_t, Cfg>& cfgs,
                                       uint32_t root,
                                       const CacheAnalysisConfig& cfg) {
-  return analyze_cache_flat(img, cfgs, build_supergraph(cfgs, root), cfg);
+  const SiteTable sites = build_site_table(cfgs);
+  return analyze_cache_flat(img, build_supergraph(cfgs, root), sites, cfg);
 }
 
 CacheAnalysisCounters cache_analysis_counters() {

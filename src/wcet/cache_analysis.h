@@ -13,8 +13,9 @@
 // numbered in one order fixed by the CFG map: functions in address (key)
 // order, blocks in id order, instructions in block order. Block ids follow
 // addresses, so site order is ascending address order, and a bound
-// ProgramView fixes it — and the supergraph the analysis walks — once for
-// every analysis of that image.
+// ProgramView fixes it — and the supergraph the analysis walks and the
+// site table its transfer reads (wcet/site_table.h) — once for every
+// analysis of that image.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +25,7 @@
 #include "cache/geometry.h"
 #include "link/image.h"
 #include "wcet/cfg.h"
+#include "wcet/site_table.h"
 
 namespace spmwcet::wcet {
 
@@ -75,26 +77,23 @@ struct SiteClassification {
 
 /// The part of the analysis that depends only on the program, not on the
 /// cache: the interprocedural supergraph over a set of CFGs. Nodes are the
-/// blocks in site order (functions in key order, blocks in id order); a
-/// call block feeds its callee's entry node, an exit block every
-/// continuation of a call to its function, any other block its CFG
+/// blocks in site order (functions in key order, blocks in id order), the
+/// block order of the site table (wcet/site_table.h), which holds each
+/// node's sites; a call block feeds its callee's entry node, an exit block
+/// every continuation of a call to its function, any other block its CFG
 /// successors. A bound ProgramView builds it once (ViewScaffold), so every
 /// cache size analyzed on the view shares it.
 struct CacheSupergraph {
-  struct Node {
-    uint32_t func = 0;  ///< ordinal of the function in `cfgs` key order
-    uint32_t block = 0; ///< block id within that function
-    uint32_t site = 0;  ///< site of the block's first instruction
-  };
-  std::vector<Node> nodes;
   /// Successors of node n: succs[succ_start[n] .. succ_start[n + 1]).
   std::vector<uint32_t> succ_start;
   std::vector<uint32_t> succs;
   std::vector<uint32_t> func_addr; ///< function ordinal -> entry address
-  std::vector<uint32_t> func_site; ///< function ordinal -> its first site
   uint32_t root_node = 0;          ///< entry block of the root function
-  uint32_t num_sites = 0;
 
+  uint32_t num_nodes() const {
+    return succ_start.empty() ? 0
+                              : static_cast<uint32_t>(succ_start.size() - 1);
+  }
   /// Ordinal of the function entered at `addr`; refuses other addresses.
   uint32_t func_of(uint32_t addr) const;
 };
@@ -104,10 +103,10 @@ struct CacheSupergraph {
 CacheSupergraph build_supergraph(const std::map<uint32_t, Cfg>& cfgs,
                                  uint32_t root);
 
-/// Runs the fixpoint over the supergraph `graph` of `cfgs` (built by
-/// build_supergraph over these very CFGs). Every CFG must carry this
-/// image's memory facts (resolve_memory, wcet/value_analysis.h); an
-/// unresolved one is refused.
+/// Runs the fixpoint over the supergraph `graph` with the accesses of the
+/// site table `sites`, both built over the same CFGs (a bound view's
+/// ViewScaffold holds the pair). The site table carries the CFGs' memory
+/// facts, so only resolved CFGs reach the analysis.
 /// A MUST state is a sorted vector of its live (set, tag, age) entries, so
 /// copying, joining, comparing and aging a state cost the lines it holds
 /// rather than num_sets × assoc slots, and aging every set a range, the
@@ -121,16 +120,24 @@ CacheSupergraph build_supergraph(const std::map<uint32_t, Cfg>& cfgs,
 /// every visit of a node rewrites its site bytes. A node's last visit sees
 /// its final in-state (a later change would queue it again), so the bytes
 /// left when the worklist drains are the fixpoint's classification;
-/// persistent_penalty_lines is then read back from them. The MUST and
-/// persistence fixpoints have unique solutions, so the map-based oracle in
-/// tests/reference/ classifies every site identically.
+/// persistent_penalty_lines is then read back from them.
+/// The MUST classification does not depend on the order the worklist
+/// visits nodes in. The persistence classification does: another order
+/// (a reverse-postorder worklist) reaches a different fixpoint on some
+/// programs, so the worklist order — LIFO from the root's entry block,
+/// successors pushed in supergraph order — is part of the persistence
+/// result. The map-based oracle in tests/reference/ walks the same order
+/// and classifies every site identically; which order, if either, gives a
+/// sound persistence bound is an open question (ROADMAP).
 SiteClassification analyze_cache_flat(const link::Image& img,
-                                      const std::map<uint32_t, Cfg>& cfgs,
                                       const CacheSupergraph& graph,
+                                      const SiteTable& sites,
                                       const CacheAnalysisConfig& cfg);
 
-/// The same analysis on a supergraph built for this one call; for tests
-/// and benches that hold CFGs without a bound view.
+/// The same analysis on a supergraph and site table built for this one
+/// call; for tests and benches that hold CFGs without a bound view. Every
+/// CFG must carry this image's memory facts (resolve_memory,
+/// wcet/value_analysis.h); an unresolved one is refused.
 SiteClassification analyze_cache_flat(const link::Image& img,
                                       const std::map<uint32_t, Cfg>& cfgs,
                                       uint32_t root,

@@ -20,7 +20,12 @@ void fnv(uint64_t& h, const void* data, std::size_t n) {
   }
 }
 
-void fnv_u32(uint64_t& h, uint32_t v) { fnv(h, &v, sizeof v); }
+/// One FNV step per 32-bit word rather than per byte: the instruction
+/// stream hashes three words per instruction, and a bind re-hashes it.
+void fnv_u32(uint64_t& h, uint32_t v) {
+  h ^= v;
+  h *= kFnvPrime;
+}
 
 void fnv_str(uint64_t& h, const std::string& s) {
   fnv_u32(h, static_cast<uint32_t>(s.size())); // length-prefixed
@@ -232,6 +237,7 @@ ProgramView bind_view(std::shared_ptr<const ProgramShape> shape,
 ViewScaffold build_scaffold(const std::map<uint32_t, Cfg>& cfgs,
                             uint32_t root) {
   ViewScaffold sc;
+  sc.sites = build_site_table(cfgs);
   sc.supergraph = build_supergraph(cfgs, root);
   const CacheSupergraph& g = sc.supergraph;
 

@@ -22,7 +22,11 @@
 // shares one image across all sizes, so it shares one ProgramView — CFG
 // reconstruction, loop detection and value analysis run once per workload
 // instead of once per point. The SPM branch re-binds per placement but
-// still skips structure discovery.
+// still skips structure discovery. The view's scaffold also fixes what no
+// cache geometry changes — the cache supergraph, the site table that
+// prices every access the cache does not classify, and the bottom-up
+// function order — so a cache point analyzed on it does only the work
+// that depends on the geometry.
 //
 // Field-exactness: a view bound to image I produces byte-identical
 // intermediate structures to the seed front end run on I (pinned by the
@@ -43,6 +47,7 @@
 #include "wcet/cache_analysis.h"
 #include "wcet/cfg.h"
 #include "wcet/loops.h"
+#include "wcet/site_table.h"
 #include "wcet/value_analysis.h"
 
 namespace spmwcet::wcet {
@@ -94,10 +99,14 @@ ProgramShape build_shape(const link::Image& img,
 
 /// What the back end derives from a view's CFGs alone, built once per view
 /// so no analysis of it rebuilds them: every cache size analyzed on the
-/// view walks the same cache supergraph, and IPET visits functions in the
-/// same bottom-up order.
+/// view walks the same cache supergraph, reads the same site table, and
+/// IPET visits functions in the same bottom-up order.
 struct ViewScaffold {
   CacheSupergraph supergraph;
+  /// Per-site accesses, per-block base cycles and per-function edge
+  /// penalties (wcet/site_table.h): the cache transfer and block timing
+  /// read it, so a cache point does only the geometry-dependent work.
+  SiteTable sites;
   /// Functions callees before callers, as ordinals into
   /// supergraph.func_addr; empty when the call graph recurses.
   std::vector<uint32_t> bottom_up;
@@ -106,7 +115,8 @@ struct ViewScaffold {
   std::optional<uint32_t> recursive;
 };
 
-/// Builds the scaffold of the program rooted at `root` over `cfgs`.
+/// Builds the scaffold of the program rooted at `root` over `cfgs`, whose
+/// memory facts must have been resolved (resolve_memory).
 ViewScaffold build_scaffold(const std::map<uint32_t, Cfg>& cfgs,
                             uint32_t root);
 

@@ -94,20 +94,28 @@ IpetBuild build_ipet(const Cfg& cfg, const LoopInfo& loops,
 }
 
 /// Objective: block cost on in-flow, edge extras on the edges themselves.
-std::vector<lp::Term> build_objective(const Cfg& cfg, const BlockTimes& times,
-                                      const IpetBuild& b) {
-  std::vector<lp::Term> obj;
+/// Calls `term(var, coef)` once per objective term, in term order.
+template <class Term>
+void for_each_objective_term(const Cfg& cfg, const BlockTimes& times,
+                             const IpetBuild& b, Term&& term) {
   for (const auto& block : cfg.blocks) {
     const double cost = static_cast<double>(
         times.block_cycles[static_cast<std::size_t>(block.id)]);
     if (cost == 0.0) continue;
     for (const int e : block.in_edges)
-      obj.push_back({b.edge_var[static_cast<std::size_t>(e)], cost});
-    if (block.id == 0) obj.push_back({b.entry_var, cost});
+      term(b.edge_var[static_cast<std::size_t>(e)], cost);
+    if (block.id == 0) term(b.entry_var, cost);
   }
   for (const auto& [e, extra] : times.edge_cycles)
-    obj.push_back(
-        {b.edge_var[static_cast<std::size_t>(e)], static_cast<double>(extra)});
+    term(b.edge_var[static_cast<std::size_t>(e)], static_cast<double>(extra));
+}
+
+std::vector<lp::Term> build_objective(const Cfg& cfg, const BlockTimes& times,
+                                      const IpetBuild& b) {
+  std::vector<lp::Term> obj;
+  for_each_objective_term(cfg, times, b, [&](int var, double coef) {
+    obj.push_back({var, coef});
+  });
   return obj;
 }
 
@@ -168,31 +176,35 @@ IpetSkeleton::~IpetSkeleton() = default;
 IpetSkeleton::IpetSkeleton(IpetSkeleton&&) noexcept = default;
 IpetSkeleton& IpetSkeleton::operator=(IpetSkeleton&&) noexcept = default;
 
-std::optional<IpetResult>
-IpetSkeleton::try_solve(const Cfg& cfg, const LoopInfo& loops,
-                        const Annotations& ann,
-                        const BlockTimes& times) const {
+bool IpetSkeleton::accepts(const Cfg& cfg, const LoopInfo& loops,
+                           const Annotations& ann) const {
   const IpetBuild& b = impl_->build;
-
   // The bounds are constraint coefficients, baked in at build time.
   // Annotations are keyed by header address, which moves with the layout,
   // so compare by value in loop order; any difference (or a missing bound,
   // which solve_ipet must diagnose itself) declines the solve.
-  if (loops.loops.size() != b.loop_bounds.size()) return std::nullopt;
+  if (loops.loops.size() != b.loop_bounds.size()) return false;
   for (std::size_t li = 0; li < loops.loops.size(); ++li) {
     const uint32_t header_addr =
         cfg.blocks[static_cast<std::size_t>(loops.loops[li].header)]
             .first_addr;
     const auto bound = ann.loop_bound(header_addr);
-    if (!bound.has_value() || *bound != b.loop_bounds[li]) return std::nullopt;
-    if (ann.loop_total(header_addr) != b.loop_totals[li]) return std::nullopt;
+    if (!bound.has_value() || *bound != b.loop_bounds[li]) return false;
+    if (ann.loop_total(header_addr) != b.loop_totals[li]) return false;
   }
+  return true;
+}
 
-  // Dense objective exactly as Model::set_objective expands it (repeated
-  // terms accumulate, in term order).
+std::optional<IpetResult>
+IpetSkeleton::solve_accepted(const Cfg& cfg, const BlockTimes& times) const {
+  const IpetBuild& b = impl_->build;
+
+  // Dense objective exactly as Model::set_objective expands the terms
+  // (repeated terms accumulate, in term order), built in place.
   std::vector<double> objective(b.model.num_vars(), 0.0);
-  for (const lp::Term& t : build_objective(cfg, times, b))
-    objective[static_cast<std::size_t>(t.var)] += t.coef;
+  for_each_objective_term(cfg, times, b, [&](int var, double coef) {
+    objective[static_cast<std::size_t>(var)] += coef;
+  });
 
   const lp::Solution sol =
       impl_->prepared.solve(lp::Sense::Maximize, objective);
@@ -215,13 +227,30 @@ IpetSkeleton::try_solve(const Cfg& cfg, const LoopInfo& loops,
   return extract_result(cfg, b, sol);
 }
 
+std::optional<IpetResult>
+IpetSkeleton::try_solve(const Cfg& cfg, const LoopInfo& loops,
+                        const Annotations& ann,
+                        const BlockTimes& times) const {
+  if (!accepts(cfg, loops, ann)) return std::nullopt;
+  return solve_accepted(cfg, times);
+}
+
 // ---- IpetCache -------------------------------------------------------------
+
+/// A function's last skeleton answer and the objective it answered.
+struct IpetMemo {
+  std::vector<uint64_t> block_cycles;
+  EdgeCycles edge_cycles;
+  IpetResult result;
+};
 
 struct IpetCache::Impl {
   std::mutex mu;
   std::vector<std::shared_ptr<const IpetSkeleton>> skeletons;
+  std::vector<std::shared_ptr<const IpetMemo>> memos; ///< by function index
   std::atomic<uint64_t> builds{0};
   std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> memo_hits{0};
   std::atomic<uint64_t> fallbacks{0};
 };
 
@@ -235,17 +264,23 @@ IpetResult IpetCache::solve(std::size_t func_index, const Cfg& cfg,
                             const BlockTimes& times) const {
   Impl& impl = *impl_;
   std::shared_ptr<const IpetSkeleton> skel;
+  std::shared_ptr<const IpetMemo> memo;
   {
     const std::lock_guard<std::mutex> lock(impl.mu);
-    if (func_index < impl.skeletons.size()) skel = impl.skeletons[func_index];
+    if (func_index < impl.skeletons.size()) {
+      skel = impl.skeletons[func_index];
+      memo = impl.memos[func_index];
+    }
   }
   if (skel == nullptr) {
     // Build outside the lock (phase one is the expensive part); the first
     // finished build wins, concurrent losers adopt it.
     auto built = std::make_shared<const IpetSkeleton>(cfg, loops, ann);
     const std::lock_guard<std::mutex> lock(impl.mu);
-    if (impl.skeletons.size() <= func_index)
+    if (impl.skeletons.size() <= func_index) {
       impl.skeletons.resize(func_index + 1);
+      impl.memos.resize(func_index + 1);
+    }
     if (impl.skeletons[func_index] == nullptr) {
       impl.skeletons[func_index] = std::move(built);
       impl.builds.fetch_add(1, std::memory_order_relaxed);
@@ -255,7 +290,22 @@ IpetResult IpetCache::solve(std::size_t func_index, const Cfg& cfg,
     impl.hits.fetch_add(1, std::memory_order_relaxed);
   }
 
-  if (auto result = skel->try_solve(cfg, loops, ann, times)) return *result;
+  if (skel->accepts(cfg, loops, ann)) {
+    // The memo holds an answer of this skeleton, which accepted this view:
+    // for an equal objective it is exactly what the re-solve would return.
+    if (memo != nullptr && memo->block_cycles == times.block_cycles &&
+        memo->edge_cycles == times.edge_cycles) {
+      impl.memo_hits.fetch_add(1, std::memory_order_relaxed);
+      return memo->result;
+    }
+    if (auto result = skel->solve_accepted(cfg, times)) {
+      auto fresh = std::make_shared<const IpetMemo>(
+          IpetMemo{times.block_cycles, times.edge_cycles, *result});
+      const std::lock_guard<std::mutex> lock(impl.mu);
+      impl.memos[func_index] = std::move(fresh);
+      return *result;
+    }
+  }
   impl.fallbacks.fetch_add(1, std::memory_order_relaxed);
   return solve_ipet(cfg, loops, ann, times);
 }
@@ -264,6 +314,7 @@ IpetCacheStats IpetCache::stats() const {
   IpetCacheStats s;
   s.builds = impl_->builds.load(std::memory_order_relaxed);
   s.hits = impl_->hits.load(std::memory_order_relaxed);
+  s.memo_hits = impl_->memo_hits.load(std::memory_order_relaxed);
   s.fallbacks = impl_->fallbacks.load(std::memory_order_relaxed);
   return s;
 }

@@ -7,7 +7,9 @@
 // The constraint matrix is layout-invariant: across placements of one
 // ProgramShape only the objective (block cycle costs) moves. IpetSkeleton
 // captures the matrix once — standard-form construction plus simplex phase
-// one via lp::PreparedLp — and re-solves phase two per placement point.
+// one via lp::PreparedLp — and re-solves phase two per placement point,
+// writing the dense objective in place; IpetCache keeps each function's
+// last answer and reuses it for an equal objective.
 // The skeleton replays the cold solver's arithmetic exactly, so a skeleton
 // answer is bit-identical to solve_ipet's; whenever it cannot guarantee
 // that (loop bounds changed, or the LP relaxation came out fractional and
@@ -63,9 +65,20 @@ public:
   /// cannot prove its answer equals solve_ipet's (this placement's loop
   /// bounds differ from the build-time ones, or the LP relaxation is not
   /// integral); the caller must then fall back to solve_ipet. Thread-safe.
+  /// Equal to accepts() followed by solve_accepted().
   std::optional<IpetResult> try_solve(const Cfg& cfg, const LoopInfo& loops,
                                       const Annotations& ann,
                                       const BlockTimes& times) const;
+
+  /// Whether this placement's loop bounds and totals are the build-time
+  /// ones, which the constraint matrix bakes in.
+  bool accepts(const Cfg& cfg, const LoopInfo& loops,
+               const Annotations& ann) const;
+
+  /// try_solve for a placement accepts() passed: a pure function of the
+  /// skeleton and the objective (`times`).
+  std::optional<IpetResult> solve_accepted(const Cfg& cfg,
+                                           const BlockTimes& times) const;
 
 private:
   struct Impl;
@@ -75,12 +88,21 @@ private:
 struct IpetCacheStats {
   uint64_t builds = 0;    ///< skeletons constructed (one per shape function)
   uint64_t hits = 0;      ///< solves served by an existing skeleton
+  /// Hits answered from the function's memo without a re-solve; a memo hit
+  /// is also counted in `hits`.
+  uint64_t memo_hits = 0;
   uint64_t fallbacks = 0; ///< solves the skeleton declined (cold re-solve)
 };
 
 /// Thread-safe per-ProgramShape skeleton store, indexed by shape function
 /// index. One IpetCache lives per workload (the harness keeps it in the
 /// batch ArtifactCache); concurrent sweep points share skeletons.
+///
+/// Each function also keeps its last skeleton answer with the objective it
+/// answered (block and edge cycles), so a point that leaves a function's
+/// times unchanged reuses it. The memo answers only once the skeleton's
+/// loop-bound check has passed, and only for an equal objective, so a memo
+/// answer is the value the re-solve would compute.
 class IpetCache {
 public:
   IpetCache();

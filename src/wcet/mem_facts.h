@@ -27,6 +27,10 @@ struct AddrInfo {
   uint32_t hi = 0;
 };
 
+/// Raises the SimulationError of an access to the unmapped `addr`, as
+/// RegionMap::classify does.
+[[noreturn]] void throw_unmapped(uint32_t addr);
+
 struct MemFacts {
   /// The resolved data access; meaningful only when has_access.
   AddrInfo access;
@@ -47,11 +51,8 @@ struct MemFacts {
   isa::MemClass exact_class() const {
     if (may_spm) return isa::MemClass::Scratchpad;
     if (may_main) return isa::MemClass::MainMemory;
-    throw_unmapped();
+    throw_unmapped(access.lo);
   }
-
-private:
-  [[noreturn]] void throw_unmapped() const;
 };
 
 } // namespace spmwcet::wcet

@@ -410,9 +410,8 @@ void resolve_memory(const link::Image& img, Cfg& cfg, const Annotations& ann) {
   ValueAnalysis(img, cfg, ann).run();
 }
 
-void MemFacts::throw_unmapped() const {
-  throw SimulationError("access to unmapped address " +
-                        std::to_string(access.lo));
+void throw_unmapped(uint32_t addr) {
+  throw SimulationError("access to unmapped address " + std::to_string(addr));
 }
 
 } // namespace spmwcet::wcet

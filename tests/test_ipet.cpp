@@ -51,7 +51,7 @@ BlockTimes costs(std::vector<uint64_t> cycles,
                  std::map<int, uint64_t> edges = {}) {
   BlockTimes t;
   t.block_cycles = std::move(cycles);
-  t.edge_cycles = std::move(edges);
+  t.edge_cycles.assign(edges.begin(), edges.end());
   return t;
 }
 
@@ -460,6 +460,57 @@ TEST(IpetCache, BuildsOncePerFunctionAndFallsBackOnDecline) {
   EXPECT_EQ(d.wcet, solve_ipet(b.cfg(), loops, changed, t1).wcet);
   s = cache.stats();
   EXPECT_EQ(s.fallbacks, 1u);
+}
+
+TEST(IpetCache, MemoAnswersAnEqualObjectiveOnlyUnderTheSkeletonsBounds) {
+  CfgBuilder b(4);
+  b.edge(0, 1);
+  b.edge(1, 2);
+  b.edge(2, 1, EdgeKind::Taken);
+  b.edge(1, 3);
+  b.mark_exit(3);
+  const LoopInfo loops = find_loops(b.cfg());
+  Annotations ann;
+  ann.set_loop_bound(b.header_addr(1), 10);
+  const BlockTimes t1 = costs({2, 3, 20, 1}, {{2, 2}});
+  const BlockTimes t2 = costs({5, 5, 5, 5}, {{2, 2}});
+  const auto expect_cold = [&](const IpetResult& got, const Annotations& a,
+                               const BlockTimes& t) {
+    const IpetResult want = solve_ipet(b.cfg(), loops, a, t);
+    EXPECT_EQ(got.wcet, want.wcet);
+    EXPECT_EQ(got.block_counts, want.block_counts);
+  };
+
+  const IpetCache cache;
+  expect_cold(cache.solve(0, b.cfg(), loops, ann, t1), ann, t1); // builds
+  expect_cold(cache.solve(0, b.cfg(), loops, ann, t1), ann, t1); // memo
+  expect_cold(cache.solve(0, b.cfg(), loops, ann, t2), ann, t2); // re-solve
+  expect_cold(cache.solve(0, b.cfg(), loops, ann, t2), ann, t2); // memo
+  IpetCacheStats s = cache.stats();
+  EXPECT_EQ(s.builds, 1u);
+  EXPECT_EQ(s.hits, 3u);
+  EXPECT_EQ(s.memo_hits, 2u);
+
+  // A differing edge extra is a different objective: no memo answer.
+  BlockTimes t3 = t2;
+  t3.edge_cycles = {{2, 7}};
+  expect_cold(cache.solve(0, b.cfg(), loops, ann, t3), ann, t3);
+  EXPECT_EQ(cache.stats().memo_hits, 2u);
+
+  // Other loop bounds with the memo's very objective: the skeleton
+  // declines, so the memo never answers, and the cold solve does.
+  Annotations changed;
+  changed.set_loop_bound(b.header_addr(1), 3);
+  const IpetResult declined = cache.solve(0, b.cfg(), loops, changed, t3);
+  expect_cold(declined, changed, t3);
+  EXPECT_NE(declined.wcet, solve_ipet(b.cfg(), loops, ann, t3).wcet);
+  s = cache.stats();
+  EXPECT_EQ(s.memo_hits, 2u);
+  EXPECT_EQ(s.fallbacks, 1u);
+
+  // The skeleton's own bounds are answered from the memo again.
+  expect_cold(cache.solve(0, b.cfg(), loops, ann, t3), ann, t3);
+  EXPECT_EQ(cache.stats().memo_hits, 3u);
 }
 
 } // namespace

@@ -24,6 +24,7 @@
 #include "lp/branch_bound.h"
 #include "lp/simplex.h"
 #include "program/decoded_image.h"
+#include "reference/block_timer.h"
 #include "reference/map_cache_analysis.h"
 #include "reference/seed_frontend.h"
 #include "reference/simplex.h"
@@ -269,10 +270,10 @@ TEST(ProgramView, OneViewServesEveryCacheSize) {
 
 TEST(ProgramView, ScaffoldIsBuiltAtBindAndSurvivesCopies) {
   // bind_view builds the back end's view-constant scaffolding once: the
-  // cache supergraph covers every block and site in site order, and the
-  // bottom-up order lists every function after its callees. The scaffold
-  // names CFGs by key order, so a copy of the view analyzes identically
-  // after the original is gone.
+  // cache supergraph and the site table cover every block and site in
+  // site order, and the bottom-up order lists every function after its
+  // callees. The scaffold names CFGs by key order, so a copy of the view
+  // analyzes identically after the original is gone.
   for (const std::string& name : trio_and_mixed_slice()) {
     const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
     const link::Image img = link::link_program(wl->module, {}, {});
@@ -282,22 +283,28 @@ TEST(ProgramView, ScaffoldIsBuiltAtBindAndSurvivesCopies) {
         img, dec));
     const wcet::ViewScaffold& sc = view->scaffold;
     const wcet::CacheSupergraph& g = sc.supergraph;
+    const wcet::SiteTable& t = sc.sites;
     ASSERT_FALSE(sc.recursive.has_value()) << name;
     ASSERT_EQ(g.func_addr.size(), view->cfgs.size()) << name;
+    ASSERT_EQ(t.functions.size(), view->cfgs.size()) << name;
     std::size_t blocks = 0, sites = 0, func = 0;
     for (const auto& [f, cfg] : view->cfgs) {
       EXPECT_EQ(g.func_addr[func], f) << name;
-      EXPECT_EQ(g.func_site[func], sites) << name;
+      EXPECT_EQ(t.functions[func].first_block, blocks) << name;
       if (f == view->root) {
         EXPECT_EQ(g.root_node, blocks) << name;
       }
       ++func;
-      blocks += cfg.blocks.size();
-      for (const auto& b : cfg.blocks) sites += b.instrs.size();
+      for (const auto& b : cfg.blocks) {
+        EXPECT_EQ(t.blocks[blocks].first_site, sites) << name;
+        EXPECT_EQ(t.sites[sites].addr, b.first_addr) << name;
+        ++blocks;
+        sites += b.instrs.size();
+      }
     }
-    EXPECT_EQ(g.nodes.size(), blocks) << name;
-    EXPECT_EQ(g.succ_start.size(), blocks + 1) << name;
-    EXPECT_EQ(g.num_sites, sites) << name;
+    EXPECT_EQ(g.num_nodes(), blocks) << name;
+    EXPECT_EQ(t.blocks.size(), blocks) << name;
+    EXPECT_EQ(t.sites.size(), sites) << name;
     ASSERT_EQ(sc.bottom_up.size(), view->cfgs.size()) << name;
     std::set<uint32_t> seen;
     for (const uint32_t fi : sc.bottom_up) {
@@ -322,6 +329,19 @@ TEST(ProgramView, ScaffoldIsBuiltAtBindAndSurvivesCopies) {
 }
 
 // ---- simplex oracle on the paper's integer programs -------------------------
+
+/// Each function's first site in site order (functions in key order), as
+/// the per-instruction oracle's TimingInputs::first_site wants it.
+std::vector<uint32_t> first_sites(const std::map<uint32_t, wcet::Cfg>& cfgs) {
+  std::vector<uint32_t> out;
+  uint32_t site = 0;
+  for (const auto& [f, cfg] : cfgs) {
+    out.push_back(site);
+    for (const auto& b : cfg.blocks)
+      site += static_cast<uint32_t>(b.instrs.size());
+  }
+  return out;
+}
 
 bool same_bits(double a, double b) {
   return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
@@ -380,23 +400,24 @@ struct SimplexParity {
       ccfg.cache = *acfg.cache;
       ccfg.with_persistence = acfg.with_persistence;
       ccfg.stack_window = acfg.stack_window;
-      cls = wcet::analyze_cache_flat(*view.img, view.cfgs, g, ccfg);
+      cls = wcet::analyze_cache_flat(*view.img, g, view.scaffold.sites, ccfg);
     }
     std::map<uint32_t, uint64_t> callee_wcet;
     for (const auto& [f, cfg] : view.cfgs)
       callee_wcet[f] = report.functions.at(cfg.name).wcet;
+    const std::vector<uint32_t> site_of = first_sites(view.cfgs);
     for (std::size_t fi = 0; fi < g.func_addr.size(); ++fi) {
       const wcet::Cfg& cfg = view.cfgs.at(g.func_addr[fi]);
-      wcet::TimingInputs in;
+      reference::TimingInputs in;
       in.cache = acfg.cache;
       if (acfg.cache) {
         in.classification = &cls;
-        in.first_site = g.func_site[fi];
+        in.first_site = site_of[fi];
       }
       in.callee_wcet = &callee_wcet;
       const lp::Model m =
           wcet::ipet_model(cfg, *view.loops.at(g.func_addr[fi]), view.ann,
-                           wcet::time_blocks(cfg, in));
+                           reference::time_blocks(cfg, in));
       const lp::Solution sol = check(m, what + "/" + cfg.name);
       ASSERT_EQ(sol.status, lp::Status::Optimal) << what << "/" << cfg.name;
       EXPECT_EQ(static_cast<uint64_t>(std::llround(sol.objective)),
@@ -457,6 +478,216 @@ TEST(SimplexOracle, CarriedPricingMatchesFreshPricingOnPaperModels) {
   EXPECT_GT(parity.models, knapsack_models);
   EXPECT_EQ(reference::simplex_solves() - oracle_before, parity.oracle_solves);
   EXPECT_GT(knapsack_nodes, knapsack_models);
+}
+
+// ---- site table and IPET memo over the paper and cache matrices ------------
+
+/// Calls visit(view, cfg, ipet, what) at every analysis point of the
+/// parity matrix: the paper trio and gen:mixed:1..6, each paper SPM
+/// placement (no cache), and on the canonical image each paper cache size
+/// under associativity 1/2/4, unified and instruction-only, persistence off
+/// and on — the cache soundness matrix. One IPET store per program serves
+/// all of its points, sizes innermost, as in a sweep.
+template <class Visit>
+void for_each_matrix_point(Visit&& visit) {
+  for (const std::string& name : trio_and_mixed_slice()) {
+    const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
+    const link::Image canonical = link::link_program(wl->module, {}, {});
+    const program::DecodedImage cdec(canonical);
+    const auto shape = std::make_shared<const wcet::ProgramShape>(
+        wcet::build_shape(canonical, cdec));
+    const sim::AccessProfile profile = profile_of(canonical);
+    const wcet::IpetCache ipet;
+    for (const uint32_t size : harness::SweepConfig{}.sizes) {
+      const link::Image img = placed_image(*wl, profile, size);
+      const program::DecodedImage dec(img);
+      visit(wcet::bind_view(shape, img, dec), AnalyzerConfig{}, ipet,
+            name + "/spm" + std::to_string(size));
+    }
+    const wcet::ProgramView view = wcet::bind_view(shape, canonical, cdec);
+    for (const uint32_t assoc : {1u, 2u, 4u})
+      for (const bool unified : {true, false})
+        for (const bool pers : {false, true})
+          for (const uint32_t size : harness::SweepConfig{}.sizes) {
+            AnalyzerConfig cfg;
+            cache::CacheConfig ccfg;
+            ccfg.size_bytes = size;
+            ccfg.assoc = assoc;
+            ccfg.unified = unified;
+            cfg.cache = ccfg;
+            cfg.with_persistence = pers;
+            visit(view, cfg, ipet,
+                  name + "/cache" + std::to_string(size) + " assoc " +
+                      std::to_string(assoc) +
+                      (unified ? " unified" : " icache") +
+                      (pers ? " persistence" : ""));
+          }
+  }
+}
+
+/// The classification analyze_wcet(view, cfg) prices, empty without a
+/// cache.
+wcet::SiteClassification classification_of(const wcet::ProgramView& view,
+                                            const AnalyzerConfig& cfg) {
+  if (!cfg.cache) return {};
+  wcet::CacheAnalysisConfig ccfg;
+  ccfg.cache = *cfg.cache;
+  ccfg.with_persistence = cfg.with_persistence;
+  ccfg.stack_window = cfg.stack_window;
+  return wcet::analyze_cache_flat(*view.img, view.scaffold.supergraph,
+                                  view.scaffold.sites, ccfg);
+}
+
+TEST(SiteTable, BlockTimesAndStatisticsMatchThePerInstructionOracle) {
+  // For every function at every matrix point, the site-table timing's
+  // block cycles and taken-edge cycles equal the per-instruction oracle's,
+  // and the report's site statistics equal the oracle's statistics loop.
+  const uint64_t oracle_before = reference::block_timer_runs();
+  uint64_t functions = 0, points = 0, cached_points = 0;
+  for_each_matrix_point([&](const wcet::ProgramView& view,
+                            const AnalyzerConfig& acfg,
+                            const wcet::IpetCache&, const std::string& what) {
+    const WcetReport report = wcet::analyze_wcet(view, acfg);
+    const wcet::SiteClassification cls = classification_of(view, acfg);
+    const wcet::CacheSupergraph& g = view.scaffold.supergraph;
+    // Callee WCETs as the report has them, for both sides.
+    std::vector<uint64_t> func_wcet;
+    std::map<uint32_t, uint64_t> callee_wcet;
+    for (const auto& [f, cfg] : view.cfgs) {
+      func_wcet.push_back(report.functions.at(cfg.name).wcet);
+      callee_wcet[f] = func_wcet.back();
+    }
+    wcet::TimingInputs in;
+    in.cache = acfg.cache;
+    if (acfg.cache) in.classification = &cls;
+    wcet::SiteStats stats;
+    wcet::BlockTimes times;
+    const std::vector<uint32_t> site_of = first_sites(view.cfgs);
+    for (uint32_t fi = 0; fi < g.func_addr.size(); ++fi) {
+      const wcet::Cfg& cfg = view.cfgs.at(g.func_addr[fi]);
+      wcet::time_function(view.scaffold.sites, fi, in, func_wcet, times,
+                          stats);
+      reference::TimingInputs rin;
+      rin.cache = acfg.cache;
+      if (acfg.cache) {
+        rin.classification = &cls;
+        rin.first_site = site_of[fi];
+      }
+      rin.callee_wcet = &callee_wcet;
+      const wcet::BlockTimes want = reference::time_blocks(cfg, rin);
+      ASSERT_EQ(times.block_cycles, want.block_cycles) << what << "/"
+                                                       << cfg.name;
+      ASSERT_EQ(times.edge_cycles, want.edge_cycles) << what << "/"
+                                                     << cfg.name;
+      ++functions;
+    }
+    ++points;
+    if (!acfg.cache) {
+      EXPECT_EQ(report.fetch_sites + report.load_sites, 0u) << what;
+      return;
+    }
+    ++cached_points;
+    const reference::SiteStatistics want =
+        reference::site_statistics(view.cfgs, cls);
+    EXPECT_EQ(report.fetch_sites, want.fetch_sites) << what;
+    EXPECT_EQ(report.load_sites, want.load_sites) << what;
+    EXPECT_EQ(report.fetch_always_hit, want.fetch_always_hit) << what;
+    EXPECT_EQ(report.load_always_hit, want.load_always_hit) << what;
+    EXPECT_EQ(report.persistent_sites, want.persistent_sites) << what;
+    EXPECT_EQ(stats.fetch_always_hit, want.fetch_always_hit) << what;
+    EXPECT_EQ(stats.load_always_hit, want.load_always_hit) << what;
+    EXPECT_EQ(stats.persistent_sites, want.persistent_sites) << what;
+  });
+  // 9 programs x (8 placements + 96 cache configurations).
+  EXPECT_EQ(points, 9u * (8u + 96u));
+  EXPECT_EQ(cached_points, 9u * 96u);
+  // The oracle timed every function the production side timed.
+  EXPECT_EQ(reference::block_timer_runs() - oracle_before, functions);
+}
+
+TEST(IpetMemo, AnswersEqualTheColdSolveAcrossTheMatrix) {
+  // Through one IPET store per program, every function's answer at every
+  // matrix point — re-solved or from the memo — equals solve_ipet's, block
+  // counts included, and the memo answers a share of them.
+  uint64_t solves = 0;
+  wcet::IpetCacheStats sum;
+  for_each_matrix_point([&](const wcet::ProgramView& view,
+                            const AnalyzerConfig& acfg,
+                            const wcet::IpetCache& ipet,
+                            const std::string& what) {
+    const wcet::IpetCacheStats before = ipet.stats();
+    const wcet::SiteClassification cls = classification_of(view, acfg);
+    const wcet::CacheSupergraph& g = view.scaffold.supergraph;
+    wcet::TimingInputs in;
+    in.cache = acfg.cache;
+    if (acfg.cache) in.classification = &cls;
+    std::vector<uint64_t> func_wcet(g.func_addr.size(), wcet::kNoWcet);
+    wcet::SiteStats stats;
+    wcet::BlockTimes times;
+    for (const uint32_t fi : view.scaffold.bottom_up) {
+      const uint32_t f = g.func_addr[fi];
+      const wcet::Cfg& cfg = view.cfgs.at(f);
+      const wcet::LoopInfo& loops = *view.loops.at(f);
+      wcet::time_function(view.scaffold.sites, fi, in, func_wcet, times,
+                          stats);
+      const wcet::IpetResult want =
+          wcet::solve_ipet(cfg, loops, view.ann, times);
+      const wcet::IpetResult got =
+          ipet.solve(view.func_index.at(f), cfg, loops, view.ann, times);
+      ASSERT_EQ(got.wcet, want.wcet) << what << "/" << cfg.name;
+      ASSERT_EQ(got.block_counts, want.block_counts) << what << "/"
+                                                     << cfg.name;
+      func_wcet[fi] = want.wcet;
+      ++solves;
+    }
+    const wcet::IpetCacheStats after = ipet.stats();
+    sum.builds += after.builds - before.builds;
+    sum.hits += after.hits - before.hits;
+    sum.memo_hits += after.memo_hits - before.memo_hits;
+    sum.fallbacks += after.fallbacks - before.fallbacks;
+  });
+  EXPECT_EQ(sum.builds + sum.hits, solves);
+  EXPECT_GT(sum.memo_hits, 0u);
+  EXPECT_LT(sum.memo_hits, sum.hits); // re-solves ran too
+  EXPECT_EQ(sum.fallbacks, 0u);
+}
+
+TEST(IpetMemo, OverriddenLoopBoundsAreNeverAnsweredFromTheMemo) {
+  // A view of the same image whose annotations raise every loop bound
+  // shares the skeletons' function indices but not their bounds: each
+  // function with a loop falls back to the cold solve instead of the memo
+  // its skeleton holds, and the report equals the from-scratch one.
+  const auto wl = workloads::WorkloadRegistry::instance().benchmark("g721");
+  const link::Image img = link::link_program(wl->module, {}, {});
+  const program::DecodedImage dec(img);
+  const auto shape = std::make_shared<const wcet::ProgramShape>(
+      wcet::build_shape(img, dec));
+  const wcet::ProgramView view = wcet::bind_view(shape, img, dec);
+  wcet::Annotations raised = view.ann;
+  for (const auto& [header, bound] : view.ann.loop_bounds())
+    raised.set_loop_bound(header, bound + 1);
+  const wcet::ProgramView overridden =
+      wcet::bind_view(shape, img, dec, false, &raised);
+  std::size_t with_loops = 0;
+  for (const auto& [f, loops] : view.loops) with_loops += !loops->loops.empty();
+  ASSERT_GT(with_loops, 0u);
+
+  const wcet::IpetCache ipet;
+  AnalyzerConfig cfg;
+  cfg.cache = cache::CacheConfig{};
+  cfg.ipet_cache = &ipet;
+  const WcetReport base = wcet::analyze_wcet(view, cfg);
+  (void)wcet::analyze_wcet(view, cfg); // every function from the memo
+  const wcet::IpetCacheStats warm = ipet.stats();
+  EXPECT_EQ(warm.memo_hits, view.cfgs.size());
+
+  const WcetReport got = wcet::analyze_wcet(overridden, cfg);
+  const wcet::IpetCacheStats after = ipet.stats();
+  EXPECT_EQ(after.fallbacks - warm.fallbacks, with_loops);
+  EXPECT_LE(after.memo_hits - warm.memo_hits, view.cfgs.size() - with_loops);
+  cfg.ipet_cache = nullptr;
+  expect_report_eq(got, wcet::analyze_wcet(overridden, cfg), "overridden");
+  EXPECT_GT(got.wcet, base.wcet);
 }
 
 // ---- full-report parity over the paper matrix ------------------------------

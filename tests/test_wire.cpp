@@ -511,6 +511,9 @@ TEST(Serve, HealthReportsIpetSkeletonEngagement) {
   ASSERT_NE(ipet, nullptr);
   EXPECT_GT(ipet->find("builds")->as_int(), 0);
   EXPECT_EQ(ipet->find("hits")->as_int(), ipet->find("builds")->as_int());
+  // A memo hit is a skeleton hit answered without a re-solve.
+  ASSERT_NE(ipet->find("memo_hits"), nullptr);
+  EXPECT_LE(ipet->find("memo_hits")->as_int(), ipet->find("hits")->as_int());
   EXPECT_EQ(ipet->find("fallbacks")->as_int(), 0);
 }
 
