@@ -26,17 +26,6 @@ AllocationResult from_chosen(const std::vector<MemoryObject>& objects,
 
 } // namespace
 
-namespace {
-
-// Above this object count the branch-and-bound ILP is replaced by the
-// exact DP: B&B node counts explode on population-scale candidate tables
-// (a generated callheavy workload carries ~400 memory objects and measured
-// minutes per solve), while every paper benchmark stays far below the
-// threshold and keeps the ILP path bit-for-bit.
-constexpr std::size_t kIlpObjectLimit = 100;
-
-} // namespace
-
 AllocationResult allocate_energy_optimal(const minic::ObjModule& mod,
                                          const sim::AccessProfile& profile,
                                          uint32_t spm_capacity,
@@ -47,33 +36,7 @@ AllocationResult allocate_energy_optimal(const minic::ObjModule& mod,
 
 AllocationResult allocate_energy_optimal(
     const std::vector<MemoryObject>& objects, uint32_t spm_capacity) {
-  if (objects.size() <= kIlpObjectLimit) {
-    const KnapsackResult ks = solve_knapsack_ilp(objects, spm_capacity);
-    return from_chosen(objects, ks);
-  }
-
-  // Scalable exact path: zero-benefit objects can never raise the optimum,
-  // so solve over the positive-benefit subset only. If that subset fits
-  // outright, the answer needs no solver at all; otherwise the DP capacity
-  // is bounded by the subset's total footprint, keeping it cheap.
-  std::vector<MemoryObject> positive;
-  uint64_t positive_bytes = 0;
-  for (const MemoryObject& obj : objects) {
-    if (obj.benefit_nj <= 0.0) continue;
-    positive.push_back(obj);
-    positive_bytes += obj.size_bytes;
-  }
-  KnapsackResult ks;
-  if (positive_bytes <= spm_capacity) {
-    for (std::size_t i = 0; i < positive.size(); ++i) {
-      ks.chosen.push_back(i);
-      ks.benefit_nj += positive[i].benefit_nj;
-      ks.used_bytes += positive[i].size_bytes;
-    }
-  } else {
-    ks = solve_knapsack_dp(positive, spm_capacity);
-  }
-  return from_chosen(positive, ks);
+  return from_chosen(objects, solve_knapsack_dp(objects, spm_capacity));
 }
 
 AllocationResult allocate_wcet_driven(const minic::ObjModule& mod,

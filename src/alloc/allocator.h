@@ -2,7 +2,8 @@
 //
 // * allocate_energy_optimal — the paper's flow (Steinke DATE'02): profile a
 //   main-memory-only run, compute per-object energy benefits, solve the
-//   knapsack exactly, and emit the link-time SPM assignment.
+//   knapsack exactly (the DP of alloc/knapsack.h, for every table size),
+//   and emit the link-time SPM assignment.
 // * allocate_wcet_driven — the paper's future-work idea: choose objects to
 //   minimize the *analyzed WCET* rather than profiled energy, via greedy
 //   best-improvement-per-byte re-analysis.

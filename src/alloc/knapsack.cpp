@@ -2,75 +2,55 @@
 
 #include <algorithm>
 
-#include "lp/branch_bound.h"
-#include "support/diag.h"
-
 namespace spmwcet::alloc {
-
-lp::Model knapsack_model(const std::vector<MemoryObject>& objects,
-                         uint32_t capacity_bytes) {
-  lp::Model m;
-  std::vector<lp::Term> cap_terms, obj_terms;
-  for (const MemoryObject& obj : objects) {
-    const int v = m.add_var(obj.name, 0, 1, true);
-    cap_terms.push_back({v, static_cast<double>(obj.size_bytes)});
-    obj_terms.push_back({v, obj.benefit_nj});
-  }
-  m.add_constraint(cap_terms, lp::Relation::LE,
-                   static_cast<double>(capacity_bytes), "capacity");
-  m.set_objective(lp::Sense::Maximize, obj_terms);
-  return m;
-}
-
-KnapsackResult solve_knapsack_ilp(const std::vector<MemoryObject>& objects,
-                                  uint32_t capacity_bytes) {
-  const lp::Solution sol =
-      lp::solve_milp(knapsack_model(objects, capacity_bytes));
-  if (sol.status != lp::Status::Optimal)
-    throw SolverError("knapsack: ILP did not solve to optimality");
-
-  KnapsackResult result;
-  for (std::size_t i = 0; i < objects.size(); ++i) {
-    if (sol.value(static_cast<int>(i)) > 0.5) {
-      result.chosen.push_back(i);
-      result.benefit_nj += objects[i].benefit_nj;
-      result.used_bytes += objects[i].size_bytes;
-    }
-  }
-  return result;
-}
 
 KnapsackResult solve_knapsack_dp(const std::vector<MemoryObject>& objects,
                                  uint32_t capacity_bytes) {
-  const std::size_t n = objects.size();
-  const std::size_t cap = capacity_bytes;
-  // best[w] = max benefit using capacity w; keep[i][w] for reconstruction.
-  std::vector<double> best(cap + 1, 0.0);
-  std::vector<std::vector<uint8_t>> keep(
-      n, std::vector<uint8_t>(cap + 1, 0));
-  for (std::size_t i = 0; i < n; ++i) {
-    const uint32_t w = objects[i].size_bytes;
-    const double b = objects[i].benefit_nj;
-    if (w > cap) continue;
-    for (std::size_t c = cap; c >= w; --c) {
-      if (best[c - w] + b > best[c]) {
-        best[c] = best[c - w] + b;
-        keep[i][c] = 1;
-      }
-      if (c == w) break;
-    }
+  std::vector<std::size_t> cand;
+  uint64_t cand_bytes = 0;
+  for (std::size_t i = 0; i < objects.size(); ++i) {
+    const MemoryObject& obj = objects[i];
+    if (obj.benefit_nj <= 0.0 || obj.size_bytes > capacity_bytes) continue;
+    cand.push_back(i);
+    cand_bytes += obj.size_bytes;
   }
+
   KnapsackResult result;
-  std::size_t c = cap;
-  for (std::size_t i = n; i-- > 0;) {
-    if (keep[i][c]) {
-      result.chosen.push_back(i);
-      result.benefit_nj += objects[i].benefit_nj;
-      result.used_bytes += objects[i].size_bytes;
-      c -= objects[i].size_bytes;
+  if (cand_bytes <= capacity_bytes) {
+    result.chosen = std::move(cand);
+  } else {
+    // best[c] = max benefit within capacity c; bit c of row k records that
+    // candidate k improved best[c] when it was added.
+    const std::size_t cap = capacity_bytes;
+    const std::size_t words = cap / 64 + 1;
+    std::vector<double> best(cap + 1, 0.0);
+    std::vector<uint64_t> keep(cand.size() * words, 0);
+    for (std::size_t k = 0; k < cand.size(); ++k) {
+      const MemoryObject& obj = objects[cand[k]];
+      const std::size_t w = obj.size_bytes;
+      const double b = obj.benefit_nj;
+      uint64_t* row = keep.data() + k * words;
+      for (std::size_t c = cap; c >= w; --c) {
+        if (best[c - w] + b > best[c]) {
+          best[c] = best[c - w] + b;
+          row[c / 64] |= uint64_t{1} << (c % 64);
+        }
+        if (c == w) break;
+      }
     }
+    std::size_t c = cap;
+    for (std::size_t k = cand.size(); k-- > 0;) {
+      const uint64_t* row = keep.data() + k * words;
+      if ((row[c / 64] >> (c % 64) & 1u) == 0) continue;
+      result.chosen.push_back(cand[k]);
+      c -= objects[cand[k]].size_bytes;
+    }
+    std::reverse(result.chosen.begin(), result.chosen.end());
   }
-  std::reverse(result.chosen.begin(), result.chosen.end());
+  for (const std::size_t i : result.chosen) {
+    result.benefit_nj += objects[i].benefit_nj;
+    result.used_bytes += objects[i].size_bytes;
+  }
   return result;
 }
 

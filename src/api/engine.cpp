@@ -311,7 +311,7 @@ SimBenchResult Engine::measure_simbench(const SimBenchRequest& req) {
 
   const auto measure = [&](const std::string& name, const char* config,
                            const link::Image& img) {
-    SimBenchResult::Row row{name, config, 0, 1e300, 0.0};
+    SimBenchResult::Row row{name, config, 0, 1e300, 0.0, true};
     for (uint32_t i = 0; i < req.repeat(); ++i) {
       const auto t0 = std::chrono::steady_clock::now();
       sim::Simulator s(img, scfg);
@@ -320,6 +320,7 @@ SimBenchResult Engine::measure_simbench(const SimBenchRequest& req) {
           std::chrono::steady_clock::now() - t0;
       row.instructions = run.instructions;
       row.best_seconds = std::min(row.best_seconds, dt.count());
+      row.stack_window = row.stack_window && s.stack_window_active();
     }
     row.instr_per_second =
         static_cast<double>(row.instructions) / row.best_seconds;

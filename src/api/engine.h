@@ -136,6 +136,9 @@ struct SimBenchResult {
     uint64_t instructions = 0;
     double best_seconds = 0.0;
     double instr_per_second = 0.0;
+    /// Every timed run served SP-relative accesses through the block
+    /// tier's proven stack window (Simulator::stack_window_active).
+    bool stack_window = false;
   };
   uint32_t repeat = 0;
   uint32_t spm_bytes = 0;

@@ -101,6 +101,43 @@ inline void timed_store(BlockCtx& ctx, const MicroOp& u, uint32_t addr,
   }
 }
 
+/// SP-relative word load: by offset inside the proven stack window (the
+/// profile slot, cost and reuse report the translated path would produce),
+/// else the ordinary timed load, which owns the traps.
+inline uint32_t stack_load(BlockCtx& ctx, const MicroOp* u, uint32_t addr) {
+  const uint32_t off = addr - ctx.win_lo;
+  if (off >= ctx.win_span || (off & 3u) != 0) [[unlikely]]
+    return timed_load<4, false>(ctx, u, addr);
+  if (ctx.profile) ctx.counts[ctx.stack_slot].add_load(4);
+  if (ctx.reuse != nullptr) [[unlikely]] {
+    report_fetches(ctx, u->iaddr);
+    ctx.reuse->load(addr, 4);
+  }
+  ctx.mem->add_cycles(MemTiming::main_memory(4));
+  const uint8_t* p = ctx.win + off;
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
+}
+
+/// SP-relative word store, the stack_load counterpart. The window overlaps
+/// no code span, so no predecode refresh or block invalidation can follow.
+inline void stack_store(BlockCtx& ctx, const MicroOp& u, uint32_t addr,
+                        uint32_t value) {
+  const uint32_t off = addr - ctx.win_lo;
+  if (off >= ctx.win_span || (off & 3u) != 0) [[unlikely]] {
+    timed_store<4>(ctx, u, addr, value);
+    return;
+  }
+  if (ctx.profile) ctx.counts[ctx.stack_slot].add_store(4);
+  ctx.mem->add_cycles(MemTiming::main_memory(4));
+  uint8_t* p = ctx.win + off;
+  p[0] = static_cast<uint8_t>(value);
+  p[1] = static_cast<uint8_t>(value >> 8);
+  p[2] = static_cast<uint8_t>(value >> 16);
+  p[3] = static_cast<uint8_t>(value >> 24);
+}
+
 // ---- micro-op handlers -----------------------------------------------------
 // One handler per fused operation. Immediates are pre-scaled into aux at
 // compile time; compute extras, fetch costs and unconditional penalties are
@@ -267,11 +304,11 @@ void h_adr(BlockCtx& ctx, const MicroOp* u) {
 }
 
 void h_ldr_sp(BlockCtx& ctx, const MicroOp* u) {
-  ctx.regs[u->ins.rd] = timed_load<4, false>(ctx, u, *ctx.sp + u->aux);
+  ctx.regs[u->ins.rd] = stack_load(ctx, u, *ctx.sp + u->aux);
   SPMWCET_CHAIN;
 }
 void h_str_sp(BlockCtx& ctx, const MicroOp* u) {
-  timed_store<4>(ctx, *u, *ctx.sp + u->aux, ctx.regs[u->ins.rd]);
+  stack_store(ctx, *u, *ctx.sp + u->aux, ctx.regs[u->ins.rd]);
   if (ctx.stop) [[unlikely]] {
     ctx.stopped_at = u;
     return;
@@ -289,10 +326,10 @@ void h_push(BlockCtx& ctx, const MicroOp* u) {
   uint32_t addr = *ctx.sp;
   for (unsigned r = 0; r < 8; ++r)
     if (u->ins.imm & (1 << r)) {
-      timed_store<4>(ctx, *u, addr, ctx.regs[r]);
+      stack_store(ctx, *u, addr, ctx.regs[r]);
       addr += 4;
     }
-  if (u->ins.sub) timed_store<4>(ctx, *u, addr, *ctx.lr);
+  if (u->ins.sub) stack_store(ctx, *u, addr, *ctx.lr);
   if (ctx.stop) [[unlikely]] {
     ctx.stopped_at = u;
     return;
@@ -304,7 +341,7 @@ void h_pop(BlockCtx& ctx, const MicroOp* u) {
   uint32_t addr = *ctx.sp;
   for (unsigned r = 0; r < 8; ++r)
     if (u->ins.imm & (1 << r)) {
-      ctx.regs[r] = timed_load<4, false>(ctx, u, addr);
+      ctx.regs[r] = stack_load(ctx, u, addr);
       addr += 4;
     }
   *ctx.sp = addr;
@@ -316,10 +353,10 @@ void h_pop_pc(BlockCtx& ctx, const MicroOp* u) {
   uint32_t addr = *ctx.sp;
   for (unsigned r = 0; r < 8; ++r)
     if (u->ins.imm & (1 << r)) {
-      ctx.regs[r] = timed_load<4, false>(ctx, u, addr);
+      ctx.regs[r] = stack_load(ctx, u, addr);
       addr += 4;
     }
-  ctx.next_pc = timed_load<4, false>(ctx, u, addr);
+  ctx.next_pc = stack_load(ctx, u, addr);
   addr += 4;
   *ctx.sp = addr;
   SPMWCET_CHAIN;

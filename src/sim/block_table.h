@@ -31,11 +31,22 @@
 //     exact interleaving of fetch and data accesses, which folding breaks)
 //     or an execution trace is requested — the tier is disabled up front;
 //   * an invalidated block (see below).
+// (A failed stack-window proof is no fallback of this kind: the tier stays
+// engaged, and only SP-relative accesses take the translated path.)
+//
+// Stack window: SP-relative accesses (LDR_SP, STR_SP, PUSH, POP, POP{pc})
+// go by offset into the stack region's arena bytes when the simulator has
+// proven, at run start, that the region is one main-memory arena run inside
+// the symbol-free profile stack window and overlaps no code span (see
+// BlockCtx::win). Such an access charges MemTiming::main_memory(4) and the
+// stack profile slot, exactly what the translated path would; an access
+// outside the window (an overflowing stack, a misaligned sp) or a run whose
+// image fails the proof takes the ordinary timed load/store below.
 //
 // Observation: with a reuse observer (SimConfig::reuse) the tier stays
 // engaged. Loads bypass the inline fast paths so the memory system reports
-// them, and each block reports its folded fetches in program order (see
-// BlockCtx::reuse).
+// them, window loads report themselves after the pending fetches, and each
+// block reports its folded fetches in program order (see BlockCtx::reuse).
 //
 // Invalidation: a store that lands in a code span re-decodes the predecode
 // table (the PR 3 hook) and additionally marks every overlapping compiled
@@ -127,10 +138,21 @@ struct BlockCtx {
   uint32_t stack_lo = 0, stack_hi = 0; ///< profile stack window
   uint32_t stack_slot = 0, other_slot = 0;
   bool profile = false;
-  /// Proven at run start: no symbol interval intersects the stack window,
-  /// so in-window data accesses resolve to the stack slot with one compare
-  /// instead of the find_id binary search.
+  /// Proven at run start: the profile stack window does not wrap below
+  /// address zero and no symbol interval intersects it, so in-window data
+  /// accesses resolve to the stack slot with one compare instead of the
+  /// find_id binary search.
   bool stack_clean = false;
+  /// The stack window, proven once per run (Simulator::run_blocks): the
+  /// stack region's bytes [win_lo, win_lo + win_span + 3), backed by `win`,
+  /// are one main-memory arena run inside the profile stack window (with
+  /// stack_clean) and overlap no code span. An aligned SP-relative word access
+  /// starting at offset < win_span is then served by offset: main-memory
+  /// timing, the stack profile slot, no translation and no code-span
+  /// check. win_span == 0 when the proof failed.
+  uint8_t* win = nullptr;
+  uint32_t win_lo = 0;
+  uint32_t win_span = 0;
   /// Observer of the cache-visible reads (SimConfig::reuse) or null.
   /// Fetches are entry-folded, so a block reports them lazily in program
   /// order: through an op's own halfword before its first load, the rest

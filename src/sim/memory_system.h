@@ -80,6 +80,20 @@ public:
     return fast_ && !hooked_reads_ ? flat(addr, bytes, cls) : nullptr;
   }
 
+  /// Writable arena bytes backing [lo, hi) when one fast-mode arena covers
+  /// the whole range; null in legacy mode or when the range crosses
+  /// arenas. Costs one pass over the arenas and reads no class byte: the
+  /// caller proves the range's memory class from the region map. Areas
+  /// never move, so the pointer stays valid for the system's lifetime (the
+  /// block tier's stack window, sim/block_table.h).
+  uint8_t* arena_bytes(uint32_t lo, uint32_t hi) {
+    if (!fast_ || hi < lo) return nullptr;
+    for (Area& a : areas_)
+      if (lo - a.lo < a.len && hi - a.lo <= a.len)
+        return a.bytes.data() + (lo - a.lo);
+    return nullptr;
+  }
+
   /// Inline load fast path for the block tier: serves exactly the accesses
   /// load()'s fast branch would, entirely in the header. Returns false
   /// (charging nothing) when the flat map cannot serve the access or reads

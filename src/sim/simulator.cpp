@@ -199,7 +199,11 @@ void Simulator::run_blocks(SimResult& result) {
   ctx.other_slot = other_slot_;
   ctx.profile = cfg_.collect_profile;
   ctx.reuse = cfg_.reuse;
-  ctx.stack_clean = !symbols_.intersects(stack_lo_, stack_hi_);
+  // A stack top below the window size wraps stack_lo_ above stack_hi_: the
+  // profile window is then empty, and nothing is proven about it.
+  ctx.stack_clean =
+      stack_lo_ < stack_hi_ && !symbols_.intersects(stack_lo_, stack_hi_);
+  prove_stack_window(ctx);
 
   while (!halted_) {
     const int bi = blocks_->find(pc_);
@@ -215,6 +219,26 @@ void Simulator::run_blocks(SimResult& result) {
     step(result);
     ++result.instructions;
   }
+}
+
+/// Engages the block tier's stack window (BlockCtx::win) when the stack
+/// region is one main-memory arena run inside the symbol-free profile stack
+/// window and overlaps no code span. Reads the region map and the arena
+/// layout only, so the proof costs a few lookups per run.
+void Simulator::prove_stack_window(BlockCtx& ctx) {
+  const link::Region* r = image_.regions.find(image_.initial_sp - 4);
+  // The stack region kind is always main memory (link::mem_class).
+  if (r == nullptr || r->kind != link::RegionKind::Stack ||
+      r->hi - r->lo < 4 || r->lo % 4 != 0)
+    return;
+  if (!ctx.stack_clean || r->lo < stack_lo_ || r->hi > stack_hi_) return;
+  if (code_->covers(r->lo, r->hi - r->lo)) return;
+  uint8_t* bytes = mem_.arena_bytes(r->lo, r->hi);
+  if (bytes == nullptr) return;
+  ctx.win = bytes;
+  ctx.win_lo = r->lo;
+  ctx.win_span = r->hi - r->lo - 3;
+  stack_window_ = true;
 }
 
 void Simulator::step(SimResult& result) {

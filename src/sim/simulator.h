@@ -7,9 +7,10 @@
 //
 // Production runs one path: code halfwords are predecoded once per image
 // (sim/predecode.h), memory translation is O(1) (sim/memory_system.h),
-// straight-line blocks run on the superblock tier (sim/block_table.h), and
-// profiling accumulates into a dense per-symbol-id vector that is folded
-// into the name-keyed AccessProfile once at run() exit.
+// straight-line blocks run on the superblock tier (sim/block_table.h),
+// SP-relative accesses go by offset into a stack window the tier proves at
+// run start, and profiling accumulates into a dense per-symbol-id vector
+// that is folded into the name-keyed AccessProfile once at run() exit.
 //
 // The seed implementation (per-instruction decode, binary searches,
 // string-map profiling) and the per-instruction path below the block tier
@@ -111,9 +112,15 @@ public:
   /// block_tier, no functional cache, no trace).
   bool block_tier_active() const { return blocks_ != nullptr; }
 
+  /// Whether run() served SP-relative accesses through the stack window
+  /// (sim/block_table.h): the tier was engaged and the image passed the
+  /// window proof. False before run().
+  bool stack_window_active() const { return stack_window_; }
+
 private:
   void step(SimResult& result);
   void run_blocks(SimResult& result);
+  void prove_stack_window(BlockCtx& ctx);
   isa::Instr fetch_decoded(uint32_t addr);
   bool cond_holds(isa::Cond c) const;
   void set_flags_sub(uint32_t a, uint32_t b);
@@ -152,6 +159,7 @@ private:
   uint32_t other_slot_ = 0;
   uint32_t stack_lo_ = 0; ///< profile stack window [stack_lo_, stack_hi_)
   uint32_t stack_hi_ = 0;
+  bool stack_window_ = false; ///< see stack_window_active()
 };
 
 /// Convenience: build, run, and return the result in one call.

@@ -1,14 +1,21 @@
-// Scratchpad-allocation tests: knapsack ILP vs DP equivalence (property
-// over random instances), energy-benefit accounting, capacity respect, and
-// the end-to-end monotonicity the paper's Figure 3a shows.
+// Scratchpad-allocation tests: the production DP knapsack against the ILP
+// oracle (tests/reference/knapsack.h) — the same choice on every paper and
+// generated candidate table, equal optima on random instances — and its
+// edge cases, energy-benefit accounting, capacity respect, and the
+// end-to-end monotonicity the paper's Figure 3a shows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <random>
 
 #include "alloc/allocator.h"
+#include "harness/experiment.h"
 #include "link/layout.h"
+#include "reference/knapsack.h"
 #include "sim/simulator.h"
 #include "wcet/analyzer.h"
+#include "workloads/generated.h"
 #include "workloads/workload.h"
 
 namespace spmwcet::alloc {
@@ -32,10 +39,12 @@ std::vector<MemoryObject> random_objects(unsigned seed, int n) {
 
 class KnapsackEquivalence : public ::testing::TestWithParam<unsigned> {};
 
+// Random tables may hold equal-benefit alternatives, which the two solvers
+// may resolve differently: only the optimum is compared.
 TEST_P(KnapsackEquivalence, IlpMatchesDp) {
   const auto objs = random_objects(GetParam(), 4 + GetParam() % 10);
   for (const uint32_t cap : {64u, 512u, 2048u}) {
-    const KnapsackResult ilp = solve_knapsack_ilp(objs, cap);
+    const KnapsackResult ilp = reference::solve_knapsack_ilp(objs, cap);
     const KnapsackResult dp = solve_knapsack_dp(objs, cap);
     EXPECT_NEAR(ilp.benefit_nj, dp.benefit_nj, 1e-6)
         << "capacity " << cap;
@@ -46,11 +55,144 @@ TEST_P(KnapsackEquivalence, IlpMatchesDp) {
 
 INSTANTIATE_TEST_SUITE_P(Random, KnapsackEquivalence, ::testing::Range(1u, 21u));
 
+/// The allocation candidates of `name` as a sweep builds them: the profile
+/// of one run of the canonical no-assignment image.
+std::vector<MemoryObject> candidates_of(const std::string& name) {
+  const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
+  sim::SimConfig cfg;
+  cfg.collect_profile = true;
+  const sim::SimResult run =
+      sim::simulate(link::link_program(wl->module, {}, {}), cfg);
+  return collect_objects(wl->module, run.profile, {});
+}
+
+/// (size, benefit bits) of each chosen object, sorted: two choices with
+/// equal keys differ at most by interchangeable objects.
+std::vector<std::pair<uint32_t, uint64_t>> chosen_keys(
+    const std::vector<MemoryObject>& objs,
+    const std::vector<std::size_t>& chosen) {
+  std::vector<std::pair<uint32_t, uint64_t>> keys;
+  for (const std::size_t i : chosen)
+    keys.emplace_back(objs[i].size_bytes,
+                      std::bit_cast<uint64_t>(objs[i].benefit_nj));
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+// Production allocates with the DP; the paper's ILP is its oracle. On the
+// paper trio, gen:mixed:1..64 and 16 seeds of every other generated shape,
+// at every paper size, both choose the same objects, bytes and bit-equal
+// benefit. The one allowed difference is a tie between interchangeable
+// objects (equal size and bit-equal benefit, e.g. two identically used
+// generated globals), which the solvers may break either way; the paper
+// trio has none. The ILP gets the whole table up to 100 objects; above
+// that its branch and bound takes seconds per solve on the zero-benefit
+// columns, so it gets the positive-benefit objects the DP considers.
+TEST(KnapsackOracle, DpChoosesWhatTheIlpChooses) {
+  const std::vector<std::string> trio = {"g721", "multisort", "adpcm"};
+  std::vector<std::string> names = trio;
+  for (const std::string& shape : workloads::gen_shape_names()) {
+    const uint32_t count = shape == "mixed" ? 64 : 16;
+    for (uint32_t seed = 1; seed <= count; ++seed)
+      names.push_back("gen:" + shape + ":" + std::to_string(seed));
+  }
+  const uint64_t oracle_before = reference::knapsack_ilp_solves();
+  uint64_t compared = 0, ties = 0;
+  for (const std::string& name : names) {
+    const std::vector<MemoryObject> objs = candidates_of(name);
+    std::vector<MemoryObject> table;
+    std::vector<std::size_t> index_of; // table index -> objs index
+    for (std::size_t i = 0; i < objs.size(); ++i)
+      if (objs.size() <= 100 || objs[i].benefit_nj > 0.0) {
+        table.push_back(objs[i]);
+        index_of.push_back(i);
+      }
+    const bool paper = std::count(trio.begin(), trio.end(), name) != 0;
+    for (const uint32_t size : harness::SweepConfig{}.sizes) {
+      const std::string what = name + " @" + std::to_string(size);
+      const KnapsackResult ilp = reference::solve_knapsack_ilp(table, size);
+      std::vector<std::size_t> ilp_chosen;
+      for (const std::size_t k : ilp.chosen) ilp_chosen.push_back(index_of[k]);
+      const AllocationResult dp = allocate_energy_optimal(objs, size);
+      std::vector<std::string> dp_names, ilp_names;
+      for (const MemoryObject& o : dp.chosen) dp_names.push_back(o.name);
+      for (const std::size_t i : ilp_chosen) ilp_names.push_back(objs[i].name);
+      if (dp_names != ilp_names) {
+        ++ties;
+        EXPECT_FALSE(paper) << what << ": the paper trio has no ties";
+        EXPECT_EQ(chosen_keys(objs, solve_knapsack_dp(objs, size).chosen),
+                  chosen_keys(objs, ilp_chosen))
+            << what << ": the choices differ beyond interchangeable objects";
+      }
+      EXPECT_EQ(dp.used_bytes, ilp.used_bytes) << what;
+      EXPECT_EQ(std::bit_cast<uint64_t>(dp.benefit_nj),
+                std::bit_cast<uint64_t>(ilp.benefit_nj))
+          << what << ": " << dp.benefit_nj << " vs " << ilp.benefit_nj;
+      ++compared;
+    }
+  }
+  EXPECT_EQ(reference::knapsack_ilp_solves() - oracle_before, compared);
+  EXPECT_EQ(compared, names.size() * harness::SweepConfig{}.sizes.size());
+  // Ties are rare: nearly every point agrees by name.
+  EXPECT_LT(ties * 20, compared) << ties << " ties";
+}
+
 TEST(Knapsack, ZeroCapacityChoosesNothing) {
   const auto objs = random_objects(5, 6);
-  const KnapsackResult r = solve_knapsack_ilp(objs, 0);
-  EXPECT_TRUE(r.chosen.empty());
-  EXPECT_EQ(r.used_bytes, 0u);
+  for (const KnapsackResult& r : {solve_knapsack_dp(objs, 0),
+                                  reference::solve_knapsack_ilp(objs, 0)}) {
+    EXPECT_TRUE(r.chosen.empty());
+    EXPECT_EQ(r.used_bytes, 0u);
+    EXPECT_EQ(r.benefit_nj, 0.0);
+  }
+}
+
+TEST(Knapsack, EverythingFitsTakesEveryPositiveObject) {
+  auto objs = random_objects(11, 8);
+  objs[3].benefit_nj = 0.0;
+  uint32_t total = 0;
+  for (const MemoryObject& o : objs) total += o.size_bytes;
+  const KnapsackResult r = solve_knapsack_dp(objs, total);
+  std::vector<std::size_t> want;
+  double benefit = 0.0;
+  uint32_t bytes = 0;
+  for (std::size_t i = 0; i < objs.size(); ++i)
+    if (i != 3) {
+      want.push_back(i);
+      benefit += objs[i].benefit_nj;
+      bytes += objs[i].size_bytes;
+    }
+  EXPECT_EQ(r.chosen, want);
+  EXPECT_EQ(r.benefit_nj, benefit) << "summed in ascending index order";
+  EXPECT_EQ(r.used_bytes, bytes);
+  EXPECT_EQ(reference::solve_knapsack_ilp(objs, total).chosen, want);
+}
+
+TEST(Knapsack, ObjectLargerThanCapacityIsNeverChosen) {
+  std::vector<MemoryObject> objs = random_objects(13, 5);
+  objs[1].size_bytes = 1024;
+  objs[1].benefit_nj = 1e9; // the best object by far, but it cannot fit
+  for (const uint32_t cap : {0u, 64u, 1020u}) {
+    const KnapsackResult r = solve_knapsack_dp(objs, cap);
+    EXPECT_EQ(std::count(r.chosen.begin(), r.chosen.end(), 1u), 0)
+        << "capacity " << cap;
+    EXPECT_LE(r.used_bytes, cap);
+  }
+  const KnapsackResult fits = solve_knapsack_dp(objs, 1024);
+  EXPECT_EQ(fits.chosen, std::vector<std::size_t>{1});
+}
+
+TEST(Knapsack, ZeroBenefitObjectsAreNeverChosen) {
+  std::vector<MemoryObject> objs = random_objects(17, 10);
+  for (std::size_t i = 0; i < objs.size(); i += 2) objs[i].benefit_nj = 0.0;
+  for (const uint32_t cap : {64u, 512u, 2048u, 1u << 20}) {
+    const KnapsackResult r = solve_knapsack_dp(objs, cap);
+    for (const std::size_t i : r.chosen)
+      EXPECT_GT(objs[i].benefit_nj, 0.0) << "capacity " << cap;
+    EXPECT_NEAR(r.benefit_nj, reference::solve_knapsack_ilp(objs, cap).benefit_nj,
+                1e-6)
+        << "capacity " << cap;
+  }
 }
 
 TEST(Knapsack, BenefitIsMonotoneInCapacity) {

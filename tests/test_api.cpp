@@ -305,6 +305,9 @@ TEST(ApiEngine, SimBenchCoversBaselineAndSpmConfigs) {
     EXPECT_EQ(rows[i].instructions, rows[i + 1].instructions);
     EXPECT_GT(rows[i].instr_per_second, 0.0);
     EXPECT_GT(rows[i + 1].instr_per_second, 0.0);
+    // Both layouts pass the stack-window proof.
+    EXPECT_TRUE(rows[i].stack_window) << rows[i].benchmark;
+    EXPECT_TRUE(rows[i + 1].stack_window) << rows[i + 1].benchmark;
   }
   EXPECT_GT(result.value().aggregate_ips, 0.0);
   EXPECT_GT(result.value().aggregate_baseline_ips, 0.0);

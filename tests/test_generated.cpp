@@ -280,7 +280,7 @@ void expect_same_run(const sim::SimResult& a, const sim::SimResult& b,
 
 // The superblock tier against the per-instruction path below it, on the
 // canonical layout and an SPM placement: both runs are field-identical,
-// and the tier engaged on exactly one side.
+// and the tier, with its stack window, engaged on exactly one side.
 TEST(ModeParity, BlockTierMatchesPerInstructionPathOnTrioAndMixedSlice) {
   for (const std::string& name : trio_and_mixed_slice()) {
     const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
@@ -303,6 +303,8 @@ TEST(ModeParity, BlockTierMatchesPerInstructionPathOnTrioAndMixedSlice) {
       EXPECT_TRUE(tier.block_tier_active()) << what;
       EXPECT_FALSE(step.block_tier_active()) << what;
       expect_same_run(tier.run(), step.run(), what);
+      EXPECT_TRUE(tier.stack_window_active()) << what;
+      EXPECT_FALSE(step.stack_window_active()) << what;
     }
   }
 }

@@ -31,6 +31,9 @@ ReuseTable record(const link::Image& img, bool unified,
   cfg.fast_path = fast_path;
   sim::Simulator s(img, cfg);
   const sim::SimResult run = s.run();
+  // Observed block-tier runs serve SP-relative accesses by offset and
+  // report them to the builder themselves.
+  EXPECT_EQ(s.stack_window_active(), block_tier && fast_path);
   return rec.finish(run.cycles);
 }
 
@@ -180,6 +183,7 @@ TEST(ReuseTable, SelfModifyingProgramMatchesFunctionalCache) {
   sim::Simulator s(img, cfg);
   ASSERT_TRUE(s.block_tier_active());
   const sim::SimResult run = s.run();
+  EXPECT_TRUE(s.stack_window_active());
   ASSERT_EQ(run.output, (std::vector<int32_t>{7, 42}));
   EXPECT_EQ(s.block_invalidations(), 1u);
   expect_table_exact(img, "selfmod");

@@ -48,6 +48,22 @@ SimResult run_with(const link::Image& img, bool fast,
   return simulate(img, cfg);
 }
 
+/// A block-tier run that asserts the tier and its stack window engaged.
+SimResult run_tier(const link::Image& img, SimConfig cfg,
+                   const std::string& what) {
+  Simulator s(img, cfg);
+  EXPECT_TRUE(s.block_tier_active()) << what;
+  const SimResult r = s.run();
+  EXPECT_TRUE(s.stack_window_active()) << what;
+  return r;
+}
+
+SimConfig profiling() {
+  SimConfig cfg;
+  cfg.collect_profile = true;
+  return cfg;
+}
+
 // The overhauled simulator must reproduce the seed path field-exactly on
 // every paper benchmark under both memory setups of the evaluation: the
 // scratchpad branch (profile-driven allocation, no cache) and the cache
@@ -64,8 +80,11 @@ TEST(SimFastPath, ParityOnPaperBenchmarksBothSetups) {
     const link::Image spm_img =
         link::link_program(wl->module, opts, alloc.assignment);
     const SimResult legacy_spm = run_with(spm_img, false);
-    expect_same_result(run_with(spm_img, true), legacy_spm,
-                       wl->name + "/spm/block-tier");
+    expect_same_result(run_tier(spm_img, profiling(), wl->name + "/spm"),
+                       legacy_spm, wl->name + "/spm/block-tier");
+    expect_same_result(
+        run_tier(profile_img, profiling(), wl->name + "/canonical"),
+        run_with(profile_img, false), wl->name + "/canonical/block-tier");
     expect_same_result(run_with(spm_img, true, {}, /*block_tier=*/false),
                        legacy_spm, wl->name + "/spm/fast");
 
@@ -82,8 +101,8 @@ TEST(SimFastPath, ParityOnPaperBenchmarksBothSetups) {
     const SimResult plain_ref = simulate(spm_img, plain_legacy);
     SimConfig plain;
     plain.fast_path = true;
-    expect_same_result(simulate(spm_img, plain), plain_ref,
-                       wl->name + "/plain/block-tier");
+    expect_same_result(run_tier(spm_img, plain, wl->name + "/plain"),
+                       plain_ref, wl->name + "/plain/block-tier");
     plain.block_tier = false;
     expect_same_result(simulate(spm_img, plain), plain_ref,
                        wl->name + "/plain/fast");
@@ -321,30 +340,166 @@ TEST(BlockTier, StoreIntoExecutedBlockInvalidatesAndStaysFieldExact) {
   EXPECT_EQ(tier_sim.block_invalidations(), 1u);
 }
 
-TEST(SimFastPath, TrapsMatchLegacyPath) {
+/// A module of hand-written functions (the entry is `main`): begin() opens
+/// a function, ins() appends to the last one opened.
+struct HandModule {
+  minic::ObjModule mod;
+  void begin(const std::string& name) {
+    mod.functions.emplace_back();
+    mod.functions.back().name = name;
+  }
+  void ins(isa::Instr i, const std::string& callee = {}) {
+    minic::ObjInstr oi;
+    oi.ins = i;
+    oi.callee = callee;
+    mod.functions.back().code.push_back(oi);
+  }
+};
+
+/// Unbounded recursion: every frame pushes nine words until the stack runs
+/// below its region into unmapped memory.
+minic::ObjModule overflow_module() {
+  using isa::Instr;
+  using isa::Op;
+  HandModule m;
+  m.begin("main");
+  m.ins(Instr{.op = Op::PUSH, .sub = 1, .imm = 0});
+  m.ins(Instr{.op = Op::BL_HI}, "f");
+  m.ins(Instr{.op = Op::POP, .sub = 1, .imm = 0});
+  m.begin("f");
+  m.ins(Instr{.op = Op::PUSH, .sub = 1, .imm = 0xff});
+  m.ins(Instr{.op = Op::BL_HI}, "f");
+  m.ins(Instr{.op = Op::POP, .sub = 1, .imm = 0xff});
+  return std::move(m.mod);
+}
+
+/// An SP-relative load above the stack top, where nothing is mapped.
+minic::ObjModule unmapped_load_module() {
+  using isa::Instr;
+  using isa::Op;
+  HandModule m;
+  m.begin("main");
+  m.ins(Instr{.op = Op::PUSH, .sub = 1, .imm = 0});
+  m.ins(Instr{.op = Op::LDR_SP, .rd = 0, .imm = 2});
+  m.ins(Instr{.op = Op::POP, .sub = 1, .imm = 0});
+  return std::move(m.mod);
+}
+
+/// A word store two bytes into the stack region: misaligned.
+minic::ObjModule misaligned_store_module() {
+  using isa::Instr;
+  using isa::Op;
+  const uint32_t stack_lo =
+      link::LinkOptions{}.stack_top - link::LinkOptions{}.stack_reserve;
+  HandModule m;
+  m.begin("main");
+  m.ins(Instr{.op = Op::PUSH, .sub = 1, .imm = 0});
+  m.ins(Instr{.op = Op::MOVI, .rd = 0,
+              .imm = static_cast<int32_t>(stack_lo >> 12)});
+  m.ins(Instr{.op = Op::SHIFTI, .sub = 0, .rd = 0, .imm = 12});
+  m.ins(Instr{.op = Op::ADDI, .rd = 0, .imm = 2});
+  m.ins(Instr{.op = Op::STR, .rd = 1, .rn = 0, .imm = 0});
+  m.ins(Instr{.op = Op::POP, .sub = 1, .imm = 0});
+  return std::move(m.mod);
+}
+
+/// The runaway loop: the instruction budget trap.
+minic::ObjModule runaway_module() {
   using namespace minic;
-  // Runaway loop: both paths trap with the instruction-budget error.
   ProgramDef p;
   auto& m = p.add_function("main", {}, false);
   m.body = block({});
   std::vector<StmtPtr> loop;
   loop.push_back(assign("x", cst(0)));
   m.body->body.push_back(while_(cst(1), 1000, block(std::move(loop))));
-  const auto img = link::link_program(compile(p));
+  return compile(p);
+}
+
+TEST(SimFastPath, TrapsMatchLegacyPath) {
+  struct Case {
+    const char* name;
+    minic::ObjModule mod;
+    const char* trap; ///< expected start of what()
+  };
+  std::vector<Case> cases;
+  cases.push_back({"runaway", runaway_module(), "instruction budget"});
+  cases.push_back(
+      {"stack overflow", overflow_module(), "access to unmapped address"});
+  cases.push_back({"unmapped sp load", unmapped_load_module(),
+                   "access to unmapped address"});
+  cases.push_back({"misaligned store", misaligned_store_module(),
+                   "misaligned store of 4 bytes"});
   struct Mode {
     bool fast;
     bool block_tier;
     const char* name;
   };
-  for (const Mode mode : {Mode{true, true, "block-tier"},
-                          Mode{true, false, "fast"},
-                          Mode{false, false, "legacy"}}) {
-    SimConfig cfg;
-    cfg.fast_path = mode.fast;
-    cfg.block_tier = mode.block_tier;
-    cfg.max_instructions = 5000;
-    Simulator s(img, cfg);
-    EXPECT_THROW(s.run(), SimulationError) << mode.name;
+  for (const Case& c : cases) {
+    const link::Image img = link::link_program(c.mod);
+    std::string legacy_what;
+    for (const Mode mode : {Mode{false, false, "legacy"},
+                            Mode{true, false, "fast"},
+                            Mode{true, true, "block-tier"}}) {
+      const std::string what = std::string(c.name) + "/" + mode.name;
+      SimConfig cfg;
+      cfg.collect_profile = true;
+      cfg.fast_path = mode.fast;
+      cfg.block_tier = mode.block_tier;
+      cfg.max_instructions = 100'000;
+      Simulator s(img, cfg);
+      std::string got;
+      try {
+        s.run();
+        ADD_FAILURE() << what << ": no trap";
+      } catch (const SimulationError& e) {
+        got = e.what();
+      }
+      if (!mode.fast) {
+        legacy_what = got;
+        EXPECT_EQ(got.rfind(c.trap, 0), 0u) << what << ": " << got;
+      } else {
+        EXPECT_EQ(got, legacy_what) << what;
+      }
+      // The block tier traps with its stack window engaged: the faulting
+      // SP-relative accesses left the window for the translated path.
+      EXPECT_EQ(s.stack_window_active(), mode.block_tier) << what;
+    }
+  }
+}
+
+// Images whose stack window proof fails run through the translated
+// accesses, field-identical to the seed path, with the window off: a global
+// linked into the 64 KiB profile stack window, and a stack top below 64 KiB
+// (the profile window would wrap below address zero, so it is empty).
+TEST(SimFastPath, FailedStackWindowProofKeepsParity) {
+  using namespace minic;
+  ProgramDef p;
+  p.add_global({.name = "a", .type = ElemType::I32, .count = 8});
+  auto& m = p.add_function("main", {}, false);
+  m.body = block({});
+  std::vector<StmtPtr> loop;
+  loop.push_back(store("a", var("i"), add(idx("a", var("i")), var("i"))));
+  loop.push_back(assign("i", add(var("i"), cst(1))));
+  m.body->body.push_back(assign("i", cst(0)));
+  m.body->body.push_back(
+      while_(lt(var("i"), cst(8)), 8, block(std::move(loop))));
+  const ObjModule mod = compile(p);
+
+  link::LinkOptions in_window;
+  in_window.data_base = in_window.stack_top - 0x8000;
+  link::LinkOptions low_stack;
+  low_stack.data_base = 0x4000;
+  low_stack.stack_top = 0xc000;
+  for (const auto& [name, opts] :
+       {std::pair{"global in window", in_window},
+        std::pair{"low stack", low_stack}}) {
+    const link::Image img = link::link_program(mod, opts);
+    Simulator tier(img, profiling());
+    ASSERT_TRUE(tier.block_tier_active()) << name;
+    const SimResult got = tier.run();
+    EXPECT_FALSE(tier.stack_window_active()) << name;
+    expect_same_result(got, run_with(img, /*fast=*/false), name);
+    EXPECT_GT(got.profile.symbols.at("a").total(), 0u) << name;
   }
 }
 

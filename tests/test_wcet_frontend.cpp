@@ -15,7 +15,6 @@
 #include <set>
 
 #include "alloc/allocator.h"
-#include "alloc/knapsack.h"
 #include "alloc/memory_objects.h"
 #include "harness/artifact_cache.h"
 #include "harness/experiment.h"
@@ -25,6 +24,7 @@
 #include "lp/simplex.h"
 #include "program/decoded_image.h"
 #include "reference/block_timer.h"
+#include "reference/knapsack.h"
 #include "reference/map_cache_analysis.h"
 #include "reference/seed_frontend.h"
 #include "reference/simplex.h"
@@ -430,8 +430,9 @@ struct SimplexParity {
 TEST(SimplexOracle, CarriedPricingMatchesFreshPricingOnPaperModels) {
   // Every IPET program of the paper trio and gen:mixed:1..6 — each paper
   // SPM placement, and each paper cache size MUST only and with
-  // persistence — plus the knapsack allocation at each paper size with all
-  // its branch-and-bound node LPs: production's status, basis, values and
+  // persistence — plus the knapsack ILP (the allocation oracle,
+  // reference::knapsack_model) at each paper size with all its
+  // branch-and-bound node LPs: production's status, basis, values and
   // objective equal the fresh-pricing oracle's bit for bit, so carrying the
   // reduced costs kept every pivot path.
   const uint64_t oracle_before = reference::simplex_solves();
@@ -446,11 +447,9 @@ TEST(SimplexOracle, CarriedPricingMatchesFreshPricingOnPaperModels) {
     const sim::AccessProfile profile = profile_of(canonical);
     const std::vector<alloc::MemoryObject> objects =
         alloc::collect_objects(wl->module, profile, {});
-    // allocate_energy_optimal solves up to 100 objects as an ILP.
-    ASSERT_LE(objects.size(), 100u) << name;
     for (const uint32_t size : harness::SweepConfig{}.sizes) {
       const uint64_t nodes = parity.node_lps;
-      parity.check(alloc::knapsack_model(objects, size),
+      parity.check(reference::knapsack_model(objects, size),
                    name + "/knapsack" + std::to_string(size));
       ++knapsack_models;
       knapsack_nodes += parity.node_lps - nodes;

@@ -124,6 +124,20 @@ TEST(Wire, DecodesWcetBenchRequest) {
   EXPECT_EQ(req.wcetbench->repeat(), 3u);
 }
 
+TEST(Wire, SimBenchRowsCarryStackWindowEngagement) {
+  api::SimBenchResult result;
+  result.repeat = 1;
+  result.rows.push_back({"g721", "baseline", 10, 0.5, 20.0, true});
+  result.rows.push_back({"g721", "spm", 10, 0.5, 20.0, false});
+  const json::Value v = api::wire::simbench_to_json(result);
+  EXPECT_EQ(v.find("schema")->as_string(), "spmwcet-sim-throughput/5");
+  const json::Value* rows = v.find("benchmarks");
+  ASSERT_NE(rows, nullptr);
+  ASSERT_EQ(rows->items().size(), 2u);
+  EXPECT_TRUE(rows->items()[0].find("stack_window")->as_bool());
+  EXPECT_FALSE(rows->items()[1].find("stack_window")->as_bool());
+}
+
 TEST(Wire, RetiredModeFieldsAreRefused) {
   // The implementation switches are gone: each former option key and
   // bench field is an unknown name now, refused with a typed error
