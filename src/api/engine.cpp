@@ -321,6 +321,7 @@ SimBenchResult Engine::measure_simbench(const SimBenchRequest& req) {
       row.instructions = run.instructions;
       row.best_seconds = std::min(row.best_seconds, dt.count());
       row.stack_window = row.stack_window && s.stack_window_active();
+      row.fallback_instructions = s.fallback_instructions();
     }
     row.instr_per_second =
         static_cast<double>(row.instructions) / row.best_seconds;

@@ -139,6 +139,9 @@ struct SimBenchResult {
     /// Every timed run served SP-relative accesses through the block
     /// tier's proven stack window (Simulator::stack_window_active).
     bool stack_window = false;
+    /// Instructions a timed run retired outside the compiled blocks
+    /// (Simulator::fallback_instructions); 0 for every simbench program.
+    uint64_t fallback_instructions = 0;
   };
   uint32_t repeat = 0;
   uint32_t spm_bytes = 0;

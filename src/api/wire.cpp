@@ -463,7 +463,7 @@ std::string encode_response(int64_t id, const SimBenchResult& result,
 
 json::Value simbench_to_json(const SimBenchResult& result) {
   json::Value r = json::Value::object();
-  r.set("schema", json::Value("spmwcet-sim-throughput/5"));
+  r.set("schema", json::Value("spmwcet-sim-throughput/6"));
   r.set("repeat", json::Value(result.repeat));
   r.set("spm_bytes", json::Value(result.spm_bytes));
   json::Value rows = json::Value::array();
@@ -476,6 +476,7 @@ json::Value simbench_to_json(const SimBenchResult& result) {
     entry.set("instructions_per_second",
               json::Value(static_cast<uint64_t>(row.instr_per_second)));
     entry.set("stack_window", json::Value(row.stack_window));
+    entry.set("fallback_instructions", json::Value(row.fallback_instructions));
     rows.push(std::move(entry));
   }
   r.set("benchmarks", std::move(rows));

@@ -2,13 +2,13 @@
 // (MainCode/SpmCode) decoded exactly once into flat per-span instruction
 // tables. Both consumers of decoded code build on this one table instead of
 // maintaining their own decoder loops:
-//   * sim::CodeTable copies the spans and annotates each op with its
-//     profile slot (and keeps its own mutable copy so self-modifying
-//     stores can re-decode);
+//   * sim::BlockTable compiles the spans into superblocks, and its span
+//     bounds are the simulator's self-modifying-store test (after such a
+//     store the simulator decodes the new bytes from memory);
 //   * the WCET analyzer's CFG reconstruction reads function instruction
 //     streams through instr_at() instead of isa::decode(img.read16(...)).
 //
-// Span extraction mirrors the simulator's historical merge rule: adjacent
+// Span extraction mirrors the memory system's merge rule: adjacent
 // same-class code regions separated by small gaps (literal pools, alignment
 // padding) collapse into one span; gap halfwords are marked invalid so both
 // consumers treat them exactly like the undecoded image (pool reads, traps).

@@ -4,7 +4,6 @@
 
 #include "isa/decode.h"
 #include "sim/memory_system.h"
-#include "sim/predecode.h"
 #include "sim/simulator.h"
 #include "support/diag.h"
 
@@ -27,11 +26,10 @@ namespace {
 #define SPMWCET_CHAIN return u[1].fn(ctx, u + 1)
 
 // ---- handler building blocks ----------------------------------------------
-// Each helper replicates one leg of Simulator::step()'s timed_load /
-// timed_store lambdas exactly: profile first (interned slot resolution),
-// then the memory-system access (the inline try_* fast path, else the
-// out-of-line call that owns the exact trap messages), then for stores the
-// predecode refresh + block invalidation.
+// A timed access profiles first (dense slot resolution), then accesses the
+// memory system (the inline try_* fast path, else the out-of-line call that
+// owns the trap messages and the read hooks); a store into a code span
+// then invalidates the blocks it overlaps.
 
 inline void profile_access(BlockCtx& ctx, uint32_t addr, uint32_t bytes,
                            bool is_store) {
@@ -55,10 +53,11 @@ inline void profile_access(BlockCtx& ctx, uint32_t addr, uint32_t bytes,
 }
 
 /// Reports the executing block's fetches through the halfword at `through`
-/// to the reuse observer, so every load follows its own op's fetch.
+/// to the memory system's cache or observer, so every load follows its own
+/// op's fetch.
 inline void report_fetches(BlockCtx& ctx, uint32_t through) {
   if (through >= ctx.fetch_next) {
-    ctx.reuse->fetch_run(ctx.fetch_next, through + 2);
+    ctx.mem->fetch_run(ctx.fetch_next, through + 2);
     ctx.fetch_next = through + 2;
   }
 }
@@ -68,8 +67,9 @@ inline uint32_t timed_load(BlockCtx& ctx, const MicroOp* u, uint32_t addr) {
   if (ctx.profile) profile_access(ctx, addr, Bytes, /*is_store=*/false);
   uint32_t v;
   if (!ctx.mem->try_load(addr, Bytes, v)) {
-    // Observed reads always take this path (try_load declines them).
-    if (ctx.reuse != nullptr) report_fetches(ctx, u->iaddr);
+    // Cached and observed reads always take this path (try_load declines
+    // them).
+    if (ctx.observed) report_fetches(ctx, u->iaddr);
     v = ctx.mem->load(addr, Bytes);
   }
   if constexpr (Sign && Bytes < 4) {
@@ -86,13 +86,11 @@ inline void timed_store(BlockCtx& ctx, const MicroOp& u, uint32_t addr,
   if (ctx.profile) profile_access(ctx, addr, Bytes, /*is_store=*/true);
   if (!ctx.mem->try_store(addr, Bytes, value))
     ctx.mem->store(addr, Bytes, value);
-  if (ctx.code->covers(addr, Bytes)) [[unlikely]] {
-    // Self-modifying store: keep the predecode table coherent (the PR 3
-    // hook) and retire every compiled block the store overlaps. If it hit
-    // the block being executed, finish this micro-op (a PUSH's remaining
-    // stores must still happen — the instruction is atomic) and abort the
-    // block; the interpreter resumes at the next instruction.
-    ctx.code->refresh(addr, Bytes, *ctx.mem);
+  if (ctx.table->covers(addr, Bytes)) [[unlikely]] {
+    // Self-modifying store: retire every compiled block the store overlaps.
+    // If it hit the block being executed, finish this micro-op (a PUSH's
+    // remaining stores must still happen — the instruction is atomic) and
+    // abort the block; execution resumes at the next instruction.
     ctx.table->invalidate_overlapping(addr, Bytes, *ctx.run);
     if (addr < ctx.cur_hi && addr + Bytes > ctx.cur_lo) {
       ctx.stop = true;
@@ -102,18 +100,19 @@ inline void timed_store(BlockCtx& ctx, const MicroOp& u, uint32_t addr,
 }
 
 /// SP-relative word load: by offset inside the proven stack window (the
-/// profile slot, cost and reuse report the translated path would produce),
+/// profile slot, cost and read report the translated path would produce),
 /// else the ordinary timed load, which owns the traps.
 inline uint32_t stack_load(BlockCtx& ctx, const MicroOp* u, uint32_t addr) {
   const uint32_t off = addr - ctx.win_lo;
   if (off >= ctx.win_span || (off & 3u) != 0) [[unlikely]]
     return timed_load<4, false>(ctx, u, addr);
   if (ctx.profile) ctx.counts[ctx.stack_slot].add_load(4);
-  if (ctx.reuse != nullptr) [[unlikely]] {
+  if (ctx.observed) [[unlikely]] {
     report_fetches(ctx, u->iaddr);
-    ctx.reuse->load(addr, 4);
+    ctx.mem->charge_main_load(addr, 4);
+  } else {
+    ctx.mem->add_cycles(MemTiming::main_memory(4));
   }
-  ctx.mem->add_cycles(MemTiming::main_memory(4));
   const uint8_t* p = ctx.win + off;
   return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
          (static_cast<uint32_t>(p[2]) << 16) |
@@ -121,7 +120,7 @@ inline uint32_t stack_load(BlockCtx& ctx, const MicroOp* u, uint32_t addr) {
 }
 
 /// SP-relative word store, the stack_load counterpart. The window overlaps
-/// no code span, so no predecode refresh or block invalidation can follow.
+/// no code span, so no block invalidation can follow.
 inline void stack_store(BlockCtx& ctx, const MicroOp& u, uint32_t addr,
                         uint32_t value) {
   const uint32_t off = addr - ctx.win_lo;
@@ -266,7 +265,7 @@ void h_stx(BlockCtx& ctx, const MicroOp* u) {
 /// LDR_LIT whose target was pre-classified: cost and profile slot are
 /// static, the pointer was bound once per simulator — no translation, no
 /// symbol search. Falls back to the ordinary timed load when binding
-/// failed (exotic images, or reads observed).
+/// failed (exotic images, or reads cached or observed).
 void h_ldr_lit(BlockCtx& ctx, const MicroOp* u) {
   const uint8_t* p = ctx.lit_ptrs[u->aux2];
   if (p != nullptr) [[likely]] {
@@ -279,19 +278,19 @@ void h_ldr_lit(BlockCtx& ctx, const MicroOp* u) {
     SPMWCET_CHAIN;
   }
   if (ctx.profile) ctx.counts[u->slot].add_load(4);
-  if (ctx.reuse != nullptr) report_fetches(ctx, u->iaddr);
+  if (ctx.observed) report_fetches(ctx, u->iaddr);
   ctx.regs[u->ins.rd] = ctx.mem->load(u->aux, 4);
   SPMWCET_CHAIN;
 }
 
 /// LDR_LIT whose target the region map could not classify (unmapped or
-/// split ranges): the address and profile slot are still static; the
-/// memory system reproduces the exact legacy cost/trap behavior.
+/// split ranges), or one compiled outside a block: the address and profile
+/// slot are still static; the memory system owns the cost and the traps.
 void h_ldr_lit_dyn(BlockCtx& ctx, const MicroOp* u) {
   if (ctx.profile) ctx.counts[u->slot].add_load(4);
   uint32_t v;
   if (!ctx.mem->try_load(u->aux, 4, v)) {
-    if (ctx.reuse != nullptr) report_fetches(ctx, u->iaddr);
+    if (ctx.observed) report_fetches(ctx, u->iaddr);
     v = ctx.mem->load(u->aux, 4);
   }
   ctx.regs[u->ins.rd] = v;
@@ -421,16 +420,16 @@ MicroHandler alu_handler(AluOp a) {
   return nullptr;
 }
 
-/// Fetch cycles of one halfword in a span of class `cls` — what
-/// MemorySystem::count_fetch charges with no cache configured (the tier is
-/// disabled under a functional cache).
+/// Fetch cycles of one halfword in a span of class `cls` with no cache; a
+/// cache corrects main-memory fetches as the block reports them
+/// (MemorySystem::fetch_run).
 constexpr uint32_t fetch_cost(MemClass cls) {
   return cls == MemClass::Scratchpad ? MemTiming::scratchpad()
                                      : MemTiming::main_memory(2);
 }
 
 /// Profile slot a static data address resolves to — the compile-time
-/// evaluation of Simulator::profile_data_interned's slot logic.
+/// evaluation of profile_access's slot logic.
 uint32_t static_data_slot(const SymbolIndex& symbols, uint32_t addr,
                           uint32_t stack_lo, uint32_t stack_hi) {
   const int id = symbols.find_id(addr);
@@ -450,6 +449,175 @@ std::optional<MemClass> classify_static(const link::Image& img, uint32_t addr,
   return link::mem_class(r->kind);
 }
 
+/// The op compiler behind build() and execute_one(): one decoded
+/// instruction at `iaddr` (a fused BL pair when `ins` is a BL_HI, `second`
+/// its BL_LO half) becomes one micro-op. static_cost gets the compute extra
+/// and the static penalties, no fetch cycles (build() folds those; the
+/// one-op path charged them through MemorySystem::fetch). LDR_LIT compiles
+/// to the dynamic handler, which build() upgrades to a bound literal where
+/// the region map allows. Returns whether the op ends a block.
+bool compile_op(const Instr& ins, const Instr& second, uint32_t iaddr,
+                const SymbolIndex& symbols, uint32_t stack_lo,
+                uint32_t stack_hi, MicroOp& u) {
+  u.ins = ins;
+  u.iaddr = iaddr;
+  uint32_t cost = ExecTiming::compute_extra(ins);
+  bool ends = false;
+  switch (ins.op) {
+    case Op::MOVI:
+      u.fn = &h_movi;
+      u.aux = static_cast<uint32_t>(ins.imm);
+      break;
+    case Op::ADDI:
+      u.fn = &h_addi;
+      u.aux = static_cast<uint32_t>(ins.imm);
+      break;
+    case Op::SUBI:
+      u.fn = &h_subi;
+      u.aux = static_cast<uint32_t>(ins.imm);
+      break;
+    case Op::CMPI:
+      u.fn = &h_cmpi;
+      u.aux = static_cast<uint32_t>(ins.imm);
+      break;
+    case Op::ALU:
+      u.fn = alu_handler(static_cast<AluOp>(ins.sub));
+      break;
+    case Op::ADD3: u.fn = &h_add3; break;
+    case Op::SUB3: u.fn = &h_sub3; break;
+    case Op::ADDI3:
+      u.fn = &h_addi3;
+      u.aux = static_cast<uint32_t>(ins.imm);
+      break;
+    case Op::SUBI3:
+      u.fn = &h_subi3;
+      u.aux = static_cast<uint32_t>(ins.imm);
+      break;
+    case Op::SHIFTI:
+      switch (static_cast<isa::ShiftOp>(ins.sub)) {
+        case isa::ShiftOp::LSL: u.fn = &h_shifti<isa::ShiftOp::LSL>; break;
+        case isa::ShiftOp::LSR: u.fn = &h_shifti<isa::ShiftOp::LSR>; break;
+        case isa::ShiftOp::ASR: u.fn = &h_shifti<isa::ShiftOp::ASR>; break;
+      }
+      u.aux = static_cast<uint32_t>(ins.imm);
+      break;
+    case Op::LDR:
+      u.fn = &h_load<4, false>;
+      u.aux = static_cast<uint32_t>(ins.imm) * 4;
+      break;
+    case Op::STR:
+      u.fn = &h_store<4>;
+      u.aux = static_cast<uint32_t>(ins.imm) * 4;
+      break;
+    case Op::LDRH:
+      u.fn = &h_load<2, false>;
+      u.aux = static_cast<uint32_t>(ins.imm) * 2;
+      break;
+    case Op::STRH:
+      u.fn = &h_store<2>;
+      u.aux = static_cast<uint32_t>(ins.imm) * 2;
+      break;
+    case Op::LDRB:
+      u.fn = &h_load<1, false>;
+      u.aux = static_cast<uint32_t>(ins.imm);
+      break;
+    case Op::STRB:
+      u.fn = &h_store<1>;
+      u.aux = static_cast<uint32_t>(ins.imm);
+      break;
+    case Op::LDRSH:
+      u.fn = &h_load<2, true>;
+      u.aux = static_cast<uint32_t>(ins.imm) * 2;
+      break;
+    case Op::LDRSB:
+      u.fn = &h_load<1, true>;
+      u.aux = static_cast<uint32_t>(ins.imm);
+      break;
+    case Op::LDR_LIT:
+      u.fn = &h_ldr_lit_dyn;
+      u.aux = isa::lit_base(iaddr) + static_cast<uint32_t>(ins.imm) * 4;
+      u.slot = static_data_slot(symbols, u.aux, stack_lo, stack_hi);
+      break;
+    case Op::ADR:
+      u.fn = &h_adr;
+      u.aux = isa::lit_base(iaddr) + static_cast<uint32_t>(ins.imm) * 4;
+      break;
+    case Op::LDR_SP:
+      u.fn = &h_ldr_sp;
+      u.aux = static_cast<uint32_t>(ins.imm) * 4;
+      break;
+    case Op::STR_SP:
+      u.fn = &h_str_sp;
+      u.aux = static_cast<uint32_t>(ins.imm) * 4;
+      break;
+    case Op::ADJSP:
+      u.fn = &h_adjsp;
+      u.aux = ins.sub ? 0u - static_cast<uint32_t>(ins.imm) * 4
+                      : static_cast<uint32_t>(ins.imm) * 4;
+      break;
+    case Op::PUSH: u.fn = &h_push; break;
+    case Op::POP:
+      if (ins.sub) {
+        u.fn = &h_pop_pc;
+        cost += ExecTiming::return_penalty;
+        ends = true;
+      } else {
+        u.fn = &h_pop;
+      }
+      break;
+    case Op::BCC:
+      u.fn = &h_bcc;
+      u.aux = isa::branch_target(iaddr, ins.imm);
+      ends = true;
+      break;
+    case Op::B:
+      u.fn = &h_b;
+      u.aux = isa::branch_target(iaddr, ins.imm);
+      cost += ExecTiming::taken_branch_penalty;
+      ends = true;
+      break;
+    case Op::BL_HI:
+      u.fn = &h_bl;
+      u.aux = isa::branch_target(iaddr, isa::decode_bl(ins, second));
+      cost += ExecTiming::call_penalty;
+      u.units = 2;
+      ends = true;
+      break;
+    case Op::BL_LO:
+      // Unreachable: callers trap or end the block at a bare BL_LO, and
+      // the fused BL consumes paired ones.
+      SPMWCET_CHECK(false);
+      break;
+    case Op::LDX:
+      switch (static_cast<isa::LdxOp>(ins.sub)) {
+        case isa::LdxOp::W: u.fn = &h_ldx<4, false>; break;
+        case isa::LdxOp::H: u.fn = &h_ldx<2, false>; break;
+        case isa::LdxOp::B: u.fn = &h_ldx<1, false>; break;
+        case isa::LdxOp::SH: u.fn = &h_ldx<2, true>; break;
+      }
+      break;
+    case Op::STX:
+      switch (static_cast<isa::StxOp>(ins.sub)) {
+        case isa::StxOp::W: u.fn = &h_stx<4>; break;
+        case isa::StxOp::H: u.fn = &h_stx<2>; break;
+        case isa::StxOp::B: u.fn = &h_stx<1>; break;
+      }
+      break;
+    case Op::SYS:
+      switch (static_cast<isa::SysFn>(ins.sub)) {
+        case isa::SysFn::NOP: u.fn = &h_nop; break;
+        case isa::SysFn::HALT:
+          u.fn = &h_halt;
+          ends = true;
+          break;
+        case isa::SysFn::OUT: u.fn = &h_out; break;
+      }
+      break;
+  }
+  u.static_cost = static_cast<uint8_t>(cost);
+  return ends;
+}
+
 } // namespace
 
 BlockTable::BlockTable(const program::DecodedImage& dec,
@@ -461,9 +629,7 @@ void BlockTable::build(const program::DecodedImage& dec,
                        const SymbolIndex& symbols, const link::Image& img) {
   const auto& spans = dec.spans();
   const uint32_t stack_hi = img.initial_sp;
-  // Same stack window as the simulator's interned profiling
-  // (kStackWindowBytes in simulator.cpp).
-  const uint32_t stack_lo = img.initial_sp - 0x10000;
+  const uint32_t stack_lo = img.initial_sp - kStackWindowBytes;
 
   // Pass 1: mark block boundaries ("leaders"): every static branch/call
   // target and every post-terminator fall-through. Blocks never extend
@@ -534,7 +700,7 @@ void BlockTable::build(const program::DecodedImage& dec,
     while (i < n) {
       if (!s.valid[i] || s.ops[i].op == Op::BL_LO) {
         // Gaps (literal pools, padding) and bare BL_LO halves never start
-        // a block; the interpreter reproduces their traps.
+        // a block; the one-op fallback runs them.
         ++i;
         continue;
       }
@@ -567,194 +733,36 @@ void BlockTable::build(const program::DecodedImage& dec,
       while (j < n && !terminated) {
         const Instr& ins = s.ops[j];
         const uint32_t iaddr = s.lo + static_cast<uint32_t>(j) * 2;
-        if (ins.op == Op::BL_HI &&
-            !(j + 1 < n && s.valid[j + 1] && s.ops[j + 1].op == Op::BL_LO)) {
-          // Unfusable BL: end the block before it so the interpreter
-          // raises "BL_HI not followed by BL_LO" exactly.
-          break;
-        }
-        if (ins.op == Op::BL_LO) {
-          // Stray BL_LO (no preceding BL_HI): end the block before it so
-          // the interpreter raises "stray BL_LO executed" exactly.
+        if ((ins.op == Op::BL_HI &&
+             !(j + 1 < n && s.valid[j + 1] && s.ops[j + 1].op == Op::BL_LO)) ||
+            ins.op == Op::BL_LO) {
+          // Unfusable BL or stray BL_LO: end the block before it; the
+          // one-op fallback raises its trap.
           break;
         }
 
         MicroOp u;
-        u.ins = ins;
-        u.iaddr = iaddr;
+        terminated =
+            compile_op(ins, ins.op == Op::BL_HI ? s.ops[j + 1] : Instr{},
+                       iaddr, symbols, stack_lo, stack_hi, u);
         u.fetch_slot = slot_at(iaddr);
-        uint32_t cost = fetch_cost(s.cls) + ExecTiming::compute_extra(ins);
         fold_add(u.fetch_slot);
-
-        switch (ins.op) {
-          case Op::MOVI:
-            u.fn = &h_movi;
-            u.aux = static_cast<uint32_t>(ins.imm);
-            break;
-          case Op::ADDI:
-            u.fn = &h_addi;
-            u.aux = static_cast<uint32_t>(ins.imm);
-            break;
-          case Op::SUBI:
-            u.fn = &h_subi;
-            u.aux = static_cast<uint32_t>(ins.imm);
-            break;
-          case Op::CMPI:
-            u.fn = &h_cmpi;
-            u.aux = static_cast<uint32_t>(ins.imm);
-            break;
-          case Op::ALU:
-            u.fn = alu_handler(static_cast<AluOp>(ins.sub));
-            break;
-          case Op::ADD3: u.fn = &h_add3; break;
-          case Op::SUB3: u.fn = &h_sub3; break;
-          case Op::ADDI3:
-            u.fn = &h_addi3;
-            u.aux = static_cast<uint32_t>(ins.imm);
-            break;
-          case Op::SUBI3:
-            u.fn = &h_subi3;
-            u.aux = static_cast<uint32_t>(ins.imm);
-            break;
-          case Op::SHIFTI:
-            switch (static_cast<isa::ShiftOp>(ins.sub)) {
-              case isa::ShiftOp::LSL: u.fn = &h_shifti<isa::ShiftOp::LSL>; break;
-              case isa::ShiftOp::LSR: u.fn = &h_shifti<isa::ShiftOp::LSR>; break;
-              case isa::ShiftOp::ASR: u.fn = &h_shifti<isa::ShiftOp::ASR>; break;
-            }
-            u.aux = static_cast<uint32_t>(ins.imm);
-            break;
-          case Op::LDR:
-            u.fn = &h_load<4, false>;
-            u.aux = static_cast<uint32_t>(ins.imm) * 4;
-            break;
-          case Op::STR:
-            u.fn = &h_store<4>;
-            u.aux = static_cast<uint32_t>(ins.imm) * 4;
-            break;
-          case Op::LDRH:
-            u.fn = &h_load<2, false>;
-            u.aux = static_cast<uint32_t>(ins.imm) * 2;
-            break;
-          case Op::STRH:
-            u.fn = &h_store<2>;
-            u.aux = static_cast<uint32_t>(ins.imm) * 2;
-            break;
-          case Op::LDRB:
-            u.fn = &h_load<1, false>;
-            u.aux = static_cast<uint32_t>(ins.imm);
-            break;
-          case Op::STRB:
-            u.fn = &h_store<1>;
-            u.aux = static_cast<uint32_t>(ins.imm);
-            break;
-          case Op::LDRSH:
-            u.fn = &h_load<2, true>;
-            u.aux = static_cast<uint32_t>(ins.imm) * 2;
-            break;
-          case Op::LDRSB:
-            u.fn = &h_load<1, true>;
-            u.aux = static_cast<uint32_t>(ins.imm);
-            break;
-          case Op::LDR_LIT: {
-            const uint32_t addr =
-                isa::lit_base(iaddr) + static_cast<uint32_t>(ins.imm) * 4;
-            u.aux = addr;
-            u.slot = static_data_slot(symbols, addr, stack_lo, stack_hi);
-            const auto cls = classify_static(img, addr, 4);
-            if (cls && (addr & 3u) == 0) {
-              u.fn = &h_ldr_lit;
-              u.aux2 = static_cast<uint32_t>(lits_.size());
-              u.cost = static_cast<uint8_t>(MemTiming::uncached(*cls, 4));
-              lits_.push_back(LitRef{addr, 4});
-            } else {
-              u.fn = &h_ldr_lit_dyn;
-            }
-            break;
-          }
-          case Op::ADR:
-            u.fn = &h_adr;
-            u.aux = isa::lit_base(iaddr) + static_cast<uint32_t>(ins.imm) * 4;
-            break;
-          case Op::LDR_SP:
-            u.fn = &h_ldr_sp;
-            u.aux = static_cast<uint32_t>(ins.imm) * 4;
-            break;
-          case Op::STR_SP:
-            u.fn = &h_str_sp;
-            u.aux = static_cast<uint32_t>(ins.imm) * 4;
-            break;
-          case Op::ADJSP:
-            u.fn = &h_adjsp;
-            u.aux = ins.sub ? 0u - static_cast<uint32_t>(ins.imm) * 4
-                            : static_cast<uint32_t>(ins.imm) * 4;
-            break;
-          case Op::PUSH: u.fn = &h_push; break;
-          case Op::POP:
-            if (ins.sub) {
-              u.fn = &h_pop_pc;
-              cost += ExecTiming::return_penalty;
-              terminated = true;
-            } else {
-              u.fn = &h_pop;
-            }
-            break;
-          case Op::BCC:
-            u.fn = &h_bcc;
-            u.aux = isa::branch_target(iaddr, ins.imm);
-            terminated = true;
-            break;
-          case Op::B:
-            u.fn = &h_b;
-            u.aux = isa::branch_target(iaddr, ins.imm);
-            cost += ExecTiming::taken_branch_penalty;
-            terminated = true;
-            break;
-          case Op::BL_HI: {
-            u.fn = &h_bl;
-            u.aux =
-                isa::branch_target(iaddr, isa::decode_bl(ins, s.ops[j + 1]));
-            u.fetch_slot2 = slot_at(iaddr + 2);
-            fold_add(u.fetch_slot2);
-            cost += fetch_cost(s.cls) + ExecTiming::call_penalty;
-            u.units = 2;
-            terminated = true;
-            break;
-          }
-          case Op::BL_LO:
-            // Unreachable: stray BL_LO halves end the block above and the
-            // fused BL consumes paired ones.
-            SPMWCET_CHECK(false);
-            break;
-          case Op::LDX:
-            switch (static_cast<isa::LdxOp>(ins.sub)) {
-              case isa::LdxOp::W: u.fn = &h_ldx<4, false>; break;
-              case isa::LdxOp::H: u.fn = &h_ldx<2, false>; break;
-              case isa::LdxOp::B: u.fn = &h_ldx<1, false>; break;
-              case isa::LdxOp::SH: u.fn = &h_ldx<2, true>; break;
-            }
-            break;
-          case Op::STX:
-            switch (static_cast<isa::StxOp>(ins.sub)) {
-              case isa::StxOp::W: u.fn = &h_stx<4>; break;
-              case isa::StxOp::H: u.fn = &h_stx<2>; break;
-              case isa::StxOp::B: u.fn = &h_stx<1>; break;
-            }
-            break;
-          case Op::SYS:
-            switch (static_cast<isa::SysFn>(ins.sub)) {
-              case isa::SysFn::NOP: u.fn = &h_nop; break;
-              case isa::SysFn::HALT:
-                u.fn = &h_halt;
-                terminated = true;
-                break;
-              case isa::SysFn::OUT: u.fn = &h_out; break;
-            }
-            break;
+        if (u.units == 2) {
+          u.fetch_slot2 = slot_at(iaddr + 2);
+          fold_add(u.fetch_slot2);
         }
-
-        u.static_cost = static_cast<uint8_t>(cost);
-        b.static_cycles += cost;
+        u.static_cost =
+            static_cast<uint8_t>(u.static_cost + fetch_cost(s.cls) * u.units);
+        if (u.fn == &h_ldr_lit_dyn) {
+          const auto cls = classify_static(img, u.aux, 4);
+          if (cls && (u.aux & 3u) == 0) {
+            u.fn = &h_ldr_lit;
+            u.aux2 = static_cast<uint32_t>(lits_.size());
+            u.cost = static_cast<uint8_t>(MemTiming::uncached(*cls, 4));
+            lits_.push_back(LitRef{u.aux, 4});
+          }
+        }
+        b.static_cycles += u.static_cost;
         b.instr_count += u.units;
         micro_.push_back(u);
         j += ins.op == Op::BL_HI ? 2 : 1;
@@ -766,7 +774,7 @@ void BlockTable::build(const program::DecodedImage& dec,
 
       if (micro_.size() == b.first_op) {
         // Empty block (leader on an unfusable BL_HI or stray BL_LO): no
-        // entry; the dispatch loop falls back to the interpreter here.
+        // entry; the dispatch loop falls back to the one-op path here.
         ++i;
         continue;
       }
@@ -778,7 +786,6 @@ void BlockTable::build(const program::DecodedImage& dec,
       b.fold_first = static_cast<uint32_t>(folds_.size());
       folds_.insert(folds_.end(), fold, fold + fold_n);
       b.fold_count = fold_n;
-      compiled_instructions_ += b.instr_count;
       idx.block_at[i] = static_cast<int32_t>(blocks_.size());
       blocks_.push_back(b);
       i = j;
@@ -802,21 +809,21 @@ uint32_t BlockTable::execute(int index, BlockCtx& ctx) const {
   ctx.cur_lo = b.lo;
   ctx.cur_hi = b.hi;
   // Scratchpad fetches bypass the cache: start past the block's end.
-  if (ctx.reuse != nullptr) [[unlikely]]
+  if (ctx.observed) [[unlikely]]
     ctx.fetch_next = b.main_code ? b.lo : b.hi;
 
   const MicroOp* ops = micro_.data() + b.first_op;
   ops[0].fn(ctx, ops); // threaded chain; returns at h_end or an abort
   if (!ctx.stop) [[likely]] {
-    if (ctx.reuse != nullptr) [[unlikely]] report_fetches(ctx, b.hi - 2);
+    if (ctx.observed) [[unlikely]] report_fetches(ctx, b.hi - 2);
     return b.instr_count;
   }
 
   // A store into this block: roll back the entry-folded accounting of the
-  // unexecuted suffix, then let the interpreter resume at ctx.next_pc
-  // against the refreshed predecode table.
+  // unexecuted suffix; execution resumes at ctx.next_pc, through the
+  // one-op fallback now that the block is invalid.
   const uint32_t k = static_cast<uint32_t>(ctx.stopped_at - ops);
-  if (ctx.reuse != nullptr) report_fetches(ctx, ctx.stopped_at->iaddr);
+  if (ctx.observed) report_fetches(ctx, ctx.stopped_at->iaddr);
   uint32_t executed = 0;
   for (uint32_t m = 0; m <= k; ++m) executed += ops[m].units;
   uint64_t cycles = 0;
@@ -830,6 +837,21 @@ uint32_t BlockTable::execute(int index, BlockCtx& ctx) const {
   }
   ctx.mem->unwind_cycles(cycles);
   return executed;
+}
+
+uint32_t BlockTable::execute_one(const Instr& ins, const Instr& second,
+                                 uint32_t iaddr, BlockCtx& ctx) const {
+  MicroOp ops[2]; // the op and its h_end sentinel
+  compile_op(ins, second, iaddr, *ctx.symbols, ctx.stack_lo, ctx.stack_hi,
+             ops[0]);
+  ops[1].fn = &h_end;
+  ctx.mem->add_cycles(ops[0].static_cost);
+  ctx.next_pc = iaddr + 2u * ops[0].units;
+  ctx.fetch_next = ctx.next_pc; // the caller charged the fetches
+  ctx.stop = false;
+  ctx.cur_lo = ctx.cur_hi = 0; // no compiled block to abort
+  ops[0].fn(ctx, ops);
+  return ops[0].units;
 }
 
 void BlockTable::invalidate_overlapping(uint32_t addr, uint32_t bytes,

@@ -1,6 +1,6 @@
-// The simulator's translation tier: straight-line superblocks discovered
-// from the predecoded spans (program::DecodedImage boundaries) and compiled
-// once into threaded code — a flat sequence of fused micro-op handlers
+// The simulator's only executor: straight-line superblocks discovered from
+// the decoded spans (program::DecodedImage boundaries) and compiled once
+// into threaded code — a flat sequence of fused micro-op handlers
 // (function-pointer dispatch, no JIT) with the per-instruction bookkeeping
 // folded into one block-entry update:
 //   * fetch cycles and fetch-profile increments are summed per block at
@@ -21,43 +21,46 @@
 // POP{pc}), HALT, decode gap, another block's start, or the span end. BL
 // pairs are fused into one micro-op (counting two instructions) only when
 // the BL_LO half is verified at compile time; otherwise the block ends
-// before the BL_HI so the interpreter reproduces the exact trap.
+// before the BL_HI.
 //
-// Fallback conditions (the per-instruction fast path runs instead):
-//   * a pc with no compiled block (gaps, misalignment, BL_LO entry);
-//   * fewer budgeted instructions remaining than the block would retire
+// One-op fallback: where no block can run, the simulator fetches the
+// halfword from memory, decodes it and runs it through execute_one(), which
+// compiles it with the same op compiler as build() — one instruction
+// semantics for both. That happens
+//   * at a pc with no compiled block (gaps, odd pc, an unfusable BL_HI or a
+//     bare BL_LO, which raise their traps there);
+//   * when fewer budgeted instructions remain than the block would retire
 //     (the instruction-budget trap must fire at the same instruction);
-//   * a functional cache is configured (cache tag state depends on the
-//     exact interleaving of fetch and data accesses, which folding breaks)
-//     or an execution trace is requested — the tier is disabled up front;
-//   * an invalidated block (see below).
-// (A failed stack-window proof is no fallback of this kind: the tier stays
-// engaged, and only SP-relative accesses take the translated path.)
+//   * at an invalidated block (see below);
+//   * for every instruction of a traced run (SimConfig::trace).
+// (A failed stack-window proof is no fallback of this kind: blocks still
+// run, and only SP-relative accesses take the translated path.)
 //
 // Stack window: SP-relative accesses (LDR_SP, STR_SP, PUSH, POP, POP{pc})
 // go by offset into the stack region's arena bytes when the simulator has
 // proven, at run start, that the region is one main-memory arena run inside
 // the symbol-free profile stack window and overlaps no code span (see
-// BlockCtx::win). Such an access charges MemTiming::main_memory(4) and the
-// stack profile slot, exactly what the translated path would; an access
-// outside the window (an overflowing stack, a misaligned sp) or a run whose
-// image fails the proof takes the ordinary timed load/store below.
+// BlockCtx::win). Such an access charges a main-memory word and the stack
+// profile slot, exactly what the translated path would; an access outside
+// the window (an overflowing stack, a misaligned sp) or a run whose image
+// fails the proof takes the ordinary timed load/store below.
 //
-// Observation: with a reuse observer (SimConfig::reuse) the tier stays
-// engaged. Loads bypass the inline fast paths so the memory system reports
-// them, window loads report themselves after the pending fetches, and each
-// block reports its folded fetches in program order (see BlockCtx::reuse).
+// Cached and observed reads: with a functional cache (SimConfig::cache) or
+// a reuse observer (SimConfig::reuse) blocks still run. Loads bypass the
+// inline fast paths so the memory system charges or reports them, window
+// loads charge themselves after the pending fetches, and each block
+// reports its folded fetches in program order (see BlockCtx::observed), so
+// the cache sees the same access order as one instruction at a time.
 //
-// Invalidation: a store that lands in a code span re-decodes the predecode
-// table (the PR 3 hook) and additionally marks every overlapping compiled
-// block invalid; an invalidated block is never entered again and its
-// addresses execute through the interpreter. A store into the *currently
-// executing* block also aborts the block after the store's micro-op —
-// the entry-folded accounting of the unexecuted suffix is rolled back and
-// execution resumes in the interpreter at the next instruction, which
-// re-fetches through the refreshed predecode table. Mid-block traps simply
-// propagate: the SimResult is discarded on throw, so the folded accounting
-// of unexecuted ops is unobservable.
+// Invalidation: a store that lands in a code span marks every overlapping
+// compiled block invalid; an invalidated block is never entered again and
+// its addresses run through the one-op fallback, which decodes the new
+// bytes from memory. A store into the *currently executing* block also
+// aborts the block after the store's micro-op — the entry-folded
+// accounting of the unexecuted suffix is rolled back and execution resumes
+// at the next instruction. Mid-block traps simply propagate: the SimResult
+// is discarded on throw, so the folded accounting of unexecuted ops is
+// unobservable.
 //
 // A BlockTable is immutable after construction and self-contained (it
 // copies everything it needs), so one compiled table can be shared by many
@@ -69,7 +72,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "cache/reuse_table.h"
 #include "isa/instruction.h"
 #include "isa/timing.h"
 #include "link/image.h"
@@ -78,20 +80,18 @@
 
 namespace spmwcet::sim {
 
-class CodeTable;
 class MemorySystem;
 struct SimResult;
 class BlockTable;
 class BlockRun;
 
-/// NZCV condition flags — one definition shared by the interpreter and the
-/// block-tier handlers so both test and set conditions identically.
+/// NZCV condition flags, shared with the reference simulator so both test
+/// and set conditions identically.
 struct Flags {
   bool n = false, z = false, c = false, v = false;
 };
 
-/// Flag semantics of CMP/CMPI (subtraction), shared by both execution
-/// tiers; parity is by construction, not by duplication.
+/// Flag semantics of CMP/CMPI (subtraction).
 inline void flags_set_sub(Flags& f, uint32_t a, uint32_t b) {
   const uint32_t r = a - b;
   f.n = (r >> 31) != 0;
@@ -101,7 +101,7 @@ inline void flags_set_sub(Flags& f, uint32_t a, uint32_t b) {
   f.v = (sa != sb) && (sr != sa);
 }
 
-/// ARM condition-code evaluation over NZCV, shared by both tiers.
+/// ARM condition-code evaluation over NZCV.
 inline bool flags_cond_holds(const Flags& f, isa::Cond c) {
   switch (c) {
     case isa::Cond::EQ: return f.z;
@@ -128,8 +128,7 @@ struct BlockCtx {
   Flags* flags = nullptr;
   bool* halted = nullptr;
   MemorySystem* mem = nullptr;
-  CodeTable* code = nullptr; ///< refreshed on self-modifying stores
-  AccessCounts* counts = nullptr; ///< dense profile slots (fast-path layout)
+  AccessCounts* counts = nullptr; ///< dense profile slots (SymbolIndex layout)
   const SymbolIndex* symbols = nullptr;
   SimResult* result = nullptr;
   const BlockTable* table = nullptr;
@@ -153,15 +152,15 @@ struct BlockCtx {
   uint8_t* win = nullptr;
   uint32_t win_lo = 0;
   uint32_t win_span = 0;
-  /// Observer of the cache-visible reads (SimConfig::reuse) or null.
-  /// Fetches are entry-folded, so a block reports them lazily in program
-  /// order: through an op's own halfword before its first load, the rest
-  /// at block exit.
-  cache::ReuseTable::Builder* reuse = nullptr;
+  /// Reads are cached or observed (SimConfig::cache or ::reuse). Fetches
+  /// are entry-folded, so a block reports them to the memory system lazily
+  /// in program order: through an op's own halfword before its first load,
+  /// the rest at block exit.
+  bool observed = false;
 
   // Per-block execution state (owned by BlockTable::execute).
   uint32_t next_pc = 0;
-  uint32_t fetch_next = 0; ///< first halfword not yet reported to reuse
+  uint32_t fetch_next = 0; ///< first halfword not yet reported
   bool stop = false; ///< abort after the current micro-op (self-mod store)
   const MicroOp* stopped_at = nullptr; ///< the aborting micro-op
   uint32_t cur_lo = 0, cur_hi = 0; ///< executing block's address range
@@ -232,8 +231,8 @@ public:
   BlockTable(const program::DecodedImage& dec, const SymbolIndex& symbols,
              const link::Image& img);
 
-  /// Index of the block starting at `pc`, or -1 (caller falls back to the
-  /// per-instruction path).
+  /// Index of the block starting at `pc`, or -1 (the caller falls back to
+  /// execute_one).
   int find(uint32_t pc) const {
     const SpanIdx* s = find_span(pc);
     if (s == nullptr || (pc & 1u) != 0) return -1;
@@ -252,8 +251,31 @@ public:
   /// aborted the block). ctx.next_pc holds the successor pc.
   uint32_t execute(int index, BlockCtx& ctx) const;
 
+  /// Executes one instruction outside the compiled blocks: `ins` at `iaddr`
+  /// (with `second`, the BL_LO half, when `ins` is a BL_HI), decoded by the
+  /// caller from memory whose fetches the caller already charged. Compiled
+  /// by build()'s op compiler; returns the instructions retired (2 for a
+  /// BL pair). ctx.next_pc holds the successor pc.
+  uint32_t execute_one(const isa::Instr& ins, const isa::Instr& second,
+                       uint32_t iaddr, BlockCtx& ctx) const;
+
+  /// True iff [addr, addr+bytes) overlaps a code span (a self-modifying
+  /// store, or a stack region the window proof must reject).
+  bool covers(uint32_t addr, uint32_t bytes) const {
+    // Spans are sorted and disjoint: the only candidates are the last span
+    // starting at or before `addr` and the first span starting after it.
+    const auto it = std::upper_bound(
+        span_idx_.begin(), span_idx_.end(), addr,
+        [](uint32_t a, const SpanIdx& s) { return a < s.lo; });
+    if (it != span_idx_.begin()) {
+      const SpanIdx& prev = *std::prev(it);
+      if (addr < prev.lo + prev.len && addr + bytes > prev.lo) return true;
+    }
+    return it != span_idx_.end() && it->lo < addr + bytes;
+  }
+
   /// Marks every compiled block overlapping [addr, addr+bytes) invalid in
-  /// `run` — the store-invalidation hook, called next to CodeTable::refresh.
+  /// `run` — the self-modifying-store hook.
   void invalidate_overlapping(uint32_t addr, uint32_t bytes,
                               BlockRun& run) const;
 
@@ -265,8 +287,6 @@ public:
                      std::vector<const uint8_t*>& out) const;
 
   std::size_t block_count() const { return blocks_.size(); }
-  /// Total instructions across all compiled blocks (stats/tests).
-  uint64_t compiled_instructions() const { return compiled_instructions_; }
 
 private:
   struct Block {
@@ -298,8 +318,7 @@ private:
              const link::Image& img);
 
   const SpanIdx* find_span(uint32_t addr) const {
-    // Real layouts have at most two spans (main + SPM code), like the
-    // CodeTable this mirrors.
+    // Real layouts have at most two spans (main + SPM code).
     if (!span_idx_.empty() && addr - span_idx_[0].lo < span_idx_[0].len)
       return &span_idx_[0];
     if (span_idx_.size() >= 2 && addr - span_idx_[1].lo < span_idx_[1].len)
@@ -318,7 +337,6 @@ private:
   std::vector<MicroOp> micro_;    ///< all blocks' ops, contiguous
   std::vector<SlotCount> folds_;  ///< all blocks' fetch folds, contiguous
   std::vector<LitRef> lits_;      ///< static literal ranges to bind
-  uint64_t compiled_instructions_ = 0;
 };
 
 } // namespace spmwcet::sim

@@ -4,21 +4,16 @@
 // reads such a cache would see (cache::ReuseTable). Scratchpad accesses
 // always bypass the cache, as on real TCM hardware.
 //
-// Two translation modes share identical observable behavior (cycles, cache
-// state, trap messages):
-//  * fast (default): regions are grouped into a handful of contiguous
-//    areas, each backed by one arena plus a per-byte class map
-//    (0 = unmapped, else MemClass+1), so address -> pointer + MemClass is
-//    O(1) per access. Accesses the map cannot serve exactly (unmapped or
-//    partially mapped ranges, misalignment) fall through to the legacy
-//    path, which reproduces the seed's cost charging and error text.
-//  * legacy: the seed's per-access binary searches (block list for the
-//    pointer, region map for the class), the slow path of the fast mode
-//    and, with SimConfig::fast_path unset, the parity tests' oracle.
+// Translation is O(1): regions are grouped into a handful of contiguous
+// areas, each backed by one arena plus a per-byte class map (0 = unmapped,
+// else MemClass+1). An access the map cannot serve (unmapped or partially
+// mapped ranges, misalignment) traps. The seed's binary-search translation
+// lives on in the reference simulator (tests/reference/simulator.h).
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "cache/functional_cache.h"
@@ -28,19 +23,16 @@
 namespace spmwcet::sim {
 
 /// Maximum gap (bytes) bridged when merging sorted regions into one
-/// contiguous fast-path span — shared by the MemorySystem arenas and the
-/// CodeTable so both structures cover exactly the same address runs.
+/// contiguous span — shared by the MemorySystem arenas and the decoded code
+/// spans (program::DecodedImage) so both cover exactly the same address runs.
 inline constexpr uint32_t kRegionMergeGapBytes = 4096;
 
 class MemorySystem {
 public:
   /// Builds backing storage for all regions of `img`, loads its segments,
   /// and installs `cache_cfg` (if any) in front of main memory.
-  /// `fast_translation` selects the O(1) area tables; false keeps the
-  /// seed's binary-search translation (the parity tests' oracle).
   MemorySystem(const link::Image& img,
-               std::optional<cache::CacheConfig> cache_cfg,
-               bool fast_translation = true);
+               std::optional<cache::CacheConfig> cache_cfg);
 
   // ---- timed accesses (drive the cycle counter) ---------------------------
 
@@ -53,11 +45,27 @@ public:
   /// Data store of 1/2/4 bytes (write-through, no allocate).
   void store(uint32_t addr, uint32_t bytes, uint32_t value);
 
-  /// Timing-only fetch for the simulator's predecode fast path: charges
-  /// exactly the cycles (and cache state) fetch() would for a mapped,
-  /// aligned code address whose memory class is already known.
-  void count_fetch(uint32_t addr, isa::MemClass cls) {
-    cycles_ += read_cost_for(cls, addr, 2, /*is_fetch=*/true);
+  /// The block tier's entry-folded main-memory fetches of the halfwords
+  /// lo, lo + 2, ..., end - 2, reported in program order when reads are
+  /// cached or observed. The block already charged main_memory(2) for each;
+  /// a cache replaces that with its hit or miss cost.
+  void fetch_run(uint32_t lo, uint32_t end) {
+    if (reuse_ != nullptr) {
+      reuse_->fetch_run(lo, end);
+      return;
+    }
+    for (uint32_t a = lo; a < end; a += 2) {
+      cycles_ -= isa::MemTiming::main_memory(2);
+      cycles_ += read_cost_for(isa::MemClass::MainMemory, a, 2,
+                               /*is_fetch=*/true);
+    }
+  }
+
+  /// Charges a main-memory load the caller served from arena bytes itself
+  /// (the block tier's stack window), through the cache or the observer.
+  void charge_main_load(uint32_t addr, uint32_t bytes) {
+    cycles_ += read_cost_for(isa::MemClass::MainMemory, addr, bytes,
+                             /*is_fetch=*/false);
   }
 
   /// Adds non-memory execution cycles (ALU extras, branch penalties).
@@ -69,38 +77,38 @@ public:
 
   uint64_t cycles() const { return cycles_; }
 
-  /// Stable pointer to [addr, addr+bytes) iff the fast-mode class map can
-  /// serve the whole range with one memory class (written to `cls`); null
-  /// in legacy mode, when reads are cached or observed (they must reach
-  /// read_cost_for), and for unmapped/mixed-class ranges. Areas never move
-  /// after construction, so the pointer stays valid for the system's
-  /// lifetime (the block tier binds literal-pool addresses once).
+  /// Stable pointer to [addr, addr+bytes) iff the class map can serve the
+  /// whole range with one memory class (written to `cls`); null when reads
+  /// are cached or observed (they must reach read_cost_for), and for
+  /// unmapped/mixed-class ranges. Areas never move after construction, so
+  /// the pointer stays valid for the system's lifetime (the block tier
+  /// binds literal-pool addresses once).
   const uint8_t* flat_ptr(uint32_t addr, uint32_t bytes,
                           isa::MemClass& cls) const {
-    return fast_ && !hooked_reads_ ? flat(addr, bytes, cls) : nullptr;
+    return hooked_reads_ ? nullptr : flat(addr, bytes, cls);
   }
 
-  /// Writable arena bytes backing [lo, hi) when one fast-mode arena covers
-  /// the whole range; null in legacy mode or when the range crosses
-  /// arenas. Costs one pass over the arenas and reads no class byte: the
-  /// caller proves the range's memory class from the region map. Areas
-  /// never move, so the pointer stays valid for the system's lifetime (the
-  /// block tier's stack window, sim/block_table.h).
+  /// Writable arena bytes backing [lo, hi) when one arena covers the whole
+  /// range; null when the range crosses arenas. Costs one pass over the
+  /// arenas and reads no class byte: the caller proves the range's memory
+  /// class from the region map. Areas never move, so the pointer stays
+  /// valid for the system's lifetime (the block tier's stack window,
+  /// sim/block_table.h).
   uint8_t* arena_bytes(uint32_t lo, uint32_t hi) {
-    if (!fast_ || hi < lo) return nullptr;
+    if (hi < lo) return nullptr;
     for (Area& a : areas_)
       if (lo - a.lo < a.len && hi - a.lo <= a.len)
         return a.bytes.data() + (lo - a.lo);
     return nullptr;
   }
 
-  /// Inline load fast path for the block tier: serves exactly the accesses
-  /// load()'s fast branch would, entirely in the header. Returns false
-  /// (charging nothing) when the flat map cannot serve the access or reads
-  /// are cached or observed — the caller falls back to load(), which owns
-  /// the seed-exact slow path, the traps and the read hooks.
+  /// Inline load for the block tier: serves exactly the accesses load()
+  /// would, entirely in the header. Returns false (charging nothing) when
+  /// the flat map cannot serve the access or reads are cached or observed
+  /// — the caller falls back to load(), which owns the traps and the read
+  /// hooks.
   bool try_load(uint32_t addr, uint32_t bytes, uint32_t& v) {
-    if (hooked_reads_ || !fast_ || addr % bytes != 0) return false;
+    if (hooked_reads_ || addr % bytes != 0) return false;
     isa::MemClass cls;
     const uint8_t* p = flat(addr, bytes, cls);
     if (p == nullptr) return false;
@@ -111,10 +119,11 @@ public:
     return true;
   }
 
-  /// Inline store fast path, the write-through/no-allocate counterpart of
-  /// try_load (stores never touch cache tags, so no cache check needed).
+  /// Inline store, the write-through/no-allocate counterpart of try_load
+  /// (stores never touch cache tags, so no cache check needed); store()
+  /// is this plus the traps.
   bool try_store(uint32_t addr, uint32_t bytes, uint32_t value) {
-    if (!fast_ || addr % bytes != 0) return false;
+    if (addr % bytes != 0) return false;
     isa::MemClass cls;
     uint8_t* p = flat(addr, bytes, cls);
     if (p == nullptr) return false;
@@ -129,13 +138,6 @@ public:
   uint32_t peek(uint32_t addr, uint32_t bytes) const;
   void poke(uint32_t addr, uint32_t bytes, uint32_t value);
 
-  isa::MemClass class_of(uint32_t addr) const {
-    return image_->regions.classify(addr);
-  }
-
-  const cache::FunctionalCache* cache() const {
-    return cache_ ? &*cache_ : nullptr;
-  }
   uint64_t cache_hits() const { return cache_ ? cache_->hits() : 0; }
   uint64_t cache_misses() const { return cache_ ? cache_->misses() : 0; }
 
@@ -149,7 +151,7 @@ public:
   }
 
 private:
-  /// Contiguous fast-mode arena covering a run of nearby regions; small
+  /// Contiguous arena covering a run of nearby regions; small
   /// alignment gaps between them stay part of the arena but are marked
   /// unmapped in `cls`.
   struct Area {
@@ -157,13 +159,6 @@ private:
     uint32_t len = 0;           ///< bytes covered: [lo, lo+len)
     std::vector<uint8_t> bytes; ///< backing storage (gaps stay zero)
     std::vector<uint8_t> cls;   ///< per byte: 0 = unmapped, else MemClass+1
-  };
-
-  /// Legacy backing block (one per merged run of adjacent regions).
-  struct Block {
-    uint32_t lo;
-    uint32_t hi;
-    std::vector<uint8_t> bytes;
   };
 
   /// O(1) translation: pointer to [addr, addr+bytes) iff the whole range
@@ -188,13 +183,8 @@ private:
         static_cast<const MemorySystem*>(this)->flat(addr, bytes, cls));
   }
 
-  uint8_t* locate(uint32_t addr, uint32_t bytes);
-  const uint8_t* locate(uint32_t addr, uint32_t bytes) const;
-
-  /// Timing for a read access (fetch or load) of `bytes` at `addr`.
-  uint32_t read_cost(uint32_t addr, uint32_t bytes, bool is_fetch);
-
-  /// read_cost with the memory class already known (fast paths).
+  /// Timing for a read access (fetch or load) of `bytes` at `addr` of
+  /// class `cls`; charges or reports the cache-visible reads.
   uint32_t read_cost_for(isa::MemClass cls, uint32_t addr, uint32_t bytes,
                          bool is_fetch) {
     if (cls == isa::MemClass::Scratchpad) return isa::MemTiming::scratchpad();
@@ -209,15 +199,16 @@ private:
     return isa::MemTiming::main_memory(bytes);
   }
 
-  // Seed-exact slow paths (also the whole story in legacy mode).
-  uint16_t fetch_slow(uint32_t addr);
-  uint32_t load_slow(uint32_t addr, uint32_t bytes);
-  void store_slow(uint32_t addr, uint32_t bytes, uint32_t value);
+  /// Raises the trap of an access the class map cannot serve: `misaligned`
+  /// or, for an address the region map does not map, its "access to
+  /// unmapped address" error, else `unmapped` (a range that runs out of
+  /// its region); each message ends in the address.
+  [[noreturn]] void trap(uint32_t addr, uint32_t bytes,
+                         const std::string& misaligned,
+                         const std::string& unmapped) const;
 
   const link::Image* image_;
-  const bool fast_;
-  std::vector<Area> areas_;   // fast mode storage, sorted by lo
-  std::vector<Block> blocks_; // legacy mode storage, sorted by lo
+  std::vector<Area> areas_; // sorted by lo
   std::optional<cache::FunctionalCache> cache_;
   bool cache_unified_ = false;
   uint32_t miss_cost_ = 0;

@@ -12,11 +12,6 @@ SymbolIndex::SymbolIndex(const link::Image& img) {
             [](const Entry& a, const Entry& b) { return a.lo < b.lo; });
 }
 
-const link::Symbol* SymbolIndex::find(uint32_t addr) const {
-  const int id = find_id(addr);
-  return id < 0 ? nullptr : entries_[id].sym;
-}
-
 int SymbolIndex::find_id(uint32_t addr) const {
   auto it = std::upper_bound(
       entries_.begin(), entries_.end(), addr,

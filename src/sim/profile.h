@@ -60,18 +60,20 @@ struct AccessProfile {
   friend bool operator==(const AccessProfile&, const AccessProfile&) = default;
 };
 
+/// Profile window below the initial stack pointer: a data access in
+/// [initial_sp - kStackWindowBytes, initial_sp) that no symbol covers
+/// counts as a stack access.
+inline constexpr uint32_t kStackWindowBytes = 0x10000;
+
 /// Sorted symbol-interval index for O(log n) address -> symbol resolution.
 ///
-/// Every symbol owns a dense id in [0, size()); the simulator's fast path
-/// accumulates AccessCounts in a vector indexed by id (plus stack/other
-/// slots) instead of doing a string-map lookup per instruction, and folds
-/// the vector into the name-keyed AccessProfile once at run() exit.
+/// Every symbol owns a dense id in [0, size()); the simulator accumulates
+/// AccessCounts in a vector indexed by id (plus stack/other slots) instead
+/// of doing a string-map lookup per instruction, and folds the vector into
+/// the name-keyed AccessProfile once at run() exit.
 class SymbolIndex {
 public:
   explicit SymbolIndex(const link::Image& img);
-
-  /// Symbol containing `addr`, or nullptr.
-  const link::Symbol* find(uint32_t addr) const;
 
   /// Dense id of the symbol containing `addr`, or -1 if no symbol covers
   /// it (gaps between symbols, stack, unmapped space).
@@ -83,10 +85,11 @@ public:
   /// Number of indexed symbols (== one dense id per symbol).
   std::size_t size() const { return entries_.size(); }
 
-  // Slot layout of the fast path's dense AccessCounts vector — the single
-  // definition shared by the simulator's accumulation and the predecode
-  // table's precomputed slots: one slot per symbol id, then the stack and
-  // "other" slots.
+  // Slot layout of the simulator's dense AccessCounts vector — the single
+  // definition shared by its accumulation and the block table's
+  // precomputed slots: one slot per symbol id, then the stack and "other"
+  // slots (the stack slot takes symbol-free accesses in the
+  // kStackWindowBytes window).
   uint32_t stack_slot() const { return static_cast<uint32_t>(size()); }
   uint32_t other_slot() const { return stack_slot() + 1; }
   uint32_t slot_count() const { return other_slot() + 1; }

@@ -101,7 +101,7 @@ std::optional<HeaderPattern> match_header(const link::Image& img,
 
 /// Matches the increment in a back-edge source block:
 /// ldr r,[sp,#slot] ; addi/subi r,#k ; str r,[sp,#slot].
-std::optional<int64_t> match_step(const BasicBlock& b, int32_t slot) {
+std::optional<int64_t> match_increment(const BasicBlock& b, int32_t slot) {
   for (std::size_t i = 0; i + 2 < b.instrs.size(); ++i) {
     const Instr& a = b.instrs[i].ins;
     const Instr& m = b.instrs[i + 1].ins;
@@ -169,7 +169,7 @@ std::map<uint32_t, DetectedBound> detect_loop_bounds(const link::Image& img,
     for (const int e : loop.back_edges) {
       const int src = cfg.edges[static_cast<std::size_t>(e)].from;
       const auto s =
-          match_step(cfg.blocks[static_cast<std::size_t>(src)], hp->slot);
+          match_increment(cfg.blocks[static_cast<std::size_t>(src)], hp->slot);
       if (!s) {
         conflict = true;
         break;

@@ -308,6 +308,9 @@ TEST(ApiEngine, SimBenchCoversBaselineAndSpmConfigs) {
     // Both layouts pass the stack-window proof.
     EXPECT_TRUE(rows[i].stack_window) << rows[i].benchmark;
     EXPECT_TRUE(rows[i + 1].stack_window) << rows[i + 1].benchmark;
+    // ... and run entirely in compiled blocks.
+    EXPECT_EQ(rows[i].fallback_instructions, 0u) << rows[i].benchmark;
+    EXPECT_EQ(rows[i + 1].fallback_instructions, 0u) << rows[i + 1].benchmark;
   }
   EXPECT_GT(result.value().aggregate_ips, 0.0);
   EXPECT_GT(result.value().aggregate_baseline_ips, 0.0);

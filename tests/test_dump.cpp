@@ -7,9 +7,11 @@
 
 #include "link/layout.h"
 #include "minic/codegen.h"
+#include "reference/simulator.h"
 #include "sim/simulator.h"
 #include "wcet/analyzer.h"
 #include "wcet/dump.h"
+#include "workloads/workload.h"
 
 namespace spmwcet {
 namespace {
@@ -133,6 +135,32 @@ TEST(Trace, ExecutionTraceListsInstructions) {
   EXPECT_NE(t.find("push"), std::string::npos);
   EXPECT_NE(t.find("halt"), std::string::npos);
   EXPECT_NE(t.find("bl.hi"), std::string::npos);
+}
+
+// A traced run executes one instruction at a time through the one-op
+// fallback; its trace must equal the seed simulator's byte for byte.
+TEST(Trace, MatchesReferenceTraceByteForByte) {
+  const auto adpcm = workloads::WorkloadRegistry::instance().benchmark("adpcm");
+  const std::pair<const char*, link::Image> cases[] = {
+      {"loop_program", link::link_program(compile(loop_program(5)))},
+      {"adpcm", link::link_program(adpcm->module, {}, {})}};
+  for (const auto& [name, img] : cases) {
+    std::ostringstream want, got;
+    sim::SimConfig cfg;
+    cfg.collect_profile = true;
+    cfg.trace = &want;
+    const uint64_t runs = reference::simulator_runs();
+    const auto ref = reference::simulate(img, cfg);
+    EXPECT_EQ(reference::simulator_runs(), runs + 1) << name;
+    cfg.trace = &got;
+    sim::Simulator s(img, cfg);
+    const auto run = s.run();
+    EXPECT_GT(want.str().size(), 0u) << name;
+    EXPECT_TRUE(got.str() == want.str()) << name;
+    EXPECT_EQ(run.cycles, ref.cycles) << name;
+    EXPECT_TRUE(run.profile == ref.profile) << name;
+    EXPECT_EQ(s.fallback_instructions(), run.instructions) << name;
+  }
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 #include "program/decoded_image.h"
 #include "reference/map_cache_analysis.h"
 #include "reference/seed_frontend.h"
+#include "reference/simulator.h"
 #include "sim/simulator.h"
 #include "wcet/analyzer.h"
 #include "wcet/cache_analysis.h"
@@ -140,49 +141,42 @@ TEST(WcetSoundnessFuzz, BoundDominatesSimulationUnderSpmAndCache) {
   }
 }
 
-// Simulation-tier parity property: the block-tier (superblock threaded
-// code) and fast (predecoded per-instruction) paths must both be
-// indistinguishable from the legacy path — cycles, cache stats and the
-// full access profile — on arbitrary generated programs, not just the
-// paper benchmarks. Covers the uncached-with-profile configuration (the
-// allocation-profiling run, where the block tier engages) and a small
-// thrashing cache (where the tier self-disables and must still agree).
-TEST(SimFastPathFuzz, BlockTierFastAndLegacyPathsAreFieldIdentical) {
+// Simulator parity property: the simulator must be indistinguishable from
+// the seed simulator (reference::simulate) — cycles, instructions, cache
+// stats, outputs and the full access profile — on arbitrary generated
+// programs, not just the paper benchmarks. Covers the uncached profiling
+// run and a small thrashing cache, whose hits and misses depend on the
+// exact order of fetches and loads the compiled blocks report.
+TEST(SimFastPathFuzz, SimulatorMatchesReferenceSimulator) {
   constexpr unsigned kPrograms = 100;
+  const uint64_t runs = reference::simulator_runs();
   for (unsigned seed = 1; seed <= kPrograms; ++seed) {
     const ProgramDef prog = linkable_program(seed * 40503u + 11u);
     const auto img = link::link_program(compile(prog));
     for (const bool with_cache : {false, true}) {
-      sim::SimConfig tier_cfg;
-      tier_cfg.collect_profile = true;
+      sim::SimConfig cfg;
+      cfg.collect_profile = true;
       if (with_cache) {
         cache::CacheConfig ccfg;
         ccfg.size_bytes = 64;
-        tier_cfg.cache = ccfg;
+        cfg.cache = ccfg;
       }
-      sim::SimConfig fast_cfg = tier_cfg;
-      fast_cfg.block_tier = false;
-      sim::SimConfig legacy_cfg = fast_cfg;
-      legacy_cfg.fast_path = false;
-      const auto tier = sim::simulate(img, tier_cfg);
-      const auto fast = sim::simulate(img, fast_cfg);
-      const auto legacy = sim::simulate(img, legacy_cfg);
-      using Leg = std::pair<const sim::SimResult*, const char*>;
-      for (const auto& [got, what] :
-           {Leg{&tier, "block-tier"}, Leg{&fast, "fast"}}) {
-        ASSERT_EQ(got->cycles, legacy.cycles) << what << " seed " << seed;
-        ASSERT_EQ(got->instructions, legacy.instructions)
-            << what << " seed " << seed;
-        ASSERT_EQ(got->cache_hits, legacy.cache_hits)
-            << what << " seed " << seed;
-        ASSERT_EQ(got->cache_misses, legacy.cache_misses)
-            << what << " seed " << seed;
-        ASSERT_EQ(got->output, legacy.output) << what << " seed " << seed;
-        ASSERT_TRUE(got->profile == legacy.profile)
-            << what << " seed " << seed;
-      }
+      const auto want = reference::simulate(img, cfg);
+      sim::Simulator s(img, cfg);
+      const auto got = s.run();
+      const char* what = with_cache ? "64 B cache" : "uncached";
+      ASSERT_EQ(got.cycles, want.cycles) << what << " seed " << seed;
+      ASSERT_EQ(got.instructions, want.instructions)
+          << what << " seed " << seed;
+      ASSERT_EQ(got.cache_hits, want.cache_hits) << what << " seed " << seed;
+      ASSERT_EQ(got.cache_misses, want.cache_misses)
+          << what << " seed " << seed;
+      ASSERT_EQ(got.output, want.output) << what << " seed " << seed;
+      ASSERT_TRUE(got.profile == want.profile) << what << " seed " << seed;
+      ASSERT_EQ(s.fallback_instructions(), 0u) << what << " seed " << seed;
     }
   }
+  EXPECT_EQ(reference::simulator_runs(), runs + 2 * kPrograms);
 }
 
 // Analyzer front-end parity property: for arbitrary generated programs,

@@ -5,8 +5,8 @@
 // programs across all five shapes through the real pipeline and asserts
 // parity with the reference implementations plus WCET soundness on every
 // member (the paper-benchmark parity gates, generalized to programs
-// nobody hand-picked). The simulator-tier and artifact-sharing parity
-// cases run the paper trio plus a gen:mixed slice.
+// nobody hand-picked). The simulator and artifact-sharing parity cases run
+// the paper trio plus a gen:mixed slice.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -19,6 +19,7 @@
 #include "link/layout.h"
 #include "minic/codegen.h"
 #include "reference/seed_frontend.h"
+#include "reference/simulator.h"
 #include "sim/simulator.h"
 #include "wcet/analyzer.h"
 #include "wcet/dump.h"
@@ -184,8 +185,8 @@ TEST(GeneratedWorkload, RegistryMemoizesUnderTheCanonicalName) {
 
 // The population parity suite: 100 generated programs across all five
 // shapes, each run through the real pipeline. Per member:
-//   * the block-tier and fast simulators must be field-identical to the
-//     seed simulator (SimConfig::fast_path unset);
+//   * the simulator must be field-identical to the seed simulator
+//     (reference::simulate) and run entirely in compiled blocks;
 //   * the pipeline point must be reproduced by the reference path on the
 //     same placement: the seed simulator and the seed analyzer front end
 //     with from-scratch IPET;
@@ -212,24 +213,22 @@ TEST(GeneratedPopulation, ParityAndSoundnessAcross100Programs) {
       const std::string name = workloads::gen_name(spec);
       const auto wl = workloads::cached_generated(spec);
 
-      // Simulator three-way parity on the plain image: block-tier and
-      // per-instruction fast path against the seed simulator.
+      // Simulator parity on the plain image against the seed simulator.
       const link::Image img = link::link_program(wl->module, {}, {});
-      sim::SimConfig tier_cfg;
-      tier_cfg.collect_profile = true;
-      sim::SimConfig fast_cfg = tier_cfg;
-      fast_cfg.block_tier = false;
-      sim::SimConfig legacy_cfg = fast_cfg;
-      legacy_cfg.fast_path = false;
-      const auto tier = sim::simulate(img, tier_cfg);
-      const auto fast = sim::simulate(img, fast_cfg);
-      const auto legacy = sim::simulate(img, legacy_cfg);
-      ASSERT_EQ(tier.cycles, legacy.cycles) << name;
-      ASSERT_EQ(tier.instructions, legacy.instructions) << name;
-      ASSERT_TRUE(tier.profile == legacy.profile) << name;
-      ASSERT_EQ(fast.cycles, legacy.cycles) << name;
-      ASSERT_EQ(fast.instructions, legacy.instructions) << name;
-      ASSERT_TRUE(fast.profile == legacy.profile) << name;
+      sim::SimConfig cfg;
+      cfg.collect_profile = true;
+      const uint64_t runs = reference::simulator_runs();
+      const auto legacy = reference::simulate(img, cfg);
+      ASSERT_EQ(reference::simulator_runs(), runs + 1) << name;
+      sim::Simulator s(img, cfg);
+      const auto got = s.run();
+      ASSERT_EQ(got.cycles, legacy.cycles) << name;
+      ASSERT_EQ(got.instructions, legacy.instructions) << name;
+      ASSERT_EQ(got.cache_hits, legacy.cache_hits) << name;
+      ASSERT_EQ(got.cache_misses, legacy.cache_misses) << name;
+      ASSERT_EQ(got.output, legacy.output) << name;
+      ASSERT_TRUE(got.profile == legacy.profile) << name;
+      ASSERT_EQ(s.fallback_instructions(), 0u) << name;
 
       // The pipeline point at one SPM capacity against the reference path
       // on the placement the paper's allocation flow picks.
@@ -246,7 +245,7 @@ TEST(GeneratedPopulation, ParityAndSoundnessAcross100Programs) {
       opts.spm_size = kSpm;
       const link::Image placed =
           link::link_program(wl->module, opts, alloc.assignment);
-      ASSERT_EQ(pt.sim_cycles, sim::simulate(placed, legacy_cfg).cycles)
+      ASSERT_EQ(pt.sim_cycles, reference::simulate(placed, cfg).cycles)
           << name;
       ASSERT_EQ(pt.wcet_cycles,
                 wcet::analyze_wcet(reference::seed_view(placed), {}).wcet)
@@ -278,16 +277,16 @@ void expect_same_run(const sim::SimResult& a, const sim::SimResult& b,
   EXPECT_TRUE(a.profile == b.profile) << what;
 }
 
-// The superblock tier against the per-instruction path below it, on the
-// canonical layout and an SPM placement: both runs are field-identical,
-// and the tier, with its stack window, engaged on exactly one side.
-TEST(ModeParity, BlockTierMatchesPerInstructionPathOnTrioAndMixedSlice) {
+// The simulator against the seed simulator on the canonical layout and an
+// SPM placement: both runs are field-identical, the reference ran, and the
+// production run stayed in compiled blocks with its stack window engaged.
+TEST(ModeParity, SimulatorMatchesReferenceOnTrioAndMixedSlice) {
   for (const std::string& name : trio_and_mixed_slice()) {
     const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
     const link::Image canonical = link::link_program(wl->module, {}, {});
-    sim::SimConfig tier_cfg;
-    tier_cfg.collect_profile = true;
-    const auto profile = sim::simulate(canonical, tier_cfg).profile;
+    sim::SimConfig cfg;
+    cfg.collect_profile = true;
+    const auto profile = sim::simulate(canonical, cfg).profile;
     link::LinkOptions opts;
     opts.spm_size = 1024;
     const link::Image placed = link::link_program(
@@ -296,15 +295,13 @@ TEST(ModeParity, BlockTierMatchesPerInstructionPathOnTrioAndMixedSlice) {
     for (const link::Image* img : {&canonical, &placed}) {
       const std::string what =
           name + (img == &canonical ? " canonical" : " spm1024");
-      sim::SimConfig step_cfg = tier_cfg;
-      step_cfg.block_tier = false;
-      sim::Simulator tier(*img, tier_cfg);
-      sim::Simulator step(*img, step_cfg);
-      EXPECT_TRUE(tier.block_tier_active()) << what;
-      EXPECT_FALSE(step.block_tier_active()) << what;
-      expect_same_run(tier.run(), step.run(), what);
-      EXPECT_TRUE(tier.stack_window_active()) << what;
-      EXPECT_FALSE(step.stack_window_active()) << what;
+      const uint64_t runs = reference::simulator_runs();
+      const sim::SimResult want = reference::simulate(*img, cfg);
+      EXPECT_EQ(reference::simulator_runs(), runs + 1) << what;
+      sim::Simulator s(*img, cfg);
+      expect_same_run(s.run(), want, what);
+      EXPECT_EQ(s.fallback_instructions(), 0u) << what;
+      EXPECT_TRUE(s.stack_window_active()) << what;
     }
   }
 }

@@ -1,10 +1,12 @@
 // The all-geometry reuse table (cache/reuse_table.h) against its oracle,
 // the FunctionalCache simulation (SimConfig::cache): hits, misses and
 // cycles must be field-exact for every covered geometry, 16 B to 1 MiB,
-// direct-mapped to fully associative, unified and instruction-only. Also
-// covers the observed run itself (block tier, per-instruction and legacy
-// paths agree; self-modifying code; the instruction budget) and the
-// harness's per-workload table artifact.
+// direct-mapped to fully associative, unified and instruction-only. Both
+// consume the read stream the compiled blocks report, so the stream order
+// itself is held against the seed simulator (reference::simulate) with its
+// per-access cache. Also covers the observed run itself (self-modifying
+// code, the instruction budget) and the harness's per-workload table
+// artifact.
 #include <gtest/gtest.h>
 
 #include "api/engine.h"
@@ -12,6 +14,7 @@
 #include "harness/sweep_runner.h"
 #include "isa/encode.h"
 #include "link/layout.h"
+#include "reference/simulator.h"
 #include "sim/simulator.h"
 #include "workloads/generated.h"
 #include "workloads/workload.h"
@@ -22,18 +25,17 @@ namespace {
 using cache::CacheConfig;
 using cache::ReuseTable;
 
-ReuseTable record(const link::Image& img, bool unified,
-                  bool block_tier = true, bool fast_path = true) {
+ReuseTable record(const link::Image& img, bool unified) {
   ReuseTable::Builder rec(unified);
   sim::SimConfig cfg;
   cfg.reuse = &rec;
-  cfg.block_tier = block_tier;
-  cfg.fast_path = fast_path;
   sim::Simulator s(img, cfg);
   const sim::SimResult run = s.run();
-  // Observed block-tier runs serve SP-relative accesses by offset and
-  // report them to the builder themselves.
-  EXPECT_EQ(s.stack_window_active(), block_tier && fast_path);
+  // Observed runs serve SP-relative accesses by offset and report them to
+  // the builder themselves, and leave the compiled blocks only where a
+  // self-modifying store invalidated one.
+  EXPECT_TRUE(s.stack_window_active());
+  EXPECT_EQ(s.fallback_instructions() > 0, s.block_invalidations() > 0);
   return rec.finish(run.cycles);
 }
 
@@ -91,20 +93,37 @@ TEST(ReuseTable, GeneratedProgramsMatchFunctionalCache) {
     }
 }
 
+/// The reference's outcome for `c`; counts as one reference run.
+ReuseTable::Outcome reference_outcome(const link::Image& img,
+                                      const CacheConfig& c) {
+  sim::SimConfig cfg;
+  cfg.cache = c;
+  const sim::SimResult run = reference::simulate(img, cfg);
+  return {run.cache_hits, run.cache_misses, run.cycles};
+}
+
+// The table and the production cached run against the seed simulator,
+// which charges its cache per access one instruction at a time: the
+// compiled blocks must report fetches and loads in program order.
 TEST(ReuseTable, EveryExecutionPathObservesTheSameStream) {
+  const uint64_t runs = reference::simulator_runs();
+  uint64_t compared = 0;
   for (const auto& wl : workloads::cached_paper_benchmarks()) {
     const link::Image img = link::link_program(wl->module, {}, {});
     for (const bool unified : {true, false}) {
-      const ReuseTable tier = record(img, unified);
-      const ReuseTable fast = record(img, unified, /*block_tier=*/false);
-      const ReuseTable legacy = record(img, unified, false, /*fast_path=*/false);
+      const ReuseTable table = record(img, unified);
       for (uint32_t size = 16; size <= (1u << 20); size *= 4) {
-        const CacheConfig c = geometry(size, 1, unified);
-        EXPECT_EQ(tier.lookup(c), fast.lookup(c)) << wl->name << " " << size;
-        EXPECT_EQ(tier.lookup(c), legacy.lookup(c)) << wl->name << " " << size;
+        const CacheConfig c = geometry(size, size >= 64 ? 2 : 1, unified);
+        const ReuseTable::Outcome want = reference_outcome(img, c);
+        ++compared;
+        const std::string where = wl->name + " " + std::to_string(size) +
+                                  (unified ? " unified" : " icache");
+        EXPECT_EQ(table.lookup(c), want) << where;
+        EXPECT_EQ(simulate_with(img, c), want) << where;
       }
     }
   }
+  EXPECT_EQ(reference::simulator_runs(), runs + compared);
 }
 
 TEST(ReuseTable, ScratchpadAccessesStayOutOfTheStreams) {
@@ -120,8 +139,9 @@ TEST(ReuseTable, ScratchpadAccessesStayOutOfTheStreams) {
 }
 
 /// A loop whose second block rewrites an instruction of the first (already
-/// executed) block, then re-enters it: the block tier must invalidate and
-/// fall back, and the observed stream must still match the oracle.
+/// executed) block, then re-enters it: the block must be invalidated and
+/// its instructions run one at a time, and the observed stream must still
+/// match the oracle.
 minic::ObjModule selfmod_loop_module(uint32_t target_addr) {
   using isa::Instr;
   using isa::Op;
@@ -181,12 +201,16 @@ TEST(ReuseTable, SelfModifyingProgramMatchesFunctionalCache) {
   sim::SimConfig cfg;
   cfg.reuse = &rec;
   sim::Simulator s(img, cfg);
-  ASSERT_TRUE(s.block_tier_active());
   const sim::SimResult run = s.run();
   EXPECT_TRUE(s.stack_window_active());
   ASSERT_EQ(run.output, (std::vector<int32_t>{7, 42}));
   EXPECT_EQ(s.block_invalidations(), 1u);
+  EXPECT_GT(s.fallback_instructions(), 0u);
   expect_table_exact(img, "selfmod");
+  for (const bool unified : {true, false}) {
+    const CacheConfig c = geometry(64, 1, unified);
+    EXPECT_EQ(simulate_with(img, c), reference_outcome(img, c));
+  }
 }
 
 TEST(ReuseTable, RejectsGeometriesOutsideTheTable) {

@@ -1,111 +1,105 @@
-// Fast-path coverage for the simulator hot-path overhauls: field-exact
-// parity between the block-tier (superblock threaded code), fast
-// (predecoded + flat-translation + interned profile) and legacy simulation
-// paths on the paper benchmarks under both memory setups, SymbolIndex
-// id-resolution edge cases, predecode-table bounds, and self-modifying-code
-// invalidation at both the predecode and compiled-block level.
+// Parity of the simulator's one executor (compiled blocks plus the one-op
+// fallback, sim/block_table.h) against the seed interpreter
+// reference::simulate: field-exact cycles, instructions, cache statistics,
+// outputs, profiles and trap messages on the paper benchmarks under every
+// memory setup, hand-built trap programs and self-modifying code; plus
+// SymbolIndex id-resolution edge cases and the block table's span bounds.
 #include <gtest/gtest.h>
 
 #include "alloc/allocator.h"
-#include "isa/decode.h"
 #include "isa/encode.h"
 #include "link/layout.h"
 #include "minic/codegen.h"
-#include "sim/predecode.h"
+#include "program/decoded_image.h"
+#include "reference/simulator.h"
 #include "sim/simulator.h"
 #include "workloads/workload.h"
 
 namespace spmwcet::sim {
 namespace {
 
-void expect_same_result(const SimResult& fast, const SimResult& legacy,
+void expect_same_result(const SimResult& got, const SimResult& want,
                         const std::string& what) {
-  EXPECT_EQ(fast.cycles, legacy.cycles) << what;
-  EXPECT_EQ(fast.instructions, legacy.instructions) << what;
-  EXPECT_EQ(fast.cache_hits, legacy.cache_hits) << what;
-  EXPECT_EQ(fast.cache_misses, legacy.cache_misses) << what;
-  EXPECT_EQ(fast.output, legacy.output) << what;
-  EXPECT_EQ(fast.profile.stack, legacy.profile.stack) << what;
-  EXPECT_EQ(fast.profile.other, legacy.profile.other) << what;
-  ASSERT_EQ(fast.profile.symbols.size(), legacy.profile.symbols.size())
-      << what;
-  for (const auto& [name, counts] : legacy.profile.symbols) {
-    const AccessCounts* got = fast.profile.find(name);
-    ASSERT_NE(got, nullptr) << what << ": missing symbol " << name;
-    EXPECT_EQ(*got, counts) << what << ": symbol " << name;
+  EXPECT_EQ(got.cycles, want.cycles) << what;
+  EXPECT_EQ(got.instructions, want.instructions) << what;
+  EXPECT_EQ(got.cache_hits, want.cache_hits) << what;
+  EXPECT_EQ(got.cache_misses, want.cache_misses) << what;
+  EXPECT_EQ(got.output, want.output) << what;
+  EXPECT_EQ(got.profile.stack, want.profile.stack) << what;
+  EXPECT_EQ(got.profile.other, want.profile.other) << what;
+  ASSERT_EQ(got.profile.symbols.size(), want.profile.symbols.size()) << what;
+  for (const auto& [name, counts] : want.profile.symbols) {
+    const AccessCounts* c = got.profile.find(name);
+    ASSERT_NE(c, nullptr) << what << ": missing symbol " << name;
+    EXPECT_EQ(*c, counts) << what << ": symbol " << name;
   }
-  EXPECT_TRUE(fast.profile == legacy.profile) << what;
+  EXPECT_TRUE(got.profile == want.profile) << what;
 }
 
-SimResult run_with(const link::Image& img, bool fast,
-                   std::optional<cache::CacheConfig> cache = {},
-                   bool block_tier = true) {
-  SimConfig cfg;
-  cfg.collect_profile = true;
-  cfg.fast_path = fast;
-  cfg.cache = cache;
-  cfg.block_tier = block_tier;
-  return simulate(img, cfg);
-}
+/// A production run held field-exact against the reference, with what the
+/// production simulator reports about how it ran.
+struct Checked {
+  SimResult result;
+  uint64_t fallback = 0;
+  bool window = false;
+  uint64_t invalidations = 0;
+};
 
-/// A block-tier run that asserts the tier and its stack window engaged.
-SimResult run_tier(const link::Image& img, SimConfig cfg,
-                   const std::string& what) {
+Checked expect_parity(const link::Image& img, const SimConfig& cfg,
+                      const std::string& what) {
+  const uint64_t runs = reference::simulator_runs();
+  const SimResult want = reference::simulate(img, cfg);
+  EXPECT_EQ(reference::simulator_runs(), runs + 1) << what;
   Simulator s(img, cfg);
-  EXPECT_TRUE(s.block_tier_active()) << what;
-  const SimResult r = s.run();
-  EXPECT_TRUE(s.stack_window_active()) << what;
-  return r;
+  SimResult got = s.run();
+  expect_same_result(got, want, what);
+  return {std::move(got), s.fallback_instructions(), s.stack_window_active(),
+          s.block_invalidations()};
 }
 
-SimConfig profiling() {
+SimConfig profiling(std::optional<cache::CacheConfig> cache = {}) {
   SimConfig cfg;
   cfg.collect_profile = true;
+  cfg.cache = cache;
   return cfg;
 }
 
-// The overhauled simulator must reproduce the seed path field-exactly on
-// every paper benchmark under both memory setups of the evaluation: the
-// scratchpad branch (profile-driven allocation, no cache) and the cache
-// branch (no-assignment image, unified cache).
+/// A 1 KiB direct-mapped cache, unified or instruction-only.
+cache::CacheConfig kib_cache(bool unified) {
+  cache::CacheConfig c;
+  c.size_bytes = 1024;
+  c.unified = unified;
+  return c;
+}
+
+// Every paper benchmark under every memory setup of the evaluation: the
+// canonical profiling run, an SPM 1024 placement (with and without
+// profiling), and a 1 KiB unified and instruction-only cache over the
+// canonical image. Each run is field-identical to the reference and ran
+// entirely in compiled blocks with the stack window engaged.
 TEST(SimFastPath, ParityOnPaperBenchmarksBothSetups) {
   for (const auto& wl : workloads::cached_paper_benchmarks()) {
-    // Scratchpad setup at a mid-size capacity, the paper's main flow.
     link::LinkOptions opts;
     opts.spm_size = 1024;
-    const link::Image profile_img = link::link_program(wl->module, {}, {});
-    const auto profile = run_with(profile_img, /*fast=*/false).profile;
-    const auto alloc =
-        alloc::allocate_energy_optimal(wl->module, profile, opts.spm_size);
-    const link::Image spm_img =
+    const link::Image canonical = link::link_program(wl->module, {}, {});
+    const Checked profile =
+        expect_parity(canonical, profiling(), wl->name + "/canonical");
+    const auto alloc = alloc::allocate_energy_optimal(
+        wl->module, profile.result.profile, opts.spm_size);
+    const link::Image placed =
         link::link_program(wl->module, opts, alloc.assignment);
-    const SimResult legacy_spm = run_with(spm_img, false);
-    expect_same_result(run_tier(spm_img, profiling(), wl->name + "/spm"),
-                       legacy_spm, wl->name + "/spm/block-tier");
-    expect_same_result(
-        run_tier(profile_img, profiling(), wl->name + "/canonical"),
-        run_with(profile_img, false), wl->name + "/canonical/block-tier");
-    expect_same_result(run_with(spm_img, true, {}, /*block_tier=*/false),
-                       legacy_spm, wl->name + "/spm/fast");
-
-    // Cache setup: unified 1 KiB direct-mapped over the no-assignment image.
-    cache::CacheConfig ccfg;
-    ccfg.size_bytes = 1024;
-    expect_same_result(run_with(profile_img, true, ccfg),
-                       run_with(profile_img, false, ccfg),
-                       wl->name + "/cache");
-
-    // Profiling disabled (the inner simulation of a sweep point).
-    SimConfig plain_legacy;
-    plain_legacy.fast_path = false;
-    const SimResult plain_ref = simulate(spm_img, plain_legacy);
-    SimConfig plain;
-    plain.fast_path = true;
-    expect_same_result(run_tier(spm_img, plain, wl->name + "/plain"),
-                       plain_ref, wl->name + "/plain/block-tier");
-    plain.block_tier = false;
-    expect_same_result(simulate(spm_img, plain), plain_ref,
-                       wl->name + "/plain/fast");
+    const std::pair<const char*, Checked> runs[] = {
+        {"canonical", profile},
+        {"spm", expect_parity(placed, profiling(), wl->name + "/spm")},
+        {"spm/plain", expect_parity(placed, {}, wl->name + "/spm/plain")},
+        {"cache", expect_parity(canonical, profiling(kib_cache(true)),
+                                wl->name + "/cache")},
+        {"icache", expect_parity(canonical, profiling(kib_cache(false)),
+                                 wl->name + "/icache")}};
+    for (const auto& [what, run] : runs) {
+      EXPECT_EQ(run.fallback, 0u) << wl->name << "/" << what;
+      EXPECT_TRUE(run.window) << wl->name << "/" << what;
+    }
   }
 }
 
@@ -135,8 +129,6 @@ TEST(SymbolIndexIds, BoundariesGapsAndAdjacency) {
     EXPECT_EQ(idx.symbol(at_last).name, s.name);
     const int past = idx.find_id(s.addr + s.size);
     if (past >= 0) EXPECT_NE(idx.symbol(past).name, s.name);
-    // find() and find_id() agree everywhere.
-    EXPECT_EQ(idx.find(s.addr), &idx.symbol(at_lo));
   }
 
   // The alignment gap after the odd-sized global belongs to no symbol.
@@ -153,44 +145,45 @@ TEST(SymbolIndexIds, BoundariesGapsAndAdjacency) {
   EXPECT_EQ(idx.find_id(0), -1);
 }
 
-TEST(CodeTable, CoversExactlyTheCodeRegions) {
+TEST(BlockTable, SpansCoverExactlyTheCodeRegions) {
   const auto wl = workloads::WorkloadRegistry::instance().benchmark("adpcm");
   const link::Image img = link::link_program(wl->module, {}, {});
   const SymbolIndex idx(img);
-  const CodeTable table(img, idx);
+  const BlockTable table(program::DecodedImage(img), idx, img);
 
-  CodeTable::Hit hit;
   bool saw_code = false, saw_pool = false;
   for (const auto& r : img.regions.regions()) {
     const bool is_code = r.kind == link::RegionKind::MainCode ||
                          r.kind == link::RegionKind::SpmCode;
     for (uint32_t addr = r.lo & ~1u; addr + 2 <= r.hi; addr += 2) {
+      // An odd pc never starts a block: the one-op fallback traps it.
+      EXPECT_EQ(table.find(addr + 1), -1) << addr + 1;
       if (is_code) {
         saw_code = true;
-        ASSERT_TRUE(table.lookup(addr, hit)) << "code halfword " << addr;
-        // The predecoded entry is exactly what fetch+decode would produce.
-        EXPECT_EQ(*hit.ins, isa::decode(img.read16(addr))) << addr;
-        EXPECT_EQ(hit.cls, link::mem_class(r.kind)) << addr;
-        // Odd pc never hits the table (the legacy path traps it).
-        EXPECT_FALSE(table.lookup(addr + 1, hit));
+        EXPECT_TRUE(table.covers(addr, 2)) << "code halfword " << addr;
+      } else if (r.kind == link::RegionKind::LiteralPool) {
+        // Pools between functions lie inside a span but start no block.
+        saw_pool = true;
+        EXPECT_EQ(table.find(addr), -1) << "pool " << addr;
       } else {
-        // Pools, data, stack: not predecoded, legacy fallback.
-        EXPECT_FALSE(table.lookup(addr, hit)) << "non-code " << addr;
-        if (r.kind == link::RegionKind::LiteralPool) saw_pool = true;
+        EXPECT_FALSE(table.covers(addr, 2)) << "data " << addr;
+        EXPECT_EQ(table.find(addr), -1) << "data " << addr;
       }
     }
   }
   EXPECT_TRUE(saw_code);
   EXPECT_TRUE(saw_pool) << "expected at least one literal pool in adpcm";
-  // Outside every region.
-  EXPECT_FALSE(table.lookup(0, hit));
-  EXPECT_FALSE(table.lookup(img.initial_sp - 4, hit));
+  // Every function entry starts a block; nothing outside the regions does.
+  for (const auto& sym : img.symbols)
+    if (sym.is_function) EXPECT_GE(table.find(sym.addr), 0) << sym.name;
+  EXPECT_FALSE(table.covers(0, 2));
+  EXPECT_EQ(table.find(img.initial_sp - 4), -1);
 }
 
 /// Hand-assembled program that overwrites one of its own instructions
-/// (placeholder `MOVI r3, #7` -> `MOVI r3, #42`) and then executes it.
-/// Exercises the store-to-code invalidation of the predecode table; the
-/// legacy path decodes from memory every fetch and is exact by definition.
+/// (placeholder `MOVI r3, #7` -> `MOVI r3, #42`) in the block it is
+/// executing and then executes it. The reference decodes from memory on
+/// every fetch and is exact by definition.
 minic::ObjModule selfmod_module(uint32_t target_addr) {
   using isa::Instr;
   using isa::Op;
@@ -227,7 +220,7 @@ minic::ObjModule selfmod_module(uint32_t target_addr) {
   return mod;
 }
 
-TEST(CodeTable, SelfModifyingStoreInvalidatesPredecode) {
+TEST(BlockTier, StoreIntoExecutingBlockAbortsAndStaysFieldExact) {
   // Two-pass link: learn main's address with placeholder immediates, then
   // rebuild with the real target (layout is deterministic and the
   // instruction count does not change).
@@ -238,21 +231,20 @@ TEST(CodeTable, SelfModifyingStoreInvalidatesPredecode) {
   ASSERT_LT(target, 0x10000u) << "two-byte immediate construction";
   const link::Image img = link::link_program(selfmod_module(target));
 
-  const auto legacy = run_with(img, /*fast=*/false);
-  ASSERT_EQ(legacy.output.size(), 1u);
-  EXPECT_EQ(legacy.output[0], 42) << "the store must patch the placeholder";
-  expect_same_result(run_with(img, /*fast=*/true), legacy,
-                     "selfmod/block-tier");
-  expect_same_result(run_with(img, /*fast=*/true, {}, /*block_tier=*/false),
-                     legacy, "selfmod/fast");
+  const Checked run = expect_parity(img, profiling(), "selfmod");
+  ASSERT_EQ(run.result.output, std::vector<int32_t>{42})
+      << "the store must patch the placeholder";
+  EXPECT_EQ(run.invalidations, 1u);
+  // The patched instruction and the rest of its block run one at a time.
+  EXPECT_GT(run.fallback, 0u);
 }
 
 /// Loop that patches an instruction in an *earlier*, already-executed
 /// compiled block: iteration 1 runs the placeholder block (prints 7), then
 /// a later block overwrites the placeholder halfword; iteration 2 re-enters
-/// the patched address (prints 42). Under the block tier the store lands in
-/// a block that is not the one currently executing, so it must invalidate
-/// it and force the re-entry onto the per-instruction path.
+/// the patched address (prints 42). The store lands in a block that is not
+/// the one currently executing, so it must invalidate it and force the
+/// re-entry onto the one-op fallback.
 minic::ObjModule selfmod_loop_module(uint32_t target_addr) {
   using isa::Instr;
   using isa::Op;
@@ -310,34 +302,14 @@ TEST(BlockTier, StoreIntoExecutedBlockInvalidatesAndStaysFieldExact) {
   ASSERT_LT(target, 0x10000u) << "two-byte immediate construction";
   const link::Image img = link::link_program(selfmod_loop_module(target));
 
-  SimConfig legacy_cfg;
-  legacy_cfg.collect_profile = true;
-  legacy_cfg.fast_path = false;
-  Simulator legacy_sim(img, legacy_cfg);
-  const SimResult legacy = legacy_sim.run();
-  ASSERT_EQ(legacy.output.size(), 2u);
-  EXPECT_EQ(legacy.output[0], 7) << "first pass runs the placeholder";
-  EXPECT_EQ(legacy.output[1], 42) << "second pass runs the patched copy";
-
-  SimConfig fast_cfg;
-  fast_cfg.collect_profile = true;
-  fast_cfg.fast_path = true;
-  fast_cfg.block_tier = false;
-  Simulator fast_sim(img, fast_cfg);
-  EXPECT_FALSE(fast_sim.block_tier_active());
-  expect_same_result(fast_sim.run(), legacy, "selfmod-loop/fast");
-  EXPECT_EQ(fast_sim.block_invalidations(), 0u) << "tier off: no blocks";
-
-  SimConfig tier_cfg;
-  tier_cfg.collect_profile = true;
-  tier_cfg.fast_path = true;
-  Simulator tier_sim(img, tier_cfg);
-  ASSERT_TRUE(tier_sim.block_tier_active());
-  expect_same_result(tier_sim.run(), legacy, "selfmod-loop/block-tier");
+  const Checked run = expect_parity(img, profiling(), "selfmod-loop");
+  ASSERT_EQ(run.result.output, (std::vector<int32_t>{7, 42}))
+      << "the first pass runs the placeholder, the second the patch";
   // Exactly one valid->invalid transition: the first STRH retires the
   // placeholder block; iteration 2's identical store hits a block that is
   // already invalid and must not recount.
-  EXPECT_EQ(tier_sim.block_invalidations(), 1u);
+  EXPECT_EQ(run.invalidations, 1u);
+  EXPECT_GT(run.fallback, 0u);
 }
 
 /// A module of hand-written functions (the entry is `main`): begin() opens
@@ -403,6 +375,53 @@ minic::ObjModule misaligned_store_module() {
   return std::move(m.mod);
 }
 
+/// Returns through a stacked odd word: POP {pc} lands on a misaligned pc.
+minic::ObjModule odd_return_module() {
+  using isa::Instr;
+  using isa::Op;
+  HandModule m;
+  m.begin("main");
+  m.ins(Instr{.op = Op::MOVI, .rd = 0, .imm = 1});
+  m.ins(Instr{.op = Op::PUSH, .sub = 0, .imm = 1});
+  m.ins(Instr{.op = Op::POP, .sub = 1, .imm = 0});
+  return std::move(m.mod);
+}
+
+/// Every ALU operation on a positive and a negative left operand, each
+/// result printed. The code generator leaves some of them out (it lowers
+/// subtraction to SUB3), so only a hand-built program runs their handlers.
+minic::ObjModule alu_module() {
+  using isa::AluOp;
+  using isa::Instr;
+  using isa::Op;
+  const auto alu = [](AluOp a, isa::Reg rm) {
+    return Instr{.op = Op::ALU, .sub = static_cast<uint8_t>(a), .rd = 0,
+                 .rm = rm};
+  };
+  HandModule m;
+  m.begin("main");
+  m.ins(Instr{.op = Op::PUSH, .sub = 1, .imm = 0});
+  for (const bool negative : {false, true})
+    for (uint8_t op = 0; op < isa::kNumAluOps; ++op) {
+      m.ins(Instr{.op = Op::MOVI, .rd = 0, .imm = 200});
+      if (negative) m.ins(alu(AluOp::NEG, 0));
+      m.ins(Instr{.op = Op::MOVI, .rd = 1, .imm = 7});
+      m.ins(alu(static_cast<AluOp>(op), 1));
+      m.ins(Instr{.op = Op::SYS, .sub = static_cast<uint8_t>(isa::SysFn::OUT),
+                  .rd = 0});
+    }
+  m.ins(Instr{.op = Op::POP, .sub = 1, .imm = 0});
+  return std::move(m.mod);
+}
+
+TEST(SimFastPath, EveryAluOpMatchesReference) {
+  const link::Image img = link::link_program(alu_module());
+  const Checked run = expect_parity(img, profiling(), "alu");
+  ASSERT_EQ(run.result.output.size(), 2u * isa::kNumAluOps);
+  EXPECT_EQ(run.result.output[static_cast<uint8_t>(isa::AluOp::SUB)], 193);
+  EXPECT_EQ(run.fallback, 0u);
+}
+
 /// The runaway loop: the instruction budget trap.
 minic::ObjModule runaway_module() {
   using namespace minic;
@@ -415,7 +434,7 @@ minic::ObjModule runaway_module() {
   return compile(p);
 }
 
-TEST(SimFastPath, TrapsMatchLegacyPath) {
+TEST(SimFastPath, TrapsMatchReference) {
   struct Case {
     const char* name;
     minic::ObjModule mod;
@@ -429,46 +448,39 @@ TEST(SimFastPath, TrapsMatchLegacyPath) {
                    "access to unmapped address"});
   cases.push_back({"misaligned store", misaligned_store_module(),
                    "misaligned store of 4 bytes"});
-  struct Mode {
-    bool fast;
-    bool block_tier;
-    const char* name;
-  };
+  cases.push_back({"odd return", odd_return_module(), "misaligned fetch at 1"});
   for (const Case& c : cases) {
     const link::Image img = link::link_program(c.mod);
-    std::string legacy_what;
-    for (const Mode mode : {Mode{false, false, "legacy"},
-                            Mode{true, false, "fast"},
-                            Mode{true, true, "block-tier"}}) {
-      const std::string what = std::string(c.name) + "/" + mode.name;
-      SimConfig cfg;
-      cfg.collect_profile = true;
-      cfg.fast_path = mode.fast;
-      cfg.block_tier = mode.block_tier;
-      cfg.max_instructions = 100'000;
-      Simulator s(img, cfg);
-      std::string got;
+    SimConfig cfg = profiling();
+    // Ends one instruction into the runaway's three-instruction loop block.
+    cfg.max_instructions = 100'001;
+    const auto trap = [&](const auto& run) {
       try {
-        s.run();
-        ADD_FAILURE() << what << ": no trap";
+        run();
       } catch (const SimulationError& e) {
-        got = e.what();
+        return std::string(e.what());
       }
-      if (!mode.fast) {
-        legacy_what = got;
-        EXPECT_EQ(got.rfind(c.trap, 0), 0u) << what << ": " << got;
-      } else {
-        EXPECT_EQ(got, legacy_what) << what;
-      }
-      // The block tier traps with its stack window engaged: the faulting
-      // SP-relative accesses left the window for the translated path.
-      EXPECT_EQ(s.stack_window_active(), mode.block_tier) << what;
-    }
+      ADD_FAILURE() << c.name << ": no trap";
+      return std::string();
+    };
+    const uint64_t runs = reference::simulator_runs();
+    const std::string want = trap([&] { reference::simulate(img, cfg); });
+    EXPECT_EQ(reference::simulator_runs(), runs + 1) << c.name;
+    EXPECT_EQ(want.rfind(c.trap, 0), 0u) << c.name << ": " << want;
+    Simulator s(img, cfg);
+    EXPECT_EQ(trap([&] { s.run(); }), want) << c.name;
+    // The faulting SP-relative accesses left the stack window for the
+    // translated path, which owns the traps.
+    EXPECT_TRUE(s.stack_window_active()) << c.name;
+    // The budget tail runs one instruction at a time, so the trap fires at
+    // the same instruction as the reference's.
+    if (std::string(c.name) == "runaway")
+      EXPECT_GT(s.fallback_instructions(), 0u);
   }
 }
 
 // Images whose stack window proof fails run through the translated
-// accesses, field-identical to the seed path, with the window off: a global
+// accesses, field-identical to the reference, with the window off: a global
 // linked into the 64 KiB profile stack window, and a stack top below 64 KiB
 // (the profile window would wrap below address zero, so it is empty).
 TEST(SimFastPath, FailedStackWindowProofKeepsParity) {
@@ -494,12 +506,10 @@ TEST(SimFastPath, FailedStackWindowProofKeepsParity) {
        {std::pair{"global in window", in_window},
         std::pair{"low stack", low_stack}}) {
     const link::Image img = link::link_program(mod, opts);
-    Simulator tier(img, profiling());
-    ASSERT_TRUE(tier.block_tier_active()) << name;
-    const SimResult got = tier.run();
-    EXPECT_FALSE(tier.stack_window_active()) << name;
-    expect_same_result(got, run_with(img, /*fast=*/false), name);
-    EXPECT_GT(got.profile.symbols.at("a").total(), 0u) << name;
+    const Checked run = expect_parity(img, profiling(), name);
+    EXPECT_FALSE(run.window) << name;
+    EXPECT_EQ(run.fallback, 0u) << name;
+    EXPECT_GT(run.result.profile.symbols.at("a").total(), 0u) << name;
   }
 }
 

@@ -127,15 +127,17 @@ TEST(Wire, DecodesWcetBenchRequest) {
 TEST(Wire, SimBenchRowsCarryStackWindowEngagement) {
   api::SimBenchResult result;
   result.repeat = 1;
-  result.rows.push_back({"g721", "baseline", 10, 0.5, 20.0, true});
-  result.rows.push_back({"g721", "spm", 10, 0.5, 20.0, false});
+  result.rows.push_back({"g721", "baseline", 10, 0.5, 20.0, true, 0});
+  result.rows.push_back({"g721", "spm", 10, 0.5, 20.0, false, 3});
   const json::Value v = api::wire::simbench_to_json(result);
-  EXPECT_EQ(v.find("schema")->as_string(), "spmwcet-sim-throughput/5");
+  EXPECT_EQ(v.find("schema")->as_string(), "spmwcet-sim-throughput/6");
   const json::Value* rows = v.find("benchmarks");
   ASSERT_NE(rows, nullptr);
   ASSERT_EQ(rows->items().size(), 2u);
   EXPECT_TRUE(rows->items()[0].find("stack_window")->as_bool());
   EXPECT_FALSE(rows->items()[1].find("stack_window")->as_bool());
+  EXPECT_EQ(rows->items()[0].find("fallback_instructions")->as_int(), 0);
+  EXPECT_EQ(rows->items()[1].find("fallback_instructions")->as_int(), 3);
 }
 
 TEST(Wire, RetiredModeFieldsAreRefused) {
