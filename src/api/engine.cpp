@@ -334,8 +334,7 @@ SimBenchResult Engine::measure_simbench(const SimBenchRequest& req) {
   for (const std::string& name : workloads::simbench_names()) {
     const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
     pin(wl);
-    const auto img = artifacts_.image(
-        *wl, [&] { return link::link_program(wl->module, {}, {}); });
+    const auto img = harness::canonical_image(*wl, artifacts_);
 
     SimBenchResult::Row row = measure(wl->name, "baseline", *img);
     total_instr += row.instructions;
@@ -347,16 +346,11 @@ SimBenchResult Engine::measure_simbench(const SimBenchRequest& req) {
     if (req.spm_bytes() == 0) continue;
     // SPM-placed configuration: the paper's allocation flow (untimed setup)
     // followed by the same timed measurement on the placed image.
-    const auto profile = artifacts_.profile(*wl, [&] {
-      sim::SimConfig pcfg;
-      pcfg.collect_profile = true;
-      sim::Simulator profiler(*img, pcfg);
-      return profiler.run().profile;
-    });
+    const auto run = harness::canonical_run(*wl, artifacts_);
     link::LinkOptions opts;
     opts.spm_size = req.spm_bytes();
-    const auto alloc =
-        alloc::allocate_energy_optimal(wl->module, *profile, req.spm_bytes());
+    const auto alloc = alloc::allocate_energy_optimal(
+        wl->module, run->profile, req.spm_bytes());
     const link::Image spm_img =
         link::link_program(wl->module, opts, alloc.assignment);
     SimBenchResult::Row spm_row = measure(wl->name, "spm", spm_img);
@@ -403,14 +397,8 @@ WcetBenchResult Engine::measure_wcetbench(const WcetBenchRequest& req) {
   double total_seconds = 0.0;
   for (const auto& wl : workloads::cached_paper_benchmarks()) {
     pin(wl);
-    const auto img = artifacts_.image(
-        *wl, [&] { return link::link_program(wl->module, {}, {}); });
-    const auto profile = artifacts_.profile(*wl, [&] {
-      sim::SimConfig pcfg;
-      pcfg.collect_profile = true;
-      sim::Simulator profiler(*img, pcfg);
-      return profiler.run().profile;
-    });
+    const auto img = harness::canonical_image(*wl, artifacts_);
+    const auto run = harness::canonical_run(*wl, artifacts_);
     // Pre-link the SPM placements the sweep would analyze.
     std::vector<link::Image> placed;
     placed.reserve(sizes.size());
@@ -418,7 +406,7 @@ WcetBenchResult Engine::measure_wcetbench(const WcetBenchRequest& req) {
       link::LinkOptions opts;
       opts.spm_size = size;
       const auto alloc =
-          alloc::allocate_energy_optimal(wl->module, *profile, size);
+          alloc::allocate_energy_optimal(wl->module, run->profile, size);
       placed.push_back(link::link_program(wl->module, opts, alloc.assignment));
     }
 

@@ -176,7 +176,7 @@ struct EngineStats {
   uint64_t response_evictions = 0; ///< responses dropped by the LRU cap
   uint64_t admission_waits = 0; ///< requests that queued at the admission gate
   uint64_t shed = 0; ///< requests rejected at the gate (Overloaded/deadline)
-  support::MemoStats profile_artifacts; ///< cross-request profile cache
+  support::MemoStats profile_artifacts; ///< canonical runs (misses = runs)
   support::MemoStats image_artifacts;   ///< cross-request image cache
   support::MemoStats shape_artifacts;   ///< invariant analyzer skeletons
   support::MemoStats view_artifacts;    ///< bound analyzer front ends
@@ -184,8 +184,8 @@ struct EngineStats {
   support::MemoStats reuse_artifacts; ///< all-geometry cache tables (misses
                                       ///< = observed runs)
   support::MemoStats candidates_artifacts; ///< allocation candidate tables
-  support::MemoStats placement_artifacts;  ///< placed SPM runs (misses =
-                                           ///< distinct placements run)
+  support::MemoStats placement_artifacts;  ///< placed SPM points (misses =
+                                           ///< distinct placements priced)
   /// IPET skeleton builds/hits/memo hits/fallbacks summed over the
   /// per-workload stores: hits > 0 with no fallbacks shows the skeletons
   /// served the solves.

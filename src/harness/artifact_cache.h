@@ -1,18 +1,18 @@
 // Shared cache of the experiment artifacts that repeat across sweep points.
 //
-// Per workload: the paper's allocation profile comes from a no-assignment
-// (main-memory-only) image, so the profiling simulation and the candidate
-// table built from it (alloc::collect_objects) serve every scratchpad
-// capacity. That image is also what the cache branch runs at every cache
-// size, and one observed run of it yields every cache geometry's cycles and
-// hits (cache::ReuseTable). The analyzer's layout-invariant ProgramShape,
-// the ProgramView bound to the canonical image, its DecodedImage and the
-// IPET skeleton store are one per workload as well.
+// Per workload: the canonical run of the no-assignment (main-memory-only)
+// image, whose profile and candidate table (alloc::collect_objects) serve
+// every scratchpad capacity and which prices every placement. That image is
+// also what the cache branch runs at every cache size, and one observed run
+// of it yields every cache geometry's cycles and hits (cache::ReuseTable).
+// The analyzer's layout-invariant ProgramShape, the ProgramView bound to
+// the canonical image, its DecodedImage and the IPET skeleton store are one
+// per workload as well.
 //
 // Per placement: a placed image depends only on the module and the
 // SpmAssignment (the capacity only gates the link's overflow check), so
-// sizes whose allocations choose the same objects share one placed run.
-// The artifact keeps the run's numbers (PlacedRun), not the image.
+// sizes whose allocations choose the same objects share one placed point.
+// The artifact keeps the point's numbers (PlacedRun), not the image.
 //
 // Every point runs through an ArtifactCache: the batch's, the Engine's, or
 // a point-local one when the caller has none.
@@ -31,11 +31,9 @@
 
 #include "alloc/memory_objects.h"
 #include "cache/reuse_table.h"
-#include "link/image.h"
 #include "link/layout.h"
 #include "program/decoded_image.h"
-#include "sim/block_table.h"
-#include "sim/profile.h"
+#include "sim/simulator.h"
 #include "support/memoize.h"
 #include "wcet/frontend.h"
 #include "wcet/ipet.h"
@@ -43,8 +41,8 @@
 
 namespace spmwcet::harness {
 
-/// What the SPM branch keeps of one placed run: the point's numbers, not
-/// the image or the analyzer view.
+/// What the SPM branch keeps of one placement: the priced run's numbers and
+/// the placed image's bound, not the image or the analyzer view.
 struct PlacedRun {
   uint64_t sim_cycles = 0;
   uint64_t wcet_cycles = 0;
@@ -52,7 +50,7 @@ struct PlacedRun {
   uint32_t spm_extent = 0; ///< link::Image::spm_extent of the placed image
 };
 
-/// Identity of a placed run: the workload and the scratchpad contents.
+/// Identity of a placed point: the workload and the scratchpad contents.
 struct PlacementKey {
   const workloads::WorkloadInfo* workload = nullptr;
   link::SpmAssignment assignment;
@@ -61,7 +59,7 @@ struct PlacementKey {
 
 class ArtifactCache {
 public:
-  using ProfileFn = std::function<sim::AccessProfile()>;
+  using ProfileFn = std::function<sim::SimResult()>;
   using CandidatesFn = std::function<std::vector<alloc::MemoryObject>()>;
   using PlacementFn = std::function<PlacedRun()>;
   using ImageFn = std::function<link::Image()>;
@@ -72,9 +70,9 @@ public:
   using ReuseFn = std::function<cache::ReuseTable()>;
   using Stats = support::MemoStats;
 
-  /// Returns the workload's no-assignment access profile, computing it with
-  /// `compute` on first use and serving the shared copy afterwards.
-  std::shared_ptr<const sim::AccessProfile>
+  /// Returns the workload's canonical run (harness::canonical_run),
+  /// computing it with `compute` on first use.
+  std::shared_ptr<const sim::SimResult>
   profile(const workloads::WorkloadInfo& wl, const ProfileFn& compute) {
     return profiles_.get(&wl, compute);
   }
@@ -87,24 +85,24 @@ public:
     return candidates_.get(&wl, compute);
   }
 
-  /// Returns the placed run of `key`, running it with `compute` the first
-  /// time any size allocates that placement.
+  /// Returns the placed point of `key`, computing it with `compute` the
+  /// first time any size allocates that placement.
   std::shared_ptr<const PlacedRun> placement(const PlacementKey& key,
                                              const PlacementFn& compute) {
     return placements_.get(key, compute);
   }
 
   /// Returns the workload's canonical no-assignment image (the executable
-  /// the cache branch analyzes at every size and the profiling simulation
-  /// runs on), linking it with `compute` once per workload per batch.
+  /// the cache branch analyzes at every size and the canonical run
+  /// executes), linking it with `compute` once per workload per batch.
   std::shared_ptr<const link::Image>
   image(const workloads::WorkloadInfo& wl, const ImageFn& compute) {
     return images_.get(&wl, compute);
   }
 
   /// Returns the shared decode table of the workload's canonical image —
-  /// used by the cache branch's observed run, the profiling simulation and
-  /// the analyzer front end, so the image's code is decoded once per
+  /// used by the cache branch's observed run, the canonical run and the
+  /// analyzer front end, so the image's code is decoded once per
   /// workload.
   std::shared_ptr<const program::DecodedImage>
   decoded(const workloads::WorkloadInfo& wl, const DecodedFn& compute) {
@@ -112,10 +110,8 @@ public:
   }
 
   /// Returns the compiled superblock table of the workload's canonical
-  /// no-assignment image — shared by the profiling simulation and the
-  /// cache branch's observed run (the block tier compiles per image, and
-  /// both run the no-assignment layout). A placed SPM image compiles its own
-  /// table inside the simulator, once per placement (see placement()).
+  /// no-assignment image — shared by the canonical run and the cache
+  /// branch's observed run, a workload's only two simulations.
   std::shared_ptr<const sim::BlockTable>
   blocks(const workloads::WorkloadInfo& wl, const BlocksFn& compute) {
     return blocks_.get(&wl, compute);
@@ -158,13 +154,13 @@ public:
     return reuse_.get({&wl, unified}, compute);
   }
 
-  /// hits = served from cache, misses = ran the profiling simulation.
+  /// hits = served from cache, misses = ran the canonical simulation.
   Stats stats() const { return profiles_.stats(); }
 
   /// hits = reused the candidate table, misses = built it from the profile.
   Stats candidates_stats() const { return candidates_.stats(); }
 
-  /// hits = reused a placed run, misses = linked, simulated and analyzed
+  /// hits = reused a placed point, misses = priced, linked and analyzed
   /// the placement.
   Stats placement_stats() const { return placements_.stats(); }
 
@@ -217,8 +213,7 @@ public:
   }
 
 private:
-  support::Memoizer<const workloads::WorkloadInfo*, sim::AccessProfile>
-      profiles_;
+  support::Memoizer<const workloads::WorkloadInfo*, sim::SimResult> profiles_;
   support::Memoizer<const workloads::WorkloadInfo*,
                     std::vector<alloc::MemoryObject>>
       candidates_;

@@ -2,8 +2,6 @@
 
 #include "harness/artifact_cache.h"
 
-#include <algorithm>
-
 #include "alloc/allocator.h"
 #include "link/layout.h"
 #include "program/decoded_image.h"
@@ -16,13 +14,6 @@ namespace spmwcet::harness {
 
 namespace {
 
-/// The canonical no-assignment link shared by the cache branch and the
-/// profiling simulation.
-std::shared_ptr<const link::Image>
-no_assignment_image(const workloads::WorkloadInfo& wl, ArtifactCache& ac) {
-  return ac.image(wl, [&] { return link::link_program(wl.module, {}, {}); });
-}
-
 /// The workload's layout-invariant analyzer skeleton. Any link of the
 /// module yields the same shape, so the compute may run against whichever
 /// image reaches it first.
@@ -33,7 +24,7 @@ shape_for(const workloads::WorkloadInfo& wl, ArtifactCache& ac,
 }
 
 /// Shared decode of the canonical no-assignment image (cache branch and
-/// profiling simulation): one decode per workload.
+/// canonical run): one decode per workload.
 std::shared_ptr<const program::DecodedImage>
 canonical_decoded(const workloads::WorkloadInfo& wl, ArtifactCache& ac,
                   const link::Image& img) {
@@ -41,8 +32,7 @@ canonical_decoded(const workloads::WorkloadInfo& wl, ArtifactCache& ac,
 }
 
 /// The block table of the canonical no-assignment image, compiled once per
-/// workload for the profiling simulation and the cache branch's observed
-/// run.
+/// workload for the canonical run and the cache branch's observed run.
 std::shared_ptr<const sim::BlockTable>
 canonical_blocks(const workloads::WorkloadInfo& wl, ArtifactCache& ac,
                  const link::Image& img, const program::DecodedImage& dec) {
@@ -81,44 +71,6 @@ void validate_outputs(const workloads::WorkloadInfo& wl, sim::Simulator& s,
   }
 }
 
-/// Profile-based energy estimate of an uncached run: every profiled access
-/// is charged by the memory class its symbol landed in; stack and
-/// anonymous traffic is main memory.
-double estimate_energy(const link::Image& img, const sim::SimResult& run) {
-  const energy::EnergyModel em;
-  double nj = static_cast<double>(run.cycles) * em.cpu_cycle_nj;
-  auto charge = [&](const sim::AccessCounts& c, isa::MemClass cls) {
-    nj += static_cast<double>(c.fetch) * em.access_nj(cls, 2);
-    for (int w = 0; w < 3; ++w)
-      nj += static_cast<double>(c.load[w] + c.store[w]) *
-            em.access_nj(cls, 1u << w);
-  };
-  // The profile is keyed by name in name order, so one name-sorted index of
-  // the image resolves every profiled symbol in a single merge. The sort is
-  // stable: a repeated name resolves to its first symbol, as find_symbol
-  // would.
-  std::vector<const link::Symbol*> by_name;
-  by_name.reserve(img.symbols.size());
-  for (const link::Symbol& s : img.symbols) by_name.push_back(&s);
-  std::stable_sort(by_name.begin(), by_name.end(),
-                   [](const link::Symbol* a, const link::Symbol* b) {
-                     return a->name < b->name;
-                   });
-  auto next = by_name.begin();
-  for (const auto& [name, counts] : run.profile.symbols) {
-    while (next != by_name.end() && (*next)->name < name) ++next;
-    const link::Symbol* sym =
-        next != by_name.end() && (*next)->name == name ? *next : nullptr;
-    const isa::MemClass cls = sym != nullptr
-                                  ? img.regions.classify(sym->addr)
-                                  : isa::MemClass::MainMemory;
-    charge(counts, cls);
-  }
-  charge(run.profile.stack, isa::MemClass::MainMemory);
-  charge(run.profile.other, isa::MemClass::MainMemory);
-  return nj;
-}
-
 /// Energy of a cached run: cycles plus hits and misses.
 double cache_energy(const cache::ReuseTable::Outcome& run) {
   const energy::EnergyModel em;
@@ -139,7 +91,6 @@ reuse_table(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
     cache::ReuseTable::Builder rec(cfg.cache_unified);
     sim::SimConfig scfg;
     scfg.reuse = &rec;
-    scfg.predecoded = &dec;
     const auto blocks = canonical_blocks(wl, ac, img, dec);
     scfg.compiled_blocks = blocks.get();
     sim::Simulator s(img, scfg);
@@ -149,55 +100,34 @@ reuse_table(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
   });
 }
 
-/// The paper's allocation profile: one simulation of the canonical
-/// no-assignment image, whose access counts do not depend on the capacity.
-std::shared_ptr<const sim::AccessProfile>
-allocation_profile(const workloads::WorkloadInfo& wl, ArtifactCache& ac) {
-  return ac.profile(wl, [&] {
-    const auto img = no_assignment_image(wl, ac);
-    sim::SimConfig pcfg;
-    pcfg.collect_profile = true;
-    const auto dec = canonical_decoded(wl, ac, *img);
-    pcfg.predecoded = dec.get();
-    const auto blocks = canonical_blocks(wl, ac, *img, *dec);
-    pcfg.compiled_blocks = blocks.get();
-    sim::Simulator profiler(*img, pcfg);
-    return profiler.run().profile;
-  });
-}
-
-/// The placed run of one scratchpad assignment: relink, simulate the
-/// typical input, validate, analyze, estimate energy. The placed image is
-/// decoded once, feeding both the simulator's code table and the analyzer,
-/// which re-binds the workload's layout-invariant shape. The image does not
-/// depend on the capacity (it only gates the link's overflow check), so the
-/// result serves every size that allocates the same objects; `size` names
-/// the point in that check and in a validation failure.
+/// The placed point of one scratchpad assignment: the priced canonical run
+/// and the WCET of the relinked image, which re-binds the workload's shape.
+/// The image does not depend on the capacity (it only gates the link's
+/// overflow check, where `size` names the point), so the result serves
+/// every size that allocates the same objects.
 PlacedRun run_placement(const workloads::WorkloadInfo& wl, uint32_t size,
                         const link::SpmAssignment& assignment,
-                        const SweepConfig& cfg, ArtifactCache& ac) {
+                        const sim::SimResult& canonical, ArtifactCache& ac) {
+  const PricedRun priced = price_placement(canonical, assignment);
   link::LinkOptions opts;
   opts.spm_size = size;
   const link::Image img = link::link_program(wl.module, opts, assignment);
-  sim::SimConfig scfg;
-  scfg.collect_profile = true;
   const program::DecodedImage dec(img);
-  scfg.predecoded = &dec;
-  sim::Simulator s(img, scfg);
-  const sim::SimResult run = s.run();
-  validate_outputs(wl, s, "spm/" + std::to_string(size));
-  cfg.deadline.check("simulate");
   wcet::AnalyzerConfig acfg;
   const auto ipet = ac.ipet(wl);
   acfg.ipet_cache = ipet.get();
   const wcet::WcetReport report = wcet::analyze_wcet(
       wcet::bind_view(shape_for(wl, ac, img, dec), img, dec), acfg);
-  return PlacedRun{run.cycles, report.wcet, estimate_energy(img, run),
+  return PlacedRun{priced.cycles, report.wcet, priced.energy_nj,
                    img.spm_extent};
 }
 
 SweepPoint run_spm_point(const workloads::WorkloadInfo& wl, uint32_t size,
                          const SweepConfig& cfg, ArtifactCache& ac) {
+  // The canonical run: the energy knapsack's profile and every placement's
+  // price.
+  const auto canonical = canonical_run(wl, ac);
+
   // 1. Allocation, every point: profile-driven energy knapsack over the
   //    workload's candidate table (the paper's flow) or the WCET-driven
   //    greedy ablation.
@@ -208,9 +138,8 @@ SweepPoint run_spm_point(const workloads::WorkloadInfo& wl, uint32_t size,
     key.assignment = std::move(alloc.assignment);
     used = alloc.used_bytes;
   } else {
-    const auto profile = allocation_profile(wl, ac);
     const auto candidates = ac.candidates(wl, [&] {
-      return alloc::collect_objects(wl.module, *profile, {});
+      return alloc::collect_objects(wl.module, canonical->profile, {});
     });
     auto alloc = alloc::allocate_energy_optimal(*candidates, size);
     key.assignment = std::move(alloc.assignment);
@@ -218,11 +147,12 @@ SweepPoint run_spm_point(const workloads::WorkloadInfo& wl, uint32_t size,
   }
   cfg.deadline.check("allocate");
 
-  // 2. The placed run, once per distinct placement. Sizes whose knapsacks
-  //    choose the same objects share it; the capacity check still runs for
-  //    every point, with the link's own error.
-  const auto placed = ac.placement(
-      key, [&] { return run_placement(wl, size, key.assignment, cfg, ac); });
+  // 2. The placed point, once per distinct placement. Sizes whose
+  //    allocations choose the same objects share it; the capacity check
+  //    still runs for every point, with the link's own error.
+  const auto placed = ac.placement(key, [&] {
+    return run_placement(wl, size, key.assignment, *canonical, ac);
+  });
   link::check_spm_capacity(placed->spm_extent, size);
 
   SweepPoint pt;
@@ -241,7 +171,7 @@ SweepPoint run_cache_point(const workloads::WorkloadInfo& wl, uint32_t size,
   // One executable serves all cache sizes (caches are transparent): its
   // link, decode, observed run and bound analyzer front end are once per
   // workload, and each size re-runs only cache analysis, timing and IPET.
-  const auto shared_img = no_assignment_image(wl, ac);
+  const auto shared_img = canonical_image(wl, ac);
   const link::Image& img = *shared_img;
   const auto dec = canonical_decoded(wl, ac, img);
 
@@ -276,6 +206,67 @@ SweepPoint run_cache_point(const workloads::WorkloadInfo& wl, uint32_t size,
 }
 
 } // namespace
+
+std::shared_ptr<const link::Image>
+canonical_image(const workloads::WorkloadInfo& wl, ArtifactCache& ac) {
+  return ac.image(wl, [&] { return link::link_program(wl.module, {}, {}); });
+}
+
+std::shared_ptr<const sim::SimResult>
+canonical_run(const workloads::WorkloadInfo& wl, ArtifactCache& ac) {
+  return ac.profile(wl, [&] {
+    const auto img = canonical_image(wl, ac);
+    const auto dec = canonical_decoded(wl, ac, *img);
+    const auto blocks = canonical_blocks(wl, ac, *img, *dec);
+    sim::SimConfig pcfg;
+    pcfg.collect_profile = true;
+    pcfg.compiled_blocks = blocks.get();
+    sim::Simulator s(*img, pcfg);
+    sim::SimResult run = s.run();
+    validate_outputs(wl, s, "spm");
+    return run;
+  });
+}
+
+// Why the price is exact: a placed image runs the canonical instruction
+// stream on the same data, each access landing in the same object. MiniC
+// has no address values; the interpreter rejects out-of-range indices, so a
+// validated program never reaches past the object it indexes; relaxation is
+// function-relative, and a BL is 4 bytes wherever it lands. Only latencies
+// change: an access to an assigned object costs the scratchpad's Table-1
+// cycles instead of main memory's, and the profile is the canonical one.
+// The energy sums the placed run's terms in the same order.
+PricedRun price_placement(const sim::SimResult& canonical,
+                          const link::SpmAssignment& assignment) {
+  using isa::MemTiming;
+  const auto on_spm = [&](const std::string& name) {
+    return assignment.functions.count(name) != 0 ||
+           assignment.globals.count(name) != 0;
+  };
+  uint64_t cycles = canonical.cycles;
+  for (const auto& [name, c] : canonical.profile.symbols) {
+    if (!on_spm(name)) continue;
+    cycles -= c.fetch * (MemTiming::main_memory(2) - MemTiming::scratchpad());
+    for (int w = 0; w < 3; ++w)
+      cycles -= (c.load[w] + c.store[w]) *
+                (MemTiming::main_memory(1u << w) - MemTiming::scratchpad());
+  }
+
+  const energy::EnergyModel em;
+  double nj = static_cast<double>(cycles) * em.cpu_cycle_nj;
+  auto charge = [&](const sim::AccessCounts& c, isa::MemClass cls) {
+    nj += static_cast<double>(c.fetch) * em.access_nj(cls, 2);
+    for (int w = 0; w < 3; ++w)
+      nj += static_cast<double>(c.load[w] + c.store[w]) *
+            em.access_nj(cls, 1u << w);
+  };
+  for (const auto& [name, counts] : canonical.profile.symbols)
+    charge(counts, on_spm(name) ? isa::MemClass::Scratchpad
+                                : isa::MemClass::MainMemory);
+  charge(canonical.profile.stack, isa::MemClass::MainMemory);
+  charge(canonical.profile.other, isa::MemClass::MainMemory);
+  return PricedRun{cycles, nj};
+}
 
 namespace detail {
 

@@ -2,26 +2,29 @@
 // benchmark and one memory configuration, and sweeps memory sizes from
 // 64 bytes to 8 KiB.
 //
-// Scratchpad branch (per size): profile a main-memory-only run, solve the
-// energy knapsack, relink with the chosen objects on the SPM, simulate the
-// typical input (ACET), and run the WCET analyzer — no cache analysis. The
-// relinked run depends only on the chosen objects, so sizes that choose the
-// same ones share it (ArtifactCache::placement).
+// Scratchpad branch (per size): solve the energy knapsack over the profile
+// of the canonical (main-memory-only) run, price the placement's typical
+// input (ACET) and energy from that run, relink, and run the WCET analyzer
+// — no cache analysis. Sizes that choose the same objects share the placed
+// point (ArtifactCache::placement).
 // Cache branch (per size): read the typical-input cycles and hit counts of
 // the unified direct-mapped cache from the workload's reuse table (one
 // observed run serves every geometry, see cache/reuse_table.h) and analyze
 // with the MUST-only cache analysis.
 //
-// Every point validates the simulated outputs against the workload's native
-// reference, so a timing experiment can never silently run a miscompiled
-// binary.
+// The canonical run and the cache branch's observed run validate their
+// outputs against the workload's native reference, so a timing experiment
+// can never silently run a miscompiled binary.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "cache/geometry.h"
+#include "link/layout.h"
+#include "sim/simulator.h"
 #include "support/deadline.h"
 #include "support/table_printer.h"
 #include "workloads/workload.h"
@@ -43,7 +46,7 @@ struct SweepConfig {
   // Scratchpad-branch option: WCET-driven allocation instead of the
   // energy knapsack (future-work ablation).
   bool wcet_driven_alloc = false;
-  /// Shared artifacts (profiles, candidate tables, placed runs, cache
+  /// Shared artifacts (canonical runs, candidate tables, placements, cache
   /// tables, analyzer front ends): the Engine's session cache or one that
   /// SweepRunner::run_matrix scopes to a batch. Null gives the point a
   /// point-local cache, through the same pipeline.
@@ -66,10 +69,28 @@ struct SweepPoint {
   double energy_nj = 0.0; ///< estimated from the access profile
 };
 
+/// The workload's no-assignment image, linked once per ArtifactCache.
+std::shared_ptr<const link::Image>
+canonical_image(const workloads::WorkloadInfo& wl, ArtifactCache& ac);
+
+/// The canonical run: the profiled, output-validated simulation of
+/// canonical_image, once per ArtifactCache.
+std::shared_ptr<const sim::SimResult>
+canonical_run(const workloads::WorkloadInfo& wl, ArtifactCache& ac);
+
+struct PricedRun {
+  uint64_t cycles = 0;
+  double energy_nj = 0.0;
+};
+
+/// The cycles and energy of the placed image's typical-input run, priced
+/// from the canonical run by Table 1 (exact; see the definition).
+PricedRun price_placement(const sim::SimResult& canonical,
+                          const link::SpmAssignment& assignment);
+
 namespace detail {
-/// The pipeline primitive: profile/allocate/relink/simulate/analyze one
-/// (setup, size) point exactly as configured. This is what the Engine and
-/// the sweep workers execute.
+/// The pipeline primitive: one (setup, size) point exactly as configured.
+/// This is what the Engine and the sweep workers execute.
 SweepPoint execute_point(const workloads::WorkloadInfo& wl, MemSetup setup,
                          uint32_t size_bytes, const SweepConfig& cfg);
 } // namespace detail

@@ -64,7 +64,6 @@ WcetReport analyze_wcet(const ProgramView& view, const AnalyzerConfig& cfg) {
     CacheAnalysisConfig ccfg;
     ccfg.cache = *cfg.cache;
     ccfg.with_persistence = cfg.with_persistence;
-    ccfg.stack_window = cfg.stack_window;
     classification = analyze_cache_flat(img, graph, table, ccfg);
     inputs.classification = &classification;
     report.fetch_sites = table.fetch_sites;

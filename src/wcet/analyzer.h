@@ -39,8 +39,6 @@ struct AnalyzerConfig {
   /// Enables the persistence extension (paper future work; off = the
   /// MUST-only analysis used for the paper's numbers).
   bool with_persistence = false;
-  /// Stack extent assumed for stack-relative accesses in cache analysis.
-  uint32_t stack_window = 0x1000;
   /// Detect counted-loop bounds from the binary (aiT-style) and use them
   /// for loops that carry no annotation.
   bool auto_loop_bounds = false;

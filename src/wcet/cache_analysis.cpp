@@ -57,7 +57,7 @@ public:
     SPMWCET_CHECK_MSG(graph_.num_nodes() == table_.blocks.size() &&
                           graph_.func_addr.size() == table_.functions.size(),
                       "cache analysis: supergraph built for other CFGs");
-    stack_lo_ = img.initial_sp - cfg_.stack_window;
+    stack_lo_ = img.initial_sp - kAnalysisStackBytes;
     nsets_ = cfg_.cache.num_sets();
     assoc_ = cfg_.cache.assoc;
     line_shift_ = log2_pow2(cfg_.cache.line_bytes);

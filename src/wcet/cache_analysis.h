@@ -29,12 +29,16 @@
 
 namespace spmwcet::wcet {
 
+/// Window of possible stack addresses the cache analysis assumes for
+/// stack-relative accesses: this many bytes below the initial stack
+/// pointer. Sound only for programs whose stack fits in it; the tests run
+/// the paper trio and the generated corpus with a stack reserve of this
+/// size, where a deeper access traps.
+inline constexpr uint32_t kAnalysisStackBytes = 0x1000;
+
 struct CacheAnalysisConfig {
   cache::CacheConfig cache;
   bool with_persistence = false;
-  /// Window of possible stack addresses used for stack-relative accesses
-  /// (bytes below the initial stack pointer).
-  uint32_t stack_window = 0x1000;
 };
 
 /// A sorted, duplicate-free list of addresses or line numbers.

@@ -88,7 +88,7 @@ public:
       : img_(img), cfgs_(cfgs), root_(root), cfg_(cfg) {
     cfg_.cache.validate();
     require_resolved(cfgs_);
-    stack_lo_ = img.initial_sp - cfg_.stack_window;
+    stack_lo_ = img.initial_sp - wcet::kAnalysisStackBytes;
     build_edges();
   }
 

@@ -15,6 +15,8 @@
 #include "link/layout.h"
 #include "program/decoded_image.h"
 #include "reference/map_cache_analysis.h"
+#include "sim/simulator.h"
+#include "support/diag.h"
 #include "wcet/analyzer.h"
 #include "wcet/cache_analysis.h"
 #include "wcet/frontend.h"
@@ -60,6 +62,29 @@ TEST(CacheSoundness, WcetDominatesSimulationAcrossTheCacheMatrix) {
     }
   // 5 shapes x 8 programs x 12 configurations x 8 paper sizes.
   EXPECT_EQ(checked, std::size_t{5 * kProgramsPerShape * 12 * 8});
+}
+
+TEST(CacheSoundness, EveryStackFitsTheAnalysisStackWindow) {
+  // The cache analysis assumes every stack access lies within
+  // wcet::kAnalysisStackBytes below the initial stack pointer. Linked with a
+  // stack region of exactly that size, a deeper access is unmapped and
+  // traps, so the paper trio and every program of the matrix must run
+  // clean. A 16-byte region makes each of them trap: the probe can fail.
+  auto programs = workloads::cached_paper_benchmarks();
+  for (const std::string& shape : workloads::gen_shape_names())
+    for (uint32_t seed = 1; seed <= 8; ++seed)
+      programs.push_back(workloads::WorkloadRegistry::instance().benchmark(
+          "gen:" + shape + ":" + std::to_string(seed)));
+  for (const auto& wl : programs) {
+    link::LinkOptions opts;
+    opts.stack_reserve = wcet::kAnalysisStackBytes;
+    EXPECT_NO_THROW(sim::simulate(link::link_program(wl->module, opts, {})))
+        << wl->name;
+    opts.stack_reserve = 16;
+    EXPECT_THROW(sim::simulate(link::link_program(wl->module, opts, {})),
+                 SimulationError)
+        << wl->name;
+  }
 }
 
 TEST(CacheSoundness, PerSiteClassificationMatchesSeedAcrossTheMatrix) {

@@ -1,6 +1,7 @@
 // Harness integration tests: the paper's experiment shapes, asserted as
-// properties on small workloads so they run quickly in CI, and the placed-run
-// artifact that lets SPM sizes with the same allocation share one run.
+// properties on small workloads so they run quickly in CI, output
+// validation, and the placement artifact that lets SPM sizes with the same
+// allocation share one priced run and analysis.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -154,6 +155,26 @@ TEST(Harness, PersistenceSweepTightensCacheBound) {
   for (std::size_t i = 0; i < base.size(); ++i) {
     EXPECT_LE(pers[i].wcet_cycles, base[i].wcet_cycles);
     EXPECT_GE(pers[i].wcet_cycles, pers[i].sim_cycles);
+  }
+}
+
+TEST(Harness, WrongOutputFailsSpmAndCachePoints) {
+  // A workload whose reference disagrees with its run in one value: the
+  // canonical run fails every SPM point, the observed run every cache point.
+  workloads::WorkloadInfo wl = workloads::make_adpcm(32);
+  ASSERT_FALSE(wl.expected.empty());
+  ASSERT_FALSE(wl.expected.front().values.empty());
+  wl.expected.front().values.front() += 1;
+  for (const MemSetup setup : {MemSetup::Scratchpad, MemSetup::Cache}) {
+    std::string error = "no error";
+    try {
+      (void)run_point(wl, setup, 1024, SweepConfig{});
+    } catch (const Error& e) {
+      error = e.what();
+    }
+    EXPECT_NE(error.find("harness: " + wl.name + " produced wrong output"),
+              std::string::npos)
+        << to_string(setup) << ": " << error;
   }
 }
 

@@ -1,14 +1,25 @@
 // Scratchpad soundness matrix as a population property: for generated
 // programs of every shape, the analyzed WCET bound must dominate the
-// simulated (typical-input) cycles at every paper scratchpad size, under
-// the energy-optimal allocator and the WCET-driven greedy ablation.
-// Every point relinks its placement, simulates it, and times its blocks
-// from the memory facts resolved for that image — the SPM half of the
-// soundness matrix test_cache_soundness covers for caches.
+// typical-input cycles at every paper scratchpad size, under the
+// energy-optimal allocator and the WCET-driven greedy ablation. Every point
+// prices its placement from the workload's canonical run and times its
+// blocks from the memory facts resolved for the relinked image — the SPM
+// half of the soundness matrix test_cache_soundness covers for caches.
+//
+// The pricing oracle: on the paper trio and the WCET-driven subset of that
+// matrix, every distinct placement is also linked, simulated and validated,
+// and the priced cycles and energy must equal the simulation's bit for bit.
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "alloc/allocator.h"
+#include "energy/energy_model.h"
 #include "harness/artifact_cache.h"
 #include "harness/sweep_runner.h"
+#include "link/layout.h"
+#include "sim/simulator.h"
+#include "support/parallel.h"
 #include "workloads/generated.h"
 
 namespace spmwcet {
@@ -24,27 +35,145 @@ bool runs_wcet_driven(const std::string& shape, uint32_t seed) {
   return shape == "callheavy" ? seed == 2 : seed <= 4;
 }
 
+/// The energy estimate of a simulated run from its own profile: every
+/// profiled access is charged by the memory class its symbol landed in, and
+/// stack and anonymous traffic is main memory. price_placement must equal
+/// it on the placed image's run, term for term.
+double simulated_energy(const link::Image& img, const sim::SimResult& run) {
+  const energy::EnergyModel em;
+  double nj = static_cast<double>(run.cycles) * em.cpu_cycle_nj;
+  auto charge = [&](const sim::AccessCounts& c, isa::MemClass cls) {
+    nj += static_cast<double>(c.fetch) * em.access_nj(cls, 2);
+    for (int w = 0; w < 3; ++w)
+      nj += static_cast<double>(c.load[w] + c.store[w]) *
+            em.access_nj(cls, 1u << w);
+  };
+  for (const auto& [name, counts] : run.profile.symbols) {
+    const link::Symbol* sym = img.find_symbol(name);
+    charge(counts, sym != nullptr ? img.regions.classify(sym->addr)
+                                  : isa::MemClass::MainMemory);
+  }
+  charge(run.profile.stack, isa::MemClass::MainMemory);
+  charge(run.profile.other, isa::MemClass::MainMemory);
+  return nj;
+}
+
+/// What the placed image's own simulation gives for one placement.
+struct PlacedSimulation {
+  uint64_t cycles = 0;
+  double energy_nj = 0.0;
+};
+
+/// Links `assignment` at capacity `size`, simulates it, validates its
+/// outputs, and checks that only latencies moved: the instruction count,
+/// the OUT stream and the access profile are the canonical run's.
+PlacedSimulation simulate_placement(const workloads::WorkloadInfo& wl,
+                                    uint32_t size,
+                                    const link::SpmAssignment& assignment,
+                                    const sim::SimResult& canonical,
+                                    const std::string& what) {
+  link::LinkOptions opts;
+  opts.spm_size = size;
+  const link::Image img = link::link_program(wl.module, opts, assignment);
+  sim::SimConfig scfg;
+  scfg.collect_profile = true;
+  sim::Simulator s(img, scfg);
+  const sim::SimResult run = s.run();
+  for (const auto& exp : wl.expected)
+    for (std::size_t i = 0; i < exp.values.size(); ++i)
+      EXPECT_EQ(s.read_global(exp.name, static_cast<uint32_t>(i)),
+                exp.values[i])
+          << what << ": " << exp.name << "[" << i << "]";
+  EXPECT_EQ(run.instructions, canonical.instructions) << what;
+  EXPECT_EQ(run.output, canonical.output) << what;
+  EXPECT_TRUE(run.profile == canonical.profile) << what;
+  return {run.cycles, simulated_energy(img, run)};
+}
+
+/// The pricing oracle over one program's batch: every point's placed
+/// artifact (served from `artifacts`, where production stored it) must
+/// carry the point's numbers, and those must equal the placed image's own
+/// simulation bit for bit. Every placement production priced is simulated
+/// once. Returns the number of distinct placements compared.
+std::size_t expect_prices_match_simulation(
+    const workloads::WorkloadInfo& wl,
+    const std::vector<harness::MatrixRequest>& requests,
+    const std::vector<std::vector<harness::SweepPoint>>& sweeps,
+    harness::ArtifactCache& artifacts) {
+  const auto canonical = harness::canonical_run(wl, artifacts);
+  std::map<link::SpmAssignment, PlacedSimulation> simulated;
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    const harness::SweepConfig& cfg = requests[r].config;
+    // Each point's assignment, recomputed as production chose it (the
+    // WCET-driven greedy dominates the cost, so sizes run in parallel).
+    std::vector<link::SpmAssignment> chosen(cfg.sizes.size());
+    support::parallel_for(chosen.size(), 2, [&](std::size_t i) {
+      chosen[i] = cfg.wcet_driven_alloc
+                      ? alloc::allocate_wcet_driven(wl.module, cfg.sizes[i])
+                            .assignment
+                      : alloc::allocate_energy_optimal(
+                            wl.module, canonical->profile, cfg.sizes[i])
+                            .assignment;
+    });
+    for (std::size_t i = 0; i < cfg.sizes.size(); ++i) {
+      const std::string what =
+          wl.name + " spm " + std::to_string(cfg.sizes[i]) +
+          (cfg.wcet_driven_alloc ? " wcet-driven" : " energy");
+      const auto placed = artifacts.placement(
+          {&wl, chosen[i]}, [&]() -> harness::PlacedRun {
+            ADD_FAILURE() << what << ": production never priced it";
+            return {};
+          });
+      EXPECT_EQ(sweeps[r][i].sim_cycles, placed->sim_cycles) << what;
+      EXPECT_EQ(sweeps[r][i].energy_nj, placed->energy_nj) << what;
+      auto it = simulated.find(chosen[i]);
+      if (it == simulated.end())
+        it = simulated
+                 .emplace(chosen[i],
+                          simulate_placement(wl, cfg.sizes[i], chosen[i],
+                                             *canonical, what))
+                 .first;
+      EXPECT_EQ(placed->sim_cycles, it->second.cycles) << what;
+      EXPECT_EQ(placed->energy_nj, it->second.energy_nj) << what;
+    }
+  }
+  EXPECT_EQ(simulated.size(), artifacts.placement_stats().misses) << wl.name;
+  return simulated.size();
+}
+
+/// Both allocators' scratchpad sweeps of one program on one batch cache.
+std::vector<harness::MatrixRequest>
+both_allocators(const workloads::WorkloadInfo& wl,
+                harness::ArtifactCache& artifacts) {
+  std::vector<harness::MatrixRequest> requests;
+  for (const bool wcet_driven : {false, true}) {
+    harness::SweepConfig cfg;
+    cfg.setup = harness::MemSetup::Scratchpad;
+    cfg.wcet_driven_alloc = wcet_driven;
+    cfg.artifacts = &artifacts;
+    requests.push_back({&wl, cfg});
+  }
+  return requests;
+}
+
 TEST(SpmSoundness, WcetDominatesSimulationAcrossTheScratchpadLadder) {
+  // The WCET-driven subset also runs the pricing oracle on its batch.
   constexpr uint32_t kProgramsPerShape = 8;
   std::size_t checked = 0;
   std::size_t expected = 0;
+  std::size_t compared = 0;
   for (const std::string& shape : workloads::gen_shape_names())
     for (uint32_t seed = 1; seed <= kProgramsPerShape; ++seed) {
       const std::string name = "gen:" + shape + ":" + std::to_string(seed);
       const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
-      // One batch cache per program: one profile and one shape serve both
-      // allocators at every size.
+      // One batch cache per program: one canonical run and one shape serve
+      // both allocators at every size.
       harness::ArtifactCache artifacts;
-      std::vector<harness::MatrixRequest> requests;
-      for (const bool wcet_driven : {false, true}) {
-        if (wcet_driven && !runs_wcet_driven(shape, seed)) continue;
-        harness::SweepConfig cfg;
-        cfg.setup = harness::MemSetup::Scratchpad;
-        cfg.wcet_driven_alloc = wcet_driven;
-        cfg.artifacts = &artifacts;
-        requests.push_back({wl.get(), cfg});
-        expected += cfg.sizes.size();
-      }
+      std::vector<harness::MatrixRequest> requests =
+          both_allocators(*wl, artifacts);
+      if (!runs_wcet_driven(shape, seed)) requests.pop_back();
+      for (const auto& request : requests)
+        expected += request.config.sizes.size();
       const auto sweeps = harness::run_matrix(requests, 2);
       for (std::size_t r = 0; r < requests.size(); ++r) {
         const harness::SweepConfig& cfg = requests[r].config;
@@ -55,11 +184,27 @@ TEST(SpmSoundness, WcetDominatesSimulationAcrossTheScratchpadLadder) {
           ++checked;
         }
       }
+      if (runs_wcet_driven(shape, seed))
+        compared +=
+            expect_prices_match_simulation(*wl, requests, sweeps, artifacts);
     }
   // Energy allocator: 5 shapes x 8 programs x 8 paper sizes; WCET-driven:
   // 4 programs of each shape but callheavy's 1, x 8 sizes.
   EXPECT_EQ(checked, expected);
   EXPECT_EQ(expected, std::size_t{(5 * kProgramsPerShape + 4 * 4 + 1) * 8});
+  EXPECT_GT(compared, std::size_t{4 * 4 + 1});
+}
+
+TEST(SpmPricing, PaperTrioPricesMatchTheirSimulationBitForBit) {
+  std::size_t compared = 0;
+  for (const auto& wl : workloads::cached_paper_benchmarks()) {
+    harness::ArtifactCache artifacts;
+    const auto requests = both_allocators(*wl, artifacts);
+    const auto sweeps = harness::run_matrix(requests, 2);
+    compared += expect_prices_match_simulation(*wl, requests, sweeps, artifacts);
+  }
+  // The knapsack's 7/6/6 distinct placements plus the WCET-driven ones.
+  EXPECT_GE(compared, std::size_t{7 + 6 + 6});
 }
 
 } // namespace

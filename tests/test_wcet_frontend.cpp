@@ -399,7 +399,6 @@ struct SimplexParity {
       wcet::CacheAnalysisConfig ccfg;
       ccfg.cache = *acfg.cache;
       ccfg.with_persistence = acfg.with_persistence;
-      ccfg.stack_window = acfg.stack_window;
       cls = wcet::analyze_cache_flat(*view.img, g, view.scaffold.sites, ccfg);
     }
     std::map<uint32_t, uint64_t> callee_wcet;
@@ -532,7 +531,6 @@ wcet::SiteClassification classification_of(const wcet::ProgramView& view,
   wcet::CacheAnalysisConfig ccfg;
   ccfg.cache = *cfg.cache;
   ccfg.with_persistence = cfg.with_persistence;
-  ccfg.stack_window = cfg.stack_window;
   return wcet::analyze_cache_flat(*view.img, view.scaffold.supergraph,
                                   view.scaffold.sites, ccfg);
 }

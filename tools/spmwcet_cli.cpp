@@ -82,6 +82,8 @@
 #include "api/render.h"
 #include "api/serve.h"
 #include "api/serve_socket.h"
+#include "harness/artifact_cache.h"
+#include "harness/experiment.h"
 #include "link/layout.h"
 #include "sim/simulator.h"
 #include "wcet/analyzer.h"
@@ -366,15 +368,11 @@ int cmd_annotations(const Args& a) {
   if (a.spm_flag) {
     opts.spm_size = a.spm.value_or(0);
     // Use the paper's allocation flow to pick the scratchpad contents.
-    const link::Image profile_img = link::link_program(wl.module, opts, {});
-    sim::SimConfig pcfg;
-    pcfg.collect_profile = true;
-    sim::Simulator profiler(profile_img, pcfg);
-    const auto run = profiler.run();
-    assignment =
-        alloc::allocate_energy_optimal(wl.module, run.profile,
-                                       a.spm.value_or(0))
-            .assignment;
+    harness::ArtifactCache artifacts;
+    assignment = alloc::allocate_energy_optimal(
+                     wl.module, harness::canonical_run(wl, artifacts)->profile,
+                     a.spm.value_or(0))
+                     .assignment;
   }
   const link::Image img = link::link_program(wl.module, opts, assignment);
   img.regions.dump_annotations(std::cout);
