@@ -4,21 +4,21 @@
 // good as the energy-driven one at the same capacity.
 #include "bench_common.h"
 
-#include "alloc/allocator.h"
 #include "harness/sweep_runner.h"
-#include "link/layout.h"
-#include "sim/simulator.h"
-#include "wcet/analyzer.h"
 
 namespace {
 
 using namespace spmwcet;
 
+// One WCET-driven point as production runs it: each call scopes a fresh
+// cache to its batch, so every greedy trial is priced and analyzed anew.
 void BM_WcetDrivenAllocation(benchmark::State& state) {
   const auto wl = workloads::make_bubble_sort(24, workloads::SortInput::Random);
+  harness::SweepConfig cfg;
+  cfg.sizes = {512};
+  cfg.wcet_driven_alloc = true;
   for (auto _ : state)
-    benchmark::DoNotOptimize(
-        alloc::allocate_wcet_driven(wl.module, 512, link::LinkOptions{}));
+    benchmark::DoNotOptimize(harness::run_matrix({{&wl, cfg}}, /*jobs=*/1));
 }
 BENCHMARK(BM_WcetDrivenAllocation);
 

@@ -39,22 +39,11 @@ AllocationResult allocate_energy_optimal(
   return from_chosen(objects, solve_knapsack_dp(objects, spm_capacity));
 }
 
-AllocationResult allocate_wcet_driven(const minic::ObjModule& mod,
-                                      uint32_t spm_capacity,
-                                      link::LinkOptions opts) {
-  opts.spm_size = spm_capacity;
-
-  // Candidates with their sizes; benefits are discovered by re-analysis.
-  sim::AccessProfile empty_profile;
-  std::vector<MemoryObject> objects =
-      collect_objects(mod, empty_profile, energy::EnergyModel{});
-
+AllocationResult allocate_wcet_driven(
+    const std::vector<MemoryObject>& objects, uint32_t spm_capacity,
+    const std::function<uint64_t(const link::SpmAssignment&)>& wcet_of) {
   link::SpmAssignment current;
   uint32_t used = 0;
-  auto wcet_of = [&](const link::SpmAssignment& a) -> uint64_t {
-    const link::Image img = link::link_program(mod, opts, a);
-    return wcet::analyze_wcet(img).wcet;
-  };
   uint64_t current_wcet = wcet_of(current);
 
   std::vector<bool> taken(objects.size(), false);

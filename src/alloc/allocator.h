@@ -6,16 +6,16 @@
 //   and emit the link-time SPM assignment.
 // * allocate_wcet_driven — the paper's future-work idea: choose objects to
 //   minimize the *analyzed WCET* rather than profiled energy, via greedy
-//   best-improvement-per-byte re-analysis.
+//   best-improvement-per-byte trials, each priced by the caller.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "alloc/knapsack.h"
 #include "alloc/memory_objects.h"
 #include "link/layout.h"
-#include "wcet/analyzer.h"
 
 namespace spmwcet::alloc {
 
@@ -38,12 +38,13 @@ AllocationResult allocate_energy_optimal(const minic::ObjModule& mod,
 AllocationResult allocate_energy_optimal(
     const std::vector<MemoryObject>& objects, uint32_t spm_capacity);
 
-/// WCET-driven greedy allocation: repeatedly adds the object whose
-/// placement most reduces the analyzed WCET per byte, re-linking and
-/// re-analyzing after each candidate evaluation. `opts` supplies the
-/// address-space shape (its spm_size is overridden by `spm_capacity`).
-AllocationResult allocate_wcet_driven(const minic::ObjModule& mod,
-                                      uint32_t spm_capacity,
-                                      link::LinkOptions opts = {});
+/// WCET-driven greedy allocation: each round adds the untaken object (tried
+/// in table order, with 4 bytes of alignment slack) whose trial most
+/// reduces `wcet_of` per byte, the lowest index on ties; a trial that throws
+/// ProgramError (it overflows the capacity) is skipped, and the greedy stops
+/// when none improves. Reads only the objects' names, sizes and kinds.
+AllocationResult allocate_wcet_driven(
+    const std::vector<MemoryObject>& objects, uint32_t spm_capacity,
+    const std::function<uint64_t(const link::SpmAssignment&)>& wcet_of);
 
 } // namespace spmwcet::alloc

@@ -184,8 +184,9 @@ struct EngineStats {
   support::MemoStats reuse_artifacts; ///< all-geometry cache tables (misses
                                       ///< = observed runs)
   support::MemoStats candidates_artifacts; ///< allocation candidate tables
-  support::MemoStats placement_artifacts;  ///< placed SPM points (misses =
-                                           ///< distinct placements priced)
+  /// Placed SPM points: misses = distinct placements priced and analyzed,
+  /// WCET-driven greedy trials included.
+  support::MemoStats placement_artifacts;
   /// IPET skeleton builds/hits/memo hits/fallbacks summed over the
   /// per-workload stores: hits > 0 with no fallbacks shows the skeletons
   /// served the solves.

@@ -11,7 +11,8 @@
 //
 // Per placement: a placed image depends only on the module and the
 // SpmAssignment (the capacity only gates the link's overflow check), so
-// sizes whose allocations choose the same objects share one placed point.
+// sizes whose allocations choose the same objects share one placed point,
+// and the WCET-driven greedy prices each trial through the same artifact.
 // The artifact keeps the point's numbers (PlacedRun), not the image.
 //
 // Every point runs through an ArtifactCache: the batch's, the Engine's, or
@@ -86,7 +87,8 @@ public:
   }
 
   /// Returns the placed point of `key`, computing it with `compute` the
-  /// first time any size allocates that placement.
+  /// first time any size allocates that placement or, under the WCET-driven
+  /// greedy, tries it.
   std::shared_ptr<const PlacedRun> placement(const PlacementKey& key,
                                              const PlacementFn& compute) {
     return placements_.get(key, compute);
@@ -161,7 +163,8 @@ public:
   Stats candidates_stats() const { return candidates_.stats(); }
 
   /// hits = reused a placed point, misses = priced, linked and analyzed
-  /// the placement.
+  /// the placement. A WCET-driven sweep counts every distinct greedy trial
+  /// that linked at its size, the chosen placements among them.
   Stats placement_stats() const { return placements_.stats(); }
 
   /// hits = served from cache, misses = ran the no-assignment link.
@@ -169,9 +172,6 @@ public:
 
   /// hits = reused the shared decode table, misses = decoded the image.
   Stats decoded_stats() const { return decoded_.stats(); }
-
-  /// hits = reused the compiled block table, misses = compiled it.
-  Stats blocks_stats() const { return blocks_.stats(); }
 
   /// hits = reused the invariant analyzer skeleton, misses = built it.
   Stats shape_stats() const { return shapes_.stats(); }

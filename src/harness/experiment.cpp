@@ -128,32 +128,36 @@ SweepPoint run_spm_point(const workloads::WorkloadInfo& wl, uint32_t size,
   // price.
   const auto canonical = canonical_run(wl, ac);
 
-  // 1. Allocation, every point: profile-driven energy knapsack over the
-  //    workload's candidate table (the paper's flow) or the WCET-driven
-  //    greedy ablation.
-  PlacementKey key{&wl, {}};
-  uint32_t used = 0;
-  if (cfg.wcet_driven_alloc) {
-    auto alloc = alloc::allocate_wcet_driven(wl.module, size);
-    key.assignment = std::move(alloc.assignment);
-    used = alloc.used_bytes;
-  } else {
-    const auto candidates = ac.candidates(wl, [&] {
-      return alloc::collect_objects(wl.module, canonical->profile, {});
+  // A placed point, once per distinct placement: sizes whose allocations
+  // (or greedy trials) choose the same objects share it, and the capacity
+  // check still runs at every size, with the link's own error.
+  const auto placed_at = [&](const link::SpmAssignment& assignment) {
+    const auto placed = ac.placement({&wl, assignment}, [&] {
+      return run_placement(wl, size, assignment, *canonical, ac);
     });
-    auto alloc = alloc::allocate_energy_optimal(*candidates, size);
-    key.assignment = std::move(alloc.assignment);
-    used = alloc.used_bytes;
-  }
+    link::check_spm_capacity(placed->spm_extent, size);
+    return placed;
+  };
+
+  // 1. Allocation, every point, over the workload's candidate table: the
+  //    profile-driven energy knapsack (the paper's flow) or the WCET-driven
+  //    greedy ablation, which prices every trial as a placed point.
+  const auto candidates = ac.candidates(wl, [&] {
+    return alloc::collect_objects(wl.module, canonical->profile, {});
+  });
+  const alloc::AllocationResult allocation =
+      cfg.wcet_driven_alloc
+          ? alloc::allocate_wcet_driven(
+                *candidates, size,
+                [&](const link::SpmAssignment& trial) {
+                  cfg.deadline.check("allocate");
+                  return placed_at(trial)->wcet_cycles;
+                })
+          : alloc::allocate_energy_optimal(*candidates, size);
   cfg.deadline.check("allocate");
 
-  // 2. The placed point, once per distinct placement. Sizes whose
-  //    allocations choose the same objects share it; the capacity check
-  //    still runs for every point, with the link's own error.
-  const auto placed = ac.placement(key, [&] {
-    return run_placement(wl, size, key.assignment, *canonical, ac);
-  });
-  link::check_spm_capacity(placed->spm_extent, size);
+  // 2. The point's placed run; the greedy's choice was one of its trials.
+  const auto placed = placed_at(allocation.assignment);
 
   SweepPoint pt;
   pt.size_bytes = size;
@@ -161,7 +165,7 @@ SweepPoint run_spm_point(const workloads::WorkloadInfo& wl, uint32_t size,
   pt.wcet_cycles = placed->wcet_cycles;
   pt.ratio = static_cast<double>(placed->wcet_cycles) /
              static_cast<double>(placed->sim_cycles);
-  pt.spm_used_bytes = used;
+  pt.spm_used_bytes = allocation.used_bytes;
   pt.energy_nj = placed->energy_nj;
   return pt;
 }

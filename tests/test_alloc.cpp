@@ -2,12 +2,16 @@
 // oracle (tests/reference/knapsack.h) — the same choice on every paper and
 // generated candidate table, equal optima on random instances — and its
 // edge cases, energy-benefit accounting, capacity respect, and the
-// end-to-end monotonicity the paper's Figure 3a shows.
+// end-to-end monotonicity the paper's Figure 3a shows. The WCET-driven
+// greedy runs against the cold link-and-analyze price and a fake one that
+// pins each of its rules.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <random>
+#include <set>
 
 #include "alloc/allocator.h"
 #include "harness/experiment.h"
@@ -269,6 +273,19 @@ TEST(Allocator, LargerSpmNeverHurtsSimulatedTime) {
   }
 }
 
+/// The cold trial price: link the trial at the capacity and analyze the
+/// image from scratch (the harness answers the same from its placement
+/// artifacts).
+std::function<uint64_t(const link::SpmAssignment&)>
+cold_wcet_of(const minic::ObjModule& mod, uint32_t cap) {
+  return [&mod, cap](const link::SpmAssignment& trial) {
+    return wcet::analyze_wcet(
+               link::link_program(mod, link::LinkOptions{.spm_size = cap},
+                                  trial))
+        .wcet;
+  };
+}
+
 TEST(Allocator, WcetDrivenBeatsOrMatchesEnergyDrivenOnWcet) {
   const auto wl = workloads::make_bubble_sort(16, workloads::SortInput::Random);
   const uint32_t cap = 512;
@@ -282,23 +299,87 @@ TEST(Allocator, WcetDrivenBeatsOrMatchesEnergyDrivenOnWcet) {
   const auto profile_run = profiler.run();
   const auto ealloc =
       allocate_energy_optimal(wl.module, profile_run.profile, cap);
-  const link::Image eimg = link::link_program(
-      wl.module, link::LinkOptions{.spm_size = cap}, ealloc.assignment);
-  const uint64_t ewcet = wcet::analyze_wcet(eimg, {}).wcet;
+  const auto wcet_of = cold_wcet_of(wl.module, cap);
 
-  // WCET-driven greedy.
-  const auto walloc = allocate_wcet_driven(wl.module, cap);
-  const link::Image wimg = link::link_program(
-      wl.module, link::LinkOptions{.spm_size = cap}, walloc.assignment);
-  const uint64_t wwcet = wcet::analyze_wcet(wimg, {}).wcet;
+  // WCET-driven greedy over the same candidate table.
+  const auto walloc = allocate_wcet_driven(
+      collect_objects(wl.module, profile_run.profile, {}), cap, wcet_of);
 
-  EXPECT_LE(wwcet, ewcet);
+  EXPECT_LE(wcet_of(walloc.assignment), wcet_of(ealloc.assignment));
 }
 
 TEST(Allocator, WcetDrivenStopsWithinCapacity) {
   const auto wl = workloads::make_bubble_sort(12, workloads::SortInput::Random);
-  const auto alloc = allocate_wcet_driven(wl.module, 256);
+  const auto alloc = allocate_wcet_driven(collect_objects(wl.module, {}, {}), 256,
+                                          cold_wcet_of(wl.module, 256));
   EXPECT_LE(alloc.used_bytes, 256u);
+}
+
+TEST(Allocator, WcetDrivenGreedyFollowsItsRules) {
+  // A fake price: each placed object takes its gain off a 1000-cycle bound,
+  // and any trial placing "boom" is rejected as an overflowing link.
+  struct Row {
+    const char* name;
+    bool is_function;
+    uint32_t size;
+    uint64_t gain;
+  };
+  const std::vector<Row> rows = {
+      {"big", true, 16, 32},     // 2 cycles/byte, the largest gain but one
+      {"dense", false, 4, 12},   // 3 cycles/byte: chosen first
+      {"tie_a", true, 8, 8},     // 1 cycle/byte ...
+      {"tie_b", false, 8, 8},    // ... the same: the lower index goes first
+      {"boom", true, 4, 100},    // every trial throws ProgramError
+      {"flat", false, 8, 0},     // never improves the bound
+      {"slack", true, 45, 1000}, // 45 + 4 bytes of slack never fit in 48
+  };
+  constexpr uint32_t kCapacity = 48;
+  std::vector<MemoryObject> objects;
+  for (const Row& r : rows) {
+    MemoryObject o;
+    o.name = r.name;
+    o.is_function = r.is_function;
+    o.size_bytes = r.size;
+    objects.push_back(o);
+  }
+  std::vector<link::SpmAssignment> trials;
+  const auto wcet_of = [&](const link::SpmAssignment& a) -> uint64_t {
+    trials.push_back(a);
+    uint64_t wcet = 1000;
+    for (const Row& r : rows)
+      if ((r.is_function ? a.functions : a.globals).count(r.name) != 0) {
+        if (std::string(r.name) == "boom")
+          throw ProgramError("fake: scratchpad capacity exceeded");
+        wcet -= r.gain;
+      }
+    return wcet;
+  };
+
+  const AllocationResult alloc =
+      allocate_wcet_driven(objects, kCapacity, wcet_of);
+
+  std::vector<std::string> chosen;
+  for (const MemoryObject& o : alloc.chosen) chosen.push_back(o.name);
+  EXPECT_EQ(chosen, (std::vector<std::string>{"dense", "big", "tie_a",
+                                              "tie_b"}));
+  EXPECT_EQ(alloc.assignment.functions,
+            (std::set<std::string>{"big", "tie_a"}));
+  EXPECT_EQ(alloc.assignment.globals,
+            (std::set<std::string>{"dense", "tie_b"}));
+  EXPECT_EQ(alloc.used_bytes, 36u);
+
+  // The bare program, then each round's untaken objects that fit with the
+  // slack: 6 + 5 + 4 + 3, and a last round of 2 that brings no improvement.
+  // With 36 bytes used, "flat" (36 + 8 + 4 = 48) is still tried; "slack"
+  // never is.
+  ASSERT_EQ(trials.size(), 1u + 6 + 5 + 4 + 3 + 2);
+  EXPECT_EQ(trials.front(), link::SpmAssignment{});
+  EXPECT_EQ(trials.back().functions,
+            (std::set<std::string>{"big", "tie_a"}));
+  EXPECT_EQ(trials.back().globals,
+            (std::set<std::string>{"dense", "flat", "tie_b"}));
+  for (const link::SpmAssignment& t : trials)
+    EXPECT_EQ(t.functions.count("slack"), 0u);
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include "api/engine.h"
 #include "api/render.h"
 #include "support/fault.h"
+#include "workloads/workload.h"
 
 namespace spmwcet {
 namespace {
@@ -226,6 +227,28 @@ TEST(EngineConcurrent, DeadlineExceededIsTypedAndNotCached) {
   const uint64_t hits_before = engine.stats().response_hits;
   EXPECT_TRUE(engine.point(unbounded.value()).ok());
   EXPECT_EQ(engine.stats().response_hits, hits_before + 1);
+}
+
+// The WCET-driven greedy checks the budget before every trial, so a bounded
+// request on a ~400-object program stops inside the greedy's first round
+// instead of finishing the allocation first: fewer placements were priced
+// than the program has candidates.
+TEST(EngineConcurrent, WcetDrivenAllocationStopsAtTheDeadline) {
+  Engine engine((EngineOptions()));
+  api::ExperimentOptions options;
+  options.wcet_driven_alloc = true;
+  const auto req = PointRequest::make("gen:callheavy:2", MemSetup::Scratchpad,
+                                      1024, options, /*deadline_ms=*/100);
+  ASSERT_TRUE(req.ok());
+  const auto late = engine.point(req.value());
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.error().code, api::ErrorCode::DeadlineExceeded);
+
+  const auto wl =
+      workloads::WorkloadRegistry::instance().benchmark("gen:callheavy:2");
+  const std::size_t candidates =
+      wl->module.functions.size() + wl->module.globals.size();
+  EXPECT_LT(engine.stats().placement_artifacts.misses, candidates);
 }
 
 // With the gate held by a slow request and a bounded queue wait, the next

@@ -6,12 +6,21 @@
 // blocks from the memory facts resolved for the relinked image — the SPM
 // half of the soundness matrix test_cache_soundness covers for caches.
 //
-// The pricing oracle: on the paper trio and the WCET-driven subset of that
-// matrix, every distinct placement is also linked, simulated and validated,
-// and the priced cycles and energy must equal the simulation's bit for bit.
+// The WCET-driven greedy prices every trial as a placed point, so its
+// sweeps cover every program but callheavy's, which keep one member.
+//
+// The oracles: on the paper trio and a subset of that matrix, every point's
+// choice is recomputed, the WCET-driven one by the greedy over the cold
+// price (link the trial, analyze the image from scratch), and every
+// distinct chosen placement is linked, simulated and validated; the priced
+// cycles and energy must equal the simulation's bit for bit. The placements
+// production priced must be exactly the cold greedy's linked trials and the
+// energy choices.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <set>
 
 #include "alloc/allocator.h"
 #include "energy/energy_model.h"
@@ -20,19 +29,41 @@
 #include "link/layout.h"
 #include "sim/simulator.h"
 #include "support/parallel.h"
+#include "wcet/analyzer.h"
 #include "workloads/generated.h"
 
 namespace spmwcet {
 namespace {
 
 /// Whether program `seed` of `shape` also runs the WCET-driven allocator.
-/// That greedy re-links and re-analyzes every candidate object at every
-/// step, so its cost grows with the square of the object count: a
-/// gen:callheavy member (~400 objects) takes 10-40 s over the ladder. That
-/// shape keeps one member (seed 2, the cheapest of the first three); the
-/// others keep four.
+/// Its trials cost one analysis per distinct placement, but their number
+/// grows with the square of the object count: a gen:callheavy member (~400
+/// objects) still takes seconds over the ladder, so that shape keeps one
+/// member (seed 2, the cheapest of the first three).
 bool runs_wcet_driven(const std::string& shape, uint32_t seed) {
+  return shape != "callheavy" || seed == 2;
+}
+
+/// Whether the program's choices also go through the oracles. The cold
+/// greedy re-links and re-analyzes from scratch every trial of every size,
+/// ~5x production's cost on gen:callheavy:2, so the others keep four members.
+bool runs_oracle(const std::string& shape, uint32_t seed) {
   return shape == "callheavy" ? seed == 2 : seed <= 4;
+}
+
+/// The cold price of one greedy trial at capacity `size`, recording each
+/// trial that linked in `linked`.
+std::function<uint64_t(const link::SpmAssignment&)>
+cold_wcet_of(const workloads::WorkloadInfo& wl, uint32_t size,
+             std::set<link::SpmAssignment>& linked) {
+  return [&wl, size, &linked](const link::SpmAssignment& trial) {
+    link::LinkOptions opts;
+    opts.spm_size = size;
+    const uint64_t wcet =
+        wcet::analyze_wcet(link::link_program(wl.module, opts, trial)).wcet;
+    linked.insert(trial);
+    return wcet;
+  };
 }
 
 /// The energy estimate of a simulated run from its own profile: every
@@ -90,35 +121,47 @@ PlacedSimulation simulate_placement(const workloads::WorkloadInfo& wl,
   return {run.cycles, simulated_energy(img, run)};
 }
 
-/// The pricing oracle over one program's batch: every point's placed
-/// artifact (served from `artifacts`, where production stored it) must
-/// carry the point's numbers, and those must equal the placed image's own
-/// simulation bit for bit. Every placement production priced is simulated
-/// once. Returns the number of distinct placements compared.
+/// The oracles over one program's batch: every point's placed artifact
+/// (served from `artifacts`, where production stored it) must carry the
+/// point's numbers, and those must equal the placed image's own simulation
+/// bit for bit. Every chosen placement is simulated once, and production
+/// priced exactly the cold greedy's linked trials and the energy choices.
+/// Returns the number of distinct chosen placements compared.
 std::size_t expect_prices_match_simulation(
     const workloads::WorkloadInfo& wl,
     const std::vector<harness::MatrixRequest>& requests,
     const std::vector<std::vector<harness::SweepPoint>>& sweeps,
     harness::ArtifactCache& artifacts) {
   const auto canonical = harness::canonical_run(wl, artifacts);
+  // The cold greedy's candidates carry no profile, as its choices need none.
+  const std::vector<alloc::MemoryObject> objects =
+      alloc::collect_objects(wl.module, {}, {});
   std::map<link::SpmAssignment, PlacedSimulation> simulated;
+  std::set<link::SpmAssignment> priced;
   for (std::size_t r = 0; r < requests.size(); ++r) {
     const harness::SweepConfig& cfg = requests[r].config;
-    // Each point's assignment, recomputed as production chose it (the
-    // WCET-driven greedy dominates the cost, so sizes run in parallel).
+    // Each point's assignment, recomputed from scratch (the cold greedy
+    // dominates the cost, so sizes run in parallel, each with its own
+    // record of linked trials).
     std::vector<link::SpmAssignment> chosen(cfg.sizes.size());
+    std::vector<std::set<link::SpmAssignment>> linked(cfg.sizes.size());
     support::parallel_for(chosen.size(), 2, [&](std::size_t i) {
-      chosen[i] = cfg.wcet_driven_alloc
-                      ? alloc::allocate_wcet_driven(wl.module, cfg.sizes[i])
-                            .assignment
-                      : alloc::allocate_energy_optimal(
-                            wl.module, canonical->profile, cfg.sizes[i])
-                            .assignment;
+      chosen[i] =
+          cfg.wcet_driven_alloc
+              ? alloc::allocate_wcet_driven(
+                    objects, cfg.sizes[i],
+                    cold_wcet_of(wl, cfg.sizes[i], linked[i]))
+                    .assignment
+              : alloc::allocate_energy_optimal(
+                    wl.module, canonical->profile, cfg.sizes[i])
+                    .assignment;
     });
     for (std::size_t i = 0; i < cfg.sizes.size(); ++i) {
       const std::string what =
           wl.name + " spm " + std::to_string(cfg.sizes[i]) +
           (cfg.wcet_driven_alloc ? " wcet-driven" : " energy");
+      priced.insert(linked[i].begin(), linked[i].end());
+      if (!cfg.wcet_driven_alloc) priced.insert(chosen[i]);
       const auto placed = artifacts.placement(
           {&wl, chosen[i]}, [&]() -> harness::PlacedRun {
             ADD_FAILURE() << what << ": production never priced it";
@@ -137,7 +180,7 @@ std::size_t expect_prices_match_simulation(
       EXPECT_EQ(placed->energy_nj, it->second.energy_nj) << what;
     }
   }
-  EXPECT_EQ(simulated.size(), artifacts.placement_stats().misses) << wl.name;
+  EXPECT_EQ(artifacts.placement_stats().misses, priced.size()) << wl.name;
   return simulated.size();
 }
 
@@ -157,7 +200,7 @@ both_allocators(const workloads::WorkloadInfo& wl,
 }
 
 TEST(SpmSoundness, WcetDominatesSimulationAcrossTheScratchpadLadder) {
-  // The WCET-driven subset also runs the pricing oracle on its batch.
+  // The oracle subset also checks its batch's choices and prices.
   constexpr uint32_t kProgramsPerShape = 8;
   std::size_t checked = 0;
   std::size_t expected = 0;
@@ -184,14 +227,16 @@ TEST(SpmSoundness, WcetDominatesSimulationAcrossTheScratchpadLadder) {
           ++checked;
         }
       }
-      if (runs_wcet_driven(shape, seed))
+      if (runs_oracle(shape, seed))
         compared +=
             expect_prices_match_simulation(*wl, requests, sweeps, artifacts);
     }
   // Energy allocator: 5 shapes x 8 programs x 8 paper sizes; WCET-driven:
-  // 4 programs of each shape but callheavy's 1, x 8 sizes.
+  // 8 programs of each shape but callheavy's 1, x 8 sizes.
   EXPECT_EQ(checked, expected);
-  EXPECT_EQ(expected, std::size_t{(5 * kProgramsPerShape + 4 * 4 + 1) * 8});
+  EXPECT_EQ(expected,
+            std::size_t{(5 * kProgramsPerShape + 4 * kProgramsPerShape + 1) *
+                        8});
   EXPECT_GT(compared, std::size_t{4 * 4 + 1});
 }
 

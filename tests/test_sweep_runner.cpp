@@ -250,5 +250,36 @@ TEST(SweepRunner, CacheBranchSharesOneImagePerWorkload) {
   EXPECT_EQ(unit.image_stats().misses, 1u);
 }
 
+TEST(SweepRunner, WcetDrivenSweepsShareTrialsOnOneCache) {
+  // Concurrent sizes and programs of one batch price their greedy trials
+  // through one shared placement memo: at every pool width the points are
+  // the serial ones and the distinct placements priced are the same.
+  const auto adpcm = workloads::make_adpcm(64);
+  auto& registry = workloads::WorkloadRegistry::instance();
+  const auto mixed1 = registry.benchmark("gen:mixed:1");
+  const auto mixed2 = registry.benchmark("gen:mixed:2");
+  const auto run = [&](unsigned jobs, harness::ArtifactCache& cache) {
+    harness::SweepConfig cfg = config_for(harness::MemSetup::Scratchpad);
+    cfg.wcet_driven_alloc = true;
+    cfg.artifacts = &cache;
+    return harness::run_matrix(
+        {{&adpcm, cfg}, {mixed1.get(), cfg}, {mixed2.get(), cfg}}, jobs);
+  };
+  harness::ArtifactCache serial_cache;
+  const auto serial = run(1, serial_cache);
+  for (const unsigned jobs : {2u, 8u}) {
+    harness::ArtifactCache cache;
+    const auto parallel = run(jobs, cache);
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (std::size_t r = 0; r < serial.size(); ++r)
+      expect_identical_points(parallel[r], serial[r],
+                              "wcet-driven request " + std::to_string(r) +
+                                  " jobs=" + std::to_string(jobs));
+    EXPECT_EQ(cache.placement_stats().misses,
+              serial_cache.placement_stats().misses)
+        << "jobs=" << jobs;
+  }
+}
+
 } // namespace
 } // namespace spmwcet
