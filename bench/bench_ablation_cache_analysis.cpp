@@ -9,7 +9,7 @@
 
 #include "link/layout.h"
 #include "sim/simulator.h"
-#include "support/parallel.h"
+#include "support/thread_pool.h"
 #include "wcet/analyzer.h"
 
 namespace {
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   // variant — is 30 independent runs; fill it with slot-indexed writes.
   constexpr std::size_t kCols = 1 + std::size(variants);
   std::vector<uint64_t> cells(sizes.size() * kCols);
-  support::parallel_for(cells.size(), /*jobs=*/0, [&](std::size_t i) {
+  support::ThreadPool(/*jobs=*/0).for_each(cells.size(), [&](std::size_t i) {
     const uint32_t size = sizes[i / kCols];
     const std::size_t col = i % kCols;
     cache::CacheConfig ccfg;

@@ -6,7 +6,7 @@
 
 #include "link/layout.h"
 #include "sim/simulator.h"
-#include "support/parallel.h"
+#include "support/thread_pool.h"
 #include "wcet/analyzer.h"
 
 namespace {
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     uint64_t wcet = 0;
   };
   std::vector<Cell> cells(sizes.size() * 2);
-  support::parallel_for(cells.size(), /*jobs=*/0, [&](std::size_t i) {
+  support::ThreadPool(/*jobs=*/0).for_each(cells.size(), [&](std::size_t i) {
     cache::CacheConfig ccfg;
     ccfg.size_bytes = sizes[i / 2];
     ccfg.unified = i % 2 == 0;

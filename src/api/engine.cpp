@@ -9,7 +9,7 @@
 #include "sim/simulator.h"
 #include "support/deadline.h"
 #include "support/diag.h"
-#include "support/parallel.h"
+#include "support/thread_pool.h"
 #include "wcet/analyzer.h"
 
 namespace spmwcet::api {
@@ -295,26 +295,27 @@ Result<SimBenchResult> Engine::simbench(const SimBenchRequest& req) {
 }
 
 SimBenchResult Engine::measure_simbench(const SimBenchRequest& req) {
-  // Measures what the evaluation pipeline actually pays per point: a full
-  // profiling simulation (simulator construction included, so the fast
-  // path's once-per-image precomputation is charged honestly). Best-of-N
-  // damps machine noise. The "spm" configuration places the energy-optimal
-  // knapsack assignment at req.spm_bytes() capacity first, so the
-  // scratchpad fetch fast path is tracked explicitly next to the
-  // no-assignment baseline.
+  // Measures the one simulation the evaluation pipeline runs per workload:
+  // the canonical image's profiling run (simulator construction included,
+  // so the block tier's once-per-image precomputation is charged honestly).
+  // Best-of-N damps machine noise.
   sim::SimConfig scfg;
   scfg.collect_profile = true;
 
   SimBenchResult out;
   out.repeat = req.repeat();
-  out.spm_bytes = req.spm_bytes();
 
-  const auto measure = [&](const std::string& name, const char* config,
-                           const link::Image& img) {
-    SimBenchResult::Row row{name, config, 0, 1e300, 0.0, true};
+  uint64_t total_instr = 0;
+  double total_seconds = 0.0;
+  // The shared simbench set (paper benchmarks + generated members).
+  for (const std::string& name : workloads::simbench_names()) {
+    const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
+    pin(wl);
+    const auto canonical = harness::canonical_image(*wl, artifacts_);
+    SimBenchResult::Row row{wl->name, 0, 1e300, 0.0, true};
     for (uint32_t i = 0; i < req.repeat(); ++i) {
       const auto t0 = std::chrono::steady_clock::now();
-      sim::Simulator s(img, scfg);
+      sim::Simulator s(canonical->image, scfg);
       const sim::SimResult run = s.run();
       const std::chrono::duration<double> dt =
           std::chrono::steady_clock::now() - t0;
@@ -325,42 +326,11 @@ SimBenchResult Engine::measure_simbench(const SimBenchRequest& req) {
     }
     row.instr_per_second =
         static_cast<double>(row.instructions) / row.best_seconds;
-    return row;
-  };
-
-  uint64_t total_instr = 0, base_instr = 0;
-  double total_seconds = 0.0, base_seconds = 0.0;
-  // The shared simbench set (paper benchmarks + generated members).
-  for (const std::string& name : workloads::simbench_names()) {
-    const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
-    pin(wl);
-    const auto img = harness::canonical_image(*wl, artifacts_);
-
-    SimBenchResult::Row row = measure(wl->name, "baseline", *img);
     total_instr += row.instructions;
     total_seconds += row.best_seconds;
-    base_instr += row.instructions;
-    base_seconds += row.best_seconds;
     out.rows.push_back(std::move(row));
-
-    if (req.spm_bytes() == 0) continue;
-    // SPM-placed configuration: the paper's allocation flow (untimed setup)
-    // followed by the same timed measurement on the placed image.
-    const auto run = harness::canonical_run(*wl, artifacts_);
-    link::LinkOptions opts;
-    opts.spm_size = req.spm_bytes();
-    const auto alloc = alloc::allocate_energy_optimal(
-        wl->module, run->profile, req.spm_bytes());
-    const link::Image spm_img =
-        link::link_program(wl->module, opts, alloc.assignment);
-    SimBenchResult::Row spm_row = measure(wl->name, "spm", spm_img);
-    total_instr += spm_row.instructions;
-    total_seconds += spm_row.best_seconds;
-    out.rows.push_back(std::move(spm_row));
   }
   out.aggregate_ips = static_cast<double>(total_instr) / total_seconds;
-  out.aggregate_baseline_ips =
-      static_cast<double>(base_instr) / base_seconds;
   return out;
 }
 
@@ -397,7 +367,8 @@ WcetBenchResult Engine::measure_wcetbench(const WcetBenchRequest& req) {
   double total_seconds = 0.0;
   for (const auto& wl : workloads::cached_paper_benchmarks()) {
     pin(wl);
-    const auto img = harness::canonical_image(*wl, artifacts_);
+    const auto canonical = harness::canonical_image(*wl, artifacts_);
+    const link::Image& img = canonical->image;
     const auto run = harness::canonical_run(*wl, artifacts_);
     // Pre-link the SPM placements the sweep would analyze.
     std::vector<link::Image> placed;
@@ -406,7 +377,7 @@ WcetBenchResult Engine::measure_wcetbench(const WcetBenchRequest& req) {
       link::LinkOptions opts;
       opts.spm_size = size;
       const auto alloc =
-          alloc::allocate_energy_optimal(wl->module, run->profile, size);
+          alloc::allocate_energy_optimal(wl->module, run->run.profile, size);
       placed.push_back(link::link_program(wl->module, opts, alloc.assignment));
     }
 
@@ -429,9 +400,9 @@ WcetBenchResult Engine::measure_wcetbench(const WcetBenchRequest& req) {
     };
 
     measure("spm", [&] {
-      const program::DecodedImage dec0(*img);
+      const program::DecodedImage dec0(img);
       const auto shape = std::make_shared<const wcet::ProgramShape>(
-          wcet::build_shape(*img, dec0));
+          wcet::build_shape(img, dec0));
       const wcet::IpetCache ipet;
       wcet::AnalyzerConfig acfg;
       acfg.ipet_cache = &ipet;
@@ -457,11 +428,11 @@ WcetBenchResult Engine::measure_wcetbench(const WcetBenchRequest& req) {
     };
     const auto bind_canonical = [&](const program::DecodedImage& dec) {
       return wcet::bind_view(std::make_shared<const wcet::ProgramShape>(
-                                 wcet::build_shape(*img, dec)),
-                             *img, dec);
+                                 wcet::build_shape(img, dec)),
+                             img, dec);
     };
     const auto cache_pass = [&](bool persistence) {
-      const program::DecodedImage dec(*img);
+      const program::DecodedImage dec(img);
       const wcet::IpetCache ipet;
       analyze_sizes(bind_canonical(dec), ipet, persistence);
     };
@@ -472,8 +443,7 @@ WcetBenchResult Engine::measure_wcetbench(const WcetBenchRequest& req) {
     // by an untimed pass over the sizes, so the timed pass is only what a
     // cache point on a resident view costs — cache analysis, block timing
     // and the IPET re-solves.
-    const program::DecodedImage warm_dec(*img);
-    const wcet::ProgramView warm_view = bind_canonical(warm_dec);
+    const wcet::ProgramView warm_view = bind_canonical(canonical->decoded);
     const wcet::IpetCache warm_ipet;
     const auto warm_pass = [&] {
       analyze_sizes(warm_view, warm_ipet, /*persistence=*/false);
@@ -501,7 +471,6 @@ EngineStats Engine::stats() const {
   s.view_artifacts = artifacts_.view_stats();
   s.ipet_artifacts = artifacts_.ipet_stats();
   s.reuse_artifacts = artifacts_.reuse_stats();
-  s.candidates_artifacts = artifacts_.candidates_stats();
   s.placement_artifacts = artifacts_.placement_stats();
   s.ipet_skeletons = artifacts_.ipet_skeleton_stats();
   return s;

@@ -1,11 +1,11 @@
 // Engine API v1 — the session object behind every harness entry point.
 //
 // An Engine owns everything a resident service needs to amortize across
-// requests: the persistent worker pool (through harness::shared_runner, one
+// requests: the persistent worker pool (through harness::run_matrix, one
 // pool per width for the whole process), the memoized WorkloadRegistry
 // (MiniC → module lowering runs once per benchmark per process), a
-// cross-request ArtifactCache (no-assignment images, allocation profiles
-// and candidate tables, and placed SPM runs survive between requests, not
+// cross-request ArtifactCache (canonical records, canonical runs with their
+// candidate tables, and placed SPM points survive between requests, not
 // just within one batch), and a response cache (the pipeline is
 // deterministic, so identical requests are served the stored result). A cold first request pays lowering + profiling +
 // pipeline; warm requests pay only what is genuinely new.
@@ -128,11 +128,11 @@ struct CorpusResult {
   uint64_t total_wcet_cycles = 0; ///< sum over all (member, size) points
 };
 
-/// Simulator throughput: one row per (benchmark, configuration).
+/// Simulator throughput: one row per benchmark, each timing the run the
+/// pipeline executes (the canonical image's profiled run).
 struct SimBenchResult {
   struct Row {
     std::string benchmark;
-    std::string config; ///< "baseline" (no assignment) or "spm"
     uint64_t instructions = 0;
     double best_seconds = 0.0;
     double instr_per_second = 0.0;
@@ -144,10 +144,8 @@ struct SimBenchResult {
     uint64_t fallback_instructions = 0;
   };
   uint32_t repeat = 0;
-  uint32_t spm_bytes = 0;
   std::vector<Row> rows;
-  double aggregate_ips = 0.0;          ///< all configurations
-  double aggregate_baseline_ips = 0.0; ///< no-assignment rows only
+  double aggregate_ips = 0.0; ///< all rows: instructions / seconds
 };
 
 /// Analyzer throughput: one row per (benchmark, setup), where one
@@ -177,13 +175,13 @@ struct EngineStats {
   uint64_t admission_waits = 0; ///< requests that queued at the admission gate
   uint64_t shed = 0; ///< requests rejected at the gate (Overloaded/deadline)
   support::MemoStats profile_artifacts; ///< canonical runs (misses = runs)
-  support::MemoStats image_artifacts;   ///< cross-request image cache
+  support::MemoStats image_artifacts; ///< canonical records (image, decode,
+                                      ///< block table)
   support::MemoStats shape_artifacts;   ///< invariant analyzer skeletons
   support::MemoStats view_artifacts;    ///< bound analyzer front ends
   support::MemoStats ipet_artifacts;    ///< per-workload IPET skeleton stores
   support::MemoStats reuse_artifacts; ///< all-geometry cache tables (misses
                                       ///< = observed runs)
-  support::MemoStats candidates_artifacts; ///< allocation candidate tables
   /// Placed SPM points: misses = distinct placements priced and analyzed,
   /// WCET-driven greedy trials included.
   support::MemoStats placement_artifacts;
@@ -318,9 +316,11 @@ private:
   std::mutex pins_mu_;
   std::map<const void*, std::shared_ptr<const workloads::WorkloadInfo>> pins_;
   // Response caches are LRU-capped (EngineOptions::response_cache_capacity)
-  // so a resident service's memory stays bounded under arbitrary request
-  // vocabularies; artifact caches stay unbounded (keyed per workload, and
-  // the workload set is finite by construction).
+  // and the placement memo holds at most
+  // ArtifactCache::kPlacementCapacity entries. The per-workload artifact
+  // memos stay unbounded: the `gen:` namespace alone names 5 shapes × 2^32
+  // seeds, so a resident service fed ever new programs grows with them.
+  // Bounding those memos is out of scope here.
   support::Memoizer<std::string, PointResult> point_responses_;
   support::Memoizer<std::string, SweepResult> sweep_responses_;
   support::Memoizer<std::string, EvalResult> eval_responses_;

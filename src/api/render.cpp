@@ -75,10 +75,10 @@ void render_corpus_json(const CorpusResult& result, std::ostream& os) {
 }
 
 void render_simbench(const SimBenchResult& result, std::ostream& os) {
-  TablePrinter table({"benchmark", "config", "instructions", "best [ms]",
-                      "instr/s", "stack window", "fallback"});
+  TablePrinter table({"benchmark", "instructions", "best [ms]", "instr/s",
+                      "stack window", "fallback"});
   for (const SimBenchResult::Row& r : result.rows)
-    table.add_row({r.benchmark, r.config, TablePrinter::fmt(r.instructions),
+    table.add_row({r.benchmark, TablePrinter::fmt(r.instructions),
                    TablePrinter::fmt(r.best_seconds * 1e3, 3),
                    TablePrinter::fmt(r.instr_per_second, 0),
                    r.stack_window ? "yes" : "no",
@@ -88,9 +88,6 @@ void render_simbench(const SimBenchResult& result, std::ostream& os) {
   table.render(os);
   os << "aggregate instructions/second: "
      << static_cast<uint64_t>(result.aggregate_ips) << "\n";
-  if (result.spm_bytes != 0)
-    os << "aggregate instructions/second (no-assignment baseline): "
-       << static_cast<uint64_t>(result.aggregate_baseline_ips) << "\n";
 }
 
 void render_simbench_json(const SimBenchResult& result, std::ostream& os) {

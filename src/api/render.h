@@ -38,9 +38,8 @@ void render_corpus_json(const CorpusResult& result, std::ostream& os);
 /// The `spmwcet simbench` throughput table + aggregate lines.
 void render_simbench(const SimBenchResult& result, std::ostream& os);
 
-/// BENCH_sim.json (schema spmwcet-sim-throughput/5: per-configuration rows,
-/// each with its stack-window engagement, plus overall and baseline-only
-/// aggregates).
+/// BENCH_sim.json (schema spmwcet-sim-throughput/7: per-benchmark rows,
+/// each with its stack-window engagement, plus the overall aggregate).
 void render_simbench_json(const SimBenchResult& result, std::ostream& os);
 
 /// The `spmwcet wcetbench` analyzer-throughput table + aggregate line.

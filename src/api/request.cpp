@@ -161,6 +161,16 @@ void key_names(std::string& key, const std::vector<std::string>& names) {
   }
 }
 
+std::optional<ApiError> check_repeat(uint32_t repeat) {
+  if (repeat == 0 || repeat > kMaxRepeat)
+    return ApiError{ErrorCode::OutOfRange,
+                    "repeat " + std::to_string(repeat) +
+                        " outside the supported range [1, " +
+                        std::to_string(kMaxRepeat) + "]",
+                    "repeat"};
+  return std::nullopt;
+}
+
 } // namespace
 
 Result<PointRequest> PointRequest::make(std::string workload, MemSetup setup,
@@ -306,12 +316,7 @@ std::string CorpusRequest::key() const {
 }
 
 Result<WcetBenchRequest> WcetBenchRequest::make(uint32_t repeat) {
-  if (repeat == 0 || repeat > kMaxRepeat)
-    return ApiError{ErrorCode::OutOfRange,
-                    "repeat " + std::to_string(repeat) +
-                        " outside the supported range [1, " +
-                        std::to_string(kMaxRepeat) + "]",
-                    "repeat"};
+  if (auto err = check_repeat(repeat)) return *err;
   WcetBenchRequest req;
   req.repeat_ = repeat;
   return req;
@@ -321,28 +326,15 @@ std::string WcetBenchRequest::key() const {
   return "wcetbench|r=" + std::to_string(repeat_);
 }
 
-Result<SimBenchRequest> SimBenchRequest::make(uint32_t repeat,
-                                              uint32_t spm_bytes) {
-  if (repeat == 0 || repeat > kMaxRepeat)
-    return ApiError{ErrorCode::OutOfRange,
-                    "repeat " + std::to_string(repeat) +
-                        " outside the supported range [1, " +
-                        std::to_string(kMaxRepeat) + "]",
-                    "repeat"};
-  if (spm_bytes > kMaxMemBytes)
-    return ApiError{ErrorCode::OutOfRange,
-                    "spm_bytes " + std::to_string(spm_bytes) +
-                        " exceeds " + std::to_string(kMaxMemBytes),
-                    "spm_bytes"};
+Result<SimBenchRequest> SimBenchRequest::make(uint32_t repeat) {
+  if (auto err = check_repeat(repeat)) return *err;
   SimBenchRequest req;
   req.repeat_ = repeat;
-  req.spm_bytes_ = spm_bytes;
   return req;
 }
 
 std::string SimBenchRequest::key() const {
-  return "simbench|r=" + std::to_string(repeat_) +
-         "|spm=" + std::to_string(spm_bytes_);
+  return "simbench|r=" + std::to_string(repeat_);
 }
 
 } // namespace spmwcet::api

@@ -192,20 +192,16 @@ private:
 
 class SimBenchRequest {
 public:
-  /// `spm_bytes` adds the SPM-placed configuration (energy-knapsack
-  /// allocation at that capacity) next to the no-assignment baseline;
-  /// 0 measures the baseline only.
-  static Result<SimBenchRequest> make(uint32_t repeat = 5,
-                                      uint32_t spm_bytes = 4096);
+  /// Simulator-throughput measurement: the canonical image's profiled run
+  /// of every simbench workload, best of `repeat`.
+  static Result<SimBenchRequest> make(uint32_t repeat = 5);
 
   uint32_t repeat() const { return repeat_; }
-  uint32_t spm_bytes() const { return spm_bytes_; }
   std::string key() const;
 
 private:
   SimBenchRequest() = default;
   uint32_t repeat_ = 5;
-  uint32_t spm_bytes_ = 4096;
 };
 
 /// "spm" / "cache" — the wire spelling of MemSetup.

@@ -141,8 +141,7 @@ void log_serve_summary(const Engine& engine, const ServeStats& stats,
   log << "serve: " << stats.lines << " requests (" << stats.ok << " ok, "
       << stats.errors << " errors), " << es.response_hits
       << " response-cache hits, " << hits(es.profile_artifacts)
-      << " profile-artifact hits, " << hits(es.candidates_artifacts)
-      << " candidate-table hits, " << hits(es.placement_artifacts)
+      << " profile-artifact hits, " << hits(es.placement_artifacts)
       << " placement hits, " << hits(es.reuse_artifacts)
       << " reuse-table hits\n";
 }
@@ -277,8 +276,6 @@ int run_corpus_bench(const EngineOptions& opts, const std::string& shape,
     support::json::Value artifacts = support::json::Value::object();
     artifacts.set("placements",
                   wire::memo_stats_to_json(cold.placement_artifacts));
-    artifacts.set("candidates",
-                  wire::memo_stats_to_json(cold.candidates_artifacts));
     artifacts.set("ipet_skeletons",
                   wire::ipet_stats_to_json(cold.ipet_skeletons));
     j.set("cold_artifacts", std::move(artifacts));

@@ -356,15 +356,13 @@ Result<AnyRequest> parse_request(const std::string& line) {
 
   if (name == "simbench") {
     out.op = Op::SimBench;
-    if (auto err = check_fields(req, {"repeat", "spm_bytes"})) return *err;
+    if (auto err = check_fields(req, {"repeat"})) return *err;
     if (out.render == Render::Csv)
       return invalid("render \"csv\" is not supported for op 'simbench'",
                      "render");
     auto repeat = get_u32(req, "repeat", 5);
     if (!repeat.ok()) return repeat.error();
-    auto spm = get_u32(req, "spm_bytes", 4096);
-    if (!spm.ok()) return spm.error();
-    auto bench = SimBenchRequest::make(repeat.value(), spm.value());
+    auto bench = SimBenchRequest::make(repeat.value());
     if (!bench.ok()) return bench.error();
     out.simbench = std::move(bench).value();
     return out;
@@ -463,14 +461,12 @@ std::string encode_response(int64_t id, const SimBenchResult& result,
 
 json::Value simbench_to_json(const SimBenchResult& result) {
   json::Value r = json::Value::object();
-  r.set("schema", json::Value("spmwcet-sim-throughput/6"));
+  r.set("schema", json::Value("spmwcet-sim-throughput/7"));
   r.set("repeat", json::Value(result.repeat));
-  r.set("spm_bytes", json::Value(result.spm_bytes));
   json::Value rows = json::Value::array();
   for (const SimBenchResult::Row& row : result.rows) {
     json::Value entry = json::Value::object();
     entry.set("name", json::Value(row.benchmark));
-    entry.set("config", json::Value(row.config));
     entry.set("instructions", json::Value(row.instructions));
     entry.set("best_seconds", json::Value(row.best_seconds));
     entry.set("instructions_per_second",
@@ -482,8 +478,6 @@ json::Value simbench_to_json(const SimBenchResult& result) {
   r.set("benchmarks", std::move(rows));
   r.set("aggregate_instructions_per_second",
         json::Value(static_cast<uint64_t>(result.aggregate_ips)));
-  r.set("aggregate_baseline_instructions_per_second",
-        json::Value(static_cast<uint64_t>(result.aggregate_baseline_ips)));
   return r;
 }
 
@@ -553,7 +547,6 @@ std::string encode_health(int64_t id, const ServeStats& serve,
   e.set("shed", json::Value(engine.shed));
   e.set("reuse_tables", memo_stats_to_json(engine.reuse_artifacts));
   e.set("placements", memo_stats_to_json(engine.placement_artifacts));
-  e.set("candidates", memo_stats_to_json(engine.candidates_artifacts));
   e.set("ipet_skeletons", ipet_stats_to_json(engine.ipet_skeletons));
 
   json::Value r = json::Value::object();

@@ -115,7 +115,7 @@ support::json::Value memo_stats_to_json(const support::MemoStats& stats);
 /// the health op's engine section and corpusbench's BENCH JSON.
 support::json::Value ipet_stats_to_json(const wcet::IpetCacheStats& stats);
 
-/// The SimBenchResult payload (schema spmwcet-sim-throughput/5) as a JSON
+/// The SimBenchResult payload (schema spmwcet-sim-throughput/7) as a JSON
 /// value — the single field-schema definition shared by the serve response
 /// and the `simbench --json` BENCH_sim.json file, so the two cannot drift.
 support::json::Value simbench_to_json(const SimBenchResult& result);

@@ -1,19 +1,21 @@
 // Shared cache of the experiment artifacts that repeat across sweep points.
 //
-// Per workload: the canonical run of the no-assignment (main-memory-only)
-// image, whose profile and candidate table (alloc::collect_objects) serve
-// every scratchpad capacity and which prices every placement. That image is
-// also what the cache branch runs at every cache size, and one observed run
-// of it yields every cache geometry's cycles and hits (cache::ReuseTable).
-// The analyzer's layout-invariant ProgramShape, the ProgramView bound to
-// the canonical image, its DecodedImage and the IPET skeleton store are one
-// per workload as well.
+// Per workload, one canonical record (CanonicalImage): the no-assignment
+// (main-memory-only) image with its decode and compiled block table, built
+// together because the first point of either setup needs all three. The SPM
+// branch simulates it once (the canonical run, whose profile and candidate
+// table serve every scratchpad capacity and price every placement); the
+// cache branch binds one analyzer view to it and runs it once observed per
+// cache kind, which yields every geometry's cycles and hits
+// (cache::ReuseTable). The analyzer's layout-invariant ProgramShape is built
+// from the record, and the IPET skeleton store is one per workload as well.
 //
 // Per placement: a placed image depends only on the module and the
 // SpmAssignment (the capacity only gates the link's overflow check), so
 // sizes whose allocations choose the same objects share one placed point,
 // and the WCET-driven greedy prices each trial through the same artifact.
-// The artifact keeps the point's numbers (PlacedRun), not the image.
+// The artifact keeps the point's numbers (PlacedRun), not the image. This
+// memo alone is bounded (kPlacementCapacity): the greedy stores every trial.
 //
 // Every point runs through an ArtifactCache: the batch's, the Engine's, or
 // a point-local one when the caller has none.
@@ -22,10 +24,11 @@
 // the same artifact block until the first computation finishes and the
 // compute function runs exactly once (a throwing compute is retried by the
 // next caller). Entries are keyed by WorkloadInfo address; the cache must
-// not outlive the workloads it indexes, which is why
-// SweepRunner::run_matrix scopes one cache to each batch.
+// not outlive the workloads it indexes, which is why run_matrix scopes one
+// cache to each batch.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -34,6 +37,7 @@
 #include "cache/reuse_table.h"
 #include "link/layout.h"
 #include "program/decoded_image.h"
+#include "sim/block_table.h"
 #include "sim/simulator.h"
 #include "support/memoize.h"
 #include "wcet/frontend.h"
@@ -41,6 +45,27 @@
 #include "workloads/workload.h"
 
 namespace spmwcet::harness {
+
+/// The workload's canonical executable: the no-assignment image, its decode
+/// and its block table. The members own their data (no member points into
+/// another), so the record moves freely.
+struct CanonicalImage {
+  explicit CanonicalImage(link::Image img)
+      : image(std::move(img)), decoded(image),
+        blocks(decoded, sim::SymbolIndex(image), image) {}
+
+  link::Image image;
+  program::DecodedImage decoded;
+  sim::BlockTable blocks;
+};
+
+/// The canonical run and the allocation candidate table built from its
+/// profile (every memory object with its size and profiled benefit), which
+/// each scratchpad capacity solves against.
+struct CanonicalRun {
+  sim::SimResult run;
+  std::vector<alloc::MemoryObject> candidates;
+};
 
 /// What the SPM branch keeps of one placement: the priced run's numbers and
 /// the placed image's bound, not the image or the analyzer view.
@@ -60,88 +85,62 @@ struct PlacementKey {
 
 class ArtifactCache {
 public:
-  using ProfileFn = std::function<sim::SimResult()>;
-  using CandidatesFn = std::function<std::vector<alloc::MemoryObject>()>;
-  using PlacementFn = std::function<PlacedRun()>;
-  using ImageFn = std::function<link::Image()>;
-  using DecodedFn = std::function<program::DecodedImage()>;
-  using BlocksFn = std::function<sim::BlockTable()>;
-  using ShapeFn = std::function<wcet::ProgramShape()>;
-  using ViewFn = std::function<wcet::ProgramView()>;
-  using ReuseFn = std::function<cache::ReuseTable()>;
   using Stats = support::MemoStats;
 
-  /// Returns the workload's canonical run (harness::canonical_run),
-  /// computing it with `compute` on first use.
-  std::shared_ptr<const sim::SimResult>
-  profile(const workloads::WorkloadInfo& wl, const ProfileFn& compute) {
-    return profiles_.get(&wl, compute);
+  /// Resident placed points. One WCET-driven sweep of a ~400-object
+  /// program stores about 11,000 distinct trials, so no single request
+  /// evicts its own; beyond it the least recently used placement is
+  /// forgotten (and recomputed if asked for again).
+  static constexpr std::size_t kPlacementCapacity = 16384;
+
+  /// Returns the workload's canonical record (harness::canonical_image),
+  /// building it with `compute` once per workload.
+  std::shared_ptr<const CanonicalImage>
+  image(const workloads::WorkloadInfo& wl,
+        const std::function<CanonicalImage()>& compute) {
+    return images_.get(&wl, compute);
   }
 
-  /// Returns the workload's allocation candidate table (every memory
-  /// object with its size and profiled benefit), built once from the
-  /// profile and solved against each capacity.
-  std::shared_ptr<const std::vector<alloc::MemoryObject>>
-  candidates(const workloads::WorkloadInfo& wl, const CandidatesFn& compute) {
-    return candidates_.get(&wl, compute);
+  /// Returns the workload's canonical run and candidate table
+  /// (harness::canonical_run), computing them with `compute` on first use.
+  std::shared_ptr<const CanonicalRun>
+  profile(const workloads::WorkloadInfo& wl,
+          const std::function<CanonicalRun()>& compute) {
+    return profiles_.get(&wl, compute);
   }
 
   /// Returns the placed point of `key`, computing it with `compute` the
   /// first time any size allocates that placement or, under the WCET-driven
   /// greedy, tries it.
-  std::shared_ptr<const PlacedRun> placement(const PlacementKey& key,
-                                             const PlacementFn& compute) {
+  std::shared_ptr<const PlacedRun>
+  placement(const PlacementKey& key,
+            const std::function<PlacedRun()>& compute) {
     return placements_.get(key, compute);
   }
 
-  /// Returns the workload's canonical no-assignment image (the executable
-  /// the cache branch analyzes at every size and the canonical run
-  /// executes), linking it with `compute` once per workload per batch.
-  std::shared_ptr<const link::Image>
-  image(const workloads::WorkloadInfo& wl, const ImageFn& compute) {
-    return images_.get(&wl, compute);
-  }
-
-  /// Returns the shared decode table of the workload's canonical image —
-  /// used by the cache branch's observed run, the canonical run and the
-  /// analyzer front end, so the image's code is decoded once per
-  /// workload.
-  std::shared_ptr<const program::DecodedImage>
-  decoded(const workloads::WorkloadInfo& wl, const DecodedFn& compute) {
-    return decoded_.get(&wl, compute);
-  }
-
-  /// Returns the compiled superblock table of the workload's canonical
-  /// no-assignment image — shared by the canonical run and the cache
-  /// branch's observed run, a workload's only two simulations.
-  std::shared_ptr<const sim::BlockTable>
-  blocks(const workloads::WorkloadInfo& wl, const BlocksFn& compute) {
-    return blocks_.get(&wl, compute);
-  }
-
   /// Returns the workload's layout-invariant analyzer skeleton
-  /// (wcet::ProgramShape). One shape serves every point of both setups:
-  /// the SPM branch re-binds it per placement, the cache branch binds it
-  /// once (see view()).
+  /// (wcet::ProgramShape), built from the canonical record. One shape
+  /// serves every point of both setups: the SPM branch re-binds it per
+  /// placement, the cache branch binds it once (see view()).
   std::shared_ptr<const wcet::ProgramShape>
-  shape(const workloads::WorkloadInfo& wl, const ShapeFn& compute) {
+  shape(const workloads::WorkloadInfo& wl,
+        const std::function<wcet::ProgramShape()>& compute) {
     return shapes_.get(&wl, compute);
   }
 
-  /// Returns the analyzer front end bound to the workload's canonical
-  /// no-assignment image (CFGs, annotations, value analysis) — shared by
-  /// every cache size of the cache branch, which all analyze that one
-  /// image. The compute function must pin the image and shape it binds
+  /// Returns the analyzer front end bound to the canonical image (CFGs,
+  /// annotations, value analysis) — shared by every cache size of the cache
+  /// branch. The compute function must pin the image and shape it binds
   /// (ProgramView::pinned_image / ::shape).
   std::shared_ptr<const wcet::ProgramView>
-  view(const workloads::WorkloadInfo& wl, const ViewFn& compute) {
+  view(const workloads::WorkloadInfo& wl,
+       const std::function<wcet::ProgramView()>& compute) {
     return views_.get(&wl, compute);
   }
 
-  /// Returns the workload's IPET skeleton store (wcet::IpetCache): one per
-  /// workload per batch, shared by every point of both setups. The store
-  /// itself builds per-function skeletons lazily on first solve, so the
-  /// compute function is just default construction.
+  /// Returns the workload's IPET skeleton store (wcet::IpetCache), shared
+  /// by every point of both setups. The store builds per-function skeletons
+  /// lazily on first solve, so the compute is default construction.
   std::shared_ptr<const wcet::IpetCache>
   ipet(const workloads::WorkloadInfo& wl) {
     return ipet_.get(&wl, [] { return wcet::IpetCache(); });
@@ -152,26 +151,24 @@ public:
   /// every cache size and associativity of that kind.
   std::shared_ptr<const cache::ReuseTable>
   reuse(const workloads::WorkloadInfo& wl, bool unified,
-        const ReuseFn& compute) {
+        const std::function<cache::ReuseTable()>& compute) {
     return reuse_.get({&wl, unified}, compute);
   }
 
   /// hits = served from cache, misses = ran the canonical simulation.
   Stats stats() const { return profiles_.stats(); }
 
-  /// hits = reused the candidate table, misses = built it from the profile.
-  Stats candidates_stats() const { return candidates_.stats(); }
-
   /// hits = reused a placed point, misses = priced, linked and analyzed
   /// the placement. A WCET-driven sweep counts every distinct greedy trial
   /// that linked at its size, the chosen placements among them.
   Stats placement_stats() const { return placements_.stats(); }
 
-  /// hits = served from cache, misses = ran the no-assignment link.
-  Stats image_stats() const { return images_.stats(); }
+  /// The placement memo's resident-entry bound (kPlacementCapacity).
+  std::size_t placement_capacity() const { return placements_.capacity(); }
 
-  /// hits = reused the shared decode table, misses = decoded the image.
-  Stats decoded_stats() const { return decoded_.stats(); }
+  /// hits = reused the canonical record, misses = linked, decoded and
+  /// compiled it.
+  Stats image_stats() const { return images_.stats(); }
 
   /// hits = reused the invariant analyzer skeleton, misses = built it.
   Stats shape_stats() const { return shapes_.stats(); }
@@ -199,36 +196,15 @@ public:
   /// hits = answered a cache point from the table, misses = observed run.
   Stats reuse_stats() const { return reuse_.stats(); }
 
-  void clear() {
-    profiles_.clear();
-    candidates_.clear();
-    placements_.clear();
-    images_.clear();
-    decoded_.clear();
-    blocks_.clear();
-    shapes_.clear();
-    views_.clear();
-    ipet_.clear();
-    reuse_.clear();
-  }
-
 private:
-  support::Memoizer<const workloads::WorkloadInfo*, sim::SimResult> profiles_;
-  support::Memoizer<const workloads::WorkloadInfo*,
-                    std::vector<alloc::MemoryObject>>
-      candidates_;
-  support::Memoizer<PlacementKey, PlacedRun> placements_;
-  support::Memoizer<const workloads::WorkloadInfo*, link::Image> images_;
-  support::Memoizer<const workloads::WorkloadInfo*, program::DecodedImage>
-      decoded_;
-  support::Memoizer<const workloads::WorkloadInfo*, sim::BlockTable> blocks_;
-  support::Memoizer<const workloads::WorkloadInfo*, wcet::ProgramShape>
-      shapes_;
-  support::Memoizer<const workloads::WorkloadInfo*, wcet::ProgramView> views_;
-  support::Memoizer<const workloads::WorkloadInfo*, wcet::IpetCache> ipet_;
-  support::Memoizer<std::pair<const workloads::WorkloadInfo*, bool>,
-                    cache::ReuseTable>
-      reuse_;
+  using WorkloadKey = const workloads::WorkloadInfo*;
+  support::Memoizer<WorkloadKey, CanonicalImage> images_;
+  support::Memoizer<WorkloadKey, CanonicalRun> profiles_;
+  support::Memoizer<PlacementKey, PlacedRun> placements_{kPlacementCapacity};
+  support::Memoizer<WorkloadKey, wcet::ProgramShape> shapes_;
+  support::Memoizer<WorkloadKey, wcet::ProgramView> views_;
+  support::Memoizer<WorkloadKey, wcet::IpetCache> ipet_;
+  support::Memoizer<std::pair<WorkloadKey, bool>, cache::ReuseTable> reuse_;
 };
 
 } // namespace spmwcet::harness

@@ -14,43 +14,28 @@ namespace spmwcet::harness {
 
 namespace {
 
-/// The workload's layout-invariant analyzer skeleton. Any link of the
-/// module yields the same shape, so the compute may run against whichever
-/// image reaches it first.
+/// The workload's layout-invariant analyzer skeleton, built from the
+/// canonical record; every placed image of the module binds the same shape.
 std::shared_ptr<const wcet::ProgramShape>
-shape_for(const workloads::WorkloadInfo& wl, ArtifactCache& ac,
-          const link::Image& img, const program::DecodedImage& dec) {
-  return ac.shape(wl, [&] { return wcet::build_shape(img, dec); });
-}
-
-/// Shared decode of the canonical no-assignment image (cache branch and
-/// canonical run): one decode per workload.
-std::shared_ptr<const program::DecodedImage>
-canonical_decoded(const workloads::WorkloadInfo& wl, ArtifactCache& ac,
-                  const link::Image& img) {
-  return ac.decoded(wl, [&] { return program::DecodedImage(img); });
-}
-
-/// The block table of the canonical no-assignment image, compiled once per
-/// workload for the canonical run and the cache branch's observed run.
-std::shared_ptr<const sim::BlockTable>
-canonical_blocks(const workloads::WorkloadInfo& wl, ArtifactCache& ac,
-                 const link::Image& img, const program::DecodedImage& dec) {
-  return ac.blocks(
-      wl, [&] { return sim::BlockTable(dec, sim::SymbolIndex(img), img); });
+canonical_shape(const workloads::WorkloadInfo& wl, ArtifactCache& ac) {
+  return ac.shape(wl, [&] {
+    const auto canonical = canonical_image(wl, ac);
+    return wcet::build_shape(canonical->image, canonical->decoded);
+  });
 }
 
 /// The analyzer front end bound to the canonical image, shared by every
-/// cache size of the cache branch. The view pins the image (and shape) it
-/// borrows, so a cached copy outlives the batch safely.
+/// cache size of the cache branch. The view pins the image (through the
+/// record that owns it) and the shape it borrows, so a cached copy outlives
+/// the batch safely.
 std::shared_ptr<const wcet::ProgramView>
 canonical_view(const workloads::WorkloadInfo& wl, ArtifactCache& ac,
-               const std::shared_ptr<const link::Image>& img,
-               const program::DecodedImage& dec) {
+               const std::shared_ptr<const CanonicalImage>& canonical) {
   return ac.view(wl, [&] {
-    wcet::ProgramView v =
-        wcet::bind_view(shape_for(wl, ac, *img, dec), *img, dec);
-    v.pinned_image = img;
+    wcet::ProgramView v = wcet::bind_view(
+        canonical_shape(wl, ac), canonical->image, canonical->decoded);
+    v.pinned_image = std::shared_ptr<const link::Image>(canonical,
+                                                        &canonical->image);
     return v;
   });
 }
@@ -85,15 +70,13 @@ double cache_energy(const cache::ReuseTable::Outcome& run) {
 /// outputs validated in that run.
 std::shared_ptr<const cache::ReuseTable>
 reuse_table(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
-            ArtifactCache& ac, const link::Image& img,
-            const program::DecodedImage& dec) {
+            ArtifactCache& ac, const CanonicalImage& canonical) {
   return ac.reuse(wl, cfg.cache_unified, [&] {
     cache::ReuseTable::Builder rec(cfg.cache_unified);
     sim::SimConfig scfg;
     scfg.reuse = &rec;
-    const auto blocks = canonical_blocks(wl, ac, img, dec);
-    scfg.compiled_blocks = blocks.get();
-    sim::Simulator s(img, scfg);
+    scfg.compiled_blocks = &canonical.blocks;
+    sim::Simulator s(canonical.image, scfg);
     const sim::SimResult run = s.run();
     validate_outputs(wl, s, "cache");
     return rec.finish(run.cycles);
@@ -116,16 +99,17 @@ PlacedRun run_placement(const workloads::WorkloadInfo& wl, uint32_t size,
   wcet::AnalyzerConfig acfg;
   const auto ipet = ac.ipet(wl);
   acfg.ipet_cache = ipet.get();
-  const wcet::WcetReport report = wcet::analyze_wcet(
-      wcet::bind_view(shape_for(wl, ac, img, dec), img, dec), acfg);
+  const wcet::WcetReport report =
+      wcet::analyze_wcet(wcet::bind_view(canonical_shape(wl, ac), img, dec),
+                         acfg);
   return PlacedRun{priced.cycles, report.wcet, priced.energy_nj,
                    img.spm_extent};
 }
 
 SweepPoint run_spm_point(const workloads::WorkloadInfo& wl, uint32_t size,
                          const SweepConfig& cfg, ArtifactCache& ac) {
-  // The canonical run: the energy knapsack's profile and every placement's
-  // price.
+  // The canonical run: every placement's price, and the candidate table the
+  // allocators solve.
   const auto canonical = canonical_run(wl, ac);
 
   // A placed point, once per distinct placement: sizes whose allocations
@@ -133,7 +117,7 @@ SweepPoint run_spm_point(const workloads::WorkloadInfo& wl, uint32_t size,
   // check still runs at every size, with the link's own error.
   const auto placed_at = [&](const link::SpmAssignment& assignment) {
     const auto placed = ac.placement({&wl, assignment}, [&] {
-      return run_placement(wl, size, assignment, *canonical, ac);
+      return run_placement(wl, size, assignment, canonical->run, ac);
     });
     link::check_spm_capacity(placed->spm_extent, size);
     return placed;
@@ -142,18 +126,15 @@ SweepPoint run_spm_point(const workloads::WorkloadInfo& wl, uint32_t size,
   // 1. Allocation, every point, over the workload's candidate table: the
   //    profile-driven energy knapsack (the paper's flow) or the WCET-driven
   //    greedy ablation, which prices every trial as a placed point.
-  const auto candidates = ac.candidates(wl, [&] {
-    return alloc::collect_objects(wl.module, canonical->profile, {});
-  });
   const alloc::AllocationResult allocation =
       cfg.wcet_driven_alloc
           ? alloc::allocate_wcet_driven(
-                *candidates, size,
+                canonical->candidates, size,
                 [&](const link::SpmAssignment& trial) {
                   cfg.deadline.check("allocate");
                   return placed_at(trial)->wcet_cycles;
                 })
-          : alloc::allocate_energy_optimal(*candidates, size);
+          : alloc::allocate_energy_optimal(canonical->candidates, size);
   cfg.deadline.check("allocate");
 
   // 2. The point's placed run; the greedy's choice was one of its trials.
@@ -173,11 +154,9 @@ SweepPoint run_spm_point(const workloads::WorkloadInfo& wl, uint32_t size,
 SweepPoint run_cache_point(const workloads::WorkloadInfo& wl, uint32_t size,
                            const SweepConfig& cfg, ArtifactCache& ac) {
   // One executable serves all cache sizes (caches are transparent): its
-  // link, decode, observed run and bound analyzer front end are once per
+  // canonical record, observed run and bound analyzer front end are once per
   // workload, and each size re-runs only cache analysis, timing and IPET.
-  const auto shared_img = canonical_image(wl, ac);
-  const link::Image& img = *shared_img;
-  const auto dec = canonical_decoded(wl, ac, img);
+  const auto canonical = canonical_image(wl, ac);
 
   cache::CacheConfig ccfg;
   ccfg.size_bytes = size;
@@ -187,7 +166,7 @@ SweepPoint run_cache_point(const workloads::WorkloadInfo& wl, uint32_t size,
 
   // The typical-input run under this geometry: a lookup, not a simulation.
   const cache::ReuseTable::Outcome run =
-      reuse_table(wl, cfg, ac, img, *dec)->lookup(ccfg);
+      reuse_table(wl, cfg, ac, *canonical)->lookup(ccfg);
   cfg.deadline.check("simulate");
 
   wcet::AnalyzerConfig acfg;
@@ -196,7 +175,7 @@ SweepPoint run_cache_point(const workloads::WorkloadInfo& wl, uint32_t size,
   const auto ipet = ac.ipet(wl);
   acfg.ipet_cache = ipet.get();
   const wcet::WcetReport report =
-      wcet::analyze_wcet(*canonical_view(wl, ac, shared_img, *dec), acfg);
+      wcet::analyze_wcet(*canonical_view(wl, ac, canonical), acfg);
 
   SweepPoint pt;
   pt.size_bytes = size;
@@ -211,24 +190,25 @@ SweepPoint run_cache_point(const workloads::WorkloadInfo& wl, uint32_t size,
 
 } // namespace
 
-std::shared_ptr<const link::Image>
+std::shared_ptr<const CanonicalImage>
 canonical_image(const workloads::WorkloadInfo& wl, ArtifactCache& ac) {
-  return ac.image(wl, [&] { return link::link_program(wl.module, {}, {}); });
+  return ac.image(wl, [&] {
+    return CanonicalImage(link::link_program(wl.module, {}, {}));
+  });
 }
 
-std::shared_ptr<const sim::SimResult>
+std::shared_ptr<const CanonicalRun>
 canonical_run(const workloads::WorkloadInfo& wl, ArtifactCache& ac) {
   return ac.profile(wl, [&] {
-    const auto img = canonical_image(wl, ac);
-    const auto dec = canonical_decoded(wl, ac, *img);
-    const auto blocks = canonical_blocks(wl, ac, *img, *dec);
+    const auto canonical = canonical_image(wl, ac);
     sim::SimConfig pcfg;
     pcfg.collect_profile = true;
-    pcfg.compiled_blocks = blocks.get();
-    sim::Simulator s(*img, pcfg);
-    sim::SimResult run = s.run();
+    pcfg.compiled_blocks = &canonical->blocks;
+    sim::Simulator s(canonical->image, pcfg);
+    CanonicalRun out{s.run(), {}};
     validate_outputs(wl, s, "spm");
-    return run;
+    out.candidates = alloc::collect_objects(wl.module, out.run.profile, {});
+    return out;
   });
 }
 

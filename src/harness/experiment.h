@@ -12,9 +12,13 @@
 // observed run serves every geometry, see cache/reuse_table.h) and analyze
 // with the MUST-only cache analysis.
 //
-// The canonical run and the cache branch's observed run validate their
-// outputs against the workload's native reference, so a timing experiment
-// can never silently run a miscompiled binary.
+// Both branches start from the workload's canonical record
+// (canonical_image: the no-assignment image, decoded and compiled into a
+// block table once per ArtifactCache), which the canonical run simulates,
+// the cache branch observes and binds, and the analyzer's shape is built
+// from. The canonical run and the cache branch's observed run validate
+// their outputs against the workload's native reference, so a timing
+// experiment can never silently run a miscompiled binary.
 #pragma once
 
 #include <cstdint>
@@ -46,10 +50,10 @@ struct SweepConfig {
   // Scratchpad-branch option: WCET-driven allocation instead of the
   // energy knapsack (future-work ablation).
   bool wcet_driven_alloc = false;
-  /// Shared artifacts (canonical runs, candidate tables, placements, cache
+  /// Shared artifacts (canonical records and runs, placements, cache
   /// tables, analyzer front ends): the Engine's session cache or one that
-  /// SweepRunner::run_matrix scopes to a batch. Null gives the point a
-  /// point-local cache, through the same pipeline.
+  /// run_matrix scopes to a batch. Null gives the point a point-local
+  /// cache, through the same pipeline.
   ArtifactCache* artifacts = nullptr;
   /// Cooperative wall-time budget: the pipeline checks it at stage
   /// boundaries (allocate/simulate/analyze) and aborts the point with
@@ -69,13 +73,18 @@ struct SweepPoint {
   double energy_nj = 0.0; ///< estimated from the access profile
 };
 
-/// The workload's no-assignment image, linked once per ArtifactCache.
-std::shared_ptr<const link::Image>
+struct CanonicalImage;
+struct CanonicalRun;
+
+/// The workload's canonical record: the no-assignment image linked, decoded
+/// and compiled into a block table, once per ArtifactCache.
+std::shared_ptr<const CanonicalImage>
 canonical_image(const workloads::WorkloadInfo& wl, ArtifactCache& ac);
 
-/// The canonical run: the profiled, output-validated simulation of
-/// canonical_image, once per ArtifactCache.
-std::shared_ptr<const sim::SimResult>
+/// The canonical run: the profiled, output-validated simulation of the
+/// canonical image, with the allocation candidate table of its profile,
+/// once per ArtifactCache.
+std::shared_ptr<const CanonicalRun>
 canonical_run(const workloads::WorkloadInfo& wl, ArtifactCache& ac);
 
 struct PricedRun {
@@ -90,7 +99,7 @@ PricedRun price_placement(const sim::SimResult& canonical,
 
 namespace detail {
 /// The pipeline primitive: one (setup, size) point exactly as configured.
-/// This is what the Engine and the sweep workers execute.
+/// This is what the Engine and run_matrix's workers execute.
 SweepPoint execute_point(const workloads::WorkloadInfo& wl, MemSetup setup,
                          uint32_t size_bytes, const SweepConfig& cfg);
 } // namespace detail

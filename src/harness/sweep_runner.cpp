@@ -1,102 +1,69 @@
 #include "harness/sweep_runner.h"
 
+#include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
 
 #include "harness/artifact_cache.h"
-#include "support/deadline.h"
 #include "support/diag.h"
+#include "support/thread_pool.h"
 
 namespace spmwcet::harness {
 
-SweepRunner::SweepRunner(SweepRunnerOptions opts) : pool_(opts.jobs) {}
+namespace {
 
-std::vector<SweepOutcome>
-SweepRunner::run(const std::vector<SweepJob>& batch) const {
-  // Slot-indexed writes keep the result order deterministic no matter
-  // which worker claims which point.
-  std::vector<SweepOutcome> outcomes(batch.size());
-  pool_.for_each(batch.size(), [&](std::size_t i) {
-    const SweepJob& job = batch[i];
-    try {
-      if (job.workload == nullptr)
-        throw Error("sweep: job " + std::to_string(i) + " has no workload");
-      outcomes[i].point = detail::execute_point(
-          *job.workload, job.config.setup, job.size_bytes, job.config);
-    } catch (const support::DeadlineExceededError& e) {
-      outcomes[i].error = e.what();
-      outcomes[i].deadline_exceeded = true;
-    } catch (const std::exception& e) {
-      outcomes[i].error = e.what();
-    }
-  });
-  return outcomes;
+/// The process-wide pool of one resolved width.
+support::ThreadPool& shared_pool(unsigned jobs) {
+  static std::mutex mu;
+  // Intentionally leaked: pool threads must stay joinable for any code that
+  // sweeps during static destruction, and the OS reclaims them at exit.
+  static auto* pools =
+      new std::map<unsigned, std::unique_ptr<support::ThreadPool>>();
+  const unsigned width = support::resolve_jobs(jobs);
+  const std::lock_guard<std::mutex> lk(mu);
+  std::unique_ptr<support::ThreadPool>& slot = (*pools)[width];
+  if (!slot) slot = std::make_unique<support::ThreadPool>(width);
+  return *slot;
 }
 
+} // namespace
+
 std::vector<std::vector<SweepPoint>>
-SweepRunner::run_matrix(const std::vector<MatrixRequest>& requests) const {
+run_matrix(const std::vector<MatrixRequest>& requests, unsigned jobs) {
   // One cache per batch: keyed by workload address, so it must not outlive
   // the borrowed WorkloadInfo objects.
   ArtifactCache artifacts;
 
-  std::vector<SweepJob> batch;
+  std::vector<SweepConfig> configs;
+  std::vector<std::vector<SweepPoint>> results;
+  struct Slot {
+    std::size_t request, point;
+  };
+  std::vector<Slot> batch;
   for (const MatrixRequest& req : requests) {
     if (req.workload == nullptr) throw Error("sweep: request has no workload");
-    std::vector<SweepJob> jobs_for = make_sweep_jobs(*req.workload, req.config);
-    for (SweepJob& job : jobs_for)
-      if (job.config.artifacts == nullptr)
-        job.config.artifacts = &artifacts;
-    batch.insert(batch.end(), jobs_for.begin(), jobs_for.end());
+    SweepConfig& cfg = configs.emplace_back(req.config);
+    if (cfg.artifacts == nullptr) cfg.artifacts = &artifacts;
+    results.emplace_back(cfg.sizes.size());
+    for (std::size_t i = 0; i < cfg.sizes.size(); ++i)
+      batch.push_back({results.size() - 1, i});
   }
 
-  const std::vector<SweepOutcome> outcomes = run(batch);
-  for (const SweepOutcome& o : outcomes)
-    if (!o.ok()) {
-      if (o.deadline_exceeded)
-        throw support::DeadlineExceededError(
-            o.error, support::DeadlineExceededError::RawMessage{});
-      throw Error(o.error);
+  std::vector<std::exception_ptr> errors(batch.size());
+  shared_pool(jobs).for_each(batch.size(), [&](std::size_t b) {
+    const auto [r, i] = batch[b];
+    const SweepConfig& cfg = configs[r];
+    try {
+      results[r][i] = detail::execute_point(*requests[r].workload, cfg.setup,
+                                            cfg.sizes[i], cfg);
+    } catch (...) {
+      errors[b] = std::current_exception();
     }
-
-  std::vector<std::vector<SweepPoint>> results;
-  results.reserve(requests.size());
-  std::size_t at = 0;
-  for (const MatrixRequest& req : requests) {
-    const std::size_t n = req.config.sizes.size();
-    std::vector<SweepPoint> points;
-    points.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) points.push_back(outcomes[at++].point);
-    results.push_back(std::move(points));
-  }
+  });
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
   return results;
-}
-
-SweepRunner& shared_runner(unsigned jobs) {
-  static std::mutex mu;
-  // Intentionally leaked: pool threads must stay joinable for any code that
-  // sweeps during static destruction, and the OS reclaims them at exit.
-  static std::map<unsigned, std::unique_ptr<SweepRunner>>* runners =
-      new std::map<unsigned, std::unique_ptr<SweepRunner>>();
-  const unsigned width = support::resolve_jobs(jobs);
-  const std::lock_guard<std::mutex> lk(mu);
-  std::unique_ptr<SweepRunner>& slot = (*runners)[width];
-  if (!slot) slot = std::make_unique<SweepRunner>(SweepRunnerOptions{width});
-  return *slot;
-}
-
-std::vector<SweepJob> make_sweep_jobs(const workloads::WorkloadInfo& wl,
-                                      const SweepConfig& cfg) {
-  std::vector<SweepJob> batch;
-  batch.reserve(cfg.sizes.size());
-  for (const uint32_t size : cfg.sizes)
-    batch.push_back(SweepJob{&wl, cfg, size});
-  return batch;
-}
-
-std::vector<std::vector<SweepPoint>>
-run_matrix(const std::vector<MatrixRequest>& requests, unsigned jobs) {
-  return shared_runner(jobs).run_matrix(requests);
 }
 
 } // namespace spmwcet::harness

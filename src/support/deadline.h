@@ -22,25 +22,13 @@
 
 namespace spmwcet::support {
 
-/// A request ran past its deadline; carries the pipeline stage that
+/// A request ran past its deadline; the message names the pipeline stage that
 /// noticed. Derived from Error so legacy catch sites keep working, but
 /// distinguishable so the Engine can answer with the typed error code.
 class DeadlineExceededError : public Error {
 public:
   explicit DeadlineExceededError(const std::string& stage)
-      : Error("deadline exceeded (" + stage + ")"), stage_(stage) {}
-
-  /// Rebuilds the exception from an already-rendered what() message — the
-  /// sweep runner round-trips it across the worker-thread boundary as a
-  /// string. stage() is empty on this path.
-  struct RawMessage {};
-  DeadlineExceededError(const std::string& message, RawMessage)
-      : Error(message) {}
-
-  const std::string& stage() const { return stage_; }
-
-private:
-  std::string stage_;
+      : Error("deadline exceeded (" + stage + ")") {}
 };
 
 /// Optional absolute deadline on the steady clock. Default-constructed =

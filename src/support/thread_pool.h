@@ -1,11 +1,12 @@
-// Persistent worker pool with one shared work queue.
+// Persistent worker pool with one shared work queue: the one thread
+// primitive of the library, behind the sweep batches and the benches.
 //
-// Unlike parallel_for (which spawns and joins threads per call), a ThreadPool
-// creates its workers once and reuses them for every subsequent batch, so a
-// long-running process that issues many sweeps pays thread start-up exactly
-// once. Batches keep parallel_for's semantics: indices are claimed from a
-// shared atomic counter (work stealing), the calling thread participates as
-// one of the workers, and for_each blocks until the whole batch has drained.
+// A ThreadPool creates its workers once and reuses them for every
+// subsequent batch, so a long-running process that issues many sweeps pays
+// thread start-up exactly once. Indices are claimed from a shared atomic
+// counter (work stealing), so uneven task costs balance across workers
+// without static partitioning; the calling thread participates as one of
+// the workers, and for_each blocks until the whole batch has drained.
 #pragma once
 
 #include <atomic>
@@ -17,9 +18,14 @@
 #include <thread>
 #include <vector>
 
-#include "support/parallel.h"
-
 namespace spmwcet::support {
+
+/// Maps the user-facing jobs knob to a worker count: 0 = all hardware
+/// threads, and a platform that cannot report its core count gets 1.
+inline unsigned resolve_jobs(unsigned jobs) {
+  if (jobs == 0) jobs = std::thread::hardware_concurrency();
+  return jobs == 0 ? 1u : jobs;
+}
 
 class ThreadPool {
 public:

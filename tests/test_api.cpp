@@ -289,38 +289,24 @@ TEST(ApiEngine, ResponseCachingCanBeDisabled) {
 
 // ---- simbench -------------------------------------------------------------
 
-TEST(ApiEngine, SimBenchCoversBaselineAndSpmConfigs) {
+TEST(ApiEngine, SimBenchTimesTheCanonicalRunOfEveryWorkload) {
   api::Engine engine;
   const auto result = engine.simbench(SimBenchRequest::make(1).value());
   ASSERT_TRUE(result.ok());
   const auto& rows = result.value().rows;
-  // One baseline + one spm row per simbench workload (the paper set plus
-  // the generated members), baseline first.
-  ASSERT_EQ(rows.size(), 2 * workloads::simbench_names().size());
-  for (std::size_t i = 0; i < rows.size(); i += 2) {
-    EXPECT_EQ(rows[i].config, "baseline");
-    EXPECT_EQ(rows[i + 1].config, "spm");
-    EXPECT_EQ(rows[i].benchmark, rows[i + 1].benchmark);
-    // The placed image runs the same program on the same input.
-    EXPECT_EQ(rows[i].instructions, rows[i + 1].instructions);
-    EXPECT_GT(rows[i].instr_per_second, 0.0);
-    EXPECT_GT(rows[i + 1].instr_per_second, 0.0);
-    // Both layouts pass the stack-window proof.
-    EXPECT_TRUE(rows[i].stack_window) << rows[i].benchmark;
-    EXPECT_TRUE(rows[i + 1].stack_window) << rows[i + 1].benchmark;
-    // ... and run entirely in compiled blocks.
-    EXPECT_EQ(rows[i].fallback_instructions, 0u) << rows[i].benchmark;
-    EXPECT_EQ(rows[i + 1].fallback_instructions, 0u) << rows[i + 1].benchmark;
+  // One row per simbench workload (the paper set plus the generated
+  // members), each the canonical image's profiled run.
+  ASSERT_EQ(rows.size(), workloads::simbench_names().size());
+  for (const auto& row : rows) {
+    EXPECT_GT(row.instructions, 0u) << row.benchmark;
+    EXPECT_GT(row.instr_per_second, 0.0) << row.benchmark;
+    // The layout passes the stack-window proof ...
+    EXPECT_TRUE(row.stack_window) << row.benchmark;
+    // ... and runs entirely in compiled blocks.
+    EXPECT_EQ(row.fallback_instructions, 0u) << row.benchmark;
   }
   EXPECT_GT(result.value().aggregate_ips, 0.0);
-  EXPECT_GT(result.value().aggregate_baseline_ips, 0.0);
-
-  const auto baseline_only =
-      engine.simbench(SimBenchRequest::make(1, 0).value());
-  ASSERT_TRUE(baseline_only.ok());
-  EXPECT_EQ(baseline_only.value().rows.size(),
-            workloads::simbench_names().size());
-  EXPECT_EQ(SimBenchRequest::make(1).value().key(), "simbench|r=1|spm=4096");
+  EXPECT_EQ(SimBenchRequest::make(1).value().key(), "simbench|r=1");
 }
 
 // ---- wcetbench ---------------------------------------------------------------

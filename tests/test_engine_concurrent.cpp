@@ -229,6 +229,25 @@ TEST(EngineConcurrent, DeadlineExceededIsTypedAndNotCached) {
   EXPECT_EQ(engine.stats().response_hits, hits_before + 1);
 }
 
+// A batch's points run on pool workers; a point that runs out of budget
+// there must still reach the caller as the typed DeadlineExceeded error,
+// not a generic ExecutionError.
+TEST(EngineConcurrent, SweepDeadlineStaysTypedAcrossThePool) {
+  support::fault::arm("engine.compute.delay", 1.0, /*times=*/0, /*skip=*/0,
+                      /*param=*/60);
+  EngineOptions opts;
+  opts.jobs = 4;
+  Engine engine(opts);
+  const auto req = SweepRequest::make({"adpcm"}, MemSetup::Scratchpad, {}, {},
+                                      /*deadline_ms=*/20);
+  ASSERT_TRUE(req.ok());
+  const auto late = engine.sweep(req.value());
+  support::fault::disarm_all();
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.error().code, api::ErrorCode::DeadlineExceeded)
+      << late.error().render();
+}
+
 // The WCET-driven greedy checks the budget before every trial, so a bounded
 // request on a ~400-object program stops inside the greedy's first round
 // instead of finishing the allocation first: fewer placements were priced

@@ -219,9 +219,19 @@ TEST(PlacementArtifact, PaperSweepsMatchPointLocalCachesAndShareRuns) {
     EXPECT_EQ(batch.placement_stats().misses, distinct[w]) << wl.name;
     EXPECT_EQ(batch.placement_stats().hits, cfg.sizes.size() - distinct[w])
         << wl.name;
-    EXPECT_EQ(batch.candidates_stats().misses, 1u) << wl.name;
-    EXPECT_EQ(batch.candidates_stats().hits, cfg.sizes.size() - 1) << wl.name;
+    // One canonical run, and with it the candidate table, per workload.
+    EXPECT_EQ(batch.stats().misses, 1u) << wl.name;
+    EXPECT_EQ(batch.stats().hits, cfg.sizes.size() - 1) << wl.name;
   }
+}
+
+TEST(PlacementArtifact, MemoIsBoundedAboveOneRequestsTrials) {
+  // The placement memo keeps every WCET-driven trial, so it alone carries
+  // an LRU bound; one callheavy --wcet-alloc sweep stores ~11k trials and
+  // must fit.
+  const ArtifactCache cache;
+  EXPECT_EQ(cache.placement_capacity(), ArtifactCache::kPlacementCapacity);
+  EXPECT_GE(cache.placement_capacity(), 16384u);
 }
 
 TEST(PlacementArtifact, CapacityCheckFiresOnHitAsOnMiss) {
@@ -240,14 +250,16 @@ TEST(PlacementArtifact, CapacityCheckFiresOnHitAsOnMiss) {
       big_bytes = bytes;
     }
   ASSERT_GT(big_bytes, 64u);
+  ArtifactCache scratch;
+  const sim::SimResult run = canonical_run(wl, scratch)->run;
   const auto plant = [&](ArtifactCache& cache) {
-    (void)cache.candidates(wl, [&] {
+    (void)cache.profile(wl, [&] {
       alloc::MemoryObject obj;
       obj.name = big;
       obj.is_function = true;
       obj.size_bytes = 16;
       obj.benefit_nj = 1.0;
-      return std::vector<alloc::MemoryObject>{obj};
+      return CanonicalRun{run, {obj}};
     });
   };
   const auto error_at = [&](ArtifactCache& cache, uint32_t size) {

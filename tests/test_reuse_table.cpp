@@ -16,6 +16,7 @@
 #include "link/layout.h"
 #include "reference/simulator.h"
 #include "sim/simulator.h"
+#include "support/thread_pool.h"
 #include "workloads/generated.h"
 #include "workloads/workload.h"
 
@@ -252,9 +253,7 @@ TEST(ReuseArtifact, OneObservedRunPerWorkloadAndBatch) {
   harness::SweepConfig cfg = cache_sweep();
   harness::ArtifactCache cache;
   cfg.artifacts = &cache;
-  const harness::SweepRunner runner(harness::SweepRunnerOptions{4});
-  const auto outcomes = runner.run(harness::make_sweep_jobs(wl, cfg));
-  for (const auto& o : outcomes) EXPECT_TRUE(o.ok()) << o.error;
+  (void)harness::run_matrix({{&wl, cfg}}, 4);
   EXPECT_EQ(cache.reuse_stats().misses, 1u);
   EXPECT_EQ(cache.reuse_stats().hits, cfg.sizes.size() - 1);
 }
@@ -305,14 +304,17 @@ TEST(ReuseArtifact, BudgetErrorReachesEveryCachePoint) {
     cfg.sizes = {64, 8192};
     harness::ArtifactCache cache;
     cfg.artifacts = batch_cache ? &cache : nullptr;
-    const harness::SweepRunner runner(harness::SweepRunnerOptions{2});
-    const auto outcomes = runner.run(harness::make_sweep_jobs(wl, cfg));
-    ASSERT_EQ(outcomes.size(), cfg.sizes.size());
-    for (const auto& o : outcomes) {
-      EXPECT_FALSE(o.ok());
-      EXPECT_NE(o.error.find("instruction budget exceeded"), std::string::npos)
-          << o.error;
-    }
+    std::vector<std::string> errors(cfg.sizes.size());
+    support::ThreadPool(2).for_each(cfg.sizes.size(), [&](std::size_t i) {
+      try {
+        (void)harness::detail::execute_point(wl, cfg.setup, cfg.sizes[i], cfg);
+      } catch (const std::exception& e) {
+        errors[i] = e.what();
+      }
+    });
+    for (const std::string& error : errors)
+      EXPECT_NE(error.find("instruction budget exceeded"), std::string::npos)
+          << error;
     // A failed observation is never cached: every point ran it.
     EXPECT_EQ(cache.reuse_stats().hits, 0u);
   }

@@ -28,7 +28,7 @@
 #include "harness/sweep_runner.h"
 #include "link/layout.h"
 #include "sim/simulator.h"
-#include "support/parallel.h"
+#include "support/thread_pool.h"
 #include "wcet/analyzer.h"
 #include "workloads/generated.h"
 
@@ -145,7 +145,7 @@ std::size_t expect_prices_match_simulation(
     // record of linked trials).
     std::vector<link::SpmAssignment> chosen(cfg.sizes.size());
     std::vector<std::set<link::SpmAssignment>> linked(cfg.sizes.size());
-    support::parallel_for(chosen.size(), 2, [&](std::size_t i) {
+    support::ThreadPool(2).for_each(chosen.size(), [&](std::size_t i) {
       chosen[i] =
           cfg.wcet_driven_alloc
               ? alloc::allocate_wcet_driven(
@@ -153,7 +153,7 @@ std::size_t expect_prices_match_simulation(
                     cold_wcet_of(wl, cfg.sizes[i], linked[i]))
                     .assignment
               : alloc::allocate_energy_optimal(
-                    wl.module, canonical->profile, cfg.sizes[i])
+                    wl.module, canonical->run.profile, cfg.sizes[i])
                     .assignment;
     });
     for (std::size_t i = 0; i < cfg.sizes.size(); ++i) {
@@ -174,7 +174,7 @@ std::size_t expect_prices_match_simulation(
         it = simulated
                  .emplace(chosen[i],
                           simulate_placement(wl, cfg.sizes[i], chosen[i],
-                                             *canonical, what))
+                                             canonical->run, what))
                  .first;
       EXPECT_EQ(placed->sim_cycles, it->second.cycles) << what;
       EXPECT_EQ(placed->energy_nj, it->second.energy_nj) << what;

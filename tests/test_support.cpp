@@ -15,7 +15,6 @@
 #include "support/bitops.h"
 #include "support/interval.h"
 #include "support/memoize.h"
-#include "support/parallel.h"
 #include "support/table_printer.h"
 #include "support/thread_pool.h"
 
@@ -157,36 +156,31 @@ TEST(TablePrinter, RejectsAridityMismatch) {
   EXPECT_THROW(t.add_row({"only-one"}), Error);
 }
 
-TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
+TEST(ThreadPool, VisitsEveryIndexExactlyOnceAtEveryWidth) {
   for (const unsigned jobs : {1u, 2u, 8u}) {
+    support::ThreadPool pool(jobs);
     constexpr std::size_t n = 1000;
     std::vector<std::atomic<int>> visits(n);
-    support::parallel_for(n, jobs, [&](std::size_t i) { ++visits[i]; });
+    pool.for_each(n, [&](std::size_t i) { ++visits[i]; });
     for (std::size_t i = 0; i < n; ++i)
       ASSERT_EQ(visits[i].load(), 1) << "jobs=" << jobs << " i=" << i;
   }
 }
 
-TEST(ParallelFor, SlotIndexedWritesAreDeterministic) {
+TEST(ThreadPool, SlotIndexedWritesAreDeterministic) {
   constexpr std::size_t n = 64;
   std::vector<std::size_t> serial(n), parallel(n);
-  support::parallel_for(n, 1, [&](std::size_t i) { serial[i] = i * i; });
-  support::parallel_for(n, 8, [&](std::size_t i) { parallel[i] = i * i; });
+  support::ThreadPool(1).for_each(n, [&](std::size_t i) { serial[i] = i * i; });
+  support::ThreadPool(8).for_each(n,
+                                  [&](std::size_t i) { parallel[i] = i * i; });
   EXPECT_EQ(serial, parallel);
 }
 
-TEST(ParallelFor, HandlesEmptyAndSingleElementRanges) {
-  int calls = 0;
-  support::parallel_for(0, 8, [&](std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  support::parallel_for(1, 8, [&](std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ParallelFor, ResolveJobsNeverReturnsZero) {
+TEST(ThreadPool, ResolveJobsNeverReturnsZero) {
   EXPECT_GE(support::resolve_jobs(0), 1u);
   EXPECT_EQ(support::resolve_jobs(1), 1u);
   EXPECT_EQ(support::resolve_jobs(16), 16u);
+  EXPECT_EQ(support::ThreadPool(0).workers(), support::resolve_jobs(0));
 }
 
 TEST(ThreadPool, ReusesWorkersAcrossBatches) {

@@ -1,18 +1,21 @@
-// Parity tests for the parallel sweep engine: a parallel run must produce a
-// report that is byte-identical to the serial path, and the artifact-cached
-// and memoized-registry pipelines must be byte-identical to the uncached
-// seed pipeline, for every paper benchmark, both memory setups, and several
-// pool widths. Reports are compared as strings and points field by field
-// (doubles with exact equality), so any divergence — reordered rows, a
-// different point value, even a formatting change — fails loudly.
+// Tests of the batch runner (harness::run_matrix). A parallel run must
+// produce a report byte-identical to the serial path, and the
+// artifact-cached and memoized-registry pipelines must be byte-identical to
+// point-local runs, for every paper benchmark, both memory setups, and
+// several pool widths. Reports are compared as strings and points field by
+// field (doubles with exact equality), so any divergence — reordered rows,
+// a different point value, even a formatting change — fails loudly. The
+// batch's error capture and artifact sharing are checked at the end; its
+// typed deadline is EngineConcurrent.SweepDeadlineStaysTypedAcrossThePool.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "api/engine.h"
 #include "harness/artifact_cache.h"
 #include "harness/experiment.h"
 #include "harness/sweep_runner.h"
-#include "link/layout.h"
+#include "support/diag.h"
 #include "workloads/workload.h"
 
 namespace spmwcet {
@@ -60,7 +63,7 @@ harness::SweepConfig config_for(harness::MemSetup setup) {
   return cfg;
 }
 
-class SweepRunnerParity
+class RunMatrixParity
     : public ::testing::TestWithParam<std::tuple<std::string, harness::MemSetup>> {
 protected:
   static workloads::WorkloadInfo make(const std::string& name) {
@@ -70,7 +73,7 @@ protected:
   }
 };
 
-TEST_P(SweepRunnerParity, ParallelReportMatchesSerial) {
+TEST_P(RunMatrixParity, ParallelReportMatchesSerial) {
   const auto& [bench, setup] = GetParam();
   const workloads::WorkloadInfo wl = make(bench);
   const harness::SweepConfig cfg = config_for(setup);
@@ -85,7 +88,7 @@ TEST_P(SweepRunnerParity, ParallelReportMatchesSerial) {
   }
 }
 
-TEST_P(SweepRunnerParity, CachedProfileMatchesUncachedSeedPath) {
+TEST_P(RunMatrixParity, CachedProfileMatchesUncachedSeedPath) {
   // The artifact-cached pipeline (profile hoisted once per workload) must
   // reproduce the seed pipeline — which re-ran the profiling simulation for
   // every SPM size — byte for byte, at every pool width.
@@ -108,7 +111,7 @@ TEST_P(SweepRunnerParity, CachedProfileMatchesUncachedSeedPath) {
   }
 }
 
-TEST_P(SweepRunnerParity, MemoizedRegistryMatchesFreshFactory) {
+TEST_P(RunMatrixParity, MemoizedRegistryMatchesFreshFactory) {
   // A registry-shared module must sweep to the same points as a privately
   // lowered one (the registry memoizes lowering, never results).
   const auto& [bench, setup] = GetParam();
@@ -131,7 +134,7 @@ TEST_P(SweepRunnerParity, MemoizedRegistryMatchesFreshFactory) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PaperBenchmarks, SweepRunnerParity,
+    PaperBenchmarks, RunMatrixParity,
     ::testing::Combine(::testing::Values("g721", "adpcm", "multisort"),
                        ::testing::Values(harness::MemSetup::Scratchpad,
                                          harness::MemSetup::Cache)),
@@ -143,28 +146,26 @@ INSTANTIATE_TEST_SUITE_P(
                              : "Spm");
     });
 
-TEST(SweepRunner, BatchKeepsJobOrderAndCapturesErrors) {
+TEST(RunMatrix, RethrowsTheFirstFailureInBatchOrder) {
+  // Two unsupported cache geometries fail in their own points; whichever
+  // worker reaches one first, the batch fails with the earlier point's
+  // error, as the serial loop would.
   const auto wl = workloads::make_multisort(24);
   harness::SweepConfig cfg = config_for(harness::MemSetup::Cache);
-
-  // A mixed batch: a bad job (null workload) between two good ones must not
-  // disturb its neighbors and must carry its own diagnostic.
-  std::vector<harness::SweepJob> batch = harness::make_sweep_jobs(wl, cfg);
-  ASSERT_EQ(batch.size(), 3u);
-  batch[1].workload = nullptr;
-
-  const harness::SweepRunner runner(harness::SweepRunnerOptions{4});
-  const auto outcomes = runner.run(batch);
-  ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_TRUE(outcomes[0].ok());
-  EXPECT_FALSE(outcomes[1].ok());
-  EXPECT_NE(outcomes[1].error.find("no workload"), std::string::npos);
-  EXPECT_TRUE(outcomes[2].ok());
-  EXPECT_EQ(outcomes[0].point.size_bytes, 64u);
-  EXPECT_EQ(outcomes[2].point.size_bytes, 1024u);
+  cfg.sizes = {64, 96, 48, 1024};
+  for (const unsigned jobs : {1u, 4u}) {
+    try {
+      (void)harness::run_matrix({{&wl, cfg}}, jobs);
+      ADD_FAILURE() << "jobs=" << jobs << ": the batch did not fail";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("(96 B"), std::string::npos)
+          << "jobs=" << jobs << ": " << e.what();
+    }
+  }
+  EXPECT_THROW((void)harness::run_matrix({{nullptr, cfg}}, 4), Error);
 }
 
-TEST(SweepRunner, MatrixBatchesWorkloadsAndSetups) {
+TEST(RunMatrix, MatrixBatchesWorkloadsAndSetups) {
   // A (workload × setup) matrix flattened into one batch must return each
   // request's points exactly as its standalone sweep would.
   const auto g721 = workloads::make_g721(16);
@@ -185,72 +186,59 @@ TEST(SweepRunner, MatrixBatchesWorkloadsAndSetups) {
                    sweep(adpcm, cache_cfg, 1)));
 }
 
-TEST(SweepRunner, ZeroJobsPicksHardwareConcurrency) {
-  const harness::SweepRunner runner(harness::SweepRunnerOptions{0});
-  EXPECT_GE(runner.jobs(), 1u);
-}
-
-TEST(SweepRunner, SharedRunnerPersistsAcrossBatches) {
-  // The process-wide runner is created once per worker count; embedding
-  // sweeps in a loop reuses the same pool instead of spinning up threads.
-  harness::SweepRunner& first = harness::shared_runner(2);
-  harness::SweepRunner& second = harness::shared_runner(2);
-  EXPECT_EQ(&first, &second);
-  EXPECT_EQ(first.jobs(), 2u);
-  EXPECT_NE(&first, &harness::shared_runner(3));
-
-  // Back-to-back batches on the persistent pool stay deterministic.
+TEST(RunMatrix, BackToBackBatchesOnOnePoolAreDeterministic) {
+  // Batches of one width share one persistent pool; reusing it must not
+  // change a point.
   const auto wl = workloads::make_adpcm(64);
   const auto cfg = config_for(harness::MemSetup::Scratchpad);
-  const auto once = first.run_matrix({{&wl, cfg}});
-  const auto twice = first.run_matrix({{&wl, cfg}});
-  expect_identical_points(once.front(), twice.front(), "persistent pool");
+  expect_identical_points(sweep(wl, cfg, 2), sweep(wl, cfg, 2),
+                          "persistent pool");
 }
 
-TEST(SweepRunner, MatrixSharesOneProfilePerWorkload) {
-  // The batch-scoped ArtifactCache must collapse the profiling simulation
-  // to one run per workload: all but the first SPM point hit the cache.
+TEST(RunMatrix, MatrixSharesOneProfilePerWorkload) {
+  // The batch's ArtifactCache must collapse the profiling simulation to one
+  // run per workload: all but the first SPM point hit the cache.
   const auto wl = workloads::make_adpcm(64);
   harness::SweepConfig cfg = config_for(harness::MemSetup::Scratchpad);
   harness::ArtifactCache cache;
   cfg.artifacts = &cache;
-
-  const harness::SweepRunner runner(harness::SweepRunnerOptions{4});
-  const auto outcomes = runner.run(harness::make_sweep_jobs(wl, cfg));
-  for (const auto& o : outcomes) EXPECT_TRUE(o.ok()) << o.error;
+  (void)sweep(wl, cfg, 4);
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, cfg.sizes.size() - 1);
 }
 
-TEST(SweepRunner, CacheBranchSharesOneImagePerWorkload) {
-  // The cache branch simulates the same no-assignment image at every cache
-  // size; with a batch cache the link runs once and every point shares it.
+TEST(RunMatrix, BothBranchesShareOneCanonicalRecordPerWorkload) {
+  // The SPM sweep builds the workload's canonical record (image, decode,
+  // block table) once; the cache sweep on the same cache reuses it at
+  // every size instead of linking, decoding or compiling again.
   const auto wl = workloads::make_adpcm(64);
-  harness::SweepConfig cfg = config_for(harness::MemSetup::Cache);
   harness::ArtifactCache cache;
-  cfg.artifacts = &cache;
+  harness::SweepConfig spm_cfg = config_for(harness::MemSetup::Scratchpad);
+  spm_cfg.artifacts = &cache;
+  harness::SweepConfig cache_cfg = config_for(harness::MemSetup::Cache);
+  cache_cfg.artifacts = &cache;
 
-  const harness::SweepRunner runner(harness::SweepRunnerOptions{4});
-  const auto outcomes = runner.run(harness::make_sweep_jobs(wl, cfg));
-  for (const auto& o : outcomes) EXPECT_TRUE(o.ok()) << o.error;
+  (void)sweep(wl, spm_cfg, 4);
+  const auto after_spm = cache.image_stats();
+  EXPECT_EQ(after_spm.misses, 1u);
+  (void)sweep(wl, cache_cfg, 4);
+  const auto after_cache = cache.image_stats();
+  EXPECT_EQ(after_cache.misses, 1u);
+  EXPECT_EQ(after_cache.hits, after_spm.hits + cache_cfg.sizes.size());
 
-  const auto stats = cache.image_stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, cfg.sizes.size() - 1);
-
-  // Direct unit check: the second image() call serves the first's object.
-  harness::ArtifactCache unit;
-  const auto first =
-      unit.image(wl, [&] { return link::link_program(wl.module, {}, {}); });
-  const auto second =
-      unit.image(wl, [&] { return link::link_program(wl.module, {}, {}); });
-  EXPECT_EQ(first.get(), second.get());
-  EXPECT_EQ(unit.image_stats().misses, 1u);
+  // The same through the Engine's session cache, as `image_artifacts`.
+  api::Engine engine;
+  for (const harness::MemSetup setup :
+       {harness::MemSetup::Scratchpad, harness::MemSetup::Cache})
+    ASSERT_TRUE(
+        engine.sweep(api::SweepRequest::make({"adpcm"}, setup).value()).ok());
+  EXPECT_EQ(engine.stats().image_artifacts.misses, 1u);
+  EXPECT_GT(engine.stats().image_artifacts.hits, 0u);
 }
 
-TEST(SweepRunner, WcetDrivenSweepsShareTrialsOnOneCache) {
+TEST(RunMatrix, WcetDrivenSweepsShareTrialsOnOneCache) {
   // Concurrent sizes and programs of one batch price their greedy trials
   // through one shared placement memo: at every pool width the points are
   // the serial ones and the distinct placements priced are the same.

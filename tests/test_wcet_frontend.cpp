@@ -803,11 +803,12 @@ TEST(HarnessWcetParity, ArtifactCacheSharesShapesAndViews) {
   cfg.artifacts = &cache;
   const auto points = harness::run_matrix({{&wl, cfg}}, 1).front();
   ASSERT_EQ(points.size(), harness::SweepConfig{}.sizes.size());
-  // All 8 cache sizes bind one shape and share one view and one decode.
+  // All 8 cache sizes bind one shape and share one view and one canonical
+  // record (image, decode, block table).
   EXPECT_EQ(cache.shape_stats().misses, 1u);
   EXPECT_EQ(cache.view_stats().misses, 1u);
   EXPECT_EQ(cache.view_stats().hits, points.size() - 1);
-  EXPECT_EQ(cache.decoded_stats().misses, 1u);
+  EXPECT_EQ(cache.image_stats().misses, 1u);
 
   // The SPM branch of the same batch reuses the same shape: still one miss.
   harness::SweepConfig spm_cfg = cfg;

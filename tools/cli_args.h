@@ -23,8 +23,8 @@ struct Args {
   std::vector<std::string> positional;
   std::vector<std::string> flags; ///< every --flag given, in order
   // Flag presence and value are tracked separately: `sweep` uses --spm /
-  // --cache as bare mode flags, `run` requires a byte value, and
-  // `simbench --spm 0` must be distinguishable from a bare --spm.
+  // --cache as bare mode flags, `run` requires a byte value, and `corpus`
+  // takes one optionally.
   bool spm_flag = false;
   bool cache_flag = false;
   std::optional<uint32_t> spm;   ///< numeric value, when one was given
@@ -191,7 +191,7 @@ inline const std::map<std::string, std::set<std::string>>& command_flags() {
           "--max-queue-wait", "--idle-timeout", "--drain"}},
         {"disasm", {}},
         {"annotations", {"--spm"}},
-        {"simbench", {"--repeat", "--spm", "--json"}},
+        {"simbench", {"--repeat", "--json"}},
         {"wcetbench", {"--repeat", "--json"}},
         {"corpusbench", {"--count", "--base", "--repeat", "--json", "--jobs"}},
     };

@@ -36,10 +36,11 @@
 //         socket at 1, 2, 4, … N concurrent clients on a warm engine.
 //   spmwcet disasm <benchmark> [function]
 //   spmwcet annotations <benchmark> [--spm BYTES]
-//   spmwcet simbench [--repeat N] [--spm BYTES] [--json FILE]
+//   spmwcet simbench [--repeat N] [--json FILE]
 //       — simulator throughput (instructions/second) over the simbench set
-//         (paper workloads + generated members), best-of-N, for the
-//         no-assignment baseline and an SPM-placed configuration.
+//         (paper workloads + generated members), best-of-N, timing the
+//         canonical image's profiled run, the one simulation per workload
+//         the pipeline executes.
 //   spmwcet wcetbench [--repeat N] [--json FILE]
 //       — WCET-analyzer throughput (analyses/second) over the paper
 //         workloads on sweep-shaped work (8 sizes per setup, MUST-only and
@@ -118,7 +119,7 @@ int usage() {
                " [--json FILE]\n"
             << "  spmwcet disasm <bench> [function]\n"
             << "  spmwcet annotations <bench> [--spm BYTES]\n"
-            << "  spmwcet simbench [--repeat N] [--spm BYTES] [--json FILE]\n"
+            << "  spmwcet simbench [--repeat N] [--json FILE]\n"
             << "  spmwcet wcetbench [--repeat N] [--json FILE]\n"
             << "  spmwcet corpus <shape> [--count N] [--base N]"
                " [--spm [BYTES] | --cache [BYTES]]\n"
@@ -223,10 +224,7 @@ int cmd_simbench(const Args& a) {
     throw Error("simbench always measures the full simbench set; unexpected "
                 "argument: " +
                 a.positional[1]);
-  // --spm without a value keeps the default SPM-placed capacity (4 KiB);
-  // an explicit --spm 0 measures the no-assignment baseline only.
-  const uint32_t spm_bytes = a.spm.value_or(4096);
-  const auto request = api::SimBenchRequest::make(a.repeat, spm_bytes);
+  const auto request = api::SimBenchRequest::make(a.repeat);
   api::Engine engine(a.engine_options());
   const api::SimBenchResult result = unwrap(engine.simbench(unwrap(request)));
   api::render_simbench(result, std::cout);
@@ -370,7 +368,8 @@ int cmd_annotations(const Args& a) {
     // Use the paper's allocation flow to pick the scratchpad contents.
     harness::ArtifactCache artifacts;
     assignment = alloc::allocate_energy_optimal(
-                     wl.module, harness::canonical_run(wl, artifacts)->profile,
+                     wl.module,
+                     harness::canonical_run(wl, artifacts)->run.profile,
                      a.spm.value_or(0))
                      .assignment;
   }
