@@ -1,105 +1,56 @@
 #include "isa/decode.h"
 
+#include <cstdio>
+#include <string>
+
 #include "support/bitops.h"
 #include "support/diag.h"
 
 namespace spmwcet::isa {
 
+namespace {
+
+[[noreturn, gnu::noinline, gnu::cold]] void reject(uint32_t word, Op op,
+                                                   const char* field,
+                                                   uint32_t value) {
+  char hw[8];
+  std::snprintf(hw, sizeof hw, "0x%04x", word);
+  throw ProgramError(std::string("decode: ") + field + " " +
+                     std::to_string(value) + " out of range for " +
+                     info(op).name + " in halfword " + hw);
+}
+
+/// Extracts one ops.def field of `w` into its Instr member. A Sub value
+/// outside the op's table rejects the word.
+template <Field F, unsigned Hi, unsigned Lo, Sign S>
+inline void decode_field(uint32_t w, Instr& ins, const char* name) {
+  const uint32_t v = bits(w, Hi, Lo);
+  if constexpr (F == Field::Rd) ins.rd = static_cast<Reg>(v);
+  if constexpr (F == Field::Rn) ins.rn = static_cast<Reg>(v);
+  if constexpr (F == Field::Rm) ins.rm = static_cast<Reg>(v);
+  if constexpr (F == Field::Imm)
+    ins.imm = S == Sign::S ? sign_extend(v, Hi - Lo + 1)
+                           : static_cast<int32_t>(v);
+  if constexpr (F == Field::Sub) {
+    if (v >= info(ins.op).subs.size()) [[unlikely]]
+      reject(w, ins.op, name, v);
+    ins.sub = static_cast<uint8_t>(v);
+  }
+}
+
+} // namespace
+
 Instr decode(uint16_t word) {
-  const uint32_t w = word;
-  const Op op = static_cast<Op>(bits(w, 15, 11));
   Instr ins;
-  ins.op = op;
-  switch (op) {
-    case Op::MOVI:
-    case Op::ADDI:
-    case Op::SUBI:
-    case Op::CMPI:
-      ins.rd = static_cast<Reg>(bits(w, 10, 8));
-      ins.imm = static_cast<int32_t>(bits(w, 7, 0));
-      break;
-    case Op::ALU:
-      ins.sub = static_cast<uint8_t>(bits(w, 10, 7));
-      ins.rm = static_cast<Reg>(bits(w, 5, 3));
-      ins.rd = static_cast<Reg>(bits(w, 2, 0));
-      SPMWCET_CHECK_MSG(ins.sub < kNumAluOps, "invalid ALU sub-opcode");
-      break;
-    case Op::ADD3:
-    case Op::SUB3:
-      ins.rm = static_cast<Reg>(bits(w, 8, 6));
-      ins.rn = static_cast<Reg>(bits(w, 5, 3));
-      ins.rd = static_cast<Reg>(bits(w, 2, 0));
-      break;
-    case Op::ADDI3:
-    case Op::SUBI3:
-      ins.imm = static_cast<int32_t>(bits(w, 8, 6));
-      ins.rn = static_cast<Reg>(bits(w, 5, 3));
-      ins.rd = static_cast<Reg>(bits(w, 2, 0));
-      break;
-    case Op::SHIFTI:
-      ins.sub = static_cast<uint8_t>(bits(w, 10, 9));
-      ins.imm = static_cast<int32_t>(bits(w, 8, 4));
-      ins.rd = static_cast<Reg>(bits(w, 2, 0));
-      SPMWCET_CHECK_MSG(ins.sub <= 2, "invalid SHIFTI sub-opcode");
-      break;
-    case Op::LDR:
-    case Op::STR:
-    case Op::LDRH:
-    case Op::STRH:
-    case Op::LDRB:
-    case Op::STRB:
-    case Op::LDRSH:
-    case Op::LDRSB:
-      ins.imm = static_cast<int32_t>(bits(w, 10, 6));
-      ins.rn = static_cast<Reg>(bits(w, 5, 3));
-      ins.rd = static_cast<Reg>(bits(w, 2, 0));
-      break;
-    case Op::LDR_LIT:
-    case Op::ADR:
-    case Op::LDR_SP:
-    case Op::STR_SP:
-      ins.rd = static_cast<Reg>(bits(w, 10, 8));
-      ins.imm = static_cast<int32_t>(bits(w, 7, 0));
-      break;
-    case Op::ADJSP:
-      ins.sub = static_cast<uint8_t>(bits(w, 10, 10));
-      ins.imm = static_cast<int32_t>(bits(w, 6, 0));
-      break;
-    case Op::PUSH:
-    case Op::POP:
-      ins.sub = static_cast<uint8_t>(bits(w, 8, 8));
-      ins.imm = static_cast<int32_t>(bits(w, 7, 0));
-      break;
-    case Op::BCC:
-      ins.sub = static_cast<uint8_t>(bits(w, 10, 8));
-      ins.imm = sign_extend(bits(w, 7, 0), 8);
-      break;
-    case Op::B:
-      ins.imm = sign_extend(bits(w, 10, 0), 11);
-      break;
-    case Op::BL_HI:
-    case Op::BL_LO:
-      ins.imm = static_cast<int32_t>(bits(w, 10, 0));
-      break;
-    case Op::LDX:
-      ins.sub = static_cast<uint8_t>(bits(w, 10, 9));
-      ins.rm = static_cast<Reg>(bits(w, 8, 6));
-      ins.rn = static_cast<Reg>(bits(w, 5, 3));
-      ins.rd = static_cast<Reg>(bits(w, 2, 0));
-      SPMWCET_CHECK_MSG(ins.sub <= 3, "invalid LDX sub-opcode");
-      break;
-    case Op::STX:
-      ins.sub = static_cast<uint8_t>(bits(w, 10, 9));
-      ins.rm = static_cast<Reg>(bits(w, 8, 6));
-      ins.rn = static_cast<Reg>(bits(w, 5, 3));
-      ins.rd = static_cast<Reg>(bits(w, 2, 0));
-      SPMWCET_CHECK_MSG(ins.sub <= 2, "invalid STX sub-opcode");
-      break;
-    case Op::SYS:
-      ins.sub = static_cast<uint8_t>(bits(w, 10, 8));
-      ins.rd = static_cast<Reg>(bits(w, 2, 0));
-      SPMWCET_CHECK_MSG(ins.sub <= 2, "invalid SYS function");
-      break;
+  ins.op = static_cast<Op>(bits(word, 15, 11));
+  switch (format(ins.op)) {
+#define T16_FIELD(kind, hi, lo, sign, name) \
+  decode_field<Field::kind, hi, lo, Sign::sign>(word, ins, name);
+#define T16_FORMAT(format, fields) \
+  case Format::format:             \
+    fields break;
+#include "isa/ops.def"
+    default: __builtin_unreachable(); // every format has its case
   }
   return ins;
 }

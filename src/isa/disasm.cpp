@@ -14,154 +14,63 @@ std::string hex(uint32_t v) {
   return os.str();
 }
 std::string reglist(uint32_t list, const char* extra) {
-  std::string s = "{";
-  bool first = true;
-  for (unsigned r = 0; r < 8; ++r) {
-    if (list & (1u << r)) {
-      if (!first) s += ",";
-      s += "r" + std::to_string(r);
-      first = false;
-    }
-  }
-  if (extra[0] != '\0') {
-    if (!first) s += ",";
-    s += extra;
-  }
-  return s + "}";
+  std::string s;
+  for (unsigned r = 0; r < 8; ++r)
+    if (list & (1u << r)) s += "," + reg(static_cast<Reg>(r));
+  if (extra[0] != '\0') s += std::string(",") + extra;
+  return "{" + (s.empty() ? s : s.substr(1)) + "}";
 }
 } // namespace
 
 std::string disassemble(const Instr& ins, uint32_t addr, const Instr* bl_lo) {
+  const OpInfo& o = info(ins.op);
+  const SubRow* row = sub_row(ins);
   std::ostringstream os;
-  switch (ins.op) {
-    case Op::MOVI:
-      os << "mov " << reg(ins.rd) << ", #" << ins.imm;
-      break;
-    case Op::ADDI:
-      os << "add " << reg(ins.rd) << ", #" << ins.imm;
-      break;
-    case Op::SUBI:
-      os << "sub " << reg(ins.rd) << ", #" << ins.imm;
-      break;
-    case Op::CMPI:
-      os << "cmp " << reg(ins.rd) << ", #" << ins.imm;
-      break;
-    case Op::ALU: {
-      const auto a = static_cast<AluOp>(ins.sub);
-      if (a == AluOp::NEG || a == AluOp::MVN)
-        os << to_string(a) << " " << reg(ins.rd) << ", " << reg(ins.rm);
+  // The op's mnemonic, then its sub row's (alu/shift/ldx/stx/cond/sys).
+  os << o.mnemonic << (row != nullptr ? row->mnemonic : "");
+  switch (format(ins.op)) {
+    case Format::RdImm8:
+      os << " " << reg(ins.rd) << ", ";
+      if (o.addr == Addr::Sp)
+        os << "[sp, #" << scaled_imm(ins) << "]";
+      else if (o.addr == Addr::Lit)
+        os << (is_load(ins) ? "=" : "")
+           << hex(lit_address(addr, ins));
       else
-        os << to_string(a) << " " << reg(ins.rd) << ", " << reg(ins.rm);
+        os << "#" << ins.imm;
       break;
-    }
-    case Op::ADD3:
-      os << "add " << reg(ins.rd) << ", " << reg(ins.rn) << ", " << reg(ins.rm);
+    case Format::Alu: os << " " << reg(ins.rd) << ", " << reg(ins.rm); break;
+    case Format::R3:
+      os << " " << reg(ins.rd) << ", " << reg(ins.rn) << ", " << reg(ins.rm);
       break;
-    case Op::SUB3:
-      os << "sub " << reg(ins.rd) << ", " << reg(ins.rn) << ", " << reg(ins.rm);
+    case Format::RI3:
+      os << " " << reg(ins.rd) << ", " << reg(ins.rn) << ", #" << ins.imm;
       break;
-    case Op::ADDI3:
-      os << "add " << reg(ins.rd) << ", " << reg(ins.rn) << ", #" << ins.imm;
+    case Format::Shift: os << " " << reg(ins.rd) << ", #" << ins.imm; break;
+    case Format::Mem5:
+      os << " " << reg(ins.rd) << ", [" << reg(ins.rn) << ", #"
+         << scaled_imm(ins) << "]";
       break;
-    case Op::SUBI3:
-      os << "sub " << reg(ins.rd) << ", " << reg(ins.rn) << ", #" << ins.imm;
+    case Format::AdjSp:
+      os << (ins.sub ? "sub" : "add") << " sp, #" << scaled_imm(ins);
       break;
-    case Op::SHIFTI: {
-      static const char* names[] = {"lsl", "lsr", "asr"};
-      os << names[ins.sub] << " " << reg(ins.rd) << ", #" << ins.imm;
+    case Format::RList: // the flag adds lr to a push, pc to a pop
+      os << " " << reglist(static_cast<uint32_t>(ins.imm),
+                           !ins.sub ? "" : ins.op == Op::PUSH ? "lr" : "pc");
       break;
-    }
-    case Op::LDR:
-      os << "ldr " << reg(ins.rd) << ", [" << reg(ins.rn) << ", #"
-         << ins.imm * 4 << "]";
+    case Format::Bcc:
+    case Format::B: os << " " << hex(branch_target(addr, ins.imm)); break;
+    case Format::BlHalf:
+      if (ins.op == Op::BL_HI && bl_lo != nullptr) // the whole pair
+        return "bl " + hex(branch_target(addr, decode_bl(ins, *bl_lo)));
+      os << " #" << ins.imm;
       break;
-    case Op::STR:
-      os << "str " << reg(ins.rd) << ", [" << reg(ins.rn) << ", #"
-         << ins.imm * 4 << "]";
-      break;
-    case Op::LDRH:
-      os << "ldrh " << reg(ins.rd) << ", [" << reg(ins.rn) << ", #"
-         << ins.imm * 2 << "]";
-      break;
-    case Op::STRH:
-      os << "strh " << reg(ins.rd) << ", [" << reg(ins.rn) << ", #"
-         << ins.imm * 2 << "]";
-      break;
-    case Op::LDRB:
-      os << "ldrb " << reg(ins.rd) << ", [" << reg(ins.rn) << ", #" << ins.imm
+    case Format::Rx:
+      os << " " << reg(ins.rd) << ", [" << reg(ins.rn) << ", " << reg(ins.rm)
          << "]";
       break;
-    case Op::STRB:
-      os << "strb " << reg(ins.rd) << ", [" << reg(ins.rn) << ", #" << ins.imm
-         << "]";
-      break;
-    case Op::LDRSH:
-      os << "ldrsh " << reg(ins.rd) << ", [" << reg(ins.rn) << ", #"
-         << ins.imm * 2 << "]";
-      break;
-    case Op::LDRSB:
-      os << "ldrsb " << reg(ins.rd) << ", [" << reg(ins.rn) << ", #" << ins.imm
-         << "]";
-      break;
-    case Op::LDR_LIT:
-      os << "ldr " << reg(ins.rd) << ", ="
-         << hex(lit_base(addr) + static_cast<uint32_t>(ins.imm) * 4);
-      break;
-    case Op::ADR:
-      os << "adr " << reg(ins.rd) << ", "
-         << hex(lit_base(addr) + static_cast<uint32_t>(ins.imm) * 4);
-      break;
-    case Op::LDR_SP:
-      os << "ldr " << reg(ins.rd) << ", [sp, #" << ins.imm * 4 << "]";
-      break;
-    case Op::STR_SP:
-      os << "str " << reg(ins.rd) << ", [sp, #" << ins.imm * 4 << "]";
-      break;
-    case Op::ADJSP:
-      os << (ins.sub ? "sub" : "add") << " sp, #" << ins.imm * 4;
-      break;
-    case Op::PUSH:
-      os << "push " << reglist(static_cast<uint32_t>(ins.imm),
-                               ins.sub ? "lr" : "");
-      break;
-    case Op::POP:
-      os << "pop " << reglist(static_cast<uint32_t>(ins.imm),
-                              ins.sub ? "pc" : "");
-      break;
-    case Op::BCC:
-      os << "b" << to_string(static_cast<Cond>(ins.sub)) << " "
-         << hex(branch_target(addr, ins.imm));
-      break;
-    case Op::B:
-      os << "b " << hex(branch_target(addr, ins.imm));
-      break;
-    case Op::BL_HI:
-      if (bl_lo != nullptr)
-        os << "bl " << hex(branch_target(addr, decode_bl(ins, *bl_lo)));
-      else
-        os << "bl.hi #" << ins.imm;
-      break;
-    case Op::BL_LO:
-      os << "bl.lo #" << ins.imm;
-      break;
-    case Op::LDX: {
-      static const char* names[] = {"ldr", "ldrh", "ldrb", "ldrsh"};
-      os << names[ins.sub] << " " << reg(ins.rd) << ", [" << reg(ins.rn)
-         << ", " << reg(ins.rm) << "]";
-      break;
-    }
-    case Op::STX: {
-      static const char* names[] = {"str", "strh", "strb"};
-      os << names[ins.sub] << " " << reg(ins.rd) << ", [" << reg(ins.rn)
-         << ", " << reg(ins.rm) << "]";
-      break;
-    }
-    case Op::SYS:
-      switch (static_cast<SysFn>(ins.sub)) {
-        case SysFn::NOP: os << "nop"; break;
-        case SysFn::HALT: os << "halt"; break;
-        case SysFn::OUT: os << "out " << reg(ins.rd); break;
-      }
+    case Format::Sys:
+      if (row != nullptr && row->reads_rd) os << " " << reg(ins.rd);
       break;
   }
   return os.str();

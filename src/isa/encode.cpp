@@ -9,150 +9,59 @@ namespace spmwcet::isa {
 
 namespace {
 
-[[noreturn]] void field_error(const Instr& ins, const char* what) {
+[[noreturn, gnu::noinline, gnu::cold]] void field_error(const Instr& ins,
+                                                     const char* what) {
   throw ProgramError(std::string("encode: ") + what + " out of range for " +
-                     to_string(ins.op) + " (imm=" + std::to_string(ins.imm) +
+                     info(ins.op).name + " (imm=" + std::to_string(ins.imm) +
                      ")");
 }
 
-void require_reg(Reg r) {
-  SPMWCET_CHECK_MSG(r < kNumRegs, "register index out of range");
+/// An Instr that breaks an internal invariant (a register index or a Sub
+/// value out of range). Out of line, so encode's fast path stays small.
+[[noreturn, gnu::noinline, gnu::cold]] void invariant_failed(
+    const char* what) {
+  detail::check_failed(what, __FILE__, __LINE__, "");
 }
 
-uint16_t major(Op op) {
-  return static_cast<uint16_t>(place(static_cast<uint32_t>(op), 15, 11));
+/// Places one ops.def field of `ins`. Registers and the Sub value are
+/// internal invariants, checked at once; an immediate that does not fit is
+/// the caller's error, recorded in `bad` and raised after every invariant
+/// held.
+template <Field F, unsigned Hi, unsigned Lo, Sign S>
+inline uint32_t encode_field(const Instr& ins, const char* name,
+                             const char*& bad) {
+  uint32_t v = static_cast<uint32_t>(ins.imm);
+  if constexpr (F == Field::Rd || F == Field::Rn || F == Field::Rm) {
+    v = F == Field::Rd ? ins.rd : F == Field::Rn ? ins.rn : ins.rm;
+    if (v >= kNumRegs) invariant_failed("register index < kNumRegs");
+  } else if constexpr (F == Field::Sub) {
+    v = ins.sub;
+    if (v >= info(ins.op).subs.size()) invariant_failed("sub in its table");
+  } else if (S == Sign::S ? !fits_signed(ins.imm, Hi - Lo + 1)
+                          : ins.imm < 0 || !fits_unsigned(v, Hi - Lo + 1)) {
+    bad = name;
+  }
+  return place(v, Hi, Lo);
 }
 
 } // namespace
 
 uint16_t encode(const Instr& ins) {
-  const uint16_t m = major(ins.op);
-  switch (ins.op) {
-    case Op::MOVI:
-    case Op::ADDI:
-    case Op::SUBI:
-    case Op::CMPI: {
-      require_reg(ins.rd);
-      if (!fits_unsigned(static_cast<uint32_t>(ins.imm), 8) || ins.imm < 0)
-        field_error(ins, "imm8");
-      return static_cast<uint16_t>(m | place(ins.rd, 10, 8) |
-                                   place(static_cast<uint32_t>(ins.imm), 7, 0));
-    }
-    case Op::ALU: {
-      require_reg(ins.rd);
-      require_reg(ins.rm);
-      SPMWCET_CHECK(ins.sub < kNumAluOps);
-      return static_cast<uint16_t>(m | place(ins.sub, 10, 7) |
-                                   place(ins.rm, 5, 3) | place(ins.rd, 2, 0));
-    }
-    case Op::ADD3:
-    case Op::SUB3: {
-      require_reg(ins.rd);
-      require_reg(ins.rn);
-      require_reg(ins.rm);
-      return static_cast<uint16_t>(m | place(ins.rm, 8, 6) |
-                                   place(ins.rn, 5, 3) | place(ins.rd, 2, 0));
-    }
-    case Op::ADDI3:
-    case Op::SUBI3: {
-      require_reg(ins.rd);
-      require_reg(ins.rn);
-      if (!fits_unsigned(static_cast<uint32_t>(ins.imm), 3) || ins.imm < 0)
-        field_error(ins, "imm3");
-      return static_cast<uint16_t>(m | place(static_cast<uint32_t>(ins.imm), 8, 6) |
-                                   place(ins.rn, 5, 3) | place(ins.rd, 2, 0));
-    }
-    case Op::SHIFTI: {
-      require_reg(ins.rd);
-      SPMWCET_CHECK(ins.sub <= 2);
-      if (!fits_unsigned(static_cast<uint32_t>(ins.imm), 5) || ins.imm < 0)
-        field_error(ins, "imm5");
-      return static_cast<uint16_t>(m | place(ins.sub, 10, 9) |
-                                   place(static_cast<uint32_t>(ins.imm), 8, 4) |
-                                   place(ins.rd, 2, 0));
-    }
-    case Op::LDR:
-    case Op::STR:
-    case Op::LDRH:
-    case Op::STRH:
-    case Op::LDRB:
-    case Op::STRB:
-    case Op::LDRSH:
-    case Op::LDRSB: {
-      require_reg(ins.rd);
-      require_reg(ins.rn);
-      if (!fits_unsigned(static_cast<uint32_t>(ins.imm), 5) || ins.imm < 0)
-        field_error(ins, "imm5");
-      return static_cast<uint16_t>(m | place(static_cast<uint32_t>(ins.imm), 10, 6) |
-                                   place(ins.rn, 5, 3) | place(ins.rd, 2, 0));
-    }
-    case Op::LDR_LIT:
-    case Op::ADR:
-    case Op::LDR_SP:
-    case Op::STR_SP: {
-      require_reg(ins.rd);
-      if (!fits_unsigned(static_cast<uint32_t>(ins.imm), 8) || ins.imm < 0)
-        field_error(ins, "imm8");
-      return static_cast<uint16_t>(m | place(ins.rd, 10, 8) |
-                                   place(static_cast<uint32_t>(ins.imm), 7, 0));
-    }
-    case Op::ADJSP: {
-      if (!fits_unsigned(static_cast<uint32_t>(ins.imm), 7) || ins.imm < 0)
-        field_error(ins, "imm7");
-      return static_cast<uint16_t>(m | place(ins.sub & 1u, 10, 10) |
-                                   place(static_cast<uint32_t>(ins.imm), 6, 0));
-    }
-    case Op::PUSH:
-    case Op::POP: {
-      if (!fits_unsigned(static_cast<uint32_t>(ins.imm), 8) || ins.imm < 0)
-        field_error(ins, "register list");
-      return static_cast<uint16_t>(m | place(ins.sub & 1u, 8, 8) |
-                                   place(static_cast<uint32_t>(ins.imm), 7, 0));
-    }
-    case Op::BCC: {
-      SPMWCET_CHECK(ins.sub < kNumConds);
-      if (!fits_signed(ins.imm, 8)) field_error(ins, "soff8");
-      return static_cast<uint16_t>(m | place(ins.sub, 10, 8) |
-                                   place(static_cast<uint32_t>(ins.imm), 7, 0));
-    }
-    case Op::B: {
-      if (!fits_signed(ins.imm, 11)) field_error(ins, "soff11");
-      return static_cast<uint16_t>(m |
-                                   place(static_cast<uint32_t>(ins.imm), 10, 0));
-    }
-    case Op::BL_HI:
-    case Op::BL_LO: {
-      if (!fits_unsigned(static_cast<uint32_t>(ins.imm), 11) || ins.imm < 0)
-        field_error(ins, "bl half");
-      return static_cast<uint16_t>(m |
-                                   place(static_cast<uint32_t>(ins.imm), 10, 0));
-    }
-    case Op::LDX: {
-      require_reg(ins.rd);
-      require_reg(ins.rn);
-      require_reg(ins.rm);
-      SPMWCET_CHECK(ins.sub <= 3);
-      return static_cast<uint16_t>(m | place(ins.sub, 10, 9) |
-                                   place(ins.rm, 8, 6) | place(ins.rn, 5, 3) |
-                                   place(ins.rd, 2, 0));
-    }
-    case Op::STX: {
-      require_reg(ins.rd);
-      require_reg(ins.rn);
-      require_reg(ins.rm);
-      SPMWCET_CHECK(ins.sub <= 2);
-      return static_cast<uint16_t>(m | place(ins.sub, 10, 9) |
-                                   place(ins.rm, 8, 6) | place(ins.rn, 5, 3) |
-                                   place(ins.rd, 2, 0));
-    }
-    case Op::SYS: {
-      SPMWCET_CHECK(ins.sub <= 2);
-      require_reg(ins.rd);
-      return static_cast<uint16_t>(m | place(ins.sub, 10, 8) |
-                                   place(ins.rd, 2, 0));
-    }
+  if (static_cast<uint8_t>(ins.op) >= std::size(kOps))
+    invariant_failed("op < 32");
+  uint32_t w = place(static_cast<uint32_t>(ins.op), 15, 11);
+  const char* bad = nullptr;
+  switch (format(ins.op)) {
+#define T16_FIELD(kind, hi, lo, sign, name) \
+  w |= encode_field<Field::kind, hi, lo, Sign::sign>(ins, name, bad);
+#define T16_FORMAT(format, fields) \
+  case Format::format:             \
+    fields break;
+#include "isa/ops.def"
+    default: __builtin_unreachable(); // every format has its case
   }
-  SPMWCET_CHECK(false);
+  if (bad != nullptr) field_error(ins, bad);
+  return static_cast<uint16_t>(w);
 }
 
 void encode_bl(int32_t soff22, Instr& hi, Instr& lo) {

@@ -1,8 +1,6 @@
 // Binary encoder for T16 instructions (Instr -> 16-bit halfword).
 #pragma once
 
-#include <cstdint>
-
 #include "isa/instruction.h"
 
 namespace spmwcet::isa {

@@ -10,16 +10,21 @@
 //   * eight general-purpose registers r0..r7 plus sp, lr and pc;
 //   * CMP/CMPI set the NZCV flags; conditional branches test them.
 //
-// The in-memory representation is a decoded `Instr` struct; `encode.h` and
-// `decode.h` convert to/from the 16-bit binary format documented per opcode
-// below. Register fields are 3 bits wide and only name r0..r7; sp/lr/pc are
-// reachable only through dedicated opcodes (LDR_SP, PUSH/POP, ...), as in
-// the THUMB subset the paper's compiler emits.
+// The in-memory representation is a decoded `Instr` struct. The instruction
+// set is described once, in `ops.def`: each major opcode's field layout
+// (format), names, memory access and sub-field table, and the rows of the
+// sub tables. The enums and operand properties below are generated from
+// it, and decode.h, encode.h and disasm.h read it. Register fields are 3
+// bits wide and only name r0..r7; sp/lr/pc are reachable only through
+// dedicated opcodes (LDR_SP, PUSH/POP, ...), as in the THUMB subset the
+// paper's compiler emits.
 #pragma once
 
-#include <array>
+#include <bit>
 #include <cstdint>
-#include <string>
+#include <span>
+
+#include "support/diag.h"
 
 namespace spmwcet::isa {
 
@@ -27,85 +32,119 @@ namespace spmwcet::isa {
 using Reg = uint8_t;
 inline constexpr Reg kNumRegs = 8;
 
-/// Major opcodes, value == 5-bit field in encoding bits [15:11].
+// Major opcodes (value == encoding bits [15:11]) and the sub-field values.
 enum class Op : uint8_t {
-  MOVI = 0,   // rd[10:8] imm8[7:0]        rd = imm8
-  ADDI = 1,   // rd[10:8] imm8[7:0]        rd += imm8
-  SUBI = 2,   // rd[10:8] imm8[7:0]        rd -= imm8
-  CMPI = 3,   // rd[10:8] imm8[7:0]        flags(rd - imm8)
-  ALU = 4,    // sub[10:7] rm[5:3] rd[2:0] rd = rd <sub> rm   (see AluOp)
-  ADD3 = 5,   // rm[8:6] rn[5:3] rd[2:0]   rd = rn + rm
-  SUB3 = 6,   // rm[8:6] rn[5:3] rd[2:0]   rd = rn - rm
-  ADDI3 = 7,  // imm3[8:6] rn[5:3] rd[2:0] rd = rn + imm3
-  SUBI3 = 8,  // imm3[8:6] rn[5:3] rd[2:0] rd = rn - imm3
-  SHIFTI = 9, // sub[10:9] imm5[8:4] rd[2:0] rd = rd <shift> imm5 (see ShiftOp)
-  LDR = 10,   // imm5[10:6] rn[5:3] rd[2:0] rd = mem32[rn + imm5*4]
-  STR = 11,   // imm5[10:6] rn[5:3] rd[2:0] mem32[rn + imm5*4] = rd
-  LDRH = 12,  // imm5[10:6] rn[5:3] rd[2:0] rd = zext(mem16[rn + imm5*2])
-  STRH = 13,  //                            mem16[rn + imm5*2] = rd
-  LDRB = 14,  // imm5[10:6] rn[5:3] rd[2:0] rd = zext(mem8[rn + imm5])
-  STRB = 15,  //                            mem8[rn + imm5] = rd
-  LDRSH = 16, // imm5[10:6] rn[5:3] rd[2:0] rd = sext(mem16[rn + imm5*2])
-  LDRSB = 17, // imm5[10:6] rn[5:3] rd[2:0] rd = sext(mem8[rn + imm5])
-  LDR_LIT = 18, // rd[10:8] imm8[7:0]      rd = mem32[litbase(pc) + imm8*4]
-  ADR = 19,     // rd[10:8] imm8[7:0]      rd = litbase(pc) + imm8*4
-  LDR_SP = 20,  // rd[10:8] imm8[7:0]      rd = mem32[sp + imm8*4]
-  STR_SP = 21,  // rd[10:8] imm8[7:0]      mem32[sp + imm8*4] = rd
-  ADJSP = 22,   // S[10] imm7[6:0]         sp += (S ? -1 : +1) * imm7*4
-  PUSH = 23,    // R[8] list[7:0]          push {list}, +lr if R
-  POP = 24,     // R[8] list[7:0]          pop {list}, +pc if R (return)
-  BCC = 25,     // cond[10:8] soff8[7:0]   if cond: pc = addr + 4 + soff*2
-  B = 26,       // soff11[10:0]            pc = addr + 4 + soff*2
-  BL_HI = 27,   // off[10:0]               high half of 22-bit BL offset
-  BL_LO = 28,   // off[10:0]               low half; lr = addr_after_pair
-  LDX = 29,     // sub[10:9] rm[8:6] rn[5:3] rd[2:0] rd = mem[rn + rm] (LdxOp)
-  STX = 30,     // sub[10:9] rm[8:6] rn[5:3] rd[2:0] mem[rn + rm] = rd (StxOp)
-  SYS = 31,     // fn[10:8] rd[2:0]        NOP / HALT / OUT rd (SysFn)
+#define T16_OP(op, ...) op,
+#include "isa/ops.def"
 };
-
-/// Two-address register-register ALU operations (Op::ALU sub field).
 enum class AluOp : uint8_t {
-  ADD = 0,
-  SUB = 1,
-  AND = 2,
-  ORR = 3,
-  EOR = 4,
-  LSL = 5,
-  LSR = 6,
-  ASR = 7,
-  MUL = 8,
-  CMP = 9, // flags only, rd unchanged
-  MOV = 10,
-  NEG = 11,
-  MVN = 12,
-  SDIV = 13,
-  UDIV = 14,
+#define T16_ALU(op, ...) op,
+#include "isa/ops.def"
 };
-inline constexpr uint8_t kNumAluOps = 15;
-
-/// Immediate shifts (Op::SHIFTI sub field).
-enum class ShiftOp : uint8_t { LSL = 0, LSR = 1, ASR = 2 };
-
-/// Register-offset load widths (Op::LDX sub field).
-enum class LdxOp : uint8_t { W = 0, H = 1, B = 2, SH = 3 };
-/// Register-offset store widths (Op::STX sub field).
-enum class StxOp : uint8_t { W = 0, H = 1, B = 2 };
-
-/// Branch conditions (Op::BCC cond field), ARM semantics over NZCV.
+enum class ShiftOp : uint8_t {
+#define T16_SHIFT(op, ...) op,
+#include "isa/ops.def"
+};
+enum class LdxOp : uint8_t {
+#define T16_LDX(op, ...) op,
+#include "isa/ops.def"
+};
+enum class StxOp : uint8_t {
+#define T16_STX(op, ...) op,
+#include "isa/ops.def"
+};
 enum class Cond : uint8_t {
-  EQ = 0, // Z
-  NE = 1, // !Z
-  LT = 2, // N != V
-  GE = 3, // N == V
-  LE = 4, // Z || N != V
-  GT = 5, // !Z && N == V
-  LO = 6, // !C  (unsigned <)
-  HS = 7, // C   (unsigned >=)
+#define T16_COND(cond, ...) cond,
+#include "isa/ops.def"
 };
-inline constexpr uint8_t kNumConds = 8;
+enum class SysFn : uint8_t {
+#define T16_SYS(fn, ...) fn,
+#include "isa/ops.def"
+};
+enum class Format : uint8_t {
+#define T16_FORMAT(format, fields) format,
+#include "isa/ops.def"
+};
 
-/// System functions (Op::SYS fn field).
-enum class SysFn : uint8_t { NOP = 0, HALT = 1, OUT = 2 };
+/// The Instr member an encoding field fills, and its signedness.
+enum class Field : uint8_t { Rd, Rn, Rm, Sub, Imm };
+enum class Sign : uint8_t { U, S };
+/// Data access of an op; PUSH/POP transfers are described by
+/// transfer_count instead.
+enum class Access : uint8_t { None, Load, LoadS, Store };
+/// The address an op computes (see ops.def).
+enum class Addr : uint8_t { None, Reg, Sp, Lit, Idx };
+
+/// One row of a sub table (only the memory rows carry access and width).
+struct SubRow {
+  const char* mnemonic;
+  Access access = Access::None;
+  uint8_t bytes = 0;
+  bool reads_rd = false; ///< SYS: the function takes rd (OUT)
+};
+
+// Sub tables, indexed by the Sub field. An op without a sub field has one
+// row (Sub is 0), a flag bit two; both add nothing to the mnemonic.
+inline constexpr SubRow kNoneRows[] = {{""}};
+inline constexpr SubRow kFlagRows[] = {{""}, {""}};
+inline constexpr SubRow kAluRows[] = {
+#define T16_ALU(op, mnemonic) {mnemonic},
+#include "isa/ops.def"
+};
+inline constexpr SubRow kShiftRows[] = {
+#define T16_SHIFT(op, mnemonic) {mnemonic},
+#include "isa/ops.def"
+};
+inline constexpr SubRow kLdxRows[] = {
+#define T16_LDX(op, mnemonic, access, bytes) {mnemonic, Access::access, bytes},
+#include "isa/ops.def"
+};
+inline constexpr SubRow kStxRows[] = {
+#define T16_STX(op, mnemonic, access, bytes) {mnemonic, Access::access, bytes},
+#include "isa/ops.def"
+};
+inline constexpr SubRow kCondRows[] = {
+#define T16_COND(cond, mnemonic) {mnemonic},
+#include "isa/ops.def"
+};
+inline constexpr SubRow kSysRows[] = {
+#define T16_SYS(fn, mnemonic, reads_rd) {mnemonic, Access::None, 0, reads_rd},
+#include "isa/ops.def"
+};
+inline constexpr uint8_t kNumAluOps = std::size(kAluRows);
+inline constexpr uint8_t kNumConds = std::size(kCondRows);
+
+/// One ops.def T16_OP row (its format is in kFormatOf).
+struct OpInfo {
+  const char* name;     ///< the op's name in errors
+  const char* mnemonic; ///< disassembly, before the sub row's mnemonic
+  Access access;
+  uint8_t bytes; ///< access width; 0 on a memory op: the sub row's
+  Addr addr;
+  uint8_t scale;                ///< byte offset = imm * scale
+  std::span<const SubRow> subs; ///< legal Sub values = subs.size()
+};
+
+inline constexpr OpInfo kOps[] = {
+#define T16_OP(op, format, name, mnemonic, access, bytes, addr, scale, sub) \
+  {name, mnemonic, Access::access, bytes, Addr::addr, scale, k##sub##Rows},
+#include "isa/ops.def"
+};
+static_assert(std::size(kOps) == 32, "one row per 5-bit major opcode");
+/// Each opcode's format, apart from kOps so the decode and encode dispatch
+/// reads one byte.
+inline constexpr Format kFormatOf[] = {
+#define T16_OP(op, format, ...) Format::format,
+#include "isa/ops.def"
+};
+
+/// Bits a format decodes: the major opcode plus its fields. Decode ignores
+/// the rest and encode leaves them zero.
+inline constexpr uint16_t kFormatBits[] = {
+#define T16_FIELD(kind, hi, lo, sign, name) |(((1u << (hi - lo + 1)) - 1) << lo)
+#define T16_FORMAT(format, fields) static_cast<uint16_t>(0xf800u fields),
+#include "isa/ops.def"
+};
 
 /// A decoded instruction. Fields not used by an opcode are zero.
 ///
@@ -122,9 +161,14 @@ struct Instr {
   friend bool operator==(const Instr&, const Instr&) = default;
 };
 
-/// Number of bytes an instruction occupies in the image (2, or 4 for the
-/// BL pair when counted from its BL_HI half).
-constexpr uint32_t instr_size(Op op) { return op == Op::BL_HI ? 4 : 2; }
+constexpr const OpInfo& info(Op op) { return kOps[static_cast<uint8_t>(op)]; }
+constexpr Format format(Op op) { return kFormatOf[static_cast<uint8_t>(op)]; }
+
+/// The sub-table row `ins.sub` selects; nullptr when out of range.
+constexpr const SubRow* sub_row(const Instr& ins) {
+  const std::span<const SubRow> rows = info(ins.op).subs;
+  return ins.sub < rows.size() ? &rows[ins.sub] : nullptr;
+}
 
 /// Literal-pool base for a pc-relative LDR_LIT/ADR at address `iaddr`:
 /// the word-aligned address at or after the next instruction.
@@ -140,29 +184,61 @@ constexpr int32_t branch_offset(uint32_t iaddr, uint32_t target) {
   return (static_cast<int32_t>(target) - static_cast<int32_t>(iaddr) - 4) / 2;
 }
 
-/// Condition negation (used for branch relaxation).
-Cond negate(Cond c);
+/// Condition negation (used for branch relaxation): the encoding pairs
+/// EQ/NE, LT/GE, LE/GT and LO/HS.
+constexpr Cond negate(Cond c) {
+  return static_cast<Cond>(static_cast<uint8_t>(c) ^ 1u);
+}
+
+/// Byte offset the immediate encodes (imm * the op's scale): the
+/// displacement of a Reg/Sp/Lit address, the ADJSP adjustment.
+constexpr int32_t scaled_imm(const Instr& ins) {
+  return ins.imm * info(ins.op).scale;
+}
+
+/// The literal-pool address a LDR_LIT/ADR at `iaddr` reads or yields.
+constexpr uint32_t lit_address(uint32_t iaddr, const Instr& ins) {
+  return lit_base(iaddr) + static_cast<uint32_t>(scaled_imm(ins));
+}
+
+/// Data-access classification (PUSH/POP are neither).
+constexpr bool is_load(const Instr& ins) {
+  return info(ins.op).access == Access::Load ||
+         info(ins.op).access == Access::LoadS;
+}
+constexpr bool is_store(const Instr& ins) {
+  return info(ins.op).access == Access::Store;
+}
 
 /// Memory access width in bytes for load/store opcodes; 0 for non-memory.
 /// PUSH/POP/ADJSP are handled separately (word accesses).
-uint32_t mem_access_bytes(const Instr& ins);
+constexpr uint32_t mem_access_bytes(const Instr& ins) {
+  const SubRow* row = sub_row(ins);
+  return info(ins.op).bytes != 0 ? info(ins.op).bytes
+         : row != nullptr        ? row->bytes
+                                 : 0;
+}
 
-/// Classification helpers used by the CFG reconstructor and the timing
-/// model.
-bool is_load(const Instr& ins);
-bool is_store(const Instr& ins);
-bool is_branch(const Instr& ins);       // BCC, B, BL_HI, POP{pc}
-bool is_cond_branch(const Instr& ins);  // BCC only
-bool is_call(const Instr& ins);         // BL_HI
-bool is_return(const Instr& ins);       // POP with pc bit
-bool is_halt(const Instr& ins);         // SYS HALT
-bool sets_flags(const Instr& ins);      // CMPI, ALU.CMP
+/// True for a load that sign-extends its value into rd.
+constexpr bool sign_extends(const Instr& ins) {
+  return info(ins.op).access == Access::LoadS ||
+         (sub_row(ins) != nullptr && sub_row(ins)->access == Access::LoadS);
+}
 
-/// Number of registers transferred by a PUSH/POP, including lr/pc.
-uint32_t transfer_count(const Instr& ins);
+/// Control-flow classification used by the CFG reconstructor.
+constexpr bool is_return(const Instr& ins) { // POP with the pc bit
+  return ins.op == Op::POP && ins.sub != 0;
+}
+constexpr bool is_halt(const Instr& ins) {
+  return ins.op == Op::SYS && ins.sub == static_cast<uint8_t>(SysFn::HALT);
+}
 
-const char* to_string(Op op);
-const char* to_string(AluOp op);
-const char* to_string(Cond c);
+/// Number of registers transferred by a PUSH/POP: the list, plus lr (PUSH)
+/// or pc (POP) when the flag bit is set.
+constexpr uint32_t transfer_count(const Instr& ins) {
+  SPMWCET_CHECK(ins.op == Op::PUSH || ins.op == Op::POP);
+  return (ins.sub != 0 ? 1u : 0u) +
+         std::popcount(static_cast<uint32_t>(ins.imm) & 0xffu);
+}
 
 } // namespace spmwcet::isa

@@ -66,7 +66,15 @@ struct ExecTiming {
   /// Non-memory extra cycles of one instruction, excluding branch penalties
   /// (the penalty applies only on the taken edge and is attributed to edges
   /// by both the simulator and the analyzer).
-  static uint32_t compute_extra(const Instr& ins);
+  static constexpr uint32_t compute_extra(const Instr& ins) {
+    if (ins.op != Op::ALU) return 0;
+    switch (static_cast<AluOp>(ins.sub)) {
+      case AluOp::MUL: return mul_extra;
+      case AluOp::SDIV:
+      case AluOp::UDIV: return div_extra;
+      default: return 0;
+    }
+  }
 };
 
 } // namespace spmwcet::isa

@@ -228,33 +228,22 @@ void h_shifti(BlockCtx& ctx, const MicroOp* u) {
   SPMWCET_CHAIN;
 }
 
-template <uint32_t Bytes, bool Sign>
-void h_load(BlockCtx& ctx, const MicroOp* u) {
-  ctx.regs[u->ins.rd] =
-      timed_load<Bytes, Sign>(ctx, u, ctx.regs[u->ins.rn] + u->aux);
-  SPMWCET_CHAIN;
-}
-template <uint32_t Bytes>
-void h_store(BlockCtx& ctx, const MicroOp* u) {
-  timed_store<Bytes>(ctx, *u, ctx.regs[u->ins.rn] + u->aux,
-                     ctx.regs[u->ins.rd]);
-  if (ctx.stop) [[unlikely]] {
-    ctx.stopped_at = u;
-    return;
-  }
-  SPMWCET_CHAIN;
+/// Register-addressed load/store: the address is rn plus the pre-scaled
+/// immediate in aux, or rn + rm for the register-offset forms (Idx).
+template <bool Idx>
+inline uint32_t reg_address(const BlockCtx& ctx, const MicroOp* u) {
+  return ctx.regs[u->ins.rn] + (Idx ? ctx.regs[u->ins.rm] : u->aux);
 }
 
-template <uint32_t Bytes, bool Sign>
-void h_ldx(BlockCtx& ctx, const MicroOp* u) {
+template <uint32_t Bytes, bool Sign, bool Idx>
+void h_load(BlockCtx& ctx, const MicroOp* u) {
   ctx.regs[u->ins.rd] =
-      timed_load<Bytes, Sign>(ctx, u, ctx.regs[u->ins.rn] + ctx.regs[u->ins.rm]);
+      timed_load<Bytes, Sign>(ctx, u, reg_address<Idx>(ctx, u));
   SPMWCET_CHAIN;
 }
-template <uint32_t Bytes>
-void h_stx(BlockCtx& ctx, const MicroOp* u) {
-  timed_store<Bytes>(ctx, *u, ctx.regs[u->ins.rn] + ctx.regs[u->ins.rm],
-                     ctx.regs[u->ins.rd]);
+template <uint32_t Bytes, bool Idx>
+void h_store(BlockCtx& ctx, const MicroOp* u) {
+  timed_store<Bytes>(ctx, *u, reg_address<Idx>(ctx, u), ctx.regs[u->ins.rd]);
   if (ctx.stop) [[unlikely]] {
     ctx.stopped_at = u;
     return;
@@ -400,24 +389,34 @@ void h_out(BlockCtx& ctx, const MicroOp* u) {
 // ---- compile-time handler selection ----------------------------------------
 
 MicroHandler alu_handler(AluOp a) {
-  switch (a) {
-    case AluOp::ADD: return &h_alu<AluOp::ADD>;
-    case AluOp::SUB: return &h_alu<AluOp::SUB>;
-    case AluOp::AND: return &h_alu<AluOp::AND>;
-    case AluOp::ORR: return &h_alu<AluOp::ORR>;
-    case AluOp::EOR: return &h_alu<AluOp::EOR>;
-    case AluOp::LSL: return &h_alu<AluOp::LSL>;
-    case AluOp::LSR: return &h_alu<AluOp::LSR>;
-    case AluOp::ASR: return &h_alu<AluOp::ASR>;
-    case AluOp::MUL: return &h_alu<AluOp::MUL>;
-    case AluOp::CMP: return &h_alu<AluOp::CMP>;
-    case AluOp::MOV: return &h_alu<AluOp::MOV>;
-    case AluOp::NEG: return &h_alu<AluOp::NEG>;
-    case AluOp::MVN: return &h_alu<AluOp::MVN>;
-    case AluOp::SDIV: return &h_alu<AluOp::SDIV>;
-    case AluOp::UDIV: return &h_alu<AluOp::UDIV>;
-  }
-  return nullptr;
+  static constexpr MicroHandler kHandlers[] = {
+#define T16_ALU(op, mnemonic) &h_alu<AluOp::op>,
+#include "isa/ops.def"
+  };
+  return kHandlers[static_cast<uint8_t>(a)];
+}
+
+MicroHandler shift_handler(isa::ShiftOp s) {
+  static constexpr MicroHandler kHandlers[] = {
+#define T16_SHIFT(op, mnemonic) &h_shifti<isa::ShiftOp::op>,
+#include "isa/ops.def"
+  };
+  return kHandlers[static_cast<uint8_t>(s)];
+}
+
+/// Handler of a register-addressed load or store, by the table's width and
+/// signedness.
+template <bool Idx>
+MicroHandler mem_handler(const Instr& ins) {
+  const uint32_t bytes = isa::mem_access_bytes(ins);
+  if (isa::is_store(ins))
+    return bytes == 4   ? &h_store<4, Idx>
+           : bytes == 2 ? &h_store<2, Idx>
+                        : &h_store<1, Idx>;
+  if (bytes == 4) return &h_load<4, false, Idx>;
+  if (isa::sign_extends(ins))
+    return bytes == 2 ? &h_load<2, true, Idx> : &h_load<1, true, Idx>;
+  return bytes == 2 ? &h_load<2, false, Idx> : &h_load<1, false, Idx>;
 }
 
 /// Fetch cycles of one halfword in a span of class `cls` with no cache; a
@@ -494,66 +493,30 @@ bool compile_op(const Instr& ins, const Instr& second, uint32_t iaddr,
       u.aux = static_cast<uint32_t>(ins.imm);
       break;
     case Op::SHIFTI:
-      switch (static_cast<isa::ShiftOp>(ins.sub)) {
-        case isa::ShiftOp::LSL: u.fn = &h_shifti<isa::ShiftOp::LSL>; break;
-        case isa::ShiftOp::LSR: u.fn = &h_shifti<isa::ShiftOp::LSR>; break;
-        case isa::ShiftOp::ASR: u.fn = &h_shifti<isa::ShiftOp::ASR>; break;
-      }
-      u.aux = static_cast<uint32_t>(ins.imm);
-      break;
-    case Op::LDR:
-      u.fn = &h_load<4, false>;
-      u.aux = static_cast<uint32_t>(ins.imm) * 4;
-      break;
-    case Op::STR:
-      u.fn = &h_store<4>;
-      u.aux = static_cast<uint32_t>(ins.imm) * 4;
-      break;
-    case Op::LDRH:
-      u.fn = &h_load<2, false>;
-      u.aux = static_cast<uint32_t>(ins.imm) * 2;
-      break;
-    case Op::STRH:
-      u.fn = &h_store<2>;
-      u.aux = static_cast<uint32_t>(ins.imm) * 2;
-      break;
-    case Op::LDRB:
-      u.fn = &h_load<1, false>;
-      u.aux = static_cast<uint32_t>(ins.imm);
-      break;
-    case Op::STRB:
-      u.fn = &h_store<1>;
-      u.aux = static_cast<uint32_t>(ins.imm);
-      break;
-    case Op::LDRSH:
-      u.fn = &h_load<2, true>;
-      u.aux = static_cast<uint32_t>(ins.imm) * 2;
-      break;
-    case Op::LDRSB:
-      u.fn = &h_load<1, true>;
+      u.fn = shift_handler(static_cast<isa::ShiftOp>(ins.sub));
       u.aux = static_cast<uint32_t>(ins.imm);
       break;
     case Op::LDR_LIT:
       u.fn = &h_ldr_lit_dyn;
-      u.aux = isa::lit_base(iaddr) + static_cast<uint32_t>(ins.imm) * 4;
+      u.aux = isa::lit_address(iaddr, ins);
       u.slot = static_data_slot(symbols, u.aux, stack_lo, stack_hi);
       break;
     case Op::ADR:
       u.fn = &h_adr;
-      u.aux = isa::lit_base(iaddr) + static_cast<uint32_t>(ins.imm) * 4;
+      u.aux = isa::lit_address(iaddr, ins);
       break;
     case Op::LDR_SP:
       u.fn = &h_ldr_sp;
-      u.aux = static_cast<uint32_t>(ins.imm) * 4;
+      u.aux = static_cast<uint32_t>(isa::scaled_imm(ins));
       break;
     case Op::STR_SP:
       u.fn = &h_str_sp;
-      u.aux = static_cast<uint32_t>(ins.imm) * 4;
+      u.aux = static_cast<uint32_t>(isa::scaled_imm(ins));
       break;
     case Op::ADJSP:
       u.fn = &h_adjsp;
-      u.aux = ins.sub ? 0u - static_cast<uint32_t>(ins.imm) * 4
-                      : static_cast<uint32_t>(ins.imm) * 4;
+      u.aux = static_cast<uint32_t>(ins.sub ? -isa::scaled_imm(ins)
+                                            : isa::scaled_imm(ins));
       break;
     case Op::PUSH: u.fn = &h_push; break;
     case Op::POP:
@@ -588,21 +551,6 @@ bool compile_op(const Instr& ins, const Instr& second, uint32_t iaddr,
       // the fused BL consumes paired ones.
       SPMWCET_CHECK(false);
       break;
-    case Op::LDX:
-      switch (static_cast<isa::LdxOp>(ins.sub)) {
-        case isa::LdxOp::W: u.fn = &h_ldx<4, false>; break;
-        case isa::LdxOp::H: u.fn = &h_ldx<2, false>; break;
-        case isa::LdxOp::B: u.fn = &h_ldx<1, false>; break;
-        case isa::LdxOp::SH: u.fn = &h_ldx<2, true>; break;
-      }
-      break;
-    case Op::STX:
-      switch (static_cast<isa::StxOp>(ins.sub)) {
-        case isa::StxOp::W: u.fn = &h_stx<4>; break;
-        case isa::StxOp::H: u.fn = &h_stx<2>; break;
-        case isa::StxOp::B: u.fn = &h_stx<1>; break;
-      }
-      break;
     case Op::SYS:
       switch (static_cast<isa::SysFn>(ins.sub)) {
         case isa::SysFn::NOP: u.fn = &h_nop; break;
@@ -613,6 +561,16 @@ bool compile_op(const Instr& ins, const Instr& second, uint32_t iaddr,
         case isa::SysFn::OUT: u.fn = &h_out; break;
       }
       break;
+    default: {
+      // Register-addressed loads and stores: width, signedness and the
+      // scaled offset come from the table.
+      const isa::Addr addr = isa::info(ins.op).addr;
+      SPMWCET_CHECK(addr == isa::Addr::Reg || addr == isa::Addr::Idx);
+      u.fn = addr == isa::Addr::Idx ? mem_handler<true>(ins)
+                                    : mem_handler<false>(ins);
+      u.aux = static_cast<uint32_t>(isa::scaled_imm(ins));
+      break;
+    }
   }
   u.static_cost = static_cast<uint8_t>(cost);
   return ends;

@@ -1,7 +1,9 @@
 #include "sim/simulator.h"
 
+#include <cstdio>
 #include <iomanip>
 #include <ostream>
+#include <string>
 
 #include "isa/decode.h"
 #include "isa/disasm.h"
@@ -11,6 +13,22 @@ namespace spmwcet::sim {
 
 using isa::Instr;
 using isa::Op;
+
+namespace {
+
+/// Decodes a fetched halfword; one outside the instruction set traps.
+Instr decode_fetched(uint32_t addr, uint16_t word) {
+  try {
+    return isa::decode(word);
+  } catch (const ProgramError&) {
+    char hw[8];
+    std::snprintf(hw, sizeof hw, "0x%04x", word);
+    throw SimulationError(std::string("invalid instruction ") + hw + " at " +
+                          std::to_string(addr));
+  }
+}
+
+} // namespace
 
 Simulator::Simulator(link::Image img, const SimConfig& cfg)
     : image_(std::move(img)), cfg_(cfg), mem_(image_, cfg.cache),
@@ -119,7 +137,7 @@ void Simulator::run_blocks(SimResult& result) {
 uint32_t Simulator::run_one(BlockCtx& ctx) {
   const uint32_t iaddr = pc_;
   if (cfg_.collect_profile) ++counts_[symbols_.fetch_slot(iaddr)].fetch;
-  const Instr ins = isa::decode(mem_.fetch(iaddr));
+  const Instr ins = decode_fetched(iaddr, mem_.fetch(iaddr));
   if (cfg_.trace != nullptr) {
     *cfg_.trace << std::setw(10) << mem_.cycles() << "  0x" << std::hex
                 << std::setw(6) << std::setfill('0') << iaddr << std::dec
@@ -129,7 +147,7 @@ uint32_t Simulator::run_one(BlockCtx& ctx) {
   Instr second;
   if (ins.op == Op::BL_HI) {
     if (cfg_.collect_profile) ++counts_[symbols_.fetch_slot(iaddr + 2)].fetch;
-    second = isa::decode(mem_.fetch(iaddr + 2));
+    second = decode_fetched(iaddr + 2, mem_.fetch(iaddr + 2));
     if (second.op != Op::BL_LO)
       throw SimulationError("BL_HI not followed by BL_LO");
   } else if (ins.op == Op::BL_LO) {

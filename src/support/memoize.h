@@ -10,13 +10,16 @@
 // An optional capacity bounds the index for resident services: when a new
 // entry would push the index past the cap, the least-recently-used
 // *computed* entry is evicted (entries still being computed are never
-// candidates). Eviction only forgets — outstanding shared_ptrs stay valid,
-// and a later request for the evicted key simply recomputes.
+// candidates). A recency list holds the computed entries, so an insert or
+// a hit costs O(1) beyond the index lookup. Eviction only forgets —
+// outstanding shared_ptrs stay valid, and a later request for the evicted
+// key simply recomputes.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -72,14 +75,22 @@ public:
       // (see the catch above) while we were still computing it; re-index
       // the success so it is served, not recomputed. A newer entry that
       // already took the key wins — latest insertion is authoritative.
-      if (entries_.find(key) == entries_.end()) {
+      auto it = entries_.find(key);
+      if (it == entries_.end()) {
         evict_overflow(/*reserve=*/1);
-        entries_[key] = entry;
+        it = entries_.emplace(key, entry).first;
+      }
+      if (it->second == entry) {
+        recency_.push_front(it);
+        entry->pos = recency_.begin();
+        entry->listed = true;
       }
     } else {
       ++stats_.hits;
+      // Unlisted: evicted or superseded while we waited; nothing to touch.
+      if (entry->listed)
+        recency_.splice(recency_.begin(), recency_, entry->pos);
     }
-    entry->last_used = ++tick_;
     return entry->value;
   }
 
@@ -106,33 +117,33 @@ public:
     for (const auto& v : values) fn(*v);
   }
 
-  std::size_t capacity() const {
-    const std::lock_guard<std::mutex> lk(mu_);
-    return capacity_;
-  }
-
-  /// Adjusts the cap; existing overflow is trimmed immediately (0 lifts the
-  /// bound without dropping anything).
-  void set_capacity(std::size_t capacity) {
-    const std::lock_guard<std::mutex> lk(mu_);
-    capacity_ = capacity;
-    evict_overflow(/*reserve=*/0);
-  }
+  std::size_t capacity() const { return capacity_; }
 
   void clear() {
     const std::lock_guard<std::mutex> lk(mu_);
+    // Entries may outlive the index in a caller's hands; unlist them so a
+    // late hit does not touch the dropped recency list.
+    for (const auto it : recency_) it->second->listed = false;
+    recency_.clear();
     entries_.clear();
     stats_ = {};
   }
 
 private:
+  struct Entry;
+  using Index = std::map<Key, std::shared_ptr<Entry>>;
+  /// Computed, indexed entries, most recently used first.
+  using Recency = std::list<typename Index::iterator>;
+
   struct Entry {
     std::once_flag once;
     std::shared_ptr<const Value> value;
-    /// Published after `value` is written inside call_once, so eviction can
-    /// test "computed?" without racing the computing thread.
+    /// Published after `value` is written inside call_once, so a failed
+    /// compute can tell whether a sibling succeeded meanwhile.
     std::atomic<bool> ready{false};
-    uint64_t last_used = 0;
+    /// Position in recency_ while `listed` (guarded by mu_).
+    typename Recency::iterator pos;
+    bool listed = false;
   };
 
   std::shared_ptr<Entry> entry_for(const Key& key) {
@@ -144,35 +155,28 @@ private:
     evict_overflow(/*reserve=*/1);
     std::shared_ptr<Entry>& slot = entries_[key];
     slot = std::make_shared<Entry>();
-    slot->last_used = ++tick_;
     return slot;
   }
 
   /// Drops least-recently-used computed entries until the index (plus
-  /// `reserve` slots about to be filled) respects the capacity. Requires
-  /// mu_.
+  /// `reserve` slots about to be filled) respects the capacity; entries in
+  /// flight are never listed, so they are never victims. Requires mu_.
   void evict_overflow(std::size_t reserve) {
     if (capacity_ == 0) return;
-    while (entries_.size() + reserve > capacity_) {
-      auto victim = entries_.end();
-      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (!it->second->ready.load(std::memory_order_acquire))
-          continue; // in flight: not a candidate
-        if (victim == entries_.end() ||
-            it->second->last_used < victim->second->last_used)
-          victim = it;
-      }
-      if (victim == entries_.end()) return; // everything is in flight
+    while (entries_.size() + reserve > capacity_ && !recency_.empty()) {
+      const typename Index::iterator victim = recency_.back();
+      recency_.pop_back();
+      victim->second->listed = false;
       entries_.erase(victim);
       ++stats_.evictions;
     }
   }
 
   mutable std::mutex mu_;
-  std::map<Key, std::shared_ptr<Entry>> entries_;
+  Index entries_;
+  Recency recency_;
   Stats stats_;
-  std::size_t capacity_ = 0;
-  uint64_t tick_ = 0;
+  const std::size_t capacity_ = 0;
 };
 
 } // namespace spmwcet::support

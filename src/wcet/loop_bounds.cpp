@@ -26,9 +26,7 @@ std::optional<int64_t> const_def(const link::Image& img, const BasicBlock& b,
     const Instr& ins = ci.ins;
     if (ins.op == Op::MOVI && ins.rd == reg) return ins.imm;
     if (ins.op == Op::LDR_LIT && ins.rd == reg) {
-      const uint32_t addr =
-          isa::lit_base(ci.addr) + static_cast<uint32_t>(ins.imm) * 4;
-      return static_cast<int32_t>(img.read32(addr));
+      return static_cast<int32_t>(img.read32(isa::lit_address(ci.addr, ins)));
     }
     if (ins.op == Op::ALU && static_cast<AluOp>(ins.sub) == AluOp::NEG &&
         ins.rd == reg) {

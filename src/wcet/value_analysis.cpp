@@ -225,36 +225,20 @@ private:
         break;
       }
       case Op::LDR_LIT: {
-        const uint32_t addr =
-            isa::lit_base(ci.addr) + static_cast<uint32_t>(ins.imm) * 4;
+        const uint32_t addr = isa::lit_address(ci.addr, ins);
         // Literal pools are read-only; their contents are link-time
         // constants we can read straight from the image.
         regs[ins.rd] = AbsVal::point(static_cast<int32_t>(img_.read32(addr)));
         break;
       }
       case Op::ADR:
-        regs[ins.rd] = AbsVal::point(
-            isa::lit_base(ci.addr) + static_cast<uint32_t>(ins.imm) * 4);
+        regs[ins.rd] = AbsVal::point(isa::lit_address(ci.addr, ins));
         break;
-      case Op::LDR:
-      case Op::LDRH:
-      case Op::LDRB:
-      case Op::LDRSH:
-      case Op::LDRSB:
-      case Op::LDR_SP:
-      case Op::LDX:
-        regs[ins.rd] = AbsVal::top(); // memory contents are not tracked
+      case Op::ADJSP: {
+        const Interval k = Interval::point(isa::scaled_imm(ins));
+        s.sp_off = ins.sub ? s.sp_off.sub(k) : s.sp_off.add(k);
         break;
-      case Op::STR:
-      case Op::STRH:
-      case Op::STRB:
-      case Op::STR_SP:
-      case Op::STX:
-        break;
-      case Op::ADJSP:
-        s.sp_off = ins.sub ? s.sp_off.sub(Interval::point(ins.imm * 4))
-                           : s.sp_off.add(Interval::point(ins.imm * 4));
-        break;
+      }
       case Op::PUSH:
         s.sp_off = s.sp_off.sub(
             Interval::point(4 * isa::transfer_count(ins)));
@@ -276,6 +260,9 @@ private:
       case Op::BL_LO:
       case Op::SYS:
         break;
+      default: // the other loads and stores: memory contents are not tracked
+        SPMWCET_CHECK(isa::is_load(ins) || isa::is_store(ins));
+        if (isa::is_load(ins)) regs[ins.rd] = AbsVal::top();
     }
   }
 
@@ -300,57 +287,45 @@ private:
 
   std::optional<AddrInfo> resolve(const CfgInstr& ci, const State& s) const {
     const Instr& ins = ci.ins;
-    const uint32_t width = isa::mem_access_bytes(ins);
     AddrInfo info;
-    info.width = static_cast<uint8_t>(width);
+    info.width = static_cast<uint8_t>(isa::mem_access_bytes(ins));
     info.is_store = isa::is_store(ins);
 
-    switch (ins.op) {
-      case Op::LDR_LIT:
-        info.kind = AddrInfo::Kind::Exact;
-        info.lo = info.hi =
-            isa::lit_base(ci.addr) + static_cast<uint32_t>(ins.imm) * 4;
-        break;
-      case Op::LDR_SP:
-      case Op::STR_SP:
-        info.kind = AddrInfo::Kind::Stack;
-        break;
-      case Op::PUSH:
-      case Op::POP:
-        info.kind = AddrInfo::Kind::Stack;
-        info.width = 4;
-        info.accesses = static_cast<uint8_t>(isa::transfer_count(ins));
-        info.is_store = ins.op == Op::PUSH;
-        if (info.accesses == 0) return std::nullopt; // empty list: no traffic
-        break;
-      case Op::LDR:
-      case Op::STR:
-      case Op::LDRH:
-      case Op::STRH:
-      case Op::LDRB:
-      case Op::STRB:
-      case Op::LDRSH:
-      case Op::LDRSB: {
-        const uint32_t scale = width;
-        info = base_plus_offset(
-            s.regs[ins.rn],
-            Interval::point(static_cast<int64_t>(ins.imm) * scale), info);
-        break;
-      }
-      case Op::LDX:
-      case Op::STX: {
-        const AbsVal& rn = s.regs[ins.rn];
-        const AbsVal& rm = s.regs[ins.rm];
-        if (rn.is_const() && rm.is_const())
-          info = const_range(rn.iv.add(rm.iv), info);
-        else if (rn.is_sp() || rm.is_sp())
+    if (ins.op == Op::PUSH || ins.op == Op::POP) {
+      info.kind = AddrInfo::Kind::Stack;
+      info.width = 4;
+      info.accesses = static_cast<uint8_t>(isa::transfer_count(ins));
+      info.is_store = ins.op == Op::PUSH;
+      if (info.accesses == 0) return std::nullopt; // empty list: no traffic
+    } else if (info.width == 0) {
+      return std::nullopt; // not a memory instruction
+    } else {
+      switch (isa::info(ins.op).addr) {
+        case isa::Addr::Lit:
+          info.kind = AddrInfo::Kind::Exact;
+          info.lo = info.hi = isa::lit_address(ci.addr, ins);
+          break;
+        case isa::Addr::Sp:
           info.kind = AddrInfo::Kind::Stack;
-        else
-          info.kind = AddrInfo::Kind::Unknown;
-        break;
+          break;
+        case isa::Addr::Reg:
+          info = base_plus_offset(s.regs[ins.rn],
+                                  Interval::point(isa::scaled_imm(ins)), info);
+          break;
+        case isa::Addr::Idx: {
+          const AbsVal& rn = s.regs[ins.rn];
+          const AbsVal& rm = s.regs[ins.rm];
+          if (rn.is_const() && rm.is_const())
+            info = const_range(rn.iv.add(rm.iv), info);
+          else if (rn.is_sp() || rm.is_sp())
+            info.kind = AddrInfo::Kind::Stack;
+          else
+            info.kind = AddrInfo::Kind::Unknown;
+          break;
+        }
+        case isa::Addr::None:
+          SPMWCET_CHECK_MSG(false, "memory access without an address");
       }
-      default:
-        return std::nullopt; // not a memory instruction
     }
 
     // Intersect with the compiler's access hint, when present.

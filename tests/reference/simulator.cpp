@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <iomanip>
 #include <optional>
 #include <ostream>
@@ -11,6 +12,7 @@
 #include "cache/functional_cache.h"
 #include "isa/decode.h"
 #include "isa/disasm.h"
+#include "reference/decode.h"
 #include "isa/timing.h"
 #include "sim/block_table.h"
 #include "support/diag.h"
@@ -183,7 +185,15 @@ private:
       else
         ++profile_.other.fetch;
     }
-    return isa::decode(mem_.fetch(addr));
+    const uint16_t word = mem_.fetch(addr);
+    try {
+      return reference::decode(word);
+    } catch (const Error&) {
+      char hw[8];
+      std::snprintf(hw, sizeof hw, "0x%04x", word);
+      throw SimulationError(std::string("invalid instruction ") + hw +
+                            " at " + std::to_string(addr));
+    }
   }
 
   void profile_data(uint32_t addr, uint32_t bytes, bool is_store) {

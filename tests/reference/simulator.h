@@ -1,12 +1,14 @@
 // The seed instruction-set simulator, kept as the test oracle of the
 // production executor (sim/simulator.h). It decodes every fetched halfword
-// from memory, translates addresses by binary search over the merged region
-// blocks, classifies every access through the region map, counts the
-// name-keyed profile on every access, charges a cache::FunctionalCache per
-// fetch and load, and writes the execution trace. It shares no code with
-// the block table but the NZCV flag helpers, so the parity suites hold
-// production cycles, cache statistics, outputs, profiles, traces and trap
-// messages against an independent executor.
+// from memory with the seed decoder (reference::decode), translates
+// addresses by binary search over the merged region blocks, classifies
+// every access through the region map, counts the name-keyed profile on
+// every access, charges a cache::FunctionalCache per fetch and load, and
+// writes the execution trace. It shares no code with the block table but
+// the NZCV flag helpers (and the production disassembler for trace text,
+// which Trace.AdpcmTraceIsPinned pins by digest), so the parity suites
+// hold production cycles, cache statistics, outputs, profiles, traces and
+// trap messages against an independent executor.
 #pragma once
 
 #include <cstdint>

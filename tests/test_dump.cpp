@@ -163,5 +163,26 @@ TEST(Trace, MatchesReferenceTraceByteForByte) {
   }
 }
 
+// The trace `run adpcm --trace` writes to stderr, pinned by its FNV-1a 64
+// digest (the reference simulator renders its trace with the production
+// disassembler, so parity alone cannot pin the text). sha256 of the same
+// bytes: 694598b58e977a8ff2b4035b1ca5169e1612abe922bb0549ffd63fc3ac17cea1.
+TEST(Trace, AdpcmTraceIsPinned) {
+  const auto adpcm = workloads::WorkloadRegistry::instance().benchmark("adpcm");
+  const link::Image img = link::link_program(adpcm->module, {}, {});
+  std::ostringstream trace;
+  sim::SimConfig cfg;
+  cfg.trace = &trace;
+  (void)sim::simulate(img, cfg);
+  const std::string t = trace.str();
+  EXPECT_EQ(std::count(t.begin(), t.end(), '\n'), 47741);
+  uint64_t fnv = 0xcbf29ce484222325ull;
+  for (const char c : t) {
+    fnv ^= static_cast<unsigned char>(c);
+    fnv *= 0x100000001b3ull;
+  }
+  EXPECT_EQ(fnv, 0x1f6ad09d7b5314b4ull);
+}
+
 } // namespace
 } // namespace spmwcet

@@ -1,11 +1,18 @@
-// Unit tests for the T16 ISA: encode/decode round trips, field limits,
-// classification helpers, and the timing model constants (paper Table 1).
+// Unit tests for the T16 ISA: encode/decode round trips, field limits, the
+// table-driven decoder, encoder and disassembler held exhaustively against
+// the seed decoder, classification helpers, and the timing model constants
+// (paper Table 1).
 #include <gtest/gtest.h>
+
+#include <map>
+#include <optional>
+#include <utility>
 
 #include "isa/decode.h"
 #include "isa/disasm.h"
 #include "isa/encode.h"
 #include "isa/timing.h"
+#include "reference/decode.h"
 #include "support/diag.h"
 
 namespace spmwcet::isa {
@@ -107,39 +114,98 @@ TEST(Encoding, BlPairRoundTrip) {
 }
 
 TEST(Encoding, RejectsOutOfRangeFields) {
-  EXPECT_THROW(encode(Instr{.op = Op::MOVI, .rd = 0, .imm = 256}),
-               ProgramError);
-  EXPECT_THROW(encode(Instr{.op = Op::BCC, .sub = 0, .imm = 128}),
-               ProgramError);
-  EXPECT_THROW(encode(Instr{.op = Op::B, .imm = 1024}), ProgramError);
-  EXPECT_THROW(encode(Instr{.op = Op::LDR, .rd = 0, .rn = 0, .imm = 32}),
-               ProgramError);
+  // Each format's immediate, named as the linker's relaxation errors
+  // report it.
+  const std::pair<Instr, const char*> cases[] = {
+      {{.op = Op::MOVI, .imm = 256},
+       "encode: imm8 out of range for movi (imm=256)"},
+      {{.op = Op::CMPI, .imm = -1},
+       "encode: imm8 out of range for cmpi (imm=-1)"},
+      {{.op = Op::ADDI3, .imm = 8},
+       "encode: imm3 out of range for addi3 (imm=8)"},
+      {{.op = Op::SHIFTI, .imm = 32},
+       "encode: imm5 out of range for shifti (imm=32)"},
+      {{.op = Op::LDR, .imm = 32},
+       "encode: imm5 out of range for ldr (imm=32)"},
+      {{.op = Op::LDR_LIT, .imm = 256},
+       "encode: imm8 out of range for ldr.lit (imm=256)"},
+      {{.op = Op::ADJSP, .imm = 128},
+       "encode: imm7 out of range for adjsp (imm=128)"},
+      {{.op = Op::PUSH, .imm = 256},
+       "encode: register list out of range for push (imm=256)"},
+      {{.op = Op::BCC, .imm = 128},
+       "encode: soff8 out of range for bcc (imm=128)"},
+      {{.op = Op::BCC, .imm = -129},
+       "encode: soff8 out of range for bcc (imm=-129)"},
+      {{.op = Op::B, .imm = 1024},
+       "encode: soff11 out of range for b (imm=1024)"},
+      {{.op = Op::BL_LO, .imm = -1},
+       "encode: bl half out of range for bl.lo (imm=-1)"},
+  };
+  for (const auto& [ins, message] : cases) {
+    try {
+      (void)encode(ins);
+      ADD_FAILURE() << message << ": no throw";
+    } catch (const ProgramError& e) {
+      EXPECT_STREQ(e.what(), message);
+    }
+  }
   Instr hi, lo;
   EXPECT_THROW(encode_bl(1 << 22, hi, lo), ProgramError);
 }
 
-TEST(Encoding, ExhaustiveDecodeEncodeStability) {
-  // Any halfword that decodes without throwing must re-encode to an
-  // equivalent instruction (ignoring don't-care bits).
-  int decodable = 0;
+// Every halfword against the seed decoder: the same words rejected (with a
+// typed error naming the field and the halfword), the same fields decoded,
+// encode inverting decode up to the format's ignored bits, and the
+// disassembly of every accepted word (at 0x100, ascending) unchanged.
+TEST(Encoding, ExhaustiveAgainstSeedDecoder) {
+  uint32_t accepted = 0, exact = 0;
+  std::map<Op, uint32_t> rejected;
+  uint64_t fnv = 0xcbf29ce484222325ull; // FNV-1a 64
   for (uint32_t w = 0; w <= 0xffff; ++w) {
-    Instr ins;
+    const auto word = static_cast<uint16_t>(w);
+    std::optional<Instr> want;
     try {
-      ins = decode(static_cast<uint16_t>(w));
+      want = reference::decode(word);
     } catch (const Error&) {
+    }
+    Instr got;
+    try {
+      got = decode(word);
+    } catch (const ProgramError& e) {
+      ASSERT_FALSE(want) << "word " << w << ": " << e.what();
+      ++rejected[static_cast<Op>(w >> 11)];
       continue;
     }
-    ++decodable;
-    const Instr again = decode(encode(ins));
-    EXPECT_EQ(again, ins) << "word " << w;
+    ASSERT_TRUE(want) << "word " << w;
+    ASSERT_EQ(got, *want) << "word " << w;
+    ++accepted;
+    const uint16_t again = encode(got);
+    EXPECT_EQ(again, w & kFormatBits[static_cast<uint8_t>(format(got.op))])
+        << "word " << w;
+    exact += again == w;
+    for (const char c : disassemble(got, 0x100) + "\n") {
+      fnv ^= static_cast<unsigned char>(c);
+      fnv *= 0x100000001b3ull;
+    }
   }
-  EXPECT_GT(decodable, 30000);
+  EXPECT_EQ(accepted, 63104u);
+  EXPECT_EQ(exact, 49624u);
+  EXPECT_EQ(rejected, (std::map<Op, uint32_t>{{Op::ALU, 128},
+                                              {Op::SHIFTI, 512},
+                                              {Op::STX, 512},
+                                              {Op::SYS, 1280}}));
+  EXPECT_EQ(fnv, 0x5fe3cf2866b91d9dull);
+  try {
+    (void)decode(0xffff);
+    ADD_FAILURE() << "SYS function 7 decoded";
+  } catch (const ProgramError& e) {
+    EXPECT_STREQ(e.what(),
+                 "decode: function 7 out of range for sys in halfword 0xffff");
+  }
 }
 
 TEST(Classify, BranchAndMemoryPredicates) {
-  EXPECT_TRUE(is_branch(Instr{.op = Op::B}));
-  EXPECT_TRUE(is_branch(Instr{.op = Op::BCC}));
-  EXPECT_TRUE(is_branch(Instr{.op = Op::BL_HI}));
   EXPECT_TRUE(is_return(Instr{.op = Op::POP, .sub = 1}));
   EXPECT_FALSE(is_return(Instr{.op = Op::POP, .sub = 0}));
   EXPECT_TRUE(is_halt(
@@ -150,6 +216,15 @@ TEST(Classify, BranchAndMemoryPredicates) {
   EXPECT_EQ(mem_access_bytes(Instr{.op = Op::MOVI}), 0u);
   EXPECT_TRUE(is_load(Instr{.op = Op::LDR_LIT}));
   EXPECT_TRUE(is_store(Instr{.op = Op::STR_SP}));
+  const Instr ldx_sh{.op = Op::LDX, .sub = static_cast<uint8_t>(LdxOp::SH)};
+  EXPECT_EQ(mem_access_bytes(ldx_sh), 2u);
+  EXPECT_TRUE(sign_extends(ldx_sh));
+  EXPECT_FALSE(sign_extends(Instr{.op = Op::LDRH}));
+  EXPECT_EQ(mem_access_bytes(
+                Instr{.op = Op::STX, .sub = static_cast<uint8_t>(StxOp::B)}),
+            1u);
+  EXPECT_EQ(scaled_imm(Instr{.op = Op::LDRH, .imm = 3}), 6);
+  EXPECT_EQ(scaled_imm(Instr{.op = Op::ADJSP, .imm = 3}), 12);
 }
 
 TEST(Classify, CondNegation) {
@@ -158,6 +233,10 @@ TEST(Classify, CondNegation) {
     EXPECT_EQ(negate(negate(cc)), cc);
     EXPECT_NE(negate(cc), cc);
   }
+  EXPECT_EQ(negate(Cond::EQ), Cond::NE);
+  EXPECT_EQ(negate(Cond::GE), Cond::LT);
+  EXPECT_EQ(negate(Cond::LE), Cond::GT);
+  EXPECT_EQ(negate(Cond::HS), Cond::LO);
 }
 
 TEST(Timing, PaperTableOne) {

@@ -6,6 +6,8 @@
 // SymbolIndex id-resolution edge cases and the block table's span bounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "alloc/allocator.h"
 #include "isa/encode.h"
 #include "link/layout.h"
@@ -13,6 +15,7 @@
 #include "program/decoded_image.h"
 #include "reference/simulator.h"
 #include "sim/simulator.h"
+#include "support/diag.h"
 #include "workloads/workload.h"
 
 namespace spmwcet::sim {
@@ -181,14 +184,15 @@ TEST(BlockTable, SpansCoverExactlyTheCodeRegions) {
 }
 
 /// Hand-assembled program that overwrites one of its own instructions
-/// (placeholder `MOVI r3, #7` -> `MOVI r3, #42`) in the block it is
-/// executing and then executes it. The reference decodes from memory on
-/// every fetch and is exact by definition.
-minic::ObjModule selfmod_module(uint32_t target_addr) {
+/// (placeholder `MOVI r3, #7` -> `patched`, by default `MOVI r3, #42`) in
+/// the block it is executing and then executes it. The reference decodes
+/// from memory on every fetch and is exact by definition.
+minic::ObjModule selfmod_module(
+    uint32_t target_addr,
+    uint16_t patched = isa::encode(
+        isa::Instr{.op = isa::Op::MOVI, .rd = 3, .imm = 42})) {
   using isa::Instr;
   using isa::Op;
-  const uint16_t patched =
-      isa::encode(Instr{.op = Op::MOVI, .rd = 3, .imm = 42});
   minic::ObjFunction f;
   f.name = "main";
   auto push_ins = [&](Instr ins) {
@@ -220,16 +224,20 @@ minic::ObjModule selfmod_module(uint32_t target_addr) {
   return mod;
 }
 
-TEST(BlockTier, StoreIntoExecutingBlockAbortsAndStaysFieldExact) {
-  // Two-pass link: learn main's address with placeholder immediates, then
-  // rebuild with the real target (layout is deterministic and the
-  // instruction count does not change).
+/// Address of selfmod_module's placeholder. Two-pass link: learn main's
+/// address with placeholder immediates (layout is deterministic and the
+/// instruction count does not depend on them).
+uint32_t selfmod_target() {
   const link::Image probe = link::link_program(selfmod_module(0));
   const link::Symbol* main_sym = probe.find_symbol("main");
-  ASSERT_NE(main_sym, nullptr);
+  SPMWCET_CHECK(main_sym != nullptr);
   const uint32_t target = main_sym->addr + 8 * 2;
-  ASSERT_LT(target, 0x10000u) << "two-byte immediate construction";
-  const link::Image img = link::link_program(selfmod_module(target));
+  SPMWCET_CHECK_MSG(target < 0x10000u, "two-byte immediate construction");
+  return target;
+}
+
+TEST(BlockTier, StoreIntoExecutingBlockAbortsAndStaysFieldExact) {
+  const link::Image img = link::link_program(selfmod_module(selfmod_target()));
 
   const Checked run = expect_parity(img, profiling(), "selfmod");
   ASSERT_EQ(run.result.output, std::vector<int32_t>{42})
@@ -387,38 +395,178 @@ minic::ObjModule odd_return_module() {
   return std::move(m.mod);
 }
 
-/// Every ALU operation on a positive and a negative left operand, each
-/// result printed. The code generator leaves some of them out (it lowers
-/// subtraction to SUB3), so only a hand-built program runs their handlers.
-minic::ObjModule alu_module() {
-  using isa::AluOp;
+/// One hand-assembled program that runs every row of ops.def: each major
+/// opcode with each legal sub value (ALU operations, shifts, register-offset
+/// widths, conditions, system functions, flag bits), on a positive and a
+/// negative left operand. Each row runs in its own function (keeping
+/// literal pools in reach) that ends in `OUT r0`, called in turn from main.
+/// The module is built by walking the table and switching on the format,
+/// so a row added to the table runs here without a test edit. The code
+/// generator leaves several rows out (it lowers subtraction to SUB3), so
+/// only a program like this runs their handlers.
+struct EveryOp {
+  minic::ObjModule mod;
+  std::vector<isa::Instr> printed; ///< per OUT: the row it follows
+};
+
+EveryOp every_op_module() {
+  using isa::Format;
   using isa::Instr;
   using isa::Op;
-  const auto alu = [](AluOp a, isa::Reg rm) {
-    return Instr{.op = Op::ALU, .sub = static_cast<uint8_t>(a), .rd = 0,
-                 .rm = rm};
+  const auto emit = [](minic::ObjFunction& f, Instr ins, int label = -1,
+                       int literal = -1, std::string callee = {}) {
+    minic::ObjInstr oi;
+    oi.ins = ins;
+    oi.label = label;
+    oi.literal = literal;
+    oi.callee = std::move(callee);
+    f.code.push_back(std::move(oi));
   };
-  HandModule m;
-  m.begin("main");
-  m.ins(Instr{.op = Op::PUSH, .sub = 1, .imm = 0});
+  const auto adjsp = [](bool down, int32_t words) {
+    return Instr{.op = Op::ADJSP, .sub = down, .imm = words};
+  };
+  const Instr push_lr{.op = Op::PUSH, .sub = 1, .imm = 0};
+  const Instr pop_pc{.op = Op::POP, .sub = 1, .imm = 0};
+  const Instr out_r0{.op = Op::SYS,
+                     .sub = static_cast<uint8_t>(isa::SysFn::OUT)};
+  EveryOp e;
+  minic::ObjFunction main_fn;
+  main_fn.name = "main";
+  emit(main_fn, push_lr);
+  emit(main_fn, adjsp(true, 4)); // scratch words for the SP-relative rows
+  emit(main_fn, Instr{.op = Op::LDR_LIT, .rd = 6}, -1,
+       main_fn.add_literal({.is_symbol = true, .symbol = "buf"}));
+  emit(main_fn, Instr{.op = Op::MOVI, .rd = 7, .imm = 4});
   for (const bool negative : {false, true})
-    for (uint8_t op = 0; op < isa::kNumAluOps; ++op) {
-      m.ins(Instr{.op = Op::MOVI, .rd = 0, .imm = 200});
-      if (negative) m.ins(alu(AluOp::NEG, 0));
-      m.ins(Instr{.op = Op::MOVI, .rd = 1, .imm = 7});
-      m.ins(alu(static_cast<AluOp>(op), 1));
-      m.ins(Instr{.op = Op::SYS, .sub = static_cast<uint8_t>(isa::SysFn::OUT),
-                  .rd = 0});
-    }
-  m.ins(Instr{.op = Op::POP, .sub = 1, .imm = 0});
-  return std::move(m.mod);
+    for (uint8_t o = 0; o < std::size(isa::kOps); ++o)
+      for (uint8_t sub = 0; sub < isa::kOps[o].subs.size(); ++sub) {
+        const Op op = static_cast<Op>(o);
+        Instr ins{.op = op, .sub = sub};
+        // Every run ends in a return and the startup's halt, and every BL
+        // pair carries a BL_LO.
+        if (isa::is_halt(ins) || isa::is_return(ins) || op == Op::BL_LO)
+          continue;
+        minic::ObjFunction f;
+        f.name = "row" + std::to_string(e.printed.size());
+        emit(main_fn, Instr{.op = Op::BL_HI}, -1, -1, f.name);
+        emit(f, push_lr);
+        emit(f, Instr{.op = Op::MOVI, .rd = 0, .imm = 200});
+        if (negative)
+          emit(f, Instr{.op = Op::ALU,
+                        .sub = static_cast<uint8_t>(isa::AluOp::NEG)});
+        emit(f, Instr{.op = Op::MOVI, .rd = 1, .imm = 7});
+        emit(f, Instr{.op = Op::MOVI, .rd = 2, .imm = 3});
+        switch (isa::format(op)) {
+          case Format::RdImm8: // [sp + 4] is main's scratch
+            ins.imm = 1;
+            emit(f, ins, -1,
+                 isa::info(op).addr == isa::Addr::Lit
+                     ? f.add_literal({.value = 0x12345678})
+                     : -1);
+            break;
+          case Format::Alu:
+            ins.rm = 1;
+            emit(f, ins);
+            break;
+          case Format::R3:
+            ins.rn = 1;
+            ins.rm = 2;
+            emit(f, ins);
+            break;
+          case Format::RI3:
+            ins.rn = 1;
+            ins.imm = 5;
+            emit(f, ins);
+            break;
+          case Format::Shift:
+            ins.imm = 3;
+            emit(f, ins);
+            break;
+          case Format::Mem5: // buf + imm * scale
+            ins.rn = 6;
+            ins.imm = 1;
+            emit(f, ins);
+            break;
+          case Format::Rx: // buf + 4
+            ins.rn = 6;
+            ins.rm = 7;
+            emit(f, ins);
+            break;
+          case Format::AdjSp: // and back
+            ins.imm = 2;
+            emit(f, ins);
+            emit(f, adjsp(!sub, 2));
+            break;
+          case Format::RList: {
+            // Balanced: a push is dropped, a pop reads reserved words.
+            ins.imm = 0x10;
+            const bool pop = op == Op::POP;
+            const auto words = static_cast<int32_t>(isa::transfer_count(ins));
+            if (pop) emit(f, adjsp(true, words));
+            emit(f, ins);
+            if (!pop) emit(f, adjsp(false, words));
+            break;
+          }
+          case Format::Bcc:
+          case Format::B: { // taken: skip the MOVI
+            const int skip = f.new_label();
+            if (op == Op::BCC) emit(f, Instr{.op = Op::CMPI, .imm = 100});
+            emit(f, ins, skip);
+            emit(f, Instr{.op = Op::MOVI, .rd = 0, .imm = 1});
+            f.bind_label(skip);
+            break;
+          }
+          case Format::BlHalf:
+            emit(f, ins, -1, -1, "leaf");
+            break;
+          case Format::Sys:
+            emit(f, ins);
+            if (ins == out_r0) e.printed.push_back(ins);
+            break;
+        }
+        emit(f, out_r0);
+        emit(f, pop_pc);
+        e.mod.functions.push_back(std::move(f));
+        e.printed.push_back(ins);
+      }
+  emit(main_fn, adjsp(false, 4));
+  emit(main_fn, pop_pc);
+  e.mod.functions.push_back(std::move(main_fn));
+
+  minic::ObjFunction leaf; // r0 += 1
+  leaf.name = "leaf";
+  emit(leaf, push_lr);
+  emit(leaf, Instr{.op = Op::ADDI, .imm = 1});
+  emit(leaf, pop_pc);
+  e.mod.functions.push_back(std::move(leaf));
+  // Sign bits in every byte and halfword the narrow loads read.
+  e.mod.globals.push_back(
+      {.name = "buf",
+       .type = minic::ElemType::I32,
+       .count = 4,
+       .init = {static_cast<int32_t>(0x80f0ff80u),
+                static_cast<int32_t>(0xff7f8001u)}});
+  return e;
 }
 
-TEST(SimFastPath, EveryAluOpMatchesReference) {
-  const link::Image img = link::link_program(alu_module());
-  const Checked run = expect_parity(img, profiling(), "alu");
-  ASSERT_EQ(run.result.output.size(), 2u * isa::kNumAluOps);
-  EXPECT_EQ(run.result.output[static_cast<uint8_t>(isa::AluOp::SUB)], 193);
+TEST(SimFastPath, EveryTableRowMatchesReference) {
+  const EveryOp e = every_op_module();
+  const link::Image img = link::link_program(e.mod);
+  const Checked run = expect_parity(img, profiling(), "every op");
+  // Straight-line fragments, each ending in OUT: one output per fragment
+  // means every fragment ran.
+  ASSERT_EQ(run.result.output.size(), e.printed.size());
+  std::size_t rows = 0;
+  for (const isa::OpInfo& o : isa::kOps) rows += o.subs.size();
+  // Left to the returns, the startup's halt and every BL: POP{pc}, HALT
+  // and BL_LO. The OUT row prints twice.
+  EXPECT_EQ(e.printed.size(), 2 * (rows - 3 + 1));
+  const isa::Instr sub{.op = isa::Op::ALU,
+                       .sub = static_cast<uint8_t>(isa::AluOp::SUB),
+                       .rm = 1};
+  const auto at = std::find(e.printed.begin(), e.printed.end(), sub);
+  ASSERT_NE(at, e.printed.end());
+  EXPECT_EQ(run.result.output[at - e.printed.begin()], 193);
   EXPECT_EQ(run.fallback, 0u);
 }
 
@@ -449,6 +597,13 @@ TEST(SimFastPath, TrapsMatchReference) {
   cases.push_back({"misaligned store", misaligned_store_module(),
                    "misaligned store of 4 bytes"});
   cases.push_back({"odd return", odd_return_module(), "misaligned fetch at 1"});
+  // 0xffff is SYS function 7, outside the instruction set: the store
+  // retires the executing block and the one-op path fetches the word.
+  const uint32_t target = selfmod_target();
+  const std::string invalid =
+      "invalid instruction 0xffff at " + std::to_string(target);
+  cases.push_back({"invalid word", selfmod_module(target, 0xffff),
+                   invalid.c_str()});
   for (const Case& c : cases) {
     const link::Image img = link::link_program(c.mod);
     SimConfig cfg = profiling();

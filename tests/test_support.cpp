@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <numeric>
 #include <random>
@@ -259,15 +260,36 @@ TEST(Memoizer, EvictionKeepsOutstandingValuesAlive) {
   EXPECT_EQ(held->size(), 3u); // the evicted value stays valid
 }
 
-TEST(Memoizer, SetCapacityTrimsAndZeroUnbounds) {
-  support::Memoizer<int, int> memo;
-  for (int k = 0; k < 8; ++k) (void)memo.get(k, [&] { return k; });
-  EXPECT_EQ(memo.size(), 8u);
-  memo.set_capacity(3);
-  EXPECT_EQ(memo.size(), 3u);
-  memo.set_capacity(0);
-  for (int k = 10; k < 20; ++k) (void)memo.get(k, [&] { return k; });
-  EXPECT_GE(memo.size(), 10u); // unbounded again
+TEST(Memoizer, EntriesBeingComputedAreNeverEvicted) {
+  support::Memoizer<int, int> memo(1);
+  std::promise<void> started;
+  std::promise<void> release;
+  const std::shared_future<void> go = release.get_future().share();
+  std::thread slow([&] {
+    (void)memo.get(1, [&] {
+      started.set_value();
+      go.wait();
+      return 10;
+    });
+  });
+  started.get_future().wait();
+  // Key 1 is in flight: inserting key 2 past the cap finds no victim.
+  EXPECT_EQ(*memo.get(2, [] { return 20; }), 20);
+  EXPECT_EQ(memo.stats().evictions, 0u);
+  EXPECT_EQ(memo.size(), 2u);
+  release.set_value();
+  slow.join();
+  // Key 1 survived its compute and is served, not recomputed.
+  int computes = 0;
+  EXPECT_EQ(*memo.get(1, [&] { return ++computes; }), 10);
+  EXPECT_EQ(computes, 0);
+  // The next insertion trims back to the cap from the least recently used
+  // end.
+  (void)memo.get(3, [] { return 30; });
+  EXPECT_EQ(memo.size(), 1u);
+  EXPECT_EQ(memo.stats().evictions, 2u);
+  EXPECT_EQ(*memo.get(3, [&] { return ++computes; }), 30);
+  EXPECT_EQ(computes, 0);
 }
 
 TEST(Memoizer, ThrowingComputesAreForgottenNotZombified) {
