@@ -472,6 +472,7 @@ EngineStats Engine::stats() const {
   s.ipet_artifacts = artifacts_.ipet_stats();
   s.reuse_artifacts = artifacts_.reuse_stats();
   s.placement_artifacts = artifacts_.placement_stats();
+  s.placement_binds = artifacts_.bind_stats();
   s.ipet_skeletons = artifacts_.ipet_skeleton_stats();
   return s;
 }

@@ -185,6 +185,9 @@ struct EngineStats {
   /// Placed SPM points: misses = distinct placements priced and analyzed,
   /// WCET-driven greedy trials included.
   support::MemoStats placement_artifacts;
+  /// How those placements were bound: class_table > 0 with no fallbacks
+  /// shows no placed point linked, decoded or ran a whole-program fixpoint.
+  harness::BindStats placement_binds;
   /// IPET skeleton builds/hits/memo hits/fallbacks summed over the
   /// per-workload stores: hits > 0 with no fallbacks shows the skeletons
   /// served the solves.

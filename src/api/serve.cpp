@@ -276,6 +276,8 @@ int run_corpus_bench(const EngineOptions& opts, const std::string& shape,
     support::json::Value artifacts = support::json::Value::object();
     artifacts.set("placements",
                   wire::memo_stats_to_json(cold.placement_artifacts));
+    artifacts.set("placement_binds",
+                  wire::bind_stats_to_json(cold.placement_binds));
     artifacts.set("ipet_skeletons",
                   wire::ipet_stats_to_json(cold.ipet_skeletons));
     j.set("cold_artifacts", std::move(artifacts));

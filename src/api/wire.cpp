@@ -519,6 +519,14 @@ json::Value memo_stats_to_json(const support::MemoStats& stats) {
   return v;
 }
 
+json::Value bind_stats_to_json(const harness::BindStats& stats) {
+  json::Value v = json::Value::object();
+  v.set("class_table", json::Value(stats.class_table));
+  v.set("fallbacks", json::Value(stats.fallbacks));
+  v.set("reanalyzed", json::Value(stats.reanalyzed));
+  return v;
+}
+
 json::Value ipet_stats_to_json(const wcet::IpetCacheStats& stats) {
   json::Value v = json::Value::object();
   v.set("builds", json::Value(stats.builds));
@@ -547,6 +555,7 @@ std::string encode_health(int64_t id, const ServeStats& serve,
   e.set("shed", json::Value(engine.shed));
   e.set("reuse_tables", memo_stats_to_json(engine.reuse_artifacts));
   e.set("placements", memo_stats_to_json(engine.placement_artifacts));
+  e.set("placement_binds", bind_stats_to_json(engine.placement_binds));
   e.set("ipet_skeletons", ipet_stats_to_json(engine.ipet_skeletons));
 
   json::Value r = json::Value::object();

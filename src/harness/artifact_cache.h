@@ -1,21 +1,30 @@
 // Shared cache of the experiment artifacts that repeat across sweep points.
 //
-// Per workload, one canonical record (CanonicalImage): the no-assignment
-// (main-memory-only) image with its decode and compiled block table, built
-// together because the first point of either setup needs all three. The SPM
-// branch simulates it once (the canonical run, whose profile and candidate
-// table serve every scratchpad capacity and price every placement); the
-// cache branch binds one analyzer view to it and runs it once observed per
-// cache kind, which yields every geometry's cycles and hits
-// (cache::ReuseTable). The analyzer's layout-invariant ProgramShape is built
-// from the record, and the IPET skeleton store is one per workload as well.
+// Per workload, one canonical record (CanonicalImage): the extents of the
+// module's laid-out functions and the no-assignment (main-memory-only) image
+// with its decode and compiled block table, built together because the
+// first point of either setup needs them. The SPM branch simulates it once
+// (the canonical run, whose profile and candidate table serve every
+// scratchpad capacity and price every placement); the cache branch runs it once observed per cache
+// kind, which yields every geometry's cycles and hits (cache::ReuseTable).
+// Both branches share one analyzer view bound to it; the analyzer's
+// layout-invariant ProgramShape is built from the record, the relocatable
+// program (the view's memory facts in symbol-relative form, from one value
+// analysis) serves every placement, and the IPET skeleton store is one per
+// workload as well.
 //
-// Per placement: a placed image depends only on the module and the
+// Per placement: a placed program depends only on the module and the
 // SpmAssignment (the capacity only gates the link's overflow check), so
 // sizes whose allocations choose the same objects share one placed point,
 // and the WCET-driven greedy prices each trial through the same artifact.
-// The artifact keeps the point's numbers (PlacedRun), not the image. This
-// memo alone is bounded (kPlacementCapacity): the greedy stores every trial.
+// A placement is bound from the class table (wcet::bind_placement: address
+// assignment, region map, relocated and classified site facts) without a
+// link or a decode; a function's fixpoint re-runs only for the first
+// placement that reorders symbols its facts depend on. Only a workload
+// whose relocatable program is not placeable links, decodes and binds each
+// placement (counted as a fallback, bind_stats). The artifact keeps the point's numbers
+// (PlacedRun), not a view. This memo alone is bounded (kPlacementCapacity):
+// the greedy stores every trial.
 //
 // Every point runs through an ArtifactCache: the batch's, the Engine's, or
 // a point-local one when the caller has none.
@@ -28,6 +37,7 @@
 // cache to each batch.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -46,14 +56,16 @@
 
 namespace spmwcet::harness {
 
-/// The workload's canonical executable: the no-assignment image, its decode
-/// and its block table. The members own their data (no member points into
-/// another), so the record moves freely.
+/// The workload's canonical executable: the extents of its functions (each
+/// relaxed and measured once, by the canonical link), the no-assignment
+/// image, its decode and its block table. The members own their data (no
+/// member points into another), so the record moves freely.
 struct CanonicalImage {
-  explicit CanonicalImage(link::Image img)
-      : image(std::move(img)), decoded(image),
+  CanonicalImage(std::vector<link::FunctionExtent> ext, link::Image img)
+      : extents(std::move(ext)), image(std::move(img)), decoded(image),
         blocks(decoded, sim::SymbolIndex(image), image) {}
 
+  std::vector<link::FunctionExtent> extents;
   link::Image image;
   program::DecodedImage decoded;
   sim::BlockTable blocks;
@@ -81,6 +93,16 @@ struct PlacementKey {
   const workloads::WorkloadInfo* workload = nullptr;
   link::SpmAssignment assignment;
   auto operator<=>(const PlacementKey&) const = default;
+};
+
+/// How placements were bound: from the class table, or by the fallback
+/// (link, decode and bind_view of the placed image).
+struct BindStats {
+  uint64_t class_table = 0;
+  uint64_t fallbacks = 0;
+  /// Functions whose analysis a class-table bind re-ran because the
+  /// placement reorders symbols their facts rely on.
+  uint64_t reanalyzed = 0;
 };
 
 class ArtifactCache {
@@ -120,8 +142,7 @@ public:
 
   /// Returns the workload's layout-invariant analyzer skeleton
   /// (wcet::ProgramShape), built from the canonical record. One shape
-  /// serves every point of both setups: the SPM branch re-binds it per
-  /// placement, the cache branch binds it once (see view()).
+  /// serves every point of both setups (see view() and relocatable()).
   std::shared_ptr<const wcet::ProgramShape>
   shape(const workloads::WorkloadInfo& wl,
         const std::function<wcet::ProgramShape()>& compute) {
@@ -130,12 +151,37 @@ public:
 
   /// Returns the analyzer front end bound to the canonical image (CFGs,
   /// annotations, value analysis) — shared by every cache size of the cache
-  /// branch. The compute function must pin the image and shape it binds
-  /// (ProgramView::pinned_image / ::shape).
+  /// branch and by the relocatable program. The compute function must pin
+  /// the image and shape it binds (ProgramView::pinned_image / ::shape).
   std::shared_ptr<const wcet::ProgramView>
   view(const workloads::WorkloadInfo& wl,
        const std::function<wcet::ProgramView()>& compute) {
     return views_.get(&wl, compute);
+  }
+
+  /// Returns the workload's relocatable program (the canonical view's
+  /// memory facts from the symbolic value analysis), which binds every
+  /// placement of the SPM branch.
+  std::shared_ptr<const wcet::RelocatableProgram>
+  relocatable(const workloads::WorkloadInfo& wl,
+              const std::function<wcet::RelocatableProgram()>& compute) {
+    return relocatables_.get(&wl, compute);
+  }
+
+  /// Counts one placement bound from the class table, `reanalyzed` of its
+  /// functions re-run (or, with `fallback`, by linking, decoding and
+  /// binding the placed image).
+  void count_bind(bool fallback, uint32_t reanalyzed) {
+    (fallback ? bind_fallbacks_ : class_table_binds_)
+        .fetch_add(1, std::memory_order_relaxed);
+    reanalyzed_.fetch_add(reanalyzed, std::memory_order_relaxed);
+  }
+
+  /// Placements bound since construction, by path.
+  BindStats bind_stats() const {
+    return {class_table_binds_.load(std::memory_order_relaxed),
+            bind_fallbacks_.load(std::memory_order_relaxed),
+            reanalyzed_.load(std::memory_order_relaxed)};
   }
 
   /// Returns the workload's IPET skeleton store (wcet::IpetCache), shared
@@ -203,6 +249,10 @@ private:
   support::Memoizer<PlacementKey, PlacedRun> placements_{kPlacementCapacity};
   support::Memoizer<WorkloadKey, wcet::ProgramShape> shapes_;
   support::Memoizer<WorkloadKey, wcet::ProgramView> views_;
+  support::Memoizer<WorkloadKey, wcet::RelocatableProgram> relocatables_;
+  std::atomic<uint64_t> class_table_binds_{0};
+  std::atomic<uint64_t> bind_fallbacks_{0};
+  std::atomic<uint64_t> reanalyzed_{0};
   support::Memoizer<WorkloadKey, wcet::IpetCache> ipet_;
   support::Memoizer<std::pair<WorkloadKey, bool>, cache::ReuseTable> reuse_;
 };

@@ -84,8 +84,9 @@ reuse_table(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
 }
 
 /// The placed point of one scratchpad assignment: the priced canonical run
-/// and the WCET of the relinked image, which re-binds the workload's shape.
-/// The image does not depend on the capacity (it only gates the link's
+/// and the WCET of the placement, bound from the workload's class table
+/// (or, for a workload that is not placeable, from the linked image). The
+/// placement does not depend on the capacity (it only gates the link's
 /// overflow check, where `size` names the point), so the result serves
 /// every size that allocates the same objects.
 PlacedRun run_placement(const workloads::WorkloadInfo& wl, uint32_t size,
@@ -94,14 +95,28 @@ PlacedRun run_placement(const workloads::WorkloadInfo& wl, uint32_t size,
   const PricedRun priced = price_placement(canonical, assignment);
   link::LinkOptions opts;
   opts.spm_size = size;
-  const link::Image img = link::link_program(wl.module, opts, assignment);
-  const program::DecodedImage dec(img);
+  const auto record = canonical_image(wl, ac);
+  const auto relocatable = relocatable_program(wl, ac);
   wcet::AnalyzerConfig acfg;
   const auto ipet = ac.ipet(wl);
   acfg.ipet_cache = ipet.get();
+  if (relocatable->placeable) {
+    const link::AddressMap addrs =
+        link::assign_addresses(wl.module, record->extents, opts, assignment);
+    if (const auto bound = wcet::bind_placement(
+            *relocatable, wl.module, record->extents, opts, addrs)) {
+      const wcet::WcetReport report = wcet::analyze_wcet(bound->view, acfg);
+      ac.count_bind(/*fallback=*/false, bound->reanalyzed);
+      return PlacedRun{priced.cycles, report.wcet, priced.energy_nj,
+                       addrs.spm_extent};
+    }
+  }
+  const link::Image img = link::link_program(wl.module, opts, assignment);
+  const program::DecodedImage dec(img);
   const wcet::WcetReport report =
       wcet::analyze_wcet(wcet::bind_view(canonical_shape(wl, ac), img, dec),
                          acfg);
+  ac.count_bind(/*fallback=*/true, 0);
   return PlacedRun{priced.cycles, report.wcet, priced.energy_nj,
                    img.spm_extent};
 }
@@ -193,7 +208,18 @@ SweepPoint run_cache_point(const workloads::WorkloadInfo& wl, uint32_t size,
 std::shared_ptr<const CanonicalImage>
 canonical_image(const workloads::WorkloadInfo& wl, ArtifactCache& ac) {
   return ac.image(wl, [&] {
-    return CanonicalImage(link::link_program(wl.module, {}, {}));
+    const link::ModuleLayout layout = link::lay_out(wl.module);
+    link::Image image = link::link_program(wl.module, layout, {}, {});
+    return CanonicalImage(layout.extents(), std::move(image));
+  });
+}
+
+std::shared_ptr<const wcet::RelocatableProgram>
+relocatable_program(const workloads::WorkloadInfo& wl, ArtifactCache& ac) {
+  return ac.relocatable(wl, [&] {
+    const auto canonical = canonical_image(wl, ac);
+    return wcet::build_relocatable(canonical_view(wl, ac, canonical),
+                                   wl.module, canonical->extents);
   });
 }
 

@@ -4,7 +4,8 @@
 //
 // Scratchpad branch (per size): solve the energy knapsack over the profile
 // of the canonical (main-memory-only) run, price the placement's typical
-// input (ACET) and energy from that run, relink, and run the WCET analyzer
+// input (ACET) and energy from that run, bind the placement from the
+// workload's class table (wcet::bind_placement), and run the WCET analyzer
 // — no cache analysis. Sizes that choose the same objects share the placed
 // point (ArtifactCache::placement).
 // Cache branch (per size): read the typical-input cycles and hit counts of
@@ -31,6 +32,7 @@
 #include "sim/simulator.h"
 #include "support/deadline.h"
 #include "support/table_printer.h"
+#include "wcet/frontend.h"
 #include "workloads/workload.h"
 
 namespace spmwcet::harness {
@@ -86,6 +88,12 @@ canonical_image(const workloads::WorkloadInfo& wl, ArtifactCache& ac);
 /// once per ArtifactCache.
 std::shared_ptr<const CanonicalRun>
 canonical_run(const workloads::WorkloadInfo& wl, ArtifactCache& ac);
+
+/// The workload's relocatable program (wcet::RelocatableProgram): the
+/// canonical view's memory facts from one symbolic value analysis, which
+/// binds every scratchpad placement, once per ArtifactCache.
+std::shared_ptr<const wcet::RelocatableProgram>
+relocatable_program(const workloads::WorkloadInfo& wl, ArtifactCache& ac);
 
 struct PricedRun {
   uint64_t cycles = 0;

@@ -1,6 +1,8 @@
 #include "link/layout.h"
 
 #include <algorithm>
+#include <string_view>
+#include <unordered_map>
 
 #include "isa/encode.h"
 #include "support/bitops.h"
@@ -16,16 +18,6 @@ using minic::ObjInstr;
 
 namespace {
 
-/// A relaxed, size-stable function body plus derived layout facts.
-struct LaidOutFunction {
-  ObjFunction fn;                 // after relaxation
-  std::vector<uint32_t> item_off; // byte offset of each item
-  uint32_t code_bytes = 0;        // instructions only
-  uint32_t pool_off = 0;          // aligned offset of the literal pool
-  uint32_t total_bytes = 0;       // code + pool
-  uint32_t base = 0;              // absolute address, set later
-};
-
 uint32_t item_bytes(const ObjInstr& it) {
   return it.ins.op == Op::BL_HI ? 4 : 2;
 }
@@ -38,10 +30,10 @@ void recompute_offsets(LaidOutFunction& lf) {
     off += item_bytes(lf.fn.code[i]);
   }
   lf.item_off[lf.fn.code.size()] = off;
-  lf.code_bytes = off;
-  lf.pool_off = align_up(off, 4);
-  lf.total_bytes =
-      lf.pool_off + 4 * static_cast<uint32_t>(lf.fn.literals.size());
+  lf.extent.code_bytes = off;
+  lf.extent.pool_off = align_up(off, 4);
+  lf.extent.total_bytes =
+      lf.extent.pool_off + 4 * static_cast<uint32_t>(lf.fn.literals.size());
 }
 
 uint32_t label_offset(const LaidOutFunction& lf, int label) {
@@ -102,12 +94,38 @@ void relax(LaidOutFunction& lf) {
   }
 }
 
-LaidOutFunction lay_out(const ObjFunction& fn) {
+LaidOutFunction lay_out_function(const ObjFunction& fn) {
   LaidOutFunction lf;
   lf.fn = fn;
   relax(lf);
   recompute_offsets(lf);
   return lf;
+}
+
+constexpr uint32_t kStubBytes = 6; // the start stub: bl entry ; halt
+
+/// The assignment's names must exist in the module and the entry must be
+/// defined; the first unknown name (in set order) is the error.
+void check_assignment(const minic::ObjModule& mod, const SpmAssignment& spm) {
+  std::size_t found = 0;
+  for (const auto& fn : mod.functions) found += spm.functions.count(fn.name);
+  if (found != spm.functions.size())
+    for (const auto& name : spm.functions)
+      if (mod.find_function(name) == nullptr)
+        throw ProgramError("link: SPM assignment names unknown function " +
+                           name);
+  found = 0;
+  for (const auto& g : mod.globals) found += spm.globals.count(g.name);
+  if (found != spm.globals.size())
+    for (const auto& name : spm.globals) {
+      bool known = false;
+      for (const auto& g : mod.globals) known = known || g.name == name;
+      if (!known)
+        throw ProgramError("link: SPM assignment names unknown global " +
+                           name);
+    }
+  if (mod.find_function(mod.entry) == nullptr)
+    throw ProgramError("link: entry function '" + mod.entry + "' not defined");
 }
 
 void append16(std::vector<uint8_t>& bytes, uint16_t v) {
@@ -132,55 +150,55 @@ void check_spm_capacity(uint32_t extent, uint32_t spm_size) {
 ObjectSizes measure(const minic::ObjModule& mod) {
   ObjectSizes sizes;
   for (const auto& fn : mod.functions)
-    sizes.function_bytes[fn.name] = lay_out(fn).total_bytes;
+    sizes.function_bytes[fn.name] = lay_out_function(fn).extent.total_bytes;
   for (const auto& g : mod.globals) sizes.global_bytes[g.name] = g.size_bytes();
   return sizes;
 }
 
-Image link_program(const minic::ObjModule& mod, const LinkOptions& opts,
-                   const SpmAssignment& spm) {
-  SPMWCET_CHECK(opts.code_base % 4 == 0 && opts.data_base % 4 == 0 &&
-                opts.spm_base % 4 == 0);
-  for (const auto& name : spm.functions)
-    if (mod.find_function(name) == nullptr)
-      throw ProgramError("link: SPM assignment names unknown function " + name);
-  for (const auto& name : spm.globals) {
-    bool found = false;
-    for (const auto& g : mod.globals) found = found || g.name == name;
-    if (!found)
-      throw ProgramError("link: SPM assignment names unknown global " + name);
-  }
-  if (mod.find_function(mod.entry) == nullptr)
-    throw ProgramError("link: entry function '" + mod.entry + "' not defined");
+ModuleLayout lay_out(const minic::ObjModule& mod) {
+  ModuleLayout layout;
+  layout.functions.reserve(mod.functions.size());
+  for (const auto& fn : mod.functions)
+    layout.functions.push_back(lay_out_function(fn));
+  return layout;
+}
 
-  // ---- relax and measure every function ----------------------------------
-  std::vector<LaidOutFunction> funcs;
-  funcs.reserve(mod.functions.size());
-  for (const auto& fn : mod.functions) funcs.push_back(lay_out(fn));
+std::vector<FunctionExtent> ModuleLayout::extents() const {
+  std::vector<FunctionExtent> out;
+  out.reserve(functions.size());
+  for (const LaidOutFunction& lf : functions) out.push_back(lf.extent);
+  return out;
+}
 
-  // ---- assign addresses ---------------------------------------------------
-  Image img;
-  const uint32_t stub_bytes = 6; // bl entry ; halt
-  uint32_t main_cursor = opts.code_base + stub_bytes;
+AddressMap assign_addresses(const minic::ObjModule& mod,
+                            std::span<const FunctionExtent> extents,
+                            const LinkOptions& opts, const SpmAssignment& spm) {
+  SPMWCET_CHECK(extents.size() == mod.functions.size());
+  check_assignment(mod, spm);
+  AddressMap addrs;
+  uint32_t main_cursor = opts.code_base + kStubBytes;
   uint32_t spm_cursor = opts.spm_base;
 
-  auto in_spm_fn = [&](const std::string& n) {
-    return spm.functions.count(n) != 0;
-  };
-
-  for (auto& lf : funcs) {
-    uint32_t& cursor = in_spm_fn(lf.fn.name) ? spm_cursor : main_cursor;
+  addrs.function_base.reserve(extents.size());
+  addrs.function_spm.reserve(extents.size());
+  for (std::size_t i = 0; i < extents.size(); ++i) {
+    const bool on_spm = spm.functions.count(mod.functions[i].name) != 0;
+    uint32_t& cursor = on_spm ? spm_cursor : main_cursor;
     cursor = align_up(cursor, 4);
-    lf.base = cursor;
-    cursor += lf.total_bytes;
+    addrs.function_base.push_back(cursor);
+    addrs.function_spm.push_back(on_spm ? 1 : 0);
+    cursor += extents[i].total_bytes;
   }
 
-  std::map<std::string, uint32_t> global_addr;
   uint32_t data_cursor = opts.data_base;
+  addrs.global_addr.reserve(mod.globals.size());
+  addrs.global_spm.reserve(mod.globals.size());
   for (const auto& g : mod.globals) {
-    uint32_t& cursor = spm.globals.count(g.name) ? spm_cursor : data_cursor;
+    const bool on_spm = spm.globals.count(g.name) != 0;
+    uint32_t& cursor = on_spm ? spm_cursor : data_cursor;
     cursor = align_up(cursor, std::max(4u, 1u));
-    global_addr[g.name] = cursor;
+    addrs.global_addr.push_back(cursor);
+    addrs.global_spm.push_back(on_spm ? 1 : 0);
     cursor += g.size_bytes();
   }
 
@@ -188,12 +206,91 @@ Image link_program(const minic::ObjModule& mod, const LinkOptions& opts,
     throw ProgramError("link: code overflows into the data base");
   if (data_cursor > opts.stack_top - opts.stack_reserve)
     throw ProgramError("link: data overflows into the stack region");
-  img.spm_extent = spm_cursor - opts.spm_base;
-  check_spm_capacity(img.spm_extent, opts.spm_size);
+  addrs.spm_extent = spm_cursor - opts.spm_base;
+  check_spm_capacity(addrs.spm_extent, opts.spm_size);
+  return addrs;
+}
+
+RegionMap build_region_map(const minic::ObjModule& mod,
+                           std::span<const FunctionExtent> extents,
+                           const LinkOptions& opts, const AddressMap& addrs) {
+  RegionMap regions;
+  regions.add(Region{.lo = opts.code_base,
+                     .hi = opts.code_base + kStubBytes,
+                     .kind = RegionKind::MainCode,
+                     .symbol = "_start",
+                     .elem_bytes = 2});
+  for (std::size_t i = 0; i < extents.size(); ++i) {
+    const FunctionExtent& extent = extents[i];
+    const std::string& name = mod.functions[i].name;
+    const uint32_t base = addrs.function_base[i];
+    const bool on_spm = addrs.function_spm[i] != 0;
+    // The code region ends at the last instruction; alignment padding
+    // before the literal pool belongs to neither (it is never accessed).
+    regions.add(Region{
+        .lo = base,
+        .hi = base + extent.code_bytes,
+        .kind = on_spm ? RegionKind::SpmCode : RegionKind::MainCode,
+        .symbol = name,
+        .elem_bytes = 2});
+    if (extent.total_bytes > extent.pool_off) // a non-empty literal pool
+      regions.add(Region{
+          .lo = base + extent.pool_off,
+          .hi = base + extent.total_bytes,
+          .kind = on_spm ? RegionKind::SpmData : RegionKind::LiteralPool,
+          .symbol = name + ".pool",
+          .elem_bytes = 4});
+  }
+  for (std::size_t i = 0; i < mod.globals.size(); ++i) {
+    const minic::Global& g = mod.globals[i];
+    regions.add(Region{.lo = addrs.global_addr[i],
+                       .hi = addrs.global_addr[i] + g.size_bytes(),
+                       .kind = addrs.global_spm[i] != 0 ? RegionKind::SpmData
+                                                        : RegionKind::MainData,
+                       .symbol = g.name,
+                       .elem_bytes = minic::elem_size(g.type)});
+  }
+  regions.add(Region{.lo = opts.stack_top - opts.stack_reserve,
+                     .hi = opts.stack_top,
+                     .kind = RegionKind::Stack,
+                     .symbol = "stack",
+                     .elem_bytes = 4});
+  regions.finalize();
+  return regions;
+}
+
+Image link_program(const minic::ObjModule& mod, const LinkOptions& opts,
+                   const SpmAssignment& spm) {
+  // The assignment is checked before any function is laid out, so a bad
+  // name is the error even in a module that would not lay out.
+  SPMWCET_CHECK(opts.code_base % 4 == 0 && opts.data_base % 4 == 0 &&
+                opts.spm_base % 4 == 0);
+  check_assignment(mod, spm);
+  return link_program(mod, lay_out(mod), opts, spm);
+}
+
+Image link_program(const minic::ObjModule& mod, const ModuleLayout& layout,
+                   const LinkOptions& opts, const SpmAssignment& spm) {
+  SPMWCET_CHECK(opts.code_base % 4 == 0 && opts.data_base % 4 == 0 &&
+                opts.spm_base % 4 == 0);
+  const std::vector<FunctionExtent> extents = layout.extents();
+  const AddressMap addrs = assign_addresses(mod, extents, opts, spm);
+  const std::vector<LaidOutFunction>& funcs = layout.functions;
+
+  Image img;
+  img.spm_extent = addrs.spm_extent;
+  std::unordered_map<std::string_view, uint32_t> base_of;
+  base_of.reserve(funcs.size());
+  for (std::size_t i = 0; i < funcs.size(); ++i)
+    base_of.emplace(funcs[i].fn.name, addrs.function_base[i]);
+  std::unordered_map<std::string_view, uint32_t> global_addr;
+  global_addr.reserve(mod.globals.size());
+  for (std::size_t i = 0; i < mod.globals.size(); ++i)
+    global_addr.emplace(mod.globals[i].name, addrs.global_addr[i]);
 
   auto func_addr = [&](const std::string& name) -> uint32_t {
-    for (const auto& lf : funcs)
-      if (lf.fn.name == name) return lf.base;
+    const auto it = base_of.find(name);
+    if (it != base_of.end()) return it->second;
     throw ProgramError("link: call to undefined function " + name);
   };
 
@@ -214,15 +311,16 @@ Image link_program(const minic::ObjModule& mod, const LinkOptions& opts,
 
   Segment spm_seg{opts.spm_base, {}};
 
-  auto encode_function = [&](const LaidOutFunction& lf, Segment& seg) {
+  auto encode_function = [&](const LaidOutFunction& lf, uint32_t fbase,
+                             Segment& seg) {
     // padding up to the function base
-    const uint32_t start_off = lf.base - seg.base;
+    const uint32_t start_off = fbase - seg.base;
     SPMWCET_CHECK(seg.bytes.size() <= start_off);
     seg.bytes.resize(start_off, 0);
 
     for (std::size_t i = 0; i < lf.fn.code.size(); ++i) {
       const ObjInstr& it = lf.fn.code[i];
-      const uint32_t iaddr = lf.base + lf.item_off[i];
+      const uint32_t iaddr = fbase + lf.item_off[i];
       Instr ins = it.ins;
       if (ins.op == Op::BL_HI) {
         Instr hi, lo;
@@ -233,11 +331,11 @@ Image link_program(const minic::ObjModule& mod, const LinkOptions& opts,
       }
       if (it.label >= 0) {
         SPMWCET_CHECK(ins.op == Op::B || ins.op == Op::BCC);
-        ins.imm = isa::branch_offset(
-            iaddr, lf.base + label_offset(lf, it.label));
+        ins.imm = isa::branch_offset(iaddr,
+                                     fbase + label_offset(lf, it.label));
       }
       if (it.literal >= 0) {
-        const uint32_t lit_addr = lf.base + lf.pool_off +
+        const uint32_t lit_addr = fbase + lf.extent.pool_off +
                                   4 * static_cast<uint32_t>(it.literal);
         const uint32_t base = isa::lit_base(iaddr);
         SPMWCET_CHECK(lit_addr >= base);
@@ -250,7 +348,7 @@ Image link_program(const minic::ObjModule& mod, const LinkOptions& opts,
       append16(seg.bytes, isa::encode(ins));
     }
     // pool
-    const uint32_t pad_to = lf.base + lf.pool_off - seg.base;
+    const uint32_t pad_to = fbase + lf.extent.pool_off - seg.base;
     seg.bytes.resize(pad_to, 0);
     for (const auto& lit : lf.fn.literals) {
       uint32_t v;
@@ -268,13 +366,16 @@ Image link_program(const minic::ObjModule& mod, const LinkOptions& opts,
     }
   };
 
-  for (const auto& lf : funcs)
-    encode_function(lf, in_spm_fn(lf.fn.name) ? spm_seg : main_code);
+  for (std::size_t i = 0; i < funcs.size(); ++i)
+    encode_function(funcs[i], addrs.function_base[i],
+                    addrs.function_spm[i] != 0 ? spm_seg : main_code);
 
   // ---- data segments ------------------------------------------------------
   Segment main_data{opts.data_base, {}};
-  auto encode_global = [&](const minic::Global& g, Segment& seg) {
-    const uint32_t start_off = global_addr[g.name] - seg.base;
+  for (std::size_t gi = 0; gi < mod.globals.size(); ++gi) {
+    const minic::Global& g = mod.globals[gi];
+    Segment& seg = addrs.global_spm[gi] != 0 ? spm_seg : main_data;
+    const uint32_t start_off = addrs.global_addr[gi] - seg.base;
     SPMWCET_CHECK(seg.bytes.size() <= start_off);
     seg.bytes.resize(start_off, 0);
     const uint32_t esz = minic::elem_size(g.type);
@@ -289,48 +390,26 @@ Image link_program(const minic::ObjModule& mod, const LinkOptions& opts,
         append32(seg.bytes, u);
       }
     }
-  };
-  for (const auto& g : mod.globals)
-    encode_global(g, spm.globals.count(g.name) ? spm_seg : main_data);
+  }
 
   // ---- symbols, regions, annotations --------------------------------------
   img.entry = opts.code_base;
   img.initial_sp = opts.stack_top;
+  img.regions = build_region_map(mod, extents, opts, addrs);
 
   img.symbols.push_back(Symbol{.name = "_start",
                                .addr = opts.code_base,
-                               .size = stub_bytes,
+                               .size = kStubBytes,
                                .is_function = true});
-  img.regions.add(Region{.lo = opts.code_base,
-                         .hi = opts.code_base + stub_bytes,
-                         .kind = RegionKind::MainCode,
-                         .symbol = "_start",
-                         .elem_bytes = 2});
-
-  for (const auto& lf : funcs) {
-    const bool on_spm = in_spm_fn(lf.fn.name);
+  for (std::size_t fi = 0; fi < funcs.size(); ++fi) {
+    const LaidOutFunction& lf = funcs[fi];
+    const uint32_t fbase = addrs.function_base[fi];
     img.symbols.push_back(Symbol{.name = lf.fn.name,
-                                 .addr = lf.base,
-                                 .size = lf.total_bytes,
+                                 .addr = fbase,
+                                 .size = lf.extent.total_bytes,
                                  .is_function = true});
-    // The code region ends at the last instruction; alignment padding
-    // before the literal pool belongs to neither (it is never accessed).
-    img.regions.add(Region{
-        .lo = lf.base,
-        .hi = lf.base + lf.code_bytes,
-        .kind = on_spm ? RegionKind::SpmCode : RegionKind::MainCode,
-        .symbol = lf.fn.name,
-        .elem_bytes = 2});
-    if (!lf.fn.literals.empty())
-      img.regions.add(Region{
-          .lo = lf.base + lf.pool_off,
-          .hi = lf.base + lf.total_bytes,
-          .kind = on_spm ? RegionKind::SpmData : RegionKind::LiteralPool,
-          .symbol = lf.fn.name + ".pool",
-          .elem_bytes = 4});
-
     for (const auto& lm : lf.fn.loops) {
-      const uint32_t addr = lf.base + lf.item_off[lm.header];
+      const uint32_t addr = fbase + lf.item_off[lm.header];
       auto [it, inserted] = img.loop_bounds.emplace(addr, lm.bound);
       if (!inserted) it->second = std::max(it->second, lm.bound);
       if (lm.total >= 0) {
@@ -341,33 +420,19 @@ Image link_program(const minic::ObjModule& mod, const LinkOptions& opts,
     for (std::size_t i = 0; i < lf.fn.code.size(); ++i) {
       const ObjInstr& it = lf.fn.code[i];
       if (!it.access_symbol.empty())
-        img.access_hints[lf.base + lf.item_off[i]] = it.access_symbol;
+        img.access_hints[fbase + lf.item_off[i]] = it.access_symbol;
     }
   }
-
-  for (const auto& g : mod.globals) {
-    const bool on_spm = spm.globals.count(g.name) != 0;
+  for (std::size_t gi = 0; gi < mod.globals.size(); ++gi) {
+    const minic::Global& g = mod.globals[gi];
     img.symbols.push_back(Symbol{.name = g.name,
-                                 .addr = global_addr[g.name],
+                                 .addr = addrs.global_addr[gi],
                                  .size = g.size_bytes(),
                                  .is_function = false,
                                  .elem_bytes = minic::elem_size(g.type),
                                  .read_only = g.read_only,
                                  .count = g.count});
-    img.regions.add(
-        Region{.lo = global_addr[g.name],
-               .hi = global_addr[g.name] + g.size_bytes(),
-               .kind = on_spm ? RegionKind::SpmData : RegionKind::MainData,
-               .symbol = g.name,
-               .elem_bytes = minic::elem_size(g.type)});
   }
-
-  img.regions.add(Region{.lo = opts.stack_top - opts.stack_reserve,
-                         .hi = opts.stack_top,
-                         .kind = RegionKind::Stack,
-                         .symbol = "stack",
-                         .elem_bytes = 4});
-  img.regions.finalize();
 
   img.segments.push_back(std::move(main_code));
   if (!main_data.bytes.empty()) img.segments.push_back(std::move(main_data));

@@ -3,6 +3,13 @@
 // pools, encodes everything to bytes, and emits the region map plus the
 // WCET annotations (loop bounds, access hints) at absolute addresses.
 //
+// A link runs in three steps that are public on their own: lay_out relaxes
+// and measures every function (position-independent, once per module),
+// assign_addresses places the laid-out objects for one SpmAssignment, and
+// link_program encodes the image at those addresses. The analyzer binds a
+// placement from the first two alone (wcet::bind_placement), without an
+// image.
+//
 // Scratchpad allocation is a pure link decision (SpmAssignment), exactly as
 // in the paper: the compiler output is identical, only object placement
 // changes, and with it every access latency.
@@ -10,7 +17,9 @@
 
 #include <map>
 #include <set>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "link/image.h"
 #include "minic/obj.h"
@@ -44,11 +53,69 @@ struct ObjectSizes {
   std::map<std::string, uint32_t> global_bytes;
 };
 
+/// Where a laid-out function's code and literal pool sit relative to its
+/// base. Relaxation is function-relative, so this holds at any address.
+struct FunctionExtent {
+  uint32_t code_bytes = 0;  ///< instructions only
+  uint32_t pool_off = 0;    ///< aligned offset of the literal pool
+  uint32_t total_bytes = 0; ///< code + pool
+};
+
+/// One function relaxed and measured: its body after branch relaxation and
+/// the offsets of its items.
+struct LaidOutFunction {
+  minic::ObjFunction fn;          ///< after relaxation
+  std::vector<uint32_t> item_off; ///< byte offset of each item (+ the end)
+  FunctionExtent extent;
+};
+
+/// Every function of a module laid out, in module order.
+struct ModuleLayout {
+  std::vector<LaidOutFunction> functions;
+
+  /// The functions' extents, in module order: all that placing them needs.
+  std::vector<FunctionExtent> extents() const;
+};
+
+/// Relaxes and measures every function of `mod`. Throws ProgramError when a
+/// function is too large for its unconditional branches.
+ModuleLayout lay_out(const minic::ObjModule& mod);
+
+/// Where one SpmAssignment puts every object of a laid-out module: the
+/// link's address assignment, without encoding anything.
+struct AddressMap {
+  std::vector<uint32_t> function_base; ///< module function order
+  std::vector<uint32_t> global_addr;   ///< module global order
+  std::vector<uint8_t> function_spm;   ///< 1 = placed on the scratchpad
+  std::vector<uint8_t> global_spm;
+  /// Bytes the scratchpad objects span from the scratchpad base, alignment
+  /// included (Image::spm_extent of the link).
+  uint32_t spm_extent = 0;
+};
+
+/// Assigns addresses to the functions of `mod`, laid out with `extents`
+/// (ModuleLayout::extents), and its globals under `spm`, with every check
+/// and error message of link_program: unknown assigned names, an undefined
+/// entry, main-memory overflow and scratchpad capacity.
+AddressMap assign_addresses(const minic::ObjModule& mod,
+                            std::span<const FunctionExtent> extents,
+                            const LinkOptions& opts, const SpmAssignment& spm);
+
+/// The region map link_program emits for `addrs` (finalized).
+RegionMap build_region_map(const minic::ObjModule& mod,
+                           std::span<const FunctionExtent> extents,
+                           const LinkOptions& opts, const AddressMap& addrs);
+
 /// Links `mod` into an executable image.
 /// Throws ProgramError on unresolved symbols, capacity overflow, or
 /// un-relaxable branches.
 Image link_program(const minic::ObjModule& mod, const LinkOptions& opts = {},
                    const SpmAssignment& spm = {});
+
+/// Links `mod` from its lay_out (`layout`), which a caller linking many
+/// placements of one module computes once.
+Image link_program(const minic::ObjModule& mod, const ModuleLayout& layout,
+                   const LinkOptions& opts, const SpmAssignment& spm);
 
 /// Throws the link's capacity-overflow ProgramError when placed objects
 /// spanning `extent` bytes (Image::spm_extent) overflow a scratchpad of

@@ -111,6 +111,7 @@ struct Global {
   bool read_only = false;
 
   uint32_t size_bytes() const { return count * elem_size(type); }
+  friend bool operator==(const Global&, const Global&) = default;
 };
 
 /// A MiniC function: named parameters (passed in r0..r3, max 4), implicit

@@ -39,6 +39,8 @@ struct ObjInstr {
   /// Loads/stores to a known global: symbol whose address range bounds this
   /// access (the paper's automated array-access annotation).
   std::string access_symbol;
+
+  friend bool operator==(const ObjInstr&, const ObjInstr&) = default;
 };
 
 /// A loop-bound annotation: `header` is the positional index of the first
@@ -50,6 +52,8 @@ struct LoopMark {
   uint32_t header = 0;
   int64_t bound = 0;
   int64_t total = -1;
+
+  friend bool operator==(const LoopMark&, const LoopMark&) = default;
 };
 
 /// A compiled function before linking.
@@ -72,6 +76,8 @@ struct ObjFunction {
   }
   /// Adds a literal, deduplicating identical entries.
   int add_literal(const Literal& lit);
+
+  friend bool operator==(const ObjFunction&, const ObjFunction&) = default;
 };
 
 /// A compiled translation unit: functions plus global definitions carried
@@ -82,6 +88,8 @@ struct ObjModule {
   std::string entry = "main";
 
   const ObjFunction* find_function(const std::string& name) const;
+
+  friend bool operator==(const ObjModule&, const ObjModule&) = default;
 };
 
 } // namespace spmwcet::minic

@@ -32,8 +32,6 @@ WcetReport analyze_wcet(const link::Image& img, const AnalyzerConfig& cfg,
 /// skeletons (keyed by the view's func_index), which is bit-identical to
 /// the from-scratch solve by IpetCache's contract.
 WcetReport analyze_wcet(const ProgramView& view, const AnalyzerConfig& cfg) {
-  SPMWCET_CHECK(view.img != nullptr);
-  const link::Image& img = *view.img;
   const Annotations& ann = view.ann;
   const std::map<uint32_t, Cfg>& cfgs = view.cfgs;
   const std::map<uint32_t, const LoopInfo*>& loops = view.loops;
@@ -61,6 +59,9 @@ WcetReport analyze_wcet(const ProgramView& view, const AnalyzerConfig& cfg) {
   TimingInputs inputs;
   inputs.cache = cfg.cache;
   if (cfg.cache) {
+    SPMWCET_CHECK_MSG(view.img != nullptr,
+                      "analyze_wcet: a cache analysis needs the bound image");
+    const link::Image& img = *view.img;
     CacheAnalysisConfig ccfg;
     ccfg.cache = *cfg.cache;
     ccfg.with_persistence = cfg.with_persistence;

@@ -55,6 +55,7 @@ struct BlockWcet {
   uint64_t count = 0;     ///< worst-case execution count (IPET flow)
   uint64_t cycles = 0;    ///< worst-case cycles per execution
   uint64_t contribution() const { return count * cycles; }
+  bool operator==(const BlockWcet&) const = default;
 };
 
 struct FunctionWcet {
@@ -64,6 +65,7 @@ struct FunctionWcet {
   uint32_t loops = 0;
   /// Per-block worst-case profile (the critical path's flow solution).
   std::vector<BlockWcet> block_profile;
+  bool operator==(const FunctionWcet&) const = default;
 };
 
 struct WcetReport {
@@ -80,6 +82,8 @@ struct WcetReport {
   uint64_t persistent_sites = 0;
   /// One-off line-fill penalties added for persistent lines.
   uint64_t persistence_penalty_cycles = 0;
+
+  bool operator==(const WcetReport&) const = default;
 };
 
 /// Analyzes the whole program rooted at the image entry: decodes the image,

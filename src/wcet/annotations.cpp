@@ -33,6 +33,18 @@ void Annotations::set_loop_total(uint32_t header_addr, int64_t total) {
   loop_totals_[header_addr] = total;
 }
 
+void Annotations::copy_loop_facts(uint32_t lo, uint32_t hi, uint32_t delta,
+                                  Annotations& out) const {
+  const auto copy = [&](const std::map<uint32_t, int64_t>& from,
+                        std::map<uint32_t, int64_t>& to) {
+    for (auto it = from.lower_bound(lo); it != from.end() && it->first < hi;
+         ++it)
+      to.emplace_hint(to.end(), it->first + delta, it->second);
+  };
+  copy(loop_bounds_, out.loop_bounds_);
+  copy(loop_totals_, out.loop_totals_);
+}
+
 std::optional<int64_t> Annotations::loop_bound(uint32_t header_addr) const {
   const auto it = loop_bounds_.find(header_addr);
   if (it == loop_bounds_.end()) return std::nullopt;

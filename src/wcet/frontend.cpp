@@ -1,6 +1,11 @@
 #include "wcet/frontend.h"
 
 #include <algorithm>
+#include <span>
+#include <string_view>
+#include <unordered_map>
+
+#include "isa/encode.h"
 
 #include "support/diag.h"
 #include "wcet/loop_bounds.h"
@@ -232,6 +237,260 @@ ProgramView bind_view(std::shared_ptr<const ProgramShape> shape,
 
   view.scaffold = build_scaffold(view.cfgs, view.root);
   return view;
+}
+
+namespace {
+
+/// Symbol ids by name: the module's functions in module order, then its
+/// globals.
+struct SymbolIds {
+  explicit SymbolIds(const minic::ObjModule& mod) {
+    for (std::size_t i = 0; i < mod.functions.size(); ++i)
+      functions.emplace(mod.functions[i].name, static_cast<uint32_t>(i));
+    for (std::size_t i = 0; i < mod.globals.size(); ++i)
+      globals.emplace(mod.globals[i].name,
+                      static_cast<uint32_t>(mod.functions.size() + i));
+  }
+
+  /// Whether every name is one symbol: a name both a function and a global
+  /// resolves differently in pools and hints.
+  bool unambiguous(const minic::ObjModule& mod) const {
+    if (functions.size() != mod.functions.size() ||
+        globals.size() != mod.globals.size())
+      return false;
+    for (const auto& [name, id] : globals)
+      if (functions.count(name) != 0) return false;
+    return true;
+  }
+
+  std::unordered_map<std::string_view, uint32_t> functions;
+  std::unordered_map<std::string_view, uint32_t> globals;
+};
+
+/// Symbol id -> address under `addrs`: functions, then globals.
+std::vector<uint32_t> symbol_addresses(const link::AddressMap& addrs) {
+  std::vector<uint32_t> out(addrs.function_base);
+  out.insert(out.end(), addrs.global_addr.begin(), addrs.global_addr.end());
+  return out;
+}
+
+/// The canonical image of one function read through the link's relocations:
+/// literal-pool words that hold a symbol's address are that symbol, code
+/// addresses are offsets from the function's own symbol, access hints name
+/// their symbol's extent. Symbols are ordered by `symbol_addr`.
+class RelocationSource final : public AddressSource {
+public:
+  RelocationSource(const link::Image& img, const minic::ObjModule& mod,
+                   std::span<const link::FunctionExtent> extents,
+                   const SymbolIds& ids, std::span<const uint32_t> symbol_addr,
+                   uint32_t base, int32_t module_function)
+      : img_(img), mod_(mod), extents_(extents), ids_(ids),
+        symbol_addr_(symbol_addr), base_(base), fn_(module_function) {}
+
+  std::optional<AbsVal> pool_word(uint32_t addr) const override {
+    if (fn_ < 0) return std::nullopt;
+    const auto fn = static_cast<std::size_t>(fn_);
+    const link::FunctionExtent& extent = extents_[fn];
+    const uint32_t off = addr - base_;
+    if (off < extent.pool_off || off >= extent.total_bytes ||
+        (off - extent.pool_off) % 4)
+      return std::nullopt; // not one of this function's pool words
+    // Relaxation leaves the pool as the compiler emitted it.
+    const minic::Literal& lit =
+        mod_.functions[fn].literals[(off - extent.pool_off) / 4];
+    if (!lit.is_symbol)
+      return AbsVal::point(
+          static_cast<int32_t>(static_cast<uint32_t>(lit.value)));
+    // The link resolves a literal to a global first, then a function; an
+    // addend large enough to wrap a 32-bit address has no offset form.
+    if (lit.addend >= (1u << 24)) return std::nullopt;
+    auto it = ids_.globals.find(lit.symbol);
+    if (it == ids_.globals.end()) it = ids_.functions.find(lit.symbol);
+    SPMWCET_CHECK(it != ids_.functions.end());
+    return AbsVal::symbol(it->second, Interval::point(lit.addend));
+  }
+
+  std::optional<AbsVal> code_address(uint32_t addr) const override {
+    if (fn_ < 0) return std::nullopt;
+    const uint32_t off = addr - base_;
+    if (off >= extents_[static_cast<std::size_t>(fn_)].total_bytes)
+      return std::nullopt;
+    return AbsVal::symbol(static_cast<uint32_t>(fn_), Interval::point(off));
+  }
+
+  std::optional<SymbolRange> hint(uint32_t addr) const override {
+    const auto it = img_.access_hints.find(addr);
+    if (it == img_.access_hints.end()) return std::nullopt;
+    // Annotations::from_image resolves the name in symbol-table order:
+    // functions before globals.
+    auto id = ids_.functions.find(it->second);
+    if (id == ids_.functions.end()) id = ids_.globals.find(it->second);
+    SPMWCET_CHECK(id != ids_.globals.end());
+    return SymbolRange{id->second, 0, symbol_size(id->second) - 1};
+  }
+
+  uint32_t symbol_size(uint32_t sym) const override {
+    return sym < extents_.size()
+               ? extents_[sym].total_bytes
+               : mod_.globals[sym - extents_.size()].size_bytes();
+  }
+
+  uint32_t symbol_address(uint32_t sym) const override {
+    return symbol_addr_[sym];
+  }
+
+private:
+  const link::Image& img_;
+  const minic::ObjModule& mod_;
+  std::span<const link::FunctionExtent> extents_;
+  const SymbolIds& ids_;
+  std::span<const uint32_t> symbol_addr_;
+  uint32_t base_;
+  int32_t fn_;
+};
+
+} // namespace
+
+RelocatableProgram build_relocatable(
+    std::shared_ptr<const ProgramView> canonical, const minic::ObjModule& mod,
+    std::span<const link::FunctionExtent> extents) {
+  SPMWCET_CHECK(canonical != nullptr && canonical->img != nullptr);
+  SPMWCET_CHECK(extents.size() == mod.functions.size());
+  const link::Image& img = *canonical->img;
+  const SymbolIds ids(mod);
+
+  RelocatableProgram rp;
+  rp.canonical = std::move(canonical);
+  rp.reordered = std::make_unique<
+      support::Memoizer<RelocatableProgram::Reordering,
+                        std::optional<SymbolicFacts>>>();
+  // The canonical placement orders the symbols of the first analysis.
+  const link::AddressMap canonical_addrs =
+      link::assign_addresses(mod, extents, {}, {});
+  const std::vector<uint32_t> symbol_addr = symbol_addresses(canonical_addrs);
+  bool placeable = ids.unambiguous(mod);
+  for (const auto& [faddr, cfg] : rp.canonical->cfgs) {
+    RelocatableProgram::Function& fn = rp.functions.emplace_back();
+    const auto it = ids.functions.find(cfg.name);
+    if (it != ids.functions.end())
+      fn.module_function = static_cast<int32_t>(it->second);
+    if (!placeable) continue;
+    SPMWCET_CHECK(fn.module_function < 0 ||
+                  canonical_addrs.function_base[static_cast<std::size_t>(
+                      fn.module_function)] == faddr);
+    auto facts = analyze_accesses(
+        cfg, RelocationSource(img, mod, extents, ids, symbol_addr, faddr,
+                              fn.module_function));
+    placeable = facts.has_value();
+    if (placeable) fn.facts = std::move(*facts);
+  }
+  rp.placeable = placeable;
+  if (!placeable)
+    for (RelocatableProgram::Function& fn : rp.functions) fn.facts = {};
+  return rp;
+}
+
+std::optional<PlacementBinding>
+bind_placement(const RelocatableProgram& rp, const minic::ObjModule& mod,
+               std::span<const link::FunctionExtent> extents,
+               const link::LinkOptions& opts, const link::AddressMap& addrs) {
+  SPMWCET_CHECK(rp.placeable);
+  const ProgramView& canon = *rp.canonical;
+  const std::vector<uint32_t> symbol_addr = symbol_addresses(addrs);
+  const link::RegionMap regions =
+      link::build_region_map(mod, extents, opts, addrs);
+
+  // Each canonical function's placed base, in canonical key order (the
+  // start stub sits at the code base in every link).
+  std::vector<uint32_t> canon_addr, placed_addr;
+  canon_addr.reserve(canon.cfgs.size());
+  placed_addr.reserve(canon.cfgs.size());
+  for (std::size_t j = 0; const auto& [faddr, cfg] : canon.cfgs) {
+    const int32_t fn = rp.functions[j++].module_function;
+    canon_addr.push_back(faddr);
+    placed_addr.push_back(
+        fn < 0 ? opts.code_base
+               : addrs.function_base[static_cast<std::size_t>(fn)]);
+  }
+  const auto placed_of = [&](uint32_t canonical) {
+    const auto it =
+        std::lower_bound(canon_addr.begin(), canon_addr.end(), canonical);
+    SPMWCET_CHECK(it != canon_addr.end() && *it == canonical);
+    return placed_addr[static_cast<std::size_t>(it - canon_addr.begin())];
+  };
+
+  PlacementBinding out;
+  ProgramView& view = out.view;
+  view.shape = canon.shape;
+  view.root = placed_of(canon.root);
+  for (std::size_t ordinal = 0; const auto& [faddr, canon_cfg] : canon.cfgs) {
+    const RelocatableProgram::Function& fn = rp.functions[ordinal];
+    const uint32_t base = placed_addr[ordinal++];
+    // Facts hold for every placement that orders each symbol pair they
+    // rely on alike. The canonical ones serve unless the placement reorders
+    // one; then the analysis under the first placement that ordered the
+    // canonical pairs alike serves, or, if this placement reorders a pair
+    // that one relied on, one under this placement's order.
+    const auto holds = [&](const SymbolicFacts& f) {
+      return std::all_of(f.order.begin(), f.order.end(), [&](const auto& p) {
+        return symbol_addr[p.first] < symbol_addr[p.second];
+      });
+    };
+    const auto analyze = [&] {
+      ++out.reanalyzed;
+      const SymbolIds ids(mod);
+      return analyze_accesses(
+          canon_cfg, RelocationSource(*canon.img, mod, extents, ids,
+                                      symbol_addr, faddr,
+                                      fn.module_function));
+    };
+    const SymbolicFacts* facts = &fn.facts;
+    std::shared_ptr<const std::optional<SymbolicFacts>> reordered;
+    std::optional<SymbolicFacts> own;
+    if (!holds(fn.facts)) {
+      std::vector<bool> kept;
+      kept.reserve(fn.facts.order.size());
+      for (const auto& [lo, hi] : fn.facts.order)
+        kept.push_back(symbol_addr[lo] < symbol_addr[hi]);
+      reordered =
+          rp.reordered->get({ordinal - 1, std::move(kept)}, analyze);
+      if (!*reordered) return std::nullopt;
+      facts = &**reordered;
+      if (!holds(*facts)) {
+        own = analyze();
+        if (!own) return std::nullopt;
+        facts = &*own;
+      }
+    }
+
+    const uint32_t delta = base - faddr;
+    Cfg cfg = canon_cfg;
+    cfg.func_addr = base;
+    for (BasicBlock& b : cfg.blocks) {
+      b.first_addr += delta;
+      b.end_addr += delta;
+      if (b.call_target) b.call_target = placed_of(*b.call_target);
+      for (CfgInstr& ci : b.instrs) {
+        ci.addr += delta;
+        // The only link-time field of the stream: a call's offset.
+        if (ci.ins.op == isa::Op::BL_HI) {
+          SPMWCET_CHECK(b.call_target.has_value());
+          isa::encode_bl(isa::branch_offset(ci.addr, *b.call_target), ci.ins,
+                         ci.bl_lo);
+        }
+      }
+    }
+    place_memory(cfg, facts->accesses, symbol_addr, regions);
+    const std::size_t index = canon.func_index.at(faddr);
+    canon.ann.copy_loop_facts(faddr,
+                              faddr + canon.shape->funcs[index].code_bytes,
+                              delta, view.ann);
+    view.loops.emplace(base, canon.loops.at(faddr));
+    view.func_index.emplace(base, index);
+    view.cfgs.emplace(base, std::move(cfg));
+  }
+  view.scaffold = build_scaffold(view.cfgs, view.root);
+  return out;
 }
 
 ViewScaffold build_scaffold(const std::map<uint32_t, Cfg>& cfgs,

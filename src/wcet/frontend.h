@@ -21,12 +21,21 @@
 // passes (cache analysis, block timing, IPET). The cache branch of a sweep
 // shares one image across all sizes, so it shares one ProgramView — CFG
 // reconstruction, loop detection and value analysis run once per workload
-// instead of once per point. The SPM branch re-binds per placement but
-// still skips structure discovery. The view's scaffold also fixes what no
-// cache geometry changes — the cache supergraph, the site table that
-// prices every access the cache does not classify, and the bottom-up
-// function order — so a cache point analyzed on it does only the work
-// that depends on the geometry.
+// instead of once per point. The view's scaffold also fixes what no cache
+// geometry changes — the cache supergraph, the site table that prices
+// every access the cache does not classify, and the bottom-up function
+// order — so a cache point analyzed on it does only the work that depends
+// on the geometry.
+//
+// The SPM branch binds each placement from a class table: a placement
+// changes only where objects land and which memory class each one is in,
+// so the value analysis runs once per workload over symbol-relative values
+// (RelocatableProgram), and bind_placement relocates every site's facts to
+// the placement's addresses and classifies them against its region map —
+// no link, no decode, no fixpoint. A workload whose analysis lets a symbol
+// address reach an operation the symbolic domain cannot express is not
+// placeable; its placements fall back to link, decode and bind_view on the
+// placed image, which is also the test oracle for bind_placement.
 //
 // Field-exactness: a view bound to image I produces byte-identical
 // intermediate structures to the seed front end run on I (pinned by the
@@ -38,10 +47,13 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "link/image.h"
+#include "link/layout.h"
+#include "support/memoize.h"
 #include "program/decoded_image.h"
 #include "wcet/annotations.h"
 #include "wcet/cache_analysis.h"
@@ -130,8 +142,12 @@ struct ProgramView {
   /// must outlive the view; harness caches hand in shared ownership).
   std::shared_ptr<const link::Image> pinned_image;
 
+  /// The bound image; null for a view bound from a class table
+  /// (bind_placement), which only an uncached analysis may read.
   const link::Image* img = nullptr;
   uint32_t root = 0; ///< entry function address in this image
+  /// From a class table: the loop bounds and totals of the view's
+  /// functions only (its memory facts are resolved already).
   Annotations ann;
   std::map<uint32_t, Cfg> cfgs; ///< keyed by function address; facts resolved
   std::map<uint32_t, const LoopInfo*> loops;    ///< borrowed from the shape
@@ -158,5 +174,64 @@ ProgramView bind_view(std::shared_ptr<const ProgramShape> shape,
                       const program::DecodedImage& dec,
                       bool auto_loop_bounds = false,
                       const Annotations* overrides = nullptr);
+
+/// A workload's front end in placement-independent form: the view bound to
+/// the canonical (no-scratchpad) image, and every instruction's data access
+/// from one value analysis over symbol-relative values, in which
+/// literal-pool words and access hints are references to the symbols the
+/// link's relocations name. Symbol ids are the module's functions in module
+/// order, then its globals. Immutable; shared by every placement.
+struct RelocatableProgram {
+  std::shared_ptr<const ProgramView> canonical;
+
+  struct Function {
+    /// Index among the module's functions, -1 for the start stub.
+    int32_t module_function = -1;
+    /// The analysis under the canonical placement's symbol order.
+    SymbolicFacts facts;
+  };
+  /// Per function of the canonical view, in its cfgs key order.
+  std::vector<Function> functions;
+  /// False when the analysis found a value the symbolic domain cannot
+  /// express (analyze_accesses); then every placement must be linked and
+  /// bound (bind_view).
+  bool placeable = false;
+
+  /// A function's facts under another symbol order, keyed by its ordinal
+  /// and which of its order pairs the placement keeps; nullopt where that
+  /// order meets a value the symbolic domain cannot express. Placements
+  /// that order a function's symbols alike share one re-analysis.
+  using Reordering = std::pair<std::size_t, std::vector<bool>>;
+  std::unique_ptr<support::Memoizer<Reordering, std::optional<SymbolicFacts>>>
+      reordered;
+};
+
+/// Runs the symbolic value analysis over `canonical` (bound to the link of
+/// `mod`, whose functions lay out with `extents`, without a scratchpad).
+RelocatableProgram build_relocatable(
+    std::shared_ptr<const ProgramView> canonical, const minic::ObjModule& mod,
+    std::span<const link::FunctionExtent> extents);
+
+/// A placement bound from the class table, and how many of its functions
+/// re-ran their analysis because the placement is the first to reorder
+/// symbols whose order their facts rely on (SymbolicFacts::order).
+struct PlacementBinding {
+  ProgramView view;
+  uint32_t reanalyzed = 0;
+};
+
+/// Binds one placement from the class table: assigns every function its
+/// address from `addrs` (link::assign_addresses under `opts`), relocates
+/// the CFGs and each site's facts, classifies them against the placement's
+/// region map, and builds the scaffold. The view equals bind_view on the
+/// linked placement in every memory fact, site and report field
+/// (SpmSoundness in tests/test_spm_soundness.cpp); it carries no image.
+/// Returns nullopt when a function re-analyzed under the placement's
+/// symbol order finds a value the symbolic domain cannot express; the
+/// placement must then be linked. `rp` must be placeable.
+std::optional<PlacementBinding>
+bind_placement(const RelocatableProgram& rp, const minic::ObjModule& mod,
+               std::span<const link::FunctionExtent> extents,
+               const link::LinkOptions& opts, const link::AddressMap& addrs);
 
 } // namespace spmwcet::wcet

@@ -25,6 +25,8 @@ struct AddrInfo {
   bool is_store = false;
   uint32_t lo = 0; ///< Exact: the address; Range: inclusive bounds
   uint32_t hi = 0;
+
+  bool operator==(const AddrInfo&) const = default;
 };
 
 /// Raises the SimulationError of an access to the unmapped `addr`, as
@@ -45,6 +47,8 @@ struct MemFacts {
   /// the range overlaps. Unset for Stack/Unknown, which are main memory.
   bool may_main = false;
   bool may_spm = false;
+
+  bool operator==(const MemFacts&) const = default;
 
   /// Class of an Exact access; an unmapped address raises the same
   /// SimulationError RegionMap::classify does.

@@ -58,6 +58,8 @@ struct SiteTable {
     Load load = Load::None;
     uint8_t accesses = 1; ///< element accesses of the data access
     Fault fault = Fault::None;
+
+    bool operator==(const Site&) const = default;
   };
 
   /// The cycles of one block that no cache classification decides, by the
@@ -83,6 +85,8 @@ struct SiteTable {
     /// Unified cache: exact main-memory loads, classified.
     uint32_t cached_loads = 0;
     int32_t callee = -1; ///< ordinal of the called function, -1 = no call
+
+    bool operator==(const Block&) const = default;
   };
 
   struct Function {
@@ -92,6 +96,8 @@ struct SiteTable {
     int64_t fault_site = -1;
     /// Pipeline refill charged on each taken conditional edge.
     EdgeCycles edge_cycles;
+
+    bool operator==(const Function&) const = default;
   };
 
   std::vector<Site> sites;
@@ -101,6 +107,8 @@ struct SiteTable {
   // Report statistics the view fixes.
   uint64_t fetch_sites = 0; ///< instruction halfwords
   uint64_t load_sites = 0;  ///< loads (data accesses that are not stores)
+
+  bool operator==(const SiteTable&) const = default;
 };
 
 /// Builds the site table of `cfgs`, whose memory facts must have been

@@ -406,7 +406,16 @@ GenParseResult parse_gen_name(const std::string& name) {
   return r;
 }
 
-minic::ProgramDef generate_program(const GenSpec& spec) {
+namespace {
+
+/// The generated program and the module it lowers to, compiled once: the
+/// retry ladder links the module to test it, and the workload keeps it.
+struct Generated {
+  ProgramDef prog;
+  minic::ObjModule module;
+};
+
+Generated generate(const GenSpec& spec) {
   const ShapeParams& sp = shape_params(spec.shape);
   // Retry ladder: very large functions can exceed T16's pc-relative
   // literal-pool range (a real THUMB constraint — production compilers emit
@@ -417,9 +426,10 @@ minic::ProgramDef generate_program(const GenSpec& spec) {
   for (int attempt = 0; attempt < 4; ++attempt) {
     Generator gen(rng_seed(spec, attempt), sp, budgets[attempt]);
     ProgramDef prog = gen.build();
+    minic::ObjModule module = compile(prog);
     try {
-      (void)link::link_program(compile(prog));
-      return prog;
+      (void)link::link_program(module);
+      return {std::move(prog), std::move(module)};
     } catch (const ProgramError&) {
       continue; // too big: regenerate smaller
     }
@@ -428,8 +438,15 @@ minic::ProgramDef generate_program(const GenSpec& spec) {
               ": no attempt produced a linkable program");
 }
 
+} // namespace
+
+minic::ProgramDef generate_program(const GenSpec& spec) {
+  return generate(spec).prog;
+}
+
 WorkloadInfo make_generated(const GenSpec& spec) {
-  const ProgramDef prog = generate_program(spec);
+  Generated generated = generate(spec);
+  const ProgramDef& prog = generated.prog;
 
   // The reference interpreter is the oracle for expected outputs: every
   // harness point then validates the simulated run against AST semantics,
@@ -442,7 +459,7 @@ WorkloadInfo make_generated(const GenSpec& spec) {
   info.description = "generated MiniC program (shape " +
                      gen_shape_name(spec.shape) + ", seed " +
                      std::to_string(spec.seed) + ")";
-  info.module = compile(prog);
+  info.module = std::move(generated.module);
   for (const Global& g : prog.globals) {
     if (g.read_only) continue;
     ExpectedGlobal eg;

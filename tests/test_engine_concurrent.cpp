@@ -251,13 +251,15 @@ TEST(EngineConcurrent, SweepDeadlineStaysTypedAcrossThePool) {
 // The WCET-driven greedy checks the budget before every trial, so a bounded
 // request on a ~400-object program stops inside the greedy's first round
 // instead of finishing the allocation first: fewer placements were priced
-// than the program has candidates.
+// than the program has candidates. A trial bound from the class table
+// costs tens of microseconds, so the budget is a fifth of what a linked
+// trial needed for the same margin.
 TEST(EngineConcurrent, WcetDrivenAllocationStopsAtTheDeadline) {
   Engine engine((EngineOptions()));
   api::ExperimentOptions options;
   options.wcet_driven_alloc = true;
   const auto req = PointRequest::make("gen:callheavy:2", MemSetup::Scratchpad,
-                                      1024, options, /*deadline_ms=*/100);
+                                      1024, options, /*deadline_ms=*/20);
   ASSERT_TRUE(req.ok());
   const auto late = engine.point(req.value());
   ASSERT_FALSE(late.ok());

@@ -150,6 +150,23 @@ TEST(GeneratedProgram, SameSpecIsByteIdenticalPerShape) {
   }
 }
 
+TEST(GeneratedWorkload, KeepsTheModuleTheRetryLadderLinked) {
+  // make_generated hands over the module its retry ladder compiled and
+  // linked instead of compiling the program again; it must be the module
+  // a fresh compile of the generated program lowers to, field for field.
+  for (const std::string& shape : workloads::gen_shape_names())
+    for (uint32_t seed = 1; seed <= 20; ++seed) {
+      const GenSpec spec =
+          workloads::parse_gen_name("gen:" + shape + ":" +
+                                    std::to_string(seed))
+              .spec;
+      const workloads::WorkloadInfo wl = workloads::make_generated(spec);
+      EXPECT_TRUE(wl.module ==
+                  minic::compile(workloads::generate_program(spec)))
+          << wl.name;
+    }
+}
+
 TEST(GeneratedWorkload, SimulatorReproducesInterpreterExpectations) {
   // make_generated packages interpreter-computed expected outputs; the
   // simulated execution of the lowered module must reproduce them exactly
@@ -321,7 +338,8 @@ void expect_same_point(const harness::SweepPoint& a,
 // Points that share one ArtifactCache against points that each derive
 // everything in a point-local cache, over both setups and every paper
 // size: field-identical, and the shared side actually reused placed runs,
-// shapes, views and IPET skeletons.
+// views and IPET skeletons, built one shape per program (both setups reach
+// it through the one view), and bound every placement from the class table.
 TEST(ModeParity, SharedArtifactsMatchPointLocalOnTrioAndMixedSlice) {
   harness::ArtifactCache shared;
   for (const std::string& name : trio_and_mixed_slice()) {
@@ -341,8 +359,10 @@ TEST(ModeParity, SharedArtifactsMatchPointLocalOnTrioAndMixedSlice) {
     }
   }
   EXPECT_GT(shared.placement_stats().hits, 0u);
-  EXPECT_GT(shared.shape_stats().hits, 0u);
+  EXPECT_EQ(shared.shape_stats().misses, trio_and_mixed_slice().size());
   EXPECT_GT(shared.view_stats().hits, 0u);
+  EXPECT_GT(shared.bind_stats().class_table, 0u);
+  EXPECT_EQ(shared.bind_stats().fallbacks, 0u);
   EXPECT_GT(shared.ipet_skeleton_stats().hits, 0u);
   EXPECT_EQ(shared.ipet_skeleton_stats().fallbacks, 0u);
 }

@@ -11,13 +11,19 @@
 //
 // The oracles: on the paper trio and a subset of that matrix, every point's
 // choice is recomputed, the WCET-driven one by the greedy over the cold
-// price (link the trial, analyze the image from scratch), and every
-// distinct chosen placement is linked, simulated and validated; the priced
-// cycles and energy must equal the simulation's bit for bit. The placements
-// production priced must be exactly the cold greedy's linked trials and the
-// energy choices.
+// price (link the trial, decode it, bind the placed image, analyze with
+// from-scratch IPET), and every distinct chosen placement is linked,
+// simulated and validated; the priced cycles and energy must equal the
+// simulation's bit for bit. The placements production priced must be
+// exactly the cold greedy's linked trials and the energy choices. Each of
+// those links is also the oracle of production's class-table bind
+// (wcet::bind_placement): the bound view's per-site memory facts, its site
+// table and its report equal the placed image's, its scratchpad extent
+// equals the link's, and a placement the link refuses fails the address
+// assignment with the link's own message.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <set>
@@ -27,9 +33,11 @@
 #include "harness/artifact_cache.h"
 #include "harness/sweep_runner.h"
 #include "link/layout.h"
+#include "program/decoded_image.h"
 #include "sim/simulator.h"
 #include "support/thread_pool.h"
 #include "wcet/analyzer.h"
+#include "wcet/ipet.h"
 #include "workloads/generated.h"
 
 namespace spmwcet {
@@ -51,16 +59,120 @@ bool runs_oracle(const std::string& shape, uint32_t seed) {
   return shape == "callheavy" ? seed == 2 : seed <= 4;
 }
 
+/// Holds the class-table view `bound` field-equal to `oracle`, bound to the
+/// linked placement, in its CFG addresses, instructions, per-site memory
+/// facts, site table and function order; adds its sites to `sites`.
+void expect_same_binding(const wcet::ProgramView& bound,
+                         const wcet::ProgramView& oracle,
+                         const std::string& what, std::size_t& sites) {
+  EXPECT_EQ(bound.root, oracle.root) << what;
+  EXPECT_EQ(bound.func_index, oracle.func_index) << what;
+  ASSERT_EQ(bound.cfgs.size(), oracle.cfgs.size()) << what;
+  for (auto b = bound.cfgs.begin(), o = oracle.cfgs.begin();
+       b != bound.cfgs.end(); ++b, ++o) {
+    ASSERT_EQ(b->first, o->first) << what;
+    ASSERT_EQ(b->second.blocks.size(), o->second.blocks.size()) << what;
+    for (std::size_t k = 0; k < b->second.blocks.size(); ++k) {
+      const wcet::BasicBlock& bb = b->second.blocks[k];
+      const wcet::BasicBlock& ob = o->second.blocks[k];
+      EXPECT_EQ(bb.first_addr, ob.first_addr) << what;
+      EXPECT_EQ(bb.call_target, ob.call_target) << what;
+      ASSERT_EQ(bb.instrs.size(), ob.instrs.size()) << what;
+      for (std::size_t i = 0; i < bb.instrs.size(); ++i, ++sites) {
+        const wcet::CfgInstr& bi = bb.instrs[i];
+        const wcet::CfgInstr& oi = ob.instrs[i];
+        EXPECT_EQ(bi.addr, oi.addr) << what;
+        EXPECT_TRUE(bi.ins == oi.ins && bi.bl_lo == oi.bl_lo)
+            << what << " at " << oi.addr;
+        EXPECT_TRUE(bi.mem == oi.mem) << what << " at " << oi.addr;
+      }
+    }
+  }
+  EXPECT_TRUE(bound.scaffold.sites == oracle.scaffold.sites) << what;
+  EXPECT_EQ(bound.scaffold.bottom_up, oracle.scaffold.bottom_up) << what;
+}
+
+/// The placed-image oracle of production's class-table bind, over one
+/// program's placements (shared by the threads of the cold greedy).
+class BindOracle {
+public:
+  BindOracle(const workloads::WorkloadInfo& wl,
+             harness::ArtifactCache& artifacts)
+      : wl_(wl), record_(harness::canonical_image(wl, artifacts)),
+        relocatable_(harness::relocatable_program(wl, artifacts)),
+        ipet_(artifacts.ipet(wl)) {}
+
+  /// Links `assignment` at `opts`, holding the class table's address
+  /// assignment to the link's error when the link refuses it.
+  link::Image link(const link::LinkOptions& opts,
+                   const link::SpmAssignment& assignment,
+                   const std::string& what) const {
+    try {
+      return link::link_program(wl_.module, opts, assignment);
+    } catch (const ProgramError& e) {
+      try {
+        (void)link::assign_addresses(wl_.module, record_->extents, opts,
+                                     assignment);
+        ADD_FAILURE() << what << ": the address assignment accepted it";
+      } catch (const ProgramError& assigned) {
+        EXPECT_STREQ(assigned.what(), e.what()) << what;
+      }
+      throw;
+    }
+  }
+
+  /// The cold WCET of the linked placement `img` (decode, bind, analyze
+  /// with from-scratch IPET); the class-table bind of the same placement
+  /// must agree with it in every memory fact, site and report field.
+  uint64_t cold_wcet(const link::LinkOptions& opts,
+                     const link::SpmAssignment& assignment,
+                     const link::Image& img, const std::string& what) {
+    const program::DecodedImage dec(img);
+    const wcet::ProgramView oracle =
+        wcet::bind_view(relocatable_->canonical->shape, img, dec);
+    const wcet::WcetReport cold = wcet::analyze_wcet(oracle, {});
+    if (!relocatable_->placeable) return cold.wcet;
+
+    const link::AddressMap addrs =
+        link::assign_addresses(wl_.module, record_->extents, opts, assignment);
+    EXPECT_EQ(addrs.spm_extent, img.spm_extent) << what;
+    const auto binding = wcet::bind_placement(
+        *relocatable_, wl_.module, record_->extents, opts, addrs);
+    if (!binding) return cold.wcet; // production links this one too
+    const wcet::ProgramView& bound = binding->view;
+    std::size_t sites = 0;
+    expect_same_binding(bound, oracle, what, sites);
+    wcet::AnalyzerConfig acfg;
+    acfg.ipet_cache = ipet_.get();
+    EXPECT_TRUE(wcet::analyze_wcet(bound, acfg) == cold) << what;
+    compared_.fetch_add(1, std::memory_order_relaxed);
+    sites_.fetch_add(sites, std::memory_order_relaxed);
+    return cold.wcet;
+  }
+
+  /// Placements whose class-table bind was compared, and their sites.
+  std::size_t compared() const { return compared_.load(); }
+  std::size_t sites() const { return sites_.load(); }
+
+private:
+  const workloads::WorkloadInfo& wl_;
+  std::shared_ptr<const harness::CanonicalImage> record_;
+  std::shared_ptr<const wcet::RelocatableProgram> relocatable_;
+  std::shared_ptr<const wcet::IpetCache> ipet_;
+  std::atomic<std::size_t> compared_{0};
+  std::atomic<std::size_t> sites_{0};
+};
+
 /// The cold price of one greedy trial at capacity `size`, recording each
 /// trial that linked in `linked`.
 std::function<uint64_t(const link::SpmAssignment&)>
-cold_wcet_of(const workloads::WorkloadInfo& wl, uint32_t size,
-             std::set<link::SpmAssignment>& linked) {
-  return [&wl, size, &linked](const link::SpmAssignment& trial) {
+cold_wcet_of(uint32_t size, BindOracle& oracle,
+             std::set<link::SpmAssignment>& linked, const std::string& what) {
+  return [size, &oracle, &linked, what](const link::SpmAssignment& trial) {
     link::LinkOptions opts;
     opts.spm_size = size;
     const uint64_t wcet =
-        wcet::analyze_wcet(link::link_program(wl.module, opts, trial)).wcet;
+        oracle.cold_wcet(opts, trial, oracle.link(opts, trial, what), what);
     linked.insert(trial);
     return wcet;
   };
@@ -97,15 +209,18 @@ struct PlacedSimulation {
 
 /// Links `assignment` at capacity `size`, simulates it, validates its
 /// outputs, and checks that only latencies moved: the instruction count,
-/// the OUT stream and the access profile are the canonical run's.
+/// the OUT stream and the access profile are the canonical run's. The link
+/// is also the oracle of the placement's class-table bind.
 PlacedSimulation simulate_placement(const workloads::WorkloadInfo& wl,
                                     uint32_t size,
                                     const link::SpmAssignment& assignment,
                                     const sim::SimResult& canonical,
+                                    BindOracle& oracle,
                                     const std::string& what) {
   link::LinkOptions opts;
   opts.spm_size = size;
-  const link::Image img = link::link_program(wl.module, opts, assignment);
+  const link::Image img = oracle.link(opts, assignment, what);
+  (void)oracle.cold_wcet(opts, assignment, img, what);
   sim::SimConfig scfg;
   scfg.collect_profile = true;
   sim::Simulator s(img, scfg);
@@ -126,12 +241,13 @@ PlacedSimulation simulate_placement(const workloads::WorkloadInfo& wl,
 /// point's numbers, and those must equal the placed image's own simulation
 /// bit for bit. Every chosen placement is simulated once, and production
 /// priced exactly the cold greedy's linked trials and the energy choices.
-/// Returns the number of distinct chosen placements compared.
+/// Every placement linked here goes through `oracle`. Returns the number of
+/// distinct chosen placements compared.
 std::size_t expect_prices_match_simulation(
     const workloads::WorkloadInfo& wl,
     const std::vector<harness::MatrixRequest>& requests,
     const std::vector<std::vector<harness::SweepPoint>>& sweeps,
-    harness::ArtifactCache& artifacts) {
+    harness::ArtifactCache& artifacts, BindOracle& oracle) {
   const auto canonical = harness::canonical_run(wl, artifacts);
   // The cold greedy's candidates carry no profile, as its choices need none.
   const std::vector<alloc::MemoryObject> objects =
@@ -150,7 +266,10 @@ std::size_t expect_prices_match_simulation(
           cfg.wcet_driven_alloc
               ? alloc::allocate_wcet_driven(
                     objects, cfg.sizes[i],
-                    cold_wcet_of(wl, cfg.sizes[i], linked[i]))
+                    cold_wcet_of(cfg.sizes[i], oracle, linked[i],
+                                 wl.name + " spm " +
+                                     std::to_string(cfg.sizes[i]) +
+                                     " trial"))
                     .assignment
               : alloc::allocate_energy_optimal(
                     wl.module, canonical->run.profile, cfg.sizes[i])
@@ -174,13 +293,20 @@ std::size_t expect_prices_match_simulation(
         it = simulated
                  .emplace(chosen[i],
                           simulate_placement(wl, cfg.sizes[i], chosen[i],
-                                             canonical->run, what))
+                                             canonical->run, oracle, what))
                  .first;
       EXPECT_EQ(placed->sim_cycles, it->second.cycles) << what;
       EXPECT_EQ(placed->energy_nj, it->second.energy_nj) << what;
     }
   }
   EXPECT_EQ(artifacts.placement_stats().misses, priced.size()) << wl.name;
+  // Production bound each placement once, from the class table unless the
+  // program is not placeable, and the oracle saw every class-table bind.
+  const harness::BindStats binds = artifacts.bind_stats();
+  EXPECT_EQ(binds.class_table + binds.fallbacks, priced.size()) << wl.name;
+  if (!harness::relocatable_program(wl, artifacts)->placeable)
+    EXPECT_EQ(binds.class_table, 0u) << wl.name;
+  EXPECT_GE(oracle.compared(), binds.class_table) << wl.name;
   return simulated.size();
 }
 
@@ -205,6 +331,8 @@ TEST(SpmSoundness, WcetDominatesSimulationAcrossTheScratchpadLadder) {
   std::size_t checked = 0;
   std::size_t expected = 0;
   std::size_t compared = 0;
+  std::size_t binds_compared = 0;
+  std::size_t sites_compared = 0;
   for (const std::string& shape : workloads::gen_shape_names())
     for (uint32_t seed = 1; seed <= kProgramsPerShape; ++seed) {
       const std::string name = "gen:" + shape + ":" + std::to_string(seed);
@@ -227,9 +355,13 @@ TEST(SpmSoundness, WcetDominatesSimulationAcrossTheScratchpadLadder) {
           ++checked;
         }
       }
-      if (runs_oracle(shape, seed))
-        compared +=
-            expect_prices_match_simulation(*wl, requests, sweeps, artifacts);
+      if (runs_oracle(shape, seed)) {
+        BindOracle oracle(*wl, artifacts);
+        compared += expect_prices_match_simulation(*wl, requests, sweeps,
+                                                   artifacts, oracle);
+        binds_compared += oracle.compared();
+        sites_compared += oracle.sites();
+      }
     }
   // Energy allocator: 5 shapes x 8 programs x 8 paper sizes; WCET-driven:
   // 8 programs of each shape but callheavy's 1, x 8 sizes.
@@ -238,16 +370,30 @@ TEST(SpmSoundness, WcetDominatesSimulationAcrossTheScratchpadLadder) {
             std::size_t{(5 * kProgramsPerShape + 4 * kProgramsPerShape + 1) *
                         8});
   EXPECT_GT(compared, std::size_t{4 * 4 + 1});
+  // The class-table oracle ran on every placement the subset bound.
+  EXPECT_GT(binds_compared, compared);
+  EXPECT_GT(sites_compared, binds_compared);
 }
 
 TEST(SpmPricing, PaperTrioPricesMatchTheirSimulationBitForBit) {
   std::size_t compared = 0;
+  uint64_t reanalyzed = 0;
   for (const auto& wl : workloads::cached_paper_benchmarks()) {
     harness::ArtifactCache artifacts;
     const auto requests = both_allocators(*wl, artifacts);
     const auto sweeps = harness::run_matrix(requests, 2);
-    compared += expect_prices_match_simulation(*wl, requests, sweeps, artifacts);
+    BindOracle oracle(*wl, artifacts);
+    compared += expect_prices_match_simulation(*wl, requests, sweeps,
+                                               artifacts, oracle);
+    // Every trio placement binds from the class table, under the oracle.
+    EXPECT_EQ(artifacts.bind_stats().fallbacks, 0u) << wl->name;
+    EXPECT_GT(artifacts.bind_stats().class_table, 0u) << wl->name;
+    EXPECT_GT(oracle.compared(), 0u) << wl->name;
+    reanalyzed += artifacts.bind_stats().reanalyzed;
   }
+  // Some trio placements reorder globals a hull joined (g721's scratch
+  // registers), so the oracle also covers facts re-run under their order.
+  EXPECT_GT(reanalyzed, 0u);
   // The knapsack's 7/6/6 distinct placements plus the WCET-driven ones.
   EXPECT_GE(compared, std::size_t{7 + 6 + 6});
 }

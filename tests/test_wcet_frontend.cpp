@@ -817,5 +817,94 @@ TEST(HarnessWcetParity, ArtifactCacheSharesShapesAndViews) {
   EXPECT_EQ(cache.shape_stats().misses, 1u);
 }
 
+// ---- placements bound from the class table ---------------------------------
+
+/// adpcm with a global's address shifted left in a dead register at the
+/// top of main: the program runs as before, but a concrete image's shifted
+/// address depends on where the global lands.
+workloads::WorkloadInfo adpcm_with_shifted_address() {
+  workloads::WorkloadInfo wl = workloads::make_adpcm(32);
+  wl.name = "adpcm-shifted-address";
+  minic::ObjFunction& fn = *std::find_if(
+      wl.module.functions.begin(), wl.module.functions.end(),
+      [](const minic::ObjFunction& f) { return f.name == "main"; });
+  minic::Literal lit;
+  lit.is_symbol = true;
+  lit.symbol = wl.module.globals.front().name;
+  minic::ObjInstr load;
+  load.ins = isa::Instr{.op = isa::Op::LDR_LIT, .rd = 0};
+  load.literal = fn.add_literal(lit);
+  minic::ObjInstr shift;
+  shift.ins = isa::Instr{.op = isa::Op::SHIFTI,
+                         .sub = static_cast<uint8_t>(isa::ShiftOp::LSL),
+                         .rd = 0,
+                         .imm = 1};
+  fn.code.insert(fn.code.begin(), {load, shift});
+  for (uint32_t& pos : fn.label_pos)
+    if (pos != UINT32_MAX) pos += 2;
+  for (minic::LoopMark& loop : fn.loops) loop.header += 2;
+  return wl;
+}
+
+TEST(RelocatableProgram, UnplaceableProgramLinksEveryPlacement) {
+  const workloads::WorkloadInfo wl = adpcm_with_shifted_address();
+  harness::ArtifactCache cache;
+  EXPECT_FALSE(harness::relocatable_program(wl, cache)->placeable);
+  harness::SweepConfig cfg;
+  cfg.artifacts = &cache;
+  const auto points = harness::run_matrix({{&wl, cfg}}, 1).front();
+  // Every placement fell back to link, decode and bind, and its WCET is the
+  // linked placement's.
+  const harness::BindStats binds = cache.bind_stats();
+  EXPECT_EQ(binds.class_table, 0u);
+  EXPECT_EQ(binds.fallbacks, cache.placement_stats().misses);
+  EXPECT_GT(binds.fallbacks, 0u);
+  const sim::AccessProfile& profile =
+      harness::canonical_run(wl, cache)->run.profile;
+  for (const harness::SweepPoint& pt : points) {
+    link::LinkOptions opts;
+    opts.spm_size = pt.size_bytes;
+    const auto alloc =
+        alloc::allocate_energy_optimal(wl.module, profile, pt.size_bytes);
+    EXPECT_EQ(pt.wcet_cycles,
+              wcet::analyze_wcet(
+                  link::link_program(wl.module, opts, alloc.assignment))
+                  .wcet)
+        << pt.size_bytes;
+  }
+}
+
+TEST(RelocatableProgram, PlaceablePlacementsMatchTheLinkedImage) {
+  // The unmodified program binds from the class table, with the same
+  // views and WCETs as the linked placements.
+  const workloads::WorkloadInfo wl = workloads::make_adpcm(32);
+  harness::ArtifactCache cache;
+  const auto relocatable = harness::relocatable_program(wl, cache);
+  ASSERT_TRUE(relocatable->placeable);
+  const auto record = harness::canonical_image(wl, cache);
+  const sim::AccessProfile& profile =
+      harness::canonical_run(wl, cache)->run.profile;
+  for (const uint32_t size : harness::SweepConfig{}.sizes) {
+    link::LinkOptions opts;
+    opts.spm_size = size;
+    const link::SpmAssignment assignment =
+        alloc::allocate_energy_optimal(wl.module, profile, size).assignment;
+    const link::Image img = link::link_program(wl.module, opts, assignment);
+    const link::AddressMap addrs =
+        link::assign_addresses(wl.module, record->extents, opts, assignment);
+    EXPECT_EQ(addrs.spm_extent, img.spm_extent) << size;
+    const auto bound = wcet::bind_placement(*relocatable, wl.module,
+                                            record->extents, opts, addrs);
+    ASSERT_TRUE(bound.has_value()) << size;
+    const program::DecodedImage dec(img);
+    const wcet::ProgramView oracle =
+        wcet::bind_view(relocatable->canonical->shape, img, dec);
+    EXPECT_TRUE(bound->view.scaffold.sites == oracle.scaffold.sites) << size;
+    EXPECT_TRUE(wcet::analyze_wcet(bound->view, {}) ==
+                wcet::analyze_wcet(oracle, {}))
+        << size;
+  }
+}
+
 } // namespace
 } // namespace spmwcet
