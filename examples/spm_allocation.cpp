@@ -34,7 +34,9 @@ int main(int argc, char** argv) {
 
   // 2. Candidates and their energy benefits.
   const auto objects =
-      alloc::collect_objects(workload.module, base_run.profile, {});
+      alloc::collect_objects(workload.module,
+                             link::lay_out(workload.module).extents(),
+                             base_run.profile, {});
   TablePrinter objtable(
       {"object", "kind", "size [B]", "accesses", "benefit [nJ]"});
   for (const auto& obj : objects)

@@ -30,8 +30,9 @@ AllocationResult allocate_energy_optimal(const minic::ObjModule& mod,
                                          const sim::AccessProfile& profile,
                                          uint32_t spm_capacity,
                                          const energy::EnergyModel& em) {
-  return allocate_energy_optimal(collect_objects(mod, profile, em),
-                                 spm_capacity);
+  return allocate_energy_optimal(
+      collect_objects(mod, link::lay_out(mod).extents(), profile, em),
+      spm_capacity);
 }
 
 AllocationResult allocate_energy_optimal(

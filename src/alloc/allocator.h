@@ -26,7 +26,8 @@ struct AllocationResult {
   uint32_t used_bytes = 0;
 };
 
-/// Energy-optimal static allocation from a profiling run.
+/// Energy-optimal static allocation from a profiling run; lays `mod` out to
+/// size its functions.
 AllocationResult allocate_energy_optimal(const minic::ObjModule& mod,
                                          const sim::AccessProfile& profile,
                                          uint32_t spm_capacity,

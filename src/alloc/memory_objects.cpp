@@ -1,13 +1,16 @@
 #include "alloc/memory_objects.h"
 
 #include "support/bitops.h"
+#include "support/diag.h"
 
 namespace spmwcet::alloc {
 
-std::vector<MemoryObject> collect_objects(const minic::ObjModule& mod,
-                                          const sim::AccessProfile& profile,
-                                          const energy::EnergyModel& em) {
-  const link::ObjectSizes sizes = link::measure(mod);
+std::vector<MemoryObject>
+collect_objects(const minic::ObjModule& mod,
+                std::span<const link::FunctionExtent> extents,
+                const sim::AccessProfile& profile,
+                const energy::EnergyModel& em) {
+  SPMWCET_CHECK(extents.size() == mod.functions.size());
   std::vector<MemoryObject> objects;
 
   auto counts_for = [&](const std::string& name) -> sim::AccessCounts {
@@ -15,12 +18,13 @@ std::vector<MemoryObject> collect_objects(const minic::ObjModule& mod,
     return c != nullptr ? *c : sim::AccessCounts{};
   };
 
-  for (const auto& fn : mod.functions) {
-    const sim::AccessCounts c = counts_for(fn.name);
+  for (std::size_t i = 0; i < mod.functions.size(); ++i) {
+    const std::string& name = mod.functions[i].name;
+    const sim::AccessCounts c = counts_for(name);
     MemoryObject obj;
-    obj.name = fn.name;
+    obj.name = name;
     obj.is_function = true;
-    obj.size_bytes = sizes.function_bytes.at(fn.name);
+    obj.size_bytes = extents[i].total_bytes;
     // Fetches are halfword reads; literal-pool loads land in load[2]
     // because the pool belongs to the function's address range.
     obj.accesses = c.fetch + c.load[0] + c.load[1] + c.load[2];
@@ -38,7 +42,7 @@ std::vector<MemoryObject> collect_objects(const minic::ObjModule& mod,
     obj.is_function = false;
     // The linker aligns every object to 4 bytes; charge the padded size so
     // a full knapsack can never overflow the scratchpad.
-    obj.size_bytes = align_up(sizes.global_bytes.at(g.name), 4);
+    obj.size_bytes = align_up(g.size_bytes(), 4);
     obj.accesses = 0;
     for (int w = 0; w < 3; ++w) {
       const uint32_t bytes = 1u << w;

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,12 +26,15 @@ struct MemoryObject {
   double benefit_nj = 0.0;
 };
 
-/// Builds the allocation candidates for `mod` from a profiling run.
+/// Builds the allocation candidates for `mod`, whose functions lay out with
+/// `extents` (link::ModuleLayout::extents), from a profiling run.
 /// Functions account for their instruction fetches and their literal-pool
 /// loads (32-bit, attributed to the function symbol by the profiler);
 /// globals account for their data loads and stores by width.
-std::vector<MemoryObject> collect_objects(const minic::ObjModule& mod,
-                                          const sim::AccessProfile& profile,
-                                          const energy::EnergyModel& em);
+std::vector<MemoryObject>
+collect_objects(const minic::ObjModule& mod,
+                std::span<const link::FunctionExtent> extents,
+                const sim::AccessProfile& profile,
+                const energy::EnergyModel& em);
 
 } // namespace spmwcet::alloc

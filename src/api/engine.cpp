@@ -351,14 +351,16 @@ Result<WcetBenchResult> Engine::wcetbench(const WcetBenchRequest& req) {
 WcetBenchResult Engine::measure_wcetbench(const WcetBenchRequest& req) {
   // Measures what a sweep actually pays per point for WCET analysis: per
   // workload and setup, one timed pass covers the 8 paper sizes exactly the
-  // way the sweep harness executes them — one shared decode +
-  // layout-invariant shape per pass, SPM placements re-bound per point, all
-  // cache sizes analyzed against one bound view, and a fresh per-pass IPET
-  // skeleton cache threaded through the points (built inside the timed
-  // region, exactly the cost a batch pays). Linking, allocation and
-  // simulation are untimed setup (they are not analysis). A fourth row
-  // times the cache sizes alone on a resident view with built skeletons.
-  // Best-of-N damps machine noise.
+  // way the sweep harness executes them — the SPM pass builds the shape and
+  // the relocatable program (the per-workload front end) and binds each
+  // placement from it (address assignment, bind, analysis), the cache pass
+  // decodes, shapes and binds the canonical image once and analyzes all
+  // cache sizes against that view, each with a fresh per-pass IPET skeleton
+  // cache threaded through the points (built inside the timed region,
+  // exactly the cost a batch pays). Linking, allocation and simulation are
+  // untimed setup (they are not analysis). A fourth row times the cache
+  // sizes alone on a resident view with built skeletons. Best-of-N damps
+  // machine noise.
   const std::vector<uint32_t> sizes = harness::SweepConfig{}.sizes;
   WcetBenchResult out;
   out.repeat = req.repeat();
@@ -370,16 +372,12 @@ WcetBenchResult Engine::measure_wcetbench(const WcetBenchRequest& req) {
     const auto canonical = harness::canonical_image(*wl, artifacts_);
     const link::Image& img = canonical->image;
     const auto run = harness::canonical_run(*wl, artifacts_);
-    // Pre-link the SPM placements the sweep would analyze.
-    std::vector<link::Image> placed;
-    placed.reserve(sizes.size());
-    for (const uint32_t size : sizes) {
-      link::LinkOptions opts;
-      opts.spm_size = size;
-      const auto alloc =
-          alloc::allocate_energy_optimal(wl->module, run->run.profile, size);
-      placed.push_back(link::link_program(wl->module, opts, alloc.assignment));
-    }
+    // The SPM placements the sweep would analyze.
+    std::vector<link::SpmAssignment> placements;
+    placements.reserve(sizes.size());
+    for (const uint32_t size : sizes)
+      placements.push_back(
+          alloc::allocate_energy_optimal(run->candidates, size).assignment);
 
     const auto measure = [&](const char* setup, const auto& pass) {
       WcetBenchResult::Row row{wl->name, setup,
@@ -400,15 +398,24 @@ WcetBenchResult Engine::measure_wcetbench(const WcetBenchRequest& req) {
     };
 
     measure("spm", [&] {
-      const program::DecodedImage dec0(img);
-      const auto shape = std::make_shared<const wcet::ProgramShape>(
-          wcet::build_shape(img, dec0));
+      const wcet::RelocatableProgram rp = wcet::build_relocatable(
+          std::make_shared<const wcet::ProgramShape>(
+              wcet::build_shape(img, canonical->decoded)),
+          std::shared_ptr<const link::Image>(canonical, &img),
+          canonical->decoded, wl->module, canonical->extents);
       const wcet::IpetCache ipet;
       wcet::AnalyzerConfig acfg;
       acfg.ipet_cache = &ipet;
-      for (const link::Image& pimg : placed) {
-        const program::DecodedImage dec(pimg);
-        (void)wcet::analyze_wcet(wcet::bind_view(shape, pimg, dec), acfg);
+      for (std::size_t i = 0; i < sizes.size(); ++i) {
+        link::LinkOptions opts;
+        opts.spm_size = sizes[i];
+        const link::AddressMap addrs = link::assign_addresses(
+            wl->module, canonical->extents, opts, placements[i]);
+        (void)wcet::analyze_wcet(
+            wcet::bind_placement(rp, wl->module, canonical->extents, opts,
+                                 addrs)
+                .view,
+            acfg);
       }
     });
 
@@ -468,7 +475,7 @@ EngineStats Engine::stats() const {
   s.profile_artifacts = artifacts_.stats();
   s.image_artifacts = artifacts_.image_stats();
   s.shape_artifacts = artifacts_.shape_stats();
-  s.view_artifacts = artifacts_.view_stats();
+  s.view_artifacts = artifacts_.relocatable_stats();
   s.ipet_artifacts = artifacts_.ipet_stats();
   s.reuse_artifacts = artifacts_.reuse_stats();
   s.placement_artifacts = artifacts_.placement_stats();

@@ -178,15 +178,17 @@ struct EngineStats {
   support::MemoStats image_artifacts; ///< canonical records (image, decode,
                                       ///< block table)
   support::MemoStats shape_artifacts;   ///< invariant analyzer skeletons
-  support::MemoStats view_artifacts;    ///< bound analyzer front ends
+  /// Relocatable programs: the per-workload analyzer front end (the
+  /// canonical view and the facts that bind every placement).
+  support::MemoStats view_artifacts;
   support::MemoStats ipet_artifacts;    ///< per-workload IPET skeleton stores
   support::MemoStats reuse_artifacts; ///< all-geometry cache tables (misses
                                       ///< = observed runs)
   /// Placed SPM points: misses = distinct placements priced and analyzed,
   /// WCET-driven greedy trials included.
   support::MemoStats placement_artifacts;
-  /// How those placements were bound: class_table > 0 with no fallbacks
-  /// shows no placed point linked, decoded or ran a whole-program fixpoint.
+  /// How those placements were bound: functions analyzed at their
+  /// placement (every other function's facts were relocated).
   harness::BindStats placement_binds;
   /// IPET skeleton builds/hits/memo hits/fallbacks summed over the
   /// per-workload stores: hits > 0 with no fallbacks shows the skeletons

@@ -176,8 +176,9 @@ private:
 class WcetBenchRequest {
 public:
   /// Analyzer-throughput measurement over the paper workloads: per
-  /// workload, one sweep-shaped pass per setup (the 8 paper sizes of the
-  /// SPM branch against pre-linked placements, the 8 cache sizes — and the
+  /// workload, one sweep-shaped pass per setup (the SPM branch's shape and
+  /// relocatable program plus its 8 paper sizes' energy placements, each
+  /// assigned, bound and analyzed; the 8 cache sizes — and the
   /// persistence-enabled cache sizes — against the canonical image), best
   /// of `repeat`.
   static Result<WcetBenchRequest> make(uint32_t repeat = 5);

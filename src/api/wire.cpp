@@ -521,8 +521,6 @@ json::Value memo_stats_to_json(const support::MemoStats& stats) {
 
 json::Value bind_stats_to_json(const harness::BindStats& stats) {
   json::Value v = json::Value::object();
-  v.set("class_table", json::Value(stats.class_table));
-  v.set("fallbacks", json::Value(stats.fallbacks));
   v.set("reanalyzed", json::Value(stats.reanalyzed));
   return v;
 }

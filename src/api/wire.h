@@ -115,7 +115,7 @@ support::json::Value memo_stats_to_json(const support::MemoStats& stats);
 /// the health op's engine section and corpusbench's BENCH JSON.
 support::json::Value ipet_stats_to_json(const wcet::IpetCacheStats& stats);
 
-/// Placement bind counters as {"class_table", "fallbacks", "reanalyzed"}:
+/// Placement bind counters as {"reanalyzed"}:
 /// the health op's engine section and corpusbench's BENCH JSON.
 support::json::Value bind_stats_to_json(const harness::BindStats& stats);
 

@@ -7,24 +7,23 @@
 // (the canonical run, whose profile and candidate table serve every
 // scratchpad capacity and price every placement); the cache branch runs it once observed per cache
 // kind, which yields every geometry's cycles and hits (cache::ReuseTable).
-// Both branches share one analyzer view bound to it; the analyzer's
-// layout-invariant ProgramShape is built from the record, the relocatable
-// program (the view's memory facts in symbol-relative form, from one value
-// analysis) serves every placement, and the IPET skeleton store is one per
-// workload as well.
+// Both branches analyze through the workload's relocatable program
+// (wcet::RelocatableProgram): the canonical CFGs bound from the analyzer's
+// layout-invariant ProgramShape, which is built from the record, and one
+// symbolic value analysis per function. Its canonical view serves every
+// cache size; its facts bind every placement. The IPET skeleton store is
+// one per workload as well.
 //
 // Per placement: a placed program depends only on the module and the
 // SpmAssignment (the capacity only gates the link's overflow check), so
 // sizes whose allocations choose the same objects share one placed point,
 // and the WCET-driven greedy prices each trial through the same artifact.
-// A placement is bound from the class table (wcet::bind_placement: address
-// assignment, region map, relocated and classified site facts) without a
-// link or a decode; a function's fixpoint re-runs only for the first
-// placement that reorders symbols its facts depend on. Only a workload
-// whose relocatable program is not placeable links, decodes and binds each
-// placement (counted as a fallback, bind_stats). The artifact keeps the point's numbers
-// (PlacedRun), not a view. This memo alone is bounded (kPlacementCapacity):
-// the greedy stores every trial.
+// Every placement binds from the relocatable program (wcet::bind_placement:
+// address assignment, region map, relocated and classified site facts)
+// without a link or a decode; a function whose facts do not hold at the
+// placement is analyzed at its addresses (counted, bind_stats). The
+// artifact keeps the point's numbers (PlacedRun), not a view. This memo
+// alone is bounded (kPlacementCapacity): the greedy stores every trial.
 //
 // Every point runs through an ArtifactCache: the batch's, the Engine's, or
 // a point-local one when the caller has none.
@@ -95,13 +94,11 @@ struct PlacementKey {
   auto operator<=>(const PlacementKey&) const = default;
 };
 
-/// How placements were bound: from the class table, or by the fallback
-/// (link, decode and bind_view of the placed image).
+/// How placements were bound.
 struct BindStats {
-  uint64_t class_table = 0;
-  uint64_t fallbacks = 0;
-  /// Functions whose analysis a class-table bind re-ran because the
-  /// placement reorders symbols their facts rely on.
+  /// Functions a bind analyzed at their placement, because the symbolic
+  /// domain could not express their facts or the placement flips a symbol
+  /// order the facts rely on.
   uint64_t reanalyzed = 0;
 };
 
@@ -142,46 +139,31 @@ public:
 
   /// Returns the workload's layout-invariant analyzer skeleton
   /// (wcet::ProgramShape), built from the canonical record. One shape
-  /// serves every point of both setups (see view() and relocatable()).
+  /// serves every point of both setups, through relocatable().
   std::shared_ptr<const wcet::ProgramShape>
   shape(const workloads::WorkloadInfo& wl,
         const std::function<wcet::ProgramShape()>& compute) {
     return shapes_.get(&wl, compute);
   }
 
-  /// Returns the analyzer front end bound to the canonical image (CFGs,
-  /// annotations, value analysis) — shared by every cache size of the cache
-  /// branch and by the relocatable program. The compute function must pin
-  /// the image and shape it binds (ProgramView::pinned_image / ::shape).
-  std::shared_ptr<const wcet::ProgramView>
-  view(const workloads::WorkloadInfo& wl,
-       const std::function<wcet::ProgramView()>& compute) {
-    return views_.get(&wl, compute);
-  }
-
-  /// Returns the workload's relocatable program (the canonical view's
-  /// memory facts from the symbolic value analysis), which binds every
-  /// placement of the SPM branch.
+  /// Returns the workload's relocatable program: the canonical view, whose
+  /// cache branch analyzes every size, and the facts that bind every
+  /// placement of the SPM branch. The compute function must pin the image
+  /// the canonical view binds.
   std::shared_ptr<const wcet::RelocatableProgram>
   relocatable(const workloads::WorkloadInfo& wl,
               const std::function<wcet::RelocatableProgram()>& compute) {
     return relocatables_.get(&wl, compute);
   }
 
-  /// Counts one placement bound from the class table, `reanalyzed` of its
-  /// functions re-run (or, with `fallback`, by linking, decoding and
-  /// binding the placed image).
-  void count_bind(bool fallback, uint32_t reanalyzed) {
-    (fallback ? bind_fallbacks_ : class_table_binds_)
-        .fetch_add(1, std::memory_order_relaxed);
-    reanalyzed_.fetch_add(reanalyzed, std::memory_order_relaxed);
+  /// Counts one placement's functions analyzed at their placement.
+  void count_reanalyzed(uint32_t functions) {
+    reanalyzed_.fetch_add(functions, std::memory_order_relaxed);
   }
 
-  /// Placements bound since construction, by path.
+  /// Placements' bind counters since construction.
   BindStats bind_stats() const {
-    return {class_table_binds_.load(std::memory_order_relaxed),
-            bind_fallbacks_.load(std::memory_order_relaxed),
-            reanalyzed_.load(std::memory_order_relaxed)};
+    return {reanalyzed_.load(std::memory_order_relaxed)};
   }
 
   /// Returns the workload's IPET skeleton store (wcet::IpetCache), shared
@@ -204,9 +186,9 @@ public:
   /// hits = served from cache, misses = ran the canonical simulation.
   Stats stats() const { return profiles_.stats(); }
 
-  /// hits = reused a placed point, misses = priced, linked and analyzed
+  /// hits = reused a placed point, misses = priced, bound and analyzed
   /// the placement. A WCET-driven sweep counts every distinct greedy trial
-  /// that linked at its size, the chosen placements among them.
+  /// that fit at its size, the chosen placements among them.
   Stats placement_stats() const { return placements_.stats(); }
 
   /// The placement memo's resident-entry bound (kPlacementCapacity).
@@ -219,8 +201,9 @@ public:
   /// hits = reused the invariant analyzer skeleton, misses = built it.
   Stats shape_stats() const { return shapes_.stats(); }
 
-  /// hits = reused the bound front end, misses = bound + value-analyzed.
-  Stats view_stats() const { return views_.stats(); }
+  /// hits = reused the relocatable program, misses = bound and
+  /// value-analyzed it.
+  Stats relocatable_stats() const { return relocatables_.stats(); }
 
   /// hits = reused an existing IPET skeleton store.
   Stats ipet_stats() const { return ipet_.stats(); }
@@ -248,10 +231,7 @@ private:
   support::Memoizer<WorkloadKey, CanonicalRun> profiles_;
   support::Memoizer<PlacementKey, PlacedRun> placements_{kPlacementCapacity};
   support::Memoizer<WorkloadKey, wcet::ProgramShape> shapes_;
-  support::Memoizer<WorkloadKey, wcet::ProgramView> views_;
   support::Memoizer<WorkloadKey, wcet::RelocatableProgram> relocatables_;
-  std::atomic<uint64_t> class_table_binds_{0};
-  std::atomic<uint64_t> bind_fallbacks_{0};
   std::atomic<uint64_t> reanalyzed_{0};
   support::Memoizer<WorkloadKey, wcet::IpetCache> ipet_;
   support::Memoizer<std::pair<WorkloadKey, bool>, cache::ReuseTable> reuse_;

@@ -4,7 +4,6 @@
 
 #include "alloc/allocator.h"
 #include "link/layout.h"
-#include "program/decoded_image.h"
 #include "sim/simulator.h"
 #include "support/diag.h"
 #include "support/fault.h"
@@ -13,32 +12,6 @@
 namespace spmwcet::harness {
 
 namespace {
-
-/// The workload's layout-invariant analyzer skeleton, built from the
-/// canonical record; every placed image of the module binds the same shape.
-std::shared_ptr<const wcet::ProgramShape>
-canonical_shape(const workloads::WorkloadInfo& wl, ArtifactCache& ac) {
-  return ac.shape(wl, [&] {
-    const auto canonical = canonical_image(wl, ac);
-    return wcet::build_shape(canonical->image, canonical->decoded);
-  });
-}
-
-/// The analyzer front end bound to the canonical image, shared by every
-/// cache size of the cache branch. The view pins the image (through the
-/// record that owns it) and the shape it borrows, so a cached copy outlives
-/// the batch safely.
-std::shared_ptr<const wcet::ProgramView>
-canonical_view(const workloads::WorkloadInfo& wl, ArtifactCache& ac,
-               const std::shared_ptr<const CanonicalImage>& canonical) {
-  return ac.view(wl, [&] {
-    wcet::ProgramView v = wcet::bind_view(
-        canonical_shape(wl, ac), canonical->image, canonical->decoded);
-    v.pinned_image = std::shared_ptr<const link::Image>(canonical,
-                                                        &canonical->image);
-    return v;
-  });
-}
 
 void validate_outputs(const workloads::WorkloadInfo& wl, sim::Simulator& s,
                       const std::string& what) {
@@ -84,11 +57,10 @@ reuse_table(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
 }
 
 /// The placed point of one scratchpad assignment: the priced canonical run
-/// and the WCET of the placement, bound from the workload's class table
-/// (or, for a workload that is not placeable, from the linked image). The
-/// placement does not depend on the capacity (it only gates the link's
-/// overflow check, where `size` names the point), so the result serves
-/// every size that allocates the same objects.
+/// and the WCET of the placement, bound from the workload's relocatable
+/// program. The placement does not depend on the capacity (it only gates
+/// the address assignment's overflow check, where `size` names the point),
+/// so the result serves every size that allocates the same objects.
 PlacedRun run_placement(const workloads::WorkloadInfo& wl, uint32_t size,
                         const link::SpmAssignment& assignment,
                         const sim::SimResult& canonical, ArtifactCache& ac) {
@@ -96,29 +68,18 @@ PlacedRun run_placement(const workloads::WorkloadInfo& wl, uint32_t size,
   link::LinkOptions opts;
   opts.spm_size = size;
   const auto record = canonical_image(wl, ac);
-  const auto relocatable = relocatable_program(wl, ac);
+  const link::AddressMap addrs =
+      link::assign_addresses(wl.module, record->extents, opts, assignment);
+  const wcet::PlacementBinding bound =
+      wcet::bind_placement(*relocatable_program(wl, ac), wl.module,
+                           record->extents, opts, addrs);
   wcet::AnalyzerConfig acfg;
   const auto ipet = ac.ipet(wl);
   acfg.ipet_cache = ipet.get();
-  if (relocatable->placeable) {
-    const link::AddressMap addrs =
-        link::assign_addresses(wl.module, record->extents, opts, assignment);
-    if (const auto bound = wcet::bind_placement(
-            *relocatable, wl.module, record->extents, opts, addrs)) {
-      const wcet::WcetReport report = wcet::analyze_wcet(bound->view, acfg);
-      ac.count_bind(/*fallback=*/false, bound->reanalyzed);
-      return PlacedRun{priced.cycles, report.wcet, priced.energy_nj,
-                       addrs.spm_extent};
-    }
-  }
-  const link::Image img = link::link_program(wl.module, opts, assignment);
-  const program::DecodedImage dec(img);
-  const wcet::WcetReport report =
-      wcet::analyze_wcet(wcet::bind_view(canonical_shape(wl, ac), img, dec),
-                         acfg);
-  ac.count_bind(/*fallback=*/true, 0);
+  const wcet::WcetReport report = wcet::analyze_wcet(bound.view, acfg);
+  ac.count_reanalyzed(bound.reanalyzed);
   return PlacedRun{priced.cycles, report.wcet, priced.energy_nj,
-                   img.spm_extent};
+                   addrs.spm_extent};
 }
 
 SweepPoint run_spm_point(const workloads::WorkloadInfo& wl, uint32_t size,
@@ -190,7 +151,7 @@ SweepPoint run_cache_point(const workloads::WorkloadInfo& wl, uint32_t size,
   const auto ipet = ac.ipet(wl);
   acfg.ipet_cache = ipet.get();
   const wcet::WcetReport report =
-      wcet::analyze_wcet(*canonical_view(wl, ac, canonical), acfg);
+      wcet::analyze_wcet(*relocatable_program(wl, ac)->canonical, acfg);
 
   SweepPoint pt;
   pt.size_bytes = size;
@@ -218,8 +179,12 @@ std::shared_ptr<const wcet::RelocatableProgram>
 relocatable_program(const workloads::WorkloadInfo& wl, ArtifactCache& ac) {
   return ac.relocatable(wl, [&] {
     const auto canonical = canonical_image(wl, ac);
-    return wcet::build_relocatable(canonical_view(wl, ac, canonical),
-                                   wl.module, canonical->extents);
+    const auto shape = ac.shape(wl, [&] {
+      return wcet::build_shape(canonical->image, canonical->decoded);
+    });
+    return wcet::build_relocatable(
+        shape, std::shared_ptr<const link::Image>(canonical, &canonical->image),
+        canonical->decoded, wl.module, canonical->extents);
   });
 }
 
@@ -233,7 +198,8 @@ canonical_run(const workloads::WorkloadInfo& wl, ArtifactCache& ac) {
     sim::Simulator s(canonical->image, pcfg);
     CanonicalRun out{s.run(), {}};
     validate_outputs(wl, s, "spm");
-    out.candidates = alloc::collect_objects(wl.module, out.run.profile, {});
+    out.candidates = alloc::collect_objects(wl.module, canonical->extents,
+                                            out.run.profile, {});
     return out;
   });
 }

@@ -5,9 +5,9 @@
 // Scratchpad branch (per size): solve the energy knapsack over the profile
 // of the canonical (main-memory-only) run, price the placement's typical
 // input (ACET) and energy from that run, bind the placement from the
-// workload's class table (wcet::bind_placement), and run the WCET analyzer
-// — no cache analysis. Sizes that choose the same objects share the placed
-// point (ArtifactCache::placement).
+// workload's relocatable program (wcet::bind_placement), and run the WCET
+// analyzer — no cache analysis. Sizes that choose the same objects share
+// the placed point (ArtifactCache::placement).
 // Cache branch (per size): read the typical-input cycles and hit counts of
 // the unified direct-mapped cache from the workload's reuse table (one
 // observed run serves every geometry, see cache/reuse_table.h) and analyze
@@ -16,8 +16,8 @@
 // Both branches start from the workload's canonical record
 // (canonical_image: the no-assignment image, decoded and compiled into a
 // block table once per ArtifactCache), which the canonical run simulates,
-// the cache branch observes and binds, and the analyzer's shape is built
-// from. The canonical run and the cache branch's observed run validate
+// the cache branch observes, and the analyzer's shape and relocatable
+// program are built from. The canonical run and the cache branch's observed run validate
 // their outputs against the workload's native reference, so a timing
 // experiment can never silently run a miscompiled binary.
 #pragma once
@@ -90,8 +90,9 @@ std::shared_ptr<const CanonicalRun>
 canonical_run(const workloads::WorkloadInfo& wl, ArtifactCache& ac);
 
 /// The workload's relocatable program (wcet::RelocatableProgram): the
-/// canonical view's memory facts from one symbolic value analysis, which
-/// binds every scratchpad placement, once per ArtifactCache.
+/// canonical CFGs bound from the shape and one symbolic value analysis per
+/// function, once per ArtifactCache. Its canonical view serves every cache
+/// size; it binds every scratchpad placement without a link.
 std::shared_ptr<const wcet::RelocatableProgram>
 relocatable_program(const workloads::WorkloadInfo& wl, ArtifactCache& ac);
 

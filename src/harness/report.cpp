@@ -45,10 +45,10 @@ TablePrinter benchmark_table(
   TablePrinter table(
       {"Name", "Description", "functions", "code+pools [B]", "data [B]"});
   for (const auto& wl : wls) {
-    const link::ObjectSizes sizes = link::measure(wl->module);
     uint64_t code = 0, data = 0;
-    for (const auto& [name, bytes] : sizes.function_bytes) code += bytes;
-    for (const auto& [name, bytes] : sizes.global_bytes) data += bytes;
+    for (const link::FunctionExtent& f : link::lay_out(wl->module).extents())
+      code += f.total_bytes;
+    for (const auto& g : wl->module.globals) data += g.size_bytes();
     table.add_row({wl->name, wl->description,
                    TablePrinter::fmt(
                        static_cast<uint64_t>(wl->module.functions.size())),

@@ -147,14 +147,6 @@ void check_spm_capacity(uint32_t extent, uint32_t spm_size) {
                        std::to_string(spm_size) + " bytes)");
 }
 
-ObjectSizes measure(const minic::ObjModule& mod) {
-  ObjectSizes sizes;
-  for (const auto& fn : mod.functions)
-    sizes.function_bytes[fn.name] = lay_out_function(fn).extent.total_bytes;
-  for (const auto& g : mod.globals) sizes.global_bytes[g.name] = g.size_bytes();
-  return sizes;
-}
-
 ModuleLayout lay_out(const minic::ObjModule& mod) {
   ModuleLayout layout;
   layout.functions.reserve(mod.functions.size());

@@ -7,15 +7,14 @@
 // and measures every function (position-independent, once per module),
 // assign_addresses places the laid-out objects for one SpmAssignment, and
 // link_program encodes the image at those addresses. The analyzer binds a
-// placement from the first two alone (wcet::bind_placement), without an
-// image.
+// placement from the first two alone (wcet::bind_placement), and the
+// allocator sizes its candidates from lay_out, without an image.
 //
 // Scratchpad allocation is a pure link decision (SpmAssignment), exactly as
 // in the paper: the compiler output is identical, only object placement
 // changes, and with it every access latency.
 #pragma once
 
-#include <map>
 #include <set>
 #include <span>
 #include <string>
@@ -44,13 +43,6 @@ struct SpmAssignment {
   std::set<std::string> functions;
   std::set<std::string> globals;
   auto operator<=>(const SpmAssignment&) const = default;
-};
-
-/// Exact post-layout sizes of every allocatable memory object (function
-/// code + literal pool, global data), used by the knapsack allocator.
-struct ObjectSizes {
-  std::map<std::string, uint32_t> function_bytes;
-  std::map<std::string, uint32_t> global_bytes;
 };
 
 /// Where a laid-out function's code and literal pool sit relative to its
@@ -122,8 +114,5 @@ Image link_program(const minic::ObjModule& mod, const ModuleLayout& layout,
 /// `spm_size` bytes. The capacity only gates this check: the image itself
 /// does not depend on it.
 void check_spm_capacity(uint32_t extent, uint32_t spm_size);
-
-/// Computes object sizes without producing an image.
-ObjectSizes measure(const minic::ObjModule& mod);
 
 } // namespace spmwcet::link

@@ -176,12 +176,12 @@ Cfg bind_cfg(const FuncShape& fs, uint32_t base,
   return cfg;
 }
 
-} // namespace
-
-ProgramView bind_view(std::shared_ptr<const ProgramShape> shape,
-                      const link::Image& img,
-                      const program::DecodedImage& dec,
-                      bool auto_loop_bounds, const Annotations* overrides) {
+/// Binds the shape's CFGs, loops and function indices to `img` with its
+/// annotations (`overrides` replaces the image-derived set); the memory
+/// facts and the scaffold are the caller's.
+ProgramView bind_cfgs(std::shared_ptr<const ProgramShape> shape,
+                      const link::Image& img, const program::DecodedImage& dec,
+                      const Annotations* overrides) {
   SPMWCET_CHECK(shape != nullptr);
   if (module_fingerprint(img, dec) != shape->module_key)
     throw ProgramError(
@@ -219,6 +219,16 @@ ProgramView bind_view(std::shared_ptr<const ProgramShape> shape,
     view.loops.emplace(func_addrs[i], &fs.loops);
     view.func_index.emplace(func_addrs[i], i);
   }
+  return view;
+}
+
+} // namespace
+
+ProgramView bind_view(std::shared_ptr<const ProgramShape> shape,
+                      const link::Image& img,
+                      const program::DecodedImage& dec,
+                      bool auto_loop_bounds, const Annotations* overrides) {
+  ProgramView view = bind_cfgs(std::move(shape), img, dec, overrides);
 
   // Optional aiT-style automatic bounds, re-detected against THIS image
   // (the pattern matching reads literal pools, which are per-link); the
@@ -241,32 +251,6 @@ ProgramView bind_view(std::shared_ptr<const ProgramShape> shape,
 
 namespace {
 
-/// Symbol ids by name: the module's functions in module order, then its
-/// globals.
-struct SymbolIds {
-  explicit SymbolIds(const minic::ObjModule& mod) {
-    for (std::size_t i = 0; i < mod.functions.size(); ++i)
-      functions.emplace(mod.functions[i].name, static_cast<uint32_t>(i));
-    for (std::size_t i = 0; i < mod.globals.size(); ++i)
-      globals.emplace(mod.globals[i].name,
-                      static_cast<uint32_t>(mod.functions.size() + i));
-  }
-
-  /// Whether every name is one symbol: a name both a function and a global
-  /// resolves differently in pools and hints.
-  bool unambiguous(const minic::ObjModule& mod) const {
-    if (functions.size() != mod.functions.size() ||
-        globals.size() != mod.globals.size())
-      return false;
-    for (const auto& [name, id] : globals)
-      if (functions.count(name) != 0) return false;
-    return true;
-  }
-
-  std::unordered_map<std::string_view, uint32_t> functions;
-  std::unordered_map<std::string_view, uint32_t> globals;
-};
-
 /// Symbol id -> address under `addrs`: functions, then globals.
 std::vector<uint32_t> symbol_addresses(const link::AddressMap& addrs) {
   std::vector<uint32_t> out(addrs.function_base);
@@ -274,65 +258,61 @@ std::vector<uint32_t> symbol_addresses(const link::AddressMap& addrs) {
   return out;
 }
 
-/// The canonical image of one function read through the link's relocations:
-/// literal-pool words that hold a symbol's address are that symbol, code
-/// addresses are offsets from the function's own symbol, access hints name
-/// their symbol's extent. Symbols are ordered by `symbol_addr`.
+/// One function of the canonical image read through the link's relocations,
+/// with its symbols at `symbol_addr`. Symbolic: literal-pool words that hold
+/// a symbol's address are that symbol, code addresses are offsets from the
+/// function's own symbol, access hints name their symbol's extent. Concrete:
+/// each is the constant the placement's linked image holds, the function
+/// sitting `delta` bytes from its canonical base.
 class RelocationSource final : public AddressSource {
 public:
-  RelocationSource(const link::Image& img, const minic::ObjModule& mod,
-                   std::span<const link::FunctionExtent> extents,
-                   const SymbolIds& ids, std::span<const uint32_t> symbol_addr,
-                   uint32_t base, int32_t module_function)
-      : img_(img), mod_(mod), extents_(extents), ids_(ids),
-        symbol_addr_(symbol_addr), base_(base), fn_(module_function) {}
+  RelocationSource(const RelocatableProgram& rp,
+                   const RelocatableProgram::Function& fn, uint32_t base,
+                   std::span<const uint32_t> symbol_addr, bool concrete,
+                   uint32_t delta = 0)
+      : rp_(rp), fn_(fn), base_(base), symbol_addr_(symbol_addr),
+        concrete_(concrete), delta_(delta) {}
 
   std::optional<AbsVal> pool_word(uint32_t addr) const override {
-    if (fn_ < 0) return std::nullopt;
-    const auto fn = static_cast<std::size_t>(fn_);
-    const link::FunctionExtent& extent = extents_[fn];
+    const link::FunctionExtent& extent = fn_.extent;
     const uint32_t off = addr - base_;
     if (off < extent.pool_off || off >= extent.total_bytes ||
         (off - extent.pool_off) % 4)
       return std::nullopt; // not one of this function's pool words
-    // Relaxation leaves the pool as the compiler emitted it.
-    const minic::Literal& lit =
-        mod_.functions[fn].literals[(off - extent.pool_off) / 4];
-    if (!lit.is_symbol)
+    const RelocatableProgram::PoolWord& word =
+        fn_.pool[(off - extent.pool_off) / 4];
+    if (word.sym == kAbsolute)
+      return AbsVal::point(static_cast<int32_t>(word.value));
+    if (concrete_)
       return AbsVal::point(
-          static_cast<int32_t>(static_cast<uint32_t>(lit.value)));
-    // The link resolves a literal to a global first, then a function; an
-    // addend large enough to wrap a 32-bit address has no offset form.
-    if (lit.addend >= (1u << 24)) return std::nullopt;
-    auto it = ids_.globals.find(lit.symbol);
-    if (it == ids_.globals.end()) it = ids_.functions.find(lit.symbol);
-    SPMWCET_CHECK(it != ids_.functions.end());
-    return AbsVal::symbol(it->second, Interval::point(lit.addend));
+          static_cast<int32_t>(symbol_addr_[word.sym] + word.value));
+    // An addend large enough to wrap a 32-bit address has no offset form.
+    if (word.value >= (1u << 24)) return std::nullopt;
+    return AbsVal::symbol(word.sym, Interval::point(word.value));
   }
 
   std::optional<AbsVal> code_address(uint32_t addr) const override {
-    if (fn_ < 0) return std::nullopt;
+    if (concrete_) return AbsVal::point(addr + delta_);
     const uint32_t off = addr - base_;
-    if (off >= extents_[static_cast<std::size_t>(fn_)].total_bytes)
+    if (fn_.module_function < 0 || off >= fn_.extent.total_bytes)
       return std::nullopt;
-    return AbsVal::symbol(static_cast<uint32_t>(fn_), Interval::point(off));
+    return AbsVal::symbol(static_cast<uint32_t>(fn_.module_function),
+                          Interval::point(off));
   }
 
   std::optional<SymbolRange> hint(uint32_t addr) const override {
-    const auto it = img_.access_hints.find(addr);
-    if (it == img_.access_hints.end()) return std::nullopt;
-    // Annotations::from_image resolves the name in symbol-table order:
-    // functions before globals.
-    auto id = ids_.functions.find(it->second);
-    if (id == ids_.functions.end()) id = ids_.globals.find(it->second);
-    SPMWCET_CHECK(id != ids_.globals.end());
-    return SymbolRange{id->second, 0, symbol_size(id->second) - 1};
+    const auto it = rp_.hints.find(addr);
+    if (it == rp_.hints.end()) return std::nullopt;
+    const uint32_t sym = it->second;
+    const uint32_t last = rp_.symbol_bytes[sym] - 1;
+    if (concrete_)
+      return SymbolRange{kAbsolute, symbol_addr_[sym],
+                         symbol_addr_[sym] + last};
+    return SymbolRange{sym, 0, last};
   }
 
   uint32_t symbol_size(uint32_t sym) const override {
-    return sym < extents_.size()
-               ? extents_[sym].total_bytes
-               : mod_.globals[sym - extents_.size()].size_bytes();
+    return rp_.symbol_bytes[sym];
   }
 
   uint32_t symbol_address(uint32_t sym) const override {
@@ -340,61 +320,102 @@ public:
   }
 
 private:
-  const link::Image& img_;
-  const minic::ObjModule& mod_;
-  std::span<const link::FunctionExtent> extents_;
-  const SymbolIds& ids_;
-  std::span<const uint32_t> symbol_addr_;
+  const RelocatableProgram& rp_;
+  const RelocatableProgram::Function& fn_;
   uint32_t base_;
-  int32_t fn_;
+  std::span<const uint32_t> symbol_addr_;
+  bool concrete_;
+  uint32_t delta_;
 };
+
+/// The accesses of `cfg` (function `fn` at canonical base `base`) placed
+/// `delta` bytes away with its symbols at `symbol_addr`, as the analysis of
+/// the placement's linked image (resolve_memory) finds them.
+std::vector<SymbolicAccess>
+analyze_at(const Cfg& cfg, const RelocatableProgram& rp,
+           const RelocatableProgram::Function& fn, uint32_t base,
+           uint32_t delta, std::span<const uint32_t> symbol_addr) {
+  auto facts = analyze_accesses(
+      cfg, RelocationSource(rp, fn, base, symbol_addr, /*concrete=*/true,
+                            delta));
+  SPMWCET_CHECK_MSG(facts.has_value(),
+                    "wcet: a literal load outside its pool in " + cfg.name);
+  return std::move(facts->accesses);
+}
 
 } // namespace
 
 RelocatableProgram build_relocatable(
-    std::shared_ptr<const ProgramView> canonical, const minic::ObjModule& mod,
+    std::shared_ptr<const ProgramShape> shape,
+    std::shared_ptr<const link::Image> img, const program::DecodedImage& dec,
+    const minic::ObjModule& mod,
     std::span<const link::FunctionExtent> extents) {
-  SPMWCET_CHECK(canonical != nullptr && canonical->img != nullptr);
+  SPMWCET_CHECK(img != nullptr);
   SPMWCET_CHECK(extents.size() == mod.functions.size());
-  const link::Image& img = *canonical->img;
-  const SymbolIds ids(mod);
+  auto view = std::make_shared<ProgramView>(
+      bind_cfgs(std::move(shape), *img, dec, nullptr));
+  view->pinned_image = img;
 
+  // Symbol names resolve once: the link resolves a literal to a global
+  // first, Annotations::from_image a hint to a function first.
+  std::unordered_map<std::string_view, uint32_t> functions, globals;
+  for (std::size_t i = 0; i < mod.functions.size(); ++i)
+    functions.emplace(mod.functions[i].name, static_cast<uint32_t>(i));
+  for (std::size_t i = 0; i < mod.globals.size(); ++i)
+    globals.emplace(mod.globals[i].name,
+                    static_cast<uint32_t>(mod.functions.size() + i));
   RelocatableProgram rp;
-  rp.canonical = std::move(canonical);
-  rp.reordered = std::make_unique<
-      support::Memoizer<RelocatableProgram::Reordering,
-                        std::optional<SymbolicFacts>>>();
-  // The canonical placement orders the symbols of the first analysis.
+  for (const link::FunctionExtent& extent : extents)
+    rp.symbol_bytes.push_back(extent.total_bytes);
+  for (const auto& g : mod.globals)
+    rp.symbol_bytes.push_back(g.size_bytes());
+  for (const auto& [addr, name] : img->access_hints) {
+    auto id = functions.find(name);
+    if (id == functions.end()) id = globals.find(name);
+    SPMWCET_CHECK(id != globals.end());
+    rp.hints.emplace(addr, id->second);
+  }
+
   const link::AddressMap canonical_addrs =
       link::assign_addresses(mod, extents, {}, {});
   const std::vector<uint32_t> symbol_addr = symbol_addresses(canonical_addrs);
-  bool placeable = ids.unambiguous(mod);
-  for (const auto& [faddr, cfg] : rp.canonical->cfgs) {
+  rp.functions.reserve(view->cfgs.size());
+  for (auto& [faddr, cfg] : view->cfgs) {
     RelocatableProgram::Function& fn = rp.functions.emplace_back();
-    const auto it = ids.functions.find(cfg.name);
-    if (it != ids.functions.end())
-      fn.module_function = static_cast<int32_t>(it->second);
-    if (!placeable) continue;
-    SPMWCET_CHECK(fn.module_function < 0 ||
-                  canonical_addrs.function_base[static_cast<std::size_t>(
-                      fn.module_function)] == faddr);
-    auto facts = analyze_accesses(
-        cfg, RelocationSource(img, mod, extents, ids, symbol_addr, faddr,
-                              fn.module_function));
-    placeable = facts.has_value();
-    if (placeable) fn.facts = std::move(*facts);
+    if (const auto it = functions.find(cfg.name); it != functions.end()) {
+      const std::size_t i = it->second;
+      SPMWCET_CHECK(canonical_addrs.function_base[i] == faddr);
+      fn.module_function = static_cast<int32_t>(i);
+      fn.extent = extents[i];
+      for (const minic::Literal& lit : mod.functions[i].literals) {
+        if (!lit.is_symbol) {
+          fn.pool.push_back({kAbsolute, static_cast<uint32_t>(lit.value)});
+          continue;
+        }
+        auto id = globals.find(lit.symbol);
+        if (id == globals.end()) id = functions.find(lit.symbol);
+        SPMWCET_CHECK(id != functions.end());
+        fn.pool.push_back({id->second, lit.addend});
+      }
+    }
+    fn.facts = analyze_accesses(
+        cfg, RelocationSource(rp, fn, faddr, symbol_addr, /*concrete=*/false));
+    if (fn.facts)
+      place_memory(cfg, fn.facts->accesses, symbol_addr, img->regions);
+    else
+      place_memory(cfg, analyze_at(cfg, rp, fn, faddr, 0, symbol_addr), {},
+                   img->regions);
   }
-  rp.placeable = placeable;
-  if (!placeable)
-    for (RelocatableProgram::Function& fn : rp.functions) fn.facts = {};
+  view->scaffold = build_scaffold(view->cfgs, view->root);
+  rp.canonical = std::move(view);
   return rp;
 }
 
-std::optional<PlacementBinding>
-bind_placement(const RelocatableProgram& rp, const minic::ObjModule& mod,
-               std::span<const link::FunctionExtent> extents,
-               const link::LinkOptions& opts, const link::AddressMap& addrs) {
-  SPMWCET_CHECK(rp.placeable);
+PlacementBinding bind_placement(const RelocatableProgram& rp,
+                                const minic::ObjModule& mod,
+                                std::span<const link::FunctionExtent> extents,
+                                const link::LinkOptions& opts,
+                                const link::AddressMap& addrs) {
   const ProgramView& canon = *rp.canonical;
   const std::vector<uint32_t> symbol_addr = symbol_addresses(addrs);
   const link::RegionMap regions =
@@ -426,43 +447,6 @@ bind_placement(const RelocatableProgram& rp, const minic::ObjModule& mod,
   for (std::size_t ordinal = 0; const auto& [faddr, canon_cfg] : canon.cfgs) {
     const RelocatableProgram::Function& fn = rp.functions[ordinal];
     const uint32_t base = placed_addr[ordinal++];
-    // Facts hold for every placement that orders each symbol pair they
-    // rely on alike. The canonical ones serve unless the placement reorders
-    // one; then the analysis under the first placement that ordered the
-    // canonical pairs alike serves, or, if this placement reorders a pair
-    // that one relied on, one under this placement's order.
-    const auto holds = [&](const SymbolicFacts& f) {
-      return std::all_of(f.order.begin(), f.order.end(), [&](const auto& p) {
-        return symbol_addr[p.first] < symbol_addr[p.second];
-      });
-    };
-    const auto analyze = [&] {
-      ++out.reanalyzed;
-      const SymbolIds ids(mod);
-      return analyze_accesses(
-          canon_cfg, RelocationSource(*canon.img, mod, extents, ids,
-                                      symbol_addr, faddr,
-                                      fn.module_function));
-    };
-    const SymbolicFacts* facts = &fn.facts;
-    std::shared_ptr<const std::optional<SymbolicFacts>> reordered;
-    std::optional<SymbolicFacts> own;
-    if (!holds(fn.facts)) {
-      std::vector<bool> kept;
-      kept.reserve(fn.facts.order.size());
-      for (const auto& [lo, hi] : fn.facts.order)
-        kept.push_back(symbol_addr[lo] < symbol_addr[hi]);
-      reordered =
-          rp.reordered->get({ordinal - 1, std::move(kept)}, analyze);
-      if (!*reordered) return std::nullopt;
-      facts = &**reordered;
-      if (!holds(*facts)) {
-        own = analyze();
-        if (!own) return std::nullopt;
-        facts = &*own;
-      }
-    }
-
     const uint32_t delta = base - faddr;
     Cfg cfg = canon_cfg;
     cfg.func_addr = base;
@@ -480,7 +464,22 @@ bind_placement(const RelocatableProgram& rp, const minic::ObjModule& mod,
         }
       }
     }
-    place_memory(cfg, facts->accesses, symbol_addr, regions);
+    // The facts hold wherever the placement orders every symbol pair they
+    // rely on alike; elsewhere the function is analyzed at the placement.
+    const bool holds =
+        fn.facts &&
+        std::all_of(fn.facts->order.begin(), fn.facts->order.end(),
+                    [&](const auto& p) {
+                      return symbol_addr[p.first] < symbol_addr[p.second];
+                    });
+    if (holds) {
+      place_memory(cfg, fn.facts->accesses, symbol_addr, regions);
+    } else {
+      ++out.reanalyzed;
+      place_memory(cfg,
+                   analyze_at(canon_cfg, rp, fn, faddr, delta, symbol_addr),
+                   {}, regions);
+    }
     const std::size_t index = canon.func_index.at(faddr);
     canon.ann.copy_loop_facts(faddr,
                               faddr + canon.shape->funcs[index].code_bytes,

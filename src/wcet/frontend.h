@@ -27,15 +27,17 @@
 // order — so a cache point analyzed on it does only the work that depends
 // on the geometry.
 //
-// The SPM branch binds each placement from a class table: a placement
-// changes only where objects land and which memory class each one is in,
-// so the value analysis runs once per workload over symbol-relative values
-// (RelocatableProgram), and bind_placement relocates every site's facts to
+// Every view the harness analyzes comes from one RelocatableProgram per
+// workload: the value analysis runs once over symbol-relative values, and
+// the canonical view's facts are those facts placed at the canonical
+// addresses. A placement changes only where objects land and which memory
+// class each one is in, so bind_placement relocates every site's facts to
 // the placement's addresses and classifies them against its region map —
-// no link, no decode, no fixpoint. A workload whose analysis lets a symbol
-// address reach an operation the symbolic domain cannot express is not
-// placeable; its placements fall back to link, decode and bind_view on the
-// placed image, which is also the test oracle for bind_placement.
+// no link, no decode. A function whose facts do not hold at a placement (the
+// symbolic domain could not express a value of it, or the placement flips a
+// symbol order they rely on) is analyzed at that placement's addresses,
+// which the linked image would hold. bind_view on a linked image stays the
+// API for an image the caller supplies, and the test oracle of both.
 //
 // Field-exactness: a view bound to image I produces byte-identical
 // intermediate structures to the seed front end run on I (pinned by the
@@ -49,11 +51,11 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "link/image.h"
 #include "link/layout.h"
-#include "support/memoize.h"
 #include "program/decoded_image.h"
 #include "wcet/annotations.h"
 #include "wcet/cache_analysis.h"
@@ -142,11 +144,11 @@ struct ProgramView {
   /// must outlive the view; harness caches hand in shared ownership).
   std::shared_ptr<const link::Image> pinned_image;
 
-  /// The bound image; null for a view bound from a class table
-  /// (bind_placement), which only an uncached analysis may read.
+  /// The bound image; null for a placement's view (bind_placement), which
+  /// only an uncached analysis may read.
   const link::Image* img = nullptr;
   uint32_t root = 0; ///< entry function address in this image
-  /// From a class table: the loop bounds and totals of the view's
+  /// From bind_placement: the loop bounds and totals of the view's
   /// functions only (its memory facts are resolved already).
   Annotations ann;
   std::map<uint32_t, Cfg> cfgs; ///< keyed by function address; facts resolved
@@ -175,63 +177,70 @@ ProgramView bind_view(std::shared_ptr<const ProgramShape> shape,
                       bool auto_loop_bounds = false,
                       const Annotations* overrides = nullptr);
 
-/// A workload's front end in placement-independent form: the view bound to
-/// the canonical (no-scratchpad) image, and every instruction's data access
-/// from one value analysis over symbol-relative values, in which
-/// literal-pool words and access hints are references to the symbols the
-/// link's relocations name. Symbol ids are the module's functions in module
-/// order, then its globals. Immutable; shared by every placement.
+/// A workload's front end in placement-independent form: the canonical CFGs
+/// bound from the shape, and every instruction's data access from one value
+/// analysis over symbol-relative values, in which literal-pool words and
+/// access hints are references to the symbols the link's relocations name.
+/// Symbol ids are the module's functions in module order, then its globals.
+/// Immutable; shared by every placement.
 struct RelocatableProgram {
+  /// The view bound to the canonical (no-scratchpad) image: every function's
+  /// facts placed at the canonical addresses. Pins the image.
   std::shared_ptr<const ProgramView> canonical;
 
+  /// A literal-pool word as the link writes it: `value` (sym kAbsolute), or
+  /// symbol `sym`'s address plus `value`.
+  struct PoolWord {
+    uint32_t sym = kAbsolute;
+    uint32_t value = 0;
+  };
   struct Function {
     /// Index among the module's functions, -1 for the start stub.
     int32_t module_function = -1;
-    /// The analysis under the canonical placement's symbol order.
-    SymbolicFacts facts;
+    link::FunctionExtent extent; ///< zero for the start stub
+    std::vector<PoolWord> pool;  ///< in slot order
+    /// The analysis under the canonical placement's symbol order; nullopt
+    /// when the symbolic domain cannot express a value of it, so every
+    /// placement analyzes the function at its own addresses.
+    std::optional<SymbolicFacts> facts;
   };
   /// Per function of the canonical view, in its cfgs key order.
   std::vector<Function> functions;
-  /// False when the analysis found a value the symbolic domain cannot
-  /// express (analyze_accesses); then every placement must be linked and
-  /// bound (bind_view).
-  bool placeable = false;
-
-  /// A function's facts under another symbol order, keyed by its ordinal
-  /// and which of its order pairs the placement keeps; nullopt where that
-  /// order meets a value the symbolic domain cannot express. Placements
-  /// that order a function's symbols alike share one re-analysis.
-  using Reordering = std::pair<std::size_t, std::vector<bool>>;
-  std::unique_ptr<support::Memoizer<Reordering, std::optional<SymbolicFacts>>>
-      reordered;
+  /// Bytes of each symbol's object (a function's code and pool), by id.
+  std::vector<uint32_t> symbol_bytes;
+  /// The symbol id each access hint names, by the hinted instruction's
+  /// canonical address; a hint covers the whole object.
+  std::unordered_map<uint32_t, uint32_t> hints;
 };
 
-/// Runs the symbolic value analysis over `canonical` (bound to the link of
-/// `mod`, whose functions lay out with `extents`, without a scratchpad).
-RelocatableProgram build_relocatable(
-    std::shared_ptr<const ProgramView> canonical, const minic::ObjModule& mod,
-    std::span<const link::FunctionExtent> extents);
+/// Binds `shape` to the canonical image `img` of `mod` (decoded as `dec`,
+/// its functions laid out with `extents`) and runs the symbolic value
+/// analysis once per function; the canonical view's facts are those facts
+/// at the canonical addresses. Throws like bind_view.
+RelocatableProgram build_relocatable(std::shared_ptr<const ProgramShape> shape,
+                                     std::shared_ptr<const link::Image> img,
+                                     const program::DecodedImage& dec,
+                                     const minic::ObjModule& mod,
+                                     std::span<const link::FunctionExtent> extents);
 
-/// A placement bound from the class table, and how many of its functions
-/// re-ran their analysis because the placement is the first to reorder
-/// symbols whose order their facts rely on (SymbolicFacts::order).
+/// A placement bound from the relocatable program, and how many of its
+/// functions were analyzed at the placement's addresses because their facts
+/// do not hold there.
 struct PlacementBinding {
   ProgramView view;
   uint32_t reanalyzed = 0;
 };
 
-/// Binds one placement from the class table: assigns every function its
-/// address from `addrs` (link::assign_addresses under `opts`), relocates
-/// the CFGs and each site's facts, classifies them against the placement's
-/// region map, and builds the scaffold. The view equals bind_view on the
-/// linked placement in every memory fact, site and report field
-/// (SpmSoundness in tests/test_spm_soundness.cpp); it carries no image.
-/// Returns nullopt when a function re-analyzed under the placement's
-/// symbol order finds a value the symbolic domain cannot express; the
-/// placement must then be linked. `rp` must be placeable.
-std::optional<PlacementBinding>
-bind_placement(const RelocatableProgram& rp, const minic::ObjModule& mod,
-               std::span<const link::FunctionExtent> extents,
-               const link::LinkOptions& opts, const link::AddressMap& addrs);
+/// Binds one placement: assigns every function its address from `addrs`
+/// (link::assign_addresses under `opts`), relocates the CFGs and each site's
+/// facts, classifies them against the placement's region map, and builds
+/// the scaffold. The view equals bind_view on the linked placement in every
+/// memory fact, site and report field (SpmSoundness in
+/// tests/test_spm_soundness.cpp); it carries no image.
+PlacementBinding bind_placement(const RelocatableProgram& rp,
+                                const minic::ObjModule& mod,
+                                std::span<const link::FunctionExtent> extents,
+                                const link::LinkOptions& opts,
+                                const link::AddressMap& addrs);
 
 } // namespace spmwcet::wcet

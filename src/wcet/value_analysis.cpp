@@ -56,7 +56,7 @@ public:
     SymbolicFacts out;
     uint32_t site = 0;
     for (const BasicBlock& b : cfg_.blocks) {
-      State s = in_[static_cast<std::size_t>(b.id)];
+      State& s = in_[static_cast<std::size_t>(b.id)]; // last read of it
       for (const CfgInstr& ci : b.instrs) {
         if (s.reachable) {
           SymbolicAccess acc;
@@ -92,13 +92,16 @@ private:
       for (const int e : b.out_edges) {
         const int succ = cfg_.edges[static_cast<std::size_t>(e)].to;
         State& old = in_[static_cast<std::size_t>(succ)];
-        State next = join(old, s);
-        if (++join_count[static_cast<std::size_t>(succ)] > 8)
+        if (++join_count[static_cast<std::size_t>(succ)] > 8) {
+          State next = old;
+          join_into(next, s);
           next = widen(next, old);
-        if (!(next == old)) {
+          if (next == old) continue;
           old = next;
-          work.push_back(succ);
+        } else if (!join_into(old, s)) {
+          continue;
         }
+        work.push_back(succ);
       }
     }
   }
@@ -157,15 +160,27 @@ private:
     return AbsVal::top();
   }
 
-  State join(const State& a, const State& b) {
-    if (!a.reachable) return b;
-    if (!b.reachable) return a;
-    State r;
-    r.reachable = true;
-    for (std::size_t i = 0; i < a.regs.size(); ++i)
-      r.regs[i] = join(a.regs[i], b.regs[i]);
-    r.sp_off = a.sp_off.join(b.sp_off);
-    return r;
+  /// Joins `in` into `old` in place; whether `old` changed.
+  bool join_into(State& old, const State& in) {
+    if (!in.reachable) return false;
+    if (!old.reachable) {
+      old = in;
+      return true;
+    }
+    bool changed = false;
+    for (std::size_t i = 0; i < old.regs.size(); ++i) {
+      const AbsVal v = join(old.regs[i], in.regs[i]);
+      if (!(v == old.regs[i])) {
+        old.regs[i] = v;
+        changed = true;
+      }
+    }
+    const Interval sp = old.sp_off.join(in.sp_off);
+    if (!(sp == old.sp_off)) {
+      old.sp_off = sp;
+      changed = true;
+    }
+    return changed;
   }
 
   State widen(const State& cur, const State& prev) {

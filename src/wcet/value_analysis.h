@@ -6,7 +6,8 @@
 // come from an AddressSource: read straight out of one image they are
 // constants (resolve_memory), while the relocatable program reads them as
 // symbol references through the link's relocations, so one fixpoint serves
-// every placement of the module (wcet/frontend.h, bind_placement).
+// every placement that keeps the symbol order it relied on (wcet/frontend.h,
+// bind_placement).
 //
 // The result of the stage is one SymbolicAccess per instruction; placing it
 // (place_memory) writes every instruction's MemFacts into the CFG — the

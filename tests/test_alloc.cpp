@@ -67,7 +67,8 @@ std::vector<MemoryObject> candidates_of(const std::string& name) {
   cfg.collect_profile = true;
   const sim::SimResult run =
       sim::simulate(link::link_program(wl->module, {}, {}), cfg);
-  return collect_objects(wl->module, run.profile, {});
+  return collect_objects(wl->module, link::lay_out(wl->module).extents(),
+                         run.profile, {});
 }
 
 /// (size, benefit bits) of each chosen object, sorted: two choices with
@@ -224,7 +225,8 @@ TEST(CollectObjects, CoversAllFunctionsAndGlobals) {
   cfg.collect_profile = true;
   sim::Simulator s(img, cfg);
   const auto run = s.run();
-  const auto objs = collect_objects(wl.module, run.profile, {});
+  const auto objs = collect_objects(
+      wl.module, link::lay_out(wl.module).extents(), run.profile, {});
   EXPECT_EQ(objs.size(),
             wl.module.functions.size() + wl.module.globals.size());
   // Hot objects must have nonzero profiled benefit.
@@ -303,15 +305,18 @@ TEST(Allocator, WcetDrivenBeatsOrMatchesEnergyDrivenOnWcet) {
 
   // WCET-driven greedy over the same candidate table.
   const auto walloc = allocate_wcet_driven(
-      collect_objects(wl.module, profile_run.profile, {}), cap, wcet_of);
+      collect_objects(wl.module, link::lay_out(wl.module).extents(),
+                      profile_run.profile, {}),
+      cap, wcet_of);
 
   EXPECT_LE(wcet_of(walloc.assignment), wcet_of(ealloc.assignment));
 }
 
 TEST(Allocator, WcetDrivenStopsWithinCapacity) {
   const auto wl = workloads::make_bubble_sort(12, workloads::SortInput::Random);
-  const auto alloc = allocate_wcet_driven(collect_objects(wl.module, {}, {}), 256,
-                                          cold_wcet_of(wl.module, 256));
+  const auto alloc = allocate_wcet_driven(
+      collect_objects(wl.module, link::lay_out(wl.module).extents(), {}, {}),
+      256, cold_wcet_of(wl.module, 256));
   EXPECT_LE(alloc.used_bytes, 256u);
 }
 

@@ -338,8 +338,8 @@ void expect_same_point(const harness::SweepPoint& a,
 // Points that share one ArtifactCache against points that each derive
 // everything in a point-local cache, over both setups and every paper
 // size: field-identical, and the shared side actually reused placed runs,
-// views and IPET skeletons, built one shape per program (both setups reach
-// it through the one view), and bound every placement from the class table.
+// relocatable programs and IPET skeletons, and built one shape and one
+// relocatable program per program, through which both setups analyze.
 TEST(ModeParity, SharedArtifactsMatchPointLocalOnTrioAndMixedSlice) {
   harness::ArtifactCache shared;
   for (const std::string& name : trio_and_mixed_slice()) {
@@ -360,9 +360,9 @@ TEST(ModeParity, SharedArtifactsMatchPointLocalOnTrioAndMixedSlice) {
   }
   EXPECT_GT(shared.placement_stats().hits, 0u);
   EXPECT_EQ(shared.shape_stats().misses, trio_and_mixed_slice().size());
-  EXPECT_GT(shared.view_stats().hits, 0u);
-  EXPECT_GT(shared.bind_stats().class_table, 0u);
-  EXPECT_EQ(shared.bind_stats().fallbacks, 0u);
+  EXPECT_EQ(shared.relocatable_stats().misses, trio_and_mixed_slice().size());
+  EXPECT_GT(shared.relocatable_stats().hits, 0u);
+  EXPECT_GT(shared.placement_stats().misses, 0u);
   EXPECT_GT(shared.ipet_skeleton_stats().hits, 0u);
   EXPECT_EQ(shared.ipet_skeleton_stats().fallbacks, 0u);
 }

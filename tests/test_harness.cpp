@@ -241,13 +241,14 @@ TEST(PlacementArtifact, CapacityCheckFiresOnHitAsOnMiss) {
   // then hits it and must fail with the link's own error, exactly as the
   // same point fails when it misses and links.
   const auto wl = workloads::make_adpcm(32);
-  const link::ObjectSizes sizes = link::measure(wl.module);
+  const std::vector<link::FunctionExtent> extents =
+      link::lay_out(wl.module).extents();
   std::string big;
   uint32_t big_bytes = 0;
-  for (const auto& [name, bytes] : sizes.function_bytes)
-    if (bytes > big_bytes && bytes <= 4096) {
-      big = name;
-      big_bytes = bytes;
+  for (std::size_t i = 0; i < extents.size(); ++i)
+    if (extents[i].total_bytes > big_bytes && extents[i].total_bytes <= 4096) {
+      big = wl.module.functions[i].name;
+      big_bytes = extents[i].total_bytes;
     }
   ASSERT_GT(big_bytes, 64u);
   ArtifactCache scratch;

@@ -125,12 +125,16 @@ TEST(Link, UnknownSpmObjectIsRejected) {
 
 TEST(Link, MeasureMatchesLinkedSizes) {
   const auto mod = compile(two_function_program());
-  const auto sizes = link::measure(mod);
+  const std::vector<link::FunctionExtent> extents =
+      link::lay_out(mod).extents();
   const auto img = link::link_program(mod);
-  for (const auto& [name, bytes] : sizes.function_bytes)
-    EXPECT_EQ(img.find_symbol(name)->size, bytes) << name;
-  for (const auto& [name, bytes] : sizes.global_bytes)
-    EXPECT_EQ(img.find_symbol(name)->size, bytes) << name;
+  ASSERT_EQ(extents.size(), mod.functions.size());
+  for (std::size_t i = 0; i < extents.size(); ++i)
+    EXPECT_EQ(img.find_symbol(mod.functions[i].name)->size,
+              extents[i].total_bytes)
+        << mod.functions[i].name;
+  for (const auto& g : mod.globals)
+    EXPECT_EQ(img.find_symbol(g.name)->size, g.size_bytes()) << g.name;
 }
 
 TEST(Link, RegionMapCoversCodePoolsDataStack) {

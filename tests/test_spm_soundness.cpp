@@ -16,16 +16,18 @@
 // simulated and validated; the priced cycles and energy must equal the
 // simulation's bit for bit. The placements production priced must be
 // exactly the cold greedy's linked trials and the energy choices. Each of
-// those links is also the oracle of production's class-table bind
-// (wcet::bind_placement): the bound view's per-site memory facts, its site
-// table and its report equal the placed image's, its scratchpad extent
-// equals the link's, and a placement the link refuses fails the address
-// assignment with the link's own message.
+// those links is also the oracle of production's bind from the relocatable
+// program (wcet::bind_placement): the bound view's per-site memory facts,
+// its site table and its report equal the placed image's, its scratchpad
+// extent equals the link's, and a placement the link refuses fails the
+// address assignment with the link's own message. The bound placements are
+// exactly the priced ones.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <set>
 
 #include "alloc/allocator.h"
@@ -36,6 +38,7 @@
 #include "program/decoded_image.h"
 #include "sim/simulator.h"
 #include "support/thread_pool.h"
+#include "view_equality.h"
 #include "wcet/analyzer.h"
 #include "wcet/ipet.h"
 #include "workloads/generated.h"
@@ -59,41 +62,8 @@ bool runs_oracle(const std::string& shape, uint32_t seed) {
   return shape == "callheavy" ? seed == 2 : seed <= 4;
 }
 
-/// Holds the class-table view `bound` field-equal to `oracle`, bound to the
-/// linked placement, in its CFG addresses, instructions, per-site memory
-/// facts, site table and function order; adds its sites to `sites`.
-void expect_same_binding(const wcet::ProgramView& bound,
-                         const wcet::ProgramView& oracle,
-                         const std::string& what, std::size_t& sites) {
-  EXPECT_EQ(bound.root, oracle.root) << what;
-  EXPECT_EQ(bound.func_index, oracle.func_index) << what;
-  ASSERT_EQ(bound.cfgs.size(), oracle.cfgs.size()) << what;
-  for (auto b = bound.cfgs.begin(), o = oracle.cfgs.begin();
-       b != bound.cfgs.end(); ++b, ++o) {
-    ASSERT_EQ(b->first, o->first) << what;
-    ASSERT_EQ(b->second.blocks.size(), o->second.blocks.size()) << what;
-    for (std::size_t k = 0; k < b->second.blocks.size(); ++k) {
-      const wcet::BasicBlock& bb = b->second.blocks[k];
-      const wcet::BasicBlock& ob = o->second.blocks[k];
-      EXPECT_EQ(bb.first_addr, ob.first_addr) << what;
-      EXPECT_EQ(bb.call_target, ob.call_target) << what;
-      ASSERT_EQ(bb.instrs.size(), ob.instrs.size()) << what;
-      for (std::size_t i = 0; i < bb.instrs.size(); ++i, ++sites) {
-        const wcet::CfgInstr& bi = bb.instrs[i];
-        const wcet::CfgInstr& oi = ob.instrs[i];
-        EXPECT_EQ(bi.addr, oi.addr) << what;
-        EXPECT_TRUE(bi.ins == oi.ins && bi.bl_lo == oi.bl_lo)
-            << what << " at " << oi.addr;
-        EXPECT_TRUE(bi.mem == oi.mem) << what << " at " << oi.addr;
-      }
-    }
-  }
-  EXPECT_TRUE(bound.scaffold.sites == oracle.scaffold.sites) << what;
-  EXPECT_EQ(bound.scaffold.bottom_up, oracle.scaffold.bottom_up) << what;
-}
-
-/// The placed-image oracle of production's class-table bind, over one
-/// program's placements (shared by the threads of the cold greedy).
+/// The placed-image oracle of production's bind, over one program's
+/// placements (shared by the threads of the cold greedy).
 class BindOracle {
 public:
   BindOracle(const workloads::WorkloadInfo& wl,
@@ -102,8 +72,8 @@ public:
         relocatable_(harness::relocatable_program(wl, artifacts)),
         ipet_(artifacts.ipet(wl)) {}
 
-  /// Links `assignment` at `opts`, holding the class table's address
-  /// assignment to the link's error when the link refuses it.
+  /// Links `assignment` at `opts`, holding the address assignment to the
+  /// link's error when the link refuses it.
   link::Image link(const link::LinkOptions& opts,
                    const link::SpmAssignment& assignment,
                    const std::string& what) const {
@@ -122,8 +92,8 @@ public:
   }
 
   /// The cold WCET of the linked placement `img` (decode, bind, analyze
-  /// with from-scratch IPET); the class-table bind of the same placement
-  /// must agree with it in every memory fact, site and report field.
+  /// with from-scratch IPET); production's bind of the same placement must
+  /// agree with it in every memory fact, site and report field.
   uint64_t cold_wcet(const link::LinkOptions& opts,
                      const link::SpmAssignment& assignment,
                      const link::Image& img, const std::string& what) {
@@ -131,28 +101,28 @@ public:
     const wcet::ProgramView oracle =
         wcet::bind_view(relocatable_->canonical->shape, img, dec);
     const wcet::WcetReport cold = wcet::analyze_wcet(oracle, {});
-    if (!relocatable_->placeable) return cold.wcet;
 
     const link::AddressMap addrs =
         link::assign_addresses(wl_.module, record_->extents, opts, assignment);
     EXPECT_EQ(addrs.spm_extent, img.spm_extent) << what;
-    const auto binding = wcet::bind_placement(
+    const wcet::PlacementBinding binding = wcet::bind_placement(
         *relocatable_, wl_.module, record_->extents, opts, addrs);
-    if (!binding) return cold.wcet; // production links this one too
-    const wcet::ProgramView& bound = binding->view;
     std::size_t sites = 0;
-    expect_same_binding(bound, oracle, what, sites);
+    test::expect_same_view(binding.view, oracle, what, sites);
     wcet::AnalyzerConfig acfg;
     acfg.ipet_cache = ipet_.get();
-    EXPECT_TRUE(wcet::analyze_wcet(bound, acfg) == cold) << what;
+    EXPECT_TRUE(wcet::analyze_wcet(binding.view, acfg) == cold) << what;
     compared_.fetch_add(1, std::memory_order_relaxed);
     sites_.fetch_add(sites, std::memory_order_relaxed);
+    const std::lock_guard lock(mu_);
+    bound_.insert(assignment);
     return cold.wcet;
   }
 
-  /// Placements whose class-table bind was compared, and their sites.
+  /// Binds compared, their sites, and the distinct placements among them.
   std::size_t compared() const { return compared_.load(); }
   std::size_t sites() const { return sites_.load(); }
+  const std::set<link::SpmAssignment>& bound() const { return bound_; }
 
 private:
   const workloads::WorkloadInfo& wl_;
@@ -161,6 +131,8 @@ private:
   std::shared_ptr<const wcet::IpetCache> ipet_;
   std::atomic<std::size_t> compared_{0};
   std::atomic<std::size_t> sites_{0};
+  std::mutex mu_;
+  std::set<link::SpmAssignment> bound_;
 };
 
 /// The cold price of one greedy trial at capacity `size`, recording each
@@ -210,7 +182,7 @@ struct PlacedSimulation {
 /// Links `assignment` at capacity `size`, simulates it, validates its
 /// outputs, and checks that only latencies moved: the instruction count,
 /// the OUT stream and the access profile are the canonical run's. The link
-/// is also the oracle of the placement's class-table bind.
+/// is also the oracle of the placement's bind.
 PlacedSimulation simulate_placement(const workloads::WorkloadInfo& wl,
                                     uint32_t size,
                                     const link::SpmAssignment& assignment,
@@ -250,8 +222,8 @@ std::size_t expect_prices_match_simulation(
     harness::ArtifactCache& artifacts, BindOracle& oracle) {
   const auto canonical = harness::canonical_run(wl, artifacts);
   // The cold greedy's candidates carry no profile, as its choices need none.
-  const std::vector<alloc::MemoryObject> objects =
-      alloc::collect_objects(wl.module, {}, {});
+  const std::vector<alloc::MemoryObject> objects = alloc::collect_objects(
+      wl.module, harness::canonical_image(wl, artifacts)->extents, {}, {});
   std::map<link::SpmAssignment, PlacedSimulation> simulated;
   std::set<link::SpmAssignment> priced;
   for (std::size_t r = 0; r < requests.size(); ++r) {
@@ -299,14 +271,10 @@ std::size_t expect_prices_match_simulation(
       EXPECT_EQ(placed->energy_nj, it->second.energy_nj) << what;
     }
   }
+  // Production bound each priced placement once, and the oracle compared
+  // exactly those placements' binds.
   EXPECT_EQ(artifacts.placement_stats().misses, priced.size()) << wl.name;
-  // Production bound each placement once, from the class table unless the
-  // program is not placeable, and the oracle saw every class-table bind.
-  const harness::BindStats binds = artifacts.bind_stats();
-  EXPECT_EQ(binds.class_table + binds.fallbacks, priced.size()) << wl.name;
-  if (!harness::relocatable_program(wl, artifacts)->placeable)
-    EXPECT_EQ(binds.class_table, 0u) << wl.name;
-  EXPECT_GE(oracle.compared(), binds.class_table) << wl.name;
+  EXPECT_TRUE(oracle.bound() == priced) << wl.name;
   return simulated.size();
 }
 
@@ -333,44 +301,54 @@ TEST(SpmSoundness, WcetDominatesSimulationAcrossTheScratchpadLadder) {
   std::size_t compared = 0;
   std::size_t binds_compared = 0;
   std::size_t sites_compared = 0;
-  for (const std::string& shape : workloads::gen_shape_names())
-    for (uint32_t seed = 1; seed <= kProgramsPerShape; ++seed) {
-      const std::string name = "gen:" + shape + ":" + std::to_string(seed);
-      const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
-      // One batch cache per program: one canonical run and one shape serve
-      // both allocators at every size.
-      harness::ArtifactCache artifacts;
-      std::vector<harness::MatrixRequest> requests =
-          both_allocators(*wl, artifacts);
-      if (!runs_wcet_driven(shape, seed)) requests.pop_back();
-      for (const auto& request : requests)
-        expected += request.config.sizes.size();
-      const auto sweeps = harness::run_matrix(requests, 2);
-      for (std::size_t r = 0; r < requests.size(); ++r) {
-        const harness::SweepConfig& cfg = requests[r].config;
-        for (const harness::SweepPoint& pt : sweeps[r]) {
-          ASSERT_GE(pt.wcet_cycles, pt.sim_cycles)
-              << name << " spm " << pt.size_bytes
-              << (cfg.wcet_driven_alloc ? " wcet-driven" : " energy");
-          ++checked;
-        }
-      }
-      if (runs_oracle(shape, seed)) {
-        BindOracle oracle(*wl, artifacts);
-        compared += expect_prices_match_simulation(*wl, requests, sweeps,
-                                                   artifacts, oracle);
-        binds_compared += oracle.compared();
-        sites_compared += oracle.sites();
+  const auto sweep = [&](const std::string& name, bool wcet_driven,
+                         bool with_oracle) {
+    const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
+    // One batch cache per program: one canonical run and one relocatable
+    // program serve both allocators at every size.
+    harness::ArtifactCache artifacts;
+    std::vector<harness::MatrixRequest> requests =
+        both_allocators(*wl, artifacts);
+    if (!wcet_driven) requests.pop_back();
+    for (const auto& request : requests)
+      expected += request.config.sizes.size();
+    const auto sweeps = harness::run_matrix(requests, 2);
+    for (std::size_t r = 0; r < requests.size(); ++r) {
+      const harness::SweepConfig& cfg = requests[r].config;
+      for (const harness::SweepPoint& pt : sweeps[r]) {
+        EXPECT_GE(pt.wcet_cycles, pt.sim_cycles)
+            << name << " spm " << pt.size_bytes
+            << (cfg.wcet_driven_alloc ? " wcet-driven" : " energy");
+        ++checked;
       }
     }
+    if (with_oracle) {
+      BindOracle oracle(*wl, artifacts);
+      compared += expect_prices_match_simulation(*wl, requests, sweeps,
+                                                 artifacts, oracle);
+      binds_compared += oracle.compared();
+      sites_compared += oracle.sites();
+    }
+    return artifacts.bind_stats().reanalyzed;
+  };
+  for (const std::string& shape : workloads::gen_shape_names())
+    for (uint32_t seed = 1; seed <= kProgramsPerShape; ++seed)
+      sweep("gen:" + shape + ":" + std::to_string(seed),
+            runs_wcet_driven(shape, seed), runs_oracle(shape, seed));
+  // A program with a function the symbolic domain cannot express: every
+  // placement analyzes that function at its addresses, under the oracle.
+  EXPECT_GT(sweep("gen:branchy:9", /*wcet_driven=*/true, /*with_oracle=*/true),
+            0u);
   // Energy allocator: 5 shapes x 8 programs x 8 paper sizes; WCET-driven:
-  // 8 programs of each shape but callheavy's 1, x 8 sizes.
+  // 8 programs of each shape but callheavy's 1, x 8 sizes; gen:branchy:9
+  // under both.
   EXPECT_EQ(checked, expected);
   EXPECT_EQ(expected,
-            std::size_t{(5 * kProgramsPerShape + 4 * kProgramsPerShape + 1) *
+            std::size_t{(5 * kProgramsPerShape + 4 * kProgramsPerShape + 1 +
+                         2) *
                         8});
-  EXPECT_GT(compared, std::size_t{4 * 4 + 1});
-  // The class-table oracle ran on every placement the subset bound.
+  EXPECT_GT(compared, std::size_t{4 * 4 + 1 + 1});
+  // The bind oracle ran on every placement the subset bound.
   EXPECT_GT(binds_compared, compared);
   EXPECT_GT(sites_compared, binds_compared);
 }
@@ -385,14 +363,12 @@ TEST(SpmPricing, PaperTrioPricesMatchTheirSimulationBitForBit) {
     BindOracle oracle(*wl, artifacts);
     compared += expect_prices_match_simulation(*wl, requests, sweeps,
                                                artifacts, oracle);
-    // Every trio placement binds from the class table, under the oracle.
-    EXPECT_EQ(artifacts.bind_stats().fallbacks, 0u) << wl->name;
-    EXPECT_GT(artifacts.bind_stats().class_table, 0u) << wl->name;
     EXPECT_GT(oracle.compared(), 0u) << wl->name;
     reanalyzed += artifacts.bind_stats().reanalyzed;
   }
-  // Some trio placements reorder globals a hull joined (g721's scratch
-  // registers), so the oracle also covers facts re-run under their order.
+  // Some trio placements flip the order of globals a hull joined (g721's
+  // update_predictor), so the oracle also covers functions analyzed at
+  // their placement.
   EXPECT_GT(reanalyzed, 0u);
   // The knapsack's 7/6/6 distinct placements plus the WCET-driven ones.
   EXPECT_GE(compared, std::size_t{7 + 6 + 6});

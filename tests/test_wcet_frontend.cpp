@@ -3,8 +3,9 @@
 // field-exact parity between bind_view and the seed front end
 // (reference::seed_view, tests/reference/) through the same back end,
 // across every paper workload, setup, placement and cache geometry. The
-// harness-level tests pin the shared shapes and views of the sweep
-// pipeline.
+// harness-level tests pin the shared shapes and relocatable programs of the
+// sweep pipeline, and hold the relocatable program's canonical view and
+// placements field-equal to bind_view on the images they stand for.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,7 +34,9 @@
 #include "wcet/block_timing.h"
 #include "wcet/cache_analysis.h"
 #include "wcet/frontend.h"
+#include "view_equality.h"
 #include "wcet/ipet.h"
+#include "workloads/generated.h"
 #include "workloads/workload.h"
 
 namespace spmwcet {
@@ -445,7 +448,9 @@ TEST(SimplexOracle, CarriedPricingMatchesFreshPricingOnPaperModels) {
         wcet::build_shape(canonical, cdec));
     const sim::AccessProfile profile = profile_of(canonical);
     const std::vector<alloc::MemoryObject> objects =
-        alloc::collect_objects(wl->module, profile, {});
+        alloc::collect_objects(wl->module,
+                               link::lay_out(wl->module).extents(), profile,
+                               {});
     for (const uint32_t size : harness::SweepConfig{}.sizes) {
       const uint64_t nodes = parity.node_lps;
       parity.check(reference::knapsack_model(objects, size),
@@ -803,18 +808,21 @@ TEST(HarnessWcetParity, ArtifactCacheSharesShapesAndViews) {
   cfg.artifacts = &cache;
   const auto points = harness::run_matrix({{&wl, cfg}}, 1).front();
   ASSERT_EQ(points.size(), harness::SweepConfig{}.sizes.size());
-  // All 8 cache sizes bind one shape and share one view and one canonical
-  // record (image, decode, block table).
+  // All 8 cache sizes bind one shape and share one relocatable program
+  // (whose canonical view they analyze) and one canonical record (image,
+  // decode, block table).
   EXPECT_EQ(cache.shape_stats().misses, 1u);
-  EXPECT_EQ(cache.view_stats().misses, 1u);
-  EXPECT_EQ(cache.view_stats().hits, points.size() - 1);
+  EXPECT_EQ(cache.relocatable_stats().misses, 1u);
+  EXPECT_EQ(cache.relocatable_stats().hits, points.size() - 1);
   EXPECT_EQ(cache.image_stats().misses, 1u);
 
-  // The SPM branch of the same batch reuses the same shape: still one miss.
+  // The SPM branch of the same batch binds its placements from the same
+  // relocatable program: still one miss of each.
   harness::SweepConfig spm_cfg = cfg;
   spm_cfg.setup = harness::MemSetup::Scratchpad;
   (void)harness::run_matrix({{&wl, spm_cfg}}, 1);
   EXPECT_EQ(cache.shape_stats().misses, 1u);
+  EXPECT_EQ(cache.relocatable_stats().misses, 1u);
 }
 
 // ---- placements bound from the class table ---------------------------------
@@ -846,64 +854,129 @@ workloads::WorkloadInfo adpcm_with_shifted_address() {
   return wl;
 }
 
-TEST(RelocatableProgram, UnplaceableProgramLinksEveryPlacement) {
-  const workloads::WorkloadInfo wl = adpcm_with_shifted_address();
+/// Binds every energy placement of `wl`'s paper sizes from its relocatable
+/// program and holds each field-equal to bind_view on the linked placement
+/// (CFGs, memory facts, sites, function order, report), and each sweep
+/// point's WCET to the linked one. Returns the functions analyzed at their
+/// placement.
+uint64_t expect_placements_match_links(const workloads::WorkloadInfo& wl) {
   harness::ArtifactCache cache;
-  EXPECT_FALSE(harness::relocatable_program(wl, cache)->placeable);
+  const auto relocatable = harness::relocatable_program(wl, cache);
+  const auto record = harness::canonical_image(wl, cache);
+  const auto run = harness::canonical_run(wl, cache);
   harness::SweepConfig cfg;
   cfg.artifacts = &cache;
   const auto points = harness::run_matrix({{&wl, cfg}}, 1).front();
-  // Every placement fell back to link, decode and bind, and its WCET is the
-  // linked placement's.
-  const harness::BindStats binds = cache.bind_stats();
-  EXPECT_EQ(binds.class_table, 0u);
-  EXPECT_EQ(binds.fallbacks, cache.placement_stats().misses);
-  EXPECT_GT(binds.fallbacks, 0u);
-  const sim::AccessProfile& profile =
-      harness::canonical_run(wl, cache)->run.profile;
-  for (const harness::SweepPoint& pt : points) {
-    link::LinkOptions opts;
-    opts.spm_size = pt.size_bytes;
-    const auto alloc =
-        alloc::allocate_energy_optimal(wl.module, profile, pt.size_bytes);
-    EXPECT_EQ(pt.wcet_cycles,
-              wcet::analyze_wcet(
-                  link::link_program(wl.module, opts, alloc.assignment))
-                  .wcet)
-        << pt.size_bytes;
+  if (points.size() != cfg.sizes.size()) {
+    ADD_FAILURE() << wl.name << ": " << points.size() << " points";
+    return 0;
   }
-}
-
-TEST(RelocatableProgram, PlaceablePlacementsMatchTheLinkedImage) {
-  // The unmodified program binds from the class table, with the same
-  // views and WCETs as the linked placements.
-  const workloads::WorkloadInfo wl = workloads::make_adpcm(32);
-  harness::ArtifactCache cache;
-  const auto relocatable = harness::relocatable_program(wl, cache);
-  ASSERT_TRUE(relocatable->placeable);
-  const auto record = harness::canonical_image(wl, cache);
-  const sim::AccessProfile& profile =
-      harness::canonical_run(wl, cache)->run.profile;
-  for (const uint32_t size : harness::SweepConfig{}.sizes) {
+  uint64_t reanalyzed = 0;
+  std::size_t sites = 0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const uint32_t size = cfg.sizes[i];
     link::LinkOptions opts;
     opts.spm_size = size;
     const link::SpmAssignment assignment =
-        alloc::allocate_energy_optimal(wl.module, profile, size).assignment;
+        alloc::allocate_energy_optimal(run->candidates, size).assignment;
     const link::Image img = link::link_program(wl.module, opts, assignment);
     const link::AddressMap addrs =
         link::assign_addresses(wl.module, record->extents, opts, assignment);
     EXPECT_EQ(addrs.spm_extent, img.spm_extent) << size;
-    const auto bound = wcet::bind_placement(*relocatable, wl.module,
-                                            record->extents, opts, addrs);
-    ASSERT_TRUE(bound.has_value()) << size;
+    const wcet::PlacementBinding bound = wcet::bind_placement(
+        *relocatable, wl.module, record->extents, opts, addrs);
+    reanalyzed += bound.reanalyzed;
     const program::DecodedImage dec(img);
     const wcet::ProgramView oracle =
         wcet::bind_view(relocatable->canonical->shape, img, dec);
-    EXPECT_TRUE(bound->view.scaffold.sites == oracle.scaffold.sites) << size;
-    EXPECT_TRUE(wcet::analyze_wcet(bound->view, {}) ==
-                wcet::analyze_wcet(oracle, {}))
-        << size;
+    const std::string what = wl.name + " spm " + std::to_string(size);
+    test::expect_same_view(bound.view, oracle, what, sites);
+    const wcet::WcetReport want = wcet::analyze_wcet(oracle, {});
+    EXPECT_TRUE(wcet::analyze_wcet(bound.view, {}) == want) << what;
+    EXPECT_EQ(points[i].wcet_cycles, want.wcet) << what;
   }
+  EXPECT_GT(sites, 0u);
+  return reanalyzed;
+}
+
+TEST(RelocatableProgram, UnplaceableFunctionIsAnalyzedAtEveryPlacement) {
+  // main's shifted address has no symbolic form, so main's facts come from
+  // analyzing it at each placement's addresses; no placement links.
+  const workloads::WorkloadInfo wl = adpcm_with_shifted_address();
+  harness::ArtifactCache cache;
+  const auto relocatable = harness::relocatable_program(wl, cache);
+  EXPECT_EQ(std::count_if(relocatable->functions.begin(),
+                          relocatable->functions.end(),
+                          [](const auto& fn) { return !fn.facts; }),
+            1);
+  EXPECT_GE(expect_placements_match_links(wl),
+            harness::SweepConfig{}.sizes.size());
+}
+
+TEST(RelocatableProgram, PlaceablePlacementsMatchTheLinkedImage) {
+  // The unmodified program binds every placement from its symbolic facts,
+  // with the same views and WCETs as the linked placements.
+  const workloads::WorkloadInfo wl = workloads::make_adpcm(32);
+  harness::ArtifactCache cache;
+  const auto relocatable = harness::relocatable_program(wl, cache);
+  for (const auto& fn : relocatable->functions)
+    EXPECT_TRUE(fn.facts.has_value());
+  EXPECT_EQ(expect_placements_match_links(wl), 0u);
+}
+
+/// The programs the canonical-view parity covers: the paper trio, seeds
+/// 1..20 of every generated shape, the three generated programs with a
+/// function the symbolic domain cannot express, and the shifted-address
+/// fixture.
+std::vector<std::shared_ptr<const workloads::WorkloadInfo>>
+canonical_parity_programs() {
+  std::vector<std::shared_ptr<const workloads::WorkloadInfo>> out;
+  for (const auto& wl : workloads::cached_paper_benchmarks()) out.push_back(wl);
+  std::vector<std::string> names;
+  for (const std::string& shape : workloads::gen_shape_names())
+    for (uint32_t seed = 1; seed <= 20; ++seed)
+      names.push_back("gen:" + shape + ":" + std::to_string(seed));
+  for (const char* name : {"gen:branchy:23", "gen:branchy:95"})
+    names.push_back(name); // gen:branchy:9 is among the seeds above
+  for (const std::string& name : names)
+    out.push_back(workloads::WorkloadRegistry::instance().benchmark(name));
+  out.push_back(std::make_shared<const workloads::WorkloadInfo>(
+      adpcm_with_shifted_address()));
+  return out;
+}
+
+TEST(RelocatableProgram, CanonicalViewEqualsTheBoundCanonicalImage) {
+  // The canonical view the harness analyzes (symbolic facts placed at the
+  // canonical addresses) against bind_view on the canonical image, in every
+  // field and in the report uncached, at 1 KiB direct-mapped, and at 1 KiB
+  // 2-way with persistence.
+  std::vector<AnalyzerConfig> configs(3);
+  configs[1].cache = cache::CacheConfig{};
+  configs[1].cache->size_bytes = 1024;
+  configs[1].cache->line_bytes = 16;
+  configs[2].cache = configs[1].cache;
+  configs[2].cache->assoc = 2;
+  configs[2].with_persistence = true;
+  std::size_t programs = 0, sites = 0, unexpressed = 0;
+  for (const auto& wl : canonical_parity_programs()) {
+    harness::ArtifactCache cache;
+    const auto relocatable = harness::relocatable_program(*wl, cache);
+    const auto record = harness::canonical_image(*wl, cache);
+    const wcet::ProgramView oracle = wcet::bind_view(
+        relocatable->canonical->shape, record->image, record->decoded);
+    test::expect_same_view(*relocatable->canonical, oracle, wl->name, sites);
+    for (std::size_t c = 0; c < configs.size(); ++c)
+      EXPECT_TRUE(wcet::analyze_wcet(*relocatable->canonical, configs[c]) ==
+                  wcet::analyze_wcet(oracle, configs[c]))
+          << wl->name << " config " << c;
+    for (const auto& fn : relocatable->functions)
+      unexpressed += fn.facts ? 0 : 1;
+    ++programs;
+  }
+  EXPECT_EQ(programs, 3 + 5 * 20 + 2 + 1);
+  EXPECT_GT(sites, programs);
+  // gen:branchy:9, 23 and 95 and the fixture each hold such a function.
+  EXPECT_GE(unexpressed, 4u);
 }
 
 } // namespace
