@@ -5,7 +5,6 @@
 #include "alloc/allocator.h"
 #include "harness/sweep_runner.h"
 #include "link/layout.h"
-#include "program/decoded_image.h"
 #include "sim/simulator.h"
 #include "support/deadline.h"
 #include "support/diag.h"
@@ -351,16 +350,16 @@ Result<WcetBenchResult> Engine::wcetbench(const WcetBenchRequest& req) {
 WcetBenchResult Engine::measure_wcetbench(const WcetBenchRequest& req) {
   // Measures what a sweep actually pays per point for WCET analysis: per
   // workload and setup, one timed pass covers the 8 paper sizes exactly the
-  // way the sweep harness executes them — the SPM pass builds the shape and
-  // the relocatable program (the per-workload front end) and binds each
-  // placement from it (address assignment, bind, analysis), the cache pass
-  // decodes, shapes and binds the canonical image once and analyzes all
-  // cache sizes against that view, each with a fresh per-pass IPET skeleton
+  // way the sweep harness executes them. Each pass builds the shape and the
+  // relocatable program (the per-workload front end both setups analyze
+  // through); the SPM pass binds each placement from it (address
+  // assignment, bind, analysis), the cache pass analyzes all cache sizes
+  // against its canonical view, each with a fresh per-pass IPET skeleton
   // cache threaded through the points (built inside the timed region,
-  // exactly the cost a batch pays). Linking, allocation and simulation are
-  // untimed setup (they are not analysis). A fourth row times the cache
-  // sizes alone on a resident view with built skeletons. Best-of-N damps
-  // machine noise.
+  // exactly the cost a batch pays). Linking, decoding, allocation and
+  // simulation are untimed setup (they are not analysis). A fourth row
+  // times the cache sizes alone on a resident canonical view with built
+  // skeletons. Best-of-N damps machine noise.
   const std::vector<uint32_t> sizes = harness::SweepConfig{}.sizes;
   WcetBenchResult out;
   out.repeat = req.repeat();
@@ -397,12 +396,18 @@ WcetBenchResult Engine::measure_wcetbench(const WcetBenchRequest& req) {
       out.rows.push_back(std::move(row));
     };
 
-    measure("spm", [&] {
-      const wcet::RelocatableProgram rp = wcet::build_relocatable(
+    // The front end production builds once per workload
+    // (harness::relocatable_program).
+    const auto front_end = [&] {
+      return wcet::build_relocatable(
           std::make_shared<const wcet::ProgramShape>(
               wcet::build_shape(img, canonical->decoded)),
           std::shared_ptr<const link::Image>(canonical, &img),
           canonical->decoded, wl->module, canonical->extents);
+    };
+
+    measure("spm", [&] {
+      const wcet::RelocatableProgram rp = front_end();
       const wcet::IpetCache ipet;
       wcet::AnalyzerConfig acfg;
       acfg.ipet_cache = &ipet;
@@ -433,27 +438,22 @@ WcetBenchResult Engine::measure_wcetbench(const WcetBenchRequest& req) {
         (void)wcet::analyze_wcet(view, acfg);
       }
     };
-    const auto bind_canonical = [&](const program::DecodedImage& dec) {
-      return wcet::bind_view(std::make_shared<const wcet::ProgramShape>(
-                                 wcet::build_shape(img, dec)),
-                             img, dec);
-    };
     const auto cache_pass = [&](bool persistence) {
-      const program::DecodedImage dec(img);
+      const wcet::RelocatableProgram rp = front_end();
       const wcet::IpetCache ipet;
-      analyze_sizes(bind_canonical(dec), ipet, persistence);
+      analyze_sizes(*rp.canonical, ipet, persistence);
     };
     measure("cache", [&] { cache_pass(/*persistence=*/false); });
     measure("cache+pers", [&] { cache_pass(/*persistence=*/true); });
 
-    // Warm cache points: the view is bound and every IPET skeleton built
-    // by an untimed pass over the sizes, so the timed pass is only what a
-    // cache point on a resident view costs — cache analysis, block timing
-    // and the IPET re-solves.
-    const wcet::ProgramView warm_view = bind_canonical(canonical->decoded);
+    // Warm cache points: the canonical view is bound and every IPET
+    // skeleton built by an untimed pass over the sizes, so the timed pass
+    // is only what a cache point on a resident view costs — cache
+    // analysis, block timing and the IPET re-solves.
+    const wcet::RelocatableProgram warm = front_end();
     const wcet::IpetCache warm_ipet;
     const auto warm_pass = [&] {
-      analyze_sizes(warm_view, warm_ipet, /*persistence=*/false);
+      analyze_sizes(*warm.canonical, warm_ipet, /*persistence=*/false);
     };
     warm_pass();
     measure("cache-warm", warm_pass);

@@ -174,7 +174,10 @@ struct EngineStats {
   uint64_t response_evictions = 0; ///< responses dropped by the LRU cap
   uint64_t admission_waits = 0; ///< requests that queued at the admission gate
   uint64_t shed = 0; ///< requests rejected at the gate (Overloaded/deadline)
-  support::MemoStats profile_artifacts; ///< canonical runs (misses = runs)
+  /// Canonical runs: misses = separate profiled runs, inserted = handed in
+  /// by the cache branch's observed run (the `health` op's
+  /// `engine.profiles.observed`).
+  support::MemoStats profile_artifacts;
   support::MemoStats image_artifacts; ///< canonical records (image, decode,
                                       ///< block table)
   support::MemoStats shape_artifacts;   ///< invariant analyzer skeletons

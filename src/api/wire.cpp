@@ -551,6 +551,9 @@ std::string encode_health(int64_t id, const ServeStats& serve,
   e.set("response_evictions", json::Value(engine.response_evictions));
   e.set("admission_waits", json::Value(engine.admission_waits));
   e.set("shed", json::Value(engine.shed));
+  json::Value profiles = memo_stats_to_json(engine.profile_artifacts);
+  profiles.set("observed", json::Value(engine.profile_artifacts.inserted));
+  e.set("profiles", std::move(profiles));
   e.set("reuse_tables", memo_stats_to_json(engine.reuse_artifacts));
   e.set("placements", memo_stats_to_json(engine.placement_artifacts));
   e.set("placement_binds", bind_stats_to_json(engine.placement_binds));

@@ -62,15 +62,6 @@ uint64_t ReuseHistogram::hits(uint32_t set_bits, uint32_t way_bits) const {
   return h;
 }
 
-void StackDistanceRecorder::swap_top() {
-  std::swap(stack_[0], stack_[1]);
-  // One line passed, at every level up to the bits it shares with x.
-  const uint32_t shared =
-      std::min<uint32_t>(std::countr_zero(stack_[0] ^ stack_[1]), kMaxBits);
-  for (uint32_t k = 0; k <= shared; ++k) ++hist_.by_class_[k][1];
-  if (shared < kMaxBits) ++hist_.first_zero_[shared + 1];
-}
-
 void StackDistanceRecorder::walk(uint32_t x) {
   const uint32_t* s = stack_.data();
   const std::size_t n = stack_.size();
@@ -135,28 +126,6 @@ void StackDistanceRecorder::walk(uint32_t x) {
     ++hist_.by_class_[k][std::min<uint32_t>(std::bit_width(d[k]),
                                             ReuseHistogram::kClasses - 1)];
   }
-}
-
-void ReuseTable::Builder::fetch_run(uint32_t lo, uint32_t end) {
-  // Halfwords in one line are consecutive references to it: one stack
-  // access, then bulk immediate re-references.
-  while (lo < end) {
-    const uint32_t line = lo / kLineBytes;
-    const uint32_t stop =
-        static_cast<uint32_t>(std::min<uint64_t>(
-            end, (static_cast<uint64_t>(line) + 1) * kLineBytes));
-    const uint64_t n = (stop - lo) / 2; // halfword addresses: both even
-    stack_.access(line);
-    stack_.repeat(n - 1);
-    fetches_ += n;
-    lo = stop;
-  }
-}
-
-void ReuseTable::Builder::load(uint32_t addr, uint32_t bytes) {
-  if (!unified_) return; // an instruction cache never sees data
-  stack_.access(addr / kLineBytes);
-  load_cycles_ += isa::MemTiming::main_memory(bytes);
 }
 
 ReuseTable ReuseTable::Builder::finish(uint64_t uncached_cycles) const {

@@ -30,11 +30,15 @@
 // geometry from 16 B to 1 MiB, direct-mapped to fully associative.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cache/geometry.h"
+#include "isa/timing.h"
 
 namespace spmwcet::cache {
 
@@ -82,7 +86,15 @@ public:
   const ReuseHistogram& histogram() const { return hist_; }
 
 private:
-  void swap_top();
+  /// Depth one: x = stack_[1] moves to the top past one line, charged at
+  /// every level up to the bits the two share.
+  void swap_top() {
+    std::swap(stack_[0], stack_[1]);
+    const uint32_t shared = std::min<uint32_t>(
+        std::countr_zero(stack_[0] ^ stack_[1]), ReuseHistogram::kLevels - 1);
+    for (uint32_t k = 0; k <= shared; ++k) ++hist_.by_class_[k][1];
+    if (shared < ReuseHistogram::kLevels - 1) ++hist_.first_zero_[shared + 1];
+  }
   void walk(uint32_t line);
 
   std::vector<uint32_t> stack_; ///< MRU first
@@ -122,10 +134,20 @@ public:
       stack_.access(addr / kLineBytes);
       ++fetches_;
     }
-    /// The consecutive halfword fetches lo, lo + 2, ..., end - 2.
-    void fetch_run(uint32_t lo, uint32_t end);
+    /// `halfwords` (>= 1) consecutive halfword fetches inside `line`: one
+    /// stack access, then immediate re-references. Compiled blocks hold
+    /// their fetches as such runs (sim::FetchRun).
+    void fetch_run(uint32_t line, uint32_t halfwords) {
+      stack_.access(line);
+      stack_.repeat(halfwords - 1);
+      fetches_ += halfwords;
+    }
     /// One data load of `bytes` from main memory.
-    void load(uint32_t addr, uint32_t bytes);
+    void load(uint32_t addr, uint32_t bytes) {
+      if (!unified_) return; // an instruction cache never sees data
+      stack_.access(addr / kLineBytes);
+      load_cycles_ += isa::MemTiming::main_memory(bytes);
+    }
 
     /// Seals the table; `uncached_cycles` is the run's total with no cache.
     ReuseTable finish(uint64_t uncached_cycles) const;

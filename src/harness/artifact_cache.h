@@ -3,10 +3,14 @@
 // Per workload, one canonical record (CanonicalImage): the extents of the
 // module's laid-out functions and the no-assignment (main-memory-only) image
 // with its decode and compiled block table, built together because the
-// first point of either setup needs them. The SPM branch simulates it once
-// (the canonical run, whose profile and candidate table serve every
-// scratchpad capacity and price every placement); the cache branch runs it once observed per cache
-// kind, which yields every geometry's cycles and hits (cache::ReuseTable).
+// first point of either setup needs them. The cache branch runs it once
+// observed per cache kind, which yields every geometry's cycles and hits
+// (cache::ReuseTable). The SPM branch needs the canonical run (the
+// profiled run whose candidate table serves every scratchpad capacity and
+// prices every placement): the first observed run of a workload whose
+// canonical run is not yet memoized also profiles and hands it in
+// (insert_profile), so a workload both branches evaluate is simulated
+// once; SPM-only work simulates it unobserved (harness::canonical_run).
 // Both branches analyze through the workload's relocatable program
 // (wcet::RelocatableProgram): the canonical CFGs bound from the analyzer's
 // layout-invariant ProgramShape, which is built from the record, and one
@@ -128,6 +132,19 @@ public:
     return profiles_.get(&wl, compute);
   }
 
+  /// True once the workload's canonical run is memoized or being computed:
+  /// an observed run then need not profile.
+  bool holds_profile(const workloads::WorkloadInfo& wl) const {
+    return profiles_.contains(&wl);
+  }
+
+  /// Hands in a canonical run an observed run produced, unless one is
+  /// already memoized or in flight; never waits (support::Memoizer::
+  /// insert_if_absent), so the reuse memo's producer can call it.
+  void insert_profile(const workloads::WorkloadInfo& wl, CanonicalRun run) {
+    (void)profiles_.insert_if_absent(&wl, std::move(run));
+  }
+
   /// Returns the placed point of `key`, computing it with `compute` the
   /// first time any size allocates that placement or, under the WCET-driven
   /// greedy, tries it.
@@ -176,14 +193,16 @@ public:
 
   /// Returns the workload's all-geometry cache table of one kind (unified
   /// or instruction-only): one observed run of the canonical image serves
-  /// every cache size and associativity of that kind.
+  /// every cache size and associativity of that kind, and may hand in the
+  /// canonical run as well (insert_profile).
   std::shared_ptr<const cache::ReuseTable>
   reuse(const workloads::WorkloadInfo& wl, bool unified,
         const std::function<cache::ReuseTable()>& compute) {
     return reuse_.get({&wl, unified}, compute);
   }
 
-  /// hits = served from cache, misses = ran the canonical simulation.
+  /// Canonical runs: hits = served from cache, misses = ran the separate
+  /// profiled simulation, inserted = handed in by an observed run.
   Stats stats() const { return profiles_.stats(); }
 
   /// hits = reused a placed point, misses = priced, bound and analyzed

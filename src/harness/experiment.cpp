@@ -38,9 +38,23 @@ double cache_energy(const cache::ReuseTable::Outcome& run) {
   return nj;
 }
 
+/// The canonical run of `run`, a validated profiled run of the canonical
+/// image: the result and the candidate table of its profile.
+CanonicalRun make_canonical_run(const workloads::WorkloadInfo& wl,
+                                const CanonicalImage& canonical,
+                                sim::SimResult run) {
+  CanonicalRun out{std::move(run), {}};
+  out.candidates = alloc::collect_objects(wl.module, canonical.extents,
+                                          out.run.profile, {});
+  return out;
+}
+
 /// The workload's all-geometry table for the configured cache kind: one
 /// observed run of the canonical image, block tier included, with its
-/// outputs validated in that run.
+/// outputs validated in that run. While no canonical run is memoized, the
+/// run also profiles and hands its result in as the canonical run: an
+/// observer changes no cycle, output or profile count, so it equals the
+/// separate profiled run field for field.
 std::shared_ptr<const cache::ReuseTable>
 reuse_table(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
             ArtifactCache& ac, const CanonicalImage& canonical) {
@@ -49,10 +63,14 @@ reuse_table(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
     sim::SimConfig scfg;
     scfg.reuse = &rec;
     scfg.compiled_blocks = &canonical.blocks;
+    scfg.collect_profile = !ac.holds_profile(wl);
     sim::Simulator s(canonical.image, scfg);
-    const sim::SimResult run = s.run();
+    sim::SimResult run = s.run();
     validate_outputs(wl, s, "cache");
-    return rec.finish(run.cycles);
+    cache::ReuseTable table = rec.finish(run.cycles);
+    if (scfg.collect_profile)
+      ac.insert_profile(wl, make_canonical_run(wl, canonical, std::move(run)));
+    return table;
   });
 }
 
@@ -196,11 +214,9 @@ canonical_run(const workloads::WorkloadInfo& wl, ArtifactCache& ac) {
     pcfg.collect_profile = true;
     pcfg.compiled_blocks = &canonical->blocks;
     sim::Simulator s(canonical->image, pcfg);
-    CanonicalRun out{s.run(), {}};
+    sim::SimResult run = s.run();
     validate_outputs(wl, s, "spm");
-    out.candidates = alloc::collect_objects(wl.module, canonical->extents,
-                                            out.run.profile, {});
-    return out;
+    return make_canonical_run(wl, *canonical, std::move(run));
   });
 }
 

@@ -15,11 +15,13 @@
 //
 // Both branches start from the workload's canonical record
 // (canonical_image: the no-assignment image, decoded and compiled into a
-// block table once per ArtifactCache), which the canonical run simulates,
-// the cache branch observes, and the analyzer's shape and relocatable
-// program are built from. The canonical run and the cache branch's observed run validate
-// their outputs against the workload's native reference, so a timing
-// experiment can never silently run a miscompiled binary.
+// block table once per ArtifactCache), which the cache branch observes, the
+// canonical run simulates, and the analyzer's shape and relocatable program
+// are built from. A workload both branches evaluate is simulated once: the
+// first observed run also profiles when no canonical run is memoized yet
+// and hands its result in as the canonical run. Every run validates its
+// outputs against the workload's native reference, so a timing experiment
+// can never silently run a miscompiled binary.
 #pragma once
 
 #include <cstdint>
@@ -85,7 +87,9 @@ canonical_image(const workloads::WorkloadInfo& wl, ArtifactCache& ac);
 
 /// The canonical run: the profiled, output-validated simulation of the
 /// canonical image, with the allocation candidate table of its profile,
-/// once per ArtifactCache.
+/// once per ArtifactCache. Either the cache branch's first observed run
+/// handed it in, or this runs it unobserved (no reuse recorder attached),
+/// so SPM-only work never pays the observation.
 std::shared_ptr<const CanonicalRun>
 canonical_run(const workloads::WorkloadInfo& wl, ArtifactCache& ac);
 

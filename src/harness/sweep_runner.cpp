@@ -37,20 +37,27 @@ run_matrix(const std::vector<MatrixRequest>& requests, unsigned jobs) {
 
   std::vector<SweepConfig> configs;
   std::vector<std::vector<SweepPoint>> results;
-  struct Slot {
-    std::size_t request, point;
-  };
-  std::vector<Slot> batch;
+  std::vector<std::vector<std::exception_ptr>> errors;
   for (const MatrixRequest& req : requests) {
     if (req.workload == nullptr) throw Error("sweep: request has no workload");
     SweepConfig& cfg = configs.emplace_back(req.config);
     if (cfg.artifacts == nullptr) cfg.artifacts = &artifacts;
     results.emplace_back(cfg.sizes.size());
-    for (std::size_t i = 0; i < cfg.sizes.size(); ++i)
-      batch.push_back({results.size() - 1, i});
+    errors.emplace_back(cfg.sizes.size());
   }
 
-  std::vector<std::exception_ptr> errors(batch.size());
+  // Dispatch order: cache requests first (see the header), each group in
+  // request order.
+  struct Slot {
+    std::size_t request, point;
+  };
+  std::vector<Slot> batch;
+  for (const MemSetup setup : {MemSetup::Cache, MemSetup::Scratchpad})
+    for (std::size_t r = 0; r < configs.size(); ++r)
+      if (configs[r].setup == setup)
+        for (std::size_t i = 0; i < configs[r].sizes.size(); ++i)
+          batch.push_back({r, i});
+
   shared_pool(jobs).for_each(batch.size(), [&](std::size_t b) {
     const auto [r, i] = batch[b];
     const SweepConfig& cfg = configs[r];
@@ -58,11 +65,12 @@ run_matrix(const std::vector<MatrixRequest>& requests, unsigned jobs) {
       results[r][i] = detail::execute_point(*requests[r].workload, cfg.setup,
                                             cfg.sizes[i], cfg);
     } catch (...) {
-      errors[b] = std::current_exception();
+      errors[r][i] = std::current_exception();
     }
   });
-  for (const std::exception_ptr& e : errors)
-    if (e) std::rethrow_exception(e);
+  for (const auto& request_errors : errors)
+    for (const std::exception_ptr& e : request_errors)
+      if (e) std::rethrow_exception(e);
   return results;
 }
 

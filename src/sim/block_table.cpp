@@ -28,8 +28,8 @@ namespace {
 // ---- handler building blocks ----------------------------------------------
 // A timed access profiles first (dense slot resolution), then accesses the
 // memory system (the inline try_* fast path, else the out-of-line call that
-// owns the trap messages and the read hooks); a store into a code span
-// then invalidates the blocks it overlaps.
+// owns the trap messages and the cache); a store into a code span then
+// invalidates the blocks it overlaps.
 
 inline void profile_access(BlockCtx& ctx, uint32_t addr, uint32_t bytes,
                            bool is_store) {
@@ -52,26 +52,23 @@ inline void profile_access(BlockCtx& ctx, uint32_t addr, uint32_t bytes,
     counts->add_load(bytes);
 }
 
-/// Reports the executing block's fetches through the halfword at `through`
+/// Reports the executing block's fetch runs through load-bearing op `u`
 /// to the memory system's cache or observer, so every load follows its own
 /// op's fetch.
-inline void report_fetches(BlockCtx& ctx, uint32_t through) {
-  if (through >= ctx.fetch_next) {
-    ctx.mem->fetch_run(ctx.fetch_next, through + 2);
-    ctx.fetch_next = through + 2;
+inline void report_fetches(BlockCtx& ctx, const MicroOp* u) {
+  if (u->fetch_end > ctx.fetch_done) {
+    ctx.mem->report_fetches(ctx.fetch_runs + ctx.fetch_done,
+                            ctx.fetch_runs + u->fetch_end);
+    ctx.fetch_done = u->fetch_end;
   }
 }
 
 template <uint32_t Bytes, bool Sign>
 inline uint32_t timed_load(BlockCtx& ctx, const MicroOp* u, uint32_t addr) {
   if (ctx.profile) profile_access(ctx, addr, Bytes, /*is_store=*/false);
+  if (ctx.observed) [[unlikely]] report_fetches(ctx, u);
   uint32_t v;
-  if (!ctx.mem->try_load(addr, Bytes, v)) {
-    // Cached and observed reads always take this path (try_load declines
-    // them).
-    if (ctx.observed) report_fetches(ctx, u->iaddr);
-    v = ctx.mem->load(addr, Bytes);
-  }
+  if (!ctx.mem->try_load(addr, Bytes, v)) v = ctx.mem->load(addr, Bytes);
   if constexpr (Sign && Bytes < 4) {
     constexpr uint32_t shift = 32 - 8 * Bytes;
     v = static_cast<uint32_t>(static_cast<int32_t>(v << shift) >>
@@ -108,7 +105,7 @@ inline uint32_t stack_load(BlockCtx& ctx, const MicroOp* u, uint32_t addr) {
     return timed_load<4, false>(ctx, u, addr);
   if (ctx.profile) ctx.counts[ctx.stack_slot].add_load(4);
   if (ctx.observed) [[unlikely]] {
-    report_fetches(ctx, u->iaddr);
+    report_fetches(ctx, u);
     ctx.mem->charge_main_load(addr, 4);
   } else {
     ctx.mem->add_cycles(MemTiming::main_memory(4));
@@ -253,12 +250,18 @@ void h_store(BlockCtx& ctx, const MicroOp* u) {
 
 /// LDR_LIT whose target was pre-classified: cost and profile slot are
 /// static, the pointer was bound once per simulator — no translation, no
-/// symbol search. Falls back to the ordinary timed load when binding
-/// failed (exotic images, or reads cached or observed).
+/// symbol search. Under a reuse observer a main-memory literal reports
+/// itself. Falls back to the ordinary timed load when binding failed
+/// (exotic images, or reads cached).
 void h_ldr_lit(BlockCtx& ctx, const MicroOp* u) {
   const uint8_t* p = ctx.lit_ptrs[u->aux2];
   if (p != nullptr) [[likely]] {
-    ctx.mem->add_cycles(u->cost);
+    if (ctx.observed && u->cost != MemTiming::scratchpad()) [[unlikely]] {
+      report_fetches(ctx, u);
+      ctx.mem->charge_main_load(u->aux, 4);
+    } else {
+      ctx.mem->add_cycles(u->cost);
+    }
     if (ctx.profile) ctx.counts[u->slot].add_load(4);
     ctx.regs[u->ins.rd] =
         static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
@@ -267,7 +270,7 @@ void h_ldr_lit(BlockCtx& ctx, const MicroOp* u) {
     SPMWCET_CHAIN;
   }
   if (ctx.profile) ctx.counts[u->slot].add_load(4);
-  if (ctx.observed) report_fetches(ctx, u->iaddr);
+  if (ctx.observed) report_fetches(ctx, u);
   ctx.regs[u->ins.rd] = ctx.mem->load(u->aux, 4);
   SPMWCET_CHAIN;
 }
@@ -277,11 +280,9 @@ void h_ldr_lit(BlockCtx& ctx, const MicroOp* u) {
 /// slot are still static; the memory system owns the cost and the traps.
 void h_ldr_lit_dyn(BlockCtx& ctx, const MicroOp* u) {
   if (ctx.profile) ctx.counts[u->slot].add_load(4);
+  if (ctx.observed) report_fetches(ctx, u);
   uint32_t v;
-  if (!ctx.mem->try_load(u->aux, 4, v)) {
-    if (ctx.observed) report_fetches(ctx, u->iaddr);
-    v = ctx.mem->load(u->aux, 4);
-  }
+  if (!ctx.mem->try_load(u->aux, 4, v)) v = ctx.mem->load(u->aux, 4);
   ctx.regs[u->ins.rd] = v;
   SPMWCET_CHAIN;
 }
@@ -421,7 +422,7 @@ MicroHandler mem_handler(const Instr& ins) {
 
 /// Fetch cycles of one halfword in a span of class `cls` with no cache; a
 /// cache corrects main-memory fetches as the block reports them
-/// (MemorySystem::fetch_run).
+/// (MemorySystem::report_fetches).
 constexpr uint32_t fetch_cost(MemClass cls) {
   return cls == MemClass::Scratchpad ? MemTiming::scratchpad()
                                      : MemTiming::main_memory(2);
@@ -666,7 +667,27 @@ void BlockTable::build(const program::DecodedImage& dec,
       Block b;
       b.lo = s.lo + static_cast<uint32_t>(i) * 2;
       b.first_op = static_cast<uint32_t>(micro_.size());
-      b.main_code = s.cls != MemClass::Scratchpad;
+      b.run_first = static_cast<uint32_t>(runs_.size());
+      // Cache-visible fetches as per-line runs: the segment [seg_lo, end)
+      // up to each load-bearing op, and the rest at exit. SPM code has
+      // none (its fetches bypass every cache).
+      const bool main_code = s.cls != MemClass::Scratchpad;
+      uint32_t seg_lo = b.lo;
+      const auto cut_segment = [&](uint32_t end) {
+        for (uint32_t lo = seg_lo; lo < end;) {
+          const uint32_t line = lo / FetchRun::kLineBytes;
+          const uint32_t stop =
+              std::min<uint32_t>(end, (line + 1) * FetchRun::kLineBytes);
+          runs_.push_back(
+              FetchRun{line, static_cast<uint16_t>(lo % FetchRun::kLineBytes),
+                       static_cast<uint16_t>((stop - lo) / 2)});
+          lo = stop;
+        }
+        seg_lo = end;
+        const uint32_t n = static_cast<uint32_t>(runs_.size()) - b.run_first;
+        SPMWCET_CHECK(n <= UINT8_MAX);
+        return static_cast<uint8_t>(n);
+      };
       // Per-slot fetch counts, accumulated flat: a block has at most
       // kMaxBlockOps ops plus one extra fetch (the fused BL's second
       // halfword), so a stack array with a last-entry fast path (runs of
@@ -711,6 +732,8 @@ void BlockTable::build(const program::DecodedImage& dec,
         }
         u.static_cost =
             static_cast<uint8_t>(u.static_cost + fetch_cost(s.cls) * u.units);
+        if (main_code && (isa::is_load(ins) || ins.op == Op::POP))
+          u.fetch_end = cut_segment(iaddr + 2u * u.units);
         if (u.fn == &h_ldr_lit_dyn) {
           const auto cls = classify_static(img, u.aux, 4);
           if (cls && (u.aux & 3u) == 0) {
@@ -738,6 +761,7 @@ void BlockTable::build(const program::DecodedImage& dec,
       }
       b.hi = s.lo + static_cast<uint32_t>(j) * 2;
       b.op_count = static_cast<uint32_t>(micro_.size()) - b.first_op;
+      b.run_count = main_code ? cut_segment(b.hi) : 0;
       MicroOp end;
       end.fn = &h_end;
       micro_.push_back(end);
@@ -750,6 +774,8 @@ void BlockTable::build(const program::DecodedImage& dec,
     }
     span_idx_.push_back(std::move(idx));
   }
+  // Only observed runs read the fetch runs; a shared table keeps no slack.
+  runs_.shrink_to_fit();
 }
 
 uint32_t BlockTable::execute(int index, BlockCtx& ctx) const {
@@ -766,14 +792,17 @@ uint32_t BlockTable::execute(int index, BlockCtx& ctx) const {
   ctx.stop = false;
   ctx.cur_lo = b.lo;
   ctx.cur_hi = b.hi;
-  // Scratchpad fetches bypass the cache: start past the block's end.
-  if (ctx.observed) [[unlikely]]
-    ctx.fetch_next = b.main_code ? b.lo : b.hi;
+  if (ctx.observed) [[unlikely]] {
+    ctx.fetch_runs = runs_.data() + b.run_first;
+    ctx.fetch_done = 0;
+  }
 
   const MicroOp* ops = micro_.data() + b.first_op;
   ops[0].fn(ctx, ops); // threaded chain; returns at h_end or an abort
   if (!ctx.stop) [[likely]] {
-    if (ctx.observed) [[unlikely]] report_fetches(ctx, b.hi - 2);
+    if (ctx.observed) [[unlikely]]
+      ctx.mem->report_fetches(ctx.fetch_runs + ctx.fetch_done,
+                              ctx.fetch_runs + b.run_count);
     return b.instr_count;
   }
 
@@ -781,7 +810,18 @@ uint32_t BlockTable::execute(int index, BlockCtx& ctx) const {
   // unexecuted suffix; execution resumes at ctx.next_pc, through the
   // one-op fallback now that the block is invalid.
   const uint32_t k = static_cast<uint32_t>(ctx.stopped_at - ops);
-  if (ctx.observed) report_fetches(ctx, ctx.stopped_at->iaddr);
+  if (ctx.observed) {
+    // Report the fetches through the aborting store's halfword; stores cut
+    // no segment, so the last run may end part-way.
+    const uint32_t end = ctx.stopped_at->iaddr + 2;
+    for (uint32_t r = ctx.fetch_done; r < b.run_count; ++r) {
+      FetchRun run = ctx.fetch_runs[r];
+      if (run.lo() >= end) break;
+      run.halfwords = static_cast<uint16_t>(
+          std::min<uint32_t>(run.halfwords, (end - run.lo()) / 2));
+      ctx.mem->report_fetches(&run, &run + 1);
+    }
+  }
   uint32_t executed = 0;
   for (uint32_t m = 0; m <= k; ++m) executed += ops[m].units;
   uint64_t cycles = 0;
@@ -805,7 +845,7 @@ uint32_t BlockTable::execute_one(const Instr& ins, const Instr& second,
   ops[1].fn = &h_end;
   ctx.mem->add_cycles(ops[0].static_cost);
   ctx.next_pc = iaddr + 2u * ops[0].units;
-  ctx.fetch_next = ctx.next_pc; // the caller charged the fetches
+  ctx.fetch_done = 0; // no runs: the caller charged the fetches
   ctx.stop = false;
   ctx.cur_lo = ctx.cur_hi = 0; // no compiled block to abort
   ops[0].fn(ctx, ops);

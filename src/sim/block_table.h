@@ -46,11 +46,15 @@
 // fails the proof takes the ordinary timed load/store below.
 //
 // Cached and observed reads: with a functional cache (SimConfig::cache) or
-// a reuse observer (SimConfig::reuse) blocks still run. Loads bypass the
-// inline fast paths so the memory system charges or reports them, window
-// loads charge themselves after the pending fetches, and each block
+// a reuse observer (SimConfig::reuse) blocks still run, and each block
 // reports its folded fetches in program order (see BlockCtx::observed), so
-// the cache sees the same access order as one instruction at a time.
+// the cache sees the same access order as one instruction at a time. A
+// block holds its main-memory fetches as precomputed segments, one up to
+// each load-bearing op and the rest at exit, each cut into per-line runs
+// (FetchRun); a load reports the segments through its own op first. Under
+// a reuse observer loads stay on the inline paths (try_load, bound
+// literals, the stack window) and report themselves; under a cache they
+// take the memory system's out-of-line path, which charges them.
 //
 // Invalidation: a store that lands in a code span marks every overlapping
 // compiled block invalid; an invalidated block is never entered again and
@@ -76,11 +80,11 @@
 #include "isa/timing.h"
 #include "link/image.h"
 #include "program/decoded_image.h"
+#include "sim/memory_system.h"
 #include "sim/profile.h"
 
 namespace spmwcet::sim {
 
-class MemorySystem;
 struct SimResult;
 class BlockTable;
 class BlockRun;
@@ -154,13 +158,14 @@ struct BlockCtx {
   uint32_t win_span = 0;
   /// Reads are cached or observed (SimConfig::cache or ::reuse). Fetches
   /// are entry-folded, so a block reports them to the memory system lazily
-  /// in program order: through an op's own halfword before its first load,
-  /// the rest at block exit.
+  /// in program order: its segments through a load-bearing op before the
+  /// op's first load (MicroOp::fetch_end), the rest at block exit.
   bool observed = false;
 
   // Per-block execution state (owned by BlockTable::execute).
   uint32_t next_pc = 0;
-  uint32_t fetch_next = 0; ///< first halfword not yet reported
+  const FetchRun* fetch_runs = nullptr; ///< the block's runs (observed)
+  uint32_t fetch_done = 0; ///< runs [0, fetch_done) reported
   bool stop = false; ///< abort after the current micro-op (self-mod store)
   const MicroOp* stopped_at = nullptr; ///< the aborting micro-op
   uint32_t cur_lo = 0, cur_hi = 0; ///< executing block's address range
@@ -198,6 +203,9 @@ struct MicroOp {
   uint8_t cost = 0;        ///< pre-classified static data-access cycles
   uint8_t static_cost = 0; ///< fetch + compute-extra + static penalties
   uint8_t units = 1;       ///< instructions retired (BL pair counts 2)
+  /// Load-bearing ops: the block's fetch runs through this op's own
+  /// halfwords, the ones to report before its first load. 0 elsewhere.
+  uint8_t fetch_end = 0;
 };
 
 /// Per-simulator mutable state of a (possibly shared) BlockTable: which
@@ -298,7 +306,10 @@ private:
     uint32_t static_cycles = 0; ///< sum of the ops' static_cost
     uint32_t fold_first = 0; ///< into folds_: fetch-profile increments
     uint32_t fold_count = 0;
-    bool main_code = false; ///< fetches are cache-visible (not SPM code)
+    /// Into runs_: the block's cache-visible fetches in program order
+    /// (none for SPM code).
+    uint32_t run_first = 0;
+    uint32_t run_count = 0;
   };
   struct SlotCount {
     uint32_t slot = 0;
@@ -336,6 +347,7 @@ private:
   std::vector<Block> blocks_;     ///< sorted by lo, disjoint
   std::vector<MicroOp> micro_;    ///< all blocks' ops, contiguous
   std::vector<SlotCount> folds_;  ///< all blocks' fetch folds, contiguous
+  std::vector<FetchRun> runs_;    ///< all blocks' fetch runs, contiguous
   std::vector<LitRef> lits_;      ///< static literal ranges to bind
 };
 

@@ -27,6 +27,18 @@ namespace spmwcet::sim {
 /// spans (program::DecodedImage) so both cover exactly the same address runs.
 inline constexpr uint32_t kRegionMergeGapBytes = 4096;
 
+/// Consecutive main-memory halfword fetches inside one reuse-table line: a
+/// piece of a compiled block's precomputed fetch segments
+/// (sim/block_table.h).
+struct FetchRun {
+  static constexpr uint32_t kLineBytes = cache::ReuseTable::kLineBytes;
+  uint32_t line = 0;      ///< the line every halfword of the run lies in
+  uint16_t offset = 0;    ///< the first halfword's byte offset in `line`
+  uint16_t halfwords = 0; ///< >= 1
+  /// The first halfword's address.
+  uint32_t lo() const { return line * kLineBytes + offset; }
+};
+
 class MemorySystem {
 public:
   /// Builds backing storage for all regions of `img`, loads its segments,
@@ -45,20 +57,23 @@ public:
   /// Data store of 1/2/4 bytes (write-through, no allocate).
   void store(uint32_t addr, uint32_t bytes, uint32_t value);
 
-  /// The block tier's entry-folded main-memory fetches of the halfwords
-  /// lo, lo + 2, ..., end - 2, reported in program order when reads are
-  /// cached or observed. The block already charged main_memory(2) for each;
-  /// a cache replaces that with its hit or miss cost.
-  void fetch_run(uint32_t lo, uint32_t end) {
+  /// The block tier's entry-folded main-memory fetches, runs [first, last)
+  /// in program order, reported when reads are cached or observed. The
+  /// block already charged main_memory(2) for each halfword; a cache
+  /// replaces that with its hit or miss cost, halfword by halfword.
+  void report_fetches(const FetchRun* first, const FetchRun* last) {
     if (reuse_ != nullptr) {
-      reuse_->fetch_run(lo, end);
+      for (; first != last; ++first)
+        reuse_->fetch_run(first->line, first->halfwords);
       return;
     }
-    for (uint32_t a = lo; a < end; a += 2) {
-      cycles_ -= isa::MemTiming::main_memory(2);
-      cycles_ += read_cost_for(isa::MemClass::MainMemory, a, 2,
-                               /*is_fetch=*/true);
-    }
+    for (; first != last; ++first)
+      for (uint32_t k = 0, a = first->lo(); k < first->halfwords;
+           ++k, a += 2) {
+        cycles_ -= isa::MemTiming::main_memory(2);
+        cycles_ += read_cost_for(isa::MemClass::MainMemory, a, 2,
+                                 /*is_fetch=*/true);
+      }
   }
 
   /// Charges a main-memory load the caller served from arena bytes itself
@@ -79,13 +94,14 @@ public:
 
   /// Stable pointer to [addr, addr+bytes) iff the class map can serve the
   /// whole range with one memory class (written to `cls`); null when reads
-  /// are cached or observed (they must reach read_cost_for), and for
-  /// unmapped/mixed-class ranges. Areas never move after construction, so
-  /// the pointer stays valid for the system's lifetime (the block tier
-  /// binds literal-pool addresses once).
+  /// are cached (they must reach read_cost_for), and for unmapped or
+  /// mixed-class ranges. A reuse observer does not stop it: the block tier
+  /// reports a bound main-memory literal itself (charge_main_load). Areas
+  /// never move after construction, so the pointer stays valid for the
+  /// system's lifetime (the block tier binds literal-pool addresses once).
   const uint8_t* flat_ptr(uint32_t addr, uint32_t bytes,
                           isa::MemClass& cls) const {
-    return hooked_reads_ ? nullptr : flat(addr, bytes, cls);
+    return cache_ ? nullptr : flat(addr, bytes, cls);
   }
 
   /// Writable arena bytes backing [lo, hi) when one arena covers the whole
@@ -103,15 +119,19 @@ public:
   }
 
   /// Inline load for the block tier: serves exactly the accesses load()
-  /// would, entirely in the header. Returns false (charging nothing) when
-  /// the flat map cannot serve the access or reads are cached or observed
-  /// — the caller falls back to load(), which owns the traps and the read
-  /// hooks.
+  /// would, entirely in the header, reporting a main-memory load to a reuse
+  /// observer itself. Returns false (charging nothing) when the flat map
+  /// cannot serve the access or reads are cached — the caller falls back
+  /// to load(), which owns the traps and the cache.
   bool try_load(uint32_t addr, uint32_t bytes, uint32_t& v) {
-    if (hooked_reads_ || addr % bytes != 0) return false;
+    if (addr % bytes != 0) return false;
     isa::MemClass cls;
     const uint8_t* p = flat(addr, bytes, cls);
     if (p == nullptr) return false;
+    if (hooked_reads_) [[unlikely]] {
+      if (cache_) return false;
+      if (cls == isa::MemClass::MainMemory) reuse_->load(addr, bytes);
+    }
     cycles_ += isa::MemTiming::uncached(cls, bytes);
     v = 0;
     for (uint32_t i = 0; i < bytes; ++i)
@@ -213,8 +233,9 @@ private:
   bool cache_unified_ = false;
   uint32_t miss_cost_ = 0;
   cache::ReuseTable::Builder* reuse_ = nullptr;
-  /// A cache or a reuse observer is attached: reads must take the
-  /// out-of-line path through read_cost_for.
+  /// A cache or a reuse observer is attached: cached reads take the
+  /// out-of-line path through read_cost_for, observed ones report
+  /// themselves.
   bool hooked_reads_ = false;
   uint64_t cycles_ = 0;
 };

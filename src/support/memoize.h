@@ -7,6 +7,11 @@
 // next caller retries) and then shared immutably via shared_ptr. clear()
 // drops the index only — values already handed out stay valid.
 //
+// The once semantics are a per-entry running flag and condition variable
+// under the index lock, not std::call_once: a throwing compute must wake
+// its waiters so one of them retries, and std::call_once's waiters hang
+// after a throw under ThreadSanitizer's pthread_once.
+//
 // An optional capacity bounds the index for resident services: when a new
 // entry would push the index past the cap, the least-recently-used
 // *computed* entry is evicted (entries still being computed are never
@@ -14,15 +19,22 @@
 // a hit costs O(1) beyond the index lookup. Eviction only forgets —
 // outstanding shared_ptrs stay valid, and a later request for the evicted
 // key simply recomputes.
+//
+// A producer that computes another memo's value as a by-product hands it in
+// with insert_if_absent(), which never waits: an entry already indexed
+// (computed, or still being computed by another caller) wins and the
+// offered value is dropped. So a producer running inside one memo's compute
+// never blocks on a second memo, and no lock order between memos arises.
 #pragma once
 
-#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <list>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 namespace spmwcet::support {
@@ -32,6 +44,7 @@ struct MemoStats {
   uint64_t hits = 0;      ///< served an already-computed value
   uint64_t misses = 0;    ///< ran the compute function
   uint64_t evictions = 0; ///< dropped an entry to respect the capacity
+  uint64_t inserted = 0;  ///< entries handed in by insert_if_absent
 };
 
 template <typename Key, typename Value>
@@ -46,52 +59,73 @@ public:
   /// Returns the value for `key`, running `make` on first use.
   std::shared_ptr<const Value> get(const Key& key,
                                    const std::function<Value()>& make) {
+    std::unique_lock<std::mutex> lk(mu_);
     const std::shared_ptr<Entry> entry = entry_for(key);
-    bool computed = false;
-    try {
-      std::call_once(entry->once, [&] {
-        entry->value = std::make_shared<const Value>(make());
-        entry->ready.store(true, std::memory_order_release);
-        computed = true;
-      });
-    } catch (...) {
-      // Forget the failed entry: it would otherwise linger uncomputed —
-      // invisible to LRU eviction — so a stream of throwing keys could
-      // crowd out every useful entry and then grow the index unboundedly.
-      // Concurrent waiters still holding the Entry retry through its
-      // once_flag as before; a waiter that succeeds re-indexes the entry
-      // on its way out (and one that already succeeded is left alone).
-      const std::lock_guard<std::mutex> lk(mu_);
-      const auto it = entries_.find(key);
-      if (it != entries_.end() && it->second == entry &&
-          !entry->ready.load(std::memory_order_acquire))
-        entries_.erase(it);
-      throw;
-    }
-    const std::lock_guard<std::mutex> lk(mu_);
-    if (computed) {
-      ++stats_.misses;
-      // A sibling whose earlier attempt threw may have detached this entry
-      // (see the catch above) while we were still computing it; re-index
-      // the success so it is served, not recomputed. A newer entry that
-      // already took the key wins — latest insertion is authoritative.
-      auto it = entries_.find(key);
-      if (it == entries_.end()) {
-        evict_overflow(/*reserve=*/1);
-        it = entries_.emplace(key, entry).first;
-      }
-      if (it->second == entry) {
-        recency_.push_front(it);
-        entry->pos = recency_.begin();
-        entry->listed = true;
-      }
-    } else {
+    // Wait out a compute in flight; after a failed one, the first waiter to
+    // wake computes in its place.
+    entry->done.wait(lk, [&] { return !entry->running; });
+    if (entry->value) {
       ++stats_.hits;
       // Unlisted: evicted or superseded while we waited; nothing to touch.
       if (entry->listed)
         recency_.splice(recency_.begin(), recency_, entry->pos);
+      return entry->value;
     }
-    return entry->value;
+    entry->running = true;
+    lk.unlock();
+    std::shared_ptr<const Value> value;
+    try {
+      value = std::make_shared<const Value>(make());
+    } catch (...) {
+      lk.lock();
+      entry->running = false;
+      entry->done.notify_all();
+      // Forget the failed entry: it would otherwise linger uncomputed —
+      // invisible to LRU eviction — so a stream of throwing keys could
+      // crowd out every useful entry and then grow the index unboundedly.
+      // Waiters still holding the Entry retry on it; one that succeeds
+      // re-indexes it on its way out.
+      const auto it = entries_.find(key);
+      if (it != entries_.end() && it->second == entry) entries_.erase(it);
+      throw;
+    }
+    lk.lock();
+    entry->value = value;
+    entry->running = false;
+    entry->done.notify_all();
+    ++stats_.misses;
+    // A sibling whose earlier attempt threw may have detached this entry
+    // (see the catch above) while we were still computing it; re-index the
+    // success so it is served, not recomputed. A newer entry that already
+    // took the key wins — latest insertion is authoritative.
+    auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      evict_overflow(/*reserve=*/1);
+      it = entries_.emplace(key, entry).first;
+    }
+    if (it->second == entry) list_first(it);
+    return value;
+  }
+
+  /// True if the index holds an entry for `key`, computed or in flight.
+  bool contains(const Key& key) const {
+    const std::lock_guard<std::mutex> lk(mu_);
+    return entries_.count(key) != 0;
+  }
+
+  /// Indexes `value` as the computed entry of `key` unless the index
+  /// already holds an entry for it; never waits on a compute in flight.
+  /// Returns whether the value was taken (counted as inserted, not as a
+  /// miss).
+  bool insert_if_absent(const Key& key, Value value) {
+    const auto entry = std::make_shared<Entry>();
+    entry->value = std::make_shared<const Value>(std::move(value));
+    const std::lock_guard<std::mutex> lk(mu_);
+    if (entries_.count(key) != 0) return false;
+    evict_overflow(/*reserve=*/1);
+    list_first(entries_.emplace(key, entry).first);
+    ++stats_.inserted;
+    return true;
   }
 
   Stats stats() const {
@@ -111,8 +145,7 @@ public:
     {
       const std::lock_guard<std::mutex> lk(mu_);
       for (const auto& [key, entry] : entries_)
-        if (entry->ready.load(std::memory_order_acquire))
-          values.push_back(entry->value);
+        if (entry->value) values.push_back(entry->value);
     }
     for (const auto& v : values) fn(*v);
   }
@@ -135,19 +168,21 @@ private:
   /// Computed, indexed entries, most recently used first.
   using Recency = std::list<typename Index::iterator>;
 
+  /// Every field is guarded by mu_.
   struct Entry {
-    std::once_flag once;
-    std::shared_ptr<const Value> value;
-    /// Published after `value` is written inside call_once, so a failed
-    /// compute can tell whether a sibling succeeded meanwhile.
-    std::atomic<bool> ready{false};
-    /// Position in recency_ while `listed` (guarded by mu_).
+    std::shared_ptr<const Value> value; ///< null until a compute succeeds
+    /// A caller is computing the value; `done` wakes the callers waiting
+    /// on it when it succeeds or throws.
+    bool running = false;
+    std::condition_variable done;
+    /// Position in recency_ while `listed`.
     typename Recency::iterator pos;
     bool listed = false;
   };
 
+  /// The indexed entry of `key`, or a fresh one indexed for it. Requires
+  /// mu_.
   std::shared_ptr<Entry> entry_for(const Key& key) {
-    const std::lock_guard<std::mutex> lk(mu_);
     const auto it = entries_.find(key);
     if (it != entries_.end()) return it->second;
     // Make room before inserting so the fresh (still-computing) entry can
@@ -156,6 +191,14 @@ private:
     std::shared_ptr<Entry>& slot = entries_[key];
     slot = std::make_shared<Entry>();
     return slot;
+  }
+
+  /// Lists the computed entry at `it` as the most recently used. Requires
+  /// mu_.
+  void list_first(typename Index::iterator it) {
+    recency_.push_front(it);
+    it->second->pos = recency_.begin();
+    it->second->listed = true;
   }
 
   /// Drops least-recently-used computed entries until the index (plus

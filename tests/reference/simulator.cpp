@@ -33,11 +33,15 @@ std::atomic<uint64_t> g_runs{0};
 
 /// The seed memory system: one backing block per merged run of adjacent
 /// regions, found by binary search; every access classified through the
-/// region map; a functional cache in front of main memory.
+/// region map; a functional cache in front of main memory, or a reuse
+/// recorder fed one halfword fetch and one main-memory load at a time.
 class SeedMemory {
 public:
-  SeedMemory(const link::Image& img, std::optional<cache::CacheConfig> ccfg)
-      : image_(img) {
+  SeedMemory(const link::Image& img, std::optional<cache::CacheConfig> ccfg,
+             cache::ReuseTable::Builder* reuse)
+      : image_(img), reuse_(reuse) {
+    SPMWCET_CHECK_MSG(!(ccfg && reuse),
+                      "reuse observation runs without a cache");
     for (const auto& r : img.regions.regions()) {
       if (!blocks_.empty() && blocks_.back().hi == r.lo) {
         blocks_.back().hi = r.hi;
@@ -132,12 +136,19 @@ private:
       return MemTiming::scratchpad();
     if (cache_ && (is_fetch || unified_))
       return cache_->access(addr) ? MemTiming::cache_hit() : miss_cost_;
+    if (reuse_ != nullptr) {
+      if (is_fetch)
+        reuse_->fetch(addr);
+      else
+        reuse_->load(addr, bytes);
+    }
     return MemTiming::main_memory(bytes);
   }
 
   const link::Image& image_;
   std::vector<Block> blocks_; ///< sorted by lo
   std::optional<cache::FunctionalCache> cache_;
+  cache::ReuseTable::Builder* reuse_ = nullptr;
   bool unified_ = false;
   uint32_t miss_cost_ = 0;
   uint64_t cycles_ = 0;
@@ -148,9 +159,8 @@ private:
 class SeedInterpreter {
 public:
   SeedInterpreter(const link::Image& img, const sim::SimConfig& cfg)
-      : img_(img), cfg_(cfg), mem_(img, cfg.cache), symbols_(img) {
-    SPMWCET_CHECK_MSG(cfg.reuse == nullptr,
-                      "the reference simulator observes no reads");
+      : img_(img), cfg_(cfg), mem_(img, cfg.cache, cfg.reuse),
+        symbols_(img) {
     sp_ = img.initial_sp;
     pc_ = img.entry;
   }

@@ -3,12 +3,13 @@
 // from memory with the seed decoder (reference::decode), translates
 // addresses by binary search over the merged region blocks, classifies
 // every access through the region map, counts the name-keyed profile on
-// every access, charges a cache::FunctionalCache per fetch and load, and
-// writes the execution trace. It shares no code with the block table but
-// the NZCV flag helpers (and the production disassembler for trace text,
-// which Trace.AdpcmTraceIsPinned pins by digest), so the parity suites
-// hold production cycles, cache statistics, outputs, profiles, traces and
-// trap messages against an independent executor.
+// every access, charges a cache::FunctionalCache or feeds a reuse recorder
+// per fetch and load, and writes the execution trace. It shares no code
+// with the block table but the NZCV flag helpers (and the production
+// disassembler for trace text, which Trace.AdpcmTraceIsPinned pins by
+// digest), so the parity suites hold production cycles, cache statistics,
+// reuse tables, outputs, profiles, traces and trap messages against an
+// independent executor.
 #pragma once
 
 #include <cstdint>
@@ -19,8 +20,11 @@
 namespace spmwcet::reference {
 
 /// Runs `img` from its entry point until HALT, like sim::simulate. Reads
-/// cfg.cache, cfg.max_instructions, cfg.collect_profile and cfg.trace; the
-/// shared-artifact fields are ignored and a reuse observer is refused.
+/// cfg.cache, cfg.reuse, cfg.max_instructions, cfg.collect_profile and
+/// cfg.trace; the shared-artifact fields are ignored. A reuse recorder
+/// (exclusive with a cache) receives every main-memory halfword fetch
+/// (Builder::fetch) and load (Builder::load) one at a time, in program
+/// order.
 /// Traps throw SimulationError with the production messages.
 sim::SimResult simulate(const link::Image& img, const sim::SimConfig& cfg = {});
 

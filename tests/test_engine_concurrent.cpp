@@ -104,6 +104,31 @@ TEST(EngineConcurrent, ParityWithSerialRunUncached) {
     hammer_and_compare(opts, threads, reference);
 }
 
+// A wide trio eval: each workload's cache points (dispatched first) and SPM
+// points race for the canonical run, which the observed run hands in
+// without waiting on a compute in flight (Memoizer::insert_if_absent).
+// Repeated on one Engine, every eval must finish with the serial bytes,
+// and each workload gets exactly one canonical run either way.
+TEST(EngineConcurrent, WideTrioEvalFusesWithoutHanging) {
+  const auto req = EvalRequest::make(workloads::paper_benchmark_names());
+  ASSERT_TRUE(req.ok());
+  Engine serial((EngineOptions()));
+  const std::string reference = rendered(serial.eval(req.value()));
+  for (int round = 0; round < 3; ++round) {
+    EngineOptions opts;
+    opts.jobs = 8;
+    opts.cache_responses = false;
+    Engine engine(opts);
+    for (int rep = 0; rep < 2; ++rep)
+      EXPECT_EQ(rendered(engine.eval(req.value())), reference)
+          << "round " << round << ", eval " << rep;
+    const api::EngineStats s = engine.stats();
+    EXPECT_EQ(s.reuse_artifacts.misses, 3u) << "round " << round;
+    EXPECT_EQ(s.profile_artifacts.misses + s.profile_artifacts.inserted, 3u)
+        << "round " << round;
+  }
+}
+
 // A wcetbench under concurrent point traffic: timings are nondeterministic,
 // so the check is structural (it completes, with the expected row shape)
 // while points race it for the shared artifact caches.

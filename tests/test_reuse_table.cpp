@@ -2,11 +2,13 @@
 // the FunctionalCache simulation (SimConfig::cache): hits, misses and
 // cycles must be field-exact for every covered geometry, 16 B to 1 MiB,
 // direct-mapped to fully associative, unified and instruction-only. Both
-// consume the read stream the compiled blocks report, so the stream order
-// itself is held against the seed simulator (reference::simulate) with its
-// per-access cache. Also covers the observed run itself (self-modifying
-// code, the instruction budget) and the harness's per-workload table
-// artifact.
+// consume the read stream the compiled blocks report, so the stream itself
+// is held against the seed simulator (reference::simulate): a recorder it
+// feeds one access at a time must build the same table, and its per-access
+// cache the same outcomes. Also covers the observed run itself
+// (self-modifying code, the instruction budget), the harness's
+// per-workload table artifact, and the canonical run an observed run hands
+// in (the fused run).
 #include <gtest/gtest.h>
 
 #include "api/engine.h"
@@ -16,6 +18,7 @@
 #include "link/layout.h"
 #include "reference/simulator.h"
 #include "sim/simulator.h"
+#include "support/diag.h"
 #include "support/thread_pool.h"
 #include "workloads/generated.h"
 #include "workloads/workload.h"
@@ -190,13 +193,19 @@ minic::ObjModule selfmod_loop_module(uint32_t target_addr) {
   return mod;
 }
 
-TEST(ReuseTable, SelfModifyingProgramMatchesFunctionalCache) {
+/// The self-modifying program, linked with the patched instruction's
+/// address.
+link::Image selfmod_image() {
   const link::Image probe = link::link_program(selfmod_loop_module(0));
   const link::Symbol* main_sym = probe.find_symbol("main");
-  ASSERT_NE(main_sym, nullptr);
+  SPMWCET_CHECK(main_sym != nullptr);
   const uint32_t target = main_sym->addr + 2 * 2;
-  ASSERT_LT(target, 0x10000u) << "two-byte immediate construction";
-  const link::Image img = link::link_program(selfmod_loop_module(target));
+  SPMWCET_CHECK_MSG(target < 0x10000u, "two-byte immediate construction");
+  return link::link_program(selfmod_loop_module(target));
+}
+
+TEST(ReuseTable, SelfModifyingProgramMatchesFunctionalCache) {
+  const link::Image img = selfmod_image();
 
   ReuseTable::Builder rec(true);
   sim::SimConfig cfg;
@@ -212,6 +221,55 @@ TEST(ReuseTable, SelfModifyingProgramMatchesFunctionalCache) {
     const CacheConfig c = geometry(64, 1, unified);
     EXPECT_EQ(simulate_with(img, c), reference_outcome(img, c));
   }
+}
+
+/// The table of a recorder the seed simulator feeds one halfword fetch and
+/// one main-memory load at a time, in program order; counts as one
+/// reference run.
+ReuseTable reference_table(const link::Image& img, bool unified) {
+  ReuseTable::Builder rec(unified);
+  sim::SimConfig cfg;
+  cfg.reuse = &rec;
+  const sim::SimResult run = reference::simulate(img, cfg);
+  return rec.finish(run.cycles);
+}
+
+/// Production's table lookup-equal to the per-access reference table at
+/// every covered geometry, both cache kinds.
+void expect_reference_table(const link::Image& img, const std::string& what) {
+  for (const bool unified : {true, false}) {
+    const ReuseTable got = record(img, unified);
+    const ReuseTable want = reference_table(img, unified);
+    for (uint32_t size = 16; size <= (1u << 20); size *= 2)
+      for (uint32_t assoc = 1; assoc <= size / 16; assoc *= 2) {
+        const CacheConfig c = geometry(size, assoc, unified);
+        EXPECT_EQ(got.lookup(c), want.lookup(c))
+            << what << " size " << size << " assoc " << assoc
+            << (unified ? " unified" : " icache");
+      }
+  }
+}
+
+// The observed stream per access: the compiled blocks' precomputed fetch
+// runs and their inline loads must hand the recorder exactly what the seed
+// simulator hands it one access at a time.
+TEST(ReuseTable, EveryTableEqualsThePerAccessReference) {
+  const uint64_t runs = reference::simulator_runs();
+  uint64_t programs = 0;
+  for (const auto& wl : workloads::cached_paper_benchmarks()) {
+    expect_reference_table(link::link_program(wl->module, {}, {}), wl->name);
+    ++programs;
+  }
+  for (const std::string& shape : workloads::gen_shape_names())
+    for (uint32_t seed = 1; seed <= 20; ++seed) {
+      const std::string name = "gen:" + shape + ":" + std::to_string(seed);
+      const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
+      expect_reference_table(link::link_program(wl->module, {}, {}), name);
+      ++programs;
+    }
+  expect_reference_table(selfmod_image(), "selfmod");
+  ++programs;
+  EXPECT_EQ(reference::simulator_runs(), runs + 2 * programs);
 }
 
 TEST(ReuseTable, RejectsGeometriesOutsideTheTable) {
@@ -268,6 +326,107 @@ TEST(ReuseArtifact, EnginePointRequestsShareOneTable) {
   }
   EXPECT_EQ(engine.stats().reuse_artifacts.misses, 1u);
   EXPECT_EQ(engine.stats().reuse_artifacts.hits, 7u);
+}
+
+// ---- the fused run ----------------------------------------------------------
+
+std::vector<std::string> trio_and_generated_names() {
+  std::vector<std::string> names = workloads::paper_benchmark_names();
+  for (const std::string& shape : workloads::gen_shape_names())
+    for (uint32_t seed = 1; seed <= 20; ++seed)
+      names.push_back("gen:" + shape + ":" + std::to_string(seed));
+  return names;
+}
+
+/// Field equality of two canonical runs: the whole SimResult and the
+/// candidate table.
+void expect_same_canonical_run(const harness::CanonicalRun& got,
+                               const harness::CanonicalRun& want,
+                               const std::string& what) {
+  EXPECT_EQ(got.run.cycles, want.run.cycles) << what;
+  EXPECT_EQ(got.run.instructions, want.run.instructions) << what;
+  EXPECT_EQ(got.run.cache_hits, want.run.cache_hits) << what;
+  EXPECT_EQ(got.run.cache_misses, want.run.cache_misses) << what;
+  EXPECT_EQ(got.run.output, want.run.output) << what;
+  EXPECT_TRUE(got.run.profile == want.run.profile) << what;
+  ASSERT_EQ(got.candidates.size(), want.candidates.size()) << what;
+  for (std::size_t i = 0; i < got.candidates.size(); ++i) {
+    const alloc::MemoryObject& a = got.candidates[i];
+    const alloc::MemoryObject& b = want.candidates[i];
+    EXPECT_EQ(a.name, b.name) << what;
+    EXPECT_EQ(a.is_function, b.is_function) << what << " " << a.name;
+    EXPECT_EQ(a.size_bytes, b.size_bytes) << what << " " << a.name;
+    EXPECT_EQ(a.accesses, b.accesses) << what << " " << a.name;
+    EXPECT_EQ(a.benefit_nj, b.benefit_nj) << what << " " << a.name;
+  }
+}
+
+// A cache point on a cache with no canonical run yet: its observed run
+// profiles and hands in the canonical run, which must equal a separate
+// profiled run field for field.
+TEST(FusedRun, ObservedCanonicalRunEqualsTheSeparateProfiledRun) {
+  for (const std::string& name : trio_and_generated_names())
+    for (const bool unified : {true, false}) {
+      const std::string what = name + (unified ? " unified" : " icache");
+      const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
+      harness::ArtifactCache fused;
+      harness::SweepConfig cfg = cache_sweep();
+      cfg.cache_unified = unified;
+      cfg.artifacts = &fused;
+      (void)harness::detail::execute_point(*wl, cfg.setup, 1024, cfg);
+      const auto observed = harness::canonical_run(*wl, fused);
+      EXPECT_EQ(fused.stats().inserted, 1u) << what;
+      EXPECT_EQ(fused.stats().misses, 0u) << what;
+
+      harness::ArtifactCache separate;
+      const auto profiled = harness::canonical_run(*wl, separate);
+      EXPECT_EQ(separate.stats().misses, 1u) << what;
+      EXPECT_EQ(separate.reuse_stats().misses, 0u) << what;
+      expect_same_canonical_run(*observed, *profiled, what);
+    }
+}
+
+// An eval on a fresh Engine at jobs 1 runs the cache series first: the
+// observed run is the workload's only simulation, and every SPM point
+// prices from the canonical run it handed in.
+TEST(FusedRun, EvalSimulatesEachTrioMemberOnce) {
+  for (const std::string& name : workloads::paper_benchmark_names()) {
+    api::Engine engine;
+    const auto res = engine.eval(api::EvalRequest::make({name}).value());
+    ASSERT_TRUE(res.ok()) << res.error().render();
+    const api::EngineStats s = engine.stats();
+    const uint64_t sizes = harness::SweepConfig{}.sizes.size();
+    EXPECT_EQ(s.reuse_artifacts.misses, 1u) << name;
+    EXPECT_EQ(s.profile_artifacts.misses, 0u) << name;
+    EXPECT_EQ(s.profile_artifacts.inserted, 1u) << name;
+    EXPECT_EQ(s.profile_artifacts.hits, sizes) << name;
+  }
+}
+
+// SPM-only work never attaches a recorder; and an observed run that finds
+// the canonical run already memoized hands nothing in.
+TEST(FusedRun, SpmOnlyWorkNeverObserves) {
+  api::Engine engine;
+  ASSERT_TRUE(engine
+                  .sweep(api::SweepRequest::make(
+                             workloads::paper_benchmark_names(),
+                             harness::MemSetup::Scratchpad)
+                             .value())
+                  .ok());
+  api::EngineStats s = engine.stats();
+  EXPECT_EQ(s.reuse_artifacts.hits + s.reuse_artifacts.misses, 0u);
+  EXPECT_EQ(s.profile_artifacts.misses, 3u);
+  EXPECT_EQ(s.profile_artifacts.inserted, 0u);
+
+  ASSERT_TRUE(engine
+                  .point(api::PointRequest::make(
+                             "adpcm", harness::MemSetup::Cache, 1024)
+                             .value())
+                  .ok());
+  s = engine.stats();
+  EXPECT_EQ(s.reuse_artifacts.misses, 1u);
+  EXPECT_EQ(s.profile_artifacts.misses, 3u);
+  EXPECT_EQ(s.profile_artifacts.inserted, 0u);
 }
 
 /// A program that never halts: its observed run must stop at the

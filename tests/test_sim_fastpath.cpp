@@ -247,6 +247,41 @@ TEST(BlockTier, StoreIntoExecutingBlockAbortsAndStaysFieldExact) {
   EXPECT_GT(run.fallback, 0u);
 }
 
+// The same abort under a cache and under a reuse recorder: the aborted
+// block reports its precomputed fetch runs only through the store's
+// halfword, which must reach the cache or recorder exactly as the seed
+// simulator's per-access stream does.
+TEST(BlockTier, StoreIntoExecutingBlockKeepsTheObservedStream) {
+  const link::Image img = link::link_program(selfmod_module(selfmod_target()));
+  for (const bool unified : {true, false}) {
+    const std::string what =
+        std::string("selfmod ") + (unified ? "unified" : "icache");
+    EXPECT_EQ(expect_parity(img, profiling(kib_cache(unified)), what)
+                  .invalidations,
+              1u);
+    cache::ReuseTable::Builder want_rec(unified);
+    SimConfig cfg;
+    cfg.reuse = &want_rec;
+    const SimResult want = reference::simulate(img, cfg);
+    cache::ReuseTable::Builder got_rec(unified);
+    cfg.reuse = &got_rec;
+    Simulator s(img, cfg);
+    const SimResult got = s.run();
+    EXPECT_EQ(s.block_invalidations(), 1u) << what;
+    const cache::ReuseTable got_table = got_rec.finish(got.cycles);
+    const cache::ReuseTable want_table = want_rec.finish(want.cycles);
+    for (uint32_t size = 16; size <= 1024; size *= 2)
+      for (uint32_t assoc = 1; assoc <= size / 16; assoc *= 2) {
+        cache::CacheConfig c;
+        c.size_bytes = size;
+        c.assoc = assoc;
+        c.unified = unified;
+        EXPECT_EQ(got_table.lookup(c), want_table.lookup(c))
+            << what << " size " << size << " assoc " << assoc;
+      }
+  }
+}
+
 /// Loop that patches an instruction in an *earlier*, already-executed
 /// compiled block: iteration 1 runs the placeholder block (prints 7), then
 /// a later block overwrites the placeholder halfword; iteration 2 re-enters

@@ -335,6 +335,71 @@ TEST(Memoizer, ConcurrentFirstCallersComputeOnce) {
   for (const int r : results) EXPECT_EQ(r, 1);
 }
 
+TEST(Memoizer, AThrowingComputeWakesAWaiterThatRetries) {
+  support::Memoizer<int, int> memo;
+  std::promise<void> started;
+  std::promise<void> release;
+  const std::shared_future<void> go = release.get_future().share();
+  std::thread failing([&] {
+    EXPECT_THROW((void)memo.get(1,
+                                [&]() -> int {
+                                  started.set_value();
+                                  go.wait();
+                                  throw std::runtime_error("boom");
+                                }),
+                 std::runtime_error);
+  });
+  started.get_future().wait();
+  // A second caller waits on the compute in flight; when it throws, the
+  // waiter computes in its place instead of hanging.
+  std::thread waiter([&] { EXPECT_EQ(*memo.get(1, [] { return 7; }), 7); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  release.set_value();
+  failing.join();
+  waiter.join();
+  int computes = 0;
+  EXPECT_EQ(*memo.get(1, [&] { return ++computes; }), 7);
+  EXPECT_EQ(computes, 0);
+  EXPECT_EQ(memo.size(), 1u);
+}
+
+TEST(Memoizer, InsertIfAbsentNeverWaitsOnAComputeInFlight) {
+  support::Memoizer<int, int> memo;
+  // An absent key takes the value: served without a compute, counted as
+  // inserted rather than as a miss.
+  EXPECT_FALSE(memo.contains(1));
+  EXPECT_TRUE(memo.insert_if_absent(1, 10));
+  EXPECT_TRUE(memo.contains(1));
+  int computes = 0;
+  EXPECT_EQ(*memo.get(1, [&] { return ++computes; }), 10);
+  EXPECT_EQ(computes, 0);
+  EXPECT_FALSE(memo.insert_if_absent(1, 11)); // the computed entry wins
+
+  // Another caller is computing key 2: the insert returns at once, while
+  // that compute is still blocked, and leaves its entry alone.
+  std::promise<void> started;
+  std::promise<void> release;
+  const std::shared_future<void> go = release.get_future().share();
+  std::thread slow([&] {
+    (void)memo.get(2, [&] {
+      started.set_value();
+      go.wait();
+      return 20;
+    });
+  });
+  started.get_future().wait();
+  EXPECT_TRUE(memo.contains(2));
+  EXPECT_FALSE(memo.insert_if_absent(2, 21));
+  release.set_value();
+  slow.join();
+  EXPECT_EQ(*memo.get(2, [&] { return ++computes; }), 20);
+  EXPECT_EQ(computes, 0);
+  const support::MemoStats s = memo.stats();
+  EXPECT_EQ(s.inserted, 1u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, 2u);
+}
+
 TEST(ThreadPool, BatchesFromManyThreadsSerialize) {
   // The pool may be shared: concurrent for_each callers queue up instead of
   // corrupting each other's batch state.

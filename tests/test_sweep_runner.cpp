@@ -165,6 +165,34 @@ TEST(RunMatrix, RethrowsTheFirstFailureInBatchOrder) {
   EXPECT_THROW((void)harness::run_matrix({{nullptr, cfg}}, 4), Error);
 }
 
+TEST(RunMatrix, CacheRequestsDispatchFirstButRethrowInBatchOrder) {
+  // A workload whose expected output is wrong fails both setups, each with
+  // its own configuration in the message. The cache request is dispatched
+  // first, yet the batch fails with the SPM request's error, the first in
+  // batch order; and the failed observed run hands in no canonical run.
+  auto wl = workloads::make_adpcm(64);
+  ASSERT_FALSE(wl.expected.empty());
+  ASSERT_FALSE(wl.expected.front().values.empty());
+  wl.expected.front().values.front() += 1;
+  harness::ArtifactCache cache;
+  harness::SweepConfig spm_cfg = config_for(harness::MemSetup::Scratchpad);
+  spm_cfg.artifacts = &cache;
+  harness::SweepConfig cache_cfg = config_for(harness::MemSetup::Cache);
+  cache_cfg.artifacts = &cache;
+  for (const unsigned jobs : {1u, 4u}) {
+    try {
+      (void)harness::run_matrix({{&wl, spm_cfg}, {&wl, cache_cfg}}, jobs);
+      ADD_FAILURE() << "jobs=" << jobs << ": the batch did not fail";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("in spm configuration"),
+                std::string::npos)
+          << "jobs=" << jobs << ": " << e.what();
+    }
+  }
+  EXPECT_EQ(cache.stats().inserted, 0u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+}
+
 TEST(RunMatrix, MatrixBatchesWorkloadsAndSetups) {
   // A (workload × setup) matrix flattened into one batch must return each
   // request's points exactly as its standalone sweep would.
