@@ -294,10 +294,11 @@ Result<SimBenchResult> Engine::simbench(const SimBenchRequest& req) {
 }
 
 SimBenchResult Engine::measure_simbench(const SimBenchRequest& req) {
-  // Measures the one simulation the evaluation pipeline runs per workload:
-  // the canonical image's profiling run (simulator construction included,
-  // so the block tier's once-per-image precomputation is charged honestly).
-  // Best-of-N damps machine noise.
+  // Measures the simulations the evaluation pipeline runs per workload:
+  // the canonical image's profiling run, and the cache branch's observed
+  // run (unified, direct-mapped, as the paper's cache points record it),
+  // simulator construction included so the block tier's once-per-image
+  // precomputation is charged honestly. Best-of-N damps machine noise.
   sim::SimConfig scfg;
   scfg.collect_profile = true;
 
@@ -311,17 +312,26 @@ SimBenchResult Engine::measure_simbench(const SimBenchRequest& req) {
     const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
     pin(wl);
     const auto canonical = harness::canonical_image(*wl, artifacts_);
-    SimBenchResult::Row row{wl->name, 0, 1e300, 0.0, true};
+    SimBenchResult::Row row{wl->name, 0, 1e300, 0.0, true, 0, 1e300};
     for (uint32_t i = 0; i < req.repeat(); ++i) {
-      const auto t0 = std::chrono::steady_clock::now();
+      auto t0 = std::chrono::steady_clock::now();
       sim::Simulator s(canonical->image, scfg);
       const sim::SimResult run = s.run();
-      const std::chrono::duration<double> dt =
-          std::chrono::steady_clock::now() - t0;
+      std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
       row.instructions = run.instructions;
       row.best_seconds = std::min(row.best_seconds, dt.count());
       row.stack_window = row.stack_window && s.stack_window_active();
       row.fallback_instructions = s.fallback_instructions();
+
+      t0 = std::chrono::steady_clock::now();
+      cache::ReuseTable::Builder rec(canonical->image.regions, true, 1);
+      sim::SimConfig ocfg;
+      ocfg.reuse = &rec;
+      ocfg.compiled_blocks = &canonical->blocks;
+      (void)rec.finish(sim::simulate(canonical->image, ocfg).cycles);
+      dt = std::chrono::steady_clock::now() - t0;
+      row.observed_best_seconds =
+          std::min(row.observed_best_seconds, dt.count());
     }
     row.instr_per_second =
         static_cast<double>(row.instructions) / row.best_seconds;

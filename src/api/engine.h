@@ -128,8 +128,9 @@ struct CorpusResult {
   uint64_t total_wcet_cycles = 0; ///< sum over all (member, size) points
 };
 
-/// Simulator throughput: one row per benchmark, each timing the run the
-/// pipeline executes (the canonical image's profiled run).
+/// Simulator throughput: one row per benchmark, each timing the runs the
+/// pipeline executes (the canonical image's profiled run, and the cache
+/// branch's observed run of it).
 struct SimBenchResult {
   struct Row {
     std::string benchmark;
@@ -142,6 +143,9 @@ struct SimBenchResult {
     /// Instructions a timed run retired outside the compiled blocks
     /// (Simulator::fallback_instructions); 0 for every simbench program.
     uint64_t fallback_instructions = 0;
+    /// Best time of the observed run recording the unified direct-mapped
+    /// reuse table (cache::ReuseTable) of the same image.
+    double observed_best_seconds = 0.0;
   };
   uint32_t repeat = 0;
   std::vector<Row> rows;

@@ -76,13 +76,14 @@ void render_corpus_json(const CorpusResult& result, std::ostream& os) {
 
 void render_simbench(const SimBenchResult& result, std::ostream& os) {
   TablePrinter table({"benchmark", "instructions", "best [ms]", "instr/s",
-                      "stack window", "fallback"});
+                      "stack window", "fallback", "observed [ms]"});
   for (const SimBenchResult::Row& r : result.rows)
     table.add_row({r.benchmark, TablePrinter::fmt(r.instructions),
                    TablePrinter::fmt(r.best_seconds * 1e3, 3),
                    TablePrinter::fmt(r.instr_per_second, 0),
                    r.stack_window ? "yes" : "no",
-                   TablePrinter::fmt(r.fallback_instructions)});
+                   TablePrinter::fmt(r.fallback_instructions),
+                   TablePrinter::fmt(r.observed_best_seconds * 1e3, 3)});
   os << "simulator throughput (best of " << result.repeat
      << ", profiling on):\n";
   table.render(os);

@@ -38,7 +38,7 @@ void render_corpus_json(const CorpusResult& result, std::ostream& os);
 /// The `spmwcet simbench` throughput table + aggregate lines.
 void render_simbench(const SimBenchResult& result, std::ostream& os);
 
-/// BENCH_sim.json (schema spmwcet-sim-throughput/7: per-benchmark rows,
+/// BENCH_sim.json (schema spmwcet-sim-throughput/8: per-benchmark rows,
 /// each with its stack-window engagement, plus the overall aggregate).
 void render_simbench_json(const SimBenchResult& result, std::ostream& os);
 

@@ -461,7 +461,7 @@ std::string encode_response(int64_t id, const SimBenchResult& result,
 
 json::Value simbench_to_json(const SimBenchResult& result) {
   json::Value r = json::Value::object();
-  r.set("schema", json::Value("spmwcet-sim-throughput/7"));
+  r.set("schema", json::Value("spmwcet-sim-throughput/8"));
   r.set("repeat", json::Value(result.repeat));
   json::Value rows = json::Value::array();
   for (const SimBenchResult::Row& row : result.rows) {
@@ -473,6 +473,7 @@ json::Value simbench_to_json(const SimBenchResult& result) {
               json::Value(static_cast<uint64_t>(row.instr_per_second)));
     entry.set("stack_window", json::Value(row.stack_window));
     entry.set("fallback_instructions", json::Value(row.fallback_instructions));
+    entry.set("observed_best_seconds", json::Value(row.observed_best_seconds));
     rows.push(std::move(entry));
   }
   r.set("benchmarks", std::move(rows));

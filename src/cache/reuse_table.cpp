@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
+#include <limits>
 #include <string>
 
 #include "isa/timing.h"
@@ -12,130 +12,118 @@ namespace spmwcet::cache {
 
 namespace {
 
-constexpr uint32_t kLevels = ReuseHistogram::kLevels;
-constexpr uint32_t kMaxBits = kLevels - 1; // 2^16 sets/ways
+constexpr uint32_t kMaxBits = ReuseHistogram::kLevels - 1; // 2^16 lines
 
-// The walk counts the lines it passes per level in one register of 4-bit
-// lanes: passing line y adds kUnary[ctz(x ^ y)], which holds a one in
-// nibble k-1 for every level 1 <= k <= min(ctz, 16) (level 0 is the walk
-// depth itself). So the hot loop does one table load and one add per line
-// and carries no dependency through memory. A nibble holds 15 counts:
-// longer walks fold the nibbles into byte lanes every kNibbleRun lines and
-// the bytes into 32-bit counts before any byte can overflow.
-//
-// Why lanes: the first cache point of a workload pays for its observed run,
-// and that must stay within 1.5x of one FunctionalCache simulation. On
-// G.721 (release build, 4-core Xeon, best of 15) the simulation takes about
-// 9.1 ms and the observed run with this walk about 12.5 ms (1.4x). A plain
-// loop adding 1 to d[1..min(ctz, 16)] per line took about 42 ms (4.6x) and
-// raised paper-eval latency_ms_p99 from about 12 to 30 ms; counting lines
-// per ctz and taking suffix sums took about 15 ms (1.65x).
-constexpr std::array<uint64_t, 33> make_unary() {
-  std::array<uint64_t, 33> t{};
-  for (uint32_t l = 0; l < t.size(); ++l)
-    for (uint32_t k = 1; k <= std::min(l, kMaxBits); ++k)
-      t[l] |= uint64_t{1} << (4 * (k - 1));
-  return t;
+/// Bits of the largest main-memory line `regions` maps: every line a run
+/// reports lies below 2^bits.
+uint32_t main_line_bits(const link::RegionMap& regions) {
+  uint32_t end = 0; // one past the last main-memory line
+  for (const link::Region& r : regions.regions())
+    if (link::mem_class(r.kind) == isa::MemClass::MainMemory && r.hi > r.lo)
+      end = std::max(end, (r.hi - 1) / ReuseTable::kLineBytes + 1);
+  return end == 0 ? 0 : static_cast<uint32_t>(std::bit_width(end - 1));
 }
-
-/// Indexed by std::countr_zero of a nonzero uint32 (0..31).
-constexpr std::array<uint64_t, 33> kUnary = make_unary();
-constexpr std::size_t kNibbleRun = 15;
-constexpr std::size_t kByteCapacity = 255;
-constexpr uint64_t kLowNibbles = 0x0F0F0F0F0F0F0F0FULL;
 
 } // namespace
 
-uint64_t ReuseHistogram::accesses() const {
-  // Every warm reference lands at level 0 exactly once: either as an
-  // immediate re-reference or in a distance class.
-  uint64_t n = cold_ + first_zero_[0];
-  for (const uint64_t c : by_class_[0]) n += c;
-  return n;
+ForestRecorder::ForestRecorder(uint32_t assoc, uint32_t line_bits)
+    : assoc_(assoc), line_bits_(line_bits) {
+  SPMWCET_CHECK(is_pow2(assoc) && assoc <= (1u << kMaxBits) &&
+                line_bits <= 28);
+  const uint32_t a = log2_pow2(assoc);
+  const uint32_t top = kMaxBits - a; // the finest covered level
+  // From this level on each set holds at most `assoc` distinct lines.
+  const uint32_t settled = line_bits > a ? line_bits - a : 0;
+  end8_ = std::min(settled, top + 1);
+  // Level k's tags take line_bits - k bits; each width keeps all-ones free.
+  end32_ = std::min(end8_, line_bits > 15 ? line_bits - 15 : 0);
+  end16_ = std::min(end8_, line_bits > 7 ? line_bits - 7 : 0);
+  std::size_t n32 = 0, n16 = 0, n8 = 0;
+  for (uint32_t k = 0; k < end8_; ++k) {
+    std::size_t& n = k < end32_ ? n32 : k < end16_ ? n16 : n8;
+    offset_[k] = static_cast<uint32_t>(n);
+    n += (std::size_t{1} << k) * assoc;
+  }
+  tags32_.assign(n32, std::numeric_limits<uint32_t>::max());
+  tags16_.assign(n16, std::numeric_limits<uint16_t>::max());
+  tags8_.assign(n8, std::numeric_limits<uint8_t>::max());
+  if (settled <= top)
+    seen_.assign(((std::size_t{1} << line_bits) + 63) / 64, 0);
 }
 
-uint64_t ReuseHistogram::hits(uint32_t set_bits, uint32_t way_bits) const {
-  SPMWCET_CHECK(set_bits <= kMaxBits && way_bits <= kMaxBits);
-  uint64_t h = 0;
-  for (uint32_t k = 0; k <= set_bits; ++k) h += first_zero_[k];
-  for (uint32_t b = 1; b <= way_bits; ++b) h += by_class_[set_bits][b];
-  return h;
+std::size_t ForestRecorder::footprint_bytes() const {
+  return tags32_.size() * sizeof(uint32_t) +
+         tags16_.size() * sizeof(uint16_t) + tags8_.size() +
+         seen_.size() * sizeof(uint64_t);
 }
 
-void StackDistanceRecorder::walk(uint32_t x) {
-  const uint32_t* s = stack_.data();
-  const std::size_t n = stack_.size();
-  // Scans s[i, end) up to x, returning the nibble sum of the lines passed.
-  const auto scan = [&](std::size_t& i, std::size_t end) {
-    uint64_t nib = 0;
-    for (; i < end; ++i) {
-      const uint32_t y = s[i];
-      if (y == x) break;
-      nib += kUnary[std::countr_zero(x ^ y)];
+/// Levels [k, end) of one tag width: moves `line` to the front of its set,
+/// noting the first level that held it. True when it stopped at a level
+/// where the line already was the MRU (and so is at every finer level).
+template <typename Tag>
+bool ForestRecorder::descend_levels(std::vector<Tag>& tags, uint32_t end,
+                                    uint32_t line, uint32_t& k, int& first) {
+  constexpr Tag kEmpty = std::numeric_limits<Tag>::max();
+  Tag* const base = tags.data();
+  const uint32_t ways = assoc_;
+  for (; k < end; ++k) {
+    Tag* set = base + offset_[k] + (line & ((1u << k) - 1)) * ways;
+    const Tag tag = static_cast<Tag>(line >> k);
+    Tag moved = set[0];
+    if (moved == tag) {
+      if (first < 0) first = static_cast<int>(k);
+      return true;
     }
-    return nib;
-  };
-  // d[k] = lines passed at level k, where d[0] is the walk depth.
-  std::array<uint32_t, kLevels> d;
-  std::size_t i = 0;
-  const std::size_t first_end = std::min(n, kNibbleRun);
-  const uint64_t first = scan(i, first_end);
-  bool found = i < first_end;
-  if (found) {
-    // Most walks end within one nibble run.
-    for (uint32_t k = 1; k < kLevels; ++k)
-      d[k] = static_cast<uint32_t>(first >> (4 * (k - 1))) & 0xfu;
-  } else if (i < n) {
-    d.fill(0);
-    uint64_t odd = first & kLowNibbles; // byte j: level 2j+1
-    uint64_t even = (first >> 4) & kLowNibbles; // byte j: level 2j+2
-    std::size_t in_bytes = kNibbleRun;
-    for (;;) {
-      const std::size_t end = std::min(n, i + kNibbleRun);
-      const uint64_t nib = scan(i, end);
-      odd += nib & kLowNibbles;
-      even += (nib >> 4) & kLowNibbles;
-      in_bytes += kNibbleRun;
-      found = i < end;
-      const bool done = found || i == n;
-      if (done || in_bytes + kNibbleRun > kByteCapacity) {
-        for (uint32_t j = 0; j < 8; ++j) {
-          d[2 * j + 1] += static_cast<uint32_t>(odd >> (8 * j)) & 0xffu;
-          d[2 * j + 2] += static_cast<uint32_t>(even >> (8 * j)) & 0xffu;
-        }
-        odd = even = 0;
-        in_bytes = 0;
+    set[0] = tag;
+    // Carry each way down one until the line's old way, the first empty
+    // way, or (a miss in a full set) off the LRU end.
+    for (uint32_t w = 1; w < ways && moved != kEmpty; ++w) {
+      const Tag next = set[w];
+      set[w] = moved;
+      if (next == tag) {
+        if (first < 0) first = static_cast<int>(k);
+        break;
       }
-      if (done) break;
+      moved = next;
     }
   }
-  if (!found) {
-    stack_.insert(stack_.begin(), x);
-    ++hist_.cold_;
-    return;
-  }
-  std::memmove(stack_.data() + 1, stack_.data(), i * sizeof(uint32_t));
-  stack_.front() = x;
-  // d[k] never grows with k, so the first zero ends the record.
-  d[0] = static_cast<uint32_t>(i);
-  for (uint32_t k = 0; k < kLevels; ++k) {
-    if (d[k] == 0) {
-      ++hist_.first_zero_[k];
-      return;
-    }
-    ++hist_.by_class_[k][std::min<uint32_t>(std::bit_width(d[k]),
-                                            ReuseHistogram::kClasses - 1)];
-  }
+  return false;
 }
+
+void ForestRecorder::descend(uint32_t line) {
+  SPMWCET_CHECK(line >> line_bits_ == 0);
+  mru_ = line;
+  uint32_t k = 0;
+  int first = -1; // the first level whose set held the line
+  const bool stopped = descend_levels(tags32_, end32_, line, k, first) ||
+                       descend_levels(tags16_, end16_, line, k, first) ||
+                       descend_levels(tags8_, end8_, line, k, first);
+  if (!stopped && !seen_.empty()) {
+    uint64_t& word = seen_[line / 64];
+    const uint64_t bit = uint64_t{1} << (line % 64);
+    if (first < 0 && (word & bit) != 0) first = static_cast<int>(end8_);
+    word |= bit;
+  }
+  if (first < 0)
+    ++hist_.misses;
+  else
+    ++hist_.first_hit[static_cast<uint32_t>(first)];
+}
+
+ReuseTable::Builder::Builder(const link::RegionMap& regions, bool unified,
+                             uint32_t assoc)
+    : unified_(unified), assoc_(assoc),
+      forest_(assoc, main_line_bits(regions)) {}
 
 ReuseTable ReuseTable::Builder::finish(uint64_t uncached_cycles) const {
   const uint64_t replaced =
       fetches_ * isa::MemTiming::main_memory(2) + load_cycles_;
   SPMWCET_CHECK(replaced <= uncached_cycles);
   ReuseTable t;
-  t.hist_ = stack_.histogram();
+  t.hist_ = forest_.histogram();
   t.base_ = uncached_cycles - replaced;
   t.unified_ = unified_;
+  t.assoc_ = assoc_;
   return t;
 }
 
@@ -143,7 +131,7 @@ bool ReuseTable::supports(const CacheConfig& cfg) {
   return is_pow2(cfg.size_bytes) && is_pow2(cfg.assoc) &&
          cfg.line_bytes == kLineBytes &&
          static_cast<uint64_t>(cfg.assoc) * kLineBytes <= cfg.size_bytes &&
-         cfg.num_sets() <= (1u << kMaxBits) && cfg.assoc <= (1u << kMaxBits);
+         cfg.num_lines() <= (1u << kMaxBits);
 }
 
 ReuseTable::Outcome ReuseTable::lookup(const CacheConfig& cfg) const {
@@ -155,8 +143,11 @@ ReuseTable::Outcome ReuseTable::lookup(const CacheConfig& cfg) const {
   if (cfg.unified != unified_)
     throw Error(std::string("reuse table: recorded for ") +
                 (unified_ ? "a unified" : "an instruction-only") + " cache");
+  if (cfg.assoc != assoc_)
+    throw Error("reuse table: recorded for " + std::to_string(assoc_) +
+                " ways, asked for " + std::to_string(cfg.assoc));
   Outcome o;
-  o.hits = hist_.hits(log2_pow2(cfg.num_sets()), log2_pow2(cfg.assoc));
+  o.hits = hist_.hits(log2_pow2(cfg.num_sets()));
   o.misses = hist_.accesses() - o.hits;
   o.cycles = base_ + o.hits * isa::MemTiming::cache_hit() +
              o.misses * isa::MemTiming::cache_miss(kLineBytes);

@@ -1,108 +1,109 @@
-// All-geometry cache outcomes from one pass over an access stream.
+// Every-set-count cache outcomes of one associativity from one pass over an
+// access stream.
 //
 // A cache only changes timing: control flow, outputs and the stream of
-// cache-visible reads are the same for every geometry. So instead of one
-// FunctionalCache simulation per (size, associativity) point, one observed
-// run feeds the stream through an online Mattson stack pass (Mattson et
-// al., IBM Sys. J. 1970) and the hits of every power-of-two geometry are
-// read off the resulting table (Hill & Smith, "Evaluating Associativity in
-// CPU Caches", IEEE TC 1989).
+// cache-visible reads are the same for every geometry. So one observed run
+// feeds the stream through a forest simulation (Hill & Smith, "Evaluating
+// Associativity in CPU Caches", IEEE TC 1989), and the hits of every set
+// count of the request's associativity A are read off the resulting table.
+// With bit-selection indexing the LRU sets of A ways nest from one set
+// count to the next: a line's stack distance can only shrink from 2^k to
+// 2^(k+1) sets, so a hit at level k is a hit at every finer level, and a
+// set's MRU line is the MRU line of every finer set holding it. Level k
+// keeps 2^k LRU sets of A ways, for every level with 2^k * A * 16 B <= 1 MiB
+// (coverage: sets x ways <= 65,536 lines). An access moves the line to the
+// front of its set level by level, stops at the first level where it
+// already was the MRU, and counts its first hitting level, so hits(2^k
+// sets) is a prefix sum. A shift stops at the first empty way.
 //
-// The pass keeps one LRU stack of 16-byte line numbers. With bit-selection
-// indexing, lines x and y share a set of a 2^k-set cache iff their low k
-// bits agree, i.e. iff ctz(x ^ y) >= k. When x is re-referenced, every line
-// y above it on the stack was touched since x's previous reference, so the
-// walk charges y to levels 0..min(ctz(x ^ y), 16). The resulting per-level
-// count d[k] is x's LRU stack distance inside its set of a 2^k-set cache,
-// and an A-way LRU set hits exactly when d[k] < A. The table stores, per
-// level, how many references fell into each distance class bit_width(d), so
-// hits(2^k sets, 2^a ways) is a prefix sum. Cold references miss
-// everywhere; immediate re-references of the MRU line (distance 0 at every
-// level) skip the walk.
+// Entries are sized from the image's main-memory line count: with every
+// line below 2^b, level k stores the tag line >> k in the narrowest of a
+// byte, halfword or word that leaves all-ones free for an empty way, and
+// from the level where each set holds at most A distinct lines (no set can
+// evict) one "seen" bit per line stands for every finer level.
 //
 // A table records one stream: the unified one (instruction fetches and
-// data loads) or the fetch-only one (what an instruction cache sees), so a
-// run that only needs one kind walks one stack. Scratchpad accesses and
-// stores never enter either stream: the SPM bypasses the cache, and stores
-// are write-through/no-allocate.
-//
-// Coverage: 16-byte lines, 1..65536 sets and 1..65536 ways, i.e. every
-// geometry from 16 B to 1 MiB, direct-mapped to fully associative.
+// data loads) or the fetch-only one (what an instruction cache sees).
+// Scratchpad accesses and stores never enter either stream: the SPM
+// bypasses the cache, and stores are write-through/no-allocate.
 #pragma once
 
-#include <algorithm>
 #include <array>
-#include <bit>
 #include <cstdint>
-#include <utility>
+#include <numeric>
 #include <vector>
 
 #include "cache/geometry.h"
 #include "isa/timing.h"
+#include "link/region_map.h"
 
 namespace spmwcet::cache {
 
-/// Reuse profile of one access stream: hits of every covered geometry.
-class ReuseHistogram {
-public:
-  static constexpr uint32_t kLevels = 17;  ///< set counts 2^0 .. 2^16
-  static constexpr uint32_t kClasses = 18; ///< bit_width(d), capped at 17
+/// Reuse profile of one access stream under one associativity.
+struct ReuseHistogram {
+  static constexpr uint32_t kLevels = 17; ///< set counts 2^0 .. 2^16
 
-  uint64_t accesses() const;
-  /// Hits of an LRU cache with 2^set_bits sets of 2^way_bits ways.
-  uint64_t hits(uint32_t set_bits, uint32_t way_bits) const;
+  /// first_hit[k]: references whose first hitting level is k.
+  std::array<uint64_t, kLevels> first_hit{};
+  uint64_t misses = 0; ///< references that miss at every level
 
-private:
-  friend class StackDistanceRecorder;
-
-  uint64_t cold_ = 0;
-  /// first_zero_[k]: references whose set-local distance is 0 from level k
-  /// upward (k = 0 holds the immediate re-references).
-  std::array<uint64_t, kLevels> first_zero_{};
-  /// by_class_[k][b]: references with bit_width(d[k]) == b >= 1.
-  std::array<std::array<uint64_t, kClasses>, kLevels> by_class_{};
+  /// Hits of an LRU cache with 2^set_bits sets of the recorded ways.
+  uint64_t hits(uint32_t set_bits) const {
+    SPMWCET_CHECK(set_bits < kLevels);
+    return std::accumulate(first_hit.begin(),
+                           first_hit.begin() + set_bits + 1, uint64_t{0});
+  }
+  uint64_t accesses() const { return hits(kLevels - 1) + misses; }
 };
 
-/// The online Mattson pass feeding one ReuseHistogram. Holds the LRU stack
-/// (one word per distinct line touched), so it lives only for the run.
-class StackDistanceRecorder {
+/// The forest simulation of one associativity feeding one ReuseHistogram.
+/// Holds every level's sets, so it lives only for the run.
+class ForestRecorder {
 public:
+  /// Sets of `assoc` ways (a power of two, at most 2^16) over lines below
+  /// 2^line_bits.
+  ForestRecorder(uint32_t assoc, uint32_t line_bits);
+
   /// One reference to `line`.
   void access(uint32_t line) {
-    if (!stack_.empty() && stack_[0] == line) {
-      ++hist_.first_zero_[0];
+    if (line == mru_) {
+      ++hist_.first_hit[0];
       return;
     }
-    // Depth one (alternating code and data lines) is the next most common.
-    if (stack_.size() > 1 && stack_[1] == line) {
-      swap_top();
-      return;
-    }
-    walk(line);
+    descend(line);
   }
   /// `n` further references to the line just accessed.
-  void repeat(uint64_t n) { hist_.first_zero_[0] += n; }
+  void repeat(uint64_t n) { hist_.first_hit[0] += n; }
 
   const ReuseHistogram& histogram() const { return hist_; }
+  /// Heap bytes the sets and the seen bits hold.
+  std::size_t footprint_bytes() const;
 
 private:
-  /// Depth one: x = stack_[1] moves to the top past one line, charged at
-  /// every level up to the bits the two share.
-  void swap_top() {
-    std::swap(stack_[0], stack_[1]);
-    const uint32_t shared = std::min<uint32_t>(
-        std::countr_zero(stack_[0] ^ stack_[1]), ReuseHistogram::kLevels - 1);
-    for (uint32_t k = 0; k <= shared; ++k) ++hist_.by_class_[k][1];
-    if (shared < ReuseHistogram::kLevels - 1) ++hist_.first_zero_[shared + 1];
-  }
-  void walk(uint32_t line);
+  void descend(uint32_t line);
+  template <typename Tag>
+  bool descend_levels(std::vector<Tag>& tags, uint32_t end, uint32_t line,
+                      uint32_t& k, int& first);
 
-  std::vector<uint32_t> stack_; ///< MRU first
+  uint32_t mru_ = UINT32_MAX; ///< the last line accessed (level 0's MRU)
+  uint32_t assoc_;
+  uint32_t line_bits_;
+  /// Levels [0, end32_) hold 32-bit tags, [end32_, end16_) 16-bit and
+  /// [end16_, end8_) 8-bit ones; level k's sets start at offset_[k] of its
+  /// width's array.
+  uint32_t end32_ = 0, end16_ = 0, end8_ = 0;
+  std::array<uint32_t, ReuseHistogram::kLevels> offset_{};
+  std::vector<uint32_t> tags32_;
+  std::vector<uint16_t> tags16_;
+  std::vector<uint8_t> tags8_;
+  /// Level end8_, where no set evicts: one bit per line seen. Empty when
+  /// that level lies beyond the coverage.
+  std::vector<uint64_t> seen_;
   ReuseHistogram hist_;
 };
 
-/// Cache outcomes of every covered geometry of one kind (unified or
-/// instruction-only) for one program run.
+/// Cache outcomes of every covered size of one associativity and one kind
+/// (unified or instruction-only) for one program run.
 class ReuseTable {
 public:
   static constexpr uint32_t kLineBytes = 16;
@@ -114,12 +115,13 @@ public:
     friend bool operator==(const Outcome&, const Outcome&) = default;
   };
 
-  /// True if `cfg` is a geometry the table answers (16-byte lines, at most
-  /// 65536 sets and 65536 ways).
+  /// True if `cfg` is a geometry some table answers (16-byte lines, at most
+  /// 65536 sets x ways).
   static bool supports(const CacheConfig& cfg);
 
   /// The run's cycles, hits and misses under `cfg`; throws Error for a
-  /// geometry outside supports() or of the other cache kind.
+  /// geometry outside supports(), another associativity or the other cache
+  /// kind.
   Outcome lookup(const CacheConfig& cfg) const;
 
   /// Collects one stream of a run. The simulator reports every
@@ -127,34 +129,33 @@ public:
   /// table ignores the loads.
   class Builder {
   public:
-    explicit Builder(bool unified) : unified_(unified) {}
+    /// A table of `assoc` ways over the main memory of `regions`.
+    Builder(const link::RegionMap& regions, bool unified, uint32_t assoc);
 
-    /// One halfword instruction fetch from main memory.
-    void fetch(uint32_t addr) {
-      stack_.access(addr / kLineBytes);
-      ++fetches_;
-    }
-    /// `halfwords` (>= 1) consecutive halfword fetches inside `line`: one
-    /// stack access, then immediate re-references. Compiled blocks hold
-    /// their fetches as such runs (sim::FetchRun).
+    /// `halfwords` (>= 1) consecutive halfword fetches from main memory
+    /// inside `line`: one access, then immediate re-references. Compiled
+    /// blocks report their fetches as such runs (sim::FetchRun).
     void fetch_run(uint32_t line, uint32_t halfwords) {
-      stack_.access(line);
-      stack_.repeat(halfwords - 1);
+      forest_.access(line);
+      forest_.repeat(halfwords - 1);
       fetches_ += halfwords;
     }
     /// One data load of `bytes` from main memory.
     void load(uint32_t addr, uint32_t bytes) {
       if (!unified_) return; // an instruction cache never sees data
-      stack_.access(addr / kLineBytes);
+      forest_.access(addr / kLineBytes);
       load_cycles_ += isa::MemTiming::main_memory(bytes);
     }
+
+    const ForestRecorder& recorder() const { return forest_; }
 
     /// Seals the table; `uncached_cycles` is the run's total with no cache.
     ReuseTable finish(uint64_t uncached_cycles) const;
 
   private:
     bool unified_;
-    StackDistanceRecorder stack_;
+    uint32_t assoc_;
+    ForestRecorder forest_;
     uint64_t fetches_ = 0;
     uint64_t load_cycles_ = 0; ///< uncached cycles of the recorded loads
   };
@@ -165,6 +166,7 @@ private:
   /// of the recorded accesses.
   uint64_t base_ = 0;
   bool unified_ = true;
+  uint32_t assoc_ = 1;
 };
 
 } // namespace spmwcet::cache

@@ -4,10 +4,12 @@
 // module's laid-out functions and the no-assignment (main-memory-only) image
 // with its decode and compiled block table, built together because the
 // first point of either setup needs them. The cache branch runs it once
-// observed per cache kind, which yields every geometry's cycles and hits
-// (cache::ReuseTable). The SPM branch needs the canonical run (the
-// profiled run whose candidate table serves every scratchpad capacity and
-// prices every placement): the first observed run of a workload whose
+// observed per cache kind and associativity: the run's forest simulation
+// yields the cycles and hits of every set count of that associativity
+// (cache::ReuseTable; coverage sets x ways <= 65,536 lines). The SPM branch
+// needs the canonical run (the profiled run whose candidate table serves
+// every scratchpad capacity and prices every placement): the first
+// observed run of a workload, of any associativity, whose
 // canonical run is not yet memoized also profiles and hands it in
 // (insert_profile), so a workload both branches evaluate is simulated
 // once; SPM-only work simulates it unobserved (harness::canonical_run).
@@ -43,6 +45,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -191,14 +194,14 @@ public:
     return ipet_.get(&wl, [] { return wcet::IpetCache(); });
   }
 
-  /// Returns the workload's all-geometry cache table of one kind (unified
-  /// or instruction-only): one observed run of the canonical image serves
-  /// every cache size and associativity of that kind, and may hand in the
-  /// canonical run as well (insert_profile).
+  /// Returns the workload's cache table of one kind (unified or
+  /// instruction-only) and one associativity: one observed run of the
+  /// canonical image serves every set count of that associativity, and may
+  /// hand in the canonical run as well (insert_profile).
   std::shared_ptr<const cache::ReuseTable>
-  reuse(const workloads::WorkloadInfo& wl, bool unified,
+  reuse(const workloads::WorkloadInfo& wl, bool unified, uint32_t assoc,
         const std::function<cache::ReuseTable()>& compute) {
-    return reuse_.get({&wl, unified}, compute);
+    return reuse_.get({&wl, unified, assoc}, compute);
   }
 
   /// Canonical runs: hits = served from cache, misses = ran the separate
@@ -253,7 +256,8 @@ private:
   support::Memoizer<WorkloadKey, wcet::RelocatableProgram> relocatables_;
   std::atomic<uint64_t> reanalyzed_{0};
   support::Memoizer<WorkloadKey, wcet::IpetCache> ipet_;
-  support::Memoizer<std::pair<WorkloadKey, bool>, cache::ReuseTable> reuse_;
+  support::Memoizer<std::tuple<WorkloadKey, bool, uint32_t>, cache::ReuseTable>
+      reuse_;
 };
 
 } // namespace spmwcet::harness

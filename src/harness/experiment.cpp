@@ -49,17 +49,18 @@ CanonicalRun make_canonical_run(const workloads::WorkloadInfo& wl,
   return out;
 }
 
-/// The workload's all-geometry table for the configured cache kind: one
-/// observed run of the canonical image, block tier included, with its
-/// outputs validated in that run. While no canonical run is memoized, the
-/// run also profiles and hands its result in as the canonical run: an
-/// observer changes no cycle, output or profile count, so it equals the
-/// separate profiled run field for field.
+/// The workload's table for the configured cache kind and associativity
+/// (every set count of it): one observed run of the canonical image, block
+/// tier included, with its outputs validated in that run. While no
+/// canonical run is memoized, the run also profiles and hands its result in
+/// as the canonical run: an observer changes no cycle, output or profile
+/// count, so it equals the separate profiled run field for field.
 std::shared_ptr<const cache::ReuseTable>
 reuse_table(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
             ArtifactCache& ac, const CanonicalImage& canonical) {
-  return ac.reuse(wl, cfg.cache_unified, [&] {
-    cache::ReuseTable::Builder rec(cfg.cache_unified);
+  return ac.reuse(wl, cfg.cache_unified, cfg.cache_assoc, [&] {
+    cache::ReuseTable::Builder rec(canonical.image.regions, cfg.cache_unified,
+                                   cfg.cache_assoc);
     sim::SimConfig scfg;
     scfg.reuse = &rec;
     scfg.compiled_blocks = &canonical.blocks;

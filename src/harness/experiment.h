@@ -10,8 +10,9 @@
 // the placed point (ArtifactCache::placement).
 // Cache branch (per size): read the typical-input cycles and hit counts of
 // the unified direct-mapped cache from the workload's reuse table (one
-// observed run serves every geometry, see cache/reuse_table.h) and analyze
-// with the MUST-only cache analysis.
+// observed run's forest simulation serves every set count of the request's
+// associativity, coverage sets x ways <= 65,536 lines, see
+// cache/reuse_table.h) and analyze with the MUST-only cache analysis.
 //
 // Both branches start from the workload's canonical record
 // (canonical_image: the no-assignment image, decoded and compiled into a

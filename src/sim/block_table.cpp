@@ -667,27 +667,9 @@ void BlockTable::build(const program::DecodedImage& dec,
       Block b;
       b.lo = s.lo + static_cast<uint32_t>(i) * 2;
       b.first_op = static_cast<uint32_t>(micro_.size());
-      b.run_first = static_cast<uint32_t>(runs_.size());
-      // Cache-visible fetches as per-line runs: the segment [seg_lo, end)
-      // up to each load-bearing op, and the rest at exit. SPM code has
-      // none (its fetches bypass every cache).
-      const bool main_code = s.cls != MemClass::Scratchpad;
-      uint32_t seg_lo = b.lo;
-      const auto cut_segment = [&](uint32_t end) {
-        for (uint32_t lo = seg_lo; lo < end;) {
-          const uint32_t line = lo / FetchRun::kLineBytes;
-          const uint32_t stop =
-              std::min<uint32_t>(end, (line + 1) * FetchRun::kLineBytes);
-          runs_.push_back(
-              FetchRun{line, static_cast<uint16_t>(lo % FetchRun::kLineBytes),
-                       static_cast<uint16_t>((stop - lo) / 2)});
-          lo = stop;
-        }
-        seg_lo = end;
-        const uint32_t n = static_cast<uint32_t>(runs_.size()) - b.run_first;
-        SPMWCET_CHECK(n <= UINT8_MAX);
-        return static_cast<uint8_t>(n);
-      };
+      // SPM code's fetches bypass every cache.
+      b.main_code = s.cls != MemClass::Scratchpad;
+      uint32_t seg_lo = b.lo, runs = 0; // fetch_runs' cuts, for fetch_end
       // Per-slot fetch counts, accumulated flat: a block has at most
       // kMaxBlockOps ops plus one extra fetch (the fused BL's second
       // halfword), so a stack array with a last-entry fast path (runs of
@@ -732,8 +714,14 @@ void BlockTable::build(const program::DecodedImage& dec,
         }
         u.static_cost =
             static_cast<uint8_t>(u.static_cost + fetch_cost(s.cls) * u.units);
-        if (main_code && (isa::is_load(ins) || ins.op == Op::POP))
-          u.fetch_end = cut_segment(iaddr + 2u * u.units);
+        if (b.main_code && (isa::is_load(ins) || ins.op == Op::POP)) {
+          const uint32_t end = iaddr + 2u * u.units;
+          runs += (end - 1) / FetchRun::kLineBytes -
+                  seg_lo / FetchRun::kLineBytes + 1;
+          seg_lo = end;
+          SPMWCET_CHECK(runs <= UINT8_MAX);
+          u.fetch_end = static_cast<uint8_t>(runs);
+        }
         if (u.fn == &h_ldr_lit_dyn) {
           const auto cls = classify_static(img, u.aux, 4);
           if (cls && (u.aux & 3u) == 0) {
@@ -761,7 +749,6 @@ void BlockTable::build(const program::DecodedImage& dec,
       }
       b.hi = s.lo + static_cast<uint32_t>(j) * 2;
       b.op_count = static_cast<uint32_t>(micro_.size()) - b.first_op;
-      b.run_count = main_code ? cut_segment(b.hi) : 0;
       MicroOp end;
       end.fn = &h_end;
       micro_.push_back(end);
@@ -774,8 +761,33 @@ void BlockTable::build(const program::DecodedImage& dec,
     }
     span_idx_.push_back(std::move(idx));
   }
-  // Only observed runs read the fetch runs; a shared table keeps no slack.
-  runs_.shrink_to_fit();
+}
+
+void BlockTable::fetch_runs(std::vector<FetchRun>& runs,
+                            std::vector<uint32_t>& first) const {
+  runs.clear();
+  first.assign(1, 0);
+  for (const Block& b : blocks_) {
+    uint32_t lo = b.lo;
+    const auto cut_segment = [&](uint32_t end) {
+      for (; lo < end;) {
+        const uint32_t line = lo / FetchRun::kLineBytes;
+        const uint32_t stop =
+            std::min<uint32_t>(end, (line + 1) * FetchRun::kLineBytes);
+        runs.push_back(
+            FetchRun{line, static_cast<uint16_t>(lo % FetchRun::kLineBytes),
+                     static_cast<uint16_t>((stop - lo) / 2)});
+        lo = stop;
+      }
+    };
+    if (b.main_code) {
+      const MicroOp* u = micro_.data() + b.first_op;
+      for (const MicroOp* end = u + b.op_count; u != end; ++u)
+        if (u->fetch_end != 0) cut_segment(u->iaddr + 2u * u->units);
+      cut_segment(b.hi);
+    }
+    first.push_back(static_cast<uint32_t>(runs.size()));
+  }
 }
 
 uint32_t BlockTable::execute(int index, BlockCtx& ctx) const {
@@ -793,7 +805,7 @@ uint32_t BlockTable::execute(int index, BlockCtx& ctx) const {
   ctx.cur_lo = b.lo;
   ctx.cur_hi = b.hi;
   if (ctx.observed) [[unlikely]] {
-    ctx.fetch_runs = runs_.data() + b.run_first;
+    ctx.fetch_runs = ctx.runs + ctx.run_first[index];
     ctx.fetch_done = 0;
   }
 
@@ -802,7 +814,7 @@ uint32_t BlockTable::execute(int index, BlockCtx& ctx) const {
   if (!ctx.stop) [[likely]] {
     if (ctx.observed) [[unlikely]]
       ctx.mem->report_fetches(ctx.fetch_runs + ctx.fetch_done,
-                              ctx.fetch_runs + b.run_count);
+                              ctx.runs + ctx.run_first[index + 1]);
     return b.instr_count;
   }
 
@@ -814,8 +826,9 @@ uint32_t BlockTable::execute(int index, BlockCtx& ctx) const {
     // Report the fetches through the aborting store's halfword; stores cut
     // no segment, so the last run may end part-way.
     const uint32_t end = ctx.stopped_at->iaddr + 2;
-    for (uint32_t r = ctx.fetch_done; r < b.run_count; ++r) {
-      FetchRun run = ctx.fetch_runs[r];
+    const FetchRun* last = ctx.runs + ctx.run_first[index + 1];
+    for (const FetchRun* r = ctx.fetch_runs + ctx.fetch_done; r != last; ++r) {
+      FetchRun run = *r;
       if (run.lo() >= end) break;
       run.halfwords = static_cast<uint16_t>(
           std::min<uint32_t>(run.halfwords, (end - run.lo()) / 2));

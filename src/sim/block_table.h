@@ -49,9 +49,10 @@
 // a reuse observer (SimConfig::reuse) blocks still run, and each block
 // reports its folded fetches in program order (see BlockCtx::observed), so
 // the cache sees the same access order as one instruction at a time. A
-// block holds its main-memory fetches as precomputed segments, one up to
-// each load-bearing op and the rest at exit, each cut into per-line runs
-// (FetchRun); a load reports the segments through its own op first. Under
+// block's main-memory fetches are segments, one up to each load-bearing op
+// and the rest at exit, each cut into per-line runs (FetchRun) that such a
+// simulator builds from the table once (BlockTable::fetch_runs); a load
+// reports the segments through its own op first. Under
 // a reuse observer loads stay on the inline paths (try_load, bound
 // literals, the stack window) and report themselves; under a cache they
 // take the memory system's out-of-line path, which charges them.
@@ -161,6 +162,10 @@ struct BlockCtx {
   /// in program order: its segments through a load-bearing op before the
   /// op's first load (MicroOp::fetch_end), the rest at block exit.
   bool observed = false;
+
+  /// The simulator's BlockTable::fetch_runs (observed runs only).
+  const FetchRun* runs = nullptr;
+  const uint32_t* run_first = nullptr;
 
   // Per-block execution state (owned by BlockTable::execute).
   uint32_t next_pc = 0;
@@ -294,6 +299,14 @@ public:
   void bind_literals(const MemorySystem& mem,
                      std::vector<const uint8_t*>& out) const;
 
+  /// Every block's cache-visible fetches as per-line runs in program
+  /// order, block i's in runs[first[i], first[i + 1]): a segment through
+  /// each load-bearing op (MicroOp::fetch_end), the rest at exit. Only
+  /// cached or observed runs read them, so each such simulator builds its
+  /// own.
+  void fetch_runs(std::vector<FetchRun>& runs,
+                  std::vector<uint32_t>& first) const;
+
   std::size_t block_count() const { return blocks_.size(); }
 
 private:
@@ -306,10 +319,7 @@ private:
     uint32_t static_cycles = 0; ///< sum of the ops' static_cost
     uint32_t fold_first = 0; ///< into folds_: fetch-profile increments
     uint32_t fold_count = 0;
-    /// Into runs_: the block's cache-visible fetches in program order
-    /// (none for SPM code).
-    uint32_t run_first = 0;
-    uint32_t run_count = 0;
+    bool main_code = false; ///< fetches are cache-visible (not SPM code)
   };
   struct SlotCount {
     uint32_t slot = 0;
@@ -347,7 +357,6 @@ private:
   std::vector<Block> blocks_;     ///< sorted by lo, disjoint
   std::vector<MicroOp> micro_;    ///< all blocks' ops, contiguous
   std::vector<SlotCount> folds_;  ///< all blocks' fetch folds, contiguous
-  std::vector<FetchRun> runs_;    ///< all blocks' fetch runs, contiguous
   std::vector<LitRef> lits_;      ///< static literal ranges to bind
 };
 

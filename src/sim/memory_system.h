@@ -1,8 +1,10 @@
 // The simulated memory hierarchy: backing storage for every mapped region,
 // Table-1 access timing, and either an optional functional cache in front of
 // main memory (unified or instruction-only) or an observer that records the
-// reads such a cache would see (cache::ReuseTable). Scratchpad accesses
-// always bypass the cache, as on real TCM hardware.
+// reads such a cache would see: the forest simulation behind one
+// cache::ReuseTable, every set count of the request's associativity
+// (coverage sets x ways <= 65,536 lines). Scratchpad accesses always bypass
+// the cache, as on real TCM hardware.
 //
 // Translation is O(1): regions are grouped into a handful of contiguous
 // areas, each backed by one arena plus a per-byte class map (0 = unmapped,
@@ -28,8 +30,8 @@ namespace spmwcet::sim {
 inline constexpr uint32_t kRegionMergeGapBytes = 4096;
 
 /// Consecutive main-memory halfword fetches inside one reuse-table line: a
-/// piece of a compiled block's precomputed fetch segments
-/// (sim/block_table.h).
+/// piece of a compiled block's fetch segments, which a cached or observed
+/// simulator builds once (BlockTable::fetch_runs, sim/block_table.h).
 struct FetchRun {
   static constexpr uint32_t kLineBytes = cache::ReuseTable::kLineBytes;
   uint32_t line = 0;      ///< the line every halfword of the run lies in
@@ -162,8 +164,9 @@ public:
   uint64_t cache_misses() const { return cache_ ? cache_->misses() : 0; }
 
   /// Reports every later non-scratchpad fetch and load to `rec`, in
-  /// program order: the observed run behind the cache branch's
-  /// all-geometry table. Exclusive with a functional cache.
+  /// program order: the observed run behind the cache branch's table of
+  /// every set count of one associativity. Exclusive with a functional
+  /// cache.
   void observe_reuse(cache::ReuseTable::Builder* rec) {
     SPMWCET_CHECK_MSG(!cache_, "reuse observation runs without a cache");
     reuse_ = rec;
@@ -212,7 +215,7 @@ private:
       return cache_->access(addr) ? isa::MemTiming::cache_hit() : miss_cost_;
     if (reuse_ != nullptr) [[unlikely]] {
       if (is_fetch)
-        reuse_->fetch(addr);
+        reuse_->fetch_run(addr / cache::ReuseTable::kLineBytes, 1);
       else
         reuse_->load(addr, bytes);
     }

@@ -51,6 +51,8 @@ Simulator::Simulator(link::Image img, const SimConfig& cfg)
   }
   block_run_.reset(blocks_->block_count());
   blocks_->bind_literals(mem_, lit_ptrs_);
+  if (cfg_.cache || cfg_.reuse != nullptr)
+    blocks_->fetch_runs(fetch_runs_, run_first_);
 }
 
 SimResult simulate(const link::Image& img, const SimConfig& cfg) {
@@ -105,6 +107,8 @@ void Simulator::run_blocks(SimResult& result) {
   ctx.other_slot = other_slot_;
   ctx.profile = cfg_.collect_profile;
   ctx.observed = cfg_.cache.has_value() || cfg_.reuse != nullptr;
+  ctx.runs = fetch_runs_.data();
+  ctx.run_first = run_first_.data();
   // A stack top below the window size wraps stack_lo_ above stack_hi_: the
   // profile window is then empty, and nothing is proven about it.
   ctx.stack_clean =

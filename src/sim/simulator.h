@@ -117,6 +117,9 @@ private:
   std::optional<BlockTable> owned_blocks_;
   BlockRun block_run_;
   std::vector<const uint8_t*> lit_ptrs_;
+  /// Cached or observed runs: the blocks' fetch runs (BlockCtx::runs).
+  std::vector<FetchRun> fetch_runs_;
+  std::vector<uint32_t> run_first_;
 
   uint32_t regs_[isa::kNumRegs] = {};
   uint32_t sp_ = 0;

@@ -138,7 +138,7 @@ private:
       return cache_->access(addr) ? MemTiming::cache_hit() : miss_cost_;
     if (reuse_ != nullptr) {
       if (is_fetch)
-        reuse_->fetch(addr);
+        reuse_->fetch_run(addr / cache::ReuseTable::kLineBytes, 1);
       else
         reuse_->load(addr, bytes);
     }

@@ -1,11 +1,12 @@
-// The all-geometry reuse table (cache/reuse_table.h) against its oracle,
-// the FunctionalCache simulation (SimConfig::cache): hits, misses and
-// cycles must be field-exact for every covered geometry, 16 B to 1 MiB,
-// direct-mapped to fully associative, unified and instruction-only. Both
-// consume the read stream the compiled blocks report, so the stream itself
-// is held against the seed simulator (reference::simulate): a recorder it
-// feeds one access at a time must build the same table, and its per-access
-// cache the same outcomes. Also covers the observed run itself
+// The reuse table (cache/reuse_table.h) against its oracle, the
+// FunctionalCache simulation (SimConfig::cache): one table per
+// associativity, whose hits, misses and cycles must be field-exact for
+// every covered size of it, 16 B to 1 MiB, direct-mapped to fully
+// associative, unified and instruction-only. Both consume the read stream
+// the compiled blocks report, so the stream itself is held against the
+// seed simulator (reference::simulate): a recorder it feeds one access at a
+// time must build the same table, and its per-access cache the same
+// outcomes. Also covers the observed run itself
 // (self-modifying code, the instruction budget), the harness's
 // per-workload table artifact, and the canonical run an observed run hands
 // in (the fused run).
@@ -29,8 +30,8 @@ namespace {
 using cache::CacheConfig;
 using cache::ReuseTable;
 
-ReuseTable record(const link::Image& img, bool unified) {
-  ReuseTable::Builder rec(unified);
+ReuseTable record(const link::Image& img, bool unified, uint32_t assoc) {
+  ReuseTable::Builder rec(img.regions, unified, assoc);
   sim::SimConfig cfg;
   cfg.reuse = &rec;
   sim::Simulator s(img, cfg);
@@ -73,14 +74,14 @@ void expect_outcome(const ReuseTable& table, const link::Image& img,
 }
 
 /// Every power-of-two geometry from 16 B to 1 MiB, direct-mapped to fully
-/// associative, both cache kinds.
+/// associative, both cache kinds: one table per associativity.
 void expect_table_exact(const link::Image& img, const std::string& what) {
-  for (const bool unified : {true, false}) {
-    const ReuseTable table = record(img, unified);
-    for (uint32_t size = 16; size <= (1u << 20); size *= 2)
-      for (uint32_t assoc = 1; assoc <= size / 16; assoc *= 2)
+  for (const bool unified : {true, false})
+    for (uint32_t assoc = 1; assoc <= (1u << 16); assoc *= 2) {
+      const ReuseTable table = record(img, unified, assoc);
+      for (uint32_t size = 16 * assoc; size <= (1u << 20); size *= 2)
         expect_outcome(table, img, geometry(size, assoc, unified), what);
-  }
+    }
 }
 
 TEST(ReuseTable, PaperTrioMatchesFunctionalCacheEverywhere) {
@@ -115,9 +116,11 @@ TEST(ReuseTable, EveryExecutionPathObservesTheSameStream) {
   for (const auto& wl : workloads::cached_paper_benchmarks()) {
     const link::Image img = link::link_program(wl->module, {}, {});
     for (const bool unified : {true, false}) {
-      const ReuseTable table = record(img, unified);
+      const ReuseTable direct = record(img, unified, 1);
+      const ReuseTable two_way = record(img, unified, 2);
       for (uint32_t size = 16; size <= (1u << 20); size *= 4) {
         const CacheConfig c = geometry(size, size >= 64 ? 2 : 1, unified);
+        const ReuseTable& table = c.assoc == 1 ? direct : two_way;
         const ReuseTable::Outcome want = reference_outcome(img, c);
         ++compared;
         const std::string where = wl->name + " " + std::to_string(size) +
@@ -207,7 +210,7 @@ link::Image selfmod_image() {
 TEST(ReuseTable, SelfModifyingProgramMatchesFunctionalCache) {
   const link::Image img = selfmod_image();
 
-  ReuseTable::Builder rec(true);
+  ReuseTable::Builder rec(img.regions, true, 1);
   sim::SimConfig cfg;
   cfg.reuse = &rec;
   sim::Simulator s(img, cfg);
@@ -226,28 +229,31 @@ TEST(ReuseTable, SelfModifyingProgramMatchesFunctionalCache) {
 /// The table of a recorder the seed simulator feeds one halfword fetch and
 /// one main-memory load at a time, in program order; counts as one
 /// reference run.
-ReuseTable reference_table(const link::Image& img, bool unified) {
-  ReuseTable::Builder rec(unified);
+ReuseTable reference_table(const link::Image& img, bool unified,
+                           uint32_t assoc) {
+  ReuseTable::Builder rec(img.regions, unified, assoc);
   sim::SimConfig cfg;
   cfg.reuse = &rec;
   const sim::SimResult run = reference::simulate(img, cfg);
   return rec.finish(run.cycles);
 }
 
+constexpr uint32_t kAssociativities = 17; ///< 1 .. 2^16 ways
+
 /// Production's table lookup-equal to the per-access reference table at
-/// every covered geometry, both cache kinds.
+/// every covered geometry, both cache kinds: one table per associativity.
 void expect_reference_table(const link::Image& img, const std::string& what) {
-  for (const bool unified : {true, false}) {
-    const ReuseTable got = record(img, unified);
-    const ReuseTable want = reference_table(img, unified);
-    for (uint32_t size = 16; size <= (1u << 20); size *= 2)
-      for (uint32_t assoc = 1; assoc <= size / 16; assoc *= 2) {
+  for (const bool unified : {true, false})
+    for (uint32_t assoc = 1; assoc <= (1u << 16); assoc *= 2) {
+      const ReuseTable got = record(img, unified, assoc);
+      const ReuseTable want = reference_table(img, unified, assoc);
+      for (uint32_t size = 16 * assoc; size <= (1u << 20); size *= 2) {
         const CacheConfig c = geometry(size, assoc, unified);
         EXPECT_EQ(got.lookup(c), want.lookup(c))
             << what << " size " << size << " assoc " << assoc
             << (unified ? " unified" : " icache");
       }
-  }
+    }
 }
 
 // The observed stream per access: the compiled blocks' precomputed fetch
@@ -269,14 +275,18 @@ TEST(ReuseTable, EveryTableEqualsThePerAccessReference) {
     }
   expect_reference_table(selfmod_image(), "selfmod");
   ++programs;
-  EXPECT_EQ(reference::simulator_runs(), runs + 2 * programs);
+  EXPECT_EQ(reference::simulator_runs(),
+            runs + 2 * kAssociativities * programs);
 }
 
 TEST(ReuseTable, RejectsGeometriesOutsideTheTable) {
   const auto wl = workloads::WorkloadRegistry::instance().benchmark("adpcm");
-  const ReuseTable table =
-      record(link::link_program(wl->module, {}, {}), /*unified=*/true);
+  const ReuseTable table = record(link::link_program(wl->module, {}, {}),
+                                  /*unified=*/true, /*assoc=*/1);
   EXPECT_THROW(table.lookup(geometry(1024, 1, /*unified=*/false)), Error);
+  // One table answers one associativity.
+  EXPECT_TRUE(ReuseTable::supports(geometry(1024, 2, true)));
+  EXPECT_THROW(table.lookup(geometry(1024, 2, true)), Error);
   CacheConfig wide_line = geometry(1024, 1, true);
   wide_line.line_bytes = 32;
   EXPECT_FALSE(ReuseTable::supports(wide_line));
@@ -286,16 +296,27 @@ TEST(ReuseTable, RejectsGeometriesOutsideTheTable) {
   EXPECT_THROW(table.lookup(too_many_sets), Error);
   EXPECT_TRUE(ReuseTable::supports(geometry(1u << 20, 1, true)));
   EXPECT_TRUE(ReuseTable::supports(geometry(1u << 20, 1u << 16, false)));
+  EXPECT_FALSE(ReuseTable::supports(geometry(2u << 20, 2, true)));
+}
+
+// The direct-mapped recorder sizes its entries from the image's
+// main-memory line count; the paper's question runs on it.
+TEST(ReuseTable, DirectMappedRecorderStaysSmall) {
+  for (const auto& wl : workloads::cached_paper_benchmarks()) {
+    const link::Image img = link::link_program(wl->module, {}, {});
+    const ReuseTable::Builder rec(img.regions, true, 1);
+    EXPECT_LE(rec.recorder().footprint_bytes(), 80u * 1024) << wl->name;
+  }
 }
 
 TEST(ReuseTable, ObservationExcludesAFunctionalCache) {
   const auto wl = workloads::WorkloadRegistry::instance().benchmark("adpcm");
-  ReuseTable::Builder rec(true);
+  const link::Image img = link::link_program(wl->module, {}, {});
+  ReuseTable::Builder rec(img.regions, true, 1);
   sim::SimConfig cfg;
   cfg.reuse = &rec;
   cfg.cache = geometry(1024, 1, true);
-  EXPECT_THROW(sim::Simulator(link::link_program(wl->module, {}, {}), cfg),
-               Error);
+  EXPECT_THROW(sim::Simulator(img, cfg), Error);
 }
 
 // ---- the harness artifact ---------------------------------------------------
@@ -326,6 +347,24 @@ TEST(ReuseArtifact, EnginePointRequestsShareOneTable) {
   }
   EXPECT_EQ(engine.stats().reuse_artifacts.misses, 1u);
   EXPECT_EQ(engine.stats().reuse_artifacts.hits, 7u);
+}
+
+// A table answers one associativity: a second one observes again, but the
+// canonical run the first observed run handed in serves both.
+TEST(ReuseArtifact, EachAssociativityObservesOnce) {
+  api::Engine engine;
+  for (const uint32_t assoc : {1u, 2u}) {
+    api::ExperimentOptions opts;
+    opts.cache_assoc = assoc;
+    const auto res = engine.point(
+        api::PointRequest::make("adpcm", harness::MemSetup::Cache, 1024, opts)
+            .value());
+    ASSERT_TRUE(res.ok()) << res.error().message;
+  }
+  const api::EngineStats s = engine.stats();
+  EXPECT_EQ(s.reuse_artifacts.misses, 2u);
+  EXPECT_EQ(s.profile_artifacts.inserted, 1u);
+  EXPECT_EQ(s.profile_artifacts.misses, 0u);
 }
 
 // ---- the fused run ----------------------------------------------------------

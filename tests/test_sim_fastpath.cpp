@@ -259,19 +259,19 @@ TEST(BlockTier, StoreIntoExecutingBlockKeepsTheObservedStream) {
     EXPECT_EQ(expect_parity(img, profiling(kib_cache(unified)), what)
                   .invalidations,
               1u);
-    cache::ReuseTable::Builder want_rec(unified);
-    SimConfig cfg;
-    cfg.reuse = &want_rec;
-    const SimResult want = reference::simulate(img, cfg);
-    cache::ReuseTable::Builder got_rec(unified);
-    cfg.reuse = &got_rec;
-    Simulator s(img, cfg);
-    const SimResult got = s.run();
-    EXPECT_EQ(s.block_invalidations(), 1u) << what;
-    const cache::ReuseTable got_table = got_rec.finish(got.cycles);
-    const cache::ReuseTable want_table = want_rec.finish(want.cycles);
-    for (uint32_t size = 16; size <= 1024; size *= 2)
-      for (uint32_t assoc = 1; assoc <= size / 16; assoc *= 2) {
+    for (uint32_t assoc = 1; assoc <= 64; assoc *= 2) {
+      cache::ReuseTable::Builder want_rec(img.regions, unified, assoc);
+      SimConfig cfg;
+      cfg.reuse = &want_rec;
+      const SimResult want = reference::simulate(img, cfg);
+      cache::ReuseTable::Builder got_rec(img.regions, unified, assoc);
+      cfg.reuse = &got_rec;
+      Simulator s(img, cfg);
+      const SimResult got = s.run();
+      EXPECT_EQ(s.block_invalidations(), 1u) << what;
+      const cache::ReuseTable got_table = got_rec.finish(got.cycles);
+      const cache::ReuseTable want_table = want_rec.finish(want.cycles);
+      for (uint32_t size = 16 * assoc; size <= 1024; size *= 2) {
         cache::CacheConfig c;
         c.size_bytes = size;
         c.assoc = assoc;
@@ -279,6 +279,7 @@ TEST(BlockTier, StoreIntoExecutingBlockKeepsTheObservedStream) {
         EXPECT_EQ(got_table.lookup(c), want_table.lookup(c))
             << what << " size " << size << " assoc " << assoc;
       }
+    }
   }
 }
 

@@ -127,10 +127,10 @@ TEST(Wire, DecodesWcetBenchRequest) {
 TEST(Wire, SimBenchRowsCarryStackWindowEngagement) {
   api::SimBenchResult result;
   result.repeat = 1;
-  result.rows.push_back({"g721", 10, 0.5, 20.0, true, 0});
-  result.rows.push_back({"adpcm", 10, 0.5, 20.0, false, 3});
+  result.rows.push_back({"g721", 10, 0.5, 20.0, true, 0, 1.5});
+  result.rows.push_back({"adpcm", 10, 0.5, 20.0, false, 3, 0.75});
   const json::Value v = api::wire::simbench_to_json(result);
-  EXPECT_EQ(v.find("schema")->as_string(), "spmwcet-sim-throughput/7");
+  EXPECT_EQ(v.find("schema")->as_string(), "spmwcet-sim-throughput/8");
   EXPECT_EQ(v.find("spm_bytes"), nullptr);
   const json::Value* rows = v.find("benchmarks");
   ASSERT_NE(rows, nullptr);
@@ -139,6 +139,8 @@ TEST(Wire, SimBenchRowsCarryStackWindowEngagement) {
   EXPECT_FALSE(rows->items()[1].find("stack_window")->as_bool());
   EXPECT_EQ(rows->items()[0].find("fallback_instructions")->as_int(), 0);
   EXPECT_EQ(rows->items()[1].find("fallback_instructions")->as_int(), 3);
+  EXPECT_EQ(rows->items()[0].find("observed_best_seconds")->as_double(), 1.5);
+  EXPECT_EQ(rows->items()[1].find("observed_best_seconds")->as_double(), 0.75);
 }
 
 TEST(Wire, RetiredModeFieldsAreRefused) {
