@@ -2,7 +2,8 @@
 // benchmark summary, the Figure-4/5 WCET/ACET ratio tables, the full
 // `spmwcet sweep all` report, and the cache-branch variants the default
 // evaluation does not reach (`sweep all --cache` with --assoc 4, with
-// --icache, and with --persistence --assoc 2) are pinned against fixtures
+// --icache, and with --persistence --assoc 2), and the WCET-driven
+// scratchpad sweep (`sweep all --spm --wcet-alloc`) are pinned against fixtures
 // under tests/golden/. Every column is compared byte-for-byte EXCEPT the energy
 // column, which is compared numerically with a tolerance of one unit in
 // its last printed digit: energy values are doubles formatted by the host
@@ -235,21 +236,26 @@ TEST_F(GoldenEval, FullSweepAllReportCsv) {
   check_golden("sweep_all_report.csv", os.str());
 }
 
-/// `spmwcet sweep all --cache` under `opts`, rendered through the same
-/// Engine request and renderer the CLI uses, so each fixture is the
+/// `spmwcet sweep all` of one setup under `opts`, rendered through the
+/// same Engine request and renderer the CLI uses, so each fixture is the
 /// command's stdout byte for byte.
-void check_cache_sweep(const std::string& fixture,
-                       const api::ExperimentOptions& opts) {
+void check_sweep(const std::string& fixture, harness::MemSetup setup,
+                 const api::ExperimentOptions& opts) {
   api::EngineOptions eopts;
   eopts.jobs = 0;
   api::Engine engine(eopts);
-  const auto request =
-      api::SweepRequest::make(workloads::paper_benchmark_names(),
-                              harness::MemSetup::Cache, {}, opts)
-          .value_or_throw();
+  const auto request = api::SweepRequest::make(
+                           workloads::paper_benchmark_names(), setup, {}, opts)
+                           .value_or_throw();
   std::ostringstream os;
   api::render_sweep(engine.sweep(request).value_or_throw(), os);
   check_golden(fixture, os.str());
+}
+
+/// `spmwcet sweep all --cache` under `opts`.
+void check_cache_sweep(const std::string& fixture,
+                       const api::ExperimentOptions& opts) {
+  check_sweep(fixture, harness::MemSetup::Cache, opts);
 }
 
 TEST(GoldenCacheSweep, FourWayAssociative) {
@@ -269,6 +275,14 @@ TEST(GoldenCacheSweep, PersistenceTwoWay) {
   opts.cache_assoc = 2;
   opts.with_persistence = true;
   check_cache_sweep("sweep_cache_persistence_assoc2.txt", opts);
+}
+
+TEST(GoldenSpmSweep, WcetDrivenAllocation) {
+  // `spmwcet sweep all --spm --wcet-alloc`: every greedy trial is a
+  // placement bound from the relocatable program and analyzed.
+  api::ExperimentOptions opts;
+  opts.wcet_driven_alloc = true;
+  check_sweep("sweep_spm_wcet_alloc.txt", harness::MemSetup::Scratchpad, opts);
 }
 
 } // namespace
