@@ -49,11 +49,12 @@ void BM_ValueAnalysis(benchmark::State& state) {
   std::vector<wcet::Cfg> cfgs;
   for (const uint32_t f : wcet::reachable_functions(img, img.entry))
     cfgs.push_back(wcet::build_cfg(img, f));
-  for (auto _ : state)
-    for (auto& cfg : cfgs) {
-      wcet::resolve_memory(img, cfg, ann);
-      benchmark::DoNotOptimize(cfg);
-    }
+  std::vector<wcet::MemFacts> facts;
+  for (auto _ : state) {
+    facts.clear();
+    for (const auto& cfg : cfgs) wcet::resolve_memory(img, cfg, ann, facts);
+    benchmark::DoNotOptimize(facts);
+  }
 }
 BENCHMARK(BM_ValueAnalysis);
 
@@ -61,15 +62,15 @@ void BM_CacheAnalysisMustOnly(benchmark::State& state) {
   const link::Image& img = g721_image();
   const auto ann = wcet::Annotations::from_image(img);
   std::map<uint32_t, wcet::Cfg> cfgs;
-  for (const uint32_t f : wcet::reachable_functions(img, img.entry)) {
-    auto& cfg = cfgs.emplace(f, wcet::build_cfg(img, f)).first->second;
-    wcet::resolve_memory(img, cfg, ann);
-  }
+  for (const uint32_t f : wcet::reachable_functions(img, img.entry))
+    cfgs.emplace(f, wcet::build_cfg(img, f));
+  std::vector<wcet::MemFacts> facts;
+  for (const auto& [f, cfg] : cfgs) wcet::resolve_memory(img, cfg, ann, facts);
   wcet::CacheAnalysisConfig ccfg;
   ccfg.cache.size_bytes = static_cast<uint32_t>(state.range(0));
   for (auto _ : state)
-    benchmark::DoNotOptimize(
-        wcet::analyze_cache_flat(img, cfgs, img.entry, ccfg));
+    benchmark::DoNotOptimize(wcet::analyze_cache_flat(img.initial_sp, cfgs,
+                                                      facts, img.entry, ccfg));
 }
 BENCHMARK(BM_CacheAnalysisMustOnly)->Arg(256)->Arg(8192);
 

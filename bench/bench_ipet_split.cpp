@@ -26,7 +26,6 @@ struct FuncState {
 };
 
 struct Prepared {
-  std::unique_ptr<const link::Image> img; // the view borrows it
   wcet::ProgramView view;
   std::vector<FuncState> funcs;
 };
@@ -34,23 +33,23 @@ struct Prepared {
 const Prepared& g721_prepared() {
   static const Prepared p = [] {
     Prepared out;
-    out.img = std::make_unique<const link::Image>(
-        link::link_program(workloads::make_g721().module, {}, {}));
-    const program::DecodedImage dec(*out.img);
-    out.view = wcet::bind_view(std::make_shared<const wcet::ProgramShape>(
-                                   wcet::build_shape(*out.img, dec)),
-                               *out.img, dec);
+    const link::Image img =
+        link::link_program(workloads::make_g721().module, {}, {});
+    const program::DecodedImage dec(img);
+    out.view = wcet::bind_view(
+        std::make_shared<const wcet::ProgramShape>(wcet::build_shape(img, dec)),
+        img, dec);
+    const wcet::ViewStructure& s = *out.view.structure;
     // Time and solve callees before callers, uncached, like the analyzer.
-    const wcet::CacheSupergraph& g = out.view.scaffold.supergraph;
+    const wcet::CacheSupergraph& g = s.supergraph;
     std::vector<uint64_t> func_wcet(g.func_addr.size(), wcet::kNoWcet);
     wcet::SiteStats stats;
-    for (const uint32_t func : out.view.scaffold.bottom_up) {
+    for (const uint32_t func : s.bottom_up) {
       const uint32_t f = g.func_addr[func];
-      FuncState fs{&out.view.cfgs.at(f), out.view.loops.at(f), {}};
-      wcet::time_function(out.view.scaffold.sites, func, {}, func_wcet,
-                          fs.times, stats);
-      func_wcet[func] =
-          wcet::solve_ipet(*fs.cfg, *fs.loops, out.view.ann, fs.times).wcet;
+      FuncState fs{&s.cfgs.at(f), s.loops.at(f), {}};
+      wcet::time_function(out.view.sites, func, {}, func_wcet, fs.times,
+                          stats);
+      func_wcet[func] = wcet::solve_ipet(*fs.cfg, *fs.loops, s.ann, fs.times).wcet;
       out.funcs.push_back(std::move(fs));
     }
     return out;
@@ -64,7 +63,7 @@ void BM_IpetColdSolve(benchmark::State& state) {
   for (auto _ : state)
     for (const FuncState& f : p.funcs)
       benchmark::DoNotOptimize(
-          wcet::solve_ipet(*f.cfg, *f.loops, p.view.ann, f.times));
+          wcet::solve_ipet(*f.cfg, *f.loops, p.view.structure->ann, f.times));
 }
 BENCHMARK(BM_IpetColdSolve);
 
@@ -73,7 +72,7 @@ void BM_IpetConstruction(benchmark::State& state) {
   const Prepared& p = g721_prepared();
   for (auto _ : state)
     for (const FuncState& f : p.funcs)
-      benchmark::DoNotOptimize(wcet::IpetSkeleton(*f.cfg, *f.loops, p.view.ann));
+      benchmark::DoNotOptimize(wcet::IpetSkeleton(*f.cfg, *f.loops, p.view.structure->ann));
 }
 BENCHMARK(BM_IpetConstruction);
 
@@ -83,12 +82,12 @@ void BM_IpetSkeletonResolve(benchmark::State& state) {
   const Prepared& p = g721_prepared();
   std::vector<wcet::IpetSkeleton> skeletons;
   for (const FuncState& f : p.funcs)
-    skeletons.emplace_back(*f.cfg, *f.loops, p.view.ann);
+    skeletons.emplace_back(*f.cfg, *f.loops, p.view.structure->ann);
   for (auto _ : state)
     for (std::size_t i = 0; i < p.funcs.size(); ++i) {
       const FuncState& f = p.funcs[i];
       benchmark::DoNotOptimize(
-          skeletons[i].try_solve(*f.cfg, *f.loops, p.view.ann, f.times));
+          skeletons[i].try_solve(*f.cfg, *f.loops, p.view.structure->ann, f.times));
     }
 }
 BENCHMARK(BM_IpetSkeletonResolve);

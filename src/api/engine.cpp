@@ -412,8 +412,7 @@ WcetBenchResult Engine::measure_wcetbench(const WcetBenchRequest& req) {
       return wcet::build_relocatable(
           std::make_shared<const wcet::ProgramShape>(
               wcet::build_shape(img, canonical->decoded)),
-          std::shared_ptr<const link::Image>(canonical, &img),
-          canonical->decoded, wl->module, canonical->extents);
+          img, canonical->decoded, wl->module, canonical->extents);
     };
 
     measure("spm", [&] {

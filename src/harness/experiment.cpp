@@ -201,9 +201,8 @@ relocatable_program(const workloads::WorkloadInfo& wl, ArtifactCache& ac) {
     const auto shape = ac.shape(wl, [&] {
       return wcet::build_shape(canonical->image, canonical->decoded);
     });
-    return wcet::build_relocatable(
-        shape, std::shared_ptr<const link::Image>(canonical, &canonical->image),
-        canonical->decoded, wl.module, canonical->extents);
+    return wcet::build_relocatable(shape, canonical->image, canonical->decoded,
+                                   wl.module, canonical->extents);
   });
 }
 

@@ -32,62 +32,61 @@ WcetReport analyze_wcet(const link::Image& img, const AnalyzerConfig& cfg,
 /// skeletons (keyed by the view's func_index), which is bit-identical to
 /// the from-scratch solve by IpetCache's contract.
 WcetReport analyze_wcet(const ProgramView& view, const AnalyzerConfig& cfg) {
-  const Annotations& ann = view.ann;
-  const std::map<uint32_t, Cfg>& cfgs = view.cfgs;
-  const std::map<uint32_t, const LoopInfo*>& loops = view.loops;
-  const ViewScaffold& scaffold = view.scaffold;
-  const CacheSupergraph& graph = scaffold.supergraph;
-  SPMWCET_CHECK_MSG(graph.num_nodes() != 0,
+  SPMWCET_CHECK_MSG(view.structure != nullptr &&
+                        view.structure->supergraph.num_nodes() != 0,
                     "analyze_wcet: the view has no scaffold (build_scaffold)");
-  // Pre-validate loop bounds for friendlier errors.
-  for (const auto& [f, info] : loops) {
-    for (const Loop& loop : info->loops) {
-      const uint32_t header = cfgs.at(f)
-                                  .blocks[static_cast<std::size_t>(loop.header)]
-                                  .first_addr;
+  const ViewStructure& s = *view.structure;
+  const Annotations& ann = s.ann;
+  const CacheSupergraph& graph = s.supergraph;
+  SPMWCET_CHECK(view.func_base.size() == graph.func_addr.size());
+  // Pre-validate loop bounds for friendlier errors, naming each header at
+  // its address in this view's layout.
+  for (std::size_t func = 0; const auto& [f, fcfg] : s.cfgs) {
+    const uint32_t delta = view.func_base[func++] - f;
+    for (const Loop& loop : s.loops.at(f)->loops) {
+      const uint32_t header =
+          fcfg.blocks[static_cast<std::size_t>(loop.header)].first_addr;
       if (!ann.loop_bound(header).has_value())
-        throw AnnotationError("wcet: loop in " + cfgs.at(f).name +
-                              " at address " + std::to_string(header) +
+        throw AnnotationError("wcet: loop in " + fcfg.name + " at address " +
+                              std::to_string(header + delta) +
                               " has no bound annotation");
     }
   }
 
   // ---- microarchitectural analysis ------------------------------------------
-  const SiteTable& table = scaffold.sites;
+  const SiteTable& table = view.sites;
   SiteClassification classification;
   WcetReport report;
   TimingInputs inputs;
   inputs.cache = cfg.cache;
   if (cfg.cache) {
-    SPMWCET_CHECK_MSG(view.img != nullptr,
-                      "analyze_wcet: a cache analysis needs the bound image");
-    const link::Image& img = *view.img;
     CacheAnalysisConfig ccfg;
     ccfg.cache = *cfg.cache;
     ccfg.with_persistence = cfg.with_persistence;
-    classification = analyze_cache_flat(img, graph, table, ccfg);
+    classification = analyze_cache_flat(view.stack_top, graph, table, ccfg);
     inputs.classification = &classification;
     report.fetch_sites = table.fetch_sites;
     report.load_sites = table.load_sites;
   }
 
   // ---- path analysis, bottom-up over the call graph --------------------------
-  if (scaffold.recursive)
+  if (s.recursive)
     throw ProgramError("wcet: recursion detected at function " +
-                       cfgs.at(*scaffold.recursive).name);
+                       s.cfgs.at(*s.recursive).name);
   // Every function is timed once, so the timing passes count every site.
-  SPMWCET_CHECK(scaffold.bottom_up.size() == graph.func_addr.size());
+  SPMWCET_CHECK(s.bottom_up.size() == graph.func_addr.size());
   std::vector<uint64_t> func_wcet(graph.func_addr.size(), kNoWcet);
   BlockTimes times;
   SiteStats stats;
-  for (const uint32_t func : scaffold.bottom_up) {
+  for (const uint32_t func : s.bottom_up) {
     const uint32_t f = graph.func_addr[func];
-    const Cfg& fcfg = cfgs.at(f);
-    const LoopInfo& floops = *loops.at(f);
+    const Cfg& fcfg = s.cfgs.at(f);
+    const LoopInfo& floops = *s.loops.at(f);
+    const uint32_t delta = view.func_base[func] - f;
     time_function(table, func, inputs, func_wcet, times, stats);
     const IpetResult ipet =
         cfg.ipet_cache != nullptr
-            ? cfg.ipet_cache->solve(view.func_index.at(f), fcfg, floops, ann,
+            ? cfg.ipet_cache->solve(s.func_index.at(f), fcfg, floops, ann,
                                     times)
             : solve_ipet(fcfg, floops, ann, times);
     func_wcet[func] = ipet.wcet;
@@ -99,7 +98,7 @@ WcetReport analyze_wcet(const ProgramView& view, const AnalyzerConfig& cfg) {
     fw.loops = static_cast<uint32_t>(floops.loops.size());
     fw.block_profile.reserve(fcfg.blocks.size());
     for (std::size_t b = 0; b < fcfg.blocks.size(); ++b)
-      fw.block_profile.push_back(BlockWcet{fcfg.blocks[b].first_addr,
+      fw.block_profile.push_back(BlockWcet{fcfg.blocks[b].first_addr + delta,
                                            ipet.block_counts[b],
                                            times.block_cycles[b]});
     report.functions.emplace(fcfg.name, std::move(fw));
@@ -110,7 +109,7 @@ WcetReport analyze_wcet(const ProgramView& view, const AnalyzerConfig& cfg) {
     report.persistent_sites = stats.persistent_sites;
   }
 
-  report.wcet = func_wcet[graph.func_of(view.root)];
+  report.wcet = func_wcet[graph.func_of(s.root)];
 
   // Persistence: each persistent line may miss once over the whole run.
   if (cfg.cache && cfg.with_persistence) {

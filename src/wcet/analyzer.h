@@ -94,10 +94,10 @@ WcetReport analyze_wcet(const link::Image& img, const AnalyzerConfig& cfg = {},
 
 /// Analyzes a pre-bound ProgramView (wcet/frontend.h): only the
 /// layout-dependent passes run — loop-bound validation, optional cache
-/// analysis, block timing, IPET — over the view's scaffold (the cache
-/// supergraph and the bottom-up function order, built at bind). This is
-/// what the sweep harness calls with cached views so CFG/loop/value
-/// reconstruction amortizes across points.
+/// analysis, block timing, IPET — over the view's structure (the cache
+/// supergraph and the bottom-up function order, built at bind) and its
+/// site table. This is what the sweep harness calls with cached views so
+/// CFG/loop/value reconstruction amortizes across points.
 /// The view's annotations and auto bounds are already baked in;
 /// `cfg.auto_loop_bounds` is ignored here.
 WcetReport analyze_wcet(const ProgramView& view, const AnalyzerConfig& cfg);

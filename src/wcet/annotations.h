@@ -44,12 +44,6 @@ public:
     return loop_bounds_;
   }
 
-  /// Copies the loop bounds and totals of headers in [lo, hi) into `out`,
-  /// each moved by `delta` (modulo 2^32): the loop facts of one function's
-  /// code once a placement moves it.
-  void copy_loop_facts(uint32_t lo, uint32_t hi, uint32_t delta,
-                       Annotations& out) const;
-
 private:
   std::map<uint32_t, int64_t> loop_bounds_;
   std::map<uint32_t, int64_t> loop_totals_;

@@ -48,16 +48,16 @@ std::atomic<uint64_t> g_flat_persistence_runs{0};
 
 class FlatCacheAnalyzer {
 public:
-  FlatCacheAnalyzer(const link::Image& img, const CacheSupergraph& graph,
+  FlatCacheAnalyzer(uint32_t stack_top, const CacheSupergraph& graph,
                     const SiteTable& table, const CacheAnalysisConfig& cfg)
-      : img_(img), graph_(graph), table_(table), cfg_(cfg) {
+      : stack_top_(stack_top), graph_(graph), table_(table), cfg_(cfg) {
     cfg_.cache.validate();
     // The supergraph and the site table number blocks and sites alike; they
     // must have been built over the same CFGs.
     SPMWCET_CHECK_MSG(graph_.num_nodes() == table_.blocks.size() &&
                           graph_.func_addr.size() == table_.functions.size(),
                       "cache analysis: supergraph built for other CFGs");
-    stack_lo_ = img.initial_sp - kAnalysisStackBytes;
+    stack_lo_ = stack_top - kAnalysisStackBytes;
     nsets_ = cfg_.cache.num_sets();
     assoc_ = cfg_.cache.assoc;
     line_shift_ = log2_pow2(cfg_.cache.line_bytes);
@@ -375,7 +375,7 @@ private:
         access_range(st, line_of(s.lo), line_of(s.hi));
         break;
       case SiteTable::Load::Stack:
-        access_range(st, line_of(stack_lo_), line_of(img_.initial_sp - 1),
+        access_range(st, line_of(stack_lo_), line_of(stack_top_ - 1),
                      s.accesses);
         break;
       case SiteTable::Load::Unknown:
@@ -458,7 +458,7 @@ private:
     lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
   }
 
-  const link::Image& img_;
+  uint32_t stack_top_;
   const CacheSupergraph& graph_;
   const SiteTable& table_;
   CacheAnalysisConfig cfg_;
@@ -562,21 +562,23 @@ CacheSupergraph build_supergraph(const std::map<uint32_t, Cfg>& cfgs,
   return g;
 }
 
-SiteClassification analyze_cache_flat(const link::Image& img,
+SiteClassification analyze_cache_flat(uint32_t stack_top,
                                       const CacheSupergraph& graph,
                                       const SiteTable& sites,
                                       const CacheAnalysisConfig& cfg) {
   (cfg.with_persistence ? g_flat_persistence_runs : g_flat_must_runs)
       .fetch_add(1, std::memory_order_relaxed);
-  return FlatCacheAnalyzer(img, graph, sites, cfg).run();
+  return FlatCacheAnalyzer(stack_top, graph, sites, cfg).run();
 }
 
-SiteClassification analyze_cache_flat(const link::Image& img,
+SiteClassification analyze_cache_flat(uint32_t stack_top,
                                       const std::map<uint32_t, Cfg>& cfgs,
+                                      std::span<const MemFacts> facts,
                                       uint32_t root,
                                       const CacheAnalysisConfig& cfg) {
-  const SiteTable sites = build_site_table(cfgs);
-  return analyze_cache_flat(img, build_supergraph(cfgs, root), sites, cfg);
+  const SiteTable sites = build_site_table(cfgs, facts);
+  return analyze_cache_flat(stack_top, build_supergraph(cfgs, root), sites,
+                            cfg);
 }
 
 CacheAnalysisCounters cache_analysis_counters() {

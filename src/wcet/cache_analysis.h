@@ -20,10 +20,10 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "cache/geometry.h"
-#include "link/image.h"
 #include "wcet/cfg.h"
 #include "wcet/site_table.h"
 
@@ -85,7 +85,7 @@ struct SiteClassification {
 /// block order of the site table (wcet/site_table.h), which holds each
 /// node's sites; a call block feeds its callee's entry node, an exit block
 /// every continuation of a call to its function, any other block its CFG
-/// successors. A bound ProgramView builds it once (ViewScaffold), so every
+/// successors. A bound view's structure holds it (ViewStructure), so every
 /// cache size analyzed on the view shares it.
 struct CacheSupergraph {
   /// Successors of node n: succs[succ_start[n] .. succ_start[n + 1]).
@@ -108,9 +108,10 @@ CacheSupergraph build_supergraph(const std::map<uint32_t, Cfg>& cfgs,
                                  uint32_t root);
 
 /// Runs the fixpoint over the supergraph `graph` with the accesses of the
-/// site table `sites`, both built over the same CFGs (a bound view's
-/// ViewScaffold holds the pair). The site table carries the CFGs' memory
-/// facts, so only resolved CFGs reach the analysis.
+/// site table `sites`, both built over the same CFGs (a bound view holds
+/// the pair), for a program whose stack starts at `stack_top`. The site
+/// table carries the view's memory facts, so only resolved sites reach the
+/// analysis.
 /// A MUST state is a sorted vector of its live (set, tag, age) entries, so
 /// copying, joining, comparing and aging a state cost the lines it holds
 /// rather than num_sets × assoc slots, and aging every set a range, the
@@ -133,17 +134,18 @@ CacheSupergraph build_supergraph(const std::map<uint32_t, Cfg>& cfgs,
 /// result. The map-based oracle in tests/reference/ walks the same order
 /// and classifies every site identically; which order, if either, gives a
 /// sound persistence bound is an open question (ROADMAP).
-SiteClassification analyze_cache_flat(const link::Image& img,
+SiteClassification analyze_cache_flat(uint32_t stack_top,
                                       const CacheSupergraph& graph,
                                       const SiteTable& sites,
                                       const CacheAnalysisConfig& cfg);
 
 /// The same analysis on a supergraph and site table built for this one
-/// call; for tests and benches that hold CFGs without a bound view. Every
-/// CFG must carry this image's memory facts (resolve_memory,
-/// wcet/value_analysis.h); an unresolved one is refused.
-SiteClassification analyze_cache_flat(const link::Image& img,
+/// call; for tests and benches that hold CFGs without a bound view.
+/// `facts` are the CFGs' memory facts in site order (resolve_memory,
+/// wcet/value_analysis.h); facts that do not cover every site are refused.
+SiteClassification analyze_cache_flat(uint32_t stack_top,
                                       const std::map<uint32_t, Cfg>& cfgs,
+                                      std::span<const MemFacts> facts,
                                       uint32_t root,
                                       const CacheAnalysisConfig& cfg);
 

@@ -5,8 +5,6 @@
 #include <string_view>
 #include <unordered_map>
 
-#include "isa/encode.h"
-
 #include "support/diag.h"
 #include "wcet/loop_bounds.h"
 
@@ -177,28 +175,28 @@ Cfg bind_cfg(const FuncShape& fs, uint32_t base,
 }
 
 /// Binds the shape's CFGs, loops and function indices to `img` with its
-/// annotations (`overrides` replaces the image-derived set); the memory
-/// facts and the scaffold are the caller's.
-ProgramView bind_cfgs(std::shared_ptr<const ProgramShape> shape,
-                      const link::Image& img, const program::DecodedImage& dec,
-                      const Annotations* overrides) {
+/// annotations (`overrides` replaces the image-derived set); the scaffold
+/// is the caller's.
+ViewStructure bind_structure(std::shared_ptr<const ProgramShape> shape,
+                             const link::Image& img,
+                             const program::DecodedImage& dec,
+                             const Annotations* overrides) {
   SPMWCET_CHECK(shape != nullptr);
   if (module_fingerprint(img, dec) != shape->module_key)
     throw ProgramError(
         "wcet: program shape does not match the image's module");
 
-  ProgramView view;
-  view.shape = std::move(shape);
-  view.img = &img;
-  view.root = img.entry;
-  view.ann = overrides != nullptr ? *overrides : Annotations::from_image(img);
+  ViewStructure s;
+  s.shape = std::move(shape);
+  s.root = img.entry;
+  s.ann = overrides != nullptr ? *overrides : Annotations::from_image(img);
 
   // Resolve every function's base address in this layout first (bind needs
   // callee addresses), with the cheap structural sanity checks the seed
   // front end performed through code_extent.
-  std::vector<uint32_t> func_addrs(view.shape->funcs.size());
-  for (std::size_t i = 0; i < view.shape->funcs.size(); ++i) {
-    const FuncShape& fs = view.shape->funcs[i];
+  std::vector<uint32_t> func_addrs(s.shape->funcs.size());
+  for (std::size_t i = 0; i < s.shape->funcs.size(); ++i) {
+    const FuncShape& fs = s.shape->funcs[i];
     const link::Symbol* sym = img.find_symbol(fs.name);
     if (sym == nullptr || !sym->is_function)
       throw ProgramError("bind: no function symbol " + fs.name +
@@ -209,44 +207,59 @@ ProgramView bind_cfgs(std::shared_ptr<const ProgramShape> shape,
                          " differs from the program shape");
     func_addrs[i] = sym->addr;
   }
-  SPMWCET_CHECK_MSG(func_addrs[view.shape->root] == img.entry,
+  SPMWCET_CHECK_MSG(func_addrs[s.shape->root] == img.entry,
                     "bind: image entry is not the shape's root function");
 
-  for (std::size_t i = 0; i < view.shape->funcs.size(); ++i) {
-    const FuncShape& fs = view.shape->funcs[i];
-    view.cfgs.emplace(func_addrs[i], bind_cfg(fs, func_addrs[i], func_addrs,
-                                              dec));
-    view.loops.emplace(func_addrs[i], &fs.loops);
-    view.func_index.emplace(func_addrs[i], i);
+  for (std::size_t i = 0; i < s.shape->funcs.size(); ++i) {
+    const FuncShape& fs = s.shape->funcs[i];
+    s.cfgs.emplace(func_addrs[i], bind_cfg(fs, func_addrs[i], func_addrs, dec));
+    s.loops.emplace(func_addrs[i], &fs.loops);
+    s.func_index.emplace(func_addrs[i], i);
   }
-  return view;
+  return s;
 }
 
 } // namespace
+
+ProgramView make_view(std::shared_ptr<const ViewStructure> structure,
+                      std::vector<MemFacts> facts, uint32_t stack_top,
+                      std::vector<uint32_t> func_base) {
+  SPMWCET_CHECK(structure != nullptr);
+  if (func_base.empty())
+    for (const auto& [faddr, cfg] : structure->cfgs) func_base.push_back(faddr);
+  ProgramView view;
+  view.sites = build_site_table(structure->cfgs, facts, func_base);
+  view.structure = std::move(structure);
+  view.facts = std::move(facts);
+  view.func_base = std::move(func_base);
+  view.stack_top = stack_top;
+  return view;
+}
 
 ProgramView bind_view(std::shared_ptr<const ProgramShape> shape,
                       const link::Image& img,
                       const program::DecodedImage& dec,
                       bool auto_loop_bounds, const Annotations* overrides) {
-  ProgramView view = bind_cfgs(std::move(shape), img, dec, overrides);
+  ViewStructure s = bind_structure(std::move(shape), img, dec, overrides);
 
   // Optional aiT-style automatic bounds, re-detected against THIS image
   // (the pattern matching reads literal pools, which are per-link); the
   // structure walk reuses the bound CFGs, so only the matching re-runs.
   if (auto_loop_bounds) {
-    for (const auto& [f, fcfg] : view.cfgs)
+    for (const auto& [f, fcfg] : s.cfgs)
       for (const auto& [header, detected] :
-           detect_loop_bounds(img, fcfg, *view.loops.at(f)))
-        if (!view.ann.loop_bound(header).has_value())
-          view.ann.set_loop_bound(header, detected.bound);
+           detect_loop_bounds(img, fcfg, *s.loops.at(f)))
+        if (!s.ann.loop_bound(header).has_value())
+          s.ann.set_loop_bound(header, detected.bound);
   }
 
-  // This image's memory facts, resolved once into the bound CFGs: every
-  // analysis of the view reads them instead of the region map.
-  for (auto& [f, fcfg] : view.cfgs) resolve_memory(img, fcfg, view.ann);
-
-  view.scaffold = build_scaffold(view.cfgs, view.root);
-  return view;
+  // This image's memory facts, resolved once: every analysis of the view
+  // reads them (through its site table) instead of the region map.
+  std::vector<MemFacts> facts;
+  for (const auto& [f, fcfg] : s.cfgs) resolve_memory(img, fcfg, s.ann, facts);
+  build_scaffold(s);
+  return make_view(std::make_shared<const ViewStructure>(std::move(s)),
+                   std::move(facts), img.initial_sp);
 }
 
 namespace {
@@ -346,15 +359,11 @@ analyze_at(const Cfg& cfg, const RelocatableProgram& rp,
 } // namespace
 
 RelocatableProgram build_relocatable(
-    std::shared_ptr<const ProgramShape> shape,
-    std::shared_ptr<const link::Image> img, const program::DecodedImage& dec,
-    const minic::ObjModule& mod,
+    std::shared_ptr<const ProgramShape> shape, const link::Image& img,
+    const program::DecodedImage& dec, const minic::ObjModule& mod,
     std::span<const link::FunctionExtent> extents) {
-  SPMWCET_CHECK(img != nullptr);
   SPMWCET_CHECK(extents.size() == mod.functions.size());
-  auto view = std::make_shared<ProgramView>(
-      bind_cfgs(std::move(shape), *img, dec, nullptr));
-  view->pinned_image = img;
+  ViewStructure s = bind_structure(std::move(shape), img, dec, nullptr);
 
   // Symbol names resolve once: the link resolves a literal to a global
   // first, Annotations::from_image a hint to a function first.
@@ -369,7 +378,7 @@ RelocatableProgram build_relocatable(
     rp.symbol_bytes.push_back(extent.total_bytes);
   for (const auto& g : mod.globals)
     rp.symbol_bytes.push_back(g.size_bytes());
-  for (const auto& [addr, name] : img->access_hints) {
+  for (const auto& [addr, name] : img.access_hints) {
     auto id = functions.find(name);
     if (id == functions.end()) id = globals.find(name);
     SPMWCET_CHECK(id != globals.end());
@@ -379,8 +388,9 @@ RelocatableProgram build_relocatable(
   const link::AddressMap canonical_addrs =
       link::assign_addresses(mod, extents, {}, {});
   const std::vector<uint32_t> symbol_addr = symbol_addresses(canonical_addrs);
-  rp.functions.reserve(view->cfgs.size());
-  for (auto& [faddr, cfg] : view->cfgs) {
+  rp.functions.reserve(s.cfgs.size());
+  std::vector<MemFacts> facts;
+  for (const auto& [faddr, cfg] : s.cfgs) {
     RelocatableProgram::Function& fn = rp.functions.emplace_back();
     if (const auto it = functions.find(cfg.name); it != functions.end()) {
       const std::size_t i = it->second;
@@ -401,13 +411,16 @@ RelocatableProgram build_relocatable(
     fn.facts = analyze_accesses(
         cfg, RelocationSource(rp, fn, faddr, symbol_addr, /*concrete=*/false));
     if (fn.facts)
-      place_memory(cfg, fn.facts->accesses, symbol_addr, img->regions);
+      place_memory(cfg, fn.facts->accesses, symbol_addr, img.regions, 0,
+                   facts);
     else
       place_memory(cfg, analyze_at(cfg, rp, fn, faddr, 0, symbol_addr), {},
-                   img->regions);
+                   img.regions, 0, facts);
   }
-  view->scaffold = build_scaffold(view->cfgs, view->root);
-  rp.canonical = std::move(view);
+  build_scaffold(s);
+  rp.canonical = std::make_shared<const ProgramView>(
+      make_view(std::make_shared<const ViewStructure>(std::move(s)),
+                std::move(facts), img.initial_sp));
   return rp;
 }
 
@@ -421,49 +434,20 @@ PlacementBinding bind_placement(const RelocatableProgram& rp,
   const link::RegionMap regions =
       link::build_region_map(mod, extents, opts, addrs);
 
-  // Each canonical function's placed base, in canonical key order (the
-  // start stub sits at the code base in every link).
-  std::vector<uint32_t> canon_addr, placed_addr;
-  canon_addr.reserve(canon.cfgs.size());
-  placed_addr.reserve(canon.cfgs.size());
-  for (std::size_t j = 0; const auto& [faddr, cfg] : canon.cfgs) {
-    const int32_t fn = rp.functions[j++].module_function;
-    canon_addr.push_back(faddr);
-    placed_addr.push_back(
-        fn < 0 ? opts.code_base
-               : addrs.function_base[static_cast<std::size_t>(fn)]);
-  }
-  const auto placed_of = [&](uint32_t canonical) {
-    const auto it =
-        std::lower_bound(canon_addr.begin(), canon_addr.end(), canonical);
-    SPMWCET_CHECK(it != canon_addr.end() && *it == canonical);
-    return placed_addr[static_cast<std::size_t>(it - canon_addr.begin())];
-  };
-
   PlacementBinding out;
-  ProgramView& view = out.view;
-  view.shape = canon.shape;
-  view.root = placed_of(canon.root);
-  for (std::size_t ordinal = 0; const auto& [faddr, canon_cfg] : canon.cfgs) {
-    const RelocatableProgram::Function& fn = rp.functions[ordinal];
-    const uint32_t base = placed_addr[ordinal++];
+  std::vector<MemFacts> facts;
+  facts.reserve(canon.facts.size());
+  std::vector<uint32_t> func_base;
+  func_base.reserve(canon.func_base.size());
+  for (std::size_t ordinal = 0;
+       const auto& [faddr, cfg] : canon.structure->cfgs) {
+    const RelocatableProgram::Function& fn = rp.functions[ordinal++];
+    // The start stub sits at the code base in every link.
+    const uint32_t base =
+        fn.module_function < 0
+            ? opts.code_base
+            : addrs.function_base[static_cast<std::size_t>(fn.module_function)];
     const uint32_t delta = base - faddr;
-    Cfg cfg = canon_cfg;
-    cfg.func_addr = base;
-    for (BasicBlock& b : cfg.blocks) {
-      b.first_addr += delta;
-      b.end_addr += delta;
-      if (b.call_target) b.call_target = placed_of(*b.call_target);
-      for (CfgInstr& ci : b.instrs) {
-        ci.addr += delta;
-        // The only link-time field of the stream: a call's offset.
-        if (ci.ins.op == isa::Op::BL_HI) {
-          SPMWCET_CHECK(b.call_target.has_value());
-          isa::encode_bl(isa::branch_offset(ci.addr, *b.call_target), ci.ins,
-                         ci.bl_lo);
-        }
-      }
-    }
     // The facts hold wherever the placement orders every symbol pair they
     // rely on alike; elsewhere the function is analyzed at the placement.
     const bool holds =
@@ -473,31 +457,23 @@ PlacementBinding bind_placement(const RelocatableProgram& rp,
                       return symbol_addr[p.first] < symbol_addr[p.second];
                     });
     if (holds) {
-      place_memory(cfg, fn.facts->accesses, symbol_addr, regions);
+      place_memory(cfg, fn.facts->accesses, symbol_addr, regions, delta,
+                   facts);
     } else {
       ++out.reanalyzed;
-      place_memory(cfg,
-                   analyze_at(canon_cfg, rp, fn, faddr, delta, symbol_addr),
-                   {}, regions);
+      place_memory(cfg, analyze_at(cfg, rp, fn, faddr, delta, symbol_addr),
+                   {}, regions, delta, facts);
     }
-    const std::size_t index = canon.func_index.at(faddr);
-    canon.ann.copy_loop_facts(faddr,
-                              faddr + canon.shape->funcs[index].code_bytes,
-                              delta, view.ann);
-    view.loops.emplace(base, canon.loops.at(faddr));
-    view.func_index.emplace(base, index);
-    view.cfgs.emplace(base, std::move(cfg));
+    func_base.push_back(base);
   }
-  view.scaffold = build_scaffold(view.cfgs, view.root);
+  out.view = make_view(canon.structure, std::move(facts), opts.stack_top,
+                       std::move(func_base));
   return out;
 }
 
-ViewScaffold build_scaffold(const std::map<uint32_t, Cfg>& cfgs,
-                            uint32_t root) {
-  ViewScaffold sc;
-  sc.sites = build_site_table(cfgs);
-  sc.supergraph = build_supergraph(cfgs, root);
-  const CacheSupergraph& g = sc.supergraph;
+void build_scaffold(ViewStructure& s) {
+  s.supergraph = build_supergraph(s.cfgs, s.root);
+  const CacheSupergraph& g = s.supergraph;
 
   // Topological order of the call graph, callees before callers: an
   // iterative DFS with an explicit visit state to detect cycles.
@@ -512,12 +488,12 @@ ViewScaffold build_scaffold(const std::map<uint32_t, Cfg>& cfgs,
   auto push = [&](uint32_t f) {
     Frame fr;
     fr.func = g.func_of(f);
-    for (const auto& b : cfgs.at(f).blocks)
+    for (const auto& b : s.cfgs.at(f).blocks)
       if (b.call_target) fr.callees.push_back(*b.call_target);
     on_path[fr.func] = 1;
     stack.push_back(std::move(fr));
   };
-  push(root);
+  push(s.root);
   while (!stack.empty()) {
     Frame& fr = stack.back();
     if (fr.next < fr.callees.size()) {
@@ -525,19 +501,18 @@ ViewScaffold build_scaffold(const std::map<uint32_t, Cfg>& cfgs,
       const uint32_t c = g.func_of(callee);
       if (done[c]) continue;
       if (on_path[c]) {
-        sc.bottom_up.clear();
-        sc.recursive = callee;
-        return sc;
+        s.bottom_up.clear();
+        s.recursive = callee;
+        return;
       }
       push(callee);
     } else {
-      sc.bottom_up.push_back(fr.func);
+      s.bottom_up.push_back(fr.func);
       done[fr.func] = 1;
       on_path[fr.func] = 0;
       stack.pop_back();
     }
   }
-  return sc;
 }
 
 } // namespace spmwcet::wcet

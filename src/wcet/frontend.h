@@ -7,33 +7,39 @@
 // immediates), basic-block structure, dominators, loops, and the bound
 // annotations are all identical across every point of a sweep. The seed
 // analyzer recomputed all of it per point; here it is computed once as a
-// ProgramShape and re-bound to each concrete image:
+// ProgramShape and bound to a concrete image:
 //
-//   ProgramShape  (one per workload)   function skeletons in offset space:
+//   ProgramShape   (one per workload)  function skeletons in offset space:
 //                                      blocks, edges, call graph, loops.
-//   ProgramView   (one per image)      the shape bound to a layout: CFGs
-//                                      with real addresses and this link's
-//                                      immediates, annotations, and each
-//                                      instruction's memory facts from the
-//                                      value analysis.
+//   ViewStructure  (one per bound      the shape bound to one link: CFGs at
+//                   image)             its addresses, annotations, and what
+//                                      the back end derives from the CFGs
+//                                      alone (cache supergraph, bottom-up
+//                                      function order).
+//   ProgramView    (one per image or   a structure plus what a layout
+//                   placement)         decides: each instruction site's
+//                                      memory facts, the site table priced
+//                                      from them, each function's base
+//                                      address and the stack top.
 //
 // analyze_wcet(view, cfg) then runs only the genuinely layout-dependent
 // passes (cache analysis, block timing, IPET). The cache branch of a sweep
 // shares one image across all sizes, so it shares one ProgramView — CFG
 // reconstruction, loop detection and value analysis run once per workload
-// instead of once per point. The view's scaffold also fixes what no cache
-// geometry changes — the cache supergraph, the site table that prices
-// every access the cache does not classify, and the bottom-up function
-// order — so a cache point analyzed on it does only the work that depends
-// on the geometry.
+// instead of once per point, and a cache point does only the work that
+// depends on the geometry.
 //
 // Every view the harness analyzes comes from one RelocatableProgram per
 // workload: the value analysis runs once over symbol-relative values, and
 // the canonical view's facts are those facts placed at the canonical
 // addresses. A placement changes only where objects land and which memory
-// class each one is in, so bind_placement relocates every site's facts to
-// the placement's addresses and classifies them against its region map —
-// no link, no decode. A function whose facts do not hold at a placement (the
+// class each one is in, so bind_placement shares the canonical view's
+// structure and builds only a facts vector — every site's facts relocated to
+// the placement's addresses and classified against its region map — and
+// the site table priced from it: no link, no decode, no CFG copy. IPET reads
+// loop bounds at the canonical headers and skeletons by function index,
+// both the same at every placement, and the report moves each block to its
+// placed address. A function whose facts do not hold at a placement (the
 // symbolic domain could not express a value of it, or the placement flips a
 // symbol order they rely on) is analyzed at that placement's addresses,
 // which the linked image would hold. bind_view on a linked image stays the
@@ -61,6 +67,7 @@
 #include "wcet/cache_analysis.h"
 #include "wcet/cfg.h"
 #include "wcet/loops.h"
+#include "wcet/mem_facts.h"
 #include "wcet/site_table.h"
 #include "wcet/value_analysis.h"
 
@@ -111,16 +118,23 @@ uint64_t module_fingerprint(const link::Image& img,
 ProgramShape build_shape(const link::Image& img,
                          const program::DecodedImage& dec);
 
-/// What the back end derives from a view's CFGs alone, built once per view
-/// so no analysis of it rebuilds them: every cache size analyzed on the
-/// view walks the same cache supergraph, reads the same site table, and
-/// IPET visits functions in the same bottom-up order.
-struct ViewScaffold {
+/// The part of a view no placement changes: the shape bound to one link's
+/// addresses, and what the back end derives from its CFGs alone, so no
+/// analysis rebuilds them — every cache size walks the same supergraph,
+/// and IPET visits functions in the same bottom-up order. Immutable once
+/// built; the canonical view and every placement of a relocatable program
+/// share one.
+struct ViewStructure {
+  std::shared_ptr<const ProgramShape> shape;
+  uint32_t root = 0; ///< entry function address in this link
+  Annotations ann;
+  std::map<uint32_t, Cfg> cfgs; ///< keyed by function address
+  std::map<uint32_t, const LoopInfo*> loops; ///< borrowed from the shape
+  /// This link's address of each function -> its ProgramShape::funcs index.
+  /// Stable across placements of one shape; keys the per-workload IPET
+  /// skeleton cache.
+  std::map<uint32_t, std::size_t> func_index;
   CacheSupergraph supergraph;
-  /// Per-site accesses, per-block base cycles and per-function edge
-  /// penalties (wcet/site_table.h): the cache transfer and block timing
-  /// read it, so a cache point does only the geometry-dependent work.
-  SiteTable sites;
   /// Functions callees before callers, as ordinals into
   /// supergraph.func_addr; empty when the call graph recurses.
   std::vector<uint32_t> bottom_up;
@@ -129,48 +143,44 @@ struct ViewScaffold {
   std::optional<uint32_t> recursive;
 };
 
-/// Builds the scaffold of the program rooted at `root` over `cfgs`, whose
-/// memory facts must have been resolved (resolve_memory).
-ViewScaffold build_scaffold(const std::map<uint32_t, Cfg>& cfgs,
-                            uint32_t root);
+/// Builds `s`'s supergraph and bottom-up order (or finds its recursion)
+/// from its CFGs and root.
+void build_scaffold(ViewStructure& s);
 
-/// The shape bound to one concrete image: real addresses, this link's
-/// literal pools and immediates, annotations, and value-analysis results
-/// (CfgInstr::mem of every bound CFG). Immutable after bind_view; safe to
+/// A structure at one layout: the memory facts of every instruction site
+/// (resolve_memory, place_memory), the site table priced from them, and
+/// where each function and the stack sit. Immutable after binding; safe to
 /// share across threads and analyses.
 struct ProgramView {
-  std::shared_ptr<const ProgramShape> shape;
-  /// Optional lifetime pins for cached views (the borrowed pointers below
-  /// must outlive the view; harness caches hand in shared ownership).
+  std::shared_ptr<const ViewStructure> structure;
+  /// Per instruction site, in site order (wcet/site_table.h).
+  std::vector<MemFacts> facts;
+  /// Priced from `facts` over the structure's CFGs; its sites sit at
+  /// `func_base`.
+  SiteTable sites;
+  /// Each function's base address at this layout, by ordinal (structure
+  /// key order); the report moves every block by its function's base.
+  std::vector<uint32_t> func_base;
+  uint32_t stack_top = 0; ///< initial stack pointer
+  /// Unused by the analysis; perfbench's replica still assigns it. It goes
+  /// with the traced replica (ROADMAP item 1's benchmark change).
   std::shared_ptr<const link::Image> pinned_image;
-
-  /// The bound image; null for a placement's view (bind_placement), which
-  /// only an uncached analysis may read.
-  const link::Image* img = nullptr;
-  uint32_t root = 0; ///< entry function address in this image
-  /// From bind_placement: the loop bounds and totals of the view's
-  /// functions only (its memory facts are resolved already).
-  Annotations ann;
-  std::map<uint32_t, Cfg> cfgs; ///< keyed by function address; facts resolved
-  std::map<uint32_t, const LoopInfo*> loops;    ///< borrowed from the shape
-  /// This image's address of each function -> its ProgramShape::funcs index.
-  /// Stable across placements of one shape; keys the per-workload IPET
-  /// skeleton cache.
-  std::map<uint32_t, std::size_t> func_index;
-  /// Built from `cfgs` and `root` by bind_view (build_scaffold); shared by
-  /// every analysis of the view. It names CFGs by key order, not by
-  /// address of the map nodes, so copies of the view stay valid.
-  ViewScaffold scaffold;
 };
+
+/// The view of `structure` with `facts` (one per site), each function at
+/// `func_base` (empty: at its CFG's address) and the stack at `stack_top`;
+/// prices the site table.
+ProgramView make_view(std::shared_ptr<const ViewStructure> structure,
+                      std::vector<MemFacts> facts, uint32_t stack_top,
+                      std::vector<uint32_t> func_base = {});
 
 /// Binds `shape` to `img` (with `dec` the shared decode of the same image):
 /// materializes per-function CFGs at this layout's addresses, applies
 /// annotations (`overrides` replaces the image-derived set; with
 /// `auto_loop_bounds`, detected counted-loop bounds fill unannotated
-/// headers), and runs the value analysis, which resolves every
-/// instruction's memory facts into the bound CFGs, then builds the view's
-/// scaffold. Throws ProgramError when the image does not belong to the
-/// shape's module.
+/// headers), builds the structure's scaffold, and runs the value analysis,
+/// which resolves every instruction's memory facts into the view. Throws
+/// ProgramError when the image does not belong to the shape's module.
 ProgramView bind_view(std::shared_ptr<const ProgramShape> shape,
                       const link::Image& img,
                       const program::DecodedImage& dec,
@@ -185,7 +195,8 @@ ProgramView bind_view(std::shared_ptr<const ProgramShape> shape,
 /// Immutable; shared by every placement.
 struct RelocatableProgram {
   /// The view bound to the canonical (no-scratchpad) image: every function's
-  /// facts placed at the canonical addresses. Pins the image.
+  /// facts placed at the canonical addresses. Its structure is every
+  /// placement's.
   std::shared_ptr<const ProgramView> canonical;
 
   /// A literal-pool word as the link writes it: `value` (sym kAbsolute), or
@@ -218,7 +229,7 @@ struct RelocatableProgram {
 /// analysis once per function; the canonical view's facts are those facts
 /// at the canonical addresses. Throws like bind_view.
 RelocatableProgram build_relocatable(std::shared_ptr<const ProgramShape> shape,
-                                     std::shared_ptr<const link::Image> img,
+                                     const link::Image& img,
                                      const program::DecodedImage& dec,
                                      const minic::ObjModule& mod,
                                      std::span<const link::FunctionExtent> extents);
@@ -231,12 +242,13 @@ struct PlacementBinding {
   uint32_t reanalyzed = 0;
 };
 
-/// Binds one placement: assigns every function its address from `addrs`
-/// (link::assign_addresses under `opts`), relocates the CFGs and each site's
-/// facts, classifies them against the placement's region map, and builds
-/// the scaffold. The view equals bind_view on the linked placement in every
-/// memory fact, site and report field (SpmSoundness in
-/// tests/test_spm_soundness.cpp); it carries no image.
+/// Binds one placement: assigns every function its base from `addrs`
+/// (link::assign_addresses under `opts`), relocates each site's facts,
+/// classifies them against the placement's region map, and prices the site
+/// table. The view shares the canonical view's structure; function by
+/// function it equals bind_view on the linked placement in every memory
+/// fact, site and report field (SpmSoundness in
+/// tests/test_spm_soundness.cpp).
 PlacementBinding bind_placement(const RelocatableProgram& rp,
                                 const minic::ObjModule& mod,
                                 std::span<const link::FunctionExtent> extents,

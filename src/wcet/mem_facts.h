@@ -1,8 +1,10 @@
 // Per-instruction memory facts: what the back end needs to know about an
-// instruction's memory traffic in one bound image. The value analysis
-// (wcet/value_analysis.h) resolves them once per image into CfgInstr::mem;
-// cache analysis, block timing and the report's site statistics read them
-// per visit instead of consulting the region map or an address table.
+// instruction's memory traffic in one bound image or placement. The value
+// analysis (wcet/value_analysis.h) resolves them once per view into its
+// facts vector (ProgramView::facts), one per instruction site in site
+// order; the view's site table (wcet/site_table.h) is priced from them, so
+// cache analysis, block timing and the report's site statistics never
+// consult the region map or an address table.
 #pragma once
 
 #include <cstdint>

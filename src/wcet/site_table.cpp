@@ -87,7 +87,9 @@ void add_data_access(const MemFacts& mem, SiteTable::Site& site,
 
 } // namespace
 
-SiteTable build_site_table(const std::map<uint32_t, Cfg>& cfgs) {
+SiteTable build_site_table(const std::map<uint32_t, Cfg>& cfgs,
+                           std::span<const MemFacts> facts,
+                           std::span<const uint32_t> func_base) {
   static_assert(MemTiming::cache_miss(4) >= MemTiming::scratchpad(),
                 "a line fill must outrank a scratchpad access");
   std::vector<uint32_t> func_addr; // function ordinal -> entry address
@@ -98,6 +100,11 @@ SiteTable build_site_table(const std::map<uint32_t, Cfg>& cfgs) {
     nblocks += cfg.blocks.size();
     for (const BasicBlock& b : cfg.blocks) nsites += b.instrs.size();
   }
+  SPMWCET_CHECK_MSG(facts.size() == nsites,
+                    "site table: " + std::to_string(facts.size()) +
+                        " memory facts for " + std::to_string(nsites) +
+                        " sites (resolve_memory)");
+  SPMWCET_CHECK(func_base.empty() || func_base.size() == cfgs.size());
   SiteTable t;
   t.sites.resize(nsites);
   t.blocks.reserve(nblocks);
@@ -105,9 +112,8 @@ SiteTable build_site_table(const std::map<uint32_t, Cfg>& cfgs) {
   uint32_t k = 0; // next site
   uint64_t fetch_sites = 0, load_sites = 0;
   for (const auto& [faddr, cfg] : cfgs) {
-    SPMWCET_CHECK_MSG(cfg.mem_resolved,
-                      "site table: memory facts of " + cfg.name +
-                          " were never resolved (resolve_memory)");
+    const uint32_t delta =
+        func_base.empty() ? 0 : func_base[t.functions.size()] - faddr;
     SiteTable::Function fn;
     fn.first_block = static_cast<uint32_t>(t.blocks.size());
     for (const BasicBlock& b : cfg.blocks) {
@@ -116,18 +122,19 @@ SiteTable build_site_table(const std::map<uint32_t, Cfg>& cfgs) {
       block.first_site = k;
       for (const CfgInstr& ci : b.instrs) {
         SiteTable::Site& site = t.sites[k];
-        site.addr = ci.addr;
+        const MemFacts& mem = facts[k];
+        site.addr = ci.addr + delta;
         const uint32_t halves = ci.size / 2;
-        const uint32_t main = ci.mem.fetch_spm ? 0 : halves;
+        const uint32_t main = mem.fetch_spm ? 0 : halves;
         fetch_sites += halves;
         site.main_fetches = static_cast<uint8_t>(main);
         block.main_fetches += main;
         block.fixed += MemTiming::scratchpad() * (halves - main);
         if (ci.ins.op == Op::ALU) // the only instructions with extras
           block.fixed += ExecTiming::compute_extra(ci.ins);
-        if (ci.mem.has_access) {
-          load_sites += !ci.mem.access.is_store;
-          add_data_access(ci.mem, site, block);
+        if (mem.has_access) {
+          load_sites += !mem.access.is_store;
+          add_data_access(mem, site, block);
           if (site.fault != SiteTable::Fault::None && fn.fault_site < 0)
             fn.fault_site = k;
         }

@@ -1,12 +1,15 @@
 // The per-view site table: everything the cache analysis and block timing
 // need to know about a bound program's instruction sites that no cache
-// geometry changes, built once per ProgramView (ViewScaffold) so a cache
-// point does only the geometry-dependent work.
+// geometry changes, priced once per ProgramView from its memory facts so a
+// cache point does only the geometry-dependent work.
 //
-// Sites are numbered like the cache classification (wcet/cache_analysis.h):
-// functions in address (key) order, blocks in id order, instructions in
-// block order; blocks are numbered in the same order, so block n is node n
-// of the view's cache supergraph. The table records
+// Sites are numbered like the cache classification (wcet/cache_analysis.h)
+// and the view's facts vector: functions in address (key) order of the
+// view's CFGs, blocks in id order, instructions in block order; blocks are
+// numbered in the same order, so block n is node n of the view's cache
+// supergraph. A placement shares its canonical view's CFGs, so its sites
+// keep the canonical numbering; each site's address is where the
+// placement puts the instruction. The table records
 //   * per site, the accesses the cache transfer performs — the fetch
 //     halfwords that come from main memory and the data access as a unified
 //     cache sees it — which are also the outcome fields a cache classifies;
@@ -19,10 +22,12 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "wcet/cfg.h"
+#include "wcet/mem_facts.h"
 
 namespace spmwcet::wcet {
 
@@ -111,9 +116,13 @@ struct SiteTable {
   bool operator==(const SiteTable&) const = default;
 };
 
-/// Builds the site table of `cfgs`, whose memory facts must have been
-/// resolved (resolve_memory); an unresolved CFG is refused.
-SiteTable build_site_table(const std::map<uint32_t, Cfg>& cfgs);
+/// Builds the site table of `cfgs` from `facts`, one per site in site order
+/// (resolve_memory, place_memory); facts that do not cover every site are
+/// refused. Function ordinal i's code sits at `func_base[i]` (empty: at its
+/// CFG's address), which is where its sites' fetches go.
+SiteTable build_site_table(const std::map<uint32_t, Cfg>& cfgs,
+                           std::span<const MemFacts> facts,
+                           std::span<const uint32_t> func_base = {});
 
 /// Raises the error timing raises at `site` (its fault must be set).
 [[noreturn]] void raise_site_fault(const SiteTable::Site& site);

@@ -565,42 +565,42 @@ std::optional<SymbolicFacts> analyze_accesses(const Cfg& cfg,
   return ValueAnalysis(cfg, source).run();
 }
 
-void place_memory(Cfg& cfg, std::span<const SymbolicAccess> accesses,
+void place_memory(const Cfg& cfg, std::span<const SymbolicAccess> accesses,
                   std::span<const uint32_t> symbol_addr,
-                  const link::RegionMap& regions) {
-  cfg.mem_resolved = false; // until every instruction is rewritten
+                  const link::RegionMap& regions, uint32_t delta,
+                  std::vector<MemFacts>& facts) {
   uint32_t site = 0;
   auto next = accesses.begin(); // the next instruction with an access
   const link::Region* code = nullptr; // region of the last fetch
-  for (BasicBlock& b : cfg.blocks) {
-    for (CfgInstr& ci : b.instrs) {
+  for (const BasicBlock& b : cfg.blocks) {
+    for (const CfgInstr& ci : b.instrs) {
       // A BL pair never straddles regions (decode keeps it inside the
       // function's code), so one lookup classifies both of its fetches.
-      if (code == nullptr || ci.addr < code->lo || ci.addr >= code->hi) {
-        code = regions.find(ci.addr);
-        if (code == nullptr) (void)regions.classify(ci.addr); // throws
+      const uint32_t addr = ci.addr + delta;
+      if (code == nullptr || addr < code->lo || addr >= code->hi) {
+        code = regions.find(addr);
+        if (code == nullptr) (void)regions.classify(addr); // throws
       }
-      ci.mem = MemFacts{};
-      ci.mem.fetch_spm =
-          link::mem_class(code->kind) == isa::MemClass::Scratchpad;
+      MemFacts& mem = facts.emplace_back();
+      mem.fetch_spm = link::mem_class(code->kind) == isa::MemClass::Scratchpad;
       if (next != accesses.end() && next->site == site) {
-        ci.mem.has_access = true;
-        ci.mem.access = place_access(*next++, ci.addr, symbol_addr);
-        classify_access(regions, ci.mem);
+        mem.has_access = true;
+        mem.access = place_access(*next++, addr, symbol_addr);
+        classify_access(regions, mem);
       }
       ++site;
     }
   }
   SPMWCET_CHECK(next == accesses.end());
-  cfg.mem_resolved = true;
 }
 
-void resolve_memory(const link::Image& img, Cfg& cfg, const Annotations& ann) {
+void resolve_memory(const link::Image& img, const Cfg& cfg,
+                    const Annotations& ann, std::vector<MemFacts>& facts) {
   const ImageSource source(img, ann);
   // An image's own contents hold no symbols, so the analysis always places.
-  const auto facts = analyze_accesses(cfg, source);
-  SPMWCET_CHECK(facts.has_value());
-  place_memory(cfg, facts->accesses, {}, img.regions);
+  const auto analysis = analyze_accesses(cfg, source);
+  SPMWCET_CHECK(analysis.has_value());
+  place_memory(cfg, analysis->accesses, {}, img.regions, 0, facts);
 }
 
 void throw_unmapped(uint32_t addr) {

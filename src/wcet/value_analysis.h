@@ -9,14 +9,15 @@
 // every placement that keeps the symbol order it relied on (wcet/frontend.h,
 // bind_placement).
 //
-// The result of the stage is one SymbolicAccess per instruction; placing it
-// (place_memory) writes every instruction's MemFacts into the CFG — the
-// memory class of its own fetch and, for a memory instruction, an AddrInfo
-// (an exact address, a bounded range from the analysis, the compiler's
-// access hints or their intersection, a stack-relative access, or unknown)
-// plus the memory classes that access may touch. These are the layout
-// facts of one bound image, resolved once; block timing and cache analysis
-// read them per visit and never look at registers or the region map.
+// The result of the stage is one SymbolicAccess per data access; placing it
+// (place_memory) appends every instruction's MemFacts to a view's facts
+// vector, in site order — the memory class of its own fetch and, for a
+// memory instruction, an AddrInfo (an exact address, a bounded range from
+// the analysis, the compiler's access hints or their intersection, a
+// stack-relative access, or unknown) plus the memory classes that access
+// may touch. These are the layout facts of one bound image or placement,
+// resolved once; the view's site table is priced from them, and block
+// timing and cache analysis never look at registers or the region map.
 #pragma once
 
 #include <array>
@@ -30,6 +31,7 @@
 #include "support/interval.h"
 #include "wcet/annotations.h"
 #include "wcet/cfg.h"
+#include "wcet/mem_facts.h"
 
 namespace spmwcet::wcet {
 
@@ -142,23 +144,26 @@ struct SymbolicFacts {
 std::optional<SymbolicFacts> analyze_accesses(const Cfg& cfg,
                                               const AddressSource& source);
 
-/// Writes every instruction's MemFacts into `cfg` from `accesses`
-/// (SymbolicFacts::accesses of the CFG) at the addresses `symbol_addr` gives each
-/// symbol id, classified by `regions`, and marks the CFG resolved, which
-/// the back end (cache analysis, block timing) requires. An instruction
-/// outside every region raises the SimulationError of an unmapped access;
-/// an access hint that contradicts the analysis raises AnnotationError.
-void place_memory(Cfg& cfg, std::span<const SymbolicAccess> accesses,
+/// Appends the MemFacts of every instruction of `cfg`, in site order
+/// (blocks in id order, instructions in block order), to `facts`: from
+/// `accesses` (SymbolicFacts::accesses of the CFG) at the addresses
+/// `symbol_addr` gives each symbol id, with the function's code `delta`
+/// bytes (modulo 2^32) from the CFG's addresses, classified by `regions`.
+/// An instruction outside every region raises the SimulationError of an
+/// unmapped access; an access hint that contradicts the analysis raises
+/// AnnotationError.
+void place_memory(const Cfg& cfg, std::span<const SymbolicAccess> accesses,
                   std::span<const uint32_t> symbol_addr,
-                  const link::RegionMap& regions);
+                  const link::RegionMap& regions, uint32_t delta,
+                  std::vector<MemFacts>& facts);
 
-/// Runs the fixpoint over `cfg` on `img`'s own contents and records every
-/// instruction's MemFacts in place (CfgInstr::mem): the fetch's memory class
-/// for every instruction, and for each load/store (including PUSH/POP) in a
+/// Runs the fixpoint over `cfg` on `img`'s own contents and appends every
+/// instruction's MemFacts to `facts`: the fetch's memory class for every
+/// instruction, and for each load/store (including PUSH/POP) in a
 /// reachable block its resolved access and the classes that access may
-/// touch. Marks the CFG resolved. Hint ranges from `ann` are intersected
-/// with analysis results; an empty intersection raises AnnotationError
-/// (inconsistent annotation).
-void resolve_memory(const link::Image& img, Cfg& cfg, const Annotations& ann);
+/// touch. Hint ranges from `ann` are intersected with analysis results; an
+/// empty intersection raises AnnotationError (inconsistent annotation).
+void resolve_memory(const link::Image& img, const Cfg& cfg,
+                    const Annotations& ann, std::vector<MemFacts>& facts);
 
 } // namespace spmwcet::wcet

@@ -64,9 +64,8 @@ private:
     return o == wcet::Outcome::Miss ? miss_ : MemTiming::cache_hit();
   }
 
-  uint64_t fetch_cycles(const wcet::CfgInstr& ci, uint32_t site,
-                        uint32_t half) const {
-    if (ci.mem.fetch_spm) return MemTiming::scratchpad();
+  uint64_t fetch_cycles(uint32_t site, uint32_t half) const {
+    if (in_.facts[site].fetch_spm) return MemTiming::scratchpad();
     if (!cached()) return MemTiming::main_memory(2);
     return cached_cycles(in_.classification->fetch(site, half));
   }
@@ -120,10 +119,11 @@ private:
   }
 
   uint64_t instr_cycles(const wcet::CfgInstr& ci, uint32_t site) const {
-    uint64_t cycles = fetch_cycles(ci, site, 0);
-    if (ci.size == 4) cycles += fetch_cycles(ci, site, 1);
+    const wcet::MemFacts& mem = in_.facts[site];
+    uint64_t cycles = fetch_cycles(site, 0);
+    if (ci.size == 4) cycles += fetch_cycles(site, 1);
     cycles += ExecTiming::compute_extra(ci.ins);
-    if (ci.mem.has_access) cycles += data_cycles(site, ci.mem);
+    if (mem.has_access) cycles += data_cycles(site, mem);
     return cycles;
   }
 
@@ -137,14 +137,14 @@ std::atomic<uint64_t> g_runs{0};
 } // namespace
 
 wcet::BlockTimes time_blocks(const wcet::Cfg& cfg, const TimingInputs& inputs) {
-  SPMWCET_CHECK_MSG(cfg.mem_resolved,
+  uint64_t end = inputs.first_site;
+  for (const auto& b : cfg.blocks) end += b.instrs.size();
+  SPMWCET_CHECK_MSG(end <= inputs.facts.size(),
                     "block timing: memory facts of " + cfg.name +
                         " were never resolved (resolve_memory)");
   if (inputs.cache) {
     SPMWCET_CHECK_MSG(inputs.classification != nullptr,
                       "cache configured but no classification supplied");
-    uint64_t end = inputs.first_site;
-    for (const auto& b : cfg.blocks) end += b.instrs.size();
     SPMWCET_CHECK_MSG(end <= inputs.classification->sites.size(),
                       "block timing: sites of " + cfg.name +
                           " lie outside the classification");
@@ -154,6 +154,7 @@ wcet::BlockTimes time_blocks(const wcet::Cfg& cfg, const TimingInputs& inputs) {
 }
 
 SiteStatistics site_statistics(const std::map<uint32_t, wcet::Cfg>& cfgs,
+                               std::span<const wcet::MemFacts> facts,
                                const wcet::SiteClassification& cls) {
   using wcet::Outcome;
   SiteStatistics st;
@@ -167,9 +168,11 @@ SiteStatistics site_statistics(const std::map<uint32_t, wcet::Cfg>& cfgs,
           st.fetch_always_hit += o == Outcome::Hit;
           st.persistent_sites += o == Outcome::Persistent;
         }
+        SPMWCET_CHECK(site < facts.size());
+        const wcet::MemFacts& mem = facts[site];
         const Outcome load = cls.load(site++);
         st.persistent_sites += load == Outcome::Persistent;
-        if (ci.mem.has_access && !ci.mem.access.is_store) {
+        if (mem.has_access && !mem.access.is_store) {
           ++st.load_sites;
           st.load_always_hit += load == Outcome::Hit;
         }

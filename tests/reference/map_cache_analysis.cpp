@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "reference/abstract_cache.h"
@@ -26,16 +27,6 @@ using wcet::SiteClassification;
 namespace {
 
 std::atomic<uint64_t> g_map_runs{0};
-
-/// The analyses read each instruction's MemFacts; a CFG that never went
-/// through resolve_memory would silently look like code with no data
-/// accesses and every fetch in main memory.
-void require_resolved(const std::map<uint32_t, Cfg>& cfgs) {
-  for (const auto& [faddr, cfg] : cfgs)
-    SPMWCET_CHECK_MSG(cfg.mem_resolved,
-                      "cache analysis: memory facts of " + cfg.name +
-                          " were never resolved (resolve_memory)");
-}
 
 /// Number of instruction sites of `cfgs` (the size of a classification).
 uint32_t count_sites(const std::map<uint32_t, Cfg>& cfgs) {
@@ -84,10 +75,20 @@ struct Node {
 class CacheAnalyzer {
 public:
   CacheAnalyzer(const link::Image& img, const std::map<uint32_t, Cfg>& cfgs,
-                uint32_t root, const CacheAnalysisConfig& cfg)
-      : img_(img), cfgs_(cfgs), root_(root), cfg_(cfg) {
+                std::span<const MemFacts> facts, uint32_t root,
+                const CacheAnalysisConfig& cfg)
+      : img_(img), cfgs_(cfgs), facts_(facts), root_(root), cfg_(cfg) {
     cfg_.cache.validate();
-    require_resolved(cfgs_);
+    // The analyses read each instruction's MemFacts; facts missing for a
+    // CFG would silently look like code with no data accesses and every
+    // fetch in main memory.
+    SPMWCET_CHECK_MSG(facts_.size() == count_sites(cfgs_),
+                      "cache analysis: memory facts were never resolved "
+                      "(resolve_memory)");
+    uint32_t site = 0;
+    for (const auto& [faddr, fcfg] : cfgs_)
+      for (const auto& b : fcfg.blocks)
+        for (const CfgInstr& ci : b.instrs) site_of_.emplace(ci.addr, site++);
     stack_lo_ = img.initial_sp - wcet::kAnalysisStackBytes;
     build_edges();
   }
@@ -175,13 +176,19 @@ private:
     }
   }
 
+  /// The memory facts of instruction `ci`.
+  const MemFacts& mem_of(const CfgInstr& ci) const {
+    return facts_[site_of_.at(ci.addr)];
+  }
+
   void transfer_instr(AbsCacheState& s, const CfgInstr& ci) const {
+    const MemFacts& mem = mem_of(ci);
     // Instruction fetches (SPM code bypasses the cache).
-    if (!ci.mem.fetch_spm) {
+    if (!mem.fetch_spm) {
       line_access(s, ci.addr);
       if (ci.size == 4) line_access(s, ci.addr + 2);
     }
-    if (ci.mem.has_access) data_access(s, ci.mem);
+    if (mem.has_access) data_access(s, mem);
   }
 
   void transfer_block(AbsCacheState& s, const BasicBlock& b) const {
@@ -249,7 +256,8 @@ private:
   void classify_instr(const AbsCacheState& s, const CfgInstr& ci,
                       CacheClassification& out) const {
     AbsCacheState state = s; // local copy: fetch precedes the data access
-    if (!ci.mem.fetch_spm) {
+    const MemFacts& mem = mem_of(ci);
+    if (!mem.fetch_spm) {
       classify_fetch(state, ci.addr, out);
       state.access_line(cfg_.cache.line_of(ci.addr));
       if (ci.size == 4) {
@@ -257,11 +265,11 @@ private:
         state.access_line(cfg_.cache.line_of(ci.addr + 2));
       }
     }
-    if (!ci.mem.has_access) return;
-    const AddrInfo& info = ci.mem.access;
+    if (!mem.has_access) return;
+    const AddrInfo& info = mem.access;
     if (!cfg_.cache.unified || info.is_store) return;
     if (info.kind == AddrInfo::Kind::Exact &&
-        ci.mem.exact_class() != MemClass::Scratchpad) {
+        mem.exact_class() != MemClass::Scratchpad) {
       const uint32_t line = cfg_.cache.line_of(info.lo);
       if (state.must.contains_line(line)) {
         out.load_always_hit.push_back(ci.addr);
@@ -274,6 +282,8 @@ private:
 
   const link::Image& img_;
   const std::map<uint32_t, Cfg>& cfgs_;
+  std::span<const MemFacts> facts_;
+  std::map<uint32_t, uint32_t> site_of_; ///< instruction address -> site
   uint32_t root_;
   CacheAnalysisConfig cfg_;
   uint32_t stack_lo_ = 0;
@@ -340,10 +350,11 @@ SiteClassification to_sites(const std::map<uint32_t, Cfg>& cfgs,
 
 CacheClassification analyze_cache(const link::Image& img,
                                   const std::map<uint32_t, Cfg>& cfgs,
+                                  std::span<const MemFacts> facts,
                                   uint32_t root,
                                   const CacheAnalysisConfig& cfg) {
   g_map_runs.fetch_add(1, std::memory_order_relaxed);
-  return CacheAnalyzer(img, cfgs, root, cfg).run();
+  return CacheAnalyzer(img, cfgs, facts, root, cfg).run();
 }
 
 uint64_t map_analysis_runs() {

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 
 #include "link/image.h"
 #include "wcet/cache_analysis.h"
@@ -43,10 +44,12 @@ wcet::SiteClassification to_sites(const std::map<uint32_t, wcet::Cfg>& cfgs,
                                   const CacheClassification& sets);
 
 /// Runs the fixpoint over all `cfgs` (keyed by function address) starting
-/// from `root`. Every CFG must carry this image's memory facts
-/// (resolve_memory, wcet/value_analysis.h); an unresolved one is refused.
+/// from `root`. `facts` are this image's memory facts of every site of
+/// `cfgs`, in site order (resolve_memory, wcet/value_analysis.h); facts that
+/// do not cover every site are refused.
 CacheClassification analyze_cache(const link::Image& img,
                                   const std::map<uint32_t, wcet::Cfg>& cfgs,
+                                  std::span<const wcet::MemFacts> facts,
                                   uint32_t root,
                                   const wcet::CacheAnalysisConfig& cfg);
 

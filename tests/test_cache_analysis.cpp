@@ -23,31 +23,38 @@ using reference::analyze_cache;
 using reference::CacheClassification;
 using reference::to_sites;
 
+/// Every reachable function's CFG with this image's memory facts, one per
+/// site in site order, through the same resolution step the analyzer front
+/// ends use.
+struct Resolved {
+  std::map<uint32_t, Cfg> cfgs;
+  std::vector<MemFacts> facts;
+};
+
+Resolved resolved_cfgs(const link::Image& img) {
+  const Annotations ann = Annotations::from_image(img);
+  Resolved r;
+  for (const uint32_t f : reachable_functions(img, img.entry))
+    r.cfgs.emplace(f, build_cfg(img, f));
+  for (const auto& [f, cfg] : r.cfgs) resolve_memory(img, cfg, ann, r.facts);
+  return r;
+}
+
 struct Classified {
   link::Image img;
   CacheClassification cls;
   std::map<uint32_t, Cfg> cfgs;
 };
 
-/// Every reachable function's CFG with this image's memory facts, through
-/// the same resolution step the analyzer front ends use.
-std::map<uint32_t, Cfg> resolved_cfgs(const link::Image& img) {
-  const Annotations ann = Annotations::from_image(img);
-  std::map<uint32_t, Cfg> cfgs;
-  for (const uint32_t f : reachable_functions(img, img.entry))
-    resolve_memory(img, cfgs.emplace(f, build_cfg(img, f)).first->second,
-                   ann);
-  return cfgs;
-}
-
 Classified classify(const minic::ObjModule& mod, uint32_t cache_bytes,
                     bool persistence = false) {
   Classified out{link::link_program(mod, {}, {}), {}, {}};
-  out.cfgs = resolved_cfgs(out.img);
+  Resolved r = resolved_cfgs(out.img);
   CacheAnalysisConfig ccfg;
   ccfg.cache.size_bytes = cache_bytes;
   ccfg.with_persistence = persistence;
-  out.cls = analyze_cache(out.img, out.cfgs, out.img.entry, ccfg);
+  out.cls = analyze_cache(out.img, r.cfgs, r.facts, out.img.entry, ccfg);
+  out.cfgs = std::move(r.cfgs);
   return out;
 }
 
@@ -212,10 +219,10 @@ TEST(CacheAnalysis, SpmCodeBypassesTheCache) {
   link::SpmAssignment spm;
   spm.functions.insert("main");
   const link::Image img = link::link_program(mod, opts, spm);
-  const std::map<uint32_t, Cfg> cfgs = resolved_cfgs(img);
+  const Resolved r = resolved_cfgs(img);
   CacheAnalysisConfig ccfg;
   ccfg.cache.size_bytes = 1024;
-  const auto cls = analyze_cache(img, cfgs, img.entry, ccfg);
+  const auto cls = analyze_cache(img, r.cfgs, r.facts, img.entry, ccfg);
   const link::Symbol* mainsym = img.find_symbol("main");
   for (const uint32_t addr : cls.fetch_always_hit)
     EXPECT_FALSE(addr >= mainsym->addr && addr < mainsym->addr + mainsym->size)
@@ -236,25 +243,30 @@ TEST(CacheAnalysis, ClassificationCountsAppearInReport) {
 }
 
 TEST(CacheAnalysis, UnresolvedCfgIsRefusedByTheBackEnd) {
-  // A CFG that never went through resolve_memory carries default facts —
-  // no data accesses, every fetch in main memory. The back end must refuse
-  // it rather than analyze that fiction.
+  // Facts that miss a CFG that never went through resolve_memory would read
+  // as no data accesses and every fetch in main memory. The back end must
+  // refuse them rather than analyze that fiction: with no facts, and with
+  // the last function's last site missing.
   const auto img = link::link_program(compile(straight_line(10)), {}, {});
-  std::map<uint32_t, Cfg> unresolved;
-  for (const uint32_t f : reachable_functions(img, img.entry))
-    unresolved.emplace(f, build_cfg(img, f));
+  const Resolved r = resolved_cfgs(img);
+  const std::vector<MemFacts> short_facts(r.facts.begin(),
+                                          r.facts.end() - 1);
   CacheAnalysisConfig ccfg;
   ccfg.cache.size_bytes = 1024;
-  EXPECT_THROW(analyze_cache_flat(img, unresolved, img.entry, ccfg),
-               spmwcet::Error);
-  EXPECT_THROW(analyze_cache(img, unresolved, img.entry, ccfg),
-               spmwcet::Error);
-  // Block timing reads the site table, which a view's scaffold builds.
-  EXPECT_THROW(build_site_table(unresolved), spmwcet::Error);
+  for (const std::span<const MemFacts> facts :
+       {std::span<const MemFacts>(), std::span<const MemFacts>(short_facts)}) {
+    EXPECT_THROW(
+        analyze_cache_flat(img.initial_sp, r.cfgs, facts, img.entry, ccfg),
+        spmwcet::Error);
+    EXPECT_THROW(analyze_cache(img, r.cfgs, facts, img.entry, ccfg),
+                 spmwcet::Error);
+    // Block timing reads the site table, which every view prices.
+    EXPECT_THROW(build_site_table(r.cfgs, facts), spmwcet::Error);
+  }
 
-  const std::map<uint32_t, Cfg> resolved = resolved_cfgs(img);
-  EXPECT_NO_THROW(analyze_cache_flat(img, resolved, img.entry, ccfg));
-  EXPECT_NO_THROW(build_site_table(resolved));
+  EXPECT_NO_THROW(
+      analyze_cache_flat(img.initial_sp, r.cfgs, r.facts, img.entry, ccfg));
+  EXPECT_NO_THROW(build_site_table(r.cfgs, r.facts));
 }
 
 // ---- flat persistence domain -----------------------------------------------
@@ -292,7 +304,8 @@ TEST(CacheAnalysis, FlatPersistenceMatchesMapAnalysisAcrossGeometries) {
   // that was not yet final.
   const auto mod = compile(persistence_workout());
   const link::Image img = link::link_program(mod, {}, {});
-  const std::map<uint32_t, Cfg> cfgs = resolved_cfgs(img);
+  const Resolved r = resolved_cfgs(img);
+  const std::map<uint32_t, Cfg>& cfgs = r.cfgs;
   const uint64_t map_runs = reference::map_analysis_runs();
   int classified = 0, persistent = 0;
   for (const bool persistence : {false, true}) {
@@ -305,9 +318,10 @@ TEST(CacheAnalysis, FlatPersistenceMatchesMapAnalysisAcrossGeometries) {
           ccfg.cache.assoc = assoc;
           ccfg.cache.unified = unified;
           ccfg.with_persistence = persistence;
-          const auto map_cls = analyze_cache(img, cfgs, img.entry, ccfg);
-          const auto flat_cls =
-              analyze_cache_flat(img, cfgs, img.entry, ccfg);
+          const auto map_cls =
+              analyze_cache(img, cfgs, r.facts, img.entry, ccfg);
+          const auto flat_cls = analyze_cache_flat(img.initial_sp, cfgs,
+                                                   r.facts, img.entry, ccfg);
           SCOPED_TRACE("persistence=" + std::to_string(persistence) +
                        " size=" + std::to_string(size) +
                        " assoc=" + std::to_string(assoc) +

@@ -121,10 +121,14 @@ TEST(CacheSoundness, PerSiteClassificationMatchesSeedAcrossTheMatrix) {
               ccfg.cache.unified = unified;
               ccfg.with_persistence = pers;
               const wcet::SiteClassification flat =
-                  wcet::analyze_cache_flat(img, view.cfgs, view.root, ccfg);
+                  wcet::analyze_cache_flat(
+                      img.initial_sp, view.structure->cfgs, view.facts,
+                      view.structure->root, ccfg);
               const wcet::SiteClassification seed_sites = reference::to_sites(
-                  view.cfgs,
-                  reference::analyze_cache(img, view.cfgs, view.root, ccfg));
+                  view.structure->cfgs,
+                  reference::analyze_cache(img, view.structure->cfgs,
+                                           view.facts, view.structure->root,
+                                           ccfg));
               ASSERT_EQ(flat.sites, seed_sites.sites) << what;
               ASSERT_EQ(flat.persistent_penalty_lines,
                         seed_sites.persistent_penalty_lines)

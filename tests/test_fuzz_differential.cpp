@@ -424,10 +424,13 @@ TEST(FlatPersistenceFuzz, FlatAndMapPersistenceAreFieldIdentical) {
         cls_cfg.cache = ccfg;
         cls_cfg.with_persistence = true;
         const wcet::SiteClassification sites =
-            wcet::analyze_cache_flat(img, view.cfgs, view.root, cls_cfg);
+            wcet::analyze_cache_flat(img.initial_sp, view.structure->cfgs,
+                                     view.facts, view.structure->root,
+                                     cls_cfg);
         const wcet::SiteClassification seed_sites = reference::to_sites(
-            view.cfgs,
-            reference::analyze_cache(img, view.cfgs, view.root, cls_cfg));
+            view.structure->cfgs,
+            reference::analyze_cache(img, view.structure->cfgs, view.facts,
+                                     view.structure->root, cls_cfg));
         ASSERT_EQ(sites.sites, seed_sites.sites) << what;
         ASSERT_EQ(sites.persistent_penalty_lines,
                   seed_sites.persistent_penalty_lines)

@@ -99,7 +99,7 @@ public:
                      const link::Image& img, const std::string& what) {
     const program::DecodedImage dec(img);
     const wcet::ProgramView oracle =
-        wcet::bind_view(relocatable_->canonical->shape, img, dec);
+        wcet::bind_view(relocatable_->canonical->structure->shape, img, dec);
     const wcet::WcetReport cold = wcet::analyze_wcet(oracle, {});
 
     const link::AddressMap addrs =

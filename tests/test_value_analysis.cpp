@@ -24,20 +24,30 @@ struct Analyzed {
   std::map<uint32_t, AddrInfo> addrs;
 };
 
+/// A function's CFG and its memory facts, one per instruction in site
+/// order.
+struct Resolved {
+  Cfg cfg;
+  std::vector<MemFacts> facts;
+};
+
 /// Resolves the memory facts of `func` in `img`.
-Cfg resolved_cfg(const link::Image& img, const std::string& func) {
-  Cfg cfg = build_cfg(img, img.find_symbol(func)->addr);
-  resolve_memory(img, cfg, Annotations::from_image(img));
-  return cfg;
+Resolved resolved_cfg(const link::Image& img, const std::string& func) {
+  Resolved r{build_cfg(img, img.find_symbol(func)->addr), {}};
+  resolve_memory(img, r.cfg, Annotations::from_image(img), r.facts);
+  return r;
 }
 
 Analyzed analyze_main(ProgramDef& p) {
   Analyzed a{link::link_program(compile(p)), {}};
-  const Cfg cfg = resolved_cfg(a.img, "main");
-  EXPECT_TRUE(cfg.mem_resolved);
-  for (const BasicBlock& b : cfg.blocks)
-    for (const CfgInstr& ci : b.instrs)
-      if (ci.mem.has_access) a.addrs[ci.addr] = ci.mem.access;
+  const Resolved r = resolved_cfg(a.img, "main");
+  std::size_t site = 0;
+  for (const BasicBlock& b : r.cfg.blocks)
+    for (const CfgInstr& ci : b.instrs) {
+      const MemFacts& mem = r.facts.at(site++);
+      if (mem.has_access) a.addrs[ci.addr] = mem.access;
+    }
+  EXPECT_EQ(site, r.facts.size());
   return a;
 }
 
@@ -162,29 +172,28 @@ TEST(ValueAnalysis, FactsRecordFetchAndAccessClasses) {
   spm.functions.insert("main");
   spm.globals.insert("fast");
   const link::Image img = link::link_program(compile(p), opts, spm);
-  const Cfg cfg = resolved_cfg(img, "main");
+  const Resolved r = resolved_cfg(img, "main");
   const uint32_t fast = img.find_symbol("fast")->addr;
   const uint32_t slow = img.find_symbol("slow")->addr;
   int fast_stores = 0, slow_stores = 0;
-  for (const BasicBlock& b : cfg.blocks)
-    for (const CfgInstr& ci : b.instrs) {
-      EXPECT_TRUE(ci.mem.fetch_spm) << "main sits on the scratchpad";
-      const AddrInfo& info = ci.mem.access;
-      if (!ci.mem.has_access || !info.is_store ||
-          info.kind != AddrInfo::Kind::Exact)
-        continue;
-      if (info.lo == fast) {
-        ++fast_stores;
-        EXPECT_TRUE(ci.mem.may_spm);
-        EXPECT_FALSE(ci.mem.may_main);
-        EXPECT_EQ(ci.mem.exact_class(), isa::MemClass::Scratchpad);
-      } else if (info.lo == slow) {
-        ++slow_stores;
-        EXPECT_FALSE(ci.mem.may_spm);
-        EXPECT_TRUE(ci.mem.may_main);
-        EXPECT_EQ(ci.mem.exact_class(), isa::MemClass::MainMemory);
-      }
+  for (const MemFacts& mem : r.facts) {
+    EXPECT_TRUE(mem.fetch_spm) << "main sits on the scratchpad";
+    const AddrInfo& info = mem.access;
+    if (!mem.has_access || !info.is_store ||
+        info.kind != AddrInfo::Kind::Exact)
+      continue;
+    if (info.lo == fast) {
+      ++fast_stores;
+      EXPECT_TRUE(mem.may_spm);
+      EXPECT_FALSE(mem.may_main);
+      EXPECT_EQ(mem.exact_class(), isa::MemClass::Scratchpad);
+    } else if (info.lo == slow) {
+      ++slow_stores;
+      EXPECT_FALSE(mem.may_spm);
+      EXPECT_TRUE(mem.may_main);
+      EXPECT_EQ(mem.exact_class(), isa::MemClass::MainMemory);
     }
+  }
   EXPECT_EQ(fast_stores, 1);
   EXPECT_EQ(slow_stores, 1);
 }
@@ -248,8 +257,9 @@ TEST(Annotations, ContradictoryHintIsRejected) {
   ann.set_access_range(store_addr, 0x1, 0x2); // contradicts the scalar's address
 
   const uint32_t main_addr = img.find_symbol("main")->addr;
-  Cfg cfg = build_cfg(img, main_addr);
-  EXPECT_THROW(resolve_memory(img, cfg, ann), spmwcet::AnnotationError);
+  const Cfg cfg = build_cfg(img, main_addr);
+  std::vector<MemFacts> facts;
+  EXPECT_THROW(resolve_memory(img, cfg, ann, facts), spmwcet::AnnotationError);
 }
 
 } // namespace

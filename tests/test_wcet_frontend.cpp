@@ -116,12 +116,13 @@ TEST(ProgramShape, BindReproducesLegacyCfgsExactly) {
         std::make_shared<const wcet::ProgramShape>(wcet::build_shape(img, dec));
     const wcet::ProgramView view = wcet::bind_view(shape, img, dec);
 
+    const std::map<uint32_t, wcet::Cfg>& cfgs = view.structure->cfgs;
     const auto funcs = wcet::reachable_functions(img, img.entry);
-    ASSERT_EQ(view.cfgs.size(), funcs.size()) << wl->name;
+    ASSERT_EQ(cfgs.size(), funcs.size()) << wl->name;
     for (const uint32_t f : funcs) {
       const wcet::Cfg legacy = wcet::build_cfg(img, f);
-      const auto it = view.cfgs.find(f);
-      ASSERT_NE(it, view.cfgs.end()) << wl->name;
+      const auto it = cfgs.find(f);
+      ASSERT_NE(it, cfgs.end()) << wl->name;
       const wcet::Cfg& bound = it->second;
       EXPECT_EQ(bound.name, legacy.name);
       EXPECT_EQ(bound.func_addr, legacy.func_addr);
@@ -256,10 +257,13 @@ TEST(ProgramView, OneViewServesEveryCacheSize) {
         wcet::CacheAnalysisConfig cls;
         cls.cache = ccfg;
         cls.with_persistence = pers;
-        const auto flat =
-            wcet::analyze_cache_flat(img, view.cfgs, view.root, cls);
+        const wcet::ViewStructure& vs = *view.structure;
+        const wcet::ViewStructure& ss = *seed.structure;
+        const auto flat = wcet::analyze_cache_flat(img.initial_sp, vs.cfgs,
+                                                   view.facts, vs.root, cls);
         const auto want = reference::to_sites(
-            seed.cfgs, reference::analyze_cache(img, seed.cfgs, seed.root, cls));
+            ss.cfgs, reference::analyze_cache(img, ss.cfgs, seed.facts,
+                                              ss.root, cls));
         EXPECT_EQ(flat.sites, want.sites) << what;
         EXPECT_EQ(flat.persistent_penalty_lines, want.persistent_penalty_lines)
             << what;
@@ -273,10 +277,11 @@ TEST(ProgramView, OneViewServesEveryCacheSize) {
 
 TEST(ProgramView, ScaffoldIsBuiltAtBindAndSurvivesCopies) {
   // bind_view builds the back end's view-constant scaffolding once: the
-  // cache supergraph and the site table cover every block and site in
-  // site order, and the bottom-up order lists every function after its
-  // callees. The scaffold names CFGs by key order, so a copy of the view
-  // analyzes identically after the original is gone.
+  // structure's cache supergraph and the view's site table and facts cover
+  // every block and site in site order, and the bottom-up order lists
+  // every function after its callees. The scaffold names CFGs by key
+  // order, so a copy of the view analyzes identically after the original
+  // is gone.
   for (const std::string& name : trio_and_mixed_slice()) {
     const auto wl = workloads::WorkloadRegistry::instance().benchmark(name);
     const link::Image img = link::link_program(wl->module, {}, {});
@@ -284,17 +289,19 @@ TEST(ProgramView, ScaffoldIsBuiltAtBindAndSurvivesCopies) {
     auto view = std::make_unique<wcet::ProgramView>(wcet::bind_view(
         std::make_shared<const wcet::ProgramShape>(wcet::build_shape(img, dec)),
         img, dec));
-    const wcet::ViewScaffold& sc = view->scaffold;
+    const wcet::ViewStructure& sc = *view->structure;
     const wcet::CacheSupergraph& g = sc.supergraph;
-    const wcet::SiteTable& t = sc.sites;
+    const wcet::SiteTable& t = view->sites;
     ASSERT_FALSE(sc.recursive.has_value()) << name;
-    ASSERT_EQ(g.func_addr.size(), view->cfgs.size()) << name;
-    ASSERT_EQ(t.functions.size(), view->cfgs.size()) << name;
+    ASSERT_EQ(g.func_addr.size(), sc.cfgs.size()) << name;
+    ASSERT_EQ(t.functions.size(), sc.cfgs.size()) << name;
+    ASSERT_EQ(view->func_base.size(), sc.cfgs.size()) << name;
     std::size_t blocks = 0, sites = 0, func = 0;
-    for (const auto& [f, cfg] : view->cfgs) {
+    for (const auto& [f, cfg] : sc.cfgs) {
       EXPECT_EQ(g.func_addr[func], f) << name;
+      EXPECT_EQ(view->func_base[func], f) << name;
       EXPECT_EQ(t.functions[func].first_block, blocks) << name;
-      if (f == view->root) {
+      if (f == sc.root) {
         EXPECT_EQ(g.root_node, blocks) << name;
       }
       ++func;
@@ -308,16 +315,17 @@ TEST(ProgramView, ScaffoldIsBuiltAtBindAndSurvivesCopies) {
     EXPECT_EQ(g.num_nodes(), blocks) << name;
     EXPECT_EQ(t.blocks.size(), blocks) << name;
     EXPECT_EQ(t.sites.size(), sites) << name;
-    ASSERT_EQ(sc.bottom_up.size(), view->cfgs.size()) << name;
+    EXPECT_EQ(view->facts.size(), sites) << name;
+    ASSERT_EQ(sc.bottom_up.size(), sc.cfgs.size()) << name;
     std::set<uint32_t> seen;
     for (const uint32_t fi : sc.bottom_up) {
-      const wcet::Cfg& cfg = view->cfgs.at(g.func_addr[fi]);
+      const wcet::Cfg& cfg = sc.cfgs.at(g.func_addr[fi]);
       for (const auto& b : cfg.blocks)
         if (b.call_target)
           EXPECT_TRUE(seen.count(*b.call_target)) << name << "/" << cfg.name;
       seen.insert(g.func_addr[fi]);
     }
-    EXPECT_EQ(g.func_addr[sc.bottom_up.back()], view->root) << name;
+    EXPECT_EQ(g.func_addr[sc.bottom_up.back()], sc.root) << name;
 
     AnalyzerConfig cfg;
     cache::CacheConfig ccfg;
@@ -396,29 +404,29 @@ struct SimplexParity {
   void check_view(const wcet::ProgramView& view, const AnalyzerConfig& acfg,
                   const std::string& what) {
     const WcetReport report = wcet::analyze_wcet(view, acfg);
-    const wcet::CacheSupergraph& g = view.scaffold.supergraph;
+    const wcet::ViewStructure& s = *view.structure;
+    const wcet::CacheSupergraph& g = s.supergraph;
     wcet::SiteClassification cls;
     if (acfg.cache) {
       wcet::CacheAnalysisConfig ccfg;
       ccfg.cache = *acfg.cache;
       ccfg.with_persistence = acfg.with_persistence;
-      cls = wcet::analyze_cache_flat(*view.img, g, view.scaffold.sites, ccfg);
+      cls = wcet::analyze_cache_flat(view.stack_top, g, view.sites, ccfg);
     }
     std::map<uint32_t, uint64_t> callee_wcet;
-    for (const auto& [f, cfg] : view.cfgs)
+    for (const auto& [f, cfg] : s.cfgs)
       callee_wcet[f] = report.functions.at(cfg.name).wcet;
-    const std::vector<uint32_t> site_of = first_sites(view.cfgs);
+    const std::vector<uint32_t> site_of = first_sites(s.cfgs);
     for (std::size_t fi = 0; fi < g.func_addr.size(); ++fi) {
-      const wcet::Cfg& cfg = view.cfgs.at(g.func_addr[fi]);
+      const wcet::Cfg& cfg = s.cfgs.at(g.func_addr[fi]);
       reference::TimingInputs in;
+      in.facts = view.facts;
+      in.first_site = site_of[fi];
       in.cache = acfg.cache;
-      if (acfg.cache) {
-        in.classification = &cls;
-        in.first_site = site_of[fi];
-      }
+      if (acfg.cache) in.classification = &cls;
       in.callee_wcet = &callee_wcet;
       const lp::Model m =
-          wcet::ipet_model(cfg, *view.loops.at(g.func_addr[fi]), view.ann,
+          wcet::ipet_model(cfg, *s.loops.at(g.func_addr[fi]), s.ann,
                            reference::time_blocks(cfg, in));
       const lp::Solution sol = check(m, what + "/" + cfg.name);
       ASSERT_EQ(sol.status, lp::Status::Optimal) << what << "/" << cfg.name;
@@ -536,8 +544,8 @@ wcet::SiteClassification classification_of(const wcet::ProgramView& view,
   wcet::CacheAnalysisConfig ccfg;
   ccfg.cache = *cfg.cache;
   ccfg.with_persistence = cfg.with_persistence;
-  return wcet::analyze_cache_flat(*view.img, view.scaffold.supergraph,
-                                  view.scaffold.sites, ccfg);
+  return wcet::analyze_cache_flat(view.stack_top, view.structure->supergraph,
+                                  view.sites, ccfg);
 }
 
 TEST(SiteTable, BlockTimesAndStatisticsMatchThePerInstructionOracle) {
@@ -551,11 +559,12 @@ TEST(SiteTable, BlockTimesAndStatisticsMatchThePerInstructionOracle) {
                             const wcet::IpetCache&, const std::string& what) {
     const WcetReport report = wcet::analyze_wcet(view, acfg);
     const wcet::SiteClassification cls = classification_of(view, acfg);
-    const wcet::CacheSupergraph& g = view.scaffold.supergraph;
+    const wcet::ViewStructure& s = *view.structure;
+    const wcet::CacheSupergraph& g = s.supergraph;
     // Callee WCETs as the report has them, for both sides.
     std::vector<uint64_t> func_wcet;
     std::map<uint32_t, uint64_t> callee_wcet;
-    for (const auto& [f, cfg] : view.cfgs) {
+    for (const auto& [f, cfg] : s.cfgs) {
       func_wcet.push_back(report.functions.at(cfg.name).wcet);
       callee_wcet[f] = func_wcet.back();
     }
@@ -564,17 +573,15 @@ TEST(SiteTable, BlockTimesAndStatisticsMatchThePerInstructionOracle) {
     if (acfg.cache) in.classification = &cls;
     wcet::SiteStats stats;
     wcet::BlockTimes times;
-    const std::vector<uint32_t> site_of = first_sites(view.cfgs);
+    const std::vector<uint32_t> site_of = first_sites(s.cfgs);
     for (uint32_t fi = 0; fi < g.func_addr.size(); ++fi) {
-      const wcet::Cfg& cfg = view.cfgs.at(g.func_addr[fi]);
-      wcet::time_function(view.scaffold.sites, fi, in, func_wcet, times,
-                          stats);
+      const wcet::Cfg& cfg = s.cfgs.at(g.func_addr[fi]);
+      wcet::time_function(view.sites, fi, in, func_wcet, times, stats);
       reference::TimingInputs rin;
+      rin.facts = view.facts;
+      rin.first_site = site_of[fi];
       rin.cache = acfg.cache;
-      if (acfg.cache) {
-        rin.classification = &cls;
-        rin.first_site = site_of[fi];
-      }
+      if (acfg.cache) rin.classification = &cls;
       rin.callee_wcet = &callee_wcet;
       const wcet::BlockTimes want = reference::time_blocks(cfg, rin);
       ASSERT_EQ(times.block_cycles, want.block_cycles) << what << "/"
@@ -590,7 +597,7 @@ TEST(SiteTable, BlockTimesAndStatisticsMatchThePerInstructionOracle) {
     }
     ++cached_points;
     const reference::SiteStatistics want =
-        reference::site_statistics(view.cfgs, cls);
+        reference::site_statistics(s.cfgs, view.facts, cls);
     EXPECT_EQ(report.fetch_sites, want.fetch_sites) << what;
     EXPECT_EQ(report.load_sites, want.load_sites) << what;
     EXPECT_EQ(report.fetch_always_hit, want.fetch_always_hit) << what;
@@ -619,23 +626,22 @@ TEST(IpetMemo, AnswersEqualTheColdSolveAcrossTheMatrix) {
                             const std::string& what) {
     const wcet::IpetCacheStats before = ipet.stats();
     const wcet::SiteClassification cls = classification_of(view, acfg);
-    const wcet::CacheSupergraph& g = view.scaffold.supergraph;
+    const wcet::ViewStructure& s = *view.structure;
+    const wcet::CacheSupergraph& g = s.supergraph;
     wcet::TimingInputs in;
     in.cache = acfg.cache;
     if (acfg.cache) in.classification = &cls;
     std::vector<uint64_t> func_wcet(g.func_addr.size(), wcet::kNoWcet);
     wcet::SiteStats stats;
     wcet::BlockTimes times;
-    for (const uint32_t fi : view.scaffold.bottom_up) {
+    for (const uint32_t fi : s.bottom_up) {
       const uint32_t f = g.func_addr[fi];
-      const wcet::Cfg& cfg = view.cfgs.at(f);
-      const wcet::LoopInfo& loops = *view.loops.at(f);
-      wcet::time_function(view.scaffold.sites, fi, in, func_wcet, times,
-                          stats);
-      const wcet::IpetResult want =
-          wcet::solve_ipet(cfg, loops, view.ann, times);
+      const wcet::Cfg& cfg = s.cfgs.at(f);
+      const wcet::LoopInfo& loops = *s.loops.at(f);
+      wcet::time_function(view.sites, fi, in, func_wcet, times, stats);
+      const wcet::IpetResult want = wcet::solve_ipet(cfg, loops, s.ann, times);
       const wcet::IpetResult got =
-          ipet.solve(view.func_index.at(f), cfg, loops, view.ann, times);
+          ipet.solve(s.func_index.at(f), cfg, loops, s.ann, times);
       ASSERT_EQ(got.wcet, want.wcet) << what << "/" << cfg.name;
       ASSERT_EQ(got.block_counts, want.block_counts) << what << "/"
                                                      << cfg.name;
@@ -665,13 +671,14 @@ TEST(IpetMemo, OverriddenLoopBoundsAreNeverAnsweredFromTheMemo) {
   const auto shape = std::make_shared<const wcet::ProgramShape>(
       wcet::build_shape(img, dec));
   const wcet::ProgramView view = wcet::bind_view(shape, img, dec);
-  wcet::Annotations raised = view.ann;
-  for (const auto& [header, bound] : view.ann.loop_bounds())
+  const wcet::ViewStructure& s = *view.structure;
+  wcet::Annotations raised = s.ann;
+  for (const auto& [header, bound] : s.ann.loop_bounds())
     raised.set_loop_bound(header, bound + 1);
   const wcet::ProgramView overridden =
       wcet::bind_view(shape, img, dec, false, &raised);
   std::size_t with_loops = 0;
-  for (const auto& [f, loops] : view.loops) with_loops += !loops->loops.empty();
+  for (const auto& [f, loops] : s.loops) with_loops += !loops->loops.empty();
   ASSERT_GT(with_loops, 0u);
 
   const wcet::IpetCache ipet;
@@ -681,12 +688,12 @@ TEST(IpetMemo, OverriddenLoopBoundsAreNeverAnsweredFromTheMemo) {
   const WcetReport base = wcet::analyze_wcet(view, cfg);
   (void)wcet::analyze_wcet(view, cfg); // every function from the memo
   const wcet::IpetCacheStats warm = ipet.stats();
-  EXPECT_EQ(warm.memo_hits, view.cfgs.size());
+  EXPECT_EQ(warm.memo_hits, s.cfgs.size());
 
   const WcetReport got = wcet::analyze_wcet(overridden, cfg);
   const wcet::IpetCacheStats after = ipet.stats();
   EXPECT_EQ(after.fallbacks - warm.fallbacks, with_loops);
-  EXPECT_LE(after.memo_hits - warm.memo_hits, view.cfgs.size() - with_loops);
+  EXPECT_LE(after.memo_hits - warm.memo_hits, s.cfgs.size() - with_loops);
   cfg.ipet_cache = nullptr;
   expect_report_eq(got, wcet::analyze_wcet(overridden, cfg), "overridden");
   EXPECT_GT(got.wcet, base.wcet);
@@ -771,8 +778,10 @@ TEST(FlatCacheAnalysis, ClassificationMatchesSeedImplementation) {
     const wcet::Annotations ann = wcet::Annotations::from_image(img);
     std::map<uint32_t, wcet::Cfg> cfgs;
     for (const uint32_t f : wcet::reachable_functions(img, img.entry))
-      wcet::resolve_memory(
-          img, cfgs.emplace(f, wcet::build_cfg(img, f)).first->second, ann);
+      cfgs.emplace(f, wcet::build_cfg(img, f));
+    std::vector<wcet::MemFacts> facts;
+    for (const auto& [f, cfg] : cfgs)
+      wcet::resolve_memory(img, cfg, ann, facts);
     for (const uint32_t size : {64u, 512u, 8192u}) {
       for (const uint32_t assoc : {1u, 4u}) {
         if (static_cast<uint64_t>(assoc) * 16 > size) continue;
@@ -780,8 +789,9 @@ TEST(FlatCacheAnalysis, ClassificationMatchesSeedImplementation) {
         ccfg.cache.size_bytes = size;
         ccfg.cache.assoc = assoc;
         const auto seed =
-            reference::analyze_cache(img, cfgs, img.entry, ccfg);
-        const auto flat = wcet::analyze_cache_flat(img, cfgs, img.entry, ccfg);
+            reference::analyze_cache(img, cfgs, facts, img.entry, ccfg);
+        const auto flat = wcet::analyze_cache_flat(img.initial_sp, cfgs,
+                                                   facts, img.entry, ccfg);
         // Through the one adapter: the seed sets in per-site form.
         const auto want = reference::to_sites(cfgs, seed);
         EXPECT_EQ(flat.sites, want.sites)
@@ -888,7 +898,7 @@ uint64_t expect_placements_match_links(const workloads::WorkloadInfo& wl) {
     reanalyzed += bound.reanalyzed;
     const program::DecodedImage dec(img);
     const wcet::ProgramView oracle =
-        wcet::bind_view(relocatable->canonical->shape, img, dec);
+        wcet::bind_view(relocatable->canonical->structure->shape, img, dec);
     const std::string what = wl.name + " spm " + std::to_string(size);
     test::expect_same_view(bound.view, oracle, what, sites);
     const wcet::WcetReport want = wcet::analyze_wcet(oracle, {});
@@ -922,6 +932,48 @@ TEST(RelocatableProgram, PlaceablePlacementsMatchTheLinkedImage) {
   for (const auto& fn : relocatable->functions)
     EXPECT_TRUE(fn.facts.has_value());
   EXPECT_EQ(expect_placements_match_links(wl), 0u);
+}
+
+TEST(RelocatableProgram, PlacementSharesTheCanonicalStructure) {
+  // A placement owns only its facts, its site table and its function
+  // bases: every energy placement of the trio and of gen:*:1..5 shares the
+  // canonical view's structure (no CFG copy, no scaffold rebuild), holds
+  // one fact per canonical site, and reports what bind_view on the linked
+  // placement reports.
+  std::vector<std::shared_ptr<const workloads::WorkloadInfo>> programs =
+      workloads::cached_paper_benchmarks();
+  for (const std::string& shape : workloads::gen_shape_names())
+    for (uint32_t seed = 1; seed <= 5; ++seed)
+      programs.push_back(workloads::WorkloadRegistry::instance().benchmark(
+          "gen:" + shape + ":" + std::to_string(seed)));
+  std::size_t placements = 0;
+  for (const auto& wl : programs) {
+    harness::ArtifactCache cache;
+    const auto relocatable = harness::relocatable_program(*wl, cache);
+    const auto record = harness::canonical_image(*wl, cache);
+    const auto run = harness::canonical_run(*wl, cache);
+    const wcet::ProgramView& canonical = *relocatable->canonical;
+    for (const uint32_t size : harness::SweepConfig{}.sizes) {
+      const std::string what = wl->name + " spm " + std::to_string(size);
+      link::LinkOptions opts;
+      opts.spm_size = size;
+      const link::SpmAssignment assignment =
+          alloc::allocate_energy_optimal(run->candidates, size).assignment;
+      const wcet::PlacementBinding bound = wcet::bind_placement(
+          *relocatable, wl->module, record->extents, opts,
+          link::assign_addresses(wl->module, record->extents, opts,
+                                 assignment));
+      EXPECT_EQ(bound.view.structure, canonical.structure) << what;
+      EXPECT_EQ(bound.view.facts.size(), canonical.facts.size()) << what;
+      const link::Image img = link::link_program(wl->module, opts, assignment);
+      const program::DecodedImage dec(img);
+      const WcetReport want = wcet::analyze_wcet(
+          wcet::bind_view(canonical.structure->shape, img, dec), {});
+      EXPECT_TRUE(wcet::analyze_wcet(bound.view, {}) == want) << what;
+      ++placements;
+    }
+  }
+  EXPECT_EQ(placements, (3 + 5 * 5) * harness::SweepConfig{}.sizes.size());
 }
 
 /// The programs the canonical-view parity covers: the paper trio, seeds
@@ -962,8 +1014,9 @@ TEST(RelocatableProgram, CanonicalViewEqualsTheBoundCanonicalImage) {
     harness::ArtifactCache cache;
     const auto relocatable = harness::relocatable_program(*wl, cache);
     const auto record = harness::canonical_image(*wl, cache);
-    const wcet::ProgramView oracle = wcet::bind_view(
-        relocatable->canonical->shape, record->image, record->decoded);
+    const wcet::ProgramView oracle =
+        wcet::bind_view(relocatable->canonical->structure->shape,
+                        record->image, record->decoded);
     test::expect_same_view(*relocatable->canonical, oracle, wl->name, sites);
     for (std::size_t c = 0; c < configs.size(); ++c)
       EXPECT_TRUE(wcet::analyze_wcet(*relocatable->canonical, configs[c]) ==
