@@ -49,7 +49,8 @@ const Prepared& g721_prepared() {
       FuncState fs{&s.cfgs.at(f), s.loops.at(f), {}};
       wcet::time_function(out.view.sites, func, {}, func_wcet, fs.times,
                           stats);
-      func_wcet[func] = wcet::solve_ipet(*fs.cfg, *fs.loops, s.ann, fs.times).wcet;
+      func_wcet[func] =
+          wcet::solve_ipet(*fs.cfg, *fs.loops, s.ann, fs.times).wcet;
       out.funcs.push_back(std::move(fs));
     }
     return out;
@@ -72,7 +73,8 @@ void BM_IpetConstruction(benchmark::State& state) {
   const Prepared& p = g721_prepared();
   for (auto _ : state)
     for (const FuncState& f : p.funcs)
-      benchmark::DoNotOptimize(wcet::IpetSkeleton(*f.cfg, *f.loops, p.view.structure->ann));
+      benchmark::DoNotOptimize(
+          wcet::IpetSkeleton(*f.cfg, *f.loops, p.view.structure->ann));
 }
 BENCHMARK(BM_IpetConstruction);
 
@@ -87,7 +89,8 @@ void BM_IpetSkeletonResolve(benchmark::State& state) {
     for (std::size_t i = 0; i < p.funcs.size(); ++i) {
       const FuncState& f = p.funcs[i];
       benchmark::DoNotOptimize(
-          skeletons[i].try_solve(*f.cfg, *f.loops, p.view.structure->ann, f.times));
+          skeletons[i].try_solve(*f.cfg, *f.loops, p.view.structure->ann,
+                                 f.times));
     }
 }
 BENCHMARK(BM_IpetSkeletonResolve);

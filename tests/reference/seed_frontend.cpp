@@ -42,8 +42,9 @@ wcet::ProgramView seed_view(const link::Image& img, bool auto_loop_bounds,
 
   s.shape = std::move(owner);
   wcet::build_scaffold(s);
-  return wcet::make_view(std::make_shared<const wcet::ViewStructure>(std::move(s)),
-                         std::move(facts), img.initial_sp);
+  return wcet::make_view(
+      std::make_shared<const wcet::ViewStructure>(std::move(s)),
+      std::move(facts), img.initial_sp);
 }
 
 } // namespace spmwcet::reference
